@@ -15,9 +15,9 @@ use simcore::time::{SimDuration, SimTime};
 use smartoclock::policy::PolicyKind;
 use soc_cluster::columns::fill_base_power;
 use soc_cluster::largescale::{
-    simulate_rack_reference, simulate_rack_trained_probed, train_rack, LargeScaleConfig,
+    simulate_rack, simulate_rack_reference, train_rack, LargeScaleConfig,
 };
-use soc_cluster::shard::generate_fleet;
+use soc_cluster::shard::generate_fleet_probed;
 use soc_cluster::NoopProbe;
 use soc_predict::template::{PowerTemplate, TemplateKind, TemplateSlot};
 use soc_telemetry::Telemetry;
@@ -109,14 +109,14 @@ fn bench_rack_simulation(c: &mut Criterion) {
     // so this is the engine-level number behind the baseline's `speedup`.
     let mut cfg = LargeScaleConfig::small_test();
     cfg.racks = 1;
-    let fleet = generate_fleet(&cfg, 1);
+    let fleet = generate_fleet_probed(&cfg, 1, &NoopProbe);
     let (rack, model) = fleet.iter().next().expect("one rack");
     let trained = train_rack(&cfg, rack, model);
     let telemetry = Telemetry::disabled();
 
     c.bench_function("rack_sim_columnar", |b| {
         b.iter(|| {
-            black_box(simulate_rack_trained_probed(
+            black_box(simulate_rack(
                 &cfg,
                 PolicyKind::SmartOClock,
                 rack,

@@ -27,7 +27,7 @@ use smartoclock::policy::PolicyKind;
 use soc_bench::Cli;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
-use soc_cluster::shard::{generate_fleet, simulate_policy_on_traces_probed, FleetTraces};
+use soc_cluster::shard::{generate_fleet_probed, simulate_policy_on_traces_probed, FleetTraces};
 use soc_cluster::NoopProbe;
 use soc_reliability::binning::BinningConfig;
 use std::path::PathBuf;
@@ -51,7 +51,7 @@ fn main() {
     // Traces depend only on the fleet shape and seed — never on the silicon
     // draw — so generate them once and share them across every cell.
     eprintln!("generating {racks} rack traces once ({threads} threads)...");
-    let fleet = generate_fleet(&base, threads);
+    let fleet = generate_fleet_probed(&base, threads, &NoopProbe);
 
     let mut t = Table::new(&[
         "bins",

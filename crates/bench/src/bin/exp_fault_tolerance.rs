@@ -26,7 +26,7 @@ use soc_bench::probe::HealthProbe;
 use soc_bench::Cli;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
-use soc_cluster::shard::{generate_fleet, simulate_policy_on_traces_probed};
+use soc_cluster::shard::{generate_fleet_probed, simulate_policy_on_traces_probed};
 use soc_cluster::NoopProbe;
 use soc_telemetry::Telemetry;
 use std::path::PathBuf;
@@ -85,7 +85,7 @@ fn main() {
     // predictions (not varied here, but per-run training keeps the cells
     // independent of each other by construction).
     eprintln!("generating {racks} rack traces once ({threads} threads)...");
-    let fleet = generate_fleet(&base, threads);
+    let fleet = generate_fleet_probed(&base, threads, &NoopProbe);
 
     let mut t = Table::new(&[
         "outage",

@@ -10,7 +10,8 @@ use simcore::report::{fmt_f64, Table};
 use simcore::time::SimDuration;
 use soc_bench::{pct_change, Cli};
 use soc_cluster::harness::{ClusterConfig, SystemKind};
-use soc_cluster::shard::run_cluster_sims;
+use soc_cluster::shard::run_cluster_sims_probed;
+use soc_cluster::NoopProbe;
 use soc_workloads::socialnet::LoadLevel;
 
 fn main() {
@@ -34,13 +35,14 @@ fn main() {
     eprintln!(
         "running NaiveOClock and SmartOClock under a constrained rack limit ({threads} threads)..."
     );
-    let mut results = run_cluster_sims(
+    let mut results = run_cluster_sims_probed(
         vec![
             config_for(SystemKind::NaiveOClock),
             config_for(SystemKind::SmartOClock),
         ],
         &telemetry,
         threads,
+        &NoopProbe,
     )
     .into_iter();
     let (Some(naive), Some(smart)) = (results.next(), results.next()) else {

@@ -5,13 +5,12 @@
 //! *Non-overclocked*, *Always overclock*, and an *Overclock-aware* policy
 //! that spends only the credits the baseline accrues.
 
-use serde::{Deserialize, Serialize};
 use simcore::series::TimeSeries;
 use soc_power::units::MegaHertz;
 use soc_reliability::wear::WearModel;
 
 /// The four Fig. 7 policies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AgeingPolicy {
     /// Vendor reference: ages one day per wall-clock day.
     Expected,

@@ -1,6 +1,6 @@
 //! Columnar (struct-of-arrays) rack simulation engine.
 //!
-//! The production hot path behind [`crate::largescale::simulate_rack_probed`].
+//! The production hot path behind [`crate::largescale::simulate_rack`].
 //! Where the retained reference engine
 //! ([`crate::largescale::simulate_rack_reference`]) keeps a `Vec<ServerState>`
 //! of structs and calls `PowerTemplate::predict` / `TimeSeries::value_at` per
@@ -175,21 +175,15 @@ pub fn fill_base_power(views: &[ServerSeriesView<'_>], idx: usize, out: &mut Vec
     total
 }
 
-/// Batched template prediction for one step: fills `out` with every server's
-/// regular-power prediction at the precomputed slot.
-pub fn fill_predictions(servers: &[TrainedServer], slot: TemplateSlot, out: &mut Vec<f64>) {
-    out.clear();
-    out.extend(servers.iter().map(|s| s.template.predict_at(slot)));
-}
-
 /// Memoized per-slot template predictions and gOA budget rows for one rack
 /// run.
 ///
 /// Every field of [`TemplateSlot`] (`time_of_day`, `time_of_week`,
-/// `weekday`) is periodic in `t` with period one week, so when the step
-/// divides a week evenly the tick at step `k` and the tick at step
-/// `k + slots_per_week` land on the *same* slot and therefore the same
-/// prediction. The tables evaluate `predict_at` once per (weekly slot ×
+/// `weekday`) is periodic in `t` with period one week, and the step divides
+/// a week evenly (it divides a day: template training and
+/// `shard::validate` both assert it), so the tick at step `k` and the tick
+/// at step `k + slots_per_week` land on the *same* slot and therefore the
+/// same prediction. The tables evaluate `predict_at` once per (weekly slot ×
 /// server) up front and replay the identical `f64`s on every later week —
 /// pure-function memoization, rule 2 of the module contract. gOA budget
 /// rows are themselves a pure function of the demand row (the agent is
@@ -212,16 +206,10 @@ struct SlotTables {
 
 impl SlotTables {
     /// Build the prediction tables for one rack's evaluation ticks starting
-    /// at `start`, or `None` when the step does not divide a week evenly
-    /// (ticks then drift across week boundaries and slots stop repeating,
-    /// so callers must fall back to per-step prediction).
-    fn build(servers: &[TrainedServer], start: SimTime, step: SimDuration) -> Option<SlotTables> {
-        let week = SimDuration::WEEK.as_micros();
-        let step_us = step.as_micros();
-        if step_us == 0 || !week.is_multiple_of(step_us) {
-            return None;
-        }
-        let slots = (week / step_us) as usize;
+    /// at `start`; `step` is the templates' training step, which divides a
+    /// day and therefore the week.
+    fn build(servers: &[TrainedServer], start: SimTime, step: SimDuration) -> SlotTables {
+        let slots = (SimDuration::WEEK.as_micros() / step.as_micros()) as usize;
         let n = servers.len();
         let mut regular = Vec::with_capacity(slots * n);
         let mut demand = Vec::with_capacity(slots * n);
@@ -234,14 +222,14 @@ impl SlotTables {
             demand.extend(servers.iter().map(|s| s.demand_template.predict_at(slot)));
             t += step;
         }
-        Some(SlotTables {
+        SlotTables {
             slots,
             n,
             regular,
             demand,
             budgets: vec![Watts::ZERO; slots * n],
             budgets_ready: vec![false; slots],
-        })
+        }
     }
 
     /// Weekly slot index of evaluation step `k` (steps since the first
@@ -351,14 +339,7 @@ pub(crate) fn simulate_rack_columnar(
         };
     let mut cols = ServerColumns::new(n, weekly_allowance);
     let mut buf = StepBuffers::with_capacity(n);
-    // Weekly-periodic prediction/budget memo (None for steps that don't
-    // divide a week; every shipped config divides, so the per-step fallback
-    // is reachable only through the `disable_slot_memo` kill switch).
-    let mut tables = if config.disable_slot_memo {
-        None
-    } else {
-        SlotTables::build(&trained.servers, train_end, config.step)
-    };
+    let mut tables = SlotTables::build(&trained.servers, train_end, config.step);
     // Borrowed raw-sample slices, hoisted once per rack: all per-server
     // series share the trace's start (time zero) and step, so one slot index
     // per step addresses every column.
@@ -419,10 +400,11 @@ pub(crate) fn simulate_rack_columnar(
         // Delayed budget updates (fault injection) mature first: a message
         // sent during an earlier step finally lands.
         cols.mature_pending(t);
-        // Sample slot and template slot for this instant, computed once and
-        // shared by every per-server read below (the batched-lookup hoist).
+        // Sample slot and weekly template slot for this instant, computed
+        // once and shared by every per-server read below (the batched-lookup
+        // hoist).
         let idx = rack.power.index_at(t).unwrap_or(usize::MAX);
-        let slot = TemplateSlot::at(t, config.step);
+        let w = tables.slot_of_step(outcome.steps);
         // gOA budget computation at this instant (heterogeneous or even).
         // While the fault plan marks the gOA unreachable no recomputation
         // happens: every server keeps enforcing its last-received budget —
@@ -450,39 +432,22 @@ pub(crate) fn simulate_rack_columnar(
         if goa_down {
             outcome.stale_budget_steps += 1;
         } else {
-            match &mut tables {
-                // Memoized path: the first visit to a weekly slot computes
-                // the budget row from the prediction tables (identical
-                // floats to the direct path); later weeks replay it.
-                Some(tb) => {
-                    let w = tb.slot_of_step(outcome.steps);
-                    if tb.budgets_ready(w) {
-                        buf.budgets.clear();
-                        buf.budgets.extend_from_slice(tb.budgets_row(w));
-                    } else {
-                        buf.demands.clear();
-                        buf.demands
-                            .extend(tb.regular_row(w).iter().zip(tb.demand_row(w)).map(
-                                |(&r, &d)| DemandProfile {
-                                    regular: Watts::new(r.max(0.0)),
-                                    overclock_demand: Watts::new(d.max(0.0)),
-                                },
-                            ));
-                        goa.budgets_for_into(&buf.demands, &mut buf.budgets);
-                        tb.store_budgets(w, &buf.budgets);
-                    }
-                }
-                None => {
-                    buf.demands.clear();
-                    buf.demands
-                        .extend(trained.servers.iter().map(|s| DemandProfile {
-                            regular: Watts::new(s.template.predict_at(slot).max(0.0)),
-                            overclock_demand: Watts::new(
-                                s.demand_template.predict_at(slot).max(0.0),
-                            ),
-                        }));
-                    goa.budgets_for_into(&buf.demands, &mut buf.budgets);
-                }
+            // The first visit to a weekly slot computes the budget row from
+            // the prediction tables; later weeks replay it.
+            if tables.budgets_ready(w) {
+                buf.budgets.clear();
+                buf.budgets.extend_from_slice(tables.budgets_row(w));
+            } else {
+                buf.demands.clear();
+                buf.demands
+                    .extend(tables.regular_row(w).iter().zip(tables.demand_row(w)).map(
+                        |(&r, &d)| DemandProfile {
+                            regular: Watts::new(r.max(0.0)),
+                            overclock_demand: Watts::new(d.max(0.0)),
+                        },
+                    ));
+                goa.budgets_for_into(&buf.demands, &mut buf.budgets);
+                tables.store_budgets(w, &buf.budgets);
             }
             epochs.mark_refresh(t);
             for (i, ((budget, pending), b)) in cols
@@ -542,21 +507,13 @@ pub(crate) fn simulate_rack_columnar(
         // Batched column fills replace the reference engine's per-server
         // `value_at`/`predict` calls; values and fold order are identical.
         let base_total = fill_base_power(&views, idx, &mut buf.base_w);
+        buf.predicted.clear();
         if decentral_check {
-            match &tables {
-                Some(tb) => {
-                    // Memoized copy of exactly what fill_predictions would
-                    // compute at this slot (raw predict_at, no clamping).
-                    buf.predicted.clear();
-                    buf.predicted
-                        .extend_from_slice(tb.regular_row(tb.slot_of_step(outcome.steps)));
-                }
-                None => fill_predictions(&trained.servers, slot, &mut buf.predicted),
-            }
+            // Memoized raw `predict_at` at this slot (no clamping).
+            buf.predicted.extend_from_slice(tables.regular_row(w));
         } else {
             // Placeholder column so the admission zip below stays in
             // lockstep; never read on this policy's admit path.
-            buf.predicted.clear();
             buf.predicted.resize(n, 0.0);
         }
         // The central oracle's running rack total; decentralized policies
@@ -966,43 +923,17 @@ mod tests {
     }
 
     #[test]
-    fn columnar_matches_reference_on_fallback_prediction_path() {
-        // The slot-memo kill switch forces the per-step prediction arms the
-        // engine would use for a step that did not divide the week — with
-        // and without heterogeneous silicon.
-        let mut config = LargeScaleConfig::small_test();
-        config.disable_slot_memo = true;
-        engines_agree(&config, PolicyKind::SmartOClock);
-        config.binning.bins = 8;
-        config.binning.risk_budget = 0.3;
-        config.binning.wear_spread = 0.4;
-        config.binning.seed = 42;
-        engines_agree(&config, PolicyKind::SmartOClock);
-    }
-
-    #[test]
     fn slot_tables_require_a_week_divisor_step() {
-        // A non-divisor step cannot come out of the public pipeline
-        // (template training asserts the step divides a day, and every
-        // day-divisor divides the week), so the guard is pinned directly.
+        // The tables are built at the training step itself (predict_at
+        // debug-asserts slot/template step agreement), which divides the
+        // week: one row per weekly slot, one column per server.
         let config = LargeScaleConfig::small_test();
         let generator = TraceGenerator::new(config.seed);
         let rack = generator.generate_rack(&config.fleet_config(), 0);
         let model = generator.model_for(rack.generation);
         let trained = train_rack(&config, &rack, &model);
         let start = SimTime::ZERO + SimDuration::WEEK;
-        assert!(
-            SlotTables::build(&trained.servers, start, SimDuration::from_hours(5)).is_none(),
-            "5h does not divide the week; the memo must refuse to build"
-        );
-        assert!(
-            SlotTables::build(&trained.servers, start, SimDuration::ZERO).is_none(),
-            "a zero step must refuse to build, not divide by zero"
-        );
-        // The Some case must use the training step itself (predict_at
-        // debug-asserts slot/template step agreement).
-        let tables = SlotTables::build(&trained.servers, start, config.step)
-            .expect("the 15-minute training step divides the week");
+        let tables = SlotTables::build(&trained.servers, start, config.step);
         let slots = (SimDuration::WEEK.as_micros() / config.step.as_micros()) as usize;
         assert_eq!(tables.slots, slots);
         assert_eq!(tables.n, rack.servers.len());

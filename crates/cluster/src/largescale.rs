@@ -15,8 +15,7 @@
 //! end-to-end by the cluster harness instead.
 
 pub use crate::largescale_metrics::{PolicyMetrics, RackOutcome};
-use crate::probe::{NoopProbe, ShardProbe};
-use serde::{Deserialize, Serialize};
+use crate::probe::ShardProbe;
 use simcore::faults::{FaultPlan, FaultPlanConfig};
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::epoch::EpochTracker;
@@ -35,7 +34,7 @@ use soc_traces::fleet::RackTrace;
 use soc_traces::gen::FleetConfig;
 
 /// Configuration of the large-scale simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LargeScaleConfig {
     /// Number of racks to simulate.
     pub racks: usize,
@@ -60,28 +59,16 @@ pub struct LargeScaleConfig {
     /// Control-plane fault schedule (default: no faults). Applies only to
     /// the evaluation weeks; realized per-rack from the shared seed so fault
     /// timelines compose with sharded execution.
-    #[serde(default)]
     pub faults: FaultPlanConfig,
     /// How the `Central` baseline behaves while the fault plan marks the
     /// gOA/central controller unreachable: `true` = fail-open (stale
     /// permissions stand, no enforcement — risks budget violations),
     /// `false` = fail-stop (deny all overclocking — forfeits OC uptime).
-    #[serde(default)]
     pub central_fail_open: bool,
     /// Per-part silicon heterogeneity (default: uniform fleet). Realized
     /// per-server from the shared seed (stateless draws), so bin identities
     /// compose with sharded execution exactly like the fault timelines.
-    #[serde(default)]
     pub binning: BinningConfig,
-    /// Kill switch for the columnar engine's weekly slot memoization: when
-    /// set, every step predicts through the per-step fallback path instead
-    /// of the precomputed slot tables. Results are equivalence-pinned to be
-    /// identical either way — this only trades speed for a simpler code
-    /// path, so it exists for debugging and for exercising the fallback
-    /// (which is otherwise unreachable: template training requires a step
-    /// that divides a day, and every day-divisor also divides the week).
-    #[serde(default)]
-    pub disable_slot_memo: bool,
 }
 
 impl LargeScaleConfig {
@@ -99,7 +86,6 @@ impl LargeScaleConfig {
             faults: FaultPlanConfig::none(),
             central_fail_open: false,
             binning: BinningConfig::uniform(),
-            disable_slot_memo: false,
         }
     }
 
@@ -117,7 +103,6 @@ impl LargeScaleConfig {
             faults: FaultPlanConfig::none(),
             central_fail_open: false,
             binning: BinningConfig::uniform(),
-            disable_slot_memo: false,
         }
     }
 
@@ -183,9 +168,9 @@ pub struct TrainedRack {
 
 /// Build the per-server templates from the first trace week (paper §IV-B).
 ///
-/// This is the `rack/setup` phase of [`simulate_rack_probed`], split out so
-/// callers can amortize training across policy variants and keep it out of
-/// timed simulation legs.
+/// This is the `rack/setup` phase of every large-scale path, split out from
+/// [`simulate_rack`] so callers can amortize training across policy variants
+/// and keep it out of timed simulation legs.
 pub fn train_rack(config: &LargeScaleConfig, rack: &RackTrace, model: &PowerModel) -> TrainedRack {
     let plan = model.plan();
     let oc_freq = plan.max_overclock();
@@ -333,83 +318,19 @@ pub(crate) fn emit_binning_events(
     }
 }
 
-/// Simulate one policy over a freshly generated fleet; returns per-rack
-/// outcomes (aggregate into Table I rows with
-/// [`PolicyMetrics::aggregate`]).
+/// Simulate one rack under one policy on the columnar production engine,
+/// over templates already trained by [`train_rack`] (callers that train
+/// inside a timed region wrap that call in their own `"rack/setup"` span).
+/// `config.step` must be the trace's step, which training requires to
+/// divide a day; the `shard` entry points assert it up front.
 ///
-/// # Panics
-/// Panics if `config.weeks < 2` or `config.racks == 0`.
-pub fn simulate_policy(config: &LargeScaleConfig, policy: PolicyKind) -> Vec<RackOutcome> {
-    simulate_policy_traced(config, policy, &Telemetry::disabled())
-}
-
-/// [`simulate_policy`] with telemetry: each rack emits `rack_sim_start` /
-/// `rack_sim_end` events plus per-step `rack_capping` warnings under
-/// [`Component::Sim`], and per-policy request/grant/capping counters.
-///
-/// Delegates to [`crate::shard::simulate_policy_sharded`] with a single
-/// worker, so the serial path and the `--threads N` path are the same code
-/// and byte-identical by construction (per-rack buffered telemetry with
-/// deterministic id bases, merged in rack order).
-///
-/// # Panics
-/// Panics if `config.weeks < 2` or `config.racks == 0`.
-pub fn simulate_policy_traced(
-    config: &LargeScaleConfig,
-    policy: PolicyKind,
-    telemetry: &Telemetry,
-) -> Vec<RackOutcome> {
-    crate::shard::simulate_policy_sharded(config, policy, telemetry, 1)
-}
-
-/// Simulate one rack under one policy.
+/// The probe sees two flat spans per step — `"rack/admission"` (per-server
+/// admission checks) and `"rack/aggregation"` (power aggregation, capping
+/// enforcement, and exploration bookkeeping) — plus a `sim_steps` counter on
+/// completion. Hooks are observation-only: simulation state never reads
+/// anything back, so probed and unprobed runs are byte-identical (see
+/// `tests/prof.rs`).
 pub fn simulate_rack(
-    config: &LargeScaleConfig,
-    policy: PolicyKind,
-    rack: &RackTrace,
-    model: &PowerModel,
-) -> RackOutcome {
-    simulate_rack_traced(config, policy, rack, model, &Telemetry::disabled())
-}
-
-/// [`simulate_rack`] with telemetry (see [`simulate_policy_traced`]).
-pub fn simulate_rack_traced(
-    config: &LargeScaleConfig,
-    policy: PolicyKind,
-    rack: &RackTrace,
-    model: &PowerModel,
-    telemetry: &Telemetry,
-) -> RackOutcome {
-    simulate_rack_probed(config, policy, rack, model, telemetry, &NoopProbe)
-}
-
-/// [`simulate_rack_traced`] with performance observation hooks.
-///
-/// The probe sees three flat spans — `"rack/setup"` around template
-/// training, and per step `"rack/admission"` (per-server admission checks)
-/// and `"rack/aggregation"` (power aggregation, capping enforcement, and
-/// exploration bookkeeping) — plus a `sim_steps` counter on completion.
-/// Hooks are observation-only: simulation state never reads anything back,
-/// so probed and unprobed runs are byte-identical (see `tests/prof.rs`).
-pub fn simulate_rack_probed(
-    config: &LargeScaleConfig,
-    policy: PolicyKind,
-    rack: &RackTrace,
-    model: &PowerModel,
-    telemetry: &Telemetry,
-    probe: &dyn ShardProbe,
-) -> RackOutcome {
-    // --- Training: build templates from week 1. ---
-    let setup_span = probe.span("rack/setup");
-    let trained = train_rack(config, rack, model);
-    drop(setup_span);
-    crate::columns::simulate_rack_columnar(config, policy, rack, model, &trained, telemetry, probe)
-}
-
-/// [`simulate_rack_probed`] over pre-trained templates: the columnar
-/// production engine without the `rack/setup` phase. Timed benchmark legs
-/// (`par_speedup`) call this so measured time is pure simulation.
-pub fn simulate_rack_trained_probed(
     config: &LargeScaleConfig,
     policy: PolicyKind,
     rack: &RackTrace,
@@ -875,9 +796,15 @@ pub fn simulate_rack_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::NoopProbe;
+    use crate::shard::simulate_policy_sharded_probed;
+
+    fn simulate(config: &LargeScaleConfig, policy: PolicyKind) -> Vec<RackOutcome> {
+        simulate_policy_sharded_probed(config, policy, &Telemetry::disabled(), 1, &NoopProbe)
+    }
 
     fn run(policy: PolicyKind) -> Vec<RackOutcome> {
-        simulate_policy(&LargeScaleConfig::small_test(), policy)
+        simulate(&LargeScaleConfig::small_test(), policy)
     }
 
     #[test]
@@ -953,7 +880,7 @@ mod tests {
         let mut cfg = LargeScaleConfig::small_test();
         cfg.faults.goa_outages = 1;
         cfg.faults.goa_outage_len = SimDuration::from_hours(12);
-        let outcomes = simulate_policy(&cfg, PolicyKind::SmartOClock);
+        let outcomes = simulate(&cfg, PolicyKind::SmartOClock);
         assert!(
             outcomes.iter().any(|o| o.stale_budget_steps > 0),
             "a 12h outage must leave stale-budget steps"
@@ -966,25 +893,25 @@ mod tests {
 
     #[test]
     fn zero_fault_config_matches_default_run() {
-        let base = simulate_policy(&LargeScaleConfig::small_test(), PolicyKind::SmartOClock);
+        let base = simulate(&LargeScaleConfig::small_test(), PolicyKind::SmartOClock);
         // Same zero-probability plan under a different fault seed: the
         // timeline is empty either way, so outcomes are identical.
         let mut cfg = LargeScaleConfig::small_test();
         cfg.faults.seed = 999;
-        let with_plan = simulate_policy(&cfg, PolicyKind::SmartOClock);
+        let with_plan = simulate(&cfg, PolicyKind::SmartOClock);
         assert_eq!(base, with_plan);
     }
 
     #[test]
     fn uniform_binning_config_matches_default_run() {
-        let base = simulate_policy(&LargeScaleConfig::small_test(), PolicyKind::SmartOClock);
+        let base = simulate(&LargeScaleConfig::small_test(), PolicyKind::SmartOClock);
         // A uniform (single-bin, zero-spread) binning config is
         // byte-transparent no matter its seed or risk budget: the lottery
         // is degenerate, so outcomes are identical to the pre-binning run.
         let mut cfg = LargeScaleConfig::small_test();
         cfg.binning.seed = 999;
         cfg.binning.risk_budget = 0.25;
-        let with_binning = simulate_policy(&cfg, PolicyKind::SmartOClock);
+        let with_binning = simulate(&cfg, PolicyKind::SmartOClock);
         assert_eq!(base, with_binning);
     }
 
@@ -995,7 +922,7 @@ mod tests {
         cfg.binning.risk_budget = 0.2;
         cfg.binning.wear_spread = 0.3;
         cfg.binning.seed = 5;
-        let outcomes = simulate_policy(&cfg, PolicyKind::SmartOClock);
+        let outcomes = simulate(&cfg, PolicyKind::SmartOClock);
         let denied: u64 = outcomes.iter().map(|o| o.bin_denied).sum();
         let down: u64 = outcomes.iter().map(|o| o.down_binned).sum();
         assert!(
@@ -1014,6 +941,6 @@ mod tests {
     fn rejects_single_week() {
         let mut cfg = LargeScaleConfig::small_test();
         cfg.weeks = 1;
-        let _ = simulate_policy(&cfg, PolicyKind::SmartOClock);
+        let _ = simulate(&cfg, PolicyKind::SmartOClock);
     }
 }

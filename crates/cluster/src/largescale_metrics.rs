@@ -1,11 +1,10 @@
 //! Outcome containers and Table I aggregation for the large-scale sim.
 
-use serde::{Deserialize, Serialize};
 use smartoclock::policy::PolicyKind;
 use soc_power::units::Watts;
 
 /// Raw per-rack counters from one policy run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackOutcome {
     /// Rack index.
     pub rack: usize,
@@ -34,33 +33,25 @@ pub struct RackOutcome {
     /// contracted limit — the paper's safety invariant violated. Stays zero
     /// under SmartOClock even with fault injection; only a fail-open
     /// centralized baseline accrues these.
-    #[serde(default)]
     pub violation_steps: u64,
     /// Steps spent running on stale budgets (gOA unreachable).
-    #[serde(default)]
     pub stale_budget_steps: u64,
     /// Injected sOA restarts.
-    #[serde(default)]
     pub restarts: u64,
     /// Highest post-enforcement rack draw observed.
-    #[serde(default)]
     pub max_draw: Watts,
     /// The contracted rack power limit; zero until the sim sets it.
-    #[serde(default)]
     pub limit: Watts,
     /// Servers whose binned silicon was denied all overclocking by the
     /// configured risk budget (counted once per rack run; zero for the
     /// uniform fleet).
-    #[serde(default)]
     pub bin_denied: u64,
     /// Servers risk-admitted below the plan's maximum overclock
     /// (down-binned; counted once per rack run).
-    #[serde(default)]
     pub down_binned: u64,
     /// Accumulated per-part overclock ageing across the rack's servers, in
     /// days of lifetime (zero for the uniform fleet, where wear accounting
     /// is not attributed per part).
-    #[serde(default)]
     pub wear_days: f64,
 }
 
@@ -108,7 +99,7 @@ impl RackOutcome {
 }
 
 /// Aggregated Table I row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyMetrics {
     /// The policy.
     pub policy: PolicyKind,
@@ -133,22 +124,16 @@ pub struct PolicyMetrics {
     /// Total steps with the post-enforcement draw above the rack limit
     /// (power-budget violations; the chaos suite pins this at zero for
     /// SmartOClock).
-    #[serde(default)]
     pub violation_steps: u64,
     /// Total steps spent on stale budgets (gOA unreachable).
-    #[serde(default)]
     pub stale_budget_steps: u64,
     /// Total injected sOA restarts.
-    #[serde(default)]
     pub restarts: u64,
     /// Total servers denied all overclocking by per-part risk binning.
-    #[serde(default)]
     pub bin_denied: u64,
     /// Total servers risk-admitted below the maximum overclock.
-    #[serde(default)]
     pub down_binned: u64,
     /// Total per-part overclock ageing across the fleet, in days.
-    #[serde(default)]
     pub wear_days: f64,
 }
 

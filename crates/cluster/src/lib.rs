@@ -23,12 +23,25 @@
 //!   parallel columns, batched template/sample lookups hoisted out of the
 //!   inner loop, reused per-step buffers, byte-identical to the retained
 //!   row-oriented reference engine.
-//! * [`shard`] — rack-sharded parallel execution of the large-scale sim:
-//!   racks dealt across a `simcore::par` worker pool with per-shard RNG
+//! * [`shard`] — the large-scale sim's entry points, one per input shape,
+//!   all rack-sharded across a `simcore::par` worker pool with per-shard RNG
 //!   streams and buffered telemetry, merged in canonical rack order so
-//!   `--threads N` runs are byte-identical to `--threads 1`; plus
-//!   fleet-trace pre-generation ([`shard::generate_fleet`]) so multi-policy
-//!   drivers generate each rack's trace exactly once per run.
+//!   `--threads N` runs are byte-identical to `--threads 1`:
+//!   - streamed (each worker generates, trains and simulates its racks):
+//!     [`simulate_policy_sharded_probed`];
+//!   - on pre-generated traces: [`simulate_policy_on_traces_probed`];
+//!   - on pre-generated traces and pre-trained templates:
+//!     [`simulate_policy_prepared_probed`];
+//!   - the two preparation steps, so multi-policy drivers generate and
+//!     train each rack exactly once per run: [`generate_fleet_probed`],
+//!     [`train_fleet_probed`];
+//!   - the closed-loop cluster fan-out: [`run_cluster_sims_probed`];
+//!   - the reference-engine oracle: [`simulate_policy_prepared_reference`].
+//!
+//!   Every entry point takes its probe, telemetry handle and thread count
+//!   explicitly (pass [`NoopProbe`], `Telemetry::disabled()` or `1` for
+//!   none). The per-rack engines are [`largescale::simulate_rack`]
+//!   (columnar) and [`largescale::simulate_rack_reference`] (row oracle).
 //! * [`probe`] — pure observation hooks ([`probe::ShardProbe`]) that let
 //!   bench binaries attach wall-clock phase timing to the sharded engine
 //!   without this crate ever reading a clock (soc-lint D002).
@@ -52,11 +65,10 @@ pub mod shard;
 
 pub use envs::{run_environment, Environment, ServiceRunResult};
 pub use harness::{ClusterConfig, ClusterResult, ClusterSim, SystemKind};
-pub use largescale::{simulate_policy, LargeScaleConfig, PolicyMetrics};
+pub use largescale::{LargeScaleConfig, PolicyMetrics};
 pub use probe::{NoopProbe, ShardProbe};
 pub use shard::{
-    generate_fleet, generate_fleet_probed, run_cluster_sims, run_cluster_sims_probed,
-    simulate_policy_on_traces_probed, simulate_policy_prepared_probed,
-    simulate_policy_prepared_reference, simulate_policy_sharded, simulate_policy_sharded_probed,
-    train_fleet_probed, FleetTraces, TrainedFleet,
+    generate_fleet_probed, run_cluster_sims_probed, simulate_policy_on_traces_probed,
+    simulate_policy_prepared_probed, simulate_policy_prepared_reference,
+    simulate_policy_sharded_probed, train_fleet_probed, FleetTraces, TrainedFleet,
 };

@@ -24,12 +24,12 @@
 
 use crate::harness::{ClusterConfig, ClusterResult, ClusterSim};
 use crate::largescale::{
-    simulate_rack_probed, simulate_rack_reference, simulate_rack_trained_probed, train_rack,
-    LargeScaleConfig, TrainedRack,
+    simulate_rack, simulate_rack_reference, train_rack, LargeScaleConfig, TrainedRack,
 };
 use crate::largescale_metrics::RackOutcome;
 use crate::probe::{NoopProbe, ShardProbe};
 use simcore::par;
+use simcore::time::SimDuration;
 use smartoclock::policy::PolicyKind;
 use soc_power::model::PowerModel;
 use soc_telemetry::{MetricsSnapshot, Telemetry};
@@ -50,36 +50,31 @@ pub fn shard_id_base(run_id: u64, shard: usize) -> u64 {
     (run_id << RUN_SHIFT) | ((shard as u64 + 1) << SHARD_SHIFT)
 }
 
-/// [`crate::largescale::simulate_policy_traced`] across `threads` workers.
+/// Simulate one policy over a fleet streamed rack by rack across `threads`
+/// workers; returns per-rack outcomes in rack order (aggregate into Table I
+/// rows with [`crate::largescale::PolicyMetrics::aggregate`]).
 ///
-/// Racks are dealt round-robin over the worker pool; every rack simulates
-/// against its own generated trace and buffered telemetry, and outcomes,
-/// events, and metrics are merged back in rack order. Output — return
-/// value, event stream, and metrics registry contents — is byte-identical
-/// for every `threads` value (`0` means [`par::available_parallelism`]).
+/// Racks are dealt over the worker pool; every rack generates its own trace,
+/// trains its templates, and simulates against buffered telemetry, and
+/// outcomes, events, and metrics are merged back in rack order. Output —
+/// return value, event stream, and metrics registry contents — is
+/// byte-identical for every `threads` value (`0` means
+/// [`par::available_parallelism`]), so a serial run is just `threads = 1`.
+/// With telemetry enabled, each rack emits `rack_sim_start` /
+/// `rack_sim_end` events plus per-step `rack_capping` warnings, and
+/// per-policy request/grant/capping counters.
 ///
-/// # Panics
-/// Panics if `config.weeks < 2` or `config.racks == 0`.
-pub fn simulate_policy_sharded(
-    config: &LargeScaleConfig,
-    policy: PolicyKind,
-    telemetry: &Telemetry,
-    threads: usize,
-) -> Vec<RackOutcome> {
-    simulate_policy_sharded_probed(config, policy, telemetry, threads, &NoopProbe)
-}
-
-/// [`simulate_policy_sharded`] with performance observation hooks.
-///
-/// The probe sees flat spans — `"shard/trace_gen"` and `"shard/sim"` per
-/// rack on the worker side, one `"merge"` span around the canonical-order
-/// absorb — plus `racks` / `merged_events` / `sim_steps` counters. Probing
-/// is strictly one-way: nothing the probe returns reaches simulation state,
-/// so a probed run emits byte-identical traces, metrics, and outcomes to a
-/// [`NoopProbe`] run at every thread count (pinned by `tests/prof.rs`).
+/// The probe sees spans — `"shard/trace_gen"` and `"shard/sim"` per rack on
+/// the worker side (with `"rack/setup"` nested inside `"shard/sim"`), one
+/// `"merge"` span around the canonical-order absorb — plus `racks` /
+/// `merged_events` / `sim_steps` counters. Probing is strictly one-way:
+/// nothing the probe returns reaches simulation state, so a probed run emits
+/// byte-identical traces, metrics, and outcomes to a [`NoopProbe`] run at
+/// every thread count (pinned by `tests/prof.rs`).
 ///
 /// # Panics
-/// Panics if `config.weeks < 2` or `config.racks == 0`.
+/// Panics if `config.weeks < 2`, `config.racks == 0`, or `config.step`
+/// does not divide a day.
 pub fn simulate_policy_sharded_probed(
     config: &LargeScaleConfig,
     policy: PolicyKind,
@@ -94,7 +89,8 @@ pub fn simulate_policy_sharded_probed(
     // rack and drops the trace immediately — memory stays bounded by the
     // worker count, not the fleet size (the 100k-rack smoke test rides on
     // this). Multi-policy drivers amortize generation with
-    // [`generate_fleet`] + [`simulate_policy_prepared`] instead.
+    // [`generate_fleet_probed`] + [`simulate_policy_prepared_probed`]
+    // instead.
     drive_sharded(
         threads,
         (0..config.racks).collect(),
@@ -106,20 +102,32 @@ pub fn simulate_policy_sharded_probed(
             let model = generator.model_for(rack.generation);
             drop(gen_span);
             let sim_span = probe.span("shard/sim");
-            let outcome = simulate_rack_probed(config, policy, &rack, &model, local, probe);
+            let setup_span = probe.span("rack/setup");
+            let trained = train_rack(config, &rack, &model);
+            drop(setup_span);
+            let outcome = simulate_rack(config, policy, &rack, &model, &trained, local, probe);
             drop(sim_span);
             outcome
         },
     )
 }
 
-/// Weeks/racks/binning validation shared by every large-scale entry point.
+/// Weeks/racks/step/binning validation shared by every large-scale entry
+/// point. The step check is template training's own precondition, asserted
+/// up front so the columnar engine's weekly slot tables can rely on it
+/// (every step that divides a day also divides the week).
 fn validate(config: &LargeScaleConfig) {
     assert!(
         config.weeks >= 2,
         "need at least one training and one evaluation week"
     );
     assert!(config.racks > 0, "need at least one rack");
+    assert!(
+        SimDuration::DAY
+            .as_micros()
+            .is_multiple_of(config.step.as_micros()),
+        "step must divide a day evenly"
+    );
     config.binning.validate();
 }
 
@@ -217,19 +225,12 @@ impl TrainedFleet {
 
 /// Generate every rack's trace exactly once, dealt across `threads` workers
 /// (each rack's trace derives from an independent seeded stream, so
-/// generation order is irrelevant to the bytes produced).
+/// generation order is irrelevant to the bytes produced). The probe sees a
+/// `"shard/trace_gen"` span per rack.
 ///
 /// # Panics
-/// Panics if `config.weeks < 2` or `config.racks == 0`.
-pub fn generate_fleet(config: &LargeScaleConfig, threads: usize) -> FleetTraces {
-    generate_fleet_probed(config, threads, &NoopProbe)
-}
-
-/// [`generate_fleet`] with performance observation hooks
-/// (`"shard/trace_gen"` per rack).
-///
-/// # Panics
-/// Panics if `config.weeks < 2` or `config.racks == 0`.
+/// Panics if `config.weeks < 2`, `config.racks == 0`, or `config.step`
+/// does not divide a day.
 pub fn generate_fleet_probed(
     config: &LargeScaleConfig,
     threads: usize,
@@ -297,8 +298,7 @@ pub fn simulate_policy_prepared_probed(
         probe,
         |_, ((rack, model), tr), local, probe| {
             let sim_span = probe.span("shard/sim");
-            let outcome =
-                simulate_rack_trained_probed(config, policy, rack, model, tr, local, probe);
+            let outcome = simulate_rack(config, policy, rack, model, tr, local, probe);
             drop(sim_span);
             outcome
         },
@@ -328,8 +328,7 @@ pub fn simulate_policy_on_traces_probed(
             let trained = train_rack(config, rack, model);
             drop(setup_span);
             let sim_span = probe.span("shard/sim");
-            let outcome =
-                simulate_rack_trained_probed(config, policy, rack, model, &trained, local, probe);
+            let outcome = simulate_rack(config, policy, rack, model, &trained, local, probe);
             drop(sim_span);
             outcome
         },
@@ -378,16 +377,9 @@ pub fn simulate_policy_prepared_reference(
 /// Each simulation gets a buffered telemetry handle with a deterministic id
 /// base; buffers merge into `telemetry` in input order, so traces read as if
 /// the simulations had run back to back on one thread.
-pub fn run_cluster_sims(
-    configs: Vec<ClusterConfig>,
-    telemetry: &Telemetry,
-    threads: usize,
-) -> Vec<ClusterResult> {
-    run_cluster_sims_probed(configs, telemetry, threads, &NoopProbe)
-}
-
-/// [`run_cluster_sims`] with performance observation hooks (`"shard/sim"`
-/// per simulation, `"merge"` around the absorb, a `cluster_sims` counter).
+///
+/// The probe sees a `"shard/sim"` span per simulation, one `"merge"` span
+/// around the absorb, and a `cluster_sims` counter.
 pub fn run_cluster_sims_probed(
     configs: Vec<ClusterConfig>,
     telemetry: &Telemetry,
@@ -443,7 +435,13 @@ mod tests {
     /// Render a traced run as (JSONL trace, metrics dump) for byte compare.
     fn traced_run(threads: usize) -> (String, String, Vec<RackOutcome>) {
         let (tm, sink) = Telemetry::memory();
-        let outcomes = simulate_policy_sharded(&config(), PolicyKind::SmartOClock, &tm, threads);
+        let outcomes = simulate_policy_sharded_probed(
+            &config(),
+            PolicyKind::SmartOClock,
+            &tm,
+            threads,
+            &NoopProbe,
+        );
         let trace: String = sink
             .events()
             .iter()
@@ -458,13 +456,17 @@ mod tests {
 
     #[test]
     fn outcomes_match_serial_reference() {
-        let serial = crate::largescale::simulate_policy(&config(), PolicyKind::SmartOClock);
-        let sharded = simulate_policy_sharded(
-            &config(),
-            PolicyKind::SmartOClock,
-            &Telemetry::disabled(),
-            4,
-        );
+        let run = |threads| {
+            simulate_policy_sharded_probed(
+                &config(),
+                PolicyKind::SmartOClock,
+                &Telemetry::disabled(),
+                threads,
+                &NoopProbe,
+            )
+        };
+        let serial = run(1);
+        let sharded = run(4);
         assert_eq!(serial.len(), sharded.len());
         for (a, b) in serial.iter().zip(&sharded) {
             assert_eq!(a.rack, b.rack);
@@ -512,7 +514,7 @@ mod tests {
         };
         let run = |threads: usize| {
             let (tm, sink) = Telemetry::memory();
-            let results = run_cluster_sims(configs(), &tm, threads);
+            let results = run_cluster_sims_probed(configs(), &tm, threads, &NoopProbe);
             let trace: String = sink.events().iter().map(event_to_json).collect();
             (trace, tm.metrics_snapshot().render(), results.len())
         };

@@ -6,12 +6,11 @@
 //! 15-minute exhaustion-warning window, and a weekly lifetime epoch with a
 //! 10 % overclocking budget.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 use soc_power::units::{MegaHertz, Watts};
 
 /// Configuration of a [`crate::soa::ServerOverclockAgent`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoaConfig {
     /// Fraction of lifetime that may be spent overclocked (default 10 %).
     pub overclock_time_fraction: f64,
@@ -45,7 +44,6 @@ pub struct SoaConfig {
     /// Only applies when budgets are stamped via
     /// `ServerOverclockAgent::set_power_budget_at`. Default 6 minutes —
     /// three missed 2-minute refresh cycles.
-    #[serde(default = "default_budget_staleness_limit")]
     pub budget_staleness_limit: SimDuration,
     /// Per-part admission risk budget in `[0, 1]`: with binned silicon
     /// (`ServerOverclockAgent::set_silicon`) a request is admitted only
@@ -53,16 +51,7 @@ pub struct SoaConfig {
     /// stays at or below this budget; otherwise it is down-binned or
     /// denied. Default 1.0 — admit everything the part's bin certifies
     /// (and a no-op for uniform silicon, whose risk is zero).
-    #[serde(default = "default_risk_budget")]
     pub risk_budget: f64,
-}
-
-fn default_budget_staleness_limit() -> SimDuration {
-    SimDuration::from_minutes(6)
-}
-
-fn default_risk_budget() -> f64 {
-    1.0
 }
 
 impl SoaConfig {
@@ -80,8 +69,8 @@ impl SoaConfig {
             power_buffer: Watts::new(15.0),
             exhaustion_window: SimDuration::from_minutes(15),
             explore_cap: Watts::new(200.0),
-            budget_staleness_limit: default_budget_staleness_limit(),
-            risk_budget: default_risk_budget(),
+            budget_staleness_limit: SimDuration::from_minutes(6),
+            risk_budget: 1.0,
         }
     }
 

@@ -18,15 +18,14 @@ use crate::config::SoaConfig;
 use crate::messages::{GrantId, OverclockRequest, RejectReason, SoaEvent};
 use crate::policy::PolicyKind;
 use crate::soa::{ServerOverclockAgent, SoaStats};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use simcore::time::SimTime;
 use soc_power::model::PowerModel;
 use soc_power::rack::RackSignal;
 use soc_power::units::Watts;
 use soc_predict::template::PowerTemplate;
 use soc_telemetry::{tm_event, Component, Event, LocalSpool, Severity, Telemetry};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Messages accepted by an agent thread.
@@ -34,7 +33,7 @@ enum AgentMsg {
     Request {
         now: SimTime,
         request: OverclockRequest,
-        reply: Sender<Result<GrantId, RejectReason>>,
+        reply: SyncSender<Result<GrantId, RejectReason>>,
     },
     End {
         now: SimTime,
@@ -57,7 +56,7 @@ enum AgentMsg {
         now: SimTime,
     },
     /// Barrier: the thread replies once every earlier message is processed.
-    Sync(Sender<()>),
+    Sync(SyncSender<()>),
     Shutdown,
 }
 
@@ -122,12 +121,12 @@ impl RackRuntime {
         telemetry: Telemetry,
     ) -> RackRuntime {
         assert!(servers > 0, "need at least one server");
-        let (events_tx, events_rx) = unbounded();
+        let (events_tx, events_rx) = mpsc::channel();
         let stats = Arc::new(Mutex::new(vec![SoaStats::default(); servers]));
         let mut senders = Vec::with_capacity(servers);
         let mut handles = Vec::with_capacity(servers);
         for index in 0..servers {
-            let (tx, rx) = unbounded::<AgentMsg>();
+            let (tx, rx) = mpsc::channel::<AgentMsg>();
             let events_tx = events_tx.clone();
             let stats = Arc::clone(&stats);
             let thread_telemetry = telemetry.clone();
@@ -166,7 +165,7 @@ impl RackRuntime {
                                 {
                                     let _ = events_tx.send((now, index, event));
                                 }
-                                stats.lock()[index] = agent.stats();
+                                lock_stats(&stats)[index] = agent.stats();
                             }
                             AgentMsg::SetBudget(b) => agent.set_power_budget(b),
                             AgentMsg::SetTemplate(t) => agent.set_power_template(*t),
@@ -175,7 +174,7 @@ impl RackRuntime {
                                 for event in agent.restart(now) {
                                     let _ = events_tx.send((now, index, event));
                                 }
-                                stats.lock()[index] = agent.stats();
+                                lock_stats(&stats)[index] = agent.stats();
                             }
                             AgentMsg::Sync(reply) => {
                                 spool.flush();
@@ -221,7 +220,7 @@ impl RackRuntime {
         now: SimTime,
         request: OverclockRequest,
     ) -> Result<GrantId, RejectReason> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         self.senders[index]
             .send(AgentMsg::Request {
                 now,
@@ -326,7 +325,7 @@ impl RackRuntime {
             .senders
             .iter()
             .map(|tx| {
-                let (reply_tx, reply_rx) = bounded(1);
+                let (reply_tx, reply_rx) = mpsc::sync_channel(1);
                 tx.send(AgentMsg::Sync(reply_tx))
                     .expect("agent thread is alive");
                 reply_rx
@@ -354,7 +353,7 @@ impl RackRuntime {
 
     /// Snapshot of per-agent statistics (updated at each tick).
     pub fn stats(&self) -> Vec<SoaStats> {
-        self.stats.lock().clone()
+        lock_stats(&self.stats).clone()
     }
 
     /// Stop all agent threads and wait for them to exit.
@@ -370,6 +369,13 @@ impl RackRuntime {
             let _ = handle.join();
         }
     }
+}
+
+/// Lock the shared stats snapshot. Each agent thread overwrites only its own
+/// slot with a complete value, so a poisoned lock (a panicked agent thread)
+/// still holds consistent per-agent snapshots and is read through.
+fn lock_stats(stats: &Mutex<Vec<SoaStats>>) -> std::sync::MutexGuard<'_, Vec<SoaStats>> {
+    stats.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Drop for RackRuntime {

@@ -13,7 +13,6 @@
 //! exponentially faster (§II, §III-Q2).
 
 use crate::units::{MegaHertz, Volts};
-use serde::{Deserialize, Serialize};
 
 /// The frequency envelope of a CPU: base, turbo, and overclocking range.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(plan.is_overclocked(MegaHertz::new(3400)));
 /// assert!(!plan.is_overclocked(MegaHertz::new(3300)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrequencyPlan {
     base: MegaHertz,
     turbo: MegaHertz,
@@ -157,7 +156,7 @@ impl Default for FrequencyPlan {
 /// `f · V(f)²`, so this curve is what makes a 3.3 → 4.0 GHz overclock roughly
 /// double a core's dynamic power — consistent with the paper's example of
 /// 10 W of extra power per overclocked core (§IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoltageCurve {
     /// Voltage at the base frequency.
     v_base: f64,

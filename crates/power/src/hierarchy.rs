@@ -7,10 +7,9 @@
 //! computes (§IV-C).
 
 use crate::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// A node in the power-delivery tree (datacenter row, PDU, rack, server…).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerNode {
     name: String,
     budget: Watts,
@@ -103,7 +102,7 @@ fn validate_budget(budget: Watts) -> Watts {
 }
 
 /// One child's demand profile for [`heterogeneous_split`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemandProfile {
     /// Predicted regular (non-overclock) power consumption.
     pub regular: Watts,

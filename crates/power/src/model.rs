@@ -16,10 +16,9 @@
 
 use crate::freq::{FrequencyPlan, VoltageCurve};
 use crate::units::{MegaHertz, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Per-core operating state: utilization and clock frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreState {
     /// Core utilization in `[0, 1]`.
     pub utilization: f64,
@@ -56,7 +55,7 @@ impl CoreState {
 /// let busy = model.server_power_uniform(1.0, turbo);
 /// assert!(busy > idle);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     idle: Watts,
     per_core_dyn_turbo: Watts,

@@ -7,10 +7,9 @@
 //! critical workloads when the limit itself is hit (§II, §VII).
 
 use crate::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one rack power observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RackSignal {
     /// Draw below the warning threshold.
     Normal,
@@ -33,7 +32,7 @@ pub enum RackSignal {
 /// assert_eq!(rack.observe(Watts::new(1010.0)), RackSignal::Capping);
 /// assert_eq!(rack.capping_events(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackMonitor {
     limit: Watts,
     warning_fraction: f64,
@@ -142,7 +141,7 @@ impl RackMonitor {
 }
 
 /// One server's view for the prioritized capping computation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapCandidate {
     /// Opaque server index (position in the caller's server list).
     pub index: usize,

@@ -9,13 +9,12 @@
 //!
 //! Fig. 15 compares five strategies; all are implemented here.
 
-use serde::{Deserialize, Serialize};
 use simcore::series::TimeSeries;
 use simcore::stats::percentile;
 use simcore::time::{SimDuration, SimTime};
 
 /// Template-construction strategy (Fig. 15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TemplateKind {
     /// Constant prediction: median of all prior samples. Opportunistic —
     /// underpredicts peaks.
@@ -62,14 +61,14 @@ impl std::fmt::Display for TemplateKind {
 }
 
 /// A built template that predicts a value for any instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTemplate {
     kind: TemplateKind,
     step: SimDuration,
     repr: Repr,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Repr {
     Flat(f64),
     /// One value per step-slot of the week.

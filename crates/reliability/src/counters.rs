@@ -13,7 +13,6 @@
 //! exactly the inefficiency §VI calls out in offline certification.
 
 use crate::wear::{AgeingLedger, WearModel};
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 use soc_power::units::MegaHertz;
 
@@ -33,7 +32,7 @@ use soc_power::units::MegaHertz;
 /// // ...which can then fund overclocking.
 /// assert!(counter.can_overclock(0.5, plan.max_overclock(), 65.0, SimDuration::from_hours(1)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WearoutCounter {
     model: WearModel,
     ledger: AgeingLedger,

@@ -9,7 +9,6 @@
 //! core-migration exploration of §IV-D ("the sOA explores if any other cores
 //! on a server have enough budget to support the VM's overclocking").
 
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
 /// Per-core overclocked-time accounting against a per-core cap.
@@ -24,7 +23,7 @@ use simcore::time::SimDuration;
 /// assert!(!t.has_budget(0, SimDuration::from_hours(2)));
 /// assert_eq!(t.find_core_with_budget(SimDuration::from_hours(2)), Some(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeInState {
     per_core_cap: SimDuration,
     overclocked: Vec<SimDuration>,

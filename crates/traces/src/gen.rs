@@ -18,7 +18,6 @@
 
 use crate::fleet::{CpuGeneration, FleetTrace, RackTrace, ServerTrace};
 use crate::services::{background_service, service_a, service_b, service_c, ServiceProfile};
-use serde::{Deserialize, Serialize};
 use simcore::rng::Pcg32;
 use simcore::series::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
@@ -26,7 +25,7 @@ use soc_power::model::PowerModel;
 use soc_power::units::Watts;
 
 /// Configuration for fleet generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Region label.
     pub region: String,
@@ -258,7 +257,6 @@ impl TraceGenerator {
 
         let mut server_traces = Vec::with_capacity(n_servers);
         let mut rack_power: Option<Vec<f64>> = None;
-        let mut peak_sum = Watts::ZERO;
 
         for server_idx in 0..n_servers {
             let mut srv_rng = rack_rng.fork(server_idx as u64 + 101);
@@ -266,7 +264,6 @@ impl TraceGenerator {
             let (util, power, oc_cores) =
                 self.simulate_server(&model, config, &vms, &outlier_days, &mut srv_rng);
 
-            peak_sum += Watts::new(power.max());
             match &mut rack_power {
                 None => rack_power = Some(power.values().to_vec()),
                 Some(acc) => {
@@ -298,7 +295,6 @@ impl TraceGenerator {
         // (Fig. 6).
         let nameplate = model.server_power_uniform(1.0, model.plan().turbo()) * n_servers as f64;
         let limit = (nameplate / oversub).max(Watts::new(power.max() * 1.02));
-        let _ = peak_sum;
         RackTrace {
             index: rack_idx,
             generation,

@@ -6,7 +6,6 @@
 //! enough for the paper's load patterns: steady low/medium/high levels
 //! (Figs. 2–3), diurnal ramps, and transient spikes (§I).
 
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 
 /// A piecewise-constant arrival-rate schedule (requests per second).
@@ -20,7 +19,7 @@ use simcore::time::{SimDuration, SimTime};
 /// assert_eq!(sched.rate_at(SimTime::from_secs(30)), 100.0);
 /// assert_eq!(sched.rate_at(SimTime::from_secs(90)), 250.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateSchedule {
     /// `(start, rate)` pairs, sorted by start; the first segment starts at 0.
     segments: Vec<(SimTime, f64)>,

@@ -7,7 +7,6 @@
 //! its frequency — SmartOClock's heterogeneous budgets reduce exactly that
 //! penalty ("improves the MLTrain throughput by 10.4%", §V-A).
 
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 use soc_power::units::MegaHertz;
 
@@ -24,7 +23,7 @@ use soc_power::units::MegaHertz;
 /// // 100s at full speed + 100s at half speed = 150 reference-seconds.
 /// assert!((job.progress_seconds() - 150.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlTrain {
     reference_frequency: MegaHertz,
     utilization: f64,

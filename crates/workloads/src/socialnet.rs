@@ -9,11 +9,10 @@
 //! (CV) from nearly deterministic (Usr) to heavy-tailed (UrlShort).
 
 use crate::microservice::ServiceSpec;
-use serde::{Deserialize, Serialize};
 
 /// Load levels used across the evaluation (fraction of a single VM's turbo
 /// capacity offered as arrivals).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoadLevel {
     /// ~30 % of turbo capacity.
     Low,

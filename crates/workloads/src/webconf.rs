@@ -7,11 +7,10 @@
 //! whole is already meeting its goal — workload intelligence must aggregate
 //! at the deployment level.
 
-use serde::{Deserialize, Serialize};
 use soc_power::units::MegaHertz;
 
 /// One WebConf VM: its offered load expressed as CPU utilization at turbo.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WebConfVm {
     /// Utilization the VM would show at max turbo, `[0, 1]`.
     pub load_at_turbo: f64,
@@ -33,7 +32,7 @@ pub struct WebConfVm {
 /// // so overclocking the hot VM is unnecessary (Fig. 4).
 /// assert!(dep.meets_goal());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebConfDeployment {
     turbo: MegaHertz,
     goal: f64,

@@ -25,7 +25,8 @@ use smartoclock::policy::PolicyKind;
 use soc_cluster::harness::{ClusterConfig, SystemKind};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::RackOutcome;
-use soc_cluster::shard::{run_cluster_sims, simulate_policy_sharded};
+use soc_cluster::shard::{run_cluster_sims_probed, simulate_policy_sharded_probed};
+use soc_cluster::NoopProbe;
 use soc_reliability::binning::BinningConfig;
 use soc_telemetry::json::event_to_json;
 use soc_telemetry::Telemetry;
@@ -75,7 +76,7 @@ fn traced_run(
     Vec<soc_cluster::largescale_metrics::RackOutcome>,
 ) {
     let (tm, sink) = Telemetry::memory();
-    let outcomes = simulate_policy_sharded(cfg, policy, &tm, threads);
+    let outcomes = simulate_policy_sharded_probed(cfg, policy, &tm, threads, &NoopProbe);
     let lines: Vec<String> = sink.events().iter().map(event_to_json).collect();
     let metrics = tm.metrics_snapshot().render();
     (lines, metrics, outcomes)
@@ -85,8 +86,13 @@ fn traced_run(
 fn rack_power_never_exceeds_budget_under_any_fault_plan() {
     for fault_seed in [1, 2, 3] {
         let cfg = faulted_config(42, fault_seed);
-        let outcomes =
-            simulate_policy_sharded(&cfg, PolicyKind::SmartOClock, &Telemetry::disabled(), 1);
+        let outcomes = simulate_policy_sharded_probed(
+            &cfg,
+            PolicyKind::SmartOClock,
+            &Telemetry::disabled(),
+            1,
+            &NoopProbe,
+        );
         let stale: u64 = outcomes.iter().map(|o| o.stale_budget_steps).sum();
         assert!(
             stale > 0,
@@ -121,8 +127,13 @@ fn fail_open_central_violates_under_long_outage_proving_teeth() {
     for fault_seed in [1, 2, 3] {
         let mut cfg = faulted_config(42, fault_seed);
         cfg.central_fail_open = true;
-        let outcomes =
-            simulate_policy_sharded(&cfg, PolicyKind::Central, &Telemetry::disabled(), 1);
+        let outcomes = simulate_policy_sharded_probed(
+            &cfg,
+            PolicyKind::Central,
+            &Telemetry::disabled(),
+            1,
+            &NoopProbe,
+        );
         violations += outcomes.iter().map(|o| o.violation_steps).sum::<u64>();
     }
     assert!(
@@ -260,7 +271,7 @@ fn cluster_harness_chaos_is_thread_count_invariant() {
     };
     let run = |threads: usize| {
         let (tm, sink) = Telemetry::memory();
-        let results = run_cluster_sims(configs(), &tm, threads);
+        let results = run_cluster_sims_probed(configs(), &tm, threads, &NoopProbe);
         let lines: Vec<String> = sink.events().iter().map(event_to_json).collect();
         (results, lines, tm.metrics_snapshot().render())
     };

@@ -17,7 +17,8 @@
 use smartoclock::policy::PolicyKind;
 use soc_cluster::harness::{ClusterConfig, SystemKind};
 use soc_cluster::largescale::LargeScaleConfig;
-use soc_cluster::shard::{run_cluster_sims, simulate_policy_sharded};
+use soc_cluster::shard::{run_cluster_sims_probed, simulate_policy_sharded_probed};
+use soc_cluster::NoopProbe;
 use soc_telemetry::json::event_to_json;
 use soc_telemetry::Telemetry;
 
@@ -49,7 +50,7 @@ fn traced_run(
     Vec<soc_cluster::largescale_metrics::RackOutcome>,
 ) {
     let (tm, sink) = Telemetry::memory();
-    let outcomes = simulate_policy_sharded(cfg, policy, &tm, threads);
+    let outcomes = simulate_policy_sharded_probed(cfg, policy, &tm, threads, &NoopProbe);
     let lines: Vec<String> = sink.events().iter().map(event_to_json).collect();
     let metrics = tm.metrics_snapshot().render();
     (lines, metrics, outcomes)
@@ -107,7 +108,13 @@ fn jsonl_trace_files_are_byte_identical_across_thread_counts() {
     let write_trace = |threads: usize| -> Vec<u8> {
         let path = dir.join(format!("soc-determinism-{pid}-{threads}.jsonl"));
         let tm = Telemetry::jsonl(&path).expect("create trace file");
-        simulate_policy_sharded(&small_config(42), PolicyKind::SmartOClock, &tm, threads);
+        simulate_policy_sharded_probed(
+            &small_config(42),
+            PolicyKind::SmartOClock,
+            &tm,
+            threads,
+            &NoopProbe,
+        );
         tm.flush();
         drop(tm);
         let bytes = std::fs::read(&path).expect("read trace file");
@@ -133,7 +140,7 @@ fn cluster_sims_are_thread_count_invariant() {
     };
     let run = |threads: usize| {
         let (tm, sink) = Telemetry::memory();
-        let results = run_cluster_sims(configs(), &tm, threads);
+        let results = run_cluster_sims_probed(configs(), &tm, threads, &NoopProbe);
         let lines: Vec<String> = sink.events().iter().map(event_to_json).collect();
         (results, lines, tm.metrics_snapshot().render())
     };

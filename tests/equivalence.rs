@@ -19,8 +19,8 @@ use smartoclock::policy::PolicyKind;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::RackOutcome;
 use soc_cluster::shard::{
-    generate_fleet, simulate_policy_prepared_probed, simulate_policy_prepared_reference,
-    simulate_policy_sharded, train_fleet_probed,
+    generate_fleet_probed, simulate_policy_on_traces_probed, simulate_policy_prepared_probed,
+    simulate_policy_prepared_reference, simulate_policy_sharded_probed, train_fleet_probed,
 };
 use soc_cluster::NoopProbe;
 use soc_reliability::binning::BinningConfig;
@@ -69,7 +69,7 @@ type Observed = (Vec<String>, String, Vec<RackOutcome>);
 /// Run the retained row-oriented reference engine (always serial) over
 /// pre-generated traces and pre-trained templates.
 fn reference_run(cfg: &LargeScaleConfig, policy: PolicyKind) -> Observed {
-    let fleet = generate_fleet(cfg, 1);
+    let fleet = generate_fleet_probed(cfg, 1, &NoopProbe);
     let trained = train_fleet_probed(cfg, &fleet, 1, &NoopProbe);
     let (tm, sink) = Telemetry::memory();
     let outcomes = simulate_policy_prepared_reference(cfg, policy, &fleet, &trained, &tm);
@@ -80,7 +80,7 @@ fn reference_run(cfg: &LargeScaleConfig, policy: PolicyKind) -> Observed {
 /// Run the columnar production engine at `threads` over pre-generated
 /// traces and pre-trained templates.
 fn columnar_run(cfg: &LargeScaleConfig, policy: PolicyKind, threads: usize) -> Observed {
-    let fleet = generate_fleet(cfg, threads);
+    let fleet = generate_fleet_probed(cfg, threads, &NoopProbe);
     let trained = train_fleet_probed(cfg, &fleet, threads, &NoopProbe);
     let (tm, sink) = Telemetry::memory();
     let outcomes =
@@ -144,21 +144,53 @@ fn columnar_engine_matches_reference_with_heterogeneous_silicon() {
     assert_equivalent(&cfg, PolicyKind::Central, "binned chaos");
 }
 
+/// Run the same `(config, policy)` through the three large-scale input
+/// shapes at `threads`: streamed (each worker generates and trains its
+/// racks), on pre-generated traces (trained in the worker), and prepared
+/// (pre-generated traces, pre-trained templates).
+fn input_shape_runs(cfg: &LargeScaleConfig, policy: PolicyKind, threads: usize) -> [Observed; 3] {
+    let observe = |run: &dyn Fn(&Telemetry) -> Vec<RackOutcome>| -> Observed {
+        let (tm, sink) = Telemetry::memory();
+        let outcomes = run(&tm);
+        let lines = sink.events().iter().map(event_to_json).collect();
+        (lines, tm.metrics_snapshot().render(), outcomes)
+    };
+    let fleet = generate_fleet_probed(cfg, threads, &NoopProbe);
+    let trained = train_fleet_probed(cfg, &fleet, threads, &NoopProbe);
+    [
+        observe(&|tm| simulate_policy_sharded_probed(cfg, policy, tm, threads, &NoopProbe)),
+        observe(&|tm| {
+            simulate_policy_on_traces_probed(cfg, policy, &fleet, tm, threads, &NoopProbe)
+        }),
+        observe(&|tm| {
+            simulate_policy_prepared_probed(cfg, policy, &fleet, &trained, tm, threads, &NoopProbe)
+        }),
+    ]
+}
+
 #[test]
-fn columnar_engine_matches_reference_on_fallback_prediction_path() {
-    // A step that does not divide the week would make the columnar engine's
-    // slot memoization build no tables and predict per step. No trainable
-    // config can produce such a step (template training asserts the step
-    // divides a day, and every day-divisor divides the week), so the
-    // `disable_slot_memo` kill switch forces the same fallback arms — which
-    // must still agree byte for byte, with and without heterogeneous
-    // silicon. `SlotTables::build`'s non-divisor guard itself is pinned by
-    // an in-crate unit test.
-    let mut cfg = config(42, FaultPlanConfig::none());
-    cfg.disable_slot_memo = true;
-    assert_equivalent(&cfg, PolicyKind::SmartOClock, "slot memo disabled");
-    let cfg = binned(cfg, 42);
-    assert_equivalent(&cfg, PolicyKind::SmartOClock, "slot memo disabled binned");
+fn large_scale_input_shapes_agree() {
+    // The entry points differ only in which preparation steps the caller
+    // has already done, so for the same `(config, policy)` they must emit
+    // the same outcomes, trace and metrics, byte for byte.
+    for (label, cfg) in [
+        ("uniform", config(42, FaultPlanConfig::none())),
+        ("binned chaos", binned(config(42, chaos_faults(3)), 42)),
+    ] {
+        for threads in [1, 2] {
+            let [streamed, on_traces, prepared] =
+                input_shape_runs(&cfg, PolicyKind::SmartOClock, threads);
+            assert!(!streamed.0.is_empty(), "{label}: empty trace");
+            assert_eq!(
+                streamed, on_traces,
+                "streamed vs on-traces diverged ({label}, {threads} threads)"
+            );
+            assert_eq!(
+                streamed, prepared,
+                "streamed vs prepared diverged ({label}, {threads} threads)"
+            );
+        }
+    }
 }
 
 #[test]
@@ -210,9 +242,11 @@ fn smoke_100k_racks_streams_and_stays_deterministic() {
     // deterministic across sharding too.
     let cfg = binned(cfg, 42);
     let telemetry = Telemetry::disabled();
-    let one = simulate_policy_sharded(&cfg, PolicyKind::SmartOClock, &telemetry, 1);
+    let one =
+        simulate_policy_sharded_probed(&cfg, PolicyKind::SmartOClock, &telemetry, 1, &NoopProbe);
     assert_eq!(one.len(), 100_000);
-    let four = simulate_policy_sharded(&cfg, PolicyKind::SmartOClock, &telemetry, 4);
+    let four =
+        simulate_policy_sharded_probed(&cfg, PolicyKind::SmartOClock, &telemetry, 4, &NoopProbe);
     assert_eq!(one, four, "100k-rack outcomes diverged at 4 threads");
     let granted: u64 = one.iter().map(|o| o.granted).sum();
     assert!(granted > 0, "no overclocking granted across 100k racks");

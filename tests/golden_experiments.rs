@@ -22,7 +22,8 @@ use smartoclock::policy::PolicyKind;
 use soc_cluster::envs::{run_at_rate, Environment};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
-use soc_cluster::shard::{generate_fleet, simulate_policy_sharded, FleetTraces};
+use soc_cluster::shard::{generate_fleet_probed, simulate_policy_sharded_probed, FleetTraces};
+use soc_cluster::NoopProbe;
 use soc_power::freq::FrequencyPlan;
 use soc_predict::eval::walk_forward;
 use soc_predict::template::TemplateKind;
@@ -90,7 +91,8 @@ fn compute_summary() -> String {
             ("central_open", PolicyKind::Central, true),
         ] {
             cfg.central_fail_open = fail_open;
-            let outcomes = simulate_policy_sharded(&cfg, policy, &Telemetry::disabled(), 1);
+            let outcomes =
+                simulate_policy_sharded_probed(&cfg, policy, &Telemetry::disabled(), 1, &NoopProbe);
             let m = PolicyMetrics::aggregate(policy, &outcomes);
             let _ = writeln!(
                 out,
@@ -107,9 +109,14 @@ fn compute_summary() -> String {
     for (bins, budget) in [(1u32, 1.0f64), (8, 1.0), (8, 0.1)] {
         let mut cfg = LargeScaleConfig::small_test();
         cfg.binning = binning_config(bins, budget);
-        let fleet = generate_fleet(&cfg, 1);
-        let outcomes =
-            simulate_policy_sharded(&cfg, PolicyKind::SmartOClock, &Telemetry::disabled(), 1);
+        let fleet = generate_fleet_probed(&cfg, 1, &NoopProbe);
+        let outcomes = simulate_policy_sharded_probed(
+            &cfg,
+            PolicyKind::SmartOClock,
+            &Telemetry::disabled(),
+            1,
+            &NoopProbe,
+        );
         let m = PolicyMetrics::aggregate(PolicyKind::SmartOClock, &outcomes);
         let _ = writeln!(
             out,
@@ -164,7 +171,7 @@ fn certified_frontier_is_monotone_in_risk_budget() {
     // monotone non-increasing as the budget tightens; pin it over the
     // fixture fleet at every bin count the bench sweeps.
     let cfg = LargeScaleConfig::small_test();
-    let fleet = generate_fleet(&cfg, 1);
+    let fleet = generate_fleet_probed(&cfg, 1, &NoopProbe);
     for bins in [1u32, 4, 8] {
         let mut last = f64::INFINITY;
         for budget in [1.0, 0.5, 0.25, 0.1] {

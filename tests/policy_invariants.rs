@@ -2,14 +2,20 @@
 //! trace-driven large-scale simulation.
 
 use smartoclock::policy::PolicyKind;
-use soc_cluster::largescale::{simulate_policy, LargeScaleConfig};
+use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
+use soc_cluster::shard::simulate_policy_sharded_probed;
+use soc_cluster::NoopProbe;
+use soc_telemetry::Telemetry;
 
 fn metrics(policy: PolicyKind, seed: u64) -> PolicyMetrics {
     let mut cfg = LargeScaleConfig::small_test();
     cfg.racks = 6;
     cfg.seed = seed;
-    PolicyMetrics::aggregate(policy, &simulate_policy(&cfg, policy))
+    PolicyMetrics::aggregate(
+        policy,
+        &simulate_policy_sharded_probed(&cfg, policy, &Telemetry::disabled(), 1, &NoopProbe),
+    )
 }
 
 #[test]

@@ -14,7 +14,7 @@ use soc_bench::probe::ProfProbe;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::probe::{NoopProbe, ShardProbe};
 use soc_cluster::shard::{
-    generate_fleet, simulate_policy_prepared_probed, simulate_policy_sharded_probed,
+    generate_fleet_probed, simulate_policy_prepared_probed, simulate_policy_sharded_probed,
     train_fleet_probed,
 };
 use soc_prof::Profiler;
@@ -132,7 +132,7 @@ fn profiled_runs_are_reproducible_across_thread_counts() {
 fn sim_alloc_delta(weeks: u64) -> u64 {
     let mut cfg = small_config(42);
     cfg.weeks = weeks;
-    let fleet = generate_fleet(&cfg, 1);
+    let fleet = generate_fleet_probed(&cfg, 1, &NoopProbe);
     let trained = train_fleet_probed(&cfg, &fleet, 1, &NoopProbe);
     let telemetry = Telemetry::disabled();
     let run = || {
