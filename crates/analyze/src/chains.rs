@@ -7,6 +7,7 @@
 //! SLO-miss.
 
 use crate::trace::{Trace, TraceEvent};
+use soc_telemetry::json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -130,30 +131,17 @@ pub fn stats(trace: &Trace, terminals: &[&str]) -> ChainStats {
 /// Render one event for a chain timeline: label plus its fields (ids last).
 fn render_event(out: &mut String, event: &TraceEvent, indent: usize) {
     let _ = write!(out, "{:indent$}{}", "", event.label(), indent = indent);
-    if let crate::json::JsonValue::Obj(members) = &event.fields {
-        for (k, v) in members {
-            if k == "decision_id" || k == "cause_id" {
-                continue;
-            }
-            let _ = write!(out, " {k}=");
-            match v {
-                crate::json::JsonValue::Str(s) => {
-                    let _ = write!(out, "{s}");
-                }
-                crate::json::JsonValue::Int(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                crate::json::JsonValue::Float(x) => {
-                    let _ = write!(out, "{x:.3}");
-                }
-                crate::json::JsonValue::Bool(b) => {
-                    let _ = write!(out, "{b}");
-                }
-                _ => {
-                    let _ = write!(out, "?");
-                }
-            }
+    for (k, v) in event.fields.members() {
+        if k == "decision_id" || k == "cause_id" {
+            continue;
         }
+        let _ = match v {
+            Value::Str(s) => write!(out, " {k}={s}"),
+            Value::Int(n) => write!(out, " {k}={n}"),
+            Value::Float(x) => write!(out, " {k}={x:.3}"),
+            Value::Bool(b) => write!(out, " {k}={b}"),
+            _ => write!(out, " {k}=?"),
+        };
     }
     let (d, c) = (event.decision_id(), event.cause_id());
     if d != 0 {

@@ -15,9 +15,9 @@
 //! * **what changed** — [`diff`] compares two runs (e.g. `SmartOClock` vs
 //!   `NaiveOClock`) with per-metric deltas and newly-appearing event classes.
 //!
-//! Like `soc-telemetry`, the crate has zero external dependencies: the JSON
-//! subset involved is parsed by the hand-rolled [`json`] module. All outputs
-//! are deterministic — analyzing the same set of trace lines yields
+//! Traces are read with the workspace's one JSON codec,
+//! [`soc_telemetry::json`], so the crate has no external dependencies. All
+//! outputs are deterministic — analyzing the same set of trace lines yields
 //! byte-identical reports regardless of line order ([`trace::Trace`] sorts
 //! canonically on load).
 
@@ -26,7 +26,6 @@
 pub mod attribution;
 pub mod chains;
 pub mod diff;
-pub mod json;
 pub mod report;
 pub mod rollup;
 pub mod trace;

@@ -1,6 +1,6 @@
 //! Loading and canonicalizing JSONL telemetry traces.
 
-use crate::json::{self, JsonValue};
+use soc_telemetry::json::{self, Object, Value};
 use std::fmt;
 use std::path::Path;
 
@@ -17,7 +17,7 @@ pub struct TraceEvent {
     /// Event name, e.g. `cap_set`.
     pub name: String,
     /// The `fields` object of the record.
-    pub fields: JsonValue,
+    pub fields: Object,
     /// The original JSONL line (used as a canonical-order tiebreaker).
     pub raw: String,
 }
@@ -25,17 +25,17 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// A string field, if present.
     pub fn field_str(&self, key: &str) -> Option<&str> {
-        self.fields.get(key).and_then(JsonValue::as_str)
+        self.fields.get(key).and_then(Value::as_str)
     }
 
     /// An unsigned integer field, if present.
     pub fn field_u64(&self, key: &str) -> Option<u64> {
-        self.fields.get(key).and_then(JsonValue::as_u64)
+        self.fields.get(key).and_then(Value::as_u64)
     }
 
     /// A numeric field widened to `f64`, if present.
     pub fn field_f64(&self, key: &str) -> Option<f64> {
-        self.fields.get(key).and_then(JsonValue::as_f64)
+        self.fields.get(key).and_then(Value::as_num)
     }
 
     /// The event's own causal decision id (`0` when absent).
@@ -138,27 +138,28 @@ impl Trace {
             };
             let t_us = value
                 .get("t_us")
-                .and_then(JsonValue::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| missing("t_us"))?;
             let component = value
                 .get("component")
-                .and_then(JsonValue::as_str)
+                .and_then(Value::as_str)
                 .ok_or_else(|| missing("component"))?
                 .to_string();
             let severity = value
                 .get("severity")
-                .and_then(JsonValue::as_str)
+                .and_then(Value::as_str)
                 .ok_or_else(|| missing("severity"))?
                 .to_string();
             let name = value
                 .get("name")
-                .and_then(JsonValue::as_str)
+                .and_then(Value::as_str)
                 .ok_or_else(|| missing("name"))?
                 .to_string();
             let fields = value
                 .get("fields")
+                .and_then(Value::as_obj)
                 .cloned()
-                .unwrap_or(JsonValue::Obj(vec![]));
+                .unwrap_or_default();
             events.push(TraceEvent {
                 t_us,
                 component,
@@ -231,10 +232,10 @@ impl Trace {
                     return e.metric_key().is_some_and(has_label);
                 }
                 e.fields.get(key).is_some_and(|v| match v {
-                    JsonValue::Str(s) => s == value,
-                    JsonValue::Int(n) => n.to_string() == value,
-                    JsonValue::Float(x) => x.to_string() == value,
-                    JsonValue::Bool(b) => b.to_string() == value,
+                    Value::Str(s) => s == value,
+                    Value::Int(n) => n.to_string() == value,
+                    Value::Float(x) => x.to_string() == value,
+                    Value::Bool(b) => b.to_string() == value,
                     _ => false,
                 })
             })

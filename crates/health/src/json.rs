@@ -4,14 +4,14 @@
 //! order with series in canonical `BTreeMap` key order and numbers in Rust's
 //! shortest round-trip `Display` form, so the same run always serializes to
 //! the same bytes — the CI fault-tolerance gate greps the output directly.
-//! Reading goes through `soc-analyze`'s hand-rolled JSON parser (this crate
-//! already links it for causal chains), keeping soc-health dependency-free.
+//! Both directions go through the workspace's one JSON codec,
+//! `soc_telemetry::json`.
 
 use crate::incident::Incident;
 use crate::rules::Alert;
 use crate::series::{Bucket, Series, SeriesStore};
 use crate::HealthReport;
-use soc_analyze::json::{parse, JsonValue};
+use soc_telemetry::json::{escape, fmt_num, parse, Value};
 use std::fmt::Write as _;
 
 /// Health report schema version.
@@ -19,37 +19,6 @@ pub const SCHEMA: u64 = 1;
 
 /// The `kind` discriminator every health report carries.
 pub const KIND: &str = "soc-health-report";
-
-/// Escape `s` into a JSON string literal (including the quotes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format a float canonically: Rust's `Display` is the shortest decimal
-/// that round-trips to the same bits. JSON has no Inf/NaN; the store drops
-/// non-finite samples, but the writer must still emit valid JSON.
-fn fmt_num(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    format!("{v}")
-}
 
 fn fmt_opt(v: Option<u64>) -> String {
     match v {
@@ -164,27 +133,26 @@ pub fn to_json(report: &HealthReport) -> String {
     out
 }
 
-fn need_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
+fn need<'a, T>(
+    v: &'a Value,
+    key: &str,
+    as_t: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<T, String> {
     v.get(key)
-        .and_then(JsonValue::as_u64)
+        .and_then(as_t)
         .ok_or_else(|| format!("missing or invalid \"{key}\""))
 }
 
-fn need_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing or invalid \"{key}\""))
+fn need_arr<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
+    need(v, key, |v| match v {
+        Value::Arr(items) => Some(items.as_slice()),
+        _ => None,
+    })
 }
 
-fn need_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing or invalid \"{key}\""))
-}
-
-fn opt_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
+fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
+        None | Some(Value::Null) => Ok(None),
         Some(other) => other
             .as_u64()
             .map(Some)
@@ -192,35 +160,29 @@ fn opt_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
-fn alert_from(v: &JsonValue) -> Result<Alert, String> {
+fn alert_from(v: &Value) -> Result<Alert, String> {
     Ok(Alert {
-        rule: need_str(v, "rule")?.to_string(),
-        entity: need_u64(v, "entity")?,
-        start_us: need_u64(v, "start_us")?,
+        rule: need(v, "rule", Value::as_str)?.to_string(),
+        entity: need(v, "entity", Value::as_u64)?,
+        start_us: need(v, "start_us", Value::as_u64)?,
         end_us: opt_u64(v, "end_us")?,
-        peak: need_f64(v, "peak")?,
-        decision_id: need_u64(v, "decision_id")?,
+        peak: need(v, "peak", Value::as_num)?,
+        decision_id: need(v, "decision_id", Value::as_u64)?,
     })
 }
 
-fn incident_from(v: &JsonValue) -> Result<Incident, String> {
-    let JsonValue::Arr(alert_values) = v
-        .get("alerts")
-        .ok_or_else(|| "incident is missing \"alerts\"".to_string())?
-    else {
-        return Err("incident \"alerts\" is not an array".to_string());
-    };
-    let alerts = alert_values
+fn incident_from(v: &Value) -> Result<Incident, String> {
+    let alerts = need_arr(v, "alerts")?
         .iter()
         .map(alert_from)
         .collect::<Result<Vec<Alert>, String>>()?;
     Ok(Incident {
-        id: need_u64(v, "id")?,
-        start_us: need_u64(v, "start_us")?,
+        id: need(v, "id", Value::as_u64)?,
+        start_us: need(v, "start_us", Value::as_u64)?,
         end_us: opt_u64(v, "end_us")?,
         alerts,
-        root_decision: need_u64(v, "root_decision")?,
-        cause: need_str(v, "cause")?.to_string(),
+        root_decision: need(v, "root_decision", Value::as_u64)?,
+        cause: need(v, "cause", Value::as_str)?.to_string(),
     })
 }
 
@@ -236,17 +198,12 @@ fn split_series_key(key: &str) -> Result<(String, u64), String> {
     Ok((key[..open].to_string(), entity))
 }
 
-fn series_from(v: &JsonValue) -> Result<Series, String> {
-    let width_us = need_u64(v, "width_us")?;
-    let JsonValue::Arr(rows) = v
-        .get("buckets")
-        .ok_or_else(|| "series is missing \"buckets\"".to_string())?
-    else {
-        return Err("series \"buckets\" is not an array".to_string());
-    };
+fn series_from(v: &Value) -> Result<Series, String> {
+    let width_us = need(v, "width_us", Value::as_u64)?;
+    let rows = need_arr(v, "buckets")?;
     let mut buckets = Vec::with_capacity(rows.len());
     for row in rows {
-        let JsonValue::Arr(cells) = row else {
+        let Value::Arr(cells) = row else {
             return Err("bucket row is not an array".to_string());
         };
         if cells.len() != 7 {
@@ -254,7 +211,7 @@ fn series_from(v: &JsonValue) -> Result<Series, String> {
         }
         let num = |i: usize| -> Result<f64, String> {
             cells[i]
-                .as_f64()
+                .as_num()
                 .ok_or_else(|| format!("bucket cell {i} is not a number"))
         };
         let int = |i: usize| -> Result<u64, String> {
@@ -281,47 +238,29 @@ fn series_from(v: &JsonValue) -> Result<Series, String> {
 /// Returns a message on malformed JSON, a wrong `schema`/`kind`, or missing
 /// fields.
 pub fn from_json(text: &str) -> Result<HealthReport, String> {
-    let root = parse(text).map_err(|e| e.to_string())?;
-    let schema = need_u64(&root, "schema")?;
+    let root = parse(text)?;
+    let schema = need(&root, "schema", Value::as_u64)?;
     if schema != SCHEMA {
         return Err(format!("unsupported schema {schema} (expected {SCHEMA})"));
     }
-    let kind = need_str(&root, "kind")?;
+    let kind = need(&root, "kind", Value::as_str)?;
     if kind != KIND {
         return Err(format!("not a health report (kind `{kind}`)"));
     }
-    let name = need_str(&root, "name")?.to_string();
+    let name = need(&root, "name", Value::as_str)?.to_string();
 
-    let JsonValue::Arr(alert_values) = root
-        .get("alerts")
-        .ok_or_else(|| "missing \"alerts\"".to_string())?
-    else {
-        return Err("\"alerts\" is not an array".to_string());
-    };
-    let alerts = alert_values
+    let alerts = need_arr(&root, "alerts")?
         .iter()
         .map(alert_from)
         .collect::<Result<Vec<Alert>, String>>()?;
 
-    let JsonValue::Arr(incident_values) = root
-        .get("incidents")
-        .ok_or_else(|| "missing \"incidents\"".to_string())?
-    else {
-        return Err("\"incidents\" is not an array".to_string());
-    };
-    let incidents = incident_values
+    let incidents = need_arr(&root, "incidents")?
         .iter()
         .map(incident_from)
         .collect::<Result<Vec<Incident>, String>>()?;
 
-    let JsonValue::Obj(series_members) = root
-        .get("series")
-        .ok_or_else(|| "missing \"series\"".to_string())?
-    else {
-        return Err("\"series\" is not an object".to_string());
-    };
     let mut store = SeriesStore::new(0);
-    for (key, value) in series_members {
+    for (key, value) in need(&root, "series", Value::as_obj)?.iter() {
         let (metric, entity) = split_series_key(key)?;
         store.insert(metric, entity, series_from(value)?);
     }

@@ -15,8 +15,8 @@
 //!   `soc-analyze` causal chains.
 //!
 //! Like `soc-prof`, this crate lives strictly *outside* the deterministic
-//! simulation core. Sim-state crates never link it (soc-lint D002 enforces
-//! the direction); instead the sharded engine exposes pure no-op observation
+//! simulation core. Sim-state crates never link it (the soc-lint layer
+//! rules A001/A002 enforce the direction); instead the sharded engine exposes pure no-op observation
 //! hooks (`soc_cluster::probe::ShardProbe::{gauge, event}`) and bench
 //! binaries attach a [`Recorder`] behind them. A run with the recorder
 //! attached is byte-identical — traces, metrics, outcomes — to a run

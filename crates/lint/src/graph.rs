@@ -9,6 +9,7 @@
 
 use crate::config::Layers;
 use crate::parser::FileModel;
+use soc_telemetry::json::escape;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One analyzed file, borrowed from the workspace analysis.
@@ -158,10 +159,11 @@ impl CrateGraph {
             if i > 0 {
                 out.push(',');
             }
-            match layers.layer_of(c) {
-                Some(layer) => out.push_str(&format!("{{\"name\":\"{c}\",\"layer\":\"{layer}\"}}")),
-                None => out.push_str(&format!("{{\"name\":\"{c}\"}}")),
+            out.push_str(&format!("{{\"name\":{}", escape(c)));
+            if let Some(layer) = layers.layer_of(c) {
+                out.push_str(&format!(",\"layer\":{}", escape(layer)));
             }
+            out.push('}');
         }
         out.push_str("],\"edges\":[");
         for (i, ((from, to), sites)) in self.edges.iter().enumerate() {
@@ -170,10 +172,11 @@ impl CrateGraph {
             }
             let first = &sites[0];
             out.push_str(&format!(
-                "{{\"from\":\"{from}\",\"to\":\"{to}\",\"refs\":{},\"first_site\":\"{}:{}\"}}",
+                "{{\"from\":{},\"to\":{},\"refs\":{},\"first_site\":{}}}",
+                escape(from),
+                escape(to),
                 sites.len(),
-                first.path,
-                first.line
+                escape(&format!("{}:{}", first.path, first.line))
             ));
         }
         out.push_str("]}\n");

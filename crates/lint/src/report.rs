@@ -4,6 +4,7 @@
 use crate::allowlist::AllowEntry;
 use crate::catalog::{self, CATALOG};
 use crate::checks::Diagnostic;
+use soc_telemetry::json::escape;
 
 /// Everything one `check` run produced, post-allowlist.
 pub struct CheckReport {
@@ -63,8 +64,8 @@ impl CheckReport {
             }
             out.push_str(&format!(
                 "{{\"lint\":{},\"path\":{}",
-                json_string(&e.lint),
-                json_string(&e.path)
+                escape(&e.lint),
+                escape(&e.path)
             ));
             if let Some(l) = e.line {
                 out.push_str(&format!(",\"line\":{l}"));
@@ -85,32 +86,13 @@ fn push_diags(out: &mut String, diags: &[Diagnostic]) {
         }
         out.push_str(&format!(
             "{{\"lint\":{},\"path\":{},\"line\":{},\"message\":{}}}",
-            json_string(d.lint),
-            json_string(&d.path),
+            escape(d.lint),
+            escape(&d.path),
             d.line,
-            json_string(&d.message)
+            escape(&d.message)
         ));
     }
     out.push(']');
-}
-
-/// Escape a string for JSON output (shared with the SARIF renderer).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The `list` subcommand: the full catalog with rationale and waiver recipe.
@@ -164,11 +146,6 @@ mod tests {
         assert!(json.contains(
             "\"stale\":[{\"lint\":\"R001\",\"path\":\"crates/core/src/y.rs\",\"line\":3}]"
         ));
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
     }
 
     #[test]

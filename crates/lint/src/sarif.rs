@@ -8,13 +8,14 @@
 //! visible in the same artifact as the live findings.
 //!
 //! Hand-rolled like the other renderers (no serde in this workspace); the
-//! subset is fixed, so a string builder plus the shared JSON escaper is the
-//! whole implementation.
+//! subset is fixed, so a string builder plus the workspace JSON escaper
+//! (`soc_telemetry::json::escape`) is the whole implementation.
 
 use crate::allowlist::Allowlist;
 use crate::catalog::CATALOG;
 use crate::checks::Diagnostic;
-use crate::report::{json_string, CheckReport};
+use crate::report::CheckReport;
+use soc_telemetry::json::escape;
 
 const SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
 const VERSION: &str = "2.1.0";
@@ -25,13 +26,13 @@ pub fn render_sarif(report: &CheckReport, allow: &Allowlist) -> String {
     let mut out = String::from("{");
     out.push_str(&format!(
         "\"$schema\":{},\"version\":{},\"runs\":[{{",
-        json_string(SCHEMA),
-        json_string(VERSION)
+        escape(SCHEMA),
+        escape(VERSION)
     ));
     out.push_str("\"tool\":{\"driver\":{\"name\":\"soc-lint\",");
     out.push_str(&format!(
         "\"informationUri\":{},\"rules\":[",
-        json_string("https://github.com/smartoclock-sim")
+        escape("https://github.com/smartoclock-sim")
     ));
     for (i, l) in CATALOG.iter().enumerate() {
         if i > 0 {
@@ -40,10 +41,10 @@ pub fn render_sarif(report: &CheckReport, allow: &Allowlist) -> String {
         out.push_str(&format!(
             "{{\"id\":{},\"name\":{},\"shortDescription\":{{\"text\":{}}},\
              \"fullDescription\":{{\"text\":{}}},\"defaultConfiguration\":{{\"level\":\"error\"}}}}",
-            json_string(l.id),
-            json_string(l.name),
-            json_string(l.summary),
-            json_string(l.rationale),
+            escape(l.id),
+            escape(l.name),
+            escape(l.summary),
+            escape(l.rationale),
         ));
     }
     out.push_str("]}},\"results\":[");
@@ -80,15 +81,15 @@ fn push_result(out: &mut String, first: &mut bool, d: &Diagnostic, waived: Optio
         "{{\"ruleId\":{},\"ruleIndex\":{rule_index},\"level\":\"error\",\
          \"message\":{{\"text\":{}}},\"locations\":[{{\"physicalLocation\":\
          {{\"artifactLocation\":{{\"uri\":{}}},\"region\":{{\"startLine\":{}}}}}}}]",
-        json_string(d.lint),
-        json_string(&d.message),
-        json_string(&d.path),
+        escape(d.lint),
+        escape(&d.message),
+        escape(&d.path),
         d.line
     ));
     if let Some(justification) = waived {
         out.push_str(&format!(
             ",\"suppressions\":[{{\"kind\":\"external\",\"justification\":{}}}]",
-            json_string(justification)
+            escape(justification)
         ));
     }
     out.push('}');

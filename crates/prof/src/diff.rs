@@ -22,6 +22,7 @@
 //! * improvements never gate, however large.
 
 use crate::snapshot::Snapshot;
+use soc_telemetry::json;
 use std::fmt::Write as _;
 
 /// Thresholds for [`diff`]. Percentages are slowdowns relative to the
@@ -196,13 +197,9 @@ impl DiffReport {
         let _ = writeln!(
             out,
             "  \"baseline\": {},",
-            crate::json::escape(&self.baseline_name)
+            json::escape(&self.baseline_name)
         );
-        let _ = writeln!(
-            out,
-            "  \"current\": {},",
-            crate::json::escape(&self.current_name)
-        );
+        let _ = writeln!(out, "  \"current\": {},", json::escape(&self.current_name));
         let _ = writeln!(out, "  \"regression\": {},", self.has_regression());
         let _ = writeln!(out, "  \"compared_phases\": {},", self.compared_phases());
         out.push_str("  \"entries\": [\n");
@@ -212,11 +209,11 @@ impl DiffReport {
                 format!(
                     "    {{\"name\": {}, \"baseline_ms\": {}, \"current_ms\": {}, \
                      \"delta_pct\": {}, \"verdict\": {}}}",
-                    crate::json::escape(&d.name),
-                    crate::json::fmt_num(d.baseline_ms),
-                    crate::json::fmt_num(d.current_ms),
-                    crate::json::fmt_num(d.delta_pct),
-                    crate::json::escape(d.verdict.label()),
+                    json::escape(&d.name),
+                    json::fmt_num(d.baseline_ms),
+                    json::fmt_num(d.current_ms),
+                    json::fmt_num(d.delta_pct),
+                    json::escape(d.verdict.label()),
                 )
             })
             .collect();
@@ -433,8 +430,8 @@ mod tests {
         assert!(text.contains("phases compared: 1"));
         let json = report.to_json();
         assert!(json.contains("\"regression\": true"));
-        let parsed = crate::json::parse(&json).unwrap();
-        assert!(parsed.as_obj().unwrap().contains_key("entries"));
+        let parsed = json::parse(&json).unwrap();
+        assert!(parsed.get("entries").is_some());
     }
 
     #[test]

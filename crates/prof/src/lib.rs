@@ -53,7 +53,6 @@
 #![deny(unsafe_code)]
 
 pub mod diff;
-pub mod json;
 pub mod mem;
 pub mod phase;
 pub mod snapshot;
@@ -62,6 +61,9 @@ pub use diff::{diff, Delta, DiffReport, Tolerance, Verdict};
 pub use mem::{alloc_counts, peak_rss_bytes, CountingAlloc};
 pub use phase::{PhaseGuard, PhaseStats};
 pub use snapshot::{PhaseSnap, Snapshot, SCHEMA};
+/// The workspace JSON codec, re-exported for `benchmark/`, which reads its
+/// result files through this path.
+pub use soc_telemetry::json;
 
 use phase::LiveGuard;
 use std::collections::BTreeMap;

@@ -8,8 +8,8 @@
 //! snapshots from a different major schema so the perf gate fails loudly
 //! instead of comparing apples to oranges.
 
-use crate::json::{self, Value};
 use crate::phase::PhaseStats;
+use soc_telemetry::json::{self, Object, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -173,22 +173,22 @@ impl Snapshot {
             ..Snapshot::default()
         };
         if let Some(meta) = obj.get("meta").and_then(Value::as_obj) {
-            for (k, v) in meta {
+            for (k, v) in meta.iter() {
                 if let Some(s) = v.as_str() {
                     snap.meta.insert(k.clone(), s.to_string());
                 }
             }
         }
         if let Some(counters) = obj.get("counters").and_then(Value::as_obj) {
-            for (k, v) in counters {
+            for (k, v) in counters.iter() {
                 let n = v
-                    .as_num()
-                    .ok_or_else(|| format!("counter `{k}` is not a number"))?;
-                snap.counters.insert(k.clone(), as_u64(n));
+                    .as_u64()
+                    .ok_or_else(|| format!("counter `{k}` is not a count"))?;
+                snap.counters.insert(k.clone(), n);
             }
         }
         if let Some(rates) = obj.get("rates").and_then(Value::as_obj) {
-            for (k, v) in rates {
+            for (k, v) in rates.iter() {
                 let n = v
                     .as_num()
                     .ok_or_else(|| format!("rate `{k}` is not a number"))?;
@@ -196,7 +196,7 @@ impl Snapshot {
             }
         }
         if let Some(phases) = obj.get("phases").and_then(Value::as_obj) {
-            for (path, v) in phases {
+            for (path, v) in phases.iter() {
                 let p = v
                     .as_obj()
                     .ok_or_else(|| format!("phase `{path}` is not an object"))?;
@@ -272,23 +272,16 @@ fn write_str_map(out: &mut String, key: &str, map: &BTreeMap<String, String>) {
     out.push_str(if map.is_empty() { "},\n" } else { "\n  },\n" });
 }
 
-fn get_num(obj: &BTreeMap<String, Value>, key: &str) -> Result<f64, String> {
+fn get_num(obj: &Object, key: &str) -> Result<f64, String> {
     obj.get(key)
         .and_then(Value::as_num)
         .ok_or_else(|| format!("snapshot is missing numeric `{key}`"))
 }
 
-fn get_count(obj: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
-    get_num(obj, key).map(as_u64)
-}
-
-/// Clamp a parsed JSON number to a count.
-fn as_u64(v: f64) -> u64 {
-    if v.is_finite() && v > 0.0 {
-        v.round() as u64
-    } else {
-        0
-    }
+fn get_count(obj: &Object, key: &str) -> Result<u64, String> {
+    obj.get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("snapshot is missing count `{key}`"))
 }
 
 /// Human-scale byte formatting (1 decimal, binary units).
