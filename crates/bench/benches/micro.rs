@@ -97,7 +97,7 @@ fn bench_soa_tick(c: &mut Criterion) {
             },
             |mut soa| {
                 for s in 1..20u64 {
-                    black_box(soa.control_tick(SimTime::from_secs(s), Watts::new(300.0), None));
+                    black_box(soa.control_tick(SimTime::from_secs(s), Watts::new(300.0), None, 0));
                 }
             },
             BatchSize::SmallInput,

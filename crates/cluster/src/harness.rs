@@ -18,11 +18,12 @@
 use simcore::faults::{FaultPlan, FaultPlanConfig};
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::config::SoaConfig;
+use smartoclock::goa::GlobalOverclockAgent;
 use smartoclock::messages::{ExhaustedResource, GrantId, OverclockRequest, SoaEvent};
 use smartoclock::policy::PolicyKind;
 use smartoclock::soa::ServerOverclockAgent;
 use smartoclock::wi::{GlobalWiAgent, LocalWiAgent, OverclockPolicy, VmMetrics};
-use soc_power::hierarchy::{heterogeneous_split, DemandProfile};
+use soc_power::hierarchy::DemandProfile;
 use soc_power::model::PowerModel;
 use soc_power::rack::{prioritized_shed, CapCandidate, RackMonitor, RackSignal};
 use soc_power::units::{MegaHertz, Watts};
@@ -310,6 +311,8 @@ pub struct ClusterSim {
     /// Per-server next free core index.
     free_core: Vec<usize>,
     rack: RackMonitor,
+    /// Rack 1's budget splitter (gOA role, §IV-C).
+    goa: GlobalOverclockAgent,
     /// Frequency caps from prioritized capping, per server (socialnet+spare
     /// then mltrain).
     caps: Vec<Option<MegaHertz>>,
@@ -325,7 +328,6 @@ pub struct ClusterSim {
     per_server_energy: Vec<f64>,
     vm_count_samples: Vec<f64>,
     capped_ticks: u64,
-    policy_kind: PolicyKind,
     telemetry: Telemetry,
     /// Deterministic fault schedule generated from `config.faults` over the
     /// run horizon. A no-op plan leaves every trace byte-identical to a
@@ -460,6 +462,8 @@ impl ClusterSim {
         // sit close to the limit to be an early signal rather than a
         // constant alarm.
         let rack = RackMonitor::new(limit, 0.97);
+        // Rack 1's gOA splits the same limit the monitor enforces.
+        let goa = GlobalOverclockAgent::new(limit, policy_kind);
 
         // Initial budgets: even split of rack 1 across its servers; spares
         // (second rack) get an ample budget.
@@ -492,13 +496,13 @@ impl ClusterSim {
             grant_owner: BTreeMap::new(),
             free_core,
             rack,
+            goa,
             last_signal: None,
             last_signal_decision: 0,
             total_energy_j: 0.0,
             socialnet_energy_j: 0.0,
             vm_count_samples: Vec::new(),
             capped_ticks: 0,
-            policy_kind,
             telemetry: Telemetry::disabled(),
             faults,
             goa_was_down: false,
@@ -519,10 +523,16 @@ impl ClusterSim {
         sim
     }
 
-    /// Install (or replace) the telemetry handle on the harness and its sOAs.
+    /// Install (or replace) the telemetry handle on the harness and its
+    /// agents: sOAs are labelled by server index, WI agents by service
+    /// (instance) index.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         for (s, soa) in self.soas.iter_mut().enumerate() {
             soa.set_telemetry(telemetry.clone(), s);
+        }
+        for (idx, inst) in self.instances.iter_mut().enumerate() {
+            inst.wi.set_telemetry(telemetry.clone(), idx);
+            inst.local.set_telemetry(telemetry.clone(), idx);
         }
         self.telemetry = telemetry;
     }
@@ -689,7 +699,7 @@ impl ClusterSim {
                 cpu_utilization: stats.cpu_utilization,
                 queue_length: inst.sim.in_system() as f64,
             };
-            metrics.push(inst.local.observe_traced(now, raw, &tm, idx));
+            metrics.push(inst.local.observe(now, raw));
         }
 
         // 3. Control decisions.
@@ -710,7 +720,7 @@ impl ClusterSim {
         // corrective events chain back to the rack monitor's alarm.
         if system.overclocks() && system != SystemKind::ScaleUp {
             for (s, &power) in powers.iter().enumerate().take(self.soas.len()) {
-                let events = self.soas[s].control_tick_traced(
+                let events = self.soas[s].control_tick(
                     now,
                     power,
                     self.last_signal,
@@ -833,10 +843,9 @@ impl ClusterSim {
     /// SmartOClock / NaiveOClock control: WI decisions → sOA requests.
     fn smartoclock_control(&mut self, now: SimTime, metrics: &[VmMetrics]) {
         let plan = self.model.plan();
-        let tm = self.telemetry.clone();
         for (idx, &m) in metrics.iter().enumerate().take(self.instances.len()) {
             self.instances[idx].wi.report(vec![m]);
-            let decision = self.instances[idx].wi.decide_traced(now, &tm, idx);
+            let decision = self.instances[idx].wi.decide(now);
             let spec_cores = self.instances[idx].sim.spec().cores_per_vm;
             if decision.overclock {
                 // Request a grant for every VM that lacks one.
@@ -861,7 +870,7 @@ impl ClusterSim {
                         }
                         Err(_) => {
                             let deny = self.soas[server].last_admission_decision();
-                            self.instances[idx].wi.notify_rejection_with_cause(deny);
+                            self.instances[idx].wi.notify_rejection(deny);
                             self.instances[idx].last_deny_decision = deny;
                             self.instances[idx].last_deny_at = now;
                         }
@@ -960,9 +969,7 @@ impl ClusterSim {
                             .map(|(_, &(idx, _))| idx)
                             .collect();
                         for idx in owners {
-                            self.instances[idx]
-                                .wi
-                                .notify_exhaustion_with_cause(*decision);
+                            self.instances[idx].wi.notify_exhaustion(*decision);
                         }
                     }
                 }
@@ -1217,11 +1224,7 @@ impl ClusterSim {
         // split.
         let rack1: Vec<usize> = (0..total_servers).filter(|&s| !self.is_spare(s)).collect();
         let rack1_demands: Vec<DemandProfile> = rack1.iter().map(|&s| demands[s]).collect();
-        let budgets = if self.policy_kind.heterogeneous_budgets() {
-            heterogeneous_split(self.rack.limit(), &rack1_demands)
-        } else {
-            vec![self.rack.limit() / rack1_demands.len() as f64; rack1_demands.len()]
-        };
+        let budgets = self.goa.budgets_for(&rack1_demands);
         if self.telemetry.is_enabled() {
             let allocated: f64 = budgets.iter().map(|b| b.get()).sum();
             tm_event!(self.telemetry, now, Component::Goa, Severity::Info, "budget_split",

@@ -10,14 +10,12 @@
 //! (paper §IV-C)
 
 use crate::policy::PolicyKind;
-use simcore::faults::FaultPlan;
 use simcore::series::TimeSeries;
 use simcore::time::SimTime;
-use soc_power::hierarchy::{heterogeneous_split, heterogeneous_split_into, DemandProfile};
+use soc_power::hierarchy::{heterogeneous_split_into, DemandProfile};
 use soc_power::model::PowerModel;
 use soc_power::units::{MegaHertz, Watts};
 use soc_predict::template::{PowerTemplate, TemplateKind};
-use soc_telemetry::{tm_event, Component, Severity, Telemetry};
 
 /// One server's weekly profile as exchanged with the gOA.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,20 +93,6 @@ impl GlobalOverclockAgent {
         GlobalOverclockAgent { rack_limit, policy }
     }
 
-    /// The rack limit budgets are computed against.
-    pub fn rack_limit(&self) -> Watts {
-        self.rack_limit
-    }
-
-    /// Replace the rack limit (power-constrained experiments, §V-A).
-    ///
-    /// # Panics
-    /// Panics if `limit` is not positive.
-    pub fn set_rack_limit(&mut self, limit: Watts) {
-        assert!(limit.get() > 0.0, "rack limit must be positive");
-        self.rack_limit = limit;
-    }
-
     /// Compute per-server budgets from explicit demand profiles.
     ///
     /// Heterogeneous-budget policies use the §IV-C split; `NaiveOClock`
@@ -117,12 +101,9 @@ impl GlobalOverclockAgent {
     /// # Panics
     /// Panics if `demands` is empty.
     pub fn budgets_for(&self, demands: &[DemandProfile]) -> Vec<Watts> {
-        assert!(!demands.is_empty(), "need at least one server");
-        if self.policy.heterogeneous_budgets() {
-            heterogeneous_split(self.rack_limit, demands)
-        } else {
-            vec![self.rack_limit / demands.len() as f64; demands.len()]
-        }
+        let mut out = Vec::with_capacity(demands.len());
+        self.budgets_for_into(demands, &mut out);
+        out
     }
 
     /// Allocation-free [`budgets_for`](Self::budgets_for): clears `out` and
@@ -149,88 +130,6 @@ impl GlobalOverclockAgent {
     pub fn budgets_at(&self, t: SimTime, profiles: &[ServerProfile]) -> Vec<Watts> {
         let demands: Vec<DemandProfile> = profiles.iter().map(|p| p.demand_at(t)).collect();
         self.budgets_for(&demands)
-    }
-
-    /// Fault-aware [`budgets_for`](Self::budgets_for): returns `None` while
-    /// the fault plan marks the gOA unreachable at `now` — the control plane
-    /// cannot recompute the split, and callers must keep running on whatever
-    /// budgets the sOAs last received (the paper's decentralized
-    /// fault-tolerance argument, §III-Q5).
-    ///
-    /// # Panics
-    /// Panics if `demands` is empty.
-    pub fn budgets_for_faulted(
-        &self,
-        now: SimTime,
-        demands: &[DemandProfile],
-        faults: &FaultPlan,
-    ) -> Option<Vec<Watts>> {
-        if faults.goa_unreachable(now) {
-            None
-        } else {
-            Some(self.budgets_for(demands))
-        }
-    }
-
-    /// [`budgets_for`](Self::budgets_for) plus a `budget_split` telemetry
-    /// record and per-server budget gauges, labelled with the rack index.
-    ///
-    /// # Panics
-    /// Panics if `demands` is empty.
-    pub fn budgets_for_traced(
-        &self,
-        now: SimTime,
-        demands: &[DemandProfile],
-        telemetry: &Telemetry,
-        rack: usize,
-    ) -> Vec<Watts> {
-        let budgets = self.budgets_for(demands);
-        if telemetry.is_enabled() {
-            let allocated: f64 = budgets.iter().map(|b| b.get()).sum();
-            let min = budgets
-                .iter()
-                .map(|b| b.get())
-                .fold(f64::INFINITY, f64::min);
-            let max = budgets
-                .iter()
-                .map(|b| b.get())
-                .fold(f64::NEG_INFINITY, f64::max);
-            tm_event!(telemetry, now, Component::Goa, Severity::Info, "budget_split",
-                "rack" => rack,
-                "servers" => budgets.len(),
-                "rack_limit_w" => self.rack_limit.get(),
-                "allocated_w" => allocated,
-                "min_w" => min,
-                "max_w" => max,
-                "decision_id" => telemetry.next_id());
-            telemetry.metrics(|m| {
-                m.inc_counter("goa_budget_splits", &[("rack", rack.into())]);
-                for (server, budget) in budgets.iter().enumerate() {
-                    m.set_gauge(
-                        "soa_budget_w",
-                        &[("rack", rack.into()), ("server", server.into())],
-                        budget.get(),
-                    );
-                }
-            });
-        }
-        budgets
-    }
-
-    /// [`budgets_at`](Self::budgets_at) plus the `budget_split` telemetry of
-    /// [`budgets_for_traced`](Self::budgets_for_traced).
-    ///
-    /// # Panics
-    /// Panics if `profiles` is empty.
-    pub fn budgets_at_traced(
-        &self,
-        t: SimTime,
-        profiles: &[ServerProfile],
-        telemetry: &Telemetry,
-        rack: usize,
-    ) -> Vec<Watts> {
-        let demands: Vec<DemandProfile> = profiles.iter().map(|p| p.demand_at(t)).collect();
-        self.budgets_for_traced(t, &demands, telemetry, rack)
     }
 }
 
@@ -331,36 +230,5 @@ mod tests {
     #[should_panic(expected = "rack limit must be positive")]
     fn rejects_zero_limit() {
         let _ = GlobalOverclockAgent::new(Watts::ZERO, PolicyKind::SmartOClock);
-    }
-
-    #[test]
-    fn faulted_budgets_withhold_during_outage() {
-        use simcore::faults::FaultPlanConfig;
-        let goa = GlobalOverclockAgent::new(Watts::new(1300.0), PolicyKind::SmartOClock);
-        let demands = [
-            DemandProfile {
-                regular: Watts::new(400.0),
-                overclock_demand: Watts::new(50.0),
-            },
-            DemandProfile {
-                regular: Watts::new(300.0),
-                overclock_demand: Watts::new(100.0),
-            },
-        ];
-        let cfg = FaultPlanConfig {
-            goa_outages: 1,
-            goa_outage_len: SimDuration::WEEK,
-            ..FaultPlanConfig::none()
-        };
-        let plan = FaultPlan::generate(&cfg, SimTime::ZERO, SimTime::ZERO + SimDuration::WEEK);
-        // The single week-long outage covers the whole horizon.
-        let during = plan.outages()[0].start;
-        assert_eq!(goa.budgets_for_faulted(during, &demands, &plan), None);
-        // A zero-fault plan always answers.
-        let healthy = FaultPlan::none();
-        assert_eq!(
-            goa.budgets_for_faulted(during, &demands, &healthy),
-            Some(goa.budgets_for(&demands))
-        );
     }
 }

@@ -11,6 +11,7 @@
 //! time if the estimate is too low." (paper §IV-A)
 
 use crate::wi::{MetricKind, MetricTrigger};
+use std::fmt;
 
 /// Configuration for threshold inference.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,6 +60,38 @@ impl Default for InferenceConfig {
     }
 }
 
+/// Why [`infer_trigger`] could not place thresholds on a history.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum InferError {
+    /// The history has no samples at all.
+    EmptyHistory,
+    /// Every sample is NaN or infinite.
+    NoFiniteSamples,
+    /// The scale-up quantile is not a positive (normal) number — e.g. an
+    /// idle service whose queue length was always zero — so no scale-down
+    /// threshold fits strictly below it.
+    NonPositiveQuantile(f64),
+}
+
+impl fmt::Display for InferError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InferError::EmptyHistory => {
+                f.write_str("cannot infer thresholds from an empty history")
+            }
+            InferError::NoFiniteSamples => f.write_str("history contains no finite samples"),
+            InferError::NonPositiveQuantile(q) => {
+                write!(
+                    f,
+                    "scale-up quantile {q} is not positive; no hysteresis fits below it"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for InferError {}
+
 /// Infer a [`MetricTrigger`] from a workload's metric history.
 ///
 /// The scale-up threshold is the `(1 − overclock_time_fraction)` quantile of
@@ -67,8 +100,12 @@ impl Default for InferenceConfig {
 /// value divided by the estimated speedup, lowered further by the hysteresis
 /// margin (too-close thresholds dither; §IV-A).
 ///
+/// # Errors
+/// Returns an [`InferError`] if `history` is empty, has no finite samples,
+/// or its scale-up quantile is not positive.
+///
 /// # Panics
-/// Panics if `history` is empty or the configuration is invalid.
+/// Panics if the configuration is invalid.
 ///
 /// ```
 /// use smartoclock::infer::{infer_trigger, InferenceConfig};
@@ -77,25 +114,35 @@ impl Default for InferenceConfig {
 /// // P99 latency history in ms: mostly ~60, peaks to ~120 for ~10% of time.
 /// let mut history = vec![60.0; 90];
 /// history.extend(vec![120.0; 10]);
-/// let trigger = infer_trigger(MetricKind::TailLatencyMs, &history, InferenceConfig::reference());
+/// let trigger = infer_trigger(MetricKind::TailLatencyMs, &history, InferenceConfig::reference())?;
 /// assert!(trigger.scale_up > 60.0 && trigger.scale_up <= 120.0);
 /// assert!(trigger.scale_down < trigger.scale_up);
+/// # Ok::<(), smartoclock::infer::InferError>(())
 /// ```
-pub fn infer_trigger(kind: MetricKind, history: &[f64], config: InferenceConfig) -> MetricTrigger {
+pub fn infer_trigger(
+    kind: MetricKind,
+    history: &[f64],
+    config: InferenceConfig,
+) -> Result<MetricTrigger, InferError> {
     config.validate();
-    assert!(
-        !history.is_empty(),
-        "cannot infer thresholds from an empty history"
-    );
+    if history.is_empty() {
+        return Err(InferError::EmptyHistory);
+    }
     let clean: Vec<f64> = history.iter().copied().filter(|v| v.is_finite()).collect();
-    assert!(!clean.is_empty(), "history contains no finite samples");
+    if clean.is_empty() {
+        return Err(InferError::NoFiniteSamples);
+    }
     let q = (1.0 - config.overclock_time_fraction) * 100.0;
     let scale_up = simcore::stats::percentile(&clean, q);
+    // Below the smallest normal the 0.95 cap can round back onto scale_up.
+    if scale_up < f64::MIN_POSITIVE {
+        return Err(InferError::NonPositiveQuantile(scale_up));
+    }
     let post_overclock = scale_up / config.estimated_speedup;
     let scale_down = (post_overclock - config.hysteresis_margin * scale_up)
         .max(f64::MIN_POSITIVE)
         .min(scale_up * 0.95);
-    MetricTrigger::new(kind, scale_up, scale_down)
+    Ok(MetricTrigger::new(kind, scale_up, scale_down))
 }
 
 /// Expected fraction of time the inferred trigger would have been active
@@ -135,7 +182,7 @@ mod tests {
     fn inferred_duty_cycle_matches_budget() {
         let history = diurnal_history();
         let cfg = InferenceConfig::reference();
-        let trigger = infer_trigger(MetricKind::TailLatencyMs, &history, cfg);
+        let trigger = infer_trigger(MetricKind::TailLatencyMs, &history, cfg).unwrap();
         let duty = expected_duty_cycle(&history, trigger);
         assert!(
             (duty - cfg.overclock_time_fraction).abs() < 0.03,
@@ -152,7 +199,8 @@ mod tests {
             MetricKind::TailLatencyMs,
             &history,
             InferenceConfig::reference(),
-        );
+        )
+        .unwrap();
         // Post-overclock estimate of the peak: peak/1.21 ≈ 91; scale-down
         // must be at or below that minus the margin.
         assert!(trigger.scale_down < trigger.scale_up / 1.2);
@@ -167,8 +215,9 @@ mod tests {
             MetricKind::TailLatencyMs,
             &history,
             InferenceConfig::reference(),
-        );
-        let tight_trigger = infer_trigger(MetricKind::TailLatencyMs, &history, tight);
+        )
+        .unwrap();
+        let tight_trigger = infer_trigger(MetricKind::TailLatencyMs, &history, tight).unwrap();
         assert!(tight_trigger.scale_up >= loose_trigger.scale_up);
     }
 
@@ -180,13 +229,51 @@ mod tests {
             MetricKind::TailLatencyMs,
             &history,
             InferenceConfig::reference(),
-        );
+        )
+        .unwrap();
         assert!(trigger.scale_up.is_finite());
     }
 
     #[test]
-    #[should_panic(expected = "empty history")]
     fn rejects_empty_history() {
-        let _ = infer_trigger(MetricKind::TailLatencyMs, &[], InferenceConfig::reference());
+        assert_eq!(
+            infer_trigger(MetricKind::TailLatencyMs, &[], InferenceConfig::reference()),
+            Err(InferError::EmptyHistory)
+        );
+    }
+
+    #[test]
+    fn rejects_history_without_finite_samples() {
+        assert_eq!(
+            infer_trigger(
+                MetricKind::TailLatencyMs,
+                &[f64::NAN, f64::INFINITY],
+                InferenceConfig::reference()
+            ),
+            Err(InferError::NoFiniteSamples)
+        );
+    }
+
+    #[test]
+    fn all_zero_history_is_an_error_not_a_panic() {
+        // An idle service's queue length: the P90 is 0, so no scale-down
+        // threshold fits below it.
+        assert_eq!(
+            infer_trigger(
+                MetricKind::QueueLength,
+                &[0.0; 50],
+                InferenceConfig::reference()
+            ),
+            Err(InferError::NonPositiveQuantile(0.0))
+        );
+        let negative = infer_trigger(
+            MetricKind::CpuUtilization,
+            &[-1.0; 10],
+            InferenceConfig::reference(),
+        );
+        assert!(matches!(negative, Err(InferError::NonPositiveQuantile(q)) if q < 0.0));
+        assert!(InferError::NonPositiveQuantile(0.0)
+            .to_string()
+            .contains("not positive"));
     }
 }

@@ -29,9 +29,16 @@
 //!
 //! The agents are deliberately I/O-free: they consume observations and emit
 //! commands, so the same code drives the real-time cluster harness
-//! (`soc-cluster`), the large-scale trace simulations, and the
-//! deployment-shaped threaded runtime ([`runtime`] — one sOA per thread
-//! behind message channels).
+//! (`soc-cluster`) and the large-scale trace simulations. Every agent is
+//! `Send` (asserted at compile time below), so an embedding may also move
+//! each onto its own thread.
+//!
+//! Each control-plane decision has exactly one method: WI `observe`/`decide`/
+//! `notify_rejection`/`notify_exhaustion`, sOA `request_overclock`/
+//! `control_tick`, gOA `budgets_for`. Agents that emit telemetry hold their
+//! handle, installed once with `set_telemetry(handle, index)`; the default
+//! handle is disabled, and tracing never feeds back into a decision. Causal
+//! ids ride as plain `u64` arguments where `0` means "no cause".
 
 #![forbid(unsafe_code)]
 
@@ -41,15 +48,22 @@ pub mod goa;
 pub mod infer;
 pub mod messages;
 pub mod policy;
-pub mod runtime;
 pub mod soa;
 pub mod wi;
 
 pub use config::SoaConfig;
 pub use epoch::EpochTracker;
 pub use goa::{GlobalOverclockAgent, ServerProfile};
-pub use infer::{infer_trigger, InferenceConfig};
+pub use infer::{infer_trigger, InferError, InferenceConfig};
 pub use messages::{GrantId, OverclockRequest, RejectReason, SoaEvent};
 pub use policy::PolicyKind;
 pub use soa::ServerOverclockAgent;
 pub use wi::{GlobalWiAgent, MetricKind, OverclockPolicy, WiDecision};
+
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<ServerOverclockAgent>();
+    assert_send::<GlobalOverclockAgent>();
+    assert_send::<GlobalWiAgent>();
+    assert_send::<wi::LocalWiAgent>();
+};

@@ -270,17 +270,6 @@ impl ServerOverclockAgent {
         }
     }
 
-    /// Age of the assigned budget at `now`, when staleness tracking is
-    /// enabled (a [`Self::set_power_budget_at`] call has been made).
-    pub fn budget_staleness(&self, now: SimTime) -> Option<SimDuration> {
-        self.budget_refreshed_at.map(|at| now.saturating_since(at))
-    }
-
-    /// Whether the agent is running degraded on a stale budget.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded_since.is_some()
-    }
-
     /// The budget the feedback loop currently enforces: assigned plus any
     /// exploration extra.
     pub fn effective_budget(&self) -> Watts {
@@ -582,21 +571,12 @@ impl ServerOverclockAgent {
     }
 
     /// One control-loop iteration (§IV-D). `measured_power` is the server's
-    /// current draw; `signal` is the latest rack-manager message, if any.
-    /// Returns the events the platform must apply/forward.
+    /// current draw; `signal` is the latest rack-manager message, if any,
+    /// and `signal_cause` the causal decision id of the rack event that
+    /// produced it (`0` when unknown): backoff/retreat telemetry emitted in
+    /// response to the signal carries it as `cause_id`. Returns the events
+    /// the platform must apply/forward.
     pub fn control_tick(
-        &mut self,
-        now: SimTime,
-        measured_power: Watts,
-        signal: Option<RackSignal>,
-    ) -> Vec<SoaEvent> {
-        self.control_tick_traced(now, measured_power, signal, 0)
-    }
-
-    /// [`Self::control_tick`] with the causal decision id of the rack event
-    /// that produced `signal` (`0` when unknown): backoff/retreat telemetry
-    /// emitted in response to the signal carries it as `cause_id`.
-    pub fn control_tick_traced(
         &mut self,
         now: SimTime,
         measured_power: Watts,
@@ -885,6 +865,12 @@ impl ServerOverclockAgent {
             }
         }
         // Inside the hold band: do nothing.
+    }
+
+    /// Age of the assigned budget at `now`, when staleness tracking is
+    /// enabled (a [`Self::set_power_budget_at`] call has been made).
+    fn budget_staleness(&self, now: SimTime) -> Option<SimDuration> {
+        self.budget_refreshed_at.map(|at| now.saturating_since(at))
     }
 
     /// Enter degraded mode when the assigned budget has gone stale (no gOA
@@ -1206,7 +1192,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for _ in 0..10 {
             t += SimDuration::from_secs(1);
-            let _ = a.control_tick(t, Watts::new(250.0), None);
+            let _ = a.control_tick(t, Watts::new(250.0), None, 0);
         }
         assert_eq!(a.grant(id).unwrap().current, MegaHertz::new(4000));
     }
@@ -1219,12 +1205,12 @@ mod tests {
         let mut t = SimTime::ZERO;
         for _ in 0..5 {
             t += SimDuration::from_secs(1);
-            let _ = a.control_tick(t, Watts::new(250.0), None);
+            let _ = a.control_tick(t, Watts::new(250.0), None, 0);
         }
         let high = a.grant(id).unwrap().current;
         // Now report draw above the budget.
         t += SimDuration::from_secs(1);
-        let events = a.control_tick(t, Watts::new(460.0), None);
+        let events = a.control_tick(t, Watts::new(460.0), None, 0);
         let lower = a.grant(id).unwrap().current;
         assert!(lower < high, "must throttle: {high} -> {lower}");
         assert!(events
@@ -1245,10 +1231,10 @@ mod tests {
         let id_low = a.request_overclock(SimTime::ZERO, low).unwrap();
         let id_high = a.request_overclock(SimTime::ZERO, high).unwrap();
         // One boost step with headroom goes to the high-priority grant.
-        let _ = a.control_tick(SimTime::from_secs(1), Watts::new(250.0), None);
+        let _ = a.control_tick(SimTime::from_secs(1), Watts::new(250.0), None, 0);
         assert!(a.grant(id_high).unwrap().current > a.grant(id_low).unwrap().current);
         // Over budget: the low-priority grant is throttled first.
-        let _ = a.control_tick(SimTime::from_secs(2), Watts::new(500.0), None);
+        let _ = a.control_tick(SimTime::from_secs(2), Watts::new(500.0), None, 0);
         let turbo = a.model().plan().turbo();
         assert_eq!(a.grant(id_low).unwrap().current, turbo);
     }
@@ -1260,7 +1246,7 @@ mod tests {
         a.set_power_template(flat_template(Watts::new(200.0)));
         let _ = a.request_overclock(SimTime::ZERO, oc_request(8)).unwrap();
         // Draw pinned at the budget: constrained, so exploration begins.
-        let _ = a.control_tick(SimTime::from_secs(1), Watts::new(299.0), None);
+        let _ = a.control_tick(SimTime::from_secs(1), Watts::new(299.0), None, 0);
         assert!(a.effective_budget() > Watts::new(300.0));
     }
 
@@ -1270,7 +1256,7 @@ mod tests {
         a.set_power_budget(Watts::new(300.0));
         a.set_power_template(flat_template(Watts::new(200.0)));
         let _ = a.request_overclock(SimTime::ZERO, oc_request(8)).unwrap();
-        let _ = a.control_tick(SimTime::from_secs(1), Watts::new(299.0), None);
+        let _ = a.control_tick(SimTime::from_secs(1), Watts::new(299.0), None, 0);
         let explored = a.effective_budget();
         assert!(explored > Watts::new(300.0));
         // Warning arrives while exploring: retreat one step.
@@ -1278,15 +1264,16 @@ mod tests {
             SimTime::from_secs(2),
             Watts::new(310.0),
             Some(RackSignal::Warning),
+            0,
         );
         assert_eq!(a.effective_budget(), Watts::new(300.0));
         assert_eq!(a.stats().warning_retreats, 1);
         // Backed off: no immediate re-exploration.
-        let _ = a.control_tick(SimTime::from_secs(3), Watts::new(299.0), None);
+        let _ = a.control_tick(SimTime::from_secs(3), Watts::new(299.0), None, 0);
         assert_eq!(a.effective_budget(), Watts::new(300.0));
         // After the backoff expires, exploration resumes.
-        let _ = a.control_tick(SimTime::from_secs(120), Watts::new(299.0), None);
-        let _ = a.control_tick(SimTime::from_secs(121), Watts::new(299.0), None);
+        let _ = a.control_tick(SimTime::from_secs(120), Watts::new(299.0), None, 0);
+        let _ = a.control_tick(SimTime::from_secs(121), Watts::new(299.0), None, 0);
         assert!(a.effective_budget() > Watts::new(300.0));
     }
 
@@ -1302,7 +1289,7 @@ mod tests {
         assert_eq!(err, RejectReason::PowerBudget);
         // The next control tick explores a bigger budget even though there
         // is no active grant.
-        let _ = a.control_tick(SimTime::from_secs(1), Watts::new(250.0), None);
+        let _ = a.control_tick(SimTime::from_secs(1), Watts::new(250.0), None, 0);
         assert!(a.effective_budget() > Watts::new(260.0));
         // After enough exploration (no warnings), the retry succeeds.
         let mut t = SimTime::from_secs(1);
@@ -1313,7 +1300,7 @@ mod tests {
                 granted = true;
                 break;
             }
-            let _ = a.control_tick(t, Watts::new(250.0), None);
+            let _ = a.control_tick(t, Watts::new(250.0), None, 0);
         }
         assert!(granted, "exploration should eventually admit the request");
     }
@@ -1324,12 +1311,13 @@ mod tests {
         a.set_power_budget(Watts::new(300.0));
         a.set_power_template(flat_template(Watts::new(200.0)));
         let _ = a.request_overclock(SimTime::ZERO, oc_request(8)).unwrap();
-        let _ = a.control_tick(SimTime::from_secs(1), Watts::new(299.0), None);
+        let _ = a.control_tick(SimTime::from_secs(1), Watts::new(299.0), None, 0);
         let explored = a.effective_budget();
         let _ = a.control_tick(
             SimTime::from_secs(2),
             Watts::new(310.0),
             Some(RackSignal::Warning),
+            0,
         );
         assert_eq!(
             a.effective_budget(),
@@ -1345,7 +1333,7 @@ mod tests {
         a.set_power_template(flat_template(Watts::new(200.0)));
         let _ = a.request_overclock(SimTime::ZERO, oc_request(8)).unwrap();
         for s in 1..100 {
-            let _ = a.control_tick(SimTime::from_secs(s), Watts::new(299.0), None);
+            let _ = a.control_tick(SimTime::from_secs(s), Watts::new(299.0), None, 0);
         }
         assert_eq!(a.effective_budget(), Watts::new(300.0));
     }
@@ -1357,13 +1345,14 @@ mod tests {
         a.set_power_template(flat_template(Watts::new(200.0)));
         let _ = a.request_overclock(SimTime::ZERO, oc_request(8)).unwrap();
         // Explore a couple of steps.
-        let _ = a.control_tick(SimTime::from_secs(1), Watts::new(299.0), None);
-        let _ = a.control_tick(SimTime::from_secs(40), Watts::new(319.0), None);
+        let _ = a.control_tick(SimTime::from_secs(1), Watts::new(299.0), None, 0);
+        let _ = a.control_tick(SimTime::from_secs(40), Watts::new(319.0), None, 0);
         assert!(a.effective_budget() > Watts::new(300.0));
         let _ = a.control_tick(
             SimTime::from_secs(41),
             Watts::new(340.0),
             Some(RackSignal::Capping),
+            0,
         );
         assert_eq!(a.effective_budget(), Watts::new(300.0));
         assert_eq!(a.stats().capping_resets, 1);
@@ -1384,6 +1373,7 @@ mod tests {
             SimTime::ZERO + SimDuration::from_minutes(11),
             Watts::new(250.0),
             None,
+            0,
         );
         assert!(a.grant(id).is_none());
         assert!(events.iter().any(|e| matches!(
@@ -1407,7 +1397,7 @@ mod tests {
         let mut ended = false;
         for _ in 0..300 {
             t += SimDuration::from_minutes(1);
-            let events = a.control_tick(t, Watts::new(250.0), None);
+            let events = a.control_tick(t, Watts::new(250.0), None, 0);
             if events.iter().any(|e| {
                 matches!(
                     e,
@@ -1438,7 +1428,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for _ in 0..30 {
             t += SimDuration::from_minutes(1);
-            let events = a.control_tick(t, Watts::new(250.0), None);
+            let events = a.control_tick(t, Watts::new(250.0), None, 0);
             if events.iter().any(|e| {
                 matches!(
                     e,
@@ -1484,7 +1474,7 @@ mod tests {
             + SimDuration::from_hours(8)
             + SimDuration::from_minutes(50);
         let _ = a.request_overclock(now, oc_request(8)).unwrap();
-        let events = a.control_tick(now, Watts::new(260.0), None);
+        let events = a.control_tick(now, Watts::new(260.0), None, 0);
         assert!(
             events.iter().any(|e| matches!(
                 e,
@@ -1542,10 +1532,10 @@ mod tests {
         let mut t = SimTime::ZERO;
         for _ in 0..3 {
             t += SimDuration::from_secs(30);
-            let _ = a.control_tick(t, Watts::new(250.0), None);
+            let _ = a.control_tick(t, Watts::new(250.0), None, 0);
         }
         t += SimDuration::from_minutes(10);
-        let _ = a.control_tick(t, Watts::new(250.0), None);
+        let _ = a.control_tick(t, Watts::new(250.0), None, 0);
         let migrated = a.grant(id).expect("grant must survive via migration");
         assert_ne!(
             migrated.cores, original,
@@ -1627,6 +1617,37 @@ mod tests {
     }
 
     #[test]
+    fn restart_revokes_grants_and_rejoins_conservatively() {
+        let mut a = agent(PolicyKind::SmartOClock);
+        let grant = a
+            .request_overclock(SimTime::ZERO, oc_request(8))
+            .expect("headroom before the fault");
+        // The process restarts: volatile state is gone.
+        let events = a.restart(SimTime::from_secs(30));
+        assert!(
+            events.iter().any(|e| matches!(
+                e,
+                SoaEvent::GrantEnded {
+                    grant: g,
+                    reason: GrantEndReason::AgentRestart,
+                } if *g == grant
+            )),
+            "restart must revoke the live grant: {events:?}"
+        );
+        assert!(a.grant(grant).is_none());
+        // Conservative re-join: no budget yet, so admission denies.
+        let err = a
+            .request_overclock(SimTime::from_secs(31), oc_request(8))
+            .unwrap_err();
+        assert_eq!(err, RejectReason::PowerBudget);
+        // A fresh gOA assignment restores service.
+        a.set_power_budget(Watts::new(450.0));
+        assert!(a
+            .request_overclock(SimTime::from_secs(32), oc_request(8))
+            .is_ok());
+    }
+
+    #[test]
     fn restart_preserves_silicon_identity_and_wear_ledger() {
         let plan = PowerModel::reference_server().plan();
         let part = marginal_part(plan.max_overclock(), 0.3);
@@ -1637,7 +1658,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for _ in 0..10 {
             t += SimDuration::from_minutes(1);
-            let _ = a.control_tick(t, Watts::new(250.0), None);
+            let _ = a.control_tick(t, Watts::new(250.0), None, 0);
         }
         let worn = a.wear_ledger().actual_days();
         assert!(worn > 0.0, "overclocked intervals must accrue wear");
@@ -1663,7 +1684,7 @@ mod tests {
             let mut t = SimTime::ZERO;
             for _ in 0..10 {
                 t += SimDuration::from_minutes(1);
-                let _ = a.control_tick(t, Watts::new(250.0), None);
+                let _ = a.control_tick(t, Watts::new(250.0), None, 0);
             }
             a.wear_ledger().actual_days()
         };

@@ -152,10 +152,12 @@ pub struct VmMetrics {
 
 /// Local WI agent: smooths raw per-VM metrics with an EWMA before they reach
 /// the global agent (jittery single-window tails would cause dithering).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LocalWiAgent {
     alpha: f64,
     smoothed: Option<VmMetrics>,
+    telemetry: Telemetry,
+    vm: usize,
 }
 
 impl LocalWiAgent {
@@ -169,12 +171,22 @@ impl LocalWiAgent {
         LocalWiAgent {
             alpha,
             smoothed: None,
+            telemetry: Telemetry::disabled(),
+            vm: 0,
         }
     }
 
+    /// Attach a telemetry handle, labelling this agent's `wi_observe`
+    /// records with `vm`. Disabled by default.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry, vm: usize) {
+        self.telemetry = telemetry;
+        self.vm = vm;
+    }
+
     /// Feed one raw window observation; returns the smoothed metrics to
-    /// forward to the global agent.
-    pub fn observe(&mut self, raw: VmMetrics) -> VmMetrics {
+    /// forward to the global agent. With telemetry attached, also emits a
+    /// `wi_observe` record (high-volume, `Debug` severity).
+    pub fn observe(&mut self, now: SimTime, raw: VmMetrics) -> VmMetrics {
         let s = match self.smoothed {
             None => raw,
             Some(prev) => VmMetrics {
@@ -184,30 +196,17 @@ impl LocalWiAgent {
             },
         };
         self.smoothed = Some(s);
+        tm_event!(self.telemetry, now, Component::Wi, Severity::Debug, "wi_observe",
+            "vm" => self.vm,
+            "latency_ms" => s.tail_latency_ms,
+            "util" => s.cpu_utilization,
+            "queue" => s.queue_length);
         s
     }
 
     /// The current smoothed metrics, if any observation arrived yet.
     pub fn current(&self) -> Option<VmMetrics> {
         self.smoothed
-    }
-
-    /// [`observe`](Self::observe) plus a `wi_observe` telemetry record
-    /// labelled with the VM index (high-volume, `Debug` severity).
-    pub fn observe_traced(
-        &mut self,
-        now: SimTime,
-        raw: VmMetrics,
-        telemetry: &Telemetry,
-        vm: usize,
-    ) -> VmMetrics {
-        let smoothed = self.observe(raw);
-        tm_event!(telemetry, now, Component::Wi, Severity::Debug, "wi_observe",
-            "vm" => vm,
-            "latency_ms" => smoothed.tail_latency_ms,
-            "util" => smoothed.cpu_utilization,
-            "queue" => smoothed.queue_length);
-        smoothed
     }
 }
 
@@ -233,7 +232,7 @@ pub struct WiDecision {
 }
 
 /// Global WI agent for one service deployment.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct GlobalWiAgent {
     policy: OverclockPolicy,
     latest: Vec<VmMetrics>,
@@ -247,6 +246,8 @@ pub struct GlobalWiAgent {
     /// Causal decision id of the event (denial, exhaustion warning) that made
     /// the next `wi_scale_out` necessary; `0` when unknown.
     scale_out_cause: u64,
+    telemetry: Telemetry,
+    service: usize,
 }
 
 impl GlobalWiAgent {
@@ -260,7 +261,16 @@ impl GlobalWiAgent {
             pending_scale_out: 0,
             current_decision: 0,
             scale_out_cause: 0,
+            telemetry: Telemetry::disabled(),
+            service: 0,
         }
+    }
+
+    /// Attach a telemetry handle, labelling this agent's events and metrics
+    /// with `service`. Disabled by default.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry, service: usize) {
+        self.telemetry = telemetry;
+        self.service = service;
     }
 
     /// The configured policy.
@@ -274,14 +284,10 @@ impl GlobalWiAgent {
     }
 
     /// A local agent reported that its overclocking request was rejected.
-    pub fn notify_rejection(&mut self) {
-        self.notify_rejection_with_cause(0);
-    }
-
-    /// [`notify_rejection`](Self::notify_rejection), recording the causal
-    /// decision id of the denial (the sOA's `oc_deny`) so that a resulting
-    /// `wi_scale_out` can point back at it.
-    pub fn notify_rejection_with_cause(&mut self, cause: u64) {
+    /// `cause` is the causal decision id of the denial (the sOA's `oc_deny`;
+    /// `0` when unknown), so that a resulting `wi_scale_out` can point back
+    /// at it.
+    pub fn notify_rejection(&mut self, cause: u64) {
         self.rejections += 1;
         if self.rejections >= self.policy.rejections_before_scale_out {
             self.pending_scale_out += self.policy.scale_out_step;
@@ -292,13 +298,9 @@ impl GlobalWiAgent {
 
     /// The sOA predicted resource exhaustion: proactively scale out so the
     /// replacement capacity is ready before overclocking stops (§IV-D).
-    pub fn notify_exhaustion(&mut self) {
-        self.notify_exhaustion_with_cause(0);
-    }
-
-    /// [`notify_exhaustion`](Self::notify_exhaustion), recording the causal
-    /// decision id of the `exhaustion_warning` that prompted the scale-out.
-    pub fn notify_exhaustion_with_cause(&mut self, cause: u64) {
+    /// `cause` is the causal decision id of the `exhaustion_warning` that
+    /// prompted the scale-out (`0` when unknown).
+    pub fn notify_exhaustion(&mut self, cause: u64) {
         self.pending_scale_out += self.policy.scale_out_step;
         self.scale_out_cause = cause;
     }
@@ -325,8 +327,12 @@ impl GlobalWiAgent {
         })
     }
 
-    /// Compute this round's decision.
+    /// Compute this round's decision. With telemetry attached, also emits
+    /// `wi_oc_start` / `wi_oc_stop` on trigger transitions and
+    /// `wi_scale_out` / `wi_scale_in` on corrective actions, labelled with
+    /// the service index.
     pub fn decide(&mut self, now: SimTime) -> WiDecision {
+        let was_overclocking = self.overclocking;
         let mut want = false;
         // Schedule-based component.
         if self.policy.schedule.iter().any(|w| w.contains(now)) {
@@ -366,65 +372,53 @@ impl GlobalWiAgent {
                 .trigger
                 .and_then(|t| self.aggregate(t.kind).map(|v| v < t.scale_down))
                 .unwrap_or(false);
-        WiDecision {
+        let decision = WiDecision {
             overclock: want,
             scale_out,
             scale_in,
-        }
-    }
-
-    /// [`decide`](Self::decide) plus telemetry: emits `wi_oc_start` /
-    /// `wi_oc_stop` on trigger transitions and `wi_scale_out` / `wi_scale_in`
-    /// on corrective actions, labelled with the service index.
-    pub fn decide_traced(
-        &mut self,
-        now: SimTime,
-        telemetry: &Telemetry,
-        service: usize,
-    ) -> WiDecision {
-        let was_overclocking = self.overclocking;
-        let decision = self.decide(now);
-        if telemetry.is_enabled() {
-            if decision.overclock != was_overclocking {
-                if decision.overclock {
-                    self.current_decision = telemetry.next_id();
-                    tm_event!(telemetry, now, Component::Wi, Severity::Info, "wi_oc_start",
-                        "service" => service,
-                        "decision_id" => self.current_decision);
-                } else {
-                    tm_event!(telemetry, now, Component::Wi, Severity::Info, "wi_oc_stop",
-                        "service" => service,
-                        "decision_id" => telemetry.next_id(),
-                        "cause_id" => self.current_decision);
-                    self.current_decision = 0;
-                }
-            }
-            if decision.scale_out > 0 {
-                tm_event!(telemetry, now, Component::Wi, Severity::Info, "wi_scale_out",
-                    "service" => service,
-                    "instances" => decision.scale_out,
-                    "decision_id" => telemetry.next_id(),
-                    "cause_id" => std::mem::take(&mut self.scale_out_cause));
-                telemetry.metrics(|m| {
-                    m.inc_counter_by(
-                        "wi_scale_outs",
-                        &[("service", service.into())],
-                        decision.scale_out as u64,
-                    );
-                });
-            }
-            if decision.scale_in {
-                tm_event!(telemetry, now, Component::Wi, Severity::Debug, "wi_scale_in",
-                    "service" => service,
-                    "decision_id" => telemetry.next_id());
-            }
+        };
+        if self.telemetry.is_enabled() {
+            self.trace_decision(now, was_overclocking, &decision);
         }
         decision
     }
 
-    /// Whether the agent currently wants the service overclocked.
-    pub fn is_overclocking(&self) -> bool {
-        self.overclocking
+    fn trace_decision(&mut self, now: SimTime, was_overclocking: bool, decision: &WiDecision) {
+        let telemetry = &self.telemetry;
+        let service = self.service;
+        if decision.overclock != was_overclocking {
+            if decision.overclock {
+                self.current_decision = telemetry.next_id();
+                tm_event!(telemetry, now, Component::Wi, Severity::Info, "wi_oc_start",
+                    "service" => service,
+                    "decision_id" => self.current_decision);
+            } else {
+                tm_event!(telemetry, now, Component::Wi, Severity::Info, "wi_oc_stop",
+                    "service" => service,
+                    "decision_id" => telemetry.next_id(),
+                    "cause_id" => self.current_decision);
+                self.current_decision = 0;
+            }
+        }
+        if decision.scale_out > 0 {
+            tm_event!(telemetry, now, Component::Wi, Severity::Info, "wi_scale_out",
+                "service" => service,
+                "instances" => decision.scale_out,
+                "decision_id" => telemetry.next_id(),
+                "cause_id" => std::mem::take(&mut self.scale_out_cause));
+            telemetry.metrics(|m| {
+                m.inc_counter_by(
+                    "wi_scale_outs",
+                    &[("service", service.into())],
+                    decision.scale_out as u64,
+                );
+            });
+        }
+        if decision.scale_in {
+            tm_event!(telemetry, now, Component::Wi, Severity::Debug, "wi_scale_in",
+                "service" => service,
+                "decision_id" => telemetry.next_id());
+        }
     }
 
     /// Causal decision id of the `wi_oc_start` that opened the current
@@ -508,10 +502,10 @@ mod tests {
     fn rejections_trigger_corrective_scale_out() {
         let mut agent = GlobalWiAgent::new(OverclockPolicy::latency(100.0, 60.0));
         for _ in 0..3 {
-            agent.notify_rejection();
+            agent.notify_rejection(0);
             assert_eq!(agent.decide(SimTime::ZERO).scale_out, 0);
         }
-        agent.notify_rejection();
+        agent.notify_rejection(0);
         assert_eq!(agent.decide(SimTime::ZERO).scale_out, 1);
         // The counter resets after acting.
         assert_eq!(agent.decide(SimTime::ZERO).scale_out, 0);
@@ -520,7 +514,7 @@ mod tests {
     #[test]
     fn exhaustion_notification_scales_out_proactively() {
         let mut agent = GlobalWiAgent::new(OverclockPolicy::latency(100.0, 60.0));
-        agent.notify_exhaustion();
+        agent.notify_exhaustion(0);
         assert_eq!(agent.decide(SimTime::ZERO).scale_out, 1);
     }
 
@@ -536,8 +530,8 @@ mod tests {
     #[test]
     fn local_agent_smooths_spikes() {
         let mut local = LocalWiAgent::new(0.5);
-        local.observe(metrics(100.0, 0.5));
-        let s = local.observe(metrics(200.0, 0.7));
+        local.observe(SimTime::ZERO, metrics(100.0, 0.5));
+        let s = local.observe(SimTime::ZERO, metrics(200.0, 0.7));
         assert!((s.tail_latency_ms - 150.0).abs() < 1e-9);
         assert!((s.cpu_utilization - 0.6).abs() < 1e-9);
     }
@@ -545,13 +539,56 @@ mod tests {
     #[test]
     fn local_agent_ignores_nan_windows() {
         let mut local = LocalWiAgent::new(0.5);
-        local.observe(metrics(100.0, 0.5));
-        let s = local.observe(VmMetrics {
-            tail_latency_ms: f64::NAN,
-            cpu_utilization: 0.5,
-            queue_length: 0.0,
-        });
+        local.observe(SimTime::ZERO, metrics(100.0, 0.5));
+        let s = local.observe(
+            SimTime::ZERO,
+            VmMetrics {
+                tail_latency_ms: f64::NAN,
+                cpu_utilization: 0.5,
+                queue_length: 0.0,
+            },
+        );
         assert_eq!(s.tail_latency_ms, 100.0);
+    }
+
+    #[test]
+    fn telemetry_is_pure_observation() {
+        // Same inputs with and without a live handle: identical decisions,
+        // identical smoothing. The traced run must still have emitted.
+        let (tm, sink) = Telemetry::memory();
+        let mut plain = GlobalWiAgent::new(OverclockPolicy::latency(100.0, 60.0));
+        let mut traced = plain.clone();
+        traced.set_telemetry(tm.clone(), 3);
+        let mut plain_local = LocalWiAgent::new(0.5);
+        let mut traced_local = plain_local.clone();
+        traced_local.set_telemetry(tm, 3);
+        let latencies = [120.0, 10.0, 10.0, 150.0, 10.0, 10.0, 200.0, 5.0];
+        for (k, &latency) in latencies.iter().enumerate() {
+            let now = SimTime::from_secs(k as u64);
+            let a = plain_local.observe(now, metrics(latency, 0.5));
+            let b = traced_local.observe(now, metrics(latency, 0.5));
+            assert_eq!(a, b);
+            if k % 3 == 2 {
+                plain.notify_rejection(0);
+                traced.notify_rejection(7);
+            }
+            if k == 5 {
+                plain.notify_exhaustion(0);
+                traced.notify_exhaustion(9);
+            }
+            plain.report(vec![a]);
+            traced.report(vec![b]);
+            assert_eq!(plain.decide(now), traced.decide(now), "round {k}");
+        }
+        assert_eq!(plain.current_decision(), 0);
+        assert_eq!(sink.named("wi_observe").len(), latencies.len());
+        assert!(!sink.named("wi_oc_start").is_empty());
+        assert!(!sink.named("wi_oc_stop").is_empty());
+        let scale_outs = sink.named("wi_scale_out");
+        assert!(!scale_outs.is_empty());
+        assert!(scale_outs
+            .iter()
+            .all(|e| e.get("service") == Some(&soc_telemetry::FieldValue::U64(3))));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fmt;
 ///
 /// Mirrors the SmartOClock architecture: workload-informed agents (`wi`),
 /// per-server overclocking agents (`soa`), the global overclocking agent
-/// (`goa`), the rack runtime/monitor (`rack`), the cluster harness
+/// (`goa`), the rack power monitor (`rack`), the cluster harness
 /// (`harness`), and the large-scale simulation loop (`sim`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Component {
@@ -21,7 +21,7 @@ pub enum Component {
     Soa,
     /// Global overclocking agent (budget splitting).
     Goa,
-    /// Rack runtime / rack power monitor.
+    /// Rack power monitor.
     Rack,
     /// Cluster harness driving a full simulated rack.
     Harness,

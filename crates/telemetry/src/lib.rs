@@ -293,52 +293,6 @@ impl Span<'_> {
     }
 }
 
-/// Per-thread event buffer for the rack runtime's agent threads.
-///
-/// Worker threads push into a local `Vec` (no lock) and flush in batches to
-/// the shared sink, keeping sink lock contention off the per-tick path.
-pub struct LocalSpool {
-    tm: Telemetry,
-    buf: Vec<Event>,
-}
-
-impl LocalSpool {
-    /// Buffer for the given handle.
-    pub fn new(tm: Telemetry) -> LocalSpool {
-        LocalSpool {
-            tm,
-            buf: Vec::new(),
-        }
-    }
-
-    /// `true` when the underlying handle is enabled.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.tm.is_enabled()
-    }
-
-    /// Buffer one event locally. No-op when disabled.
-    #[inline]
-    pub fn push(&mut self, event: Event) {
-        if self.tm.is_enabled() {
-            self.buf.push(event);
-        }
-    }
-
-    /// Drain the local buffer into the sink.
-    pub fn flush(&mut self) {
-        for event in self.buf.drain(..) {
-            self.tm.emit(event);
-        }
-    }
-}
-
-impl Drop for LocalSpool {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 /// Emit a structured event through a [`Telemetry`] handle.
 ///
 /// Expands to a guarded emission: when the handle is disabled nothing is
@@ -416,42 +370,6 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].get("dur_us"), Some(&FieldValue::U64(250_000)));
         assert_eq!(events[0].get("step"), Some(&FieldValue::U64(7)));
-    }
-
-    #[test]
-    fn spool_batches_until_flush() {
-        let (tm, sink) = Telemetry::memory();
-        let mut spool = LocalSpool::new(tm);
-        spool.push(Event::new(
-            SimTime::ZERO,
-            Component::Rack,
-            Severity::Debug,
-            "e1",
-        ));
-        spool.push(Event::new(
-            SimTime::ZERO,
-            Component::Rack,
-            Severity::Debug,
-            "e2",
-        ));
-        assert_eq!(sink.len(), 0);
-        spool.flush();
-        assert_eq!(sink.len(), 2);
-    }
-
-    #[test]
-    fn spool_flushes_on_drop() {
-        let (tm, sink) = Telemetry::memory();
-        {
-            let mut spool = LocalSpool::new(tm);
-            spool.push(Event::new(
-                SimTime::ZERO,
-                Component::Rack,
-                Severity::Debug,
-                "e",
-            ));
-        }
-        assert_eq!(sink.len(), 1);
     }
 
     #[test]

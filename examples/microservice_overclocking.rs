@@ -91,7 +91,7 @@ fn main() {
             .and_then(|id| soa.grant(id))
             .map_or(plan.turbo(), |g| g.current);
         let measured = model.server_power_uniform(stats.cpu_utilization, freq);
-        for event in soa.control_tick(now, measured, None) {
+        for event in soa.control_tick(now, measured, None, 0) {
             if let SoaEvent::SetFrequency { frequency, .. } = event {
                 sim.set_all_frequencies(frequency);
             }

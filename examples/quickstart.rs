@@ -74,7 +74,7 @@ fn main() {
     ];
     for &(sec, watts, signal, note) in phases {
         let now = SimTime::from_secs(sec);
-        let events = soa.control_tick(now, Watts::new(watts), signal);
+        let events = soa.control_tick(now, Watts::new(watts), signal, 0);
         let freq = soa
             .grant(grant)
             .map(|g| g.current.to_string())

@@ -61,7 +61,7 @@ fn main() {
     for (h, m) in [(9u64, 0u64), (9, 30), (10, 1)] {
         let t = SimTime::ZERO + SimDuration::from_hours(h) + SimDuration::from_minutes(m);
         let decision = wi.decide(t);
-        let events = soa.control_tick(t, Watts::new(300.0), None);
+        let events = soa.control_tick(t, Watts::new(300.0), None, 0);
         println!(
             "{:02}:{:02} schedule-wants-overclock={} active-grants={}{}",
             h,
@@ -92,7 +92,13 @@ fn main() {
         }
     }
     let cfg = InferenceConfig::reference();
-    let trigger = infer_trigger(MetricKind::TailLatencyMs, &latency_history, cfg);
+    let trigger = match infer_trigger(MetricKind::TailLatencyMs, &latency_history, cfg) {
+        Ok(trigger) => trigger,
+        Err(e) => {
+            eprintln!("cannot infer thresholds: {e}");
+            return;
+        }
+    };
     let duty = expected_duty_cycle(&latency_history, trigger);
     println!(
         "history of {} samples -> scale-up {:.1} ms, scale-down {:.1} ms",

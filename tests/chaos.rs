@@ -20,13 +20,19 @@
 //! vacuous.
 
 use simcore::faults::FaultPlanConfig;
-use simcore::time::SimDuration;
+use simcore::time::{SimDuration, SimTime};
+use smartoclock::config::SoaConfig;
+use smartoclock::messages::OverclockRequest;
 use smartoclock::policy::PolicyKind;
+use smartoclock::soa::ServerOverclockAgent;
 use soc_cluster::harness::{ClusterConfig, SystemKind};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::RackOutcome;
 use soc_cluster::shard::{run_cluster_sims_probed, simulate_policy_sharded_probed};
 use soc_cluster::NoopProbe;
+use soc_power::model::PowerModel;
+use soc_power::rack::RackSignal;
+use soc_power::units::Watts;
 use soc_reliability::binning::BinningConfig;
 use soc_telemetry::json::event_to_json;
 use soc_telemetry::Telemetry;
@@ -289,4 +295,47 @@ fn cluster_harness_chaos_is_thread_count_invariant() {
         serial.2, sharded.2,
         "faulted cluster metrics must not depend on threads"
     );
+}
+
+#[test]
+fn agents_keep_admitting_on_stale_budgets_when_goa_is_silent() {
+    // Fault tolerance (§III-Q5): after one gOA assignment the gOA goes
+    // silent for good. Each agent crosses its staleness limit, enters
+    // degraded mode, and keeps deciding locally against the last budget.
+    let model = PowerModel::reference_server();
+    let (tm, sink) = Telemetry::memory();
+    let mut agents: Vec<ServerOverclockAgent> = (0..2)
+        .map(|s| {
+            let mut soa =
+                ServerOverclockAgent::new(model, SoaConfig::reference(), PolicyKind::SmartOClock);
+            soa.set_telemetry(tm.clone(), s);
+            soa.set_power_budget_at(SimTime::ZERO, Watts::new(450.0));
+            soa
+        })
+        .collect();
+    for k in 0..10u64 {
+        let t = SimTime::ZERO + SimDuration::from_minutes(10 * k);
+        let soa = &mut agents[k as usize % 2];
+        let req = OverclockRequest::metrics_based("vm", 4, model.plan().max_overclock());
+        let grant = soa
+            .request_overclock(t, req)
+            .expect("stale budgets keep working");
+        for soa in agents.iter_mut() {
+            let _ = soa.control_tick(t, Watts::new(250.0), Some(RackSignal::Normal), 0);
+        }
+        assert!(agents[k as usize % 2].end_overclock(t + SimDuration::from_minutes(5), grant));
+    }
+    assert_eq!(
+        sink.named("degraded_enter").len(),
+        2,
+        "both agents ran degraded"
+    );
+    assert!(
+        sink.named("degraded_exit").is_empty(),
+        "the gOA never came back"
+    );
+    for soa in &agents {
+        assert_eq!(soa.assigned_budget(), Watts::new(450.0));
+        assert_eq!(soa.stats().granted, 5);
+    }
 }

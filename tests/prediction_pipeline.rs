@@ -4,12 +4,14 @@
 use simcore::stats::Ecdf;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::config::SoaConfig;
-use smartoclock::messages::OverclockRequest;
+use smartoclock::goa::{GlobalOverclockAgent, ServerProfile};
+use smartoclock::messages::{OverclockRequest, SoaEvent};
 use smartoclock::policy::PolicyKind;
 use smartoclock::soa::ServerOverclockAgent;
+use soc_power::rack::RackMonitor;
 use soc_power::units::Watts;
 use soc_predict::eval::{template_at, walk_forward};
-use soc_predict::template::TemplateKind;
+use soc_predict::template::{PowerTemplate, TemplateKind};
 use soc_traces::gen::{FleetConfig, TraceGenerator};
 
 fn two_week_config() -> FleetConfig {
@@ -111,4 +113,87 @@ fn fleet_statistics_are_region_independent_in_shape() {
             assert!(u > 0.1 && u < 1.0, "region {region} rack utilization {u}");
         }
     }
+}
+
+#[test]
+fn goa_budgets_from_generated_traces_drive_admission_and_feedback() {
+    // Generate a rack, build per-server profiles, compute heterogeneous gOA
+    // budgets, and drive one simulated hour of per-server agents with the
+    // rack monitor's signals — the whole weekly-exchange-then-local-control
+    // path of §IV-C/§IV-D.
+    let mut cfg = FleetConfig::small_test();
+    cfg.servers_per_rack_min = 4;
+    cfg.servers_per_rack_max = 4;
+    let generator = TraceGenerator::new(17);
+    let rack = generator.generate_rack(&cfg, 0);
+    let model = generator.model_for(rack.generation);
+    let oc_freq = model.plan().max_overclock();
+
+    let profiles: Vec<ServerProfile> = rack
+        .servers
+        .iter()
+        .map(|s| ServerProfile::from_history(&s.power, &s.oc_demand_cores, &model, oc_freq, 0.9))
+        .collect();
+    let goa = GlobalOverclockAgent::new(rack.limit, PolicyKind::SmartOClock);
+
+    // Push budgets and templates, as the weekly exchange would.
+    let now = SimTime::ZERO + SimDuration::WEEK;
+    let budgets = goa.budgets_at(now, &profiles);
+    let mut agents: Vec<ServerOverclockAgent> = budgets
+        .iter()
+        .zip(&rack.servers)
+        .map(|(&budget, server)| {
+            let mut soa =
+                ServerOverclockAgent::new(model, SoaConfig::reference(), PolicyKind::SmartOClock);
+            soa.set_power_budget(budget);
+            soa.set_power_template(PowerTemplate::build(&server.power, TemplateKind::DailyMed));
+            soa
+        })
+        .collect();
+
+    // Drive one hour of 30-second ticks with rack-level signals.
+    let mut monitor = RackMonitor::new(rack.limit, 0.95);
+    let (mut granted, mut rejected) = (0usize, 0usize);
+    let mut events = Vec::new();
+    for k in 0..120u64 {
+        let t = now + SimDuration::from_secs(30 * k);
+        // Each server with trace demand submits a request once.
+        if k == 2 {
+            for (i, (soa, server)) in agents.iter_mut().zip(&rack.servers).enumerate() {
+                let cores = server.oc_demand_cores.max().max(2.0) as usize;
+                let req =
+                    OverclockRequest::metrics_based(format!("srv{i}-vm"), cores.min(8), oc_freq);
+                match soa.request_overclock(t, req) {
+                    Ok(_) => granted += 1,
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        let measured: Vec<Watts> = rack
+            .servers
+            .iter()
+            .map(|s| Watts::new(s.power.value_at(t).unwrap_or(0.0)))
+            .collect();
+        let signal = monitor.observe(measured.iter().copied().sum());
+        for (soa, &power) in agents.iter_mut().zip(&measured) {
+            events.extend(soa.control_tick(t, power, Some(signal), 0));
+        }
+    }
+
+    assert_eq!(granted + rejected, rack.servers.len());
+    assert!(
+        granted > 0,
+        "budgets from real traces should admit some requests"
+    );
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, SoaEvent::SetFrequency { .. })),
+        "the feedback loop should have produced frequency commands"
+    );
+    let total_requests: u64 = agents.iter().map(|a| a.stats().requests).sum();
+    assert_eq!(total_requests as usize, granted + rejected);
+    // Baseline traces stay below the limit, so no capping resets occurred.
+    let capping_resets: u64 = agents.iter().map(|a| a.stats().capping_resets).sum();
+    assert!(monitor.capping_events() == 0 || capping_resets > 0);
 }

@@ -45,7 +45,7 @@ fn budget_enforcement_bounds_actual_wear() {
     let horizon = SimTime::ZERO + SimDuration::WEEK;
     while t < horizon {
         t += tick;
-        let events = soa.control_tick(t, Watts::new(300.0), None);
+        let events = soa.control_tick(t, Watts::new(300.0), None, 0);
         let ended = events.iter().any(|e| {
             matches!(
                 e,
@@ -94,7 +94,7 @@ fn restricted_budgets_exhaust_proportionally_faster() {
         let mut end_at = None;
         for _ in 0..2000 {
             t += SimDuration::from_minutes(5);
-            let events = soa.control_tick(t, Watts::new(300.0), None);
+            let events = soa.control_tick(t, Watts::new(300.0), None, 0);
             if events
                 .iter()
                 .any(|e| matches!(e, SoaEvent::GrantEnded { .. }))
