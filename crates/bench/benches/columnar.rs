@@ -5,8 +5,8 @@
 //! rack simulation through the columnar engine vs the retained reference
 //! engine (the admission scan dominates both).
 //!
-//! These are the kernels behind the committed `BENCH_largescale.json`
-//! baseline; `tests/equivalence.rs` proves the fast variants byte-identical
+//! These are the kernels behind `soc-benchmark`'s `engine.*` per-layer
+//! numbers; `tests/equivalence.rs` proves the fast variants byte-identical
 //! to the naive ones, so the deltas measured here are pure speed.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -30,14 +30,13 @@ use soc_cluster::largescale_metrics::PolicyMetrics;
 use soc_cluster::shard::{generate_fleet_probed, simulate_policy_on_traces_probed, FleetTraces};
 use soc_cluster::NoopProbe;
 use soc_reliability::binning::BinningConfig;
-use std::path::PathBuf;
 
 const BIN_COUNTS: [u32; 3] = [1, 4, 8];
 const RISK_BUDGETS: [f64; 4] = [1.0, 0.5, 0.25, 0.1];
 
 fn main() {
     let cli = Cli::from_env();
-    let out = out_path();
+    let out = cli.out_or("exp_binning.json");
     let racks = if cli.fast { 8 } else { 24 };
     let mut base = LargeScaleConfig::bench_reference(racks);
     base.seed = cli.seed;
@@ -162,18 +161,4 @@ fn certified_fraction(fleet: &FleetTraces, binning: &BinningConfig) -> f64 {
         }
     }
     certified / parts.max(1) as f64
-}
-
-/// `--out <path>` is specific to this binary; parse it directly from the
-/// raw args (the shared [`Cli`] ignores flags it does not know).
-fn out_path() -> PathBuf {
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        if arg == "--out" {
-            if let Some(v) = iter.next() {
-                return PathBuf::from(v);
-            }
-        }
-    }
-    PathBuf::from("exp_binning.json")
 }

@@ -29,7 +29,6 @@ use soc_cluster::largescale_metrics::PolicyMetrics;
 use soc_cluster::shard::{generate_fleet_probed, simulate_policy_on_traces_probed};
 use soc_cluster::NoopProbe;
 use soc_telemetry::Telemetry;
-use std::path::PathBuf;
 
 struct Variant {
     name: &'static str,
@@ -57,7 +56,7 @@ const VARIANTS: [Variant; 3] = [
 
 fn main() {
     let cli = Cli::from_env();
-    let out = out_path();
+    let out = cli.out_or("exp_fault_tolerance.json");
     let racks = if cli.fast { 8 } else { 24 };
     let mut base = LargeScaleConfig::bench_reference(racks);
     base.seed = cli.seed;
@@ -196,18 +195,4 @@ fn main() {
     }
     cli.finish_health(&recorder, &soc_health::default_rules(base.step.as_micros()));
     cli.finish("exp_fault_tolerance", &telemetry);
-}
-
-/// `--out <path>` is specific to this binary; parse it directly from the
-/// raw args (the shared [`Cli`] ignores flags it does not know).
-fn out_path() -> PathBuf {
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        if arg == "--out" {
-            if let Some(v) = iter.next() {
-                return PathBuf::from(v);
-            }
-        }
-    }
-    PathBuf::from("exp_fault_tolerance.json")
 }

@@ -25,9 +25,13 @@
 //!   stderr.
 //! * `--health-out <path>` — additionally write the health report as
 //!   canonical JSON (implies `--health`); read it back with `soc-health`.
+//! * `--out <path>` — where binaries with a JSON result file write it
+//!   (`exp_fault_tolerance`, `exp_binning`; each has its own default name).
 //!
 //! `--analyze` / `--report-out` without a trace path trace to a temporary
-//! file so the analysis still has input.
+//! file so the analysis still has input. An unknown flag, a flag missing its
+//! value, or a `--seed` / `--threads` value that does not parse prints the
+//! error and [`USAGE`] and exits 2.
 //!
 //! Profiling and health recording are observation-only by design:
 //! simulation output — stdout tables, traces, metrics — is byte-identical
@@ -79,11 +83,16 @@ pub struct Cli {
     /// Write the health report as canonical JSON (`--health-out`; implies
     /// `--health`).
     pub health_out: Option<PathBuf>,
-    /// Raw argument list as parsed, for binary-specific flags (see
-    /// [`Cli::extra_flag`]). Unknown flags are deliberately ignored by the
-    /// shared parser so each binary can layer its own on top.
-    pub raw: Vec<String>,
+    /// The binary's JSON result file (`--out`); `None` means the binary's
+    /// default file name.
+    pub out: Option<PathBuf>,
 }
+
+/// The flags every bench binary takes, printed after the binary's name
+/// with a parse error.
+pub const USAGE: &str = "[--seed N] [--fast] [--threads N] [--csv PATH] [--trace-out PATH] \
+                         [--analyze] [--report-out PATH] [--prof] [--prof-out PATH] [--health] \
+                         [--health-out PATH] [--out PATH]";
 
 impl Default for Cli {
     fn default() -> Self {
@@ -99,7 +108,7 @@ impl Default for Cli {
             prof_out: None,
             health: false,
             health_out: None,
-            raw: Vec::new(),
+            out: None,
         }
     }
 }
@@ -123,8 +132,14 @@ impl Cli {
     /// supplies `trace_out` when the flag is absent; when both are present
     /// the flag wins and one warning line is printed. When analysis is
     /// requested without any trace path, the trace goes to a temporary file.
+    /// A parse error prints the error and [`USAGE`] and exits 2.
     pub fn from_env() -> Cli {
-        let mut cli = Cli::parse(std::env::args().skip(1));
+        let mut args = std::env::args();
+        let binary = args.next().unwrap_or_default();
+        let mut cli = Cli::parse(args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {binary} {USAGE}");
+            std::process::exit(2)
+        });
         let env = std::env::var_os("SOC_TRACE").map(PathBuf::from);
         let (trace_out, overridden) = resolve_trace_out(cli.trace_out.take(), env);
         if overridden {
@@ -138,49 +153,52 @@ impl Cli {
         cli
     }
 
-    /// Parse from an explicit iterator (testable).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Cli {
-        let raw: Vec<String> = args.into_iter().collect();
-        let mut cli = Cli {
-            raw: raw.clone(),
-            ..Cli::default()
-        };
-        let mut iter = raw.into_iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
+    /// Parse from an explicit iterator (testable). Every flag is known
+    /// here, so an unknown flag, a flag missing its value (the next argument
+    /// is absent or is itself a flag), or an unparseable `--seed` /
+    /// `--threads` value is an error rather than a silent default.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut iter = args.into_iter().peekable();
+        while let Some(flag) = iter.next() {
+            let mut value = || {
+                iter.next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag.as_str() {
                 "--seed" => {
-                    if let Some(v) = iter.next() {
-                        if let Ok(seed) = v.parse() {
-                            cli.seed = seed;
-                        }
-                    }
+                    let v = value()?;
+                    cli.seed = v
+                        .parse()
+                        .map_err(|_| format!("--seed: expected an integer, got {v:?}"))?;
                 }
-                "--fast" => cli.fast = true,
-                "--csv" => cli.csv = iter.next().map(PathBuf::from),
-                "--trace-out" => cli.trace_out = iter.next().map(PathBuf::from),
-                "--analyze" => cli.analyze = true,
-                "--report-out" => cli.report_out = iter.next().map(PathBuf::from),
                 "--threads" => {
-                    if let Some(v) = iter.next() {
-                        if let Ok(threads) = v.parse() {
-                            cli.threads = threads;
-                        }
-                    }
+                    let v = value()?;
+                    cli.threads = v
+                        .parse()
+                        .map_err(|_| format!("--threads: expected an integer, got {v:?}"))?;
                 }
-                "--prof" => cli.prof = true,
+                "--csv" => cli.csv = Some(value()?.into()),
+                "--trace-out" => cli.trace_out = Some(value()?.into()),
+                "--report-out" => cli.report_out = Some(value()?.into()),
                 "--prof-out" => {
+                    cli.prof_out = Some(value()?.into());
                     cli.prof = true;
-                    cli.prof_out = iter.next().map(PathBuf::from);
                 }
-                "--health" => cli.health = true,
                 "--health-out" => {
+                    cli.health_out = Some(value()?.into());
                     cli.health = true;
-                    cli.health_out = iter.next().map(PathBuf::from);
                 }
-                _ => {}
+                "--out" => cli.out = Some(value()?.into()),
+                "--fast" => cli.fast = true,
+                "--analyze" => cli.analyze = true,
+                "--prof" => cli.prof = true,
+                "--health" => cli.health = true,
+                other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
+                other => return Err(format!("unexpected argument {other}")),
             }
         }
-        cli
+        Ok(cli)
     }
 
     /// Resolved worker-thread count: the `--threads` value, or the
@@ -189,19 +207,10 @@ impl Cli {
         simcore::par::resolve_threads(self.threads)
     }
 
-    /// Value of a binary-specific `--flag value` pair from the raw argument
-    /// list, or `None` when the flag is absent (or has no value). The shared
-    /// parser ignores flags it does not know, so binaries use this to layer
-    /// their own options (e.g. `par_speedup`'s `--reps` / `--min-speedup`)
-    /// without re-parsing `std::env::args` themselves.
-    pub fn extra_flag(&self, name: &str) -> Option<&str> {
-        let mut iter = self.raw.iter();
-        while let Some(arg) = iter.next() {
-            if arg == name {
-                return iter.next().map(String::as_str);
-            }
-        }
-        None
+    /// The binary's result file: `--out`, else `default` in the current
+    /// directory.
+    pub fn out_or(&self, default: &str) -> PathBuf {
+        self.out.clone().unwrap_or_else(|| PathBuf::from(default))
     }
 
     /// The telemetry handle implied by `--trace-out` / `SOC_TRACE`: a JSONL
@@ -350,8 +359,12 @@ pub fn pct_change(old: f64, new: f64) -> String {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Cli {
+    fn try_parse(args: &[&str]) -> Result<Cli, String> {
         Cli::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    fn parse(args: &[&str]) -> Cli {
+        try_parse(args).unwrap()
     }
 
     #[test]
@@ -451,19 +464,37 @@ mod tests {
     }
 
     #[test]
-    fn ignores_unknown_and_bad_values() {
-        let cli = parse(&["--wat", "--seed", "notanumber"]);
-        assert_eq!(cli.seed, 42);
+    fn parses_out() {
+        let cli = parse(&["--fast", "--out", "/tmp/result.json"]);
+        assert_eq!(
+            cli.out_or("default.json"),
+            PathBuf::from("/tmp/result.json")
+        );
+        assert_eq!(
+            parse(&[]).out_or("default.json"),
+            PathBuf::from("default.json")
+        );
     }
 
     #[test]
-    fn extra_flag_reads_binary_specific_options() {
-        let cli = parse(&["--fast", "--reps", "5", "--min-speedup", "1.2"]);
-        assert_eq!(cli.extra_flag("--reps"), Some("5"));
-        assert_eq!(cli.extra_flag("--min-speedup"), Some("1.2"));
-        assert_eq!(cli.extra_flag("--absent"), None);
-        // A trailing flag with no value yields None, not a panic.
-        assert_eq!(parse(&["--reps"]).extra_flag("--reps"), None);
+    fn rejects_unknown_flags_missing_values_and_bad_numbers() {
+        let err = |args: &[&str]| try_parse(args).unwrap_err();
+        // A typo is not silently a full-scale run.
+        assert_eq!(err(&["--fsat"]), "unknown flag --fsat");
+        assert_eq!(err(&["--fast", "stray"]), "unexpected argument stray");
+        // A value-taking flag at the end, or followed by another flag.
+        assert_eq!(err(&["--seed"]), "--seed needs a value");
+        assert_eq!(err(&["--out", "--fast"]), "--out needs a value");
+        assert_eq!(err(&["--fast", "--trace-out"]), "--trace-out needs a value");
+        // Not silently seed 42 or the machine's parallelism.
+        assert_eq!(
+            err(&["--seed", "notanumber"]),
+            "--seed: expected an integer, got \"notanumber\""
+        );
+        assert_eq!(
+            err(&["--threads", "-1"]),
+            "--threads: expected an integer, got \"-1\""
+        );
     }
 
     #[test]

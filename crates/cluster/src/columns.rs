@@ -27,8 +27,8 @@
 //!    policies), and allocations never affect results.
 //!
 //! `tests/equivalence.rs` pins the contract across seeds × thread counts ×
-//! fault plans, and `par_speedup` re-asserts outcome agreement on every
-//! benchmark run.
+//! fault plans, and every `soc-benchmark` round re-checks the engine's
+//! output against a committed digest.
 
 use crate::largescale::{
     emit_binning_events, resolve_rack_silicon, LargeScaleConfig, TrainedRack, TrainedServer,

@@ -158,7 +158,7 @@ pub struct TrainedServer {
 ///
 /// Templates depend only on the trace, the power model, and
 /// `config.faults.prediction_bias` — not on the policy — so multi-policy
-/// drivers (`table1_policies`, `par_speedup`) train once and simulate many
+/// drivers (`table1_policies`, `soc-benchmark`) train once and simulate many
 /// times.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainedRack {
@@ -347,8 +347,7 @@ pub fn simulate_rack(
 /// `PowerTemplate::predict` calls in the inner loop, and fresh per-step
 /// allocations. [`crate::columns`] must stay byte-identical to this —
 /// `tests/equivalence.rs` pins it across seeds × thread counts × fault
-/// plans, and `par_speedup` both times the two engines against each other
-/// (the committed `speedup`) and asserts their outcomes agree on every run.
+/// plans and heterogeneous silicon.
 pub fn simulate_rack_reference(
     config: &LargeScaleConfig,
     policy: PolicyKind,

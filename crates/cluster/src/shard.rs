@@ -185,8 +185,8 @@ where
 }
 
 /// A fleet's traces and power models, generated once and shared across
-/// policy variants and benchmark legs (the `par_speedup` methodology fix:
-/// trace generation used to run inside every timed path and dominated it).
+/// policy variants and benchmark rounds, so trace generation, which would
+/// dominate it, stays out of every timed path.
 #[derive(Debug, Clone)]
 pub struct FleetTraces {
     racks: Vec<(RackTrace, PowerModel)>,
@@ -336,11 +336,10 @@ pub fn simulate_policy_on_traces_probed(
 }
 
 /// The retained row-oriented reference engine over the same pre-generated
-/// fleet and trained templates, serial by construction. `par_speedup` times
-/// this against [`simulate_policy_prepared_probed`] (the committed
-/// `speedup`), and `tests/equivalence.rs` pins byte-identity between the
-/// two engines; both consume identical inputs, so any divergence is an
-/// engine bug, never a data difference.
+/// fleet and trained templates, serial by construction.
+/// `tests/equivalence.rs` pins byte-identity between this and
+/// [`simulate_policy_prepared_probed`]; both consume identical inputs, so
+/// any divergence is an engine bug, never a data difference.
 ///
 /// # Panics
 /// Panics if `fleet` and `trained` disagree on the rack count.

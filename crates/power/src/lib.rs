@@ -12,8 +12,6 @@
 //!   `dynamic ∝ u · f · V(f)²`. "Models are used to estimate the power impact
 //!   of overclocking; CPU utilization and core frequency are the input"
 //!   (paper §V-B).
-//! * [`server`] — per-server power state: core frequencies, utilization,
-//!   frequency caps (the RAPL-like enforcement hook).
 //! * [`rack`] — rack-level accounting: power limit, the 95 % warning
 //!   threshold, capping events, and prioritized throttling (§IV-D).
 //! * [`hierarchy`] — the datacenter power-delivery tree with even or
@@ -25,11 +23,9 @@ pub mod freq;
 pub mod hierarchy;
 pub mod model;
 pub mod rack;
-pub mod server;
 pub mod units;
 
 pub use freq::{FrequencyPlan, VoltageCurve};
 pub use model::PowerModel;
 pub use rack::{RackMonitor, RackSignal};
-pub use server::ServerPower;
 pub use units::{MegaHertz, Watts};

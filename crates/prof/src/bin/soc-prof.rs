@@ -2,34 +2,21 @@
 //!
 //! ```text
 //! soc-prof show <profile.json>
-//!     Render a snapshot human-readably.
-//!
-//! soc-prof diff <baseline.json> <current.json> [options]
-//!     Compare two snapshots. Exit 0 when current is within tolerance of
-//!     baseline, 1 on a wall-clock regression (or a phase missing from the
-//!     current run), 2 on usage or I/O errors.
-//!
-//!     --threshold <pct>         uniform tolerance for total and phases
-//!     --total-threshold <pct>   tolerance for the total wall clock only
-//!     --phase-threshold <pct>   tolerance for per-phase wall clock only
-//!     --noise-floor-ms <ms>     ignore phases under this in both snapshots
-//!     --json                    print the JSON report instead of text
-//!     --out <path>              also write the JSON report to a file
+//!     Render a snapshot (a bench binary's `--prof-out` file)
+//!     human-readably. Exit 0 on success, 2 on usage or I/O errors.
 //! ```
 //!
-//! This is the CI perf gate: the perf job runs the pinned bench, then
-//! `soc-prof diff BENCH_largescale.json current.json --threshold <generous>`
-//! and fails the build on a nonzero exit.
+//! Perf regressions are gated elsewhere: CI runs `soc-benchmark` over its
+//! four digest-checked workloads and checks the result file against
+//! `benchmark/baseline.json` with `.github/scripts/perf_gate.sh`.
 
-use soc_prof::{diff, Snapshot, Tolerance};
-use std::path::{Path, PathBuf};
+use soc_prof::Snapshot;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("show") => cmd_show(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             eprint!("{USAGE}");
             ExitCode::from(if args.is_empty() { 2 } else { 0 })
@@ -42,14 +29,11 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str =
-    "usage:\n  soc-prof show <profile.json>\n  soc-prof diff <baseline.json> <current.json> \
-[--threshold <pct>] [--total-threshold <pct>] [--phase-threshold <pct>] \
-[--noise-floor-ms <ms>] [--json] [--out <path>]\n";
+const USAGE: &str = "usage:\n  soc-prof show <profile.json>\n";
 
-fn load(path: &Path) -> Result<Snapshot, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Snapshot::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+fn load(path: &str) -> Result<Snapshot, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    Snapshot::from_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_show(args: &[String]) -> ExitCode {
@@ -57,7 +41,7 @@ fn cmd_show(args: &[String]) -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::from(2);
     };
-    match load(Path::new(path)) {
+    match load(path) {
         Ok(snap) => {
             print!("{}", snap.render());
             ExitCode::SUCCESS
@@ -66,94 +50,5 @@ fn cmd_show(args: &[String]) -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::from(2)
         }
-    }
-}
-
-struct DiffArgs {
-    baseline: PathBuf,
-    current: PathBuf,
-    tolerance: Tolerance,
-    json: bool,
-    out: Option<PathBuf>,
-}
-
-fn parse_diff_args(args: &[String]) -> Result<DiffArgs, String> {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut tolerance = Tolerance::default();
-    let mut json = false;
-    let mut out = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| -> Result<f64, String> {
-            iter.next()
-                .ok_or_else(|| format!("{name} needs a value"))?
-                .parse::<f64>()
-                .map_err(|e| format!("{name}: {e}"))
-        };
-        match arg.as_str() {
-            "--threshold" => {
-                let pct = value("--threshold")?;
-                tolerance.total_tolerance_pct = pct;
-                tolerance.phase_tolerance_pct = pct;
-            }
-            "--total-threshold" => tolerance.total_tolerance_pct = value("--total-threshold")?,
-            "--phase-threshold" => tolerance.phase_tolerance_pct = value("--phase-threshold")?,
-            "--noise-floor-ms" => tolerance.noise_floor_ms = value("--noise-floor-ms")?,
-            "--json" => json = true,
-            "--out" => {
-                out = Some(PathBuf::from(
-                    iter.next()
-                        .ok_or_else(|| "--out needs a path".to_string())?,
-                ));
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
-            path => paths.push(PathBuf::from(path)),
-        }
-    }
-    let [baseline, current] = <[PathBuf; 2]>::try_from(paths)
-        .map_err(|_| "diff needs exactly <baseline.json> <current.json>".to_string())?;
-    Ok(DiffArgs {
-        baseline,
-        current,
-        tolerance,
-        json,
-        out,
-    })
-}
-
-fn cmd_diff(args: &[String]) -> ExitCode {
-    let parsed = match parse_diff_args(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let (baseline, current) = match (load(&parsed.baseline), load(&parsed.current)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = diff(&baseline, &current, &parsed.tolerance);
-    if parsed.json {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
-    if let Some(out) = &parsed.out {
-        if let Err(e) = std::fs::write(out, report.to_json()) {
-            eprintln!("error: failed to write {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("diff report written to {}", out.display());
-    }
-    if report.has_regression() {
-        eprintln!("perf regression detected (see entries marked REGRESSED/MISSING above)");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }

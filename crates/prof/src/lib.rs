@@ -22,10 +22,11 @@
 //!   (racks, sim_steps, events); snapshots derive `*_per_sec` rates.
 //! * **Memory sampling** ([`mem`]) — peak RSS from procfs and an opt-in
 //!   counting global allocator ([`CountingAlloc`]).
-//! * **Snapshots and diffs** ([`Snapshot`], [`diff`]) — a canonical JSON
-//!   profile format (`BENCH_largescale.json` is one) and a tolerance-based
-//!   comparison that exits nonzero on regression (`soc-prof diff`, the CI
-//!   perf gate).
+//! * **Snapshots** ([`Snapshot`]) — a canonical JSON profile format, what
+//!   a bench binary's `--prof-out` writes and `soc-prof show` renders.
+//!
+//! Regression gating is not here: CI gates on `soc-benchmark`'s
+//! digest-checked workloads (`benchmark/`, `.github/scripts/perf_gate.sh`).
 //!
 //! A disabled handle ([`Profiler::disabled`], also `Default`) is a `None`
 //! internally, mirroring `soc_telemetry::Telemetry`: every call site first
@@ -33,7 +34,7 @@
 //! when profiling is off.
 //!
 //! ```
-//! use soc_prof::{Profiler, Tolerance};
+//! use soc_prof::Profiler;
 //!
 //! let prof = Profiler::new("example");
 //! {
@@ -43,8 +44,7 @@
 //! prof.add("racks", 8);
 //! let snap = prof.snapshot();
 //! assert!(snap.phases.contains_key("setup/templates"));
-//! let report = soc_prof::diff(&snap, &snap, &Tolerance::default());
-//! assert!(!report.has_regression());
+//! assert_eq!(snap.counters["racks"], 8);
 //! ```
 
 // `deny` rather than the workspace's usual `forbid`: mem.rs carries the one
@@ -52,12 +52,10 @@
 // verbatim delegation to `std::alloc::System` plus two atomic increments.
 #![deny(unsafe_code)]
 
-pub mod diff;
 pub mod mem;
 pub mod phase;
 pub mod snapshot;
 
-pub use diff::{diff, Delta, DiffReport, Tolerance, Verdict};
 pub use mem::{alloc_counts, peak_rss_bytes, CountingAlloc};
 pub use phase::{PhaseGuard, PhaseStats};
 pub use snapshot::{PhaseSnap, Snapshot, SCHEMA};
@@ -75,7 +73,6 @@ use std::time::{Duration, Instant};
 struct State {
     phases: BTreeMap<String, PhaseStats>,
     counters: BTreeMap<String, u64>,
-    rates: BTreeMap<String, f64>,
     meta: BTreeMap<String, String>,
 }
 
@@ -179,14 +176,6 @@ impl Profiler {
         }
     }
 
-    /// Set a derived rate (overrides the auto-derived `*_per_sec` value of
-    /// a same-named counter in the snapshot).
-    pub fn set_rate(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            Self::state(inner).rates.insert(name.to_string(), value);
-        }
-    }
-
     /// Attach a configuration key to the snapshot (`racks=32`, `seed=42`).
     pub fn set_meta(&self, key: &str, value: impl fmt::Display) {
         if let Some(inner) = &self.inner {
@@ -206,7 +195,7 @@ impl Profiler {
     }
 
     /// Materialize the profile: phases and counters recorded so far, a
-    /// `*_per_sec` rate per counter (custom rates win), peak RSS, and
+    /// `*_per_sec` rate per counter, peak RSS, and
     /// allocator counts. A disabled profiler snapshots to the empty
     /// default.
     pub fn snapshot(&self) -> Snapshot {
@@ -234,9 +223,6 @@ impl Profiler {
                 snap.rates
                     .insert(format!("{name}_per_sec"), *count as f64 / secs);
             }
-        }
-        for (name, value) in &state.rates {
-            snap.rates.insert(name.clone(), *value);
         }
         snap
     }
@@ -322,12 +308,10 @@ mod tests {
         let prof = Profiler::new("counters");
         prof.add("racks", 3);
         prof.add("racks", 5);
-        prof.set_rate("speedup_t4", 3.5);
         std::thread::sleep(Duration::from_millis(2));
         let snap = prof.snapshot();
         assert_eq!(snap.counters["racks"], 8);
         assert!(snap.rates["racks_per_sec"] > 0.0);
-        assert_eq!(snap.rates["speedup_t4"], 3.5);
         assert!(snap.total_ms > 0.0);
     }
 

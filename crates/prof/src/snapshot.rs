@@ -1,12 +1,12 @@
-//! The canonical profile snapshot: what a `--prof-out` file contains, what
-//! `BENCH_largescale.json` is, and what `soc-prof diff` compares.
+//! The canonical profile snapshot: what a `--prof-out` file contains and
+//! what `soc-prof show` renders.
 //!
 //! The format is a single JSON object with a pinned field set (see
 //! [`Snapshot::to_json`]); maps are emitted in sorted key order so two
 //! snapshots of the same run shape diff cleanly line by line. `schema`
 //! is bumped on incompatible changes; [`Snapshot::from_json`] rejects
-//! snapshots from a different major schema so the perf gate fails loudly
-//! instead of comparing apples to oranges.
+//! snapshots from a different major schema so a reader fails loudly
+//! instead of misreading fields.
 
 use crate::phase::PhaseStats;
 use soc_telemetry::json::{self, Object, Value};

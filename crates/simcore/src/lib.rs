@@ -9,7 +9,6 @@
 //! * [`faults`] — seeded, sim-time fault schedules ([`faults::FaultPlan`])
 //!   for control-plane chaos testing; pure functions of the plan seed, so
 //!   fault timelines are byte-reproducible and shard-order independent.
-//! * [`engine`] — a minimal discrete-event execution loop ([`engine::Engine`]).
 //! * [`rng`] — a seeded PCG32 generator ([`rng::Pcg32`]) plus the sampling
 //!   distributions the workload and trace generators need.
 //! * [`stats`] — percentiles, RMSE, CDFs, and summary statistics.
@@ -35,7 +34,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod engine;
 pub mod event;
 pub mod faults;
 pub mod hist;

@@ -5,8 +5,8 @@
 //! sharded engine has to yield byte-identical telemetry traces, metrics,
 //! and outcomes to the default [`NoopProbe`] run, at any thread count.
 //! That invariant is what lets `--prof` default to off-but-harmless and
-//! lets CI gate on `BENCH_largescale.json` without a "profiled build"
-//! variant. Pinned here end to end across the public crate APIs, with
+//! lets `soc-benchmark` take its per-layer numbers from traced passes that
+//! must reproduce the untraced digest. Pinned here end to end across the public crate APIs, with
 //! tiny configs so it runs in the tier-1 suite.
 
 use smartoclock::policy::PolicyKind;
