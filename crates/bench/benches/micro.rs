@@ -1,5 +1,5 @@
-//! Micro-benchmarks of the hot paths: the event queue, the power model, the
-//! template build/predict pipeline, and one sOA control tick.
+//! Micro-benchmarks of the hot paths: the power model, the template
+//! build/predict pipeline, and one sOA control tick.
 //!
 //! These are the operations the per-server agent performs continuously in
 //! production; the paper stresses that an sOA "can start/stop overclocking
@@ -7,7 +7,6 @@
 //! orders of magnitude under that bound.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use simcore::event::EventQueue;
 use simcore::series::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::config::SoaConfig;
@@ -18,26 +17,6 @@ use soc_power::model::PowerModel;
 use soc_power::units::{MegaHertz, Watts};
 use soc_predict::template::{PowerTemplate, TemplateKind};
 use std::hint::black_box;
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_push_pop_10k", |b| {
-        b.iter_batched(
-            || {
-                let mut q = EventQueue::new();
-                for i in 0..10_000u64 {
-                    q.push(SimTime::from_micros((i * 2_654_435_761) % 1_000_000), i);
-                }
-                q
-            },
-            |mut q| {
-                while let Some(e) = q.pop() {
-                    black_box(e);
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
 
 fn bench_power_model(c: &mut Criterion) {
     let model = PowerModel::reference_server();
@@ -105,11 +84,5 @@ fn bench_soa_tick(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_event_queue,
-    bench_power_model,
-    bench_templates,
-    bench_soa_tick
-);
+criterion_group!(benches, bench_power_model, bench_templates, bench_soa_tick);
 criterion_main!(benches);

@@ -982,45 +982,46 @@ impl ClusterSim {
         let plan = self.model.plan();
         let oc_server_count = self.config.socialnet_servers + self.config.spare_servers;
         let total_servers = oc_server_count + self.config.mltrain_servers;
-        let mut core_states: Vec<Vec<soc_power::model::CoreState>> =
-            vec![Vec::new(); total_servers];
+        // Per server: cores placed, and the dynamic power of the first
+        // `model.cores()` of them summed in placement order — the fold
+        // `PowerModel::server_power` does over the same core states.
+        let mut placed = vec![(0usize, Watts::ZERO); total_servers];
         for (idx, inst) in self.instances.iter().enumerate() {
             let util = metrics
                 .get(idx)
                 .map_or(0.0, |m| m.cpu_utilization.clamp(0.0, 1.0));
-            for (vm, slot) in inst.slots.iter().enumerate() {
-                if vm >= inst.sim.active_vms() {
-                    continue;
-                }
+            let active = inst.sim.active_vms();
+            for (vm, slot) in inst.slots.iter().enumerate().take(active) {
                 let f = inst.sim.vm_frequency(vm);
                 let f = self.caps[slot.server].map_or(f, |c| f.min(c));
+                let (cores, dynamic) = &mut placed[slot.server];
                 for _ in 0..slot.cores {
-                    core_states[slot.server].push(soc_power::model::CoreState::new(util, f));
+                    if *cores < self.model.cores() {
+                        *dynamic += self.model.core_power(util, f);
+                    }
+                    *cores += 1;
                 }
             }
         }
-        let mut powers = Vec::with_capacity(total_servers);
-        for (s, states) in core_states.iter().enumerate() {
-            if s < oc_server_count {
-                if states.is_empty() && s >= self.config.socialnet_servers {
+        placed
+            .into_iter()
+            .enumerate()
+            .map(|(s, (cores, dynamic))| {
+                if s >= oc_server_count {
+                    // MLTrain server: uniform high utilization.
+                    let j = s - oc_server_count;
+                    let f = self.caps[s].unwrap_or(plan.turbo()).min(plan.turbo());
+                    self.model
+                        .server_power_uniform(self.mltrain[j].utilization(), f)
+                } else if cores == 0 && s >= self.config.socialnet_servers {
                     // An unallocated spare server is power-gated (its
                     // capacity is accounted to other tenants until used).
-                    powers.push(Watts::ZERO);
-                    continue;
+                    Watts::ZERO
+                } else {
+                    self.model.idle() + dynamic
                 }
-                let truncated: Vec<_> = states.iter().copied().take(self.model.cores()).collect();
-                powers.push(self.model.server_power(&truncated));
-            } else {
-                // MLTrain server: uniform high utilization.
-                let j = s - oc_server_count;
-                let f = self.caps[s].unwrap_or(plan.turbo()).min(plan.turbo());
-                powers.push(
-                    self.model
-                        .server_power_uniform(self.mltrain[j].utilization(), f),
-                );
-            }
-        }
-        powers
+            })
+            .collect()
     }
 
     /// Prioritized capping: when the rack hits its limit, shed power from

@@ -5,7 +5,6 @@
 //!
 //! * [`time`] — simulated time ([`SimTime`], [`SimDuration`]) with calendar
 //!   helpers (time-of-day, weekday) used by power templates and epochs.
-//! * [`event`] — a deterministic discrete-event queue ([`event::EventQueue`]).
 //! * [`faults`] — seeded, sim-time fault schedules ([`faults::FaultPlan`])
 //!   for control-plane chaos testing; pure functions of the plan seed, so
 //!   fault timelines are byte-reproducible and shard-order independent.
@@ -34,7 +33,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod event;
 pub mod faults;
 pub mod hist;
 pub mod par;
@@ -44,7 +42,6 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use event::EventQueue;
 pub use rng::Pcg32;
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimTime, Weekday};

@@ -39,11 +39,48 @@ pub fn percentile_of_sorted(xs: &[f64], p: f64) -> f64 {
     if xs.len() == 1 {
         return xs[0];
     }
-    let rank = p / 100.0 * (xs.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
+    let (lo, hi, frac) = closest_ranks(xs.len(), p);
     xs[lo] + (xs[hi] - xs[lo]) * frac
+}
+
+/// The ranks below and above percentile `p` of `len > 1` sorted values,
+/// and the weight of the upper one.
+fn closest_ranks(len: usize, p: f64) -> (usize, usize, f64) {
+    let rank = p / 100.0 * (len - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
+}
+
+/// [`percentile`] without the copy and full sort: selects the two closest
+/// ranks in place, leaving `xs` reordered. The result is bit-identical to
+/// [`percentile`] on the same values, since both read the same order
+/// statistics under [`f64::total_cmp`].
+///
+/// # Panics
+/// Panics if `xs` is empty, contains NaN, or `p` is outside `[0, 100]`.
+///
+/// ```
+/// use simcore::stats::percentile_in_place;
+/// let mut xs = [4.0, 1.0, 3.0, 2.0];
+/// assert_eq!(percentile_in_place(&mut xs, 50.0), 2.5);
+/// ```
+pub fn percentile_in_place(xs: &mut [f64], p: f64) -> f64 {
+    assert!(!xs.is_empty(), "percentile of an empty slice");
+    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
+    assert!(xs.iter().all(|x| !x.is_nan()), "NaN in percentile input");
+    if xs.len() == 1 {
+        return xs[0];
+    }
+    let (lo, hi, frac) = closest_ranks(xs.len(), p);
+    let (_, &mut x_lo, upper) = xs.select_nth_unstable_by(lo, f64::total_cmp);
+    // Every element of `upper` sorts at or after `x_lo`, so rank `lo + 1`
+    // is the smallest of them.
+    let x_hi = if hi == lo {
+        x_lo
+    } else {
+        upper.iter().copied().min_by(f64::total_cmp).unwrap_or(x_lo)
+    };
+    x_lo + (x_hi - x_lo) * frac
 }
 
 /// Arithmetic mean.
@@ -318,6 +355,31 @@ mod tests {
         assert_eq!(percentile(&[7.0], 99.0), 7.0);
     }
 
+    /// `percentile_in_place` agrees with `percentile` bit for bit.
+    fn assert_in_place_matches(xs: &[f64], p: f64) {
+        let want = percentile(xs, p);
+        let got = percentile_in_place(&mut xs.to_vec(), p);
+        assert_eq!(got.to_bits(), want.to_bits(), "p={p} xs={xs:?}");
+    }
+
+    #[test]
+    fn percentile_in_place_edge_lengths_and_signed_zeros() {
+        for p in [0.0, 50.0, 99.0, 100.0] {
+            assert_in_place_matches(&[7.0], p);
+            assert_in_place_matches(&[-0.0], p);
+            assert_in_place_matches(&[0.0, -0.0], p);
+            assert_in_place_matches(&[-0.0, 0.0], p);
+            assert_in_place_matches(&[3.0, 1.0], p);
+            assert_in_place_matches(&[2.0, 2.0], p);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn percentile_in_place_rejects_nan() {
+        percentile_in_place(&mut [1.0, f64::NAN], 50.0);
+    }
+
     #[test]
     fn rmse_zero_for_perfect_prediction() {
         let xs = [1.0, 2.0, 3.0];
@@ -397,6 +459,25 @@ mod tests {
             xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
             prop_assert!(percentile_of_sorted(&xs, lo) <= percentile_of_sorted(&xs, hi) + 1e-9);
+        }
+
+        #[test]
+        fn percentile_in_place_is_bit_identical(
+            draws in prop::collection::vec((0u8..4, -1e6..1e6f64), 1..200),
+            p_draw in (0u8..4, 0.0..=100.0f64),
+        ) {
+            // Signed zeros and small integers make ties and duplicates.
+            let xs: Vec<f64> = draws
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => (x / 3e5).trunc(),
+                    _ => x,
+                })
+                .collect();
+            let p = [0.0, 99.0, 100.0, p_draw.1][usize::from(p_draw.0)];
+            assert_in_place_matches(&xs, p);
         }
 
         #[test]

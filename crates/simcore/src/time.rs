@@ -210,7 +210,8 @@ impl SimDuration {
         SimDuration(s * MICROS_PER_SEC)
     }
 
-    /// Construct from fractional seconds, rounding to the nearest microsecond.
+    /// Construct from fractional seconds, rounding to the nearest microsecond
+    /// (halves away from zero) and saturating at `u64::MAX` microseconds.
     ///
     /// # Panics
     /// Panics if `s` is negative or not finite.
@@ -219,7 +220,18 @@ impl SimDuration {
             s.is_finite() && s >= 0.0,
             "duration must be finite and non-negative"
         );
-        SimDuration((s * MICROS_PER_SEC as f64).round() as u64)
+        let micros = s * MICROS_PER_SEC as f64;
+        if micros < (1u64 << 53) as f64 {
+            // `f64::round` without its libm call: truncate, then round up
+            // when the dropped fraction is at least a half. Below 2^53 the
+            // truncation and `micros - whole` are exact, and `i64` converts
+            // in one instruction each way where `u64` takes several.
+            let whole = micros as i64;
+            SimDuration((whole + i64::from(micros - whole as f64 >= 0.5)) as u64)
+        } else {
+            // Every float from 2^53 up is an integer; `as` saturates at 2^64.
+            SimDuration(micros as u64)
+        }
     }
 
     /// Construct from whole minutes.
@@ -440,6 +452,95 @@ impl Iterator for Ticks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The rounding `from_secs_f64` must reproduce bit for bit.
+    fn round_micros(s: f64) -> u64 {
+        (s * MICROS_PER_SEC as f64).round() as u64
+    }
+
+    /// A duration in seconds whose product with 1e6 is exactly `micros`,
+    /// searched among the floats nearest `micros / 1e6`.
+    fn secs_for(micros: f64) -> Option<f64> {
+        let mut s = micros / 1e6;
+        for _ in 0..64 {
+            let m = s * 1e6;
+            if m == micros {
+                return Some(s);
+            }
+            s = if m < micros {
+                s.next_up()
+            } else {
+                s.next_down()
+            };
+        }
+        None
+    }
+
+    #[test]
+    fn from_secs_f64_matches_round_at_the_edges() {
+        let two_52 = (1u64 << 52) as f64;
+        let two_53 = (1u64 << 53) as f64;
+        let two_64 = 2f64.powi(64);
+        // Odd integers from 2^52 up, where adding 0.5 before truncating
+        // would round to even.
+        let mut micros = vec![
+            two_52,
+            two_52 + 1.0,
+            two_52 + 3.0,
+            two_53 - 1.0,
+            two_53,
+            two_53 + 2.0,
+            two_64,
+            two_64 * 2.0,
+        ];
+        // Every `k + 0.5` microseconds, and its two float neighbours.
+        for k in (0..2_000u64).chain([999_999, 1 << 20, 1 << 40, (1 << 51) + 3]) {
+            let half = k as f64 + 0.5;
+            micros.extend([half, half.next_down(), half.next_up()]);
+        }
+        let mut inputs: Vec<f64> = micros.iter().filter_map(|&m| secs_for(m)).collect();
+        assert!(inputs.len() > 5_000, "most boundaries are reachable");
+        inputs.extend([0.0, 0.5f64.next_down() * 1e-6, 5e-7, f64::MAX]);
+        for s in inputs {
+            assert_eq!(
+                SimDuration::from_secs_f64(s).as_micros(),
+                round_micros(s),
+                "s = {s:e}"
+            );
+        }
+        assert_eq!(
+            SimDuration::from_secs_f64(4_503_599_627.370_497).as_micros(),
+            (1 << 52) + 1
+        );
+        assert_eq!(SimDuration::from_secs_f64(f64::MAX).as_micros(), u64::MAX);
+    }
+
+    #[test]
+    fn from_secs_f64_still_rejects_bad_input() {
+        for bad in [f64::NAN, -1e-6, -0.5, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                std::panic::catch_unwind(|| SimDuration::from_secs_f64(bad)).is_err(),
+                "{bad} must panic"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn from_secs_f64_matches_round(
+            s in 0.0..1e13f64,
+            k in 0u64..1 << 40,
+            big in (1u64 << 52)..(1u64 << 53),
+        ) {
+            prop_assert_eq!(SimDuration::from_secs_f64(s).as_micros(), round_micros(s));
+            let big = big as f64 / 1e6;
+            prop_assert_eq!(SimDuration::from_secs_f64(big).as_micros(), round_micros(big));
+            // Exact half-microsecond boundaries.
+            let half = (k as f64 + 0.5) / 1e6;
+            prop_assert_eq!(SimDuration::from_secs_f64(half).as_micros(), round_micros(half));
+        }
+    }
 
     #[test]
     fn epoch_is_monday_midnight() {

@@ -107,7 +107,8 @@ impl RateSchedule {
 
     /// Start of the next segment strictly after `t`, if any.
     pub fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
-        self.segments.iter().map(|&(s, _)| s).find(|&s| s > t)
+        let idx = self.segments.partition_point(|&(s, _)| s <= t);
+        self.segments.get(idx).map(|&(s, _)| s)
     }
 
     /// The maximum rate anywhere in the schedule.

@@ -12,11 +12,16 @@
 //! utilization), and may change VM frequencies or the active VM count before
 //! the next window — exactly the observation/actuation interface autoscalers
 //! and SmartOClock's agents use.
+//!
+//! Pending events live in state shaped like the system rather than in a
+//! generic priority queue: one pending arrival and one departure slot per
+//! busy core. The next event is the earliest `(time, seq)` among them, where
+//! `seq` counts scheduled events, so events due in the same microsecond fire
+//! in the order they were scheduled.
 
 use crate::loadgen::RateSchedule;
-use simcore::event::EventQueue;
 use simcore::rng::Pcg32;
-use simcore::stats::percentile;
+use simcore::stats::percentile_in_place;
 use simcore::time::{SimDuration, SimTime};
 use soc_power::units::MegaHertz;
 use std::collections::VecDeque;
@@ -110,15 +115,27 @@ struct Request {
 #[derive(Debug, Clone)]
 struct Vm {
     frequency: MegaHertz,
+    /// Busy cores; this VM's first `busy` departure slots are in use.
     busy: usize,
     queue: VecDeque<Request>,
     active: bool,
 }
 
+/// A request in service on one core.
+#[derive(Debug, Clone, Copy, Default)]
+struct Departure {
+    due: SimTime,
+    /// Scheduling order; breaks ties between events due at the same time.
+    seq: u64,
+    arrival: SimTime,
+}
+
+/// The next event to fire.
 #[derive(Debug, Clone, Copy)]
-enum Event {
+enum Next {
     Arrival,
-    Departure { vm: usize, request: Request },
+    /// Index into the departure slots.
+    Departure(usize),
 }
 
 /// The event-driven microservice simulator.
@@ -141,9 +158,20 @@ pub struct MicroserviceSim {
     spec: ServiceSpec,
     turbo: MegaHertz,
     schedule: RateSchedule,
+    /// The schedule's current segment: its rate, and when the rate next
+    /// changes (`None`: never).
+    rate: f64,
+    rate_until: Option<SimTime>,
     rng: Pcg32,
-    queue: EventQueue<Event>,
+    /// The pending arrival `(time, seq)`; `None` once the rate stays zero.
+    next_arrival: Option<(SimTime, u64)>,
+    /// `cores_per_vm` departure slots per VM, VM-major.
+    slots: Vec<Departure>,
+    /// Sequence number of the next scheduled event.
+    next_seq: u64,
     vms: Vec<Vm>,
+    /// `Σ vm.busy`.
+    busy_cores: usize,
     now: SimTime,
     last_integration: SimTime,
     // Window accumulators.
@@ -172,6 +200,7 @@ impl MicroserviceSim {
     ) -> MicroserviceSim {
         assert!(initial_vms > 0, "need at least one VM");
         let (mu, sigma) = spec.lognormal_params();
+        let slots = vec![Departure::default(); initial_vms * spec.cores_per_vm];
         let vms = (0..initial_vms)
             .map(|_| Vm {
                 frequency: turbo,
@@ -183,10 +212,15 @@ impl MicroserviceSim {
         let mut sim = MicroserviceSim {
             spec,
             turbo,
+            rate: schedule.rate_at(SimTime::ZERO),
+            rate_until: schedule.next_change_after(SimTime::ZERO),
             schedule,
             rng: Pcg32::seed_from_u64(seed),
-            queue: EventQueue::new(),
+            next_arrival: None,
+            slots,
+            next_seq: 0,
             vms,
+            busy_cores: 0,
             now: SimTime::ZERO,
             last_integration: SimTime::ZERO,
             window_start: SimTime::ZERO,
@@ -198,9 +232,7 @@ impl MicroserviceSim {
             lognormal_mu: mu,
             lognormal_sigma: sigma,
         };
-        if let Some(t) = sim.next_arrival_time(SimTime::ZERO) {
-            sim.queue.push(t, Event::Arrival);
-        }
+        sim.schedule_arrival();
         sim
     }
 
@@ -271,6 +303,8 @@ impl MicroserviceSim {
                     queue: VecDeque::new(),
                     active: true,
                 });
+                let slots = self.vms.len() * self.spec.cores_per_vm;
+                self.slots.resize(slots, Departure::default());
                 active += 1;
             }
         } else if n < active {
@@ -315,19 +349,11 @@ impl MicroserviceSim {
     /// Panics if `until` is not after the current time.
     pub fn advance_window(&mut self, until: SimTime) -> WindowStats {
         assert!(until > self.now, "window must move time forward");
-        while let Some(t) = self.queue.peek_time() {
+        while let Some((t, _, next)) = self.next_event() {
             if t > until {
                 break;
             }
-            let Some((t, event)) = self.queue.pop() else {
-                break;
-            };
-            self.integrate_busy(t);
-            self.now = t;
-            match event {
-                Event::Arrival => self.handle_arrival(),
-                Event::Departure { vm, request } => self.handle_departure(vm, request),
-            }
+            self.fire(t, next);
         }
         self.integrate_busy(until);
         self.now = until;
@@ -347,10 +373,13 @@ impl MicroserviceSim {
         let (mean, p99, miss) = if self.latencies_ms.is_empty() {
             (f64::NAN, f64::NAN, 0.0)
         } else {
+            // The sum and the count read completion order; the P99 then
+            // reorders the buffer, which is cleared below.
             let mean = self.latencies_ms.iter().sum::<f64>() / self.latencies_ms.len() as f64;
-            let p99 = percentile(&self.latencies_ms, 99.0);
             let misses = self.latencies_ms.iter().filter(|&&l| l > slo).count();
-            (mean, p99, misses as f64 / self.latencies_ms.len() as f64)
+            let miss = misses as f64 / self.latencies_ms.len() as f64;
+            let p99 = percentile_in_place(&mut self.latencies_ms, 99.0);
+            (mean, p99, miss)
         };
         let stats = WindowStats {
             window,
@@ -372,10 +401,43 @@ impl MicroserviceSim {
     fn integrate_busy(&mut self, to: SimTime) {
         let dt = to.saturating_since(self.last_integration).as_secs_f64();
         if dt > 0.0 {
-            let busy: usize = self.vms.iter().map(|v| v.busy).sum();
-            self.busy_core_seconds += busy as f64 * dt;
+            self.busy_core_seconds += self.busy_cores as f64 * dt;
             self.last_integration = to;
         }
+    }
+
+    /// The earliest pending event as `(time, seq, event)`: the minimum
+    /// `(time, seq)` over the pending arrival and every busy core.
+    fn next_event(&self) -> Option<(SimTime, u64, Next)> {
+        let mut best = self.next_arrival.map(|(t, seq)| (t, seq, Next::Arrival));
+        let cores = self.spec.cores_per_vm;
+        for (v, vm) in self.vms.iter().enumerate() {
+            let first = v * cores;
+            for (i, d) in self.slots[first..first + vm.busy].iter().enumerate() {
+                if best.is_none_or(|(t, seq, _)| (d.due, d.seq) < (t, seq)) {
+                    best = Some((d.due, d.seq, Next::Departure(first + i)));
+                }
+            }
+        }
+        best
+    }
+
+    fn fire(&mut self, t: SimTime, next: Next) {
+        self.integrate_busy(t);
+        self.now = t;
+        match next {
+            Next::Arrival => self.handle_arrival(),
+            Next::Departure(slot) => self.handle_departure(slot),
+        }
+    }
+
+    /// Draw the next arrival after `now` and give it the next sequence number.
+    fn schedule_arrival(&mut self) {
+        self.next_arrival = self.next_arrival_time(self.now).map(|t| {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            (t, seq)
+        });
     }
 
     fn handle_arrival(&mut self) {
@@ -389,25 +451,21 @@ impl MicroserviceSim {
             work,
         };
         self.route(req);
-        if let Some(t) = self.next_arrival_time(self.now) {
-            self.queue.push(t, Event::Arrival);
-        }
+        self.schedule_arrival();
     }
 
     fn route(&mut self, req: Request) {
-        // Least-loaded active VM, normalized by core count. At least one VM
-        // is always active (deactivation never empties the set), so a missing
-        // target means a construction bug — assert rather than route wrong.
+        // Least-loaded active VM. Every VM has the same core count, so the
+        // raw load orders VMs as the per-core load does; `min_by_key` keeps
+        // the first of equal loads. At least one VM is always active
+        // (deactivation never empties the set), so a missing target means a
+        // construction bug — assert rather than route wrong.
         let target = self
             .vms
             .iter()
             .enumerate()
             .filter(|(_, v)| v.active)
-            .min_by(|(_, a), (_, b)| {
-                let la = (a.busy + a.queue.len()) as f64 / self.spec.cores_per_vm as f64;
-                let lb = (b.busy + b.queue.len()) as f64 / self.spec.cores_per_vm as f64;
-                la.total_cmp(&lb)
-            })
+            .min_by_key(|(_, v)| v.busy + v.queue.len())
             .map(|(i, _)| i);
         let Some(target) = target else {
             debug_assert!(false, "no active VM to route to");
@@ -423,16 +481,26 @@ impl MicroserviceSim {
     fn dispatch(&mut self, vm: usize, req: Request) {
         let freq_ratio = self.vms[vm].frequency.ratio(self.turbo);
         let duration = SimDuration::from_secs_f64(req.work / freq_ratio.max(1e-9));
+        let slot = vm * self.spec.cores_per_vm + self.vms[vm].busy;
+        self.slots[slot] = Departure {
+            due: self.now + duration,
+            seq: self.next_seq,
+            arrival: req.arrival,
+        };
+        self.next_seq += 1;
         self.vms[vm].busy += 1;
-        self.queue
-            .push(self.now + duration, Event::Departure { vm, request: req });
+        self.busy_cores += 1;
     }
 
-    fn handle_departure(&mut self, vm: usize, request: Request) {
+    fn handle_departure(&mut self, slot: usize) {
+        let vm = slot / self.spec.cores_per_vm;
         self.total_completions += 1;
-        let latency_ms = self.now.since(request.arrival).as_millis_f64();
+        let latency_ms = self.now.since(self.slots[slot].arrival).as_millis_f64();
         self.latencies_ms.push(latency_ms);
         self.vms[vm].busy -= 1;
+        self.busy_cores -= 1;
+        // Keep the VM's busy slots a prefix: the last one fills the hole.
+        self.slots[slot] = self.slots[vm * self.spec.cores_per_vm + self.vms[vm].busy];
         if let Some(next) = self.vms[vm].queue.pop_front() {
             self.dispatch(vm, next);
         }
@@ -443,8 +511,13 @@ impl MicroserviceSim {
     fn next_arrival_time(&mut self, t: SimTime) -> Option<SimTime> {
         let mut t = t;
         loop {
-            let rate = self.schedule.rate_at(t);
-            let next_change = self.schedule.next_change_after(t);
+            // Time only moves forward, so the cached segment needs a refresh
+            // only once `t` reaches its end.
+            if self.rate_until.is_some_and(|change| t >= change) {
+                self.rate = self.schedule.rate_at(t);
+                self.rate_until = self.schedule.next_change_after(t);
+            }
+            let (rate, next_change) = (self.rate, self.rate_until);
             if rate <= 0.0 {
                 t = next_change?;
                 continue;
@@ -632,6 +705,43 @@ mod tests {
     }
 
     #[test]
+    fn equal_time_events_fire_in_seq_order() {
+        // Three cores finish at `t` and the next arrival is due at `t` too;
+        // they must fire in scheduling order, whatever slot each occupies.
+        let rate = RateSchedule::constant(0.0);
+        let mut sim = MicroserviceSim::new(spec(), turbo(), rate, 1, 3);
+        let t = SimTime::from_secs(1);
+        for (slot, seq) in [7, 3, 9].into_iter().enumerate() {
+            sim.slots[slot] = Departure {
+                due: t,
+                seq,
+                arrival: SimTime::ZERO,
+            };
+        }
+        sim.vms[0].busy = 3;
+        sim.busy_cores = 3;
+        sim.total_arrivals = 3;
+        sim.next_arrival = Some((t, 5));
+        sim.next_seq = 10;
+
+        let mut fired = Vec::new();
+        while let Some((when, seq, next)) = sim.next_event() {
+            if when > t {
+                break;
+            }
+            fired.push(seq);
+            sim.fire(when, next);
+        }
+        assert_eq!(fired, [3, 5, 7, 9]);
+        // The arrival went into service on the core the first departure
+        // freed; nothing else is pending.
+        assert_eq!(sim.total_completions(), 3);
+        assert_eq!((sim.vms[0].busy, sim.busy_cores), (1, 1));
+        assert_eq!(sim.slots[0].seq, 10);
+        assert_eq!(sim.next_arrival, None);
+    }
+
+    #[test]
     fn zero_rate_schedule_produces_no_arrivals() {
         let s = spec();
         let rate = RateSchedule::constant(0.0);
@@ -649,27 +759,57 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
-            /// Conservation: arrivals = completions + in-system, under any
-            /// sequence of frequency changes and VM scaling.
+            /// Little's-law bookkeeping under any sequence of frequency
+            /// changes and VM scaling: every arrival is completed, queued or
+            /// in service; the running busy total matches the VMs; window
+            /// counters partition the lifetime counters; and no event due
+            /// by the end of a window is left pending.
             #[test]
             fn conservation_under_control_churn(
-                ops in prop::collection::vec((1u64..4, 0u32..3, 1usize..4), 1..12),
+                ops in prop::collection::vec((1u64..4, 0u8..3, 0usize..5, 0u32..8), 1..16),
+                load in 0.3..1.2f64,
                 seed in 0u64..1000,
             ) {
                 let s = spec();
-                let rate = RateSchedule::constant(0.6 * s.capacity_per_vm(1.0));
+                let rate = RateSchedule::constant(load * s.capacity_per_vm(1.0))
+                    .with_segment(SimTime::from_secs(20), 0.0)
+                    .with_segment(SimTime::from_secs(30), 2.0 * load * s.capacity_per_vm(1.0));
                 let mut sim = MicroserviceSim::new(s, turbo(), rate, 1, seed);
                 let mut now = SimTime::ZERO;
-                for &(advance_s, freq_step, vms) in &ops {
+                let (mut arrivals, mut completions) = (0, 0);
+                for &(advance_s, op, n, freq_step) in &ops {
                     now += SimDuration::from_secs(advance_s * 5);
-                    let _ = sim.advance_window(now);
-                    sim.set_all_frequencies(MegaHertz::new(3300 + 100 * freq_step));
-                    sim.set_active_vm_count(vms);
+                    let w = sim.advance_window(now);
+                    arrivals += w.arrivals;
+                    completions += w.completions;
+                    let f = MegaHertz::new(3000 + 100 * freq_step);
+                    match op {
+                        0 => sim.set_active_vm_count(n + 1),
+                        1 => sim.set_all_frequencies(f),
+                        _ => sim.set_vm_frequency(n % sim.vms.len(), f),
+                    }
+
+                    prop_assert_eq!(sim.total_arrivals(), arrivals);
+                    prop_assert_eq!(sim.total_completions(), completions);
+                    prop_assert_eq!(
+                        sim.total_arrivals(),
+                        sim.total_completions() + sim.in_system()
+                    );
+                    let held: usize = sim.vms.iter().map(|v| v.busy + v.queue.len()).sum();
+                    prop_assert_eq!(sim.in_system(), held as u64);
+                    prop_assert_eq!(sim.busy_cores, sim.vms.iter().map(|v| v.busy).sum::<usize>());
+                    let cores = sim.spec.cores_per_vm;
+                    prop_assert_eq!(sim.slots.len(), sim.vms.len() * cores);
+                    for (v, vm) in sim.vms.iter().enumerate() {
+                        prop_assert!(vm.busy <= cores);
+                        for d in &sim.slots[v * cores..v * cores + vm.busy] {
+                            prop_assert!(d.due > now && d.arrival <= now);
+                        }
+                    }
+                    if let Some((t, _)) = sim.next_arrival {
+                        prop_assert!(t > now);
+                    }
                 }
-                prop_assert_eq!(
-                    sim.total_arrivals(),
-                    sim.total_completions() + sim.in_system()
-                );
             }
 
             /// Latencies are never negative and windows never report more

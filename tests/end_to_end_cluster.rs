@@ -2,7 +2,9 @@
 //! simulator, the power model, the rack monitor, and all three SmartOClock
 //! agent layers together.
 
+use simcore::time::SimDuration;
 use soc_cluster::harness::{ClusterConfig, ClusterSim, SystemKind};
+use soc_reliability::binning::BinningConfig;
 use soc_telemetry::{FieldValue, Telemetry};
 use soc_workloads::socialnet::LoadLevel;
 
@@ -231,4 +233,55 @@ fn disabled_telemetry_changes_nothing() {
     let (telemetry, _sink) = Telemetry::memory();
     let traced = ClusterSim::with_telemetry(cfg, telemetry).run();
     assert_eq!(plain, traced, "telemetry must be a pure observer");
+}
+
+/// FNV-1a, 64-bit, over the `Debug` rendering of a value.
+fn fnv1a64_debug<T: std::fmt::Debug>(value: &T) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Every output byte of the small cluster runs is pinned: each system at
+/// `small_test`, SmartOClock under a fault plan, and SmartOClock on binned
+/// silicon. A rewrite of the queueing simulator or the power accounting
+/// that changes any latency, count or joule moves one of these digests.
+#[test]
+fn small_cluster_outputs_are_byte_pinned() {
+    let mut runs: Vec<(&str, ClusterConfig)> = SystemKind::ALL
+        .into_iter()
+        .map(|s| (s.name(), ClusterConfig::small_test(s)))
+        .collect();
+    let mut faulted = ClusterConfig::small_test(SystemKind::SmartOClock);
+    faulted.faults.seed = 11;
+    faulted.faults.goa_outages = 1;
+    faulted.faults.goa_outage_len = SimDuration::from_minutes(2);
+    faulted.faults.budget_drop_prob = 0.25;
+    faulted.faults.soa_restart_prob = 0.05;
+    runs.push(("faulted", faulted));
+    let mut binned = ClusterConfig::small_test(SystemKind::SmartOClock);
+    binned.binning = BinningConfig {
+        bins: 8,
+        risk_budget: 0.3,
+        wear_spread: 0.4,
+        seed: 9,
+    };
+    runs.push(("binned", binned));
+
+    let got: Vec<(&str, u64)> = runs
+        .into_iter()
+        .map(|(name, cfg)| (name, fnv1a64_debug(&ClusterSim::new(cfg).run())))
+        .collect();
+    let want = [
+        ("Baseline", 0x8a5c_faf6_0853_0da1),
+        ("ScaleOut", 0x525f_209e_9392_6f1e),
+        ("ScaleUp", 0x31cc_a6e0_6fbd_6c4c),
+        ("NaiveOClock", 0x9aa6_f343_c1cd_4c3f),
+        ("SmartOClock", 0x8a13_007b_7ffe_4df1),
+        ("faulted", 0x73cd_0d4f_ba2d_4602),
+        ("binned", 0xfe7a_fc54_fc2d_5081),
+    ];
+    assert_eq!(got, want, "cluster output digests moved");
 }
