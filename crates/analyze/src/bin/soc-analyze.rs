@@ -75,6 +75,15 @@ fn flag<'a>(flags: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| *v)
 }
 
+/// Reject any flag `command` does not take, so a misspelled flag is an
+/// error instead of a silently ignored option.
+fn takes_only(command: &str, flags: &[(&str, &str)], takes: &[&str]) -> Result<(), String> {
+    match flags.iter().find(|(name, _)| !takes.contains(name)) {
+        Some((name, _)) => Err(format!("{command} does not take --{name}\n\n{USAGE}")),
+        None => Ok(()),
+    }
+}
+
 fn load(path: &str) -> Result<Trace, String> {
     Trace::load(path).map_err(|e| format!("{path}: {e}"))
 }
@@ -97,7 +106,8 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err(USAGE.to_string());
     };
     let (positional, flags) = split_flags(&args[1..])?;
-    let need = |n: usize| -> Result<(), String> {
+    let need = |n: usize, takes: &[&str]| -> Result<(), String> {
+        takes_only(command, &flags, takes)?;
         if positional.len() == n {
             Ok(())
         } else {
@@ -106,12 +116,12 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     match command {
         "summary" => {
-            need(1)?;
+            need(1, &[])?;
             print!("{}", report::summary(&load(positional[0])?));
             Ok(())
         }
         "chains" => {
-            need(1)?;
+            need(1, &["limit"])?;
             let limit: usize = match flag(&flags, "limit") {
                 Some(v) => v.parse().map_err(|_| format!("bad --limit {v}"))?,
                 None => 0,
@@ -129,7 +139,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "attribute" => {
-            need(1)?;
+            need(1, &[])?;
             let counts = AttributionCounts::from_trace(&load(positional[0])?);
             if counts.total() == 0 {
                 println!("no slo_miss events in {}", positional[0]);
@@ -139,7 +149,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "metrics" => {
-            need(1)?;
+            need(1, &[])?;
             let trace = load(positional[0])?;
             let scalars = rollup::scalar_metric_table(&trace);
             let hists = rollup::histogram_table(&trace);
@@ -156,7 +166,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "report" => {
-            need(1)?;
+            need(1, &["out"])?;
             let trace = load(positional[0])?;
             deliver(
                 &report::full_report(&trace, positional[0]),
@@ -164,7 +174,7 @@ fn run(args: &[String]) -> Result<(), String> {
             )
         }
         "diff" => {
-            need(2)?;
+            need(2, &["filter-a", "filter-b", "strip-label", "out"])?;
             let mut a = load(positional[0])?;
             let mut b = load(positional[1])?;
             let apply = |trace: Trace, spec: Option<&str>| -> Result<Trace, String> {
@@ -187,9 +197,42 @@ fn run(args: &[String]) -> Result<(), String> {
             )
         }
         "help" | "--help" | "-h" => {
+            takes_only(command, &flags, &[])?;
             println!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    fn run_args(args: &[&str]) -> Result<(), String> {
+        run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn rejects_flags_a_subcommand_does_not_take() {
+        for (args, bad) in [
+            (&["chains", "t.jsonl", "--limt", "3"][..], "--limt"),
+            (&["report", "t.jsonl", "--ot", "r.txt"][..], "--ot"),
+            (&["summary", "t.jsonl", "--out", "r.txt"][..], "--out"),
+            (
+                &["diff", "a.jsonl", "b.jsonl", "--limit", "3"][..],
+                "--limit",
+            ),
+        ] {
+            let err = run_args(args).unwrap_err();
+            assert!(
+                err.contains(&format!("does not take {bad}")),
+                "{args:?}: {err}"
+            );
+            assert!(err.contains("usage: soc-analyze"), "{args:?}: {err}");
+        }
+        // A flag the subcommand takes passes, and the missing trace fails.
+        let err = run_args(&["chains", "no-such-trace.jsonl", "--limit", "3"]).unwrap_err();
+        assert!(err.starts_with("no-such-trace.jsonl: "), "{err}");
     }
 }

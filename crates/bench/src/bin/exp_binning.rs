@@ -24,7 +24,7 @@ use simcore::faults::FaultPlan;
 use simcore::report::{fmt_f64, Table};
 use simcore::time::SimDuration;
 use smartoclock::policy::PolicyKind;
-use soc_bench::Cli;
+use soc_bench::{Cli, Output};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
 use soc_cluster::shard::{generate_fleet_probed, simulate_policy_on_traces_probed, FleetTraces};
@@ -35,7 +35,7 @@ const BIN_COUNTS: [u32; 3] = [1, 4, 8];
 const RISK_BUDGETS: [f64; 4] = [1.0, 0.5, 0.25, 0.1];
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[Output::Trace, Output::ResultFile]);
     let out = cli.out_or("exp_binning.json");
     let racks = if cli.fast { 8 } else { 24 };
     let mut base = LargeScaleConfig::bench_reference(racks);

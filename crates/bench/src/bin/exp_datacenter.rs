@@ -10,12 +10,12 @@
 use simcore::par;
 use simcore::report::{fmt_pct, Table};
 use simcore::time::SimDuration;
-use soc_bench::Cli;
+use soc_bench::{Cli, Output};
 use soc_cluster::datacenter::{simulate_datacenter, DatacenterConfig};
 use std::time::Instant;
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[Output::Profile, Output::Health]);
     let prof = cli.profiler("exp_datacenter");
     // Health series (`--health`): this sweep runs outside the sharded rack
     // engine, so the recorder is fed from the collected results in sweep

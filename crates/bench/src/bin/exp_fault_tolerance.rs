@@ -23,7 +23,7 @@ use simcore::report::{fmt_f64, fmt_pct, Table};
 use simcore::time::SimDuration;
 use smartoclock::policy::PolicyKind;
 use soc_bench::probe::HealthProbe;
-use soc_bench::Cli;
+use soc_bench::{Cli, Output};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
 use soc_cluster::shard::{generate_fleet_probed, simulate_policy_on_traces_probed};
@@ -55,7 +55,7 @@ const VARIANTS: [Variant; 3] = [
 ];
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[Output::Trace, Output::Health, Output::ResultFile]);
     let out = cli.out_or("exp_fault_tolerance.json");
     let racks = if cli.fast { 8 } else { 24 };
     let mut base = LargeScaleConfig::bench_reference(racks);

@@ -8,11 +8,11 @@
 
 use simcore::report::{fmt_pct, Table};
 use simcore::time::SimDuration;
-use soc_bench::Cli;
+use soc_bench::{Cli, Output};
 use soc_cluster::harness::{ClusterConfig, ClusterSim, SystemKind};
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[Output::Trace]);
     let telemetry = cli.telemetry();
     let run = |budget_scale: f64, proactive: bool| {
         let mut cfg = ClusterConfig::paper_reference(SystemKind::SmartOClock);
@@ -51,7 +51,6 @@ fn main() {
         let proactive = (run(scale, true) - baseline).max(0.0);
         t.row(&[fmt_pct(scale), fmt_pct(reactive), fmt_pct(proactive)]);
     }
-    telemetry.flush();
     cli.emit(
         "Overclocking-constrained environments (excess vs unconstrained)",
         &t,
@@ -60,4 +59,5 @@ fn main() {
         "paper: reactive misses SLOs 5.0%/6.1%/7.2% of the time at 75%/50%/25% budget; \
          proactive scale-out eliminates the violations"
     );
+    cli.finish("exp_oclock_constrained", &telemetry);
 }

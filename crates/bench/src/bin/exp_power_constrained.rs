@@ -8,14 +8,14 @@
 
 use simcore::report::{fmt_f64, Table};
 use simcore::time::SimDuration;
-use soc_bench::{pct_change, Cli};
+use soc_bench::{pct_change, Cli, Output};
 use soc_cluster::harness::{ClusterConfig, SystemKind};
 use soc_cluster::shard::run_cluster_sims_probed;
 use soc_cluster::NoopProbe;
 use soc_workloads::socialnet::LoadLevel;
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[Output::Trace]);
     let telemetry = cli.telemetry();
     let config_for = |system: SystemKind| {
         let mut cfg = ClusterConfig::paper_reference(system);

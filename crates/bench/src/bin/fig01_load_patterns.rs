@@ -15,7 +15,7 @@ use soc_bench::Cli;
 use soc_traces::services::{service_a, service_b, service_c};
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[]);
     // Tuesday of week 1: a typical weekday.
     let day_start = SimTime::ZERO + SimDuration::from_days(1);
     let day_end = day_start + SimDuration::from_days(1);

@@ -10,7 +10,7 @@ use soc_power::freq::FrequencyPlan;
 use soc_workloads::socialnet::{socialnet_services, LoadLevel};
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[]);
     let plan = FrequencyPlan::amd_reference();
     let measure = if cli.fast {
         SimDuration::from_secs(60)

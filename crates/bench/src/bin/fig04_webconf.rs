@@ -11,7 +11,7 @@ use soc_power::freq::FrequencyPlan;
 use soc_workloads::webconf::WebConfDeployment;
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[]);
     let plan = FrequencyPlan::amd_reference();
 
     let build = || {

@@ -13,7 +13,7 @@ use soc_bench::Cli;
 use soc_traces::gen::{FleetConfig, TraceGenerator};
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[]);
     let racks = if cli.fast { 40 } else { 300 };
     let mut cfg = FleetConfig::paper_reference(racks);
     cfg.span = SimDuration::WEEK * 2; // two weeks capture the weekly cycle

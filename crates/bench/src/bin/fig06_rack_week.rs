@@ -9,7 +9,7 @@
 use simcore::report::{fmt_f64, fmt_pct, Table};
 use simcore::series::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
-use soc_bench::Cli;
+use soc_bench::{Cli, Output};
 use soc_telemetry::{tm_event, Component, Severity, Telemetry};
 use soc_traces::gen::{FleetConfig, TraceGenerator};
 
@@ -86,7 +86,7 @@ fn trace_capping_week(
 }
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[Output::Trace]);
     let mut cfg = FleetConfig::paper_reference(1);
     cfg.span = SimDuration::WEEK;
     cfg.step = SimDuration::from_minutes(5);

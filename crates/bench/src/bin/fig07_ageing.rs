@@ -10,7 +10,7 @@ use soc_cluster::ageing::{
 use soc_reliability::wear::WearModel;
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[]);
     let model = WearModel::default();
     let util = fig7_utilization(5);
     let threshold = 0.5;

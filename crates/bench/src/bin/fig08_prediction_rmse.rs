@@ -17,7 +17,7 @@ use soc_predict::template::TemplateKind;
 use soc_traces::gen::{FleetConfig, TraceGenerator};
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[]);
     let racks = if cli.fast { 20 } else { 120 };
     let regions = ["Region 1", "Region 2", "Region 3", "Region 4"];
 

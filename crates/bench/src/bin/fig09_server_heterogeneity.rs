@@ -12,7 +12,7 @@ use soc_bench::Cli;
 use soc_traces::gen::{FleetConfig, TraceGenerator};
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[]);
     let mut cfg = FleetConfig::paper_reference(1);
     cfg.span = SimDuration::WEEK;
     cfg.step = SimDuration::from_minutes(15);

@@ -12,12 +12,12 @@
 
 use simcore::report::{fmt_f64, Table};
 use simcore::time::SimDuration;
-use soc_bench::{pct_change, Cli};
+use soc_bench::{pct_change, Cli, Output};
 use soc_cluster::harness::{ClusterConfig, ClusterResult, ClusterSim, SystemKind};
 use soc_workloads::socialnet::LoadLevel;
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[Output::Trace]);
     let telemetry = cli.telemetry();
     let systems = [
         SystemKind::Baseline,

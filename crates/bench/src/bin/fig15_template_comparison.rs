@@ -16,7 +16,7 @@ use soc_predict::template::TemplateKind;
 use soc_traces::gen::{FleetConfig, TraceGenerator};
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[]);
     let racks = if cli.fast { 20 } else { 100 };
     let mut cfg = FleetConfig::paper_reference(racks);
     cfg.span = SimDuration::WEEK * 3;

@@ -9,7 +9,7 @@
 use simcore::par;
 use simcore::report::{fmt_f64, fmt_pct, Table};
 use simcore::time::{SimDuration, SimTime};
-use soc_bench::{pct_change, Cli};
+use soc_bench::{pct_change, Cli, Output};
 use soc_cluster::envs::{run_at_rate, Environment};
 use soc_power::freq::FrequencyPlan;
 use soc_traces::services::service_c;
@@ -17,7 +17,7 @@ use soc_workloads::microservice::ServiceSpec;
 use std::time::Instant;
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[Output::Profile, Output::Health]);
     let prof = cli.profiler("fig16_17_production");
     // Health series (`--health`): these sweeps run outside the sharded rack
     // engine, so the recorder is fed from the collected results in sweep

@@ -13,7 +13,7 @@
 use simcore::report::{fmt_f64, fmt_pct, Table};
 use smartoclock::policy::PolicyKind;
 use soc_bench::probe::ProfProbe;
-use soc_bench::Cli;
+use soc_bench::{Cli, Output};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::{power_groups, PolicyMetrics, RackOutcome};
 use soc_cluster::shard::{
@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env(&[Output::Trace, Output::Profile]);
     let prof = cli.profiler("table1_policies");
     let racks = if cli.fast { 12 } else { 60 };
     let mut config = LargeScaleConfig::bench_reference(racks);

@@ -1,7 +1,7 @@
 //! # soc-bench — experiment regenerators
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus Criterion
-//! micro-benchmarks (`benches/`). Every binary accepts:
+//! One binary per table/figure of the paper (see `src/bin/`). Every binary
+//! accepts:
 //!
 //! * `--seed <u64>` — RNG seed (default 42; results in EXPERIMENTS.md use
 //!   the default).
@@ -30,8 +30,9 @@
 //!
 //! `--analyze` / `--report-out` without a trace path trace to a temporary
 //! file so the analysis still has input. An unknown flag, a flag missing its
-//! value, or a `--seed` / `--threads` value that does not parse prints the
-//! error and [`USAGE`] and exits 2.
+//! value, a `--seed` / `--threads` value that does not parse, or a flag
+//! asking for an [`Output`] the binary does not write prints the error and
+//! [`USAGE`] and exits 2 before the experiment runs.
 //!
 //! Profiling and health recording are observation-only by design:
 //! simulation output — stdout tables, traces, metrics — is byte-identical
@@ -88,6 +89,22 @@ pub struct Cli {
     pub out: Option<PathBuf>,
 }
 
+/// An optional output a bench binary can write. Each binary passes the
+/// ones it writes to [`Cli::from_env`]; a flag asking for any other is a
+/// parse error, so it is never silently dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Output {
+    /// A JSONL telemetry trace (`--trace-out`) and its `soc-analyze` report
+    /// (`--analyze`, `--report-out`).
+    Trace,
+    /// A `soc-prof` profile (`--prof`, `--prof-out`).
+    Profile,
+    /// A `soc-health` report (`--health`, `--health-out`).
+    Health,
+    /// A JSON result file (`--out`).
+    ResultFile,
+}
+
 /// The flags every bench binary takes, printed after the binary's name
 /// with a parse error.
 pub const USAGE: &str = "[--seed N] [--fast] [--threads N] [--csv PATH] [--trace-out PATH] \
@@ -132,11 +149,12 @@ impl Cli {
     /// supplies `trace_out` when the flag is absent; when both are present
     /// the flag wins and one warning line is printed. When analysis is
     /// requested without any trace path, the trace goes to a temporary file.
-    /// A parse error prints the error and [`USAGE`] and exits 2.
-    pub fn from_env() -> Cli {
+    /// `outputs` lists what the binary writes (see [`Cli::parse`]). A parse
+    /// error prints the error and [`USAGE`] and exits 2.
+    pub fn from_env(outputs: &[Output]) -> Cli {
         let mut args = std::env::args();
         let binary = args.next().unwrap_or_default();
-        let mut cli = Cli::parse(args).unwrap_or_else(|e| {
+        let mut cli = Cli::parse(args, outputs).unwrap_or_else(|e| {
             eprintln!("error: {e}\nusage: {binary} {USAGE}");
             std::process::exit(2)
         });
@@ -155,9 +173,13 @@ impl Cli {
 
     /// Parse from an explicit iterator (testable). Every flag is known
     /// here, so an unknown flag, a flag missing its value (the next argument
-    /// is absent or is itself a flag), or an unparseable `--seed` /
-    /// `--threads` value is an error rather than a silent default.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
+    /// is absent or is itself a flag), an unparseable `--seed` /
+    /// `--threads` value, or a flag asking for an output not in `outputs`
+    /// is an error rather than a silent default.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        outputs: &[Output],
+    ) -> Result<Cli, String> {
         let mut cli = Cli::default();
         let mut iter = args.into_iter().peekable();
         while let Some(flag) = iter.next() {
@@ -198,7 +220,31 @@ impl Cli {
                 other => return Err(format!("unexpected argument {other}")),
             }
         }
-        Ok(cli)
+        let asked = [
+            (Output::Trace, cli.trace_out.is_some(), "--trace-out"),
+            (Output::Trace, cli.analyze, "--analyze"),
+            (Output::Trace, cli.report_out.is_some(), "--report-out"),
+            (Output::Profile, cli.prof_out.is_some(), "--prof-out"),
+            (Output::Profile, cli.prof, "--prof"),
+            (Output::Health, cli.health_out.is_some(), "--health-out"),
+            (Output::Health, cli.health, "--health"),
+            (Output::ResultFile, cli.out.is_some(), "--out"),
+        ];
+        match asked
+            .into_iter()
+            .find(|&(output, set, _)| set && !outputs.contains(&output))
+        {
+            Some((output, _, flag)) => {
+                let what = match output {
+                    Output::Trace => "trace",
+                    Output::Profile => "profile",
+                    Output::Health => "health report",
+                    Output::ResultFile => "result file",
+                };
+                Err(format!("{flag}: this binary writes no {what}"))
+            }
+            None => Ok(cli),
+        }
     }
 
     /// Resolved worker-thread count: the `--threads` value, or the
@@ -359,8 +405,15 @@ pub fn pct_change(old: f64, new: f64) -> String {
 mod tests {
     use super::*;
 
+    const ALL: [Output; 4] = [
+        Output::Trace,
+        Output::Profile,
+        Output::Health,
+        Output::ResultFile,
+    ];
+
     fn try_parse(args: &[&str]) -> Result<Cli, String> {
-        Cli::parse(args.iter().map(|s| s.to_string()))
+        Cli::parse(args.iter().map(|s| s.to_string()), &ALL)
     }
 
     fn parse(args: &[&str]) -> Cli {
@@ -495,6 +548,34 @@ mod tests {
             err(&["--threads", "-1"]),
             "--threads: expected an integer, got \"-1\""
         );
+    }
+
+    #[test]
+    fn rejects_flags_for_outputs_the_binary_does_not_write() {
+        let parse_for = |args: &[&str], outputs: &[Output]| {
+            Cli::parse(args.iter().map(|s| s.to_string()), outputs)
+        };
+        for (flag, output) in [
+            (&["--trace-out", "t.jsonl"][..], Output::Trace),
+            (&["--analyze"][..], Output::Trace),
+            (&["--report-out", "r.txt"][..], Output::Trace),
+            (&["--prof"][..], Output::Profile),
+            (&["--prof-out", "p.json"][..], Output::Profile),
+            (&["--health"][..], Output::Health),
+            (&["--health-out", "h.json"][..], Output::Health),
+            (&["--out", "r.json"][..], Output::ResultFile),
+        ] {
+            let others: Vec<Output> = ALL.into_iter().filter(|&o| o != output).collect();
+            let err = parse_for(flag, &others).unwrap_err();
+            assert!(err.starts_with(&format!("{}: ", flag[0])), "{err}");
+            assert!(parse_for(flag, &[output]).is_ok(), "{flag:?}");
+        }
+        // `--prof-out` implies `--prof`; the error names the flag given.
+        assert_eq!(
+            parse_for(&["--fast", "--prof-out", "p.json"], &[Output::Trace]).unwrap_err(),
+            "--prof-out: this binary writes no profile"
+        );
+        assert!(parse_for(&["--fast", "--seed", "7"], &[]).is_ok());
     }
 
     #[test]

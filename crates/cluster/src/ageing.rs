@@ -6,7 +6,6 @@
 //! that spends only the credits the baseline accrues.
 
 use simcore::series::TimeSeries;
-use soc_power::units::MegaHertz;
 use soc_reliability::wear::WearModel;
 
 /// The four Fig. 7 policies.
@@ -124,11 +123,6 @@ pub fn fig7_utilization(days: u64) -> TimeSeries {
             0.15 + 0.50 * bump
         },
     )
-}
-
-/// Convenience: frequency used for the overclocked policies.
-pub fn overclock_frequency(model: &WearModel) -> MegaHertz {
-    model.curve().plan().max_overclock()
 }
 
 #[cfg(test)]

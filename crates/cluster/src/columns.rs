@@ -164,7 +164,7 @@ impl StepBuffers {
 /// power sample at slot `idx` (0.0 past the end of a trace, matching
 /// `TimeSeries::value_at(t).unwrap_or(0.0)`) and returns the rack total,
 /// folded left-to-right in server order.
-pub fn fill_base_power(views: &[ServerSeriesView<'_>], idx: usize, out: &mut Vec<f64>) -> Watts {
+fn fill_base_power(views: &[ServerSeriesView<'_>], idx: usize, out: &mut Vec<f64>) -> Watts {
     out.clear();
     let mut total = Watts::ZERO;
     out.extend(views.iter().map(|v| {

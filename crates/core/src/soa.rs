@@ -331,16 +331,6 @@ impl ServerOverclockAgent {
         self.grants.iter().map(|(&id, g)| (id, g))
     }
 
-    /// Number of currently overclocked cores (commanded above turbo).
-    pub fn overclocked_cores(&self) -> usize {
-        let turbo = self.model.plan().turbo();
-        self.grants
-            .values()
-            .filter(|g| g.current > turbo)
-            .map(|g| g.cores.len())
-            .sum()
-    }
-
     /// Predicted *extra* power demand of all active grants at their targets.
     pub fn overclock_demand(&self) -> Watts {
         self.grants

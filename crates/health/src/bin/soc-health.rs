@@ -65,6 +65,15 @@ fn flag<'a>(flags: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| *v)
 }
 
+/// Reject any flag `command` does not take, so a misspelled flag is an
+/// error instead of a silently ignored option.
+fn takes_only(command: &str, flags: &[(&str, &str)], takes: &[&str]) -> Result<(), String> {
+    match flags.iter().find(|(name, _)| !takes.contains(name)) {
+        Some((name, _)) => Err(format!("{command} does not take --{name}\n\n{USAGE}")),
+        None => Ok(()),
+    }
+}
+
 fn load(path: &str) -> Result<HealthReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     json::from_json(&text).map_err(|e| format!("{path}: {e}"))
@@ -90,12 +99,14 @@ fn run(args: &[String]) -> Result<(), String> {
     let (positional, flags) = split_flags(&args[1..])?;
     match command {
         "report" => {
+            takes_only(command, &flags, &["out"])?;
             let [path] = positional[..] else {
                 return Err(format!("report takes one health file\n\n{USAGE}"));
             };
             deliver(&render::render_report(&load(path)?), flag(&flags, "out"))
         }
         "alerts" => {
+            takes_only(command, &flags, &[])?;
             let [path] = positional[..] else {
                 return Err(format!("alerts takes one health file\n\n{USAGE}"));
             };
@@ -103,6 +114,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "query" => {
+            takes_only(command, &flags, &["entity"])?;
             let [path, metric] = positional[..] else {
                 return Err(format!("query takes a health file and a metric\n\n{USAGE}"));
             };
@@ -114,9 +126,41 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "help" | "--help" | "-h" => {
+            takes_only(command, &flags, &[])?;
             println!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    fn run_args(args: &[&str]) -> Result<(), String> {
+        run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn rejects_flags_a_subcommand_does_not_take() {
+        for (args, bad) in [
+            (
+                &["query", "h.json", "rack_draw_w", "--entiy", "3"][..],
+                "--entiy",
+            ),
+            (&["report", "h.json", "--ot", "r.txt"][..], "--ot"),
+            (&["alerts", "h.json", "--out", "r.txt"][..], "--out"),
+        ] {
+            let err = run_args(args).unwrap_err();
+            assert!(
+                err.contains(&format!("does not take {bad}")),
+                "{args:?}: {err}"
+            );
+            assert!(err.contains("usage: soc-health"), "{args:?}: {err}");
+        }
+        // A flag the subcommand takes passes, and the missing file fails.
+        let err = run_args(&["query", "no-such-health.json", "m", "--entity", "3"]).unwrap_err();
+        assert!(err.starts_with("no-such-health.json: "), "{err}");
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * **Series store** ([`series`]) — fixed-capacity, hierarchically
 //!   downsampled sim-time series per `(metric, entity)`.
-//! * **Alert rules** ([`rules`]) — declarative threshold / rate-of-change /
-//!   absent-data / event / window rules with firing-resolved state machines,
+//! * **Alert rules** ([`rules`]) — declarative threshold / absent-data /
+//!   event / window rules with firing-resolved state machines,
 //!   for-durations, and cooldowns, evaluated deterministically over the
 //!   complete recorded run.
 //! * **Incidents** ([`incident`]) — overlapping alerts grouped into

@@ -24,9 +24,6 @@ pub enum RuleKind {
         ratio_of: Option<String>,
         above: f64,
     },
-    /// Fires when the absolute slope between consecutive buckets exceeds
-    /// `max_per_s` (units of the metric per simulated second).
-    RateOfChange { metric: String, max_per_s: f64 },
     /// Fires when a series that has started reporting goes silent for more
     /// than `max_gap_us` between consecutive samples.
     AbsentData { metric: String, max_gap_us: u64 },
@@ -163,13 +160,6 @@ pub fn evaluate(rules: &[Rule], store: &SeriesStore, trace: &Trace) -> Vec<Alert
                     }
                 }
             }
-            RuleKind::RateOfChange { metric, max_per_s } => {
-                for entity in store.entities(metric) {
-                    if let Some(series) = store.get(metric, entity) {
-                        alerts.extend(rate_alerts(rule, entity, series, *max_per_s));
-                    }
-                }
-            }
             RuleKind::AbsentData { metric, max_gap_us } => {
                 for entity in store.entities(metric) {
                     if let Some(series) = store.get(metric, entity) {
@@ -303,20 +293,6 @@ fn threshold_alerts(
             (None, _) => b.max,
         };
         state.observe(b.t0_us, value, value > *above);
-    }
-    state.finish()
-}
-
-fn rate_alerts(rule: &Rule, entity: u64, series: &Series, max_per_s: f64) -> Vec<Alert> {
-    let mut state = FiringState::new(rule, entity);
-    let buckets = series.buckets();
-    for pair in buckets.windows(2) {
-        let dt_us = pair[1].last_t_us.saturating_sub(pair[0].last_t_us);
-        if dt_us == 0 {
-            continue;
-        }
-        let slope = (pair[1].last - pair[0].last).abs() / (dt_us as f64 / 1_000_000.0);
-        state.observe(pair[1].t0_us, slope, slope > max_per_s);
     }
     state.finish()
 }
@@ -517,31 +493,6 @@ mod tests {
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].start_us, 10);
         assert!((alerts[0].peak - 0.995).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rate_of_change_detects_steps() {
-        let store = store_with(
-            "draw",
-            0,
-            &[
-                (0, 100.0),
-                (1_000_000, 101.0),
-                (2_000_000, 500.0),
-                (3_000_000, 501.0),
-            ],
-        );
-        let rule = Rule::new(
-            "spike",
-            RuleKind::RateOfChange {
-                metric: "draw".to_string(),
-                max_per_s: 10.0,
-            },
-        );
-        let alerts = evaluate(&[rule], &store, &empty_trace());
-        assert_eq!(alerts.len(), 1);
-        assert_eq!(alerts[0].start_us, 2_000_000);
-        assert!((alerts[0].peak - 399.0).abs() < 1e-9);
     }
 
     #[test]

@@ -2,104 +2,11 @@
 //!
 //! "The power delivery system in a cloud datacenter is organized in a
 //! hierarchy; the power budget of each parent node is split equally among its
-//! children" (§II). [`PowerNode`] models that tree and exposes both the
-//! conventional even split and the heterogeneous split SmartOClock's gOA
-//! computes (§IV-C).
+//! children" (§II). SmartOClock's gOA replaces that even split with a
+//! heterogeneous one that first covers each child's regular draw and then
+//! shares the headroom by overclocking demand (§IV-C).
 
 use crate::units::Watts;
-
-/// A node in the power-delivery tree (datacenter row, PDU, rack, server…).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerNode {
-    name: String,
-    budget: Watts,
-    children: Vec<PowerNode>,
-}
-
-impl PowerNode {
-    /// Create a leaf node.
-    ///
-    /// # Panics
-    /// Panics if `budget` is negative.
-    pub fn leaf(name: impl Into<String>, budget: Watts) -> PowerNode {
-        let budget = validate_budget(budget);
-        PowerNode {
-            name: name.into(),
-            budget,
-            children: Vec::new(),
-        }
-    }
-
-    /// Create an interior node with children.
-    ///
-    /// # Panics
-    /// Panics if `budget` is negative.
-    pub fn with_children(
-        name: impl Into<String>,
-        budget: Watts,
-        children: Vec<PowerNode>,
-    ) -> PowerNode {
-        let budget = validate_budget(budget);
-        PowerNode {
-            name: name.into(),
-            budget,
-            children,
-        }
-    }
-
-    /// Node name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Provisioned budget of this node.
-    pub fn budget(&self) -> Watts {
-        self.budget
-    }
-
-    /// Immediate children.
-    pub fn children(&self) -> &[PowerNode] {
-        &self.children
-    }
-
-    /// Sum of children budgets; exceeds `budget()` under oversubscription.
-    pub fn children_budget(&self) -> Watts {
-        self.children.iter().map(|c| c.budget).sum()
-    }
-
-    /// Oversubscription ratio: children budget / own budget (1.0 for leaves
-    /// or unoversubscribed nodes).
-    pub fn oversubscription(&self) -> f64 {
-        if self.children.is_empty() || self.budget.get() == 0.0 {
-            return 1.0;
-        }
-        self.children_budget().ratio(self.budget)
-    }
-
-    /// Even split of this node's budget across its children — the
-    /// conventional policy the paper contrasts against.
-    ///
-    /// # Panics
-    /// Panics if the node has no children.
-    pub fn even_split(&self) -> Vec<Watts> {
-        assert!(!self.children.is_empty(), "even split of a leaf node");
-        vec![self.budget / self.children.len() as f64; self.children.len()]
-    }
-
-    /// Total number of leaves under this node (itself if a leaf).
-    pub fn leaf_count(&self) -> usize {
-        if self.children.is_empty() {
-            1
-        } else {
-            self.children.iter().map(PowerNode::leaf_count).sum()
-        }
-    }
-}
-
-fn validate_budget(budget: Watts) -> Watts {
-    assert!(budget.get() >= 0.0, "budget must be non-negative");
-    budget
-}
 
 /// One child's demand profile for [`heterogeneous_split`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,33 +97,45 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn rack_with_servers(n: usize, per_server: Watts, rack_budget: Watts) -> PowerNode {
-        let children = (0..n)
-            .map(|i| PowerNode::leaf(format!("server{i}"), per_server))
+    /// 32 servers with random regular draw and, for about half of them,
+    /// overclock demand; the limit covers the regular draw plus half of the
+    /// demand.
+    fn oversubscribed_rack() -> (Watts, Vec<DemandProfile>) {
+        let mut rng = simcore::rng::Pcg32::seed_from_u64(7);
+        let profiles: Vec<DemandProfile> = (0..32)
+            .map(|_| DemandProfile {
+                regular: Watts::new(rng.gen_range_f64(150.0, 400.0)),
+                overclock_demand: Watts::new(if rng.gen_bool(0.5) {
+                    rng.gen_range_f64(0.0, 80.0)
+                } else {
+                    0.0
+                }),
+            })
             .collect();
-        PowerNode::with_children("rack", rack_budget, children)
+        let regular: f64 = profiles.iter().map(|p| p.regular.get()).sum();
+        let demand: f64 = profiles.iter().map(|p| p.overclock_demand.get()).sum();
+        (Watts::new(regular + 0.5 * demand), profiles)
     }
 
-    #[test]
-    fn oversubscription_ratio() {
-        let rack = rack_with_servers(4, Watts::new(400.0), Watts::new(1200.0));
-        assert!((rack.oversubscription() - 4.0 * 400.0 / 1200.0).abs() < 1e-12);
-        let leaf = PowerNode::leaf("s", Watts::new(400.0));
-        assert_eq!(leaf.oversubscription(), 1.0);
+    /// Servers whose budget does not cover their regular draw.
+    fn starved(budgets: &[Watts], profiles: &[DemandProfile]) -> usize {
+        budgets
+            .iter()
+            .zip(profiles)
+            .filter(|(b, p)| **b < p.regular)
+            .count()
     }
 
+    /// §IV-C: an even split of the rack limit throttles power-hungry
+    /// servers below their regular draw; the heterogeneous split never does
+    /// while the limit covers the regular total.
     #[test]
-    fn even_split_divides_equally() {
-        let rack = rack_with_servers(4, Watts::new(400.0), Watts::new(1200.0));
-        assert_eq!(rack.even_split(), vec![Watts::new(300.0); 4]);
-    }
-
-    #[test]
-    fn leaf_count_recurses() {
-        let rack1 = rack_with_servers(3, Watts::new(1.0), Watts::new(10.0));
-        let rack2 = rack_with_servers(2, Watts::new(1.0), Watts::new(10.0));
-        let row = PowerNode::with_children("row", Watts::new(15.0), vec![rack1, rack2]);
-        assert_eq!(row.leaf_count(), 5);
+    fn heterogeneous_split_starves_none_where_even_split_starves_some() {
+        let (limit, profiles) = oversubscribed_rack();
+        let hetero = heterogeneous_split(limit, &profiles);
+        let even = vec![limit / profiles.len() as f64; profiles.len()];
+        assert_eq!(starved(&hetero, &profiles), 0);
+        assert!(starved(&even, &profiles) > 0);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   (paper §V-B).
 //! * [`rack`] — rack-level accounting: power limit, the 95 % warning
 //!   threshold, capping events, and prioritized throttling (§IV-D).
-//! * [`hierarchy`] — the datacenter power-delivery tree with even or
-//!   heterogeneous budget splits (§II, §IV-C).
+//! * [`hierarchy`] — the gOA's heterogeneous split of a parent budget
+//!   across its children, in place of the even split of the datacenter
+//!   power-delivery hierarchy (§II, §IV-C).
 
 #![forbid(unsafe_code)]
 

@@ -71,15 +71,6 @@ impl RackMonitor {
         self.limit
     }
 
-    /// Replace the limit (used by the power-constrained experiments, §V-A).
-    ///
-    /// # Panics
-    /// Panics if `limit` is not positive.
-    pub fn set_limit(&mut self, limit: Watts) {
-        assert!(limit.get() > 0.0, "rack limit must be positive");
-        self.limit = limit;
-    }
-
     /// The absolute warning threshold.
     pub fn warning_threshold(&self) -> Watts {
         self.limit * self.warning_fraction

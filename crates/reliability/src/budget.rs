@@ -148,12 +148,6 @@ impl OverclockBudget {
             .saturating_sub(self.reserved)
     }
 
-    /// Budget remaining including held reservations (what a scheduled
-    /// workload holding the reservation can still use).
-    pub fn remaining_with_reservations(&self) -> SimDuration {
-        (self.epoch_allowance() + self.carry_over).saturating_sub(self.consumed)
-    }
-
     /// Currently reserved time.
     pub fn reserved(&self) -> SimDuration {
         self.reserved
@@ -371,6 +365,41 @@ mod tests {
         let mut b = week_budget();
         b.scale_fraction(0.5);
         assert!((b.epoch_allowance().as_hours_f64() - 8.4).abs() < 1e-9);
+    }
+
+    /// Fraction of a fortnight's demand (3 h of overclocking wanted per
+    /// weekday, none on weekends) that a 10% budget grants under `epoch`.
+    fn weekday_peak_grant_fraction(epoch: SimDuration) -> f64 {
+        let mut budget = OverclockBudget::new(0.10, epoch);
+        let mut wanted = 0.0;
+        let mut granted = 0.0;
+        for day in 0..14u64 {
+            let t = SimTime::ZERO + SimDuration::from_days(day);
+            if t.weekday().is_weekend() {
+                continue;
+            }
+            for hour in 0..3u64 {
+                wanted += 1.0;
+                let at = t + SimDuration::from_hours(9 + hour);
+                if budget.consume(at, SimDuration::from_hours(1)).is_ok() {
+                    granted += 1.0;
+                }
+            }
+        }
+        granted / wanted
+    }
+
+    /// §IV-B: "Using a longer epoch, such as a week, enables assigning
+    /// unused budgets from the weekend to the weekdays."
+    #[test]
+    fn weekly_epoch_funds_weekday_peaks_that_daily_epochs_reject() {
+        let weekly = weekday_peak_grant_fraction(SimDuration::WEEK);
+        let daily = weekday_peak_grant_fraction(SimDuration::DAY);
+        assert_eq!(weekly, 1.0, "a weekly epoch grants every weekday hour");
+        assert!(
+            daily < weekly,
+            "a daily epoch must reject some weekday demand: daily {daily}, weekly {weekly}"
+        );
     }
 
     proptest! {

@@ -195,8 +195,9 @@ mod tests {
 
     #[test]
     fn advanced_cooling_extends_overclocking_duration() {
-        // The paper's §III-Q2 claim, quantified: immersion cooling affords a
-        // larger sustainable overclocking duty cycle than air.
+        // The paper's §III-Q2 claim, quantified: each step up in cooling
+        // (air, liquid, immersion) affords a larger sustainable overclocking
+        // duty cycle.
         let wear = WearModel::default();
         let plan = FrequencyPlan::default();
         let duty = |cooling| {
@@ -210,11 +211,13 @@ mod tests {
             )
         };
         let air = duty(Cooling::Air);
+        let liquid = duty(Cooling::Liquid);
         let immersion = duty(Cooling::Immersion);
         assert!(air > 0.0, "air cooling must still allow some overclocking");
         assert!(
-            immersion > air,
-            "immersion ({immersion:.3}) must allow a larger duty cycle than air ({air:.3})"
+            air < liquid && liquid < immersion,
+            "duty cycle must grow with cooling: air {air:.3}, liquid {liquid:.3}, \
+             immersion {immersion:.3}"
         );
     }
 

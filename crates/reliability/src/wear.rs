@@ -155,17 +155,6 @@ impl WearModel {
         self.alpha + self.beta * utilization * utilization * av * at
     }
 
-    /// Ageing accumulated over `dt` at a fixed state, in days of lifetime.
-    pub fn ageing_over(
-        &self,
-        utilization: f64,
-        frequency: MegaHertz,
-        temp_c: f64,
-        dt: SimDuration,
-    ) -> f64 {
-        self.ageing_rate(utilization, frequency, temp_c) * dt.as_days_f64()
-    }
-
     /// Voltage-acceleration factor at `frequency` relative to turbo.
     pub fn voltage_acceleration(&self, frequency: MegaHertz) -> f64 {
         let v = self.curve.voltage(frequency).get();

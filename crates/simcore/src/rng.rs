@@ -201,14 +201,6 @@ impl Pcg32 {
             xs.swap(i, j);
         }
     }
-
-    /// Pick a uniformly random element.
-    ///
-    /// # Panics
-    /// Panics if the slice is empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.gen_index(xs.len())]
-    }
 }
 
 #[cfg(test)]

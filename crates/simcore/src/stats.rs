@@ -211,11 +211,6 @@ impl Ecdf {
             })
             .collect()
     }
-
-    /// The underlying sorted samples.
-    pub fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 /// Streaming summary (count/mean/min/max/variance) via Welford's algorithm.

@@ -6,7 +6,6 @@
 
 use simcore::series::TimeSeries;
 use simcore::stats::Ecdf;
-use soc_power::model::PowerModel;
 use soc_power::units::Watts;
 
 /// CPU generation of a rack's servers (the §V-B fleets mix Intel and AMD).
@@ -16,16 +15,6 @@ pub enum CpuGeneration {
     Amd,
     /// Intel-generation servers.
     Intel,
-}
-
-impl CpuGeneration {
-    /// The power model for this generation.
-    pub fn power_model(self) -> PowerModel {
-        match self {
-            CpuGeneration::Amd => PowerModel::reference_server(),
-            CpuGeneration::Intel => PowerModel::intel_reference_server(),
-        }
-    }
 }
 
 impl std::fmt::Display for CpuGeneration {
@@ -196,11 +185,6 @@ impl FleetTrace {
                 .map(|r| r.utilization_percentile(p))
                 .collect::<Vec<_>>(),
         )
-    }
-
-    /// Total number of servers with retained per-server traces.
-    pub fn server_count(&self) -> usize {
-        self.racks.iter().map(|r| r.servers.len()).sum()
     }
 }
 

@@ -184,12 +184,6 @@ impl TraceGenerator {
         }
     }
 
-    /// Create a generator with a custom power model for AMD-generation
-    /// racks.
-    pub fn with_model(seed: u64, model: PowerModel) -> TraceGenerator {
-        TraceGenerator { seed, model }
-    }
-
     /// The power model AMD-generation servers are generated with.
     pub fn model(&self) -> &PowerModel {
         &self.model

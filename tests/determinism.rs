@@ -12,7 +12,7 @@
 //!
 //! These tests are intentionally cheap (tiny configs) so they run in the
 //! tier-1 suite on every push; they are the committed form of the
-//! "deterministic sharded execution" acceptance criterion.
+//! "deterministic sharded execution" acceptance check.
 
 use smartoclock::policy::PolicyKind;
 use soc_cluster::harness::{ClusterConfig, SystemKind};
