@@ -10,7 +10,7 @@
 //! Fig. 15 compares five strategies; all are implemented here.
 
 use simcore::series::TimeSeries;
-use simcore::stats::percentile;
+use simcore::stats::{percentile, percentile_in_place};
 use simcore::time::{SimDuration, SimTime};
 
 /// Template-construction strategy (Fig. 15).
@@ -151,8 +151,8 @@ impl PowerTemplate {
                     history.len() >= slots_per_week,
                     "Daily templates need at least one full week of history"
                 );
-                let agg: fn(&[f64]) -> f64 = match kind {
-                    TemplateKind::DailyMed => |xs| percentile(xs, 50.0),
+                let agg: fn(&mut [f64]) -> f64 = match kind {
+                    TemplateKind::DailyMed => |xs| percentile_in_place(xs, 50.0),
                     _ => |xs| xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
                 };
                 let weekday = fill_gaps(history.daily_profile(|d| !d.is_weekend(), agg));

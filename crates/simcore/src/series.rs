@@ -2,8 +2,8 @@
 //!
 //! Production traces in the paper are collected at a 5-minute granularity
 //! (§V-B). [`TimeSeries`] models exactly that: a start time, a fixed step,
-//! and one `f64` sample per step. The time-of-day/weekday grouping methods
-//! implement the aggregation the power templates are built from.
+//! and one `f64` sample per step. [`TimeSeries::daily_profile`] implements
+//! the per-slot aggregation the power templates are built from.
 
 use crate::stats::{mean, percentile};
 use crate::time::{SimDuration, SimTime, Weekday};
@@ -196,36 +196,52 @@ impl TimeSeries {
         }
     }
 
-    /// Group samples by slot-within-day, returning `slots_per_day` buckets.
+    /// Per-day-slot aggregate over selected weekdays, one value per
+    /// slot-within-day; slots with no samples yield `f64::NAN`.
     ///
-    /// Bucket `i` contains every sample whose time-of-day falls in slot `i`.
-    /// This is the aggregation behind the paper's *DailyMed*/*DailyMax*
-    /// templates ("the template's value at 9AM is the median of rack's power
-    /// consumption at 9AM across all five weekdays", §IV-B).
+    /// Slot `i` aggregates every sample whose time of day falls in slot `i`,
+    /// in time order. This is the aggregation behind the paper's
+    /// *DailyMed*/*DailyMax* templates ("the template's value at 9AM is the
+    /// median of rack's power consumption at 9AM across all five weekdays",
+    /// §IV-B). `day_filter` selects which weekdays participate (e.g.
+    /// weekdays only). `aggregate` may reorder the slice it is given, which
+    /// is one scratch buffer reused across slots.
     ///
-    /// `day_filter` selects which weekdays participate (e.g. weekdays only).
-    pub fn group_by_time_of_day<F: Fn(Weekday) -> bool>(&self, day_filter: F) -> Vec<Vec<f64>> {
-        let slots_per_day = (SimDuration::DAY.as_micros() / self.step.as_micros()) as usize;
-        let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); slots_per_day];
-        for (t, v) in self.iter() {
-            if day_filter(t.weekday()) {
-                let slot = (t.time_of_day().as_micros() / self.step.as_micros()) as usize;
-                buckets[slot % slots_per_day].push(v);
-            }
-        }
-        buckets
-    }
-
-    /// Per-day-slot aggregate (e.g. median) over selected weekdays; slots with
-    /// no samples yield `f64::NAN`.
-    pub fn daily_profile<F: Fn(Weekday) -> bool, A: Fn(&[f64]) -> f64>(
+    /// # Panics
+    /// Panics if the step does not divide a day evenly.
+    pub fn daily_profile<F: Fn(Weekday) -> bool, A: FnMut(&mut [f64]) -> f64>(
         &self,
         day_filter: F,
-        aggregate: A,
+        mut aggregate: A,
     ) -> Vec<f64> {
-        self.group_by_time_of_day(day_filter)
-            .iter()
-            .map(|b| if b.is_empty() { f64::NAN } else { aggregate(b) })
+        let step = self.step.as_micros();
+        assert!(
+            SimDuration::DAY.as_micros().is_multiple_of(step),
+            "step must divide a day evenly"
+        );
+        let slots_per_day = (SimDuration::DAY.as_micros() / step) as usize;
+        // Sample `i` falls in slot `(first + i) % slots_per_day`.
+        let first = (self.start.time_of_day().as_micros() / step) as usize;
+        let mut bucket = Vec::with_capacity(self.values.len().div_ceil(slots_per_day));
+        (0..slots_per_day)
+            .map(|slot| {
+                let offset = (slot + slots_per_day - first) % slots_per_day;
+                bucket.clear();
+                bucket.extend(
+                    self.values
+                        .iter()
+                        .enumerate()
+                        .skip(offset)
+                        .step_by(slots_per_day)
+                        .filter(|&(i, _)| day_filter(self.time_at_index(i).weekday()))
+                        .map(|(_, &v)| v),
+                );
+                if bucket.is_empty() {
+                    f64::NAN
+                } else {
+                    aggregate(&mut bucket)
+                }
+            })
             .collect()
     }
 
@@ -317,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn group_by_time_of_day_buckets_by_slot() {
+    fn daily_profile_aggregates_each_slot_in_time_order() {
         // Two days of hourly samples; value = hour-of-day + 100*day.
         let ts = TimeSeries::generate(
             SimTime::ZERO,
@@ -325,9 +341,18 @@ mod tests {
             SimDuration::HOUR,
             |t| t.time_of_day().as_hours_f64() + 100.0 * t.day_index() as f64,
         );
-        let buckets = ts.group_by_time_of_day(|_| true);
+        let mut buckets = Vec::new();
+        let profile = ts.daily_profile(
+            |_| true,
+            |xs| {
+                buckets.push(xs.to_vec());
+                xs[0]
+            },
+        );
+        assert_eq!(profile.len(), 24);
         assert_eq!(buckets.len(), 24);
         assert_eq!(buckets[3], vec![3.0, 103.0]); // 3AM Mon, 3AM Tue
+        assert_eq!(profile[3], 3.0);
     }
 
     #[test]
@@ -339,11 +364,18 @@ mod tests {
             SimDuration::HOUR,
             |t| t.day_index() as f64,
         );
-        let weekday_profile = ts.daily_profile(|d| !d.is_weekend(), mean);
+        let weekday_profile = ts.daily_profile(|d| !d.is_weekend(), |xs| mean(xs));
         // Weekdays are day indices 0..5 → mean 2.0 in every slot.
         assert!(weekday_profile.iter().all(|&v| (v - 2.0).abs() < 1e-12));
-        let weekend_profile = ts.daily_profile(|d| d.is_weekend(), mean);
+        let weekend_profile = ts.daily_profile(|d| d.is_weekend(), |xs| mean(xs));
         assert!(weekend_profile.iter().all(|&v| (v - 5.5).abs() < 1e-12));
+    }
+
+    #[test]
+    #[should_panic(expected = "step must divide a day evenly")]
+    fn daily_profile_rejects_step_not_dividing_a_day() {
+        let ts = TimeSeries::from_values(SimTime::ZERO, SimDuration::from_minutes(7), vec![1.0]);
+        let _ = ts.daily_profile(|_| true, |xs| xs[0]);
     }
 
     #[test]

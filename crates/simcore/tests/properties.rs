@@ -13,11 +13,17 @@
 //!   in `soc-cluster` relies on);
 //! * `Pcg32` streams derived from distinct `(seed, stream)` pairs are
 //!   independent, and equal pairs reproduce bit-identical sequences (the
-//!   property the per-rack shard RNG derivation relies on).
+//!   property the per-rack shard RNG derivation relies on);
+//! * `TimeSeries::daily_profile`, which strides through the series once per
+//!   day slot with one scratch buffer, agrees bit for bit with one bucket
+//!   per slot filled in a single pass (the property the DailyMed/DailyMax
+//!   power templates rely on).
 
 use simcore::hist::Histogram;
 use simcore::rng::Pcg32;
-use simcore::stats::{percentile, Ecdf};
+use simcore::series::TimeSeries;
+use simcore::stats::{mean, percentile, percentile_in_place, Ecdf};
+use simcore::time::{SimDuration, SimTime, Weekday};
 
 /// Draw `n` non-negative samples from a mix of shapes so buckets spread
 /// over several orders of magnitude.
@@ -235,5 +241,85 @@ fn forked_rng_does_not_echo_the_parent() {
         let parent_seq: Vec<u64> = (0..32).map(|_| parent.next_u64()).collect();
         let fork_seq: Vec<u64> = (0..32).map(|_| fork.next_u64()).collect();
         assert_ne!(parent_seq, fork_seq, "seed {seed}: fork mirrors its parent");
+    }
+}
+
+/// Per-day-slot aggregation with one bucket per slot, filled in one pass
+/// over the series: the oracle for `TimeSeries::daily_profile`.
+fn bucketed_daily_profile(
+    ts: &TimeSeries,
+    day_filter: impl Fn(Weekday) -> bool,
+    aggregate: impl Fn(&[f64]) -> f64,
+) -> Vec<f64> {
+    let step = ts.step().as_micros();
+    let slots_per_day = (SimDuration::DAY.as_micros() / step) as usize;
+    let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); slots_per_day];
+    for (t, v) in ts.iter() {
+        if day_filter(t.weekday()) {
+            let slot = (t.time_of_day().as_micros() / step) as usize;
+            buckets[slot % slots_per_day].push(v);
+        }
+    }
+    buckets
+        .iter()
+        .map(|b| if b.is_empty() { f64::NAN } else { aggregate(b) })
+        .collect()
+}
+
+fn max_of(xs: &[f64]) -> f64 {
+    xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+}
+
+#[test]
+fn daily_profile_matches_the_bucketed_oracle() {
+    let step_minutes = [1u64, 5, 15, 60, 360, 1440];
+    for case in 0..200u64 {
+        let mut rng = Pcg32::seed_from_u64(5000 + case);
+        let step = SimDuration::from_minutes(step_minutes[rng.gen_index(step_minutes.len())]);
+        // Any start instant, so almost never aligned to a slot boundary.
+        let start = SimTime::from_micros(rng.gen_range_u64(0, 3 * SimDuration::WEEK.as_micros()));
+        let slots_per_day = (SimDuration::DAY.as_micros() / step.as_micros()) as usize;
+        let len = rng.gen_index(9 * slots_per_day + 1);
+        // Signed zeros and small integers make ties and duplicates.
+        let values: Vec<f64> = (0..len)
+            .map(|_| match rng.gen_index(4) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => rng.gen_range_u64(0, 5) as f64,
+                _ => rng.gen_range_f64(-1e3, 1e3),
+            })
+            .collect();
+        let ts = TimeSeries::from_values(start, step, values);
+        let days = rng.gen_range_u64(0, 128);
+        let day_filter = |d: Weekday| (days >> d.index()) & 1 == 1;
+
+        let pairs = [
+            (
+                "mean",
+                ts.daily_profile(day_filter, |xs| mean(xs)),
+                bucketed_daily_profile(&ts, day_filter, mean),
+            ),
+            (
+                "median",
+                ts.daily_profile(day_filter, |xs| percentile_in_place(xs, 50.0)),
+                bucketed_daily_profile(&ts, day_filter, |xs| percentile(xs, 50.0)),
+            ),
+            (
+                "max",
+                ts.daily_profile(day_filter, |xs| max_of(xs)),
+                bucketed_daily_profile(&ts, day_filter, max_of),
+            ),
+        ];
+        for (name, got, want) in pairs {
+            assert_eq!(got.len(), slots_per_day, "case {case}: {name} slot count");
+            for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "case {case}: {name} differs at slot {slot} ({g} vs {w}); \
+                     start {start}, step {step}, {len} samples, days {days:07b}"
+                );
+            }
+        }
     }
 }

@@ -17,12 +17,15 @@
 //!   utilization spread of Fig. 5.
 
 use crate::fleet::{CpuGeneration, FleetTrace, RackTrace, ServerTrace};
-use crate::services::{background_service, service_a, service_b, service_c, ServiceProfile};
+use crate::services::{
+    background_catalog_len, background_service, service_a, service_b, service_c, ServiceProfile,
+};
 use simcore::rng::Pcg32;
 use simcore::series::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
 use soc_power::model::PowerModel;
 use soc_power::units::Watts;
+use std::sync::LazyLock;
 
 /// Configuration for fleet generation.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,6 +107,11 @@ impl FleetConfig {
         }
     }
 
+    /// Number of samples in a trace: one per tick in `[0, span)`.
+    fn samples(&self) -> usize {
+        self.span.as_micros().div_ceil(self.step.as_micros()) as usize
+    }
+
     fn validate(&self) {
         assert!(self.racks > 0, "need at least one rack");
         assert!(
@@ -114,6 +122,12 @@ impl FleetConfig {
         assert!(
             !self.span.is_zero() && !self.step.is_zero(),
             "span and step must be non-zero"
+        );
+        assert!(
+            self.step
+                .as_micros()
+                .is_multiple_of(SimDuration::MINUTE.as_micros()),
+            "step must be a whole number of minutes"
         );
         assert!(
             (0.0..=1.0).contains(&self.oc_core_fraction),
@@ -138,16 +152,102 @@ impl FleetConfig {
     }
 }
 
+/// Minutes in a week, the period of every load shape.
+const MINUTES_PER_WEEK: usize =
+    (SimDuration::WEEK.as_micros() / SimDuration::MINUTE.as_micros()) as usize;
+
+/// Number of catalog services that request overclocking: A, B and C.
+const OC_SERVICES: usize = 3;
+
+/// One catalog service, with its load shape tabulated once per minute of
+/// the week.
+#[derive(Debug)]
+struct Service {
+    noise_sigma: f64,
+    wants_overclock: bool,
+    /// `shape.weekday_peak()`.
+    weekday_peak: f64,
+    /// `shape.utilization` at every minute of the week. A shape reads only
+    /// the time of day and the weekday of its instant, so entry `m` is
+    /// exact at minute `m` of any week.
+    week: Vec<f64>,
+}
+
+impl Service {
+    fn new(profile: &ServiceProfile) -> Service {
+        let week = (0..MINUTES_PER_WEEK as u64)
+            .map(|m| {
+                profile
+                    .shape
+                    .utilization(SimTime::ZERO + SimDuration::from_minutes(m))
+            })
+            .collect();
+        Service {
+            noise_sigma: profile.noise_sigma,
+            wants_overclock: profile.wants_overclock,
+            weekday_peak: profile.shape.weekday_peak(),
+            week,
+        }
+    }
+
+    /// Base utilization `phase` minutes after minute `minute` of the week:
+    /// `shape.utilization(t + phase)` for any `t` at that minute. The index
+    /// is reduced modulo `MINUTES_PER_WEEK`, the length `Service::new` gives
+    /// `week`, so the `0.0` fallback is never taken.
+    fn at_minute(&self, minute: usize, phase: usize) -> f64 {
+        self.week
+            .get((minute + phase) % MINUTES_PER_WEEK)
+            .copied()
+            .unwrap_or(0.0)
+    }
+}
+
+/// The services VMs are drawn from, in draw order: A, B, C, then
+/// [`background_service`]`(0..background_catalog_len())`.
+#[derive(Debug)]
+struct Catalog {
+    services: Vec<Service>,
+}
+
+impl Catalog {
+    fn new() -> Catalog {
+        let services = [service_a(), service_b(), service_c()]
+            .into_iter()
+            .chain((0..background_catalog_len()).map(background_service))
+            .map(|profile| Service::new(&profile))
+            .collect();
+        Catalog { services }
+    }
+
+    /// The service at catalog index `index`.
+    ///
+    /// # Panics
+    /// Panics if `index` is past the end of the catalog.
+    fn service(&self, index: usize) -> &Service {
+        &self.services[index]
+    }
+
+    /// The catalog index of background service `i`.
+    fn background(i: usize) -> usize {
+        OC_SERVICES + i
+    }
+}
+
+/// The catalog every generator draws from. It depends on no input, so it is
+/// built once per process, on first use.
+static CATALOG: LazyLock<Catalog> = LazyLock::new(Catalog::new);
+
 /// One VM placed on a generated server.
 #[derive(Debug, Clone)]
 struct VmSpec {
     cores: usize,
-    profile: ServiceProfile,
+    /// Index of the VM's service in the [`Catalog`].
+    service: usize,
     /// Per-VM load multiplier (instances of the same service differ).
     load_scale: f64,
-    /// Phase offset applied to the shape (minutes) — different tenants of the
-    /// same service are not perfectly synchronized.
-    phase: SimDuration,
+    /// Phase offset applied to the shape, in minutes — different tenants of
+    /// the same service are not perfectly synchronized.
+    phase: usize,
     /// Trigger utilization above which this VM requests overclocking.
     oc_trigger: f64,
     /// When this VM is retired and replaced (churn), if ever.
@@ -250,7 +350,9 @@ impl TraceGenerator {
             .collect();
 
         let mut server_traces = Vec::with_capacity(n_servers);
-        let mut rack_power: Option<Vec<f64>> = None;
+        // Starting the sum at zero is exact: `0.0 + p == p` for the first
+        // server's (positive) draw.
+        let mut rack_power = vec![0.0; config.samples()];
 
         for server_idx in 0..n_servers {
             let mut srv_rng = rack_rng.fork(server_idx as u64 + 101);
@@ -258,13 +360,8 @@ impl TraceGenerator {
             let (util, power, oc_cores) =
                 self.simulate_server(&model, config, &vms, &outlier_days, &mut srv_rng);
 
-            match &mut rack_power {
-                None => rack_power = Some(power.values().to_vec()),
-                Some(acc) => {
-                    for (a, p) in acc.iter_mut().zip(power.values()) {
-                        *a += p;
-                    }
-                }
+            for (a, p) in rack_power.iter_mut().zip(power.values()) {
+                *a += p;
             }
             if config.keep_server_series {
                 server_traces.push(ServerTrace {
@@ -277,11 +374,7 @@ impl TraceGenerator {
         }
 
         let oversub = rack_rng.gen_range_f64(config.oversubscription.0, config.oversubscription.1);
-        let power = TimeSeries::from_values(
-            SimTime::ZERO,
-            config.step,
-            rack_power.expect("rack has at least one server"),
-        );
+        let power = TimeSeries::from_values(SimTime::ZERO, config.step, rack_power);
         // The limit is the nameplate (full-load) capacity divided by the
         // oversubscription ratio, floored a hair above the observed baseline
         // peak: the baseline (non-overclocked) rack never caps on its own —
@@ -308,17 +401,12 @@ impl TraceGenerator {
             let cores = rng.gen_range_u64(2, 9) as usize;
             let cores = cores.min(total_cores - allocated);
             let wants_oc = rng.gen_bool(config.oc_core_fraction);
-            let profile = if wants_oc {
-                match rng.gen_index(3) {
-                    0 => service_a(),
-                    1 => service_b(),
-                    _ => service_c(),
-                }
+            let service = if wants_oc {
+                rng.gen_index(OC_SERVICES)
             } else {
-                background_service(rng.gen_index(crate::services::background_catalog_len()))
+                Catalog::background(rng.gen_index(background_catalog_len()))
             };
-            let spec = self.make_vm(config, cores, profile, rng);
-            vms.push(spec);
+            vms.push(self.make_vm(config, cores, service, rng));
             allocated += cores;
         }
         vms
@@ -328,10 +416,10 @@ impl TraceGenerator {
         &self,
         config: &FleetConfig,
         cores: usize,
-        profile: ServiceProfile,
+        service: usize,
         rng: &mut Pcg32,
     ) -> VmSpec {
-        let peak = profile.shape.weekday_peak().max(1e-6);
+        let peak = CATALOG.service(service).weekday_peak.max(1e-6);
         let load_scale = rng.gen_range_f64(0.55, 1.15);
         // VM churn: with the configured weekly probability, this VM is
         // retired at a uniformly random instant and replaced by a fresh VM
@@ -340,16 +428,15 @@ impl TraceGenerator {
         let churns = rng.gen_bool(1.0 - (1.0 - config.vm_churn_weekly).powf(weeks));
         let (replaced_at, replacement) = if churns {
             let at = SimTime::from_micros(rng.gen_range_u64(1, config.span.as_micros().max(2)));
-            let new_profile =
-                background_service(rng.gen_index(crate::services::background_catalog_len()));
-            let new_peak = new_profile.shape.weekday_peak().max(1e-6);
+            let new_service = Catalog::background(rng.gen_index(background_catalog_len()));
+            let new_peak = CATALOG.service(new_service).weekday_peak.max(1e-6);
             let new_scale = rng.gen_range_f64(0.55, 1.15);
             let repl = VmSpec {
                 cores,
                 oc_trigger: 0.75 * new_peak * new_scale.min(1.0),
-                profile: new_profile,
+                service: new_service,
                 load_scale: new_scale,
-                phase: SimDuration::from_minutes(rng.gen_range_u64(0, 30)),
+                phase: rng.gen_range_u64(0, 30) as usize,
                 replaced_at: None,
                 replacement: None,
             };
@@ -362,9 +449,9 @@ impl TraceGenerator {
             // Request overclocking once above ~75% of this VM's own peak
             // (trigger thresholds are tuned per deployment, §IV-A).
             oc_trigger: 0.75 * peak * load_scale.min(1.0),
-            profile,
+            service,
             load_scale,
-            phase: SimDuration::from_minutes(rng.gen_range_u64(0, 30)),
+            phase: rng.gen_range_u64(0, 30) as usize,
             replaced_at,
             replacement,
         }
@@ -378,12 +465,14 @@ impl TraceGenerator {
         outlier_days: &[bool],
         rng: &mut Pcg32,
     ) -> (TimeSeries, TimeSeries, TimeSeries) {
+        let catalog: &Catalog = &CATALOG;
         let total_cores = model.cores() as f64;
         let turbo = model.plan().turbo();
         let end = SimTime::ZERO + config.span;
-        let mut util = TimeSeries::new(SimTime::ZERO, config.step);
-        let mut power = TimeSeries::new(SimTime::ZERO, config.step);
-        let mut oc_cores = TimeSeries::new(SimTime::ZERO, config.step);
+        let n = config.samples();
+        let mut util = Vec::with_capacity(n);
+        let mut power = Vec::with_capacity(n);
+        let mut oc_cores = Vec::with_capacity(n);
 
         for t in simcore::time::ticks(SimTime::ZERO, end, config.step) {
             let day = t.day_index() as usize;
@@ -392,6 +481,8 @@ impl TraceGenerator {
             } else {
                 1.0
             };
+            // `step` is whole minutes (validated), so `t` is too.
+            let minute = (t.time_of_week().as_micros() / SimDuration::MINUTE.as_micros()) as usize;
             let mut busy_cores = 0.0;
             let mut oc_demand = 0.0;
             for slot in vms {
@@ -399,11 +490,12 @@ impl TraceGenerator {
                     (Some(at), Some(repl)) if t >= at => repl,
                     _ => slot,
                 };
-                let base = vm.profile.shape.utilization(t + vm.phase);
-                let noise = 1.0 + vm.profile.noise_sigma * rng.sample_standard_normal();
+                let service = catalog.service(vm.service);
+                let base = service.at_minute(minute, vm.phase);
+                let noise = 1.0 + service.noise_sigma * rng.sample_standard_normal();
                 let u = (base * vm.load_scale * noise * outlier_scale).clamp(0.0, 1.0);
                 busy_cores += u * vm.cores as f64;
-                if vm.profile.wants_overclock && u >= vm.oc_trigger {
+                if service.wants_overclock && u >= vm.oc_trigger {
                     oc_demand += vm.cores as f64;
                 }
             }
@@ -412,7 +504,8 @@ impl TraceGenerator {
             power.push(model.server_power_uniform(server_util, turbo).get());
             oc_cores.push(oc_demand);
         }
-        (util, power, oc_cores)
+        let series = |values| TimeSeries::from_values(SimTime::ZERO, config.step, values);
+        (series(util), series(power), series(oc_cores))
     }
 }
 
@@ -572,6 +665,78 @@ mod tests {
         let fleet = TraceGenerator::new(13).generate(&cfg);
         assert!(fleet.racks[0].servers.is_empty());
         assert!(!fleet.racks[0].power.is_empty());
+    }
+
+    /// The catalog profiles in draw order, as `Catalog::new` lists them.
+    fn catalog_profiles() -> Vec<ServiceProfile> {
+        [service_a(), service_b(), service_c()]
+            .into_iter()
+            .chain((0..background_catalog_len()).map(background_service))
+            .collect()
+    }
+
+    #[test]
+    fn catalog_table_is_exact_at_every_minute_of_the_week() {
+        let catalog: &Catalog = &CATALOG;
+        let profiles = catalog_profiles();
+        assert_eq!(catalog.services.len(), profiles.len());
+        for (index, profile) in profiles.iter().enumerate() {
+            let service = catalog.service(index);
+            assert_eq!(service.noise_sigma, profile.noise_sigma, "{}", profile.name);
+            assert_eq!(service.wants_overclock, profile.wants_overclock);
+            assert_eq!(
+                service.weekday_peak.to_bits(),
+                profile.shape.weekday_peak().to_bits()
+            );
+            for minute in 0..MINUTES_PER_WEEK {
+                let t = SimTime::ZERO + SimDuration::from_minutes(minute as u64);
+                assert_eq!(
+                    service.at_minute(minute, 0).to_bits(),
+                    profile.shape.utilization(t).to_bits(),
+                    "{} at minute {minute}",
+                    profile.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn catalog_lookup_matches_shape_across_six_weeks_with_phase() {
+        let catalog: &Catalog = &CATALOG;
+        let profiles = catalog_profiles();
+        let mut rng = Pcg32::seed_from_u64(19);
+        let six_weeks = 6 * MINUTES_PER_WEEK as u64;
+        for case in 0..20_000 {
+            let index = rng.gen_index(profiles.len());
+            let shape = &profiles[index].shape;
+            let t = SimTime::ZERO + SimDuration::from_minutes(rng.gen_range_u64(0, six_weeks));
+            let phase = rng.gen_range_u64(0, 30);
+            let shifted = t + SimDuration::from_minutes(phase);
+            // A shape repeats every week, bit for bit.
+            let in_first_week = SimTime::ZERO + shifted.time_of_week();
+            assert_eq!(
+                shape.utilization(shifted).to_bits(),
+                shape.utilization(in_first_week).to_bits(),
+                "case {case}: {shifted}"
+            );
+            let minute = (t.time_of_week().as_micros() / SimDuration::MINUTE.as_micros()) as usize;
+            assert_eq!(
+                catalog
+                    .service(index)
+                    .at_minute(minute, phase as usize)
+                    .to_bits(),
+                shape.utilization(shifted).to_bits(),
+                "case {case}: service {index} at {t} + {phase} min"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "step must be a whole number of minutes")]
+    fn rejects_sub_minute_step() {
+        let mut cfg = FleetConfig::small_test();
+        cfg.step = SimDuration::from_secs(30);
+        let _ = TraceGenerator::new(1).generate_rack(&cfg, 0);
     }
 
     #[test]
