@@ -28,7 +28,6 @@ use soc_bench::{Cli, Output};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
 use soc_cluster::shard::{generate_fleet_probed, simulate_policy_on_traces_probed, FleetTraces};
-use soc_cluster::NoopProbe;
 use soc_reliability::binning::BinningConfig;
 
 const BIN_COUNTS: [u32; 3] = [1, 4, 8];
@@ -44,13 +43,13 @@ fn main() {
         base.weeks = 2;
         base.step = SimDuration::from_minutes(15);
     }
-    let telemetry = cli.telemetry();
+    let obs = cli.observer("exp_binning");
     let threads = cli.effective_threads();
 
     // Traces depend only on the fleet shape and seed — never on the silicon
     // draw — so generate them once and share them across every cell.
     eprintln!("generating {racks} rack traces once ({threads} threads)...");
-    let fleet = generate_fleet_probed(&base, threads, &NoopProbe);
+    let fleet = generate_fleet_probed(&base, threads, &obs);
 
     let mut t = Table::new(&[
         "bins",
@@ -83,9 +82,9 @@ fn main() {
                 &config,
                 PolicyKind::SmartOClock,
                 &fleet,
-                &telemetry,
+                &obs.telemetry,
                 threads,
-                &NoopProbe,
+                &obs,
             );
             let m = PolicyMetrics::aggregate(PolicyKind::SmartOClock, &outcomes);
             let certified = certified_fraction(&fleet, &config.binning);
@@ -136,7 +135,7 @@ fn main() {
         Ok(()) => eprintln!("wrote {}", out.display()),
         Err(e) => eprintln!("warning: failed to write {}: {e}", out.display()),
     }
-    cli.finish("exp_binning", &telemetry);
+    cli.finish(&obs, &[]);
 }
 
 /// Mean certified overclock fraction across every part in the fleet: the

@@ -16,11 +16,10 @@ use std::time::Instant;
 
 fn main() {
     let cli = Cli::from_env(&[Output::Profile, Output::Health]);
-    let prof = cli.profiler("exp_datacenter");
     // Health series (`--health`): this sweep runs outside the sharded rack
     // engine, so the recorder is fed from the collected results in sweep
     // order, keyed by feed fraction in basis points.
-    let recorder = cli.recorder("exp_datacenter");
+    let obs = cli.observer("exp_datacenter");
     let mut t = Table::new(&[
         "feed / rack-limit sum",
         "feed overloads (flat)",
@@ -46,12 +45,13 @@ fn main() {
         };
         (feed_fraction, simulate_datacenter(&cfg))
     });
-    prof.record("feed_sweep", sweep_start.elapsed());
-    prof.add("feeds", outcomes.len() as u64);
+    obs.profiler.record("feed_sweep", sweep_start.elapsed());
+    obs.profiler.add("feeds", outcomes.len() as u64);
     for (feed_fraction, o) in outcomes {
         let bps = (feed_fraction * 10_000.0) as u64;
-        recorder.sample(bps, "feed_overloads_flat", 0, o.feed_overloads_flat as f64);
-        recorder.sample(
+        obs.recorder
+            .sample(bps, "feed_overloads_flat", 0, o.feed_overloads_flat as f64);
+        obs.recorder.sample(
             bps,
             "feed_overloads_nested",
             0,
@@ -74,9 +74,8 @@ fn main() {
          cost of some grants; flat rack-local enforcement overloads it whenever \
          rack peaks coincide."
     );
-    cli.finish_health(
-        &recorder,
+    cli.finish(
+        &obs,
         &soc_health::default_rules(SimDuration::from_minutes(15).as_micros()),
     );
-    cli.finish_prof(&prof);
 }

@@ -22,12 +22,11 @@
 use simcore::report::{fmt_f64, fmt_pct, Table};
 use simcore::time::SimDuration;
 use smartoclock::policy::PolicyKind;
-use soc_bench::probe::HealthProbe;
 use soc_bench::{Cli, Output};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
+use soc_cluster::probe::{NoopProbe, ShardProbe};
 use soc_cluster::shard::{generate_fleet_probed, simulate_policy_on_traces_probed};
-use soc_cluster::NoopProbe;
 use soc_telemetry::Telemetry;
 
 struct Variant {
@@ -70,12 +69,8 @@ fn main() {
         ("2h", SimDuration::from_hours(2)),
         ("8h", SimDuration::from_hours(8)),
     ];
-    let telemetry = cli.telemetry();
+    let obs = cli.observer("exp_fault_tolerance");
     let threads = cli.effective_threads();
-    // Health observability (`--health` / `--health-out`): record the
-    // longest-outage SmartOClock cell, where the incident timeline shows
-    // outage -> degraded-entry -> recovery end to end.
-    let recorder = cli.recorder("exp_fault_tolerance");
 
     // Traces depend only on the fleet shape and seed — not on the fault
     // plan or fail-open mode — so generate them once and share them across
@@ -84,7 +79,7 @@ fn main() {
     // predictions (not varied here, but per-run training keeps the cells
     // independent of each other by construction).
     eprintln!("generating {racks} rack traces once ({threads} threads)...");
-    let fleet = generate_fleet_probed(&base, threads, &NoopProbe);
+    let fleet = generate_fleet_probed(&base, threads, &obs);
 
     let mut t = Table::new(&[
         "outage",
@@ -109,45 +104,23 @@ fn main() {
                 "simulating {} at outage={label} over {racks} racks ({threads} threads)...",
                 variant.name
             );
-            let health_cell = recorder.is_enabled()
-                && variant.policy == PolicyKind::SmartOClock
-                && *label == "8h";
-            let outcomes = if health_cell {
-                let probe = HealthProbe::new(recorder.clone());
-                if telemetry.is_enabled() {
-                    simulate_policy_on_traces_probed(
-                        &config,
-                        variant.policy,
-                        &fleet,
-                        &telemetry,
-                        threads,
-                        &probe,
-                    )
+            // The health report (`--health` / `--health-out`) follows the
+            // longest-outage SmartOClock cell, where the incident timeline
+            // shows outage -> degraded-entry -> recovery end to end.
+            let (telemetry, probe): (Telemetry, &dyn ShardProbe) =
+                if variant.policy == PolicyKind::SmartOClock && *label == "8h" {
+                    (obs.health_telemetry(), &obs)
                 } else {
-                    // The alert engine needs the event stream; without
-                    // --trace-out, buffer events into a throwaway memory
-                    // sink. Telemetry is pure observation, so outcomes and
-                    // stdout are unchanged.
-                    let (tm, _sink) = Telemetry::memory();
-                    simulate_policy_on_traces_probed(
-                        &config,
-                        variant.policy,
-                        &fleet,
-                        &tm,
-                        threads,
-                        &probe,
-                    )
-                }
-            } else {
-                simulate_policy_on_traces_probed(
-                    &config,
-                    variant.policy,
-                    &fleet,
-                    &telemetry,
-                    threads,
-                    &NoopProbe,
-                )
-            };
+                    (obs.telemetry.clone(), &NoopProbe)
+                };
+            let outcomes = simulate_policy_on_traces_probed(
+                &config,
+                variant.policy,
+                &fleet,
+                &telemetry,
+                threads,
+                probe,
+            );
             let m = PolicyMetrics::aggregate(variant.policy, &outcomes);
             if len.is_zero() {
                 granted_at_zero[v] = m.granted;
@@ -193,6 +166,5 @@ fn main() {
         Ok(()) => eprintln!("wrote {}", out.display()),
         Err(e) => eprintln!("warning: failed to write {}: {e}", out.display()),
     }
-    cli.finish_health(&recorder, &soc_health::default_rules(base.step.as_micros()));
-    cli.finish("exp_fault_tolerance", &telemetry);
+    cli.finish(&obs, &soc_health::default_rules(base.step.as_micros()));
 }

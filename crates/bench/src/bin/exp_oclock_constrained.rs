@@ -13,7 +13,7 @@ use soc_cluster::harness::{ClusterConfig, ClusterSim, SystemKind};
 
 fn main() {
     let cli = Cli::from_env(&[Output::Trace]);
-    let telemetry = cli.telemetry();
+    let obs = cli.observer("exp_oclock_constrained");
     let run = |budget_scale: f64, proactive: bool| {
         let mut cfg = ClusterConfig::paper_reference(SystemKind::SmartOClock);
         cfg.seed = cli.seed;
@@ -30,7 +30,7 @@ fn main() {
             cfg.duration = SimDuration::from_minutes(40);
         }
         eprintln!("running budget={budget_scale} proactive={proactive}...",);
-        ClusterSim::with_telemetry(cfg, telemetry.clone())
+        ClusterSim::with_telemetry(cfg, obs.telemetry.clone())
             .run()
             .violation_window_frac()
     };
@@ -59,5 +59,5 @@ fn main() {
         "paper: reactive misses SLOs 5.0%/6.1%/7.2% of the time at 75%/50%/25% budget; \
          proactive scale-out eliminates the violations"
     );
-    cli.finish("exp_oclock_constrained", &telemetry);
+    cli.finish(&obs, &[]);
 }

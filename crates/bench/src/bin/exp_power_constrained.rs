@@ -11,12 +11,11 @@ use simcore::time::SimDuration;
 use soc_bench::{pct_change, Cli, Output};
 use soc_cluster::harness::{ClusterConfig, SystemKind};
 use soc_cluster::shard::run_cluster_sims_probed;
-use soc_cluster::NoopProbe;
 use soc_workloads::socialnet::LoadLevel;
 
 fn main() {
     let cli = Cli::from_env(&[Output::Trace]);
-    let telemetry = cli.telemetry();
+    let obs = cli.observer("exp_power_constrained");
     let config_for = |system: SystemKind| {
         let mut cfg = ClusterConfig::paper_reference(system);
         cfg.seed = cli.seed;
@@ -40,9 +39,9 @@ fn main() {
             config_for(SystemKind::NaiveOClock),
             config_for(SystemKind::SmartOClock),
         ],
-        &telemetry,
+        &obs.telemetry,
         threads,
-        &NoopProbe,
+        &obs,
     )
     .into_iter();
     let (Some(naive), Some(smart)) = (results.next(), results.next()) else {
@@ -90,5 +89,5 @@ fn main() {
         "paper: SmartOClock cuts tail latency 6.7%/8.4% (med/high) vs NaiveOClock \
          and lifts MLTrain throughput 10.4%"
     );
-    cli.finish("exp_power_constrained", &telemetry);
+    cli.finish(&obs, &[]);
 }

@@ -172,9 +172,9 @@ fn main() {
         limit
     );
 
-    let telemetry = cli.telemetry();
-    if telemetry.is_enabled() {
-        trace_capping_week(&telemetry, &overclocked, &per_server_extra, limit);
+    let obs = cli.observer("fig06_rack_week");
+    if obs.telemetry.is_enabled() {
+        trace_capping_week(&obs.telemetry, &overclocked, &per_server_extra, limit);
     }
-    cli.finish("fig06_rack_week", &telemetry);
+    cli.finish(&obs, &[]);
 }

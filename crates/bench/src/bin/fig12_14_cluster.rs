@@ -18,7 +18,7 @@ use soc_workloads::socialnet::LoadLevel;
 
 fn main() {
     let cli = Cli::from_env(&[Output::Trace]);
-    let telemetry = cli.telemetry();
+    let obs = cli.observer("fig12_14_cluster");
     let systems = [
         SystemKind::Baseline,
         SystemKind::ScaleOut,
@@ -37,7 +37,7 @@ fn main() {
                 cfg.spare_servers = 3;
             }
             eprintln!("running {system}...");
-            ClusterSim::with_telemetry(cfg, telemetry.clone()).run()
+            ClusterSim::with_telemetry(cfg, obs.telemetry.clone()).run()
         })
         .collect();
 
@@ -127,5 +127,5 @@ fn main() {
         pct_change(results[1].total_energy_j, results[3].total_energy_j),
         pct_change(results[1].socialnet_energy_j, results[3].socialnet_energy_j),
     );
-    cli.finish("fig12_14_cluster", &telemetry);
+    cli.finish(&obs, &[]);
 }

@@ -18,11 +18,10 @@ use std::time::Instant;
 
 fn main() {
     let cli = Cli::from_env(&[Output::Profile, Output::Health]);
-    let prof = cli.profiler("fig16_17_production");
     // Health series (`--health`): these sweeps run outside the sharded rack
     // engine, so the recorder is fed from the collected results in sweep
     // order — fig. 16 keyed by deployment RPS, fig. 17 by time of day.
-    let recorder = cli.recorder("fig16_17_production");
+    let obs = cli.observer("fig16_17_production");
     let plan = FrequencyPlan::amd_reference();
     let measure = if cli.fast {
         SimDuration::from_secs(60)
@@ -71,12 +70,15 @@ fn main() {
             (rps_k, base, oc)
         },
     );
-    prof.record("fig16/rps_sweep", sweep_start.elapsed());
-    prof.add("service_runs", sweep.len() as u64 * 2);
+    obs.profiler
+        .record("fig16/rps_sweep", sweep_start.elapsed());
+    obs.profiler.add("service_runs", sweep.len() as u64 * 2);
     for (rps_k, base, oc) in sweep {
         let rps = (rps_k * 1000.0) as u64;
-        recorder.sample(rps, "service_b_util_turbo", 0, base.cpu_utilization);
-        recorder.sample(rps, "service_b_util_oc", 0, oc.cpu_utilization);
+        obs.recorder
+            .sample(rps, "service_b_util_turbo", 0, base.cpu_utilization);
+        obs.recorder
+            .sample(rps, "service_b_util_oc", 0, oc.cpu_utilization);
         if rps_k == 1.8 {
             peak_base = base.cpu_utilization;
             peak_oc = oc.cpu_utilization;
@@ -113,8 +115,8 @@ fn main() {
             (f64::from(rps), r.cpu_utilization)
         },
     );
-    prof.record("fig16/iso_sweep", iso_start.elapsed());
-    prof.add("service_runs", iso_sweep.len() as u64);
+    obs.profiler.record("fig16/iso_sweep", iso_start.elapsed());
+    obs.profiler.add("service_runs", iso_sweep.len() as u64);
     for (rps, util) in iso_sweep {
         if util <= peak_oc {
             iso_rps = rps;
@@ -146,8 +148,10 @@ fn main() {
         // proportionally fewer cycles.
         let oc_peak = (base_peak * ratio).min(1.0);
         let t_us = SimDuration::from_hours(hour).as_micros();
-        recorder.sample(t_us, "service_c_peak_util", 0, base_peak);
-        recorder.sample(t_us, "service_c_peak_util_oc", 0, oc_peak);
+        obs.recorder
+            .sample(t_us, "service_c_peak_util", 0, base_peak);
+        obs.recorder
+            .sample(t_us, "service_c_peak_util_oc", 0, oc_peak);
         base_peaks.push(base_peak);
         oc_peaks.push(oc_peak);
         fig17.row(&[
@@ -159,14 +163,13 @@ fn main() {
     println!("== Fig. 17: Service C 5-minute peak utilization over a weekday ==");
     println!("{}", fig17.render());
     let mean_reduction = 1.0 - oc_peaks.iter().sum::<f64>() / base_peaks.iter().sum::<f64>();
-    prof.record("fig17/peaks", fig17_start.elapsed());
+    obs.profiler.record("fig17/peaks", fig17_start.elapsed());
     println!(
         "mean 5-minute-peak reduction with overclocking: {} (paper: 16%)",
         fmt_pct(mean_reduction)
     );
-    cli.finish_health(
-        &recorder,
+    cli.finish(
+        &obs,
         &soc_health::default_rules(SimDuration::from_minutes(5).as_micros()),
     );
-    cli.finish_prof(&prof);
 }

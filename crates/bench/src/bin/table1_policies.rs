@@ -12,7 +12,6 @@
 
 use simcore::report::{fmt_f64, fmt_pct, Table};
 use smartoclock::policy::PolicyKind;
-use soc_bench::probe::ProfProbe;
 use soc_bench::{Cli, Output};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::{power_groups, PolicyMetrics, RackOutcome};
@@ -24,7 +23,7 @@ use std::time::Instant;
 
 fn main() {
     let cli = Cli::from_env(&[Output::Trace, Output::Profile]);
-    let prof = cli.profiler("table1_policies");
+    let obs = cli.observer("table1_policies");
     let racks = if cli.fast { 12 } else { 60 };
     let mut config = LargeScaleConfig::bench_reference(racks);
     config.seed = cli.seed;
@@ -36,13 +35,11 @@ fn main() {
     // Run every policy over the same fleet, racks sharded across workers.
     // Traces are generated and templates trained exactly once, then shared
     // by all five policy runs — the per-policy loop times simulation only.
-    let telemetry = cli.telemetry();
     let threads = cli.effective_threads();
-    let probe = ProfProbe::new(prof.clone());
-    prof.set_meta("racks", racks);
+    obs.profiler.set_meta("racks", racks);
     eprintln!("generating {racks} rack traces once ({threads} threads)...");
-    let fleet = generate_fleet_probed(&config, threads, &probe);
-    let trained = train_fleet_probed(&config, &fleet, threads, &probe);
+    let fleet = generate_fleet_probed(&config, threads, &obs);
+    let trained = train_fleet_probed(&config, &fleet, threads, &obs);
     let mut outcomes: HashMap<PolicyKind, Vec<RackOutcome>> = HashMap::new();
     for policy in PolicyKind::ALL {
         eprintln!("simulating {policy} over {racks} racks ({threads} threads)...");
@@ -50,10 +47,17 @@ fn main() {
         outcomes.insert(
             policy,
             simulate_policy_prepared_probed(
-                &config, policy, &fleet, &trained, &telemetry, threads, &probe,
+                &config,
+                policy,
+                &fleet,
+                &trained,
+                &obs.telemetry,
+                threads,
+                &obs,
             ),
         );
-        prof.record(&format!("policy/{}", policy.name()), policy_start.elapsed());
+        obs.profiler
+            .record(&format!("policy/{}", policy.name()), policy_start.elapsed());
     }
 
     // Group racks by power (terciles of mean utilization), using the
@@ -124,6 +128,5 @@ fn main() {
         fmt_pct(nofb.success_rate),
         fmt_pct(naive.success_rate),
     );
-    cli.finish("table1_policies", &telemetry);
-    cli.finish_prof(&prof);
+    cli.finish(&obs, &[]);
 }

@@ -34,25 +34,29 @@
 //! asking for an [`Output`] the binary does not write prints the error and
 //! [`USAGE`] and exits 2 before the experiment runs.
 //!
-//! Profiling and health recording are observation-only by design:
-//! simulation output — stdout tables, traces, metrics — is byte-identical
-//! with and without `--prof` / `--health` (their output goes to stderr and
-//! the `--prof-out` / `--health-out` files only; pinned by `tests/prof.rs`
-//! and `tests/health.rs`).
+//! A binary observes its run through one [`Observer`] ([`Cli::observer`])
+//! and emits everything it observed with one [`Cli::finish`]. Profiling and
+//! health recording are observation-only by design: simulation output —
+//! stdout tables, traces, metrics — is byte-identical with and without
+//! `--prof` / `--health` (their output goes to stderr and the `--prof-out`
+//! / `--health-out` files only; pinned by `tests/prof.rs` and
+//! `tests/health.rs`).
 //!
 //! This tiny library holds the shared CLI plumbing so the binaries stay
 //! focused on the experiment itself.
 
 #![forbid(unsafe_code)]
 
-pub mod probe;
+mod probe;
+
+pub use probe::Observer;
 
 use simcore::report::Table;
 use simcore::time::SimTime;
 use soc_health::Recorder;
 use soc_prof::Profiler;
 use soc_telemetry::Telemetry;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -259,12 +263,14 @@ impl Cli {
         self.out.clone().unwrap_or_else(|| PathBuf::from(default))
     }
 
-    /// The telemetry handle implied by `--trace-out` / `SOC_TRACE`: a JSONL
-    /// file sink when a path was given, the zero-overhead disabled handle
-    /// otherwise. Call [`Telemetry::flush`] (or drop every clone) before the
-    /// process exits so the file buffer is written out.
-    pub fn telemetry(&self) -> Telemetry {
-        match &self.trace_out {
+    /// The run's observation handle, built from the flags: the JSONL trace
+    /// of `--trace-out` / `SOC_TRACE` (disabled without a path), the
+    /// profiler of `--prof` named `name` with the common run parameters as
+    /// metadata, and the health recorder of `--health`. Parts not asked
+    /// for are the zero-overhead disabled handles. Call [`Cli::finish`] at
+    /// the end of the run to emit everything.
+    pub fn observer(&self, name: &str) -> Observer {
+        let telemetry = match &self.trace_out {
             Some(path) => match Telemetry::jsonl(path) {
                 Ok(tm) => {
                     eprintln!("tracing to {}", path.display());
@@ -276,69 +282,26 @@ impl Cli {
                 }
             },
             None => Telemetry::disabled(),
-        }
-    }
-
-    /// The profiler implied by `--prof` / `--prof-out`: an enabled handle
-    /// named `name` with the common run parameters attached as metadata, or
-    /// the zero-overhead disabled handle. Call [`Cli::finish_prof`] at the
-    /// end of the run to emit the snapshot.
-    pub fn profiler(&self, name: &str) -> Profiler {
-        if !self.prof {
-            return Profiler::disabled();
-        }
-        let prof = Profiler::new(name);
-        prof.set_meta("seed", self.seed);
-        prof.set_meta("threads", self.effective_threads());
-        prof.set_meta("fast", self.fast);
-        prof
-    }
-
-    /// Snapshot the profile, print the human summary to stderr, and honor
-    /// `--prof-out`. No-op for a disabled profiler. Stderr (not stdout) so
-    /// profiled runs keep byte-identical experiment output.
-    pub fn finish_prof(&self, profiler: &Profiler) {
-        if !profiler.is_enabled() {
-            return;
-        }
-        let snap = profiler.snapshot();
-        eprint!("{}", snap.render());
-        if let Some(path) = &self.prof_out {
-            if let Err(e) = std::fs::write(path, snap.to_json()) {
-                eprintln!("warning: failed to write {}: {e}", path.display());
-            } else {
-                eprintln!("profile written to {}", path.display());
-            }
-        }
-    }
-
-    /// The health recorder implied by `--health` / `--health-out`: an
-    /// enabled recorder named `name`, or the zero-overhead disabled handle.
-    /// Call [`Cli::finish_health`] at the end of the run to evaluate rules
-    /// and emit the report.
-    pub fn recorder(&self, name: &str) -> Recorder {
-        if self.health {
+        };
+        let profiler = if self.prof {
+            let prof = Profiler::new(name);
+            prof.set_meta("seed", self.seed);
+            prof.set_meta("threads", self.effective_threads());
+            prof.set_meta("fast", self.fast);
+            prof
+        } else {
+            Profiler::disabled()
+        };
+        let recorder = if self.health {
             Recorder::new(name)
         } else {
             Recorder::disabled()
-        }
-    }
-
-    /// Evaluate `rules` over the recorded run, print the rendered health
-    /// report to stderr, and honor `--health-out`. No-op for a disabled
-    /// recorder. Stderr (not stdout) so health-recorded runs keep
-    /// byte-identical experiment output.
-    pub fn finish_health(&self, recorder: &Recorder, rules: &[soc_health::Rule]) {
-        let Some(report) = recorder.finalize(rules) else {
-            return;
         };
-        eprint!("{}", soc_health::render::render_report(&report));
-        if let Some(path) = &self.health_out {
-            if let Err(e) = std::fs::write(path, soc_health::json::to_json(&report)) {
-                eprintln!("warning: failed to write {}: {e}", path.display());
-            } else {
-                eprintln!("health report written to {}", path.display());
-            }
+        Observer {
+            name: name.to_string(),
+            telemetry,
+            profiler,
+            recorder,
         }
     }
 
@@ -347,27 +310,46 @@ impl Cli {
         println!("== {heading} ==");
         println!("{}", table.render());
         if let Some(path) = &self.csv {
-            if let Err(e) = std::fs::write(path, table.to_csv()) {
-                eprintln!("warning: failed to write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
+            write_or_warn(path, &table.to_csv(), "table");
+        }
+    }
+
+    /// Emit everything `obs` observed, in a fixed order. First the health
+    /// report: evaluate `health_rules` over the recorded run, print the
+    /// rendered report and honor `--health-out`. Then the trace: dump the
+    /// end-of-run metric snapshot, flush the file, and honor `--analyze` /
+    /// `--report-out` with the `soc-analyze` full report, titled with the
+    /// experiment name (not the path) so equal-seed runs stay
+    /// byte-identical. Last the profile: print its summary and honor
+    /// `--prof-out`. Each step is a no-op when its part is off. Health and
+    /// profile go to stderr (not stdout), so observed runs keep
+    /// byte-identical experiment output.
+    pub fn finish(&self, obs: &Observer, health_rules: &[soc_health::Rule]) {
+        if let Some(report) = obs.recorder.finalize(health_rules) {
+            eprint!("{}", soc_health::render::render_report(&report));
+            if let Some(path) = &self.health_out {
+                write_or_warn(path, &soc_health::json::to_json(&report), "health report");
+            }
+        }
+        if obs.telemetry.is_enabled() {
+            obs.telemetry.emit_metrics_snapshot(SimTime::ZERO);
+            obs.telemetry.flush();
+        }
+        if self.analyze || self.report_out.is_some() {
+            self.analyze(&obs.name);
+        }
+        if obs.profiler.is_enabled() {
+            let snap = obs.profiler.snapshot();
+            eprint!("{}", snap.render());
+            if let Some(path) = &self.prof_out {
+                write_or_warn(path, &snap.to_json(), "profile");
             }
         }
     }
 
-    /// Finalize the trace and honor `--analyze` / `--report-out`: dump the
-    /// end-of-run metric snapshot, flush the trace file, then run the
-    /// `soc-analyze` full report on it. The report is titled with the
-    /// experiment `name` (not the path) so equal-seed runs stay
-    /// byte-identical. No-op when neither analysis flag is set.
-    pub fn finish(&self, name: &str, telemetry: &Telemetry) {
-        if telemetry.is_enabled() {
-            telemetry.emit_metrics_snapshot(SimTime::ZERO);
-            telemetry.flush();
-        }
-        if !self.analyze && self.report_out.is_none() {
-            return;
-        }
+    /// Run the `soc-analyze` full report on the flushed trace; print it
+    /// for `--analyze` and write it for `--report-out`.
+    fn analyze(&self, name: &str) {
         let Some(path) = &self.trace_out else {
             eprintln!("warning: --analyze/--report-out need a trace; none was written");
             return;
@@ -384,12 +366,16 @@ impl Cli {
             print!("{report}");
         }
         if let Some(out) = &self.report_out {
-            if let Err(e) = std::fs::write(out, &report) {
-                eprintln!("warning: failed to write {}: {e}", out.display());
-            } else {
-                eprintln!("report written to {}", out.display());
-            }
+            write_or_warn(out, &report, "report");
         }
+    }
+}
+
+/// Write `contents` to `path`, noting the outcome on stderr.
+fn write_or_warn(path: &Path, contents: &str, what: &str) {
+    match std::fs::write(path, contents) {
+        Ok(()) => eprintln!("{what} written to {}", path.display()),
+        Err(e) => eprintln!("warning: failed to write {}: {e}", path.display()),
     }
 }
 
@@ -485,13 +471,18 @@ mod tests {
 
     #[test]
     fn telemetry_disabled_without_trace_out() {
-        assert!(!parse(&[]).telemetry().is_enabled());
+        let obs = parse(&[]).observer("x");
+        assert_eq!(obs.name, "x");
+        assert!(!obs.telemetry.is_enabled());
+        assert!(!obs.profiler.is_enabled());
+        assert!(!obs.recorder.is_enabled());
     }
 
     #[test]
     fn finish_without_analysis_is_quiet_noop() {
-        // Must not panic or print a report when neither flag is set.
-        parse(&[]).finish("noop", &Telemetry::disabled());
+        // Must not panic or print anything when no observation flag is set.
+        let cli = parse(&[]);
+        cli.finish(&cli.observer("noop"), &soc_health::default_rules(1));
     }
 
     #[test]
@@ -510,10 +501,17 @@ mod tests {
 
     #[test]
     fn recorder_disabled_without_health_flag() {
-        assert!(!parse(&[]).recorder("x").is_enabled());
-        assert!(parse(&["--health"]).recorder("x").is_enabled());
-        // finish_health on a disabled recorder is a quiet no-op.
-        parse(&[]).finish_health(&Recorder::disabled(), &soc_health::default_rules(1));
+        assert!(!parse(&[]).observer("x").recorder.is_enabled());
+        let obs = parse(&["--health"]).observer("x");
+        assert!(obs.recorder.is_enabled());
+        assert!(!obs.profiler.is_enabled());
+        let cli = parse(&["--prof", "--seed", "7"]);
+        let obs = cli.observer("x");
+        assert!(obs.profiler.is_enabled());
+        assert!(!obs.recorder.is_enabled());
+        assert_eq!(obs.profiler.snapshot().meta["seed"], "7");
+        // Finishing a live profiler without --prof-out only renders it.
+        cli.finish(&obs, &[]);
     }
 
     #[test]

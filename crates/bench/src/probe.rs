@@ -1,32 +1,52 @@
-//! The wall-clock side of `soc_cluster::probe::ShardProbe`.
+//! The run's one observation handle.
 //!
-//! The sharded simulation engine announces phases through pure hooks (it is
-//! a sim-state crate and may not read clocks, soc-lint D002); this adapter
-//! lives in the bench crate — where wall-clock is allowed — and times those
-//! hooks into a [`Profiler`].
+//! An [`Observer`] holds everything a bench binary observes a run with —
+//! the `--trace-out` telemetry, the `--prof` profiler and the `--health`
+//! recorder — and is the bench crate's one
+//! `soc_cluster::probe::ShardProbe`. The sharded engine announces phases
+//! through pure hooks (it is a sim-state crate and may not read clocks,
+//! soc-lint D002); the observer lives here, where wall-clock is allowed,
+//! and fans the hooks out: spans and counters go to the profiler, gauges
+//! and merged events to the recorder. A disabled part is a no-op, so
+//! binaries pass the observer unconditionally.
 //!
 //! Span names are recorded with [`Profiler::record`] (literal paths, no
-//! thread-local nesting): workers run inline at `--threads 1` and on pool
-//! threads otherwise, and literal paths keep the snapshot keys identical
-//! across every thread count.
+//! nesting): workers run inline at `--threads 1` and on pool threads
+//! otherwise, and literal paths keep the snapshot keys identical across
+//! every thread count.
 
 use soc_cluster::probe::{ShardProbe, SpanToken};
 use soc_health::Recorder;
 use soc_prof::Profiler;
-use soc_telemetry::Event;
+use soc_telemetry::{Event, NullSink, Telemetry};
 use std::time::Instant;
 
-/// A [`ShardProbe`] recording into a [`Profiler`].
-///
-/// With a disabled profiler every hook is a no-op that allocates nothing,
-/// so binaries can pass the probe unconditionally.
-pub struct ProfProbe {
-    profiler: Profiler,
+/// One run's observation stack, built by [`crate::Cli::observer`] and
+/// emitted by [`crate::Cli::finish`]. The default observes nothing.
+#[derive(Clone, Default)]
+pub struct Observer {
+    /// Experiment name; titles the `--analyze` report.
+    pub name: String,
+    /// The JSONL trace (`--trace-out`), disabled without a trace path.
+    pub telemetry: Telemetry,
+    /// The performance profile (`--prof`).
+    pub profiler: Profiler,
+    /// The fleet health report (`--health`).
+    pub recorder: Recorder,
 }
 
-impl ProfProbe {
-    pub fn new(profiler: Profiler) -> ProfProbe {
-        ProfProbe { profiler }
+impl Observer {
+    /// The telemetry handle for a run whose events feed the health report.
+    /// The alert engine reads the run's event stream, so with `--health`
+    /// and no trace path this is a fresh enabled handle that discards its
+    /// events; otherwise it is the trace handle. Telemetry is pure
+    /// observation, so the run's outcomes are the same either way.
+    pub fn health_telemetry(&self) -> Telemetry {
+        if self.recorder.is_enabled() && !self.telemetry.is_enabled() {
+            Telemetry::with_sink(NullSink)
+        } else {
+            self.telemetry.clone()
+        }
     }
 }
 
@@ -44,7 +64,7 @@ impl Drop for RecordOnDrop {
     }
 }
 
-impl ShardProbe for ProfProbe {
+impl ShardProbe for Observer {
     fn span(&self, name: &'static str) -> Option<Box<dyn SpanToken>> {
         if !self.profiler.is_enabled() {
             return None;
@@ -59,30 +79,6 @@ impl ShardProbe for ProfProbe {
     fn add(&self, counter: &'static str, n: u64) {
         self.profiler.add(counter, n);
     }
-}
-
-/// A [`ShardProbe`] feeding a `soc-health` [`Recorder`]: gauges become
-/// series samples, merged events feed the alert engine. Spans and counters
-/// are ignored — wall-clock belongs to [`ProfProbe`].
-///
-/// With a disabled recorder every hook is a single-branch no-op, so
-/// binaries can pass the probe unconditionally.
-pub struct HealthProbe {
-    recorder: Recorder,
-}
-
-impl HealthProbe {
-    pub fn new(recorder: Recorder) -> HealthProbe {
-        HealthProbe { recorder }
-    }
-}
-
-impl ShardProbe for HealthProbe {
-    fn span(&self, _name: &'static str) -> Option<Box<dyn SpanToken>> {
-        None
-    }
-
-    fn add(&self, _counter: &'static str, _n: u64) {}
 
     fn gauge(&self, t_us: u64, metric: &'static str, entity: u64, value: f64) {
         self.recorder.sample(t_us, metric, entity, value);
@@ -99,37 +95,61 @@ mod tests {
 
     #[test]
     fn disabled_profiler_yields_no_tokens() {
-        let probe = ProfProbe::new(Profiler::disabled());
-        assert!(probe.span("shard/sim").is_none());
-        probe.add("racks", 3); // must not panic
+        let obs = Observer::default();
+        assert!(obs.span("shard/sim").is_none());
+        obs.add("racks", 3); // must not panic
+        assert!(obs.profiler.snapshot().phases.is_empty());
     }
 
     #[test]
     fn spans_and_counters_land_in_the_snapshot() {
-        let prof = Profiler::new("probe-test");
-        let probe = ProfProbe::new(prof.clone());
+        let obs = Observer {
+            profiler: Profiler::new("probe-test"),
+            ..Observer::default()
+        };
         {
-            let _span = probe.span("shard/sim");
+            let _span = obs.span("shard/sim");
         }
-        probe.add("racks", 4);
-        let snap = prof.snapshot();
+        obs.add("racks", 4);
+        let snap = obs.profiler.snapshot();
         assert_eq!(snap.phases["shard/sim"].count, 1);
         assert_eq!(snap.counters["racks"], 4);
     }
 
     #[test]
     fn health_probe_feeds_the_recorder() {
-        let recorder = Recorder::new("probe-test");
-        let probe = HealthProbe::new(recorder.clone());
-        assert!(probe.span("shard/sim").is_none());
-        probe.add("racks", 4); // ignored
-        probe.gauge(1_000_000, "rack_draw_w", 2, 37.5);
-        assert_eq!(recorder.samples(), 1);
+        let obs = Observer {
+            recorder: Recorder::new("probe-test"),
+            ..Observer::default()
+        };
+        assert!(obs.span("shard/sim").is_none());
+        obs.add("racks", 4); // the profiler is off
+        obs.gauge(1_000_000, "rack_draw_w", 2, 37.5);
+        assert_eq!(obs.recorder.samples(), 1);
     }
 
     #[test]
     fn disabled_recorder_probe_is_inert() {
-        let probe = HealthProbe::new(Recorder::disabled());
-        probe.gauge(1, "rack_draw_w", 0, 1.0);
+        let obs = Observer::default();
+        obs.gauge(1, "rack_draw_w", 0, 1.0);
+        assert_eq!(obs.recorder.samples(), 0);
+        assert!(!obs.health_telemetry().is_enabled());
+    }
+
+    #[test]
+    fn health_runs_get_an_enabled_handle_without_a_trace() {
+        let health_only = Observer {
+            recorder: Recorder::new("probe-test"),
+            ..Observer::default()
+        };
+        assert!(health_only.health_telemetry().is_enabled());
+        let (traced, _sink) = Telemetry::memory();
+        let both = Observer {
+            telemetry: traced,
+            ..health_only
+        };
+        // With a trace, the health run writes into it: one shared id counter.
+        let first = both.health_telemetry().next_id();
+        assert_eq!(both.telemetry.next_id(), first + 1);
     }
 }

@@ -983,8 +983,8 @@ impl ClusterSim {
         let oc_server_count = self.config.socialnet_servers + self.config.spare_servers;
         let total_servers = oc_server_count + self.config.mltrain_servers;
         // Per server: cores placed, and the dynamic power of the first
-        // `model.cores()` of them summed in placement order — the fold
-        // `PowerModel::server_power` does over the same core states.
+        // `model.cores()` of them summed in placement order; a server draws
+        // its idle power plus that sum.
         let mut placed = vec![(0usize, Watts::ZERO); total_servers];
         for (idx, inst) in self.instances.iter().enumerate() {
             let util = metrics

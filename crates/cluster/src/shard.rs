@@ -96,6 +96,7 @@ pub fn simulate_policy_sharded_probed(
         (0..config.racks).collect(),
         telemetry,
         probe,
+        "racks",
         |r, _, local, probe| {
             let gen_span = probe.span("shard/trace_gen");
             let rack = generator.generate_rack(&fleet_cfg, r);
@@ -131,22 +132,25 @@ fn validate(config: &LargeScaleConfig) {
     config.binning.validate();
 }
 
-/// The deterministic fan-out/merge skeleton shared by every sharded
-/// large-scale path (streaming, pre-generated, reference): allocates the run
-/// id serially before the fan-out, gives each rack a buffered telemetry
-/// handle with a deterministic id base, and replays shard buffers in
-/// canonical rack order — so the output byte-stream is a pure function of
-/// `(config, policy)`, never of `threads`.
-fn drive_sharded<I, F>(
+/// The deterministic fan-out/merge skeleton shared by every sharded path
+/// (the large-scale streaming, pre-generated and reference paths, and the
+/// cluster sims): allocates the run id serially before the fan-out, gives
+/// each item a buffered telemetry handle with a deterministic id base, and
+/// replays shard buffers in canonical item order — so the output
+/// byte-stream is a pure function of the inputs, never of `threads`. The
+/// probe's `counter` advances by the item count.
+fn drive_sharded<I, R, F>(
     threads: usize,
     items: Vec<I>,
     telemetry: &Telemetry,
     probe: &dyn ShardProbe,
+    counter: &'static str,
     sim: F,
-) -> Vec<RackOutcome>
+) -> Vec<R>
 where
     I: Send,
-    F: Fn(usize, I, &Telemetry, &dyn ShardProbe) -> RackOutcome + Sync,
+    R: Send,
+    F: Fn(usize, I, &Telemetry, &dyn ShardProbe) -> R + Sync,
 {
     let n = items.len();
     // Allocate the run id serially, before the fan-out: thread-count
@@ -164,7 +168,7 @@ where
             (outcome, Vec::new(), MetricsSnapshot::default())
         }
     });
-    probe.add("racks", n as u64);
+    probe.add(counter, n as u64);
     let merge_span = probe.span("merge");
     let outcomes = sharded
         .into_iter()
@@ -296,6 +300,7 @@ pub fn simulate_policy_prepared_probed(
         items,
         telemetry,
         probe,
+        "racks",
         |_, ((rack, model), tr), local, probe| {
             let sim_span = probe.span("shard/sim");
             let outcome = simulate_rack(config, policy, rack, model, tr, local, probe);
@@ -323,6 +328,7 @@ pub fn simulate_policy_on_traces_probed(
         fleet.racks.iter().collect(),
         telemetry,
         probe,
+        "racks",
         |_, (rack, model), local, probe| {
             let setup_span = probe.span("rack/setup");
             let trained = train_rack(config, rack, model);
@@ -363,6 +369,7 @@ pub fn simulate_policy_prepared_reference(
         items,
         telemetry,
         &NoopProbe,
+        "racks",
         |_, ((rack, model), tr), local, _| {
             simulate_rack_reference(config, policy, rack, model, tr, local)
         },
@@ -385,41 +392,19 @@ pub fn run_cluster_sims_probed(
     threads: usize,
     probe: &dyn ShardProbe,
 ) -> Vec<ClusterResult> {
-    let run_id = telemetry.next_id();
-    let enabled = telemetry.is_enabled();
-    probe.add("cluster_sims", configs.len() as u64);
-    let results = par::par_map(threads, configs, |i, cfg| {
-        let sim_span = probe.span("shard/sim");
-        let result = if enabled {
-            let (local, sink) = Telemetry::buffered(shard_id_base(run_id, i));
+    drive_sharded(
+        threads,
+        configs,
+        telemetry,
+        probe,
+        "cluster_sims",
+        |_, cfg, local, probe| {
+            let sim_span = probe.span("shard/sim");
             let result = ClusterSim::with_telemetry(cfg, local.clone()).run();
-            (result, sink.events(), local.metrics_snapshot())
-        } else {
-            (
-                ClusterSim::new(cfg).run(),
-                Vec::new(),
-                MetricsSnapshot::default(),
-            )
-        };
-        drop(sim_span);
-        result
-    });
-    let merge_span = probe.span("merge");
-    let merged = results
-        .into_iter()
-        .map(|(result, events, metrics)| {
-            probe.add("merged_events", events.len() as u64);
-            // Canonical-order event feed for event-observing probes, as in
-            // `simulate_policy_sharded_probed`.
-            for e in &events {
-                probe.event(e);
-            }
-            telemetry.absorb(&events, &metrics);
+            drop(sim_span);
             result
-        })
-        .collect();
-    drop(merge_span);
-    merged
+        },
+    )
 }
 
 #[cfg(test)]

@@ -58,12 +58,6 @@ impl Rule {
         }
     }
 
-    /// Builder: require the condition to hold `for_us` before firing.
-    pub fn for_duration(mut self, for_us: u64) -> Rule {
-        self.for_us = for_us;
-        self
-    }
-
     /// Builder: suppress re-fires for `cooldown_us` after resolving.
     pub fn cooldown(mut self, cooldown_us: u64) -> Rule {
         self.cooldown_us = cooldown_us;
@@ -436,15 +430,17 @@ mod tests {
             samples.push((t, v));
         }
         let store = store_with("draw", 0, &samples);
-        let rule = Rule::new(
-            "hot",
-            RuleKind::Threshold {
-                metric: "draw".to_string(),
-                ratio_of: None,
-                above: 90.0,
-            },
-        )
-        .for_duration(20);
+        let rule = Rule {
+            for_us: 20,
+            ..Rule::new(
+                "hot",
+                RuleKind::Threshold {
+                    metric: "draw".to_string(),
+                    ratio_of: None,
+                    above: 90.0,
+                },
+            )
+        };
         let alerts = evaluate(&[rule], &store, &empty_trace());
         assert_eq!(alerts.len(), 1, "the blip must not fire: {alerts:?}");
         assert_eq!(alerts[0].start_us, 50);

@@ -108,11 +108,6 @@ impl FrequencyPlan {
         f > self.turbo
     }
 
-    /// Overclocking headroom above turbo.
-    pub fn overclock_range(self) -> MegaHertz {
-        self.max_overclock - self.turbo
-    }
-
     /// Clamp `f` into the operable range `[base, max_overclock]`.
     pub fn clamp(self, f: MegaHertz) -> MegaHertz {
         f.clamp(self.base, self.max_overclock)
@@ -246,7 +241,6 @@ mod tests {
         let p = FrequencyPlan::amd_reference();
         assert_eq!(p.turbo().as_ghz(), 3.3);
         assert_eq!(p.max_overclock().as_ghz(), 4.0);
-        assert_eq!(p.overclock_range(), MegaHertz::new(700));
     }
 
     #[test]

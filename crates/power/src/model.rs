@@ -17,32 +17,6 @@
 use crate::freq::{FrequencyPlan, VoltageCurve};
 use crate::units::{MegaHertz, Watts};
 
-/// Per-core operating state: utilization and clock frequency.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoreState {
-    /// Core utilization in `[0, 1]`.
-    pub utilization: f64,
-    /// Core clock.
-    pub frequency: MegaHertz,
-}
-
-impl CoreState {
-    /// Build a core state.
-    ///
-    /// # Panics
-    /// Panics if `utilization` is outside `[0, 1]` or not finite.
-    pub fn new(utilization: f64, frequency: MegaHertz) -> CoreState {
-        assert!(
-            utilization.is_finite() && (0.0..=1.0).contains(&utilization),
-            "utilization must be in [0, 1], got {utilization}"
-        );
-        CoreState {
-            utilization,
-            frequency,
-        }
-    }
-}
-
 /// Maps utilization + frequency to server power.
 ///
 /// ```
@@ -144,47 +118,9 @@ impl PowerModel {
         self.per_core_dyn_turbo * (utilization * self.curve.dynamic_power_factor(frequency))
     }
 
-    /// Total server power for an explicit per-core state vector.
-    ///
-    /// # Panics
-    /// Panics if `states.len()` exceeds the core count.
-    pub fn server_power(&self, states: &[CoreState]) -> Watts {
-        assert!(
-            states.len() <= self.cores,
-            "more core states than physical cores"
-        );
-        let dynamic: Watts = states
-            .iter()
-            .map(|c| self.core_power(c.utilization, c.frequency))
-            .sum();
-        self.idle + dynamic
-    }
-
     /// Server power with every core at the same utilization and frequency.
     pub fn server_power_uniform(&self, utilization: f64, frequency: MegaHertz) -> Watts {
         self.idle + self.core_power(utilization, frequency) * self.cores as f64
-    }
-
-    /// Server power when `oc_cores` cores run overclocked at `oc_freq` and
-    /// the rest at turbo, all at `utilization`. This is the shape the gOA's
-    /// power-budget computation reasons about (§IV-C).
-    ///
-    /// # Panics
-    /// Panics if `oc_cores` exceeds the core count.
-    pub fn server_power_mixed(
-        &self,
-        utilization: f64,
-        oc_cores: usize,
-        oc_freq: MegaHertz,
-    ) -> Watts {
-        assert!(
-            oc_cores <= self.cores,
-            "cannot overclock more cores than exist"
-        );
-        let turbo = self.plan().turbo();
-        let normal = self.core_power(utilization, turbo) * (self.cores - oc_cores) as f64;
-        let oc = self.core_power(utilization, oc_freq) * oc_cores as f64;
-        self.idle + normal + oc
     }
 
     /// Extra power from overclocking `oc_cores` cores from turbo to
@@ -215,45 +151,6 @@ impl PowerModel {
             dpf_oc: self.curve.dynamic_power_factor(oc_freq),
             dpf_turbo: self.curve.dynamic_power_factor(self.plan().turbo()),
         }
-    }
-
-    /// Invert the uniform model: estimate average utilization from observed
-    /// server power at a known frequency. Clamped to `[0, 1]`.
-    pub fn utilization_from_power(&self, power: Watts, frequency: MegaHertz) -> f64 {
-        let per_core = self.core_power(1.0, frequency) * self.cores as f64;
-        if per_core.get() <= 0.0 {
-            return 0.0;
-        }
-        ((power - self.idle).get() / per_core.get()).clamp(0.0, 1.0)
-    }
-
-    /// Split an observed server power draw into (regular, overclock) parts
-    /// given how many cores were overclocked to `oc_freq` — the gOA's
-    /// discrimination step (§IV-C "the number of cores from the server's
-    /// overclocking template enable the gOA to discriminate the two
-    /// portions").
-    pub fn split_regular_overclock(
-        &self,
-        observed: Watts,
-        oc_cores: usize,
-        oc_freq: MegaHertz,
-    ) -> (Watts, Watts) {
-        let oc_cores = oc_cores.min(self.cores);
-        // Estimate the utilization consistent with the observation.
-        let factor = self.curve.dynamic_power_factor(oc_freq);
-        let turbo_equiv_cores = (self.cores - oc_cores) as f64 + oc_cores as f64 * factor;
-        let per_core_turbo = self.per_core_dyn_turbo;
-        let denom = per_core_turbo.get() * turbo_equiv_cores;
-        let util = if denom <= 0.0 {
-            0.0
-        } else {
-            ((observed - self.idle).get() / denom).clamp(0.0, 1.0)
-        };
-        let oc_extra = self
-            .overclock_delta(util, oc_cores, oc_freq)
-            .clamp_non_negative();
-        let regular = (observed - oc_extra).clamp_non_negative();
-        (regular, oc_extra)
     }
 }
 
@@ -331,42 +228,10 @@ mod tests {
         let m = model();
         let all_turbo = m.server_power_uniform(0.8, m.plan().turbo());
         let all_oc = m.server_power_uniform(0.8, m.plan().max_overclock());
-        let mixed = m.server_power_mixed(0.8, 32, m.plan().max_overclock());
+        // 32 overclocked cores: the turbo draw plus the overclock delta the
+        // sOA reserves for them.
+        let mixed = all_turbo + m.overclock_delta(0.8, 32, m.plan().max_overclock());
         assert!(mixed > all_turbo && mixed < all_oc);
-    }
-
-    #[test]
-    fn utilization_inversion_roundtrip() {
-        let m = model();
-        for u in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let p = m.server_power_uniform(u, m.plan().turbo());
-            let u2 = m.utilization_from_power(p, m.plan().turbo());
-            assert!((u - u2).abs() < 1e-9, "u={u} u2={u2}");
-        }
-    }
-
-    #[test]
-    fn split_recovers_overclock_share() {
-        let m = model();
-        let oc_freq = m.plan().max_overclock();
-        let util = 0.7;
-        let observed = m.server_power_mixed(util, 10, oc_freq);
-        let (regular, extra) = m.split_regular_overclock(observed, 10, oc_freq);
-        let expected_extra = m.overclock_delta(util, 10, oc_freq);
-        assert!(
-            (extra - expected_extra).get().abs() < 1e-6,
-            "extra={extra} expected={expected_extra}"
-        );
-        assert!((regular + extra - observed).get().abs() < 1e-9);
-    }
-
-    #[test]
-    fn split_with_no_oc_cores_is_all_regular() {
-        let m = model();
-        let observed = m.server_power_uniform(0.5, m.plan().turbo());
-        let (regular, extra) = m.split_regular_overclock(observed, 0, m.plan().max_overclock());
-        assert_eq!(extra, Watts::ZERO);
-        assert_eq!(regular, observed);
     }
 
     #[test]
@@ -403,15 +268,6 @@ mod tests {
             let lower = m.server_power_uniform(0.5, MegaHertz::new(f));
             let higher = m.server_power_uniform(0.5, MegaHertz::new(f + 50));
             prop_assert!(lower <= higher + Watts::new(1e-9));
-        }
-
-        #[test]
-        fn split_parts_sum_to_observed(util in 0.0..1.0f64, oc in 0usize..64) {
-            let m = model();
-            let observed = m.server_power_mixed(util, oc, m.plan().max_overclock());
-            let (r, e) = m.split_regular_overclock(observed, oc, m.plan().max_overclock());
-            prop_assert!(((r + e) - observed).get().abs() < 1e-6);
-            prop_assert!(r.get() >= 0.0 && e.get() >= 0.0);
         }
 
         #[test]

@@ -59,11 +59,6 @@ impl Watts {
         assert!(other.0 != 0.0, "division by zero watts");
         self.0 / other.0
     }
-
-    /// Energy accumulated by drawing this power for `seconds`, in joules.
-    pub fn energy_joules(self, seconds: f64) -> f64 {
-        self.0 * seconds
-    }
 }
 
 impl Add for Watts {
@@ -263,7 +258,6 @@ mod tests {
     fn watts_sum_and_energy() {
         let total: Watts = vec![Watts::new(1.0), Watts::new(2.5)].into_iter().sum();
         assert_eq!(total, Watts::new(3.5));
-        assert_eq!(Watts::new(10.0).energy_joules(3600.0), 36_000.0);
     }
 
     #[test]

@@ -58,14 +58,6 @@ pub fn walk_forward(series: &TimeSeries, kind: TemplateKind) -> WalkForwardRepor
     }
 }
 
-/// Evaluate all five techniques on one series.
-pub fn compare_all(series: &TimeSeries) -> Vec<(TemplateKind, WalkForwardReport)> {
-    TemplateKind::ALL
-        .iter()
-        .map(|&k| (k, walk_forward(series, k)))
-        .collect()
-}
-
 /// Build a template at a given instant from the trailing week of history —
 /// the online operation an agent performs weekly (§IV-B).
 ///
@@ -154,15 +146,6 @@ mod tests {
         let r = walk_forward(&s, TemplateKind::DailyMed);
         assert_eq!(r.weeks, 2);
         assert_eq!(r.samples, 2 * 7 * 48);
-    }
-
-    #[test]
-    fn compare_all_covers_every_kind() {
-        let s = noisy_series(2, false);
-        let results = compare_all(&s);
-        assert_eq!(results.len(), 5);
-        let kinds: Vec<TemplateKind> = results.iter().map(|(k, _)| *k).collect();
-        assert_eq!(kinds, TemplateKind::ALL.to_vec());
     }
 
     #[test]

@@ -223,15 +223,6 @@ impl PowerTemplate {
         }
     }
 
-    /// Predict a whole series aligned with `like` (same start/step/len).
-    pub fn predict_series(&self, like: &TimeSeries) -> TimeSeries {
-        let mut out = TimeSeries::new(like.start(), like.step());
-        for (t, _) in like.iter() {
-            out.push(self.predict(t));
-        }
-        out
-    }
-
     /// The maximum value this template ever predicts.
     ///
     /// # Panics
@@ -405,21 +396,6 @@ mod tests {
             let t = SimTime::ZERO + SimDuration::from_days(22) + SimDuration::from_hours(hour);
             assert!(max.predict(t) >= med.predict(t));
         }
-    }
-
-    #[test]
-    fn predict_series_aligns() {
-        let h = history();
-        let tpl = PowerTemplate::build(&h, TemplateKind::DailyMed);
-        let future = TimeSeries::generate(
-            SimTime::ZERO + SimDuration::from_days(14),
-            SimTime::ZERO + SimDuration::from_days(15),
-            SimDuration::HOUR,
-            |_| 0.0,
-        );
-        let pred = tpl.predict_series(&future);
-        assert_eq!(pred.len(), future.len());
-        assert_eq!(pred.start(), future.start());
     }
 
     #[test]

@@ -8,16 +8,15 @@
 //! resolution: **all** wall-clock observation lives here and in the bench
 //! binaries that link it, strictly outside the deterministic core, and the
 //! sim crates expose pure observation *hooks*
-//! (`soc_cluster::probe::ShardProbe`) that this layer implements. Profiling
-//! on or off never changes a trace byte (pinned by
-//! `tests/prof.rs`).
+//! (`soc_cluster::probe::ShardProbe`) that the bench binaries' observer
+//! records into a [`Profiler`]. Profiling on or off never changes a trace
+//! byte (pinned by `tests/prof.rs`).
 //!
 //! Four pieces:
 //!
-//! * **Phase timers** ([`Profiler::phase`]) — scoped RAII spans with
-//!   per-thread nesting (`sim/admission`); totals, counts, min/max per
-//!   `/`-joined path. [`Profiler::record`] folds in externally measured
-//!   durations for timings that span a parallel fan-out.
+//! * **Phase timers** ([`Profiler::record`]) — externally measured spans
+//!   folded in under a literal path (`shard/sim`, `policy/SmartOClock`);
+//!   totals, counts, min/max per path.
 //! * **Throughput counters** ([`Profiler::add`]) — monotonic work counts
 //!   (racks, sim_steps, events); snapshots derive `*_per_sec` rates.
 //! * **Memory sampling** ([`mem`]) — peak RSS from procfs and an opt-in
@@ -35,12 +34,11 @@
 //!
 //! ```
 //! use soc_prof::Profiler;
+//! use std::time::Instant;
 //!
 //! let prof = Profiler::new("example");
-//! {
-//!     let _setup = prof.phase("setup");
-//!     let _inner = prof.phase("templates"); // records as setup/templates
-//! }
+//! let start = Instant::now();
+//! prof.record("setup/templates", start.elapsed());
 //! prof.add("racks", 8);
 //! let snap = prof.snapshot();
 //! assert!(snap.phases.contains_key("setup/templates"));
@@ -57,13 +55,12 @@ pub mod phase;
 pub mod snapshot;
 
 pub use mem::{alloc_counts, peak_rss_bytes, CountingAlloc};
-pub use phase::{PhaseGuard, PhaseStats};
+pub use phase::PhaseStats;
 pub use snapshot::{PhaseSnap, Snapshot, SCHEMA};
 /// The workspace JSON codec, re-exported for `benchmark/`, which reads its
 /// result files through this path.
 pub use soc_telemetry::json;
 
-use phase::LiveGuard;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -132,30 +129,9 @@ impl Profiler {
         inner.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Begin a scoped phase. The returned guard measures until drop and
-    /// nests under any phase already open on this thread (see [`phase`]).
-    /// Inert when disabled.
-    pub fn phase(&self, name: &str) -> PhaseGuard {
-        match &self.inner {
-            Some(_) => {
-                let (path, depth) = phase::push_phase(name);
-                PhaseGuard {
-                    live: Some(LiveGuard {
-                        profiler: self.clone(),
-                        path,
-                        depth,
-                        start: Instant::now(),
-                    }),
-                }
-            }
-            None => PhaseGuard { live: None },
-        }
-    }
-
-    /// Fold an externally measured duration into phase `path` (no nesting
-    /// logic — the path is taken literally). For timings that span a
-    /// parallel fan-out, where holding a [`PhaseGuard`] on the spawning
-    /// thread would nest worker phases differently at `--threads 1`.
+    /// Fold an externally measured duration into phase `path`. The path is
+    /// taken literally, whichever thread measured the span, so the keys do
+    /// not depend on how work was dealt across threads.
     pub fn record(&self, path: &str, elapsed: Duration) {
         if let Some(inner) = &self.inner {
             Self::state(inner)
@@ -237,70 +213,11 @@ mod tests {
     fn disabled_profiler_is_inert() {
         let prof = Profiler::disabled();
         assert!(!prof.is_enabled());
-        let guard = prof.phase("anything");
-        assert_eq!(guard.path(), None);
-        drop(guard);
         prof.add("racks", 5);
         prof.set_meta("k", "v");
         prof.record("manual", Duration::from_millis(3));
         let snap = prof.snapshot();
         assert_eq!(snap, Snapshot::default());
-    }
-
-    #[test]
-    fn phases_nest_per_thread() {
-        let prof = Profiler::new("nesting");
-        {
-            let outer = prof.phase("outer");
-            assert_eq!(outer.path(), Some("outer"));
-            {
-                let inner = prof.phase("inner");
-                assert_eq!(inner.path(), Some("outer/inner"));
-            }
-            let sibling = prof.phase("sibling");
-            assert_eq!(sibling.path(), Some("outer/sibling"));
-        }
-        let top = prof.phase("top");
-        assert_eq!(top.path(), Some("top"));
-        drop(top);
-        let snap = prof.snapshot();
-        let keys: Vec<&str> = snap.phases.keys().map(String::as_str).collect();
-        assert_eq!(keys, ["outer", "outer/inner", "outer/sibling", "top"]);
-        assert_eq!(snap.phases["outer"].count, 1);
-    }
-
-    #[test]
-    fn out_of_order_drop_restores_the_stack() {
-        let prof = Profiler::new("ordering");
-        let outer = prof.phase("outer");
-        let inner = prof.phase("inner");
-        // Dropping the parent first force-closes the child's stack slot…
-        drop(outer);
-        // …so a new phase is top-level, not a child of a dead parent.
-        let after = prof.phase("after");
-        assert_eq!(after.path(), Some("after"));
-        drop(after);
-        // The leaked child still recorded under its original path.
-        drop(inner);
-        let snap = prof.snapshot();
-        assert!(snap.phases.contains_key("outer/inner"));
-        assert!(snap.phases.contains_key("after"));
-    }
-
-    #[test]
-    fn threads_do_not_inherit_the_callers_stack() {
-        let prof = Profiler::new("threads");
-        let _outer = prof.phase("outer");
-        let worker = prof.clone();
-        let path = std::thread::spawn(move || {
-            let guard = worker.phase("work");
-            guard.path().map(str::to_string)
-        })
-        .join()
-        .unwrap();
-        // Worker-thread phases key by their own stack: stable names for
-        // every --threads value.
-        assert_eq!(path.as_deref(), Some("work"));
     }
 
     #[test]
@@ -318,21 +235,21 @@ mod tests {
     #[test]
     fn record_takes_the_path_literally() {
         let prof = Profiler::new("record");
-        let _outer = prof.phase("outer");
         prof.record("run/t1", Duration::from_millis(7));
+        let worker = prof.clone();
+        std::thread::spawn(move || worker.record("run/t1", Duration::from_millis(3)))
+            .join()
+            .unwrap();
         let snap = prof.snapshot();
-        // Not nested under `outer`.
-        assert!(snap.phases.contains_key("run/t1"));
-        assert_eq!(snap.phases["run/t1"].count, 1);
+        // One key, whichever thread measured the span.
+        assert_eq!(snap.phases.len(), 1);
+        assert_eq!(snap.phases["run/t1"].count, 2);
     }
 
     #[test]
     fn snapshot_round_trips_through_json() {
         let prof = Profiler::new("roundtrip");
-        {
-            let _p = prof.phase("sim");
-            let _c = prof.phase("admission");
-        }
+        prof.record("sim/admission", Duration::from_micros(1500));
         prof.add("sim_steps", 100);
         prof.set_meta("racks", 4);
         let snap = prof.snapshot();

@@ -1,21 +1,11 @@
-//! Scoped wall-clock phase timers with nesting.
+//! Per-phase wall-clock statistics.
 //!
-//! A [`PhaseGuard`] measures the wall time between its creation and its
-//! drop, accumulating into the owning profiler under a `/`-joined path.
-//! Nesting is tracked per thread: a guard created while another guard on
-//! the *same thread* is alive records under the parent's path
-//! (`sim/admission`). Worker threads start with an empty stack, so phases
-//! opened inside `simcore::par` workers record under stable top-level
-//! names regardless of what the spawning thread was doing — the snapshot
-//! keys are identical for `--threads 1` and `--threads N`.
-//!
-//! Bench binaries that time *across* a parallel fan-out (where the guard
-//! would live on the main thread while the work happens on workers) should
-//! use [`crate::Profiler::record`] instead of holding a guard open, for the
-//! same key-stability reason.
+//! Every span folds into the profiler through [`crate::Profiler::record`]
+//! under a literal path (`shard/sim`, `policy/SmartOClock`): no nesting is
+//! inferred from the calling thread, so the snapshot keys are identical
+//! for `--threads 1` and `--threads N`.
 
-use std::cell::RefCell;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Accumulated statistics for one phase path.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -45,69 +35,6 @@ impl PhaseStats {
     }
 }
 
-thread_local! {
-    /// Stack of full phase paths open on this thread.
-    static PHASE_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Join `name` under the innermost open phase on this thread (if any) and
-/// push the result. Returns the full path and the stack depth *before* the
-/// push, so an out-of-order drop can restore a consistent stack.
-pub(crate) fn push_phase(name: &str) -> (String, usize) {
-    PHASE_STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        let path = match stack.last() {
-            Some(parent) => format!("{parent}/{name}"),
-            None => name.to_string(),
-        };
-        let depth = stack.len();
-        stack.push(path.clone());
-        (path, depth)
-    })
-}
-
-/// Pop back to `depth` (drops any child phases a caller forgot to end —
-/// their timings were already folded in when *their* guards dropped).
-pub(crate) fn pop_phase(depth: usize) {
-    PHASE_STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        stack.truncate(depth);
-    });
-}
-
-/// RAII span: measures from creation to drop and folds the elapsed wall
-/// time into the profiler it came from. Obtained via
-/// [`crate::Profiler::phase`]; inert when the profiler is disabled.
-#[must_use = "a phase guard measures until it is dropped; binding it to _ ends it immediately"]
-pub struct PhaseGuard {
-    pub(crate) live: Option<LiveGuard>,
-}
-
-pub(crate) struct LiveGuard {
-    pub(crate) profiler: crate::Profiler,
-    pub(crate) path: String,
-    pub(crate) depth: usize,
-    pub(crate) start: Instant,
-}
-
-impl PhaseGuard {
-    /// The full `/`-joined path this guard records under, or `None` when
-    /// the profiler is disabled.
-    pub fn path(&self) -> Option<&str> {
-        self.live.as_ref().map(|l| l.path.as_str())
-    }
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        if let Some(live) = self.live.take() {
-            let elapsed = live.start.elapsed();
-            pop_phase(live.depth);
-            live.profiler.record(&live.path, elapsed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,21 +49,5 @@ mod tests {
         assert_eq!(s.total, Duration::from_millis(12));
         assert_eq!(s.min, Duration::from_millis(2));
         assert_eq!(s.max, Duration::from_millis(6));
-    }
-
-    #[test]
-    fn push_pop_tracks_nesting() {
-        let (outer, d0) = push_phase("outer");
-        assert_eq!(outer, "outer");
-        let (inner, d1) = push_phase("inner");
-        assert_eq!(inner, "outer/inner");
-        pop_phase(d1);
-        let (sibling, d2) = push_phase("sibling");
-        assert_eq!(sibling, "outer/sibling");
-        pop_phase(d2);
-        pop_phase(d0);
-        let (fresh, d3) = push_phase("fresh");
-        assert_eq!(fresh, "fresh");
-        pop_phase(d3);
     }
 }

@@ -364,6 +364,43 @@ mod tests {
     }
 
     #[test]
+    fn denial_needs_a_budget_below_the_closed_form_bound() {
+        // Admission always reaches the lowest overclocked level, whose
+        // fraction is step/span, and a part's risk is below 1 - 1/bins. So
+        // no part is denied at a budget of (1 - 1/bins) * step/span or more,
+        // and some part is denied below it.
+        for p in [
+            FrequencyPlan::amd_reference(),
+            FrequencyPlan::intel_reference(),
+        ] {
+            let span = p.max_overclock().saturating_sub(p.turbo());
+            for bins in [2, 4, 8] {
+                let bound = (1.0 - 1.0 / f64::from(bins)) * p.step().ratio(span);
+                let cfg = BinningConfig {
+                    bins,
+                    risk_budget: bound,
+                    wear_spread: 0.0,
+                    seed: 42,
+                };
+                let denied = |budget: f64| {
+                    (0..2_000u64)
+                        .filter(|&id| {
+                            cfg.part(&p, id)
+                                .admit(&p, budget, p.max_overclock())
+                                .is_none()
+                        })
+                        .count()
+                };
+                assert_eq!(denied(bound), 0, "bins={bins}: denied at the bound");
+                assert!(
+                    denied(0.95 * bound) > 0,
+                    "bins={bins}: none denied below the bound"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn uniform_part_is_always_admitted_at_request() {
         let p = plan();
         let part = SiliconPart::uniform(&p);

@@ -114,44 +114,44 @@ impl WearoutCounter {
     }
 }
 
-/// Compare the overclocking time granted over a utilization profile by the
-/// offline time budget vs. the online wear counter. Returns
-/// `(offline_hours, online_hours)` for the given per-epoch fraction.
-///
-/// The paper's §VI argument: offline certification "does not leverage the
-/// impact of utilization variability … on ageing at cloud scale" — the
-/// online counter grants strictly more overclocking at low utilization.
-pub fn offline_vs_online_grant(
-    model: &WearModel,
-    utilization_profile: &[f64],
-    step: SimDuration,
-    offline_fraction: f64,
-    temp_c: f64,
-) -> (f64, f64) {
-    let plan = model.curve().plan();
-    let oc = plan.max_overclock();
-    let total: SimDuration = step * utilization_profile.len() as u64;
-    // Offline: a flat fraction of wall-clock time, independent of load.
-    let offline_hours = total.as_hours_f64() * offline_fraction;
-    // Online: overclock whenever the counter stays within budget.
-    let mut counter = WearoutCounter::new(model.clone());
-    let mut online_hours = 0.0;
-    for &u in utilization_profile {
-        let u = u.clamp(0.0, 1.0);
-        if counter.can_overclock(u, oc, temp_c, step) {
-            counter.record(u, oc, temp_c, step);
-            online_hours += step.as_hours_f64();
-        } else {
-            counter.record(u, plan.turbo(), temp_c, step);
-        }
-    }
-    (offline_hours, online_hours)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use soc_power::freq::FrequencyPlan;
+
+    /// Compare the overclocking time granted over a utilization profile by the
+    /// offline time budget vs. the online wear counter. Returns
+    /// `(offline_hours, online_hours)` for the given per-epoch fraction.
+    ///
+    /// The paper's §VI argument: offline certification "does not leverage the
+    /// impact of utilization variability … on ageing at cloud scale" — the
+    /// online counter grants strictly more overclocking at low utilization.
+    fn offline_vs_online_grant(
+        model: &WearModel,
+        utilization_profile: &[f64],
+        step: SimDuration,
+        offline_fraction: f64,
+        temp_c: f64,
+    ) -> (f64, f64) {
+        let plan = model.curve().plan();
+        let oc = plan.max_overclock();
+        let total: SimDuration = step * utilization_profile.len() as u64;
+        // Offline: a flat fraction of wall-clock time, independent of load.
+        let offline_hours = total.as_hours_f64() * offline_fraction;
+        // Online: overclock whenever the counter stays within budget.
+        let mut counter = WearoutCounter::new(model.clone());
+        let mut online_hours = 0.0;
+        for &u in utilization_profile {
+            let u = u.clamp(0.0, 1.0);
+            if counter.can_overclock(u, oc, temp_c, step) {
+                counter.record(u, oc, temp_c, step);
+                online_hours += step.as_hours_f64();
+            } else {
+                counter.record(u, plan.turbo(), temp_c, step);
+            }
+        }
+        (offline_hours, online_hours)
+    }
 
     fn model() -> WearModel {
         WearModel::default()

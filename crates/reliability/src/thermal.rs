@@ -13,9 +13,8 @@
 //! deployments, which feeds the wear model's temperature acceleration — the
 //! mechanism by which immersion cooling buys extra overclocking duration.
 
-use crate::wear::WearModel;
 use simcore::time::SimDuration;
-use soc_power::units::{MegaHertz, Watts};
+use soc_power::units::Watts;
 
 /// Cooling technology of a server deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,41 +125,43 @@ impl ThermalModel {
     }
 }
 
-/// Sustainable overclocking duty cycle under each cooling technology: the
-/// fraction of time a server can spend overclocked without exceeding
-/// reference ageing, given its busy/idle power profile. This quantifies the
-/// paper's claim that advanced cooling "enhances the capability (e.g.,
-/// duration)".
-pub fn sustainable_duty_cycle(
-    wear: &WearModel,
-    cooling: Cooling,
-    utilization: f64,
-    oc_frequency: MegaHertz,
-    turbo_power: Watts,
-    oc_power: Watts,
-) -> f64 {
-    let tau = SimDuration::from_secs(60);
-    let model = ThermalModel::new(cooling, tau);
-    let t_turbo = model.steady_state_c(turbo_power);
-    let t_oc = model.steady_state_c(oc_power);
-    let plan = wear.curve().plan();
-    let base_rate = wear.ageing_rate(utilization, plan.turbo(), t_turbo);
-    if base_rate >= 1.0 {
-        return 0.0;
-    }
-    let oc_rate = wear.ageing_rate(utilization, oc_frequency, t_oc);
-    let turbo_rate_at_oc_temp = wear.ageing_rate(utilization, plan.turbo(), t_turbo);
-    let extra = oc_rate - turbo_rate_at_oc_temp;
-    if extra <= 0.0 {
-        return 1.0;
-    }
-    ((1.0 - base_rate) / extra).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wear::WearModel;
     use soc_power::freq::FrequencyPlan;
+    use soc_power::units::MegaHertz;
+
+    /// Sustainable overclocking duty cycle under each cooling technology: the
+    /// fraction of time a server can spend overclocked without exceeding
+    /// reference ageing, given its busy/idle power profile. This quantifies the
+    /// paper's claim that advanced cooling "enhances the capability (e.g.,
+    /// duration)".
+    fn sustainable_duty_cycle(
+        wear: &WearModel,
+        cooling: Cooling,
+        utilization: f64,
+        oc_frequency: MegaHertz,
+        turbo_power: Watts,
+        oc_power: Watts,
+    ) -> f64 {
+        let tau = SimDuration::from_secs(60);
+        let model = ThermalModel::new(cooling, tau);
+        let t_turbo = model.steady_state_c(turbo_power);
+        let t_oc = model.steady_state_c(oc_power);
+        let plan = wear.curve().plan();
+        let base_rate = wear.ageing_rate(utilization, plan.turbo(), t_turbo);
+        if base_rate >= 1.0 {
+            return 0.0;
+        }
+        let oc_rate = wear.ageing_rate(utilization, oc_frequency, t_oc);
+        let turbo_rate_at_oc_temp = wear.ageing_rate(utilization, plan.turbo(), t_turbo);
+        let extra = oc_rate - turbo_rate_at_oc_temp;
+        if extra <= 0.0 {
+            return 1.0;
+        }
+        ((1.0 - base_rate) / extra).clamp(0.0, 1.0)
+    }
 
     #[test]
     fn steady_state_matches_rc_formula() {

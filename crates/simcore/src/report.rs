@@ -49,15 +49,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Append a row of displayable items.
-    ///
-    /// # Panics
-    /// Panics if the cell count does not match the header count.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) {
-        let strings: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&strings);
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -207,14 +198,6 @@ mod tests {
         // Header column is padded out to the widest data cell.
         assert_eq!(lines[0], "h          x");
         assert_eq!(lines[1].len(), "wide-cell".len() + 2 + 1);
-    }
-
-    #[test]
-    fn row_display_stringifies() {
-        let mut t = Table::new(&["n"]);
-        t.row_display(&[42]);
-        assert!(t.render().contains("42"));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -148,59 +148,6 @@ impl Pcg32 {
         assert!(sigma >= 0.0, "sigma must be non-negative");
         (mu + sigma * self.sample_standard_normal()).exp()
     }
-
-    /// Poisson-distributed count with the given mean (Knuth for small means,
-    /// normal approximation above 64 to stay O(1)).
-    ///
-    /// # Panics
-    /// Panics if `mean` is negative or not finite.
-    pub fn sample_poisson(&mut self, mean: f64) -> u64 {
-        assert!(
-            mean.is_finite() && mean >= 0.0,
-            "mean must be finite and non-negative"
-        );
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean > 64.0 {
-            let x = self.sample_normal(mean, mean.sqrt());
-            return x.max(0.0).round() as u64;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.next_f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
-    /// Bounded Pareto sample in `[scale, cap]` with shape `alpha`; used for
-    /// heavy-tailed service times in the microservice model.
-    ///
-    /// # Panics
-    /// Panics if `alpha <= 0`, `scale <= 0`, or `cap < scale`.
-    pub fn sample_bounded_pareto(&mut self, alpha: f64, scale: f64, cap: f64) -> f64 {
-        assert!(
-            alpha > 0.0 && scale > 0.0 && cap >= scale,
-            "invalid Pareto parameters"
-        );
-        let u = self.next_f64();
-        let ha = cap.powf(-alpha);
-        let la = scale.powf(-alpha);
-        (u * (ha - la) + la).powf(-1.0 / alpha)
-    }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_index(i + 1);
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -282,40 +229,6 @@ mod tests {
         let xs: Vec<f64> = (0..50_000).map(|_| rng.sample_exp(2.0)).collect();
         let (mean, _) = mean_and_var(&xs);
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_mean_small_and_large() {
-        let mut rng = Pcg32::seed_from_u64(13);
-        let small: Vec<f64> = (0..20_000)
-            .map(|_| rng.sample_poisson(3.5) as f64)
-            .collect();
-        let (m, _) = mean_and_var(&small);
-        assert!((m - 3.5).abs() < 0.1, "small mean {m}");
-        let large: Vec<f64> = (0..20_000)
-            .map(|_| rng.sample_poisson(200.0) as f64)
-            .collect();
-        let (m, _) = mean_and_var(&large);
-        assert!((m - 200.0).abs() < 1.0, "large mean {m}");
-    }
-
-    #[test]
-    fn bounded_pareto_respects_bounds() {
-        let mut rng = Pcg32::seed_from_u64(14);
-        for _ in 0..10_000 {
-            let x = rng.sample_bounded_pareto(1.5, 1.0, 100.0);
-            assert!((1.0..=100.0).contains(&x), "out of bounds: {x}");
-        }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Pcg32::seed_from_u64(15);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -182,8 +182,6 @@ impl SimTime {
 impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// One millisecond.
-    pub const MILLISECOND: SimDuration = SimDuration(1_000);
     /// One second.
     pub const SECOND: SimDuration = SimDuration(MICROS_PER_SEC);
     /// One minute.

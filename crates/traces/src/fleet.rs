@@ -64,14 +64,6 @@ impl ServerTrace {
         }
     }
 
-    /// Peak baseline power over the span.
-    ///
-    /// # Panics
-    /// Panics if the trace is empty.
-    pub fn peak_power(&self) -> Watts {
-        Watts::new(self.power.max())
-    }
-
     /// Mean baseline power over the span.
     ///
     /// # Panics
@@ -129,21 +121,6 @@ impl RackTrace {
     pub fn headroom(&self) -> TimeSeries {
         let limit = self.limit.get();
         self.power.map(|p| (limit - p).max(0.0))
-    }
-
-    /// Fraction of samples where draw is below `fraction` of the limit.
-    ///
-    /// # Panics
-    /// Panics if the trace is empty.
-    pub fn fraction_below(&self, fraction: f64) -> f64 {
-        let threshold = self.limit.get() * fraction;
-        let below = self
-            .power
-            .values()
-            .iter()
-            .filter(|&&p| p < threshold)
-            .count();
-        below as f64 / self.power.len() as f64
     }
 }
 
@@ -218,8 +195,6 @@ mod tests {
     fn headroom_and_fraction_below() {
         let r = rack();
         assert_eq!(r.headroom().values(), &[500.0, 300.0, 100.0, 400.0]);
-        assert_eq!(r.fraction_below(0.8), 0.75);
-        assert_eq!(r.fraction_below(0.2), 0.0);
     }
 
     #[test]
@@ -230,7 +205,6 @@ mod tests {
             power: series(vec![150.0, 250.0]),
             oc_demand_cores: series(vec![0.0, 8.0]),
         };
-        assert_eq!(s.peak_power(), Watts::new(250.0));
         assert_eq!(s.mean_power(), Watts::new(200.0));
         assert!(s.wants_overclock());
     }

@@ -110,27 +110,6 @@ impl RateSchedule {
         let idx = self.segments.partition_point(|&(s, _)| s <= t);
         self.segments.get(idx).map(|&(s, _)| s)
     }
-
-    /// The maximum rate anywhere in the schedule.
-    pub fn peak_rate(&self) -> f64 {
-        self.segments.iter().map(|&(_, r)| r).fold(0.0, f64::max)
-    }
-
-    /// Expected number of arrivals in `[from, to)`.
-    ///
-    /// # Panics
-    /// Panics if `to < from`.
-    pub fn expected_arrivals(&self, from: SimTime, to: SimTime) -> f64 {
-        assert!(to >= from, "interval must be forward");
-        let mut total = 0.0;
-        let mut t = from;
-        while t < to {
-            let seg_end = self.next_change_after(t).unwrap_or(to).min(to);
-            total += self.rate_at(t) * seg_end.since(t).as_secs_f64();
-            t = seg_end;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +121,6 @@ mod tests {
         let s = RateSchedule::constant(5.0);
         assert_eq!(s.rate_at(SimTime::ZERO), 5.0);
         assert_eq!(s.rate_at(SimTime::from_secs(1_000_000)), 5.0);
-        assert_eq!(s.peak_rate(), 5.0);
         assert_eq!(s.next_change_after(SimTime::ZERO), None);
     }
 
@@ -172,14 +150,6 @@ mod tests {
         assert_eq!(s.rate_at(SimTime::from_secs(2)), 100.0); // in burst
         assert_eq!(s.rate_at(SimTime::from_secs(30)), 10.0); // between bursts
         assert_eq!(s.rate_at(SimTime::from_secs(62)), 100.0); // next burst
-        assert_eq!(s.peak_rate(), 100.0);
-    }
-
-    #[test]
-    fn expected_arrivals_integrates() {
-        let s = RateSchedule::constant(2.0).with_segment(SimTime::from_secs(10), 4.0);
-        let n = s.expected_arrivals(SimTime::ZERO, SimTime::from_secs(20));
-        assert!((n - (2.0 * 10.0 + 4.0 * 10.0)).abs() < 1e-9);
     }
 
     #[test]

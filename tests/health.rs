@@ -2,10 +2,11 @@
 //!
 //! The fleet-health layer (`soc-health` + the `gauge`/`event` hooks on
 //! `soc_cluster::probe::ShardProbe`) must never perturb the simulation:
-//! attaching a live [`HealthProbe`] to the sharded engine has to yield
-//! byte-identical telemetry traces, metrics, and outcomes to the default
-//! [`NoopProbe`] run, at any thread count. That is what lets `--health`
-//! default to off-but-harmless in every bench binary.
+//! attaching a health-recording [`Observer`] to the sharded engine has to
+//! yield byte-identical telemetry traces, metrics, and outcomes to the
+//! default [`NoopProbe`] run, at any thread count — also with its trace and
+//! profile parts switched on at the same time. That is what lets
+//! `--health` default to off-but-harmless in every bench binary.
 //!
 //! The chaos case then drives the recorder end to end: an injected gOA
 //! outage must surface as exactly one resolved degraded-window incident
@@ -15,13 +16,14 @@
 use simcore::faults::FaultPlan;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::policy::PolicyKind;
-use soc_bench::probe::HealthProbe;
+use soc_bench::Observer;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::probe::{NoopProbe, ShardProbe};
 use soc_cluster::shard::simulate_policy_sharded_probed;
 use soc_health::{default_rules, Recorder};
+use soc_prof::Profiler;
 use soc_telemetry::json::event_to_json;
-use soc_telemetry::Telemetry;
+use soc_telemetry::{MemorySink, Telemetry};
 
 fn small_config(seed: u64) -> LargeScaleConfig {
     let mut cfg = LargeScaleConfig::small_test();
@@ -29,23 +31,41 @@ fn small_config(seed: u64) -> LargeScaleConfig {
     cfg
 }
 
-/// Run one traced policy simulation under `probe`; return (trace lines,
-/// rendered metrics, outcomes) — everything a consumer can observe.
-fn probed_run(
-    cfg: &LargeScaleConfig,
-    threads: usize,
-    probe: &dyn ShardProbe,
-) -> (
+/// Trace lines, rendered metrics and outcomes of one run — everything a
+/// consumer can observe.
+type Observed = (
     Vec<String>,
     String,
     Vec<soc_cluster::largescale_metrics::RackOutcome>,
-) {
-    let (tm, sink) = Telemetry::memory();
-    let outcomes =
-        simulate_policy_sharded_probed(cfg, PolicyKind::SmartOClock, &tm, threads, probe);
+);
+
+/// Run one policy simulation traced into `tm` (whose events land in
+/// `sink`) under `probe`.
+fn traced_run(
+    cfg: &LargeScaleConfig,
+    threads: usize,
+    tm: &Telemetry,
+    sink: &MemorySink,
+    probe: &dyn ShardProbe,
+) -> Observed {
+    let outcomes = simulate_policy_sharded_probed(cfg, PolicyKind::SmartOClock, tm, threads, probe);
     let lines: Vec<String> = sink.events().iter().map(event_to_json).collect();
     let metrics = tm.metrics_snapshot().render();
     (lines, metrics, outcomes)
+}
+
+/// Run one policy simulation under `probe`, traced into a fresh memory sink.
+fn probed_run(cfg: &LargeScaleConfig, threads: usize, probe: &dyn ShardProbe) -> Observed {
+    let (tm, sink) = Telemetry::memory();
+    traced_run(cfg, threads, &tm, &sink, probe)
+}
+
+/// An observer with only its recorder on, as `--health` builds it.
+fn health_observer(recorder: Recorder) -> Observer {
+    Observer {
+        recorder,
+        ..Observer::default()
+    }
 }
 
 #[test]
@@ -54,7 +74,7 @@ fn health_recorded_run_is_byte_identical_to_unrecorded() {
     for threads in [1, 4] {
         let baseline = probed_run(&cfg, threads, &NoopProbe);
         let recorder = Recorder::new("health-test");
-        let probed = probed_run(&cfg, threads, &HealthProbe::new(recorder.clone()));
+        let probed = probed_run(&cfg, threads, &health_observer(recorder.clone()));
         assert_eq!(
             baseline.0, probed.0,
             "telemetry trace changed under health recording at {threads} threads"
@@ -80,6 +100,26 @@ fn health_recorded_run_is_byte_identical_to_unrecorded() {
             report.store.entities("rack_draw_w").len() == cfg.racks,
             "expected one rack_draw_w series per rack"
         );
+
+        // Trace, profile and health on at once: still the same bytes, and
+        // the recorder takes the samples the health-only run did.
+        let (telemetry, sink) = Telemetry::memory();
+        let full = Observer {
+            name: "full".to_string(),
+            telemetry,
+            profiler: Profiler::new("full"),
+            recorder: Recorder::new("full"),
+        };
+        let observed = traced_run(&cfg, threads, &full.telemetry, &sink, &full);
+        assert_eq!(
+            baseline, observed,
+            "the fully enabled observer perturbed the run at {threads} threads"
+        );
+        assert_eq!(full.recorder.samples(), recorder.samples());
+        assert!(
+            full.profiler.snapshot().phases.contains_key("shard/sim"),
+            "the profile part stayed empty"
+        );
     }
 }
 
@@ -92,7 +132,7 @@ fn health_series_are_identical_across_thread_counts() {
     let mut reports = Vec::new();
     for threads in [1, 4] {
         let recorder = Recorder::new("health-test");
-        let _ = probed_run(&cfg, threads, &HealthProbe::new(recorder.clone()));
+        let _ = probed_run(&cfg, threads, &health_observer(recorder.clone()));
         let report = recorder
             .finalize(&default_rules(cfg.step.as_micros()))
             .expect("report");
@@ -134,7 +174,7 @@ fn injected_goa_outage_produces_one_resolved_incident() {
     let exit_us = exit_us.expect("outage ends inside the horizon");
 
     let recorder = Recorder::new("chaos-health");
-    let _ = probed_run(&cfg, 2, &HealthProbe::new(recorder.clone()));
+    let _ = probed_run(&cfg, 2, &health_observer(recorder.clone()));
     let report = recorder
         .finalize(&default_rules(cfg.step.as_micros()))
         .expect("report");

@@ -1,25 +1,27 @@
 //! Profiling-is-observation-only harness.
 //!
 //! The perf-observability layer (`soc-prof` + `soc_cluster::probe`) must
-//! never perturb the simulation: attaching a live [`ProfProbe`] to the
+//! never perturb the simulation: attaching a profiling [`Observer`] to the
 //! sharded engine has to yield byte-identical telemetry traces, metrics,
-//! and outcomes to the default [`NoopProbe`] run, at any thread count.
+//! and outcomes to the default [`NoopProbe`] run, at any thread count —
+//! also with its trace and health parts switched on at the same time.
 //! That invariant is what lets `--prof` default to off-but-harmless and
 //! lets `soc-benchmark` take its per-layer numbers from traced passes that
 //! must reproduce the untraced digest. Pinned here end to end across the public crate APIs, with
 //! tiny configs so it runs in the tier-1 suite.
 
 use smartoclock::policy::PolicyKind;
-use soc_bench::probe::ProfProbe;
+use soc_bench::Observer;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::probe::{NoopProbe, ShardProbe};
 use soc_cluster::shard::{
     generate_fleet_probed, simulate_policy_prepared_probed, simulate_policy_sharded_probed,
     train_fleet_probed,
 };
+use soc_health::Recorder;
 use soc_prof::Profiler;
 use soc_telemetry::json::event_to_json;
-use soc_telemetry::Telemetry;
+use soc_telemetry::{MemorySink, Telemetry};
 use std::sync::Mutex;
 
 // The allocation-regression test below reads the process-global counters
@@ -41,23 +43,50 @@ fn small_config(seed: u64) -> LargeScaleConfig {
     cfg
 }
 
-/// Run one traced policy simulation under `probe`; return (trace lines,
-/// rendered metrics, outcomes) — everything a consumer can observe.
-fn probed_run(
-    cfg: &LargeScaleConfig,
-    threads: usize,
-    probe: &dyn ShardProbe,
-) -> (
+/// Trace lines, rendered metrics and outcomes of one run — everything a
+/// consumer can observe.
+type Observed = (
     Vec<String>,
     String,
     Vec<soc_cluster::largescale_metrics::RackOutcome>,
-) {
-    let (tm, sink) = Telemetry::memory();
-    let outcomes =
-        simulate_policy_sharded_probed(cfg, PolicyKind::SmartOClock, &tm, threads, probe);
+);
+
+/// Run one policy simulation traced into `tm` (whose events land in
+/// `sink`) under `probe`.
+fn traced_run(
+    cfg: &LargeScaleConfig,
+    threads: usize,
+    tm: &Telemetry,
+    sink: &MemorySink,
+    probe: &dyn ShardProbe,
+) -> Observed {
+    let outcomes = simulate_policy_sharded_probed(cfg, PolicyKind::SmartOClock, tm, threads, probe);
     let lines: Vec<String> = sink.events().iter().map(event_to_json).collect();
     let metrics = tm.metrics_snapshot().render();
     (lines, metrics, outcomes)
+}
+
+/// Run one policy simulation under `probe`, traced into a fresh memory sink.
+fn probed_run(cfg: &LargeScaleConfig, threads: usize, probe: &dyn ShardProbe) -> Observed {
+    let (tm, sink) = Telemetry::memory();
+    traced_run(cfg, threads, &tm, &sink, probe)
+}
+
+/// An observer with only its profiler on, as `--prof` builds it.
+fn prof_observer(profiler: Profiler) -> Observer {
+    Observer {
+        profiler,
+        ..Observer::default()
+    }
+}
+
+/// Phase and counter keys of a profile.
+fn profile_keys(profiler: &Profiler) -> (Vec<String>, Vec<String>) {
+    let snap = profiler.snapshot();
+    (
+        snap.phases.keys().cloned().collect(),
+        snap.counters.keys().cloned().collect(),
+    )
 }
 
 #[test]
@@ -67,7 +96,7 @@ fn profiled_run_is_byte_identical_to_unprofiled() {
     for threads in [1, 4] {
         let baseline = probed_run(&cfg, threads, &NoopProbe);
         let profiler = Profiler::new("prof-test");
-        let probed = probed_run(&cfg, threads, &ProfProbe::new(profiler.clone()));
+        let probed = probed_run(&cfg, threads, &prof_observer(profiler.clone()));
         assert_eq!(
             baseline.0, probed.0,
             "telemetry trace changed under profiling at {threads} threads"
@@ -89,6 +118,23 @@ fn profiled_run_is_byte_identical_to_unprofiled() {
             snap.phases.keys().collect::<Vec<_>>()
         );
         assert_eq!(snap.counters.get("racks").copied(), Some(cfg.racks as u64));
+
+        // Trace, profile and health on at once: still the same bytes, and
+        // the profile records the keys the profile-only run did.
+        let (telemetry, sink) = Telemetry::memory();
+        let full = Observer {
+            name: "full".to_string(),
+            telemetry,
+            profiler: Profiler::new("full"),
+            recorder: Recorder::new("full"),
+        };
+        let observed = traced_run(&cfg, threads, &full.telemetry, &sink, &full);
+        assert_eq!(
+            baseline, observed,
+            "the fully enabled observer perturbed the run at {threads} threads"
+        );
+        assert_eq!(profile_keys(&full.profiler), profile_keys(&profiler));
+        assert!(full.recorder.samples() > 0, "the health part stayed empty");
     }
 }
 
@@ -99,7 +145,7 @@ fn disabled_profiler_probe_records_nothing() {
     // then return no tokens and the snapshot must stay empty.
     let cfg = small_config(11);
     let profiler = Profiler::disabled();
-    let probe = ProfProbe::new(profiler.clone());
+    let probe = prof_observer(profiler.clone());
     assert!(probe.span("shard/sim").is_none());
     let _ = probed_run(&cfg, 2, &probe);
     let snap = profiler.snapshot();
@@ -119,7 +165,7 @@ fn profiled_runs_are_reproducible_across_thread_counts() {
     let one = probed_run(&cfg, 1, &NoopProbe);
     for threads in [2, 4] {
         let profiler = Profiler::new("prof-test");
-        let probed = probed_run(&cfg, threads, &ProfProbe::new(profiler));
+        let probed = probed_run(&cfg, threads, &prof_observer(profiler));
         assert_eq!(one.0, probed.0, "trace differs at {threads} threads");
         assert_eq!(one.1, probed.1, "metrics differ at {threads} threads");
         assert_eq!(one.2, probed.2, "outcomes differ at {threads} threads");
