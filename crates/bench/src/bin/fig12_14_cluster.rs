@@ -13,7 +13,8 @@
 use simcore::report::{fmt_f64, Table};
 use simcore::time::SimDuration;
 use soc_bench::{pct_change, Cli, Output};
-use soc_cluster::harness::{ClusterConfig, ClusterResult, ClusterSim, SystemKind};
+use soc_cluster::harness::{ClusterConfig, ClusterResult, SystemKind};
+use soc_cluster::shard::run_cluster_sims_probed;
 use soc_workloads::socialnet::LoadLevel;
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
         SystemKind::ScaleUp,
         SystemKind::SmartOClock,
     ];
-    let results: Vec<ClusterResult> = systems
+    let configs = systems
         .iter()
         .map(|&system| {
             let mut cfg = ClusterConfig::paper_reference(system);
@@ -36,10 +37,15 @@ fn main() {
                 cfg.mltrain_servers = 6;
                 cfg.spare_servers = 3;
             }
-            eprintln!("running {system}...");
-            ClusterSim::with_telemetry(cfg, obs.telemetry.clone()).run()
+            cfg
         })
         .collect();
+    // The systems run side by side and share each instance's offered
+    // traffic; results come back in system order regardless of --threads.
+    let threads = cli.effective_threads();
+    eprintln!("running Baseline, ScaleOut, ScaleUp and SmartOClock ({threads} threads)...");
+    let results: Vec<ClusterResult> =
+        run_cluster_sims_probed(configs, &obs.telemetry, threads, &obs);
 
     // Fig. 12: latency by load class.
     let mut fig12 = Table::new(&[

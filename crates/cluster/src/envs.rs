@@ -9,7 +9,7 @@ use simcore::time::{SimDuration, SimTime};
 use soc_power::freq::FrequencyPlan;
 use soc_power::units::MegaHertz;
 use soc_workloads::loadgen::RateSchedule;
-use soc_workloads::microservice::{MicroserviceSim, ServiceSpec};
+use soc_workloads::microservice::{MicroserviceSim, ServiceSpec, Traffic};
 use soc_workloads::socialnet::LoadLevel;
 
 /// The three environments of Figs. 2–3.
@@ -107,12 +107,15 @@ pub fn run_at_rate(
 ) -> ServiceRunResult {
     let (vms, freq) = env.setup(plan);
     let schedule = RateSchedule::constant(rate_rps);
-    let mut sim = MicroserviceSim::new(spec.clone(), plan.turbo(), schedule, vms, seed);
+    let mut traffic = Traffic::new(spec, schedule, seed);
+    let mut sim = MicroserviceSim::new(spec.clone(), plan.turbo(), vms);
     sim.set_all_frequencies(freq);
     // Warm-up: a quarter of the measurement interval.
     let warmup = SimTime::ZERO + measure.mul_f64(0.25);
-    let _ = sim.advance_window(warmup);
-    let stats = sim.advance_window(warmup + measure);
+    let end = warmup + measure;
+    let mut latencies = Vec::new();
+    let _ = sim.advance_window(warmup, traffic.fill(warmup), &mut latencies);
+    let stats = sim.advance_window(end, traffic.fill(end), &mut latencies);
     ServiceRunResult {
         p99_ms: stats.p99_ms,
         mean_ms: stats.mean_ms,

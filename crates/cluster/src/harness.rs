@@ -15,6 +15,7 @@
 //! heterogeneous budgets, decentralized enforcement, and proactive
 //! scale-out).
 
+use crate::probe::NoopProbe;
 use simcore::faults::{FaultPlan, FaultPlanConfig};
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::config::SoaConfig;
@@ -30,7 +31,7 @@ use soc_power::units::{MegaHertz, Watts};
 use soc_reliability::binning::BinningConfig;
 use soc_telemetry::{tm_event, Component, Severity, Telemetry};
 use soc_workloads::loadgen::RateSchedule;
-use soc_workloads::microservice::MicroserviceSim;
+use soc_workloads::microservice::{MicroserviceSim, Traffic};
 use soc_workloads::mltrain::MlTrain;
 use soc_workloads::socialnet::{socialnet_services, LoadLevel};
 use std::collections::BTreeMap;
@@ -304,6 +305,11 @@ pub struct ClusterSim {
     config: ClusterConfig,
     model: PowerModel,
     instances: Vec<Instance>,
+    /// Each instance's arrival stream, fresh, until [`ClusterSim::start`]
+    /// hands them to the tick loop.
+    traffic: Vec<Traffic>,
+    /// Ticks since the last heterogeneous-budget refresh.
+    ticks_since_refresh: u128,
     mltrain: Vec<MlTrain>,
     /// Per-server agents (SocialNet + spare servers only).
     soas: Vec<ServerOverclockAgent>,
@@ -381,7 +387,15 @@ impl ClusterSim {
             })
             .collect();
 
+        // Per-tick histories hold exactly one sample per tick.
+        let ticks = config
+            .duration
+            .as_micros()
+            .checked_div(config.tick.as_micros())
+            .and_then(|t| usize::try_from(t).ok())
+            .unwrap_or(0);
         let mut instances = Vec::new();
+        let mut traffic = Vec::new();
         for i in 0..config.socialnet_servers {
             let spec = specs[i % specs.len()].clone();
             let load = loads[i % loads.len()];
@@ -395,13 +409,12 @@ impl ClusterSim {
                 SimDuration::from_minutes(2),
                 config.duration,
             );
-            let sim = MicroserviceSim::new(
-                spec.clone(),
-                plan.turbo(),
+            traffic.push(Traffic::new(
+                &spec,
                 schedule,
-                1,
                 config.seed.wrapping_add(i as u64),
-            );
+            ));
+            let sim = MicroserviceSim::new(spec.clone(), plan.turbo(), 1);
             let slo = spec.slo_ms();
             // Overclock trigger before the scale-out threshold (§IV-D).
             let wi = GlobalWiAgent::new(OverclockPolicy::latency(0.9 * slo, 0.45 * slo));
@@ -417,7 +430,7 @@ impl ClusterSim {
                 }],
                 grants: vec![None],
                 pending_boots: Vec::new(),
-                latencies: Vec::new(),
+                latencies: Vec::with_capacity(ticks),
                 missed: 0,
                 completed: 0,
                 violation_windows: 0,
@@ -491,6 +504,8 @@ impl ClusterSim {
             config,
             model,
             instances,
+            traffic,
+            ticks_since_refresh: 0,
             mltrain,
             soas,
             grant_owner: BTreeMap::new(),
@@ -501,7 +516,7 @@ impl ClusterSim {
             last_signal_decision: 0,
             total_energy_j: 0.0,
             socialnet_energy_j: 0.0,
-            vm_count_samples: Vec::new(),
+            vm_count_samples: Vec::with_capacity(ticks),
             capped_ticks: 0,
             telemetry: Telemetry::disabled(),
             faults,
@@ -537,52 +552,94 @@ impl ClusterSim {
         self.telemetry = telemetry;
     }
 
-    /// Run to completion and report.
-    pub fn run(mut self) -> ClusterResult {
-        let ticks = self.config.duration.as_micros() / self.config.tick.as_micros();
+    /// Run to completion and report: the one-config case of the tick loop
+    /// behind [`crate::shard::run_cluster_sims_probed`].
+    ///
+    /// # Panics
+    /// Panics if the configuration's `tick` is zero.
+    pub fn run(self) -> ClusterResult {
+        let mut results = crate::shard::lockstep(vec![self], 1, &NoopProbe);
+        results.remove(0)
+    }
+
+    /// Number of control ticks in the run.
+    pub(crate) fn ticks(&self) -> u64 {
+        self.config.duration.as_micros() / self.config.tick.as_micros()
+    }
+
+    /// When tick `k` ends.
+    pub(crate) fn tick_end(&self, k: u64) -> SimTime {
+        SimTime::ZERO + self.config.tick * k
+    }
+
+    /// Arrivals instance `i` has consumed from its stream.
+    pub(crate) fn consumed(&self, i: usize) -> u64 {
+        self.instances[i].sim.total_arrivals()
+    }
+
+    /// Open the run, and hand over each instance's arrival stream, in
+    /// instance order, for the caller to fill ahead of every tick.
+    pub(crate) fn start(&mut self) -> Vec<Traffic> {
         let tm = self.telemetry.clone();
         tm_event!(tm, SimTime::ZERO, Component::Harness, Severity::Info, "run_start",
             "system" => self.config.system.name(),
             "socialnet_servers" => self.config.socialnet_servers,
             "mltrain_servers" => self.config.mltrain_servers,
             "spare_servers" => self.config.spare_servers,
-            "ticks" => ticks);
-        let span = tm.span(SimTime::ZERO, Component::Harness, "cluster_run");
-        let mut ticks_since_refresh = 0u128;
+            "ticks" => self.ticks());
         // Heterogeneous budgets apply from the start (the gOA computed them
         // from last week's profiles before this experiment began).
         if self.config.system == SystemKind::SmartOClock {
             self.refresh_budgets(SimTime::ZERO);
         }
-        for k in 1..=ticks {
-            let now = SimTime::ZERO + self.config.tick * k;
-            self.inject_faults(now);
-            self.step(now);
-            // Refresh heterogeneous budgets periodically (the paper does this
-            // weekly from templates; at cluster-experiment timescales we use
-            // the latest observed demand every two minutes). While the gOA is
-            // unreachable no refresh happens; `ticks_since_refresh` keeps
-            // accumulating so the first healthy tick refreshes immediately.
-            ticks_since_refresh += 1;
-            let goa_down = self.faults.goa_unreachable(now);
-            self.note_goa_state(now, goa_down);
-            if self.config.system == SystemKind::SmartOClock
-                && !goa_down
-                && ticks_since_refresh * u128::from(self.config.tick.as_micros())
-                    >= u128::from(SimDuration::from_minutes(2).as_micros())
-            {
-                ticks_since_refresh = 0;
-                self.refresh_budgets(now);
-            }
+        std::mem::take(&mut self.traffic)
+    }
+
+    /// Run control tick `k` (from 1), reading instance `i`'s arrivals from
+    /// `traffic(i)`, filled past [`tick_end`](ClusterSim::tick_end)`(k)`.
+    /// `latencies` is the queueing sims' window scratch (see
+    /// [`MicroserviceSim::advance_window`]).
+    pub(crate) fn tick<'t>(
+        &mut self,
+        k: u64,
+        traffic: impl Fn(usize) -> &'t Traffic,
+        latencies: &mut Vec<f64>,
+    ) {
+        let now = self.tick_end(k);
+        self.inject_faults(now);
+        self.step(now, traffic, latencies);
+        // Refresh heterogeneous budgets periodically (the paper does this
+        // weekly from templates; at cluster-experiment timescales we use
+        // the latest observed demand every two minutes). While the gOA is
+        // unreachable no refresh happens; `ticks_since_refresh` keeps
+        // accumulating so the first healthy tick refreshes immediately.
+        self.ticks_since_refresh += 1;
+        let goa_down = self.faults.goa_unreachable(now);
+        self.note_goa_state(now, goa_down);
+        if self.config.system == SystemKind::SmartOClock
+            && !goa_down
+            && self.ticks_since_refresh * u128::from(self.config.tick.as_micros())
+                >= u128::from(SimDuration::from_minutes(2).as_micros())
+        {
+            self.ticks_since_refresh = 0;
+            self.refresh_budgets(now);
         }
-        let end = SimTime::ZERO + self.config.tick * ticks;
+    }
+
+    /// Close the run and report.
+    pub(crate) fn finish(self) -> ClusterResult {
+        let ticks = self.ticks();
+        let end = self.tick_end(ticks);
+        let tm = self.telemetry.clone();
         tm_event!(tm, end, Component::Harness, Severity::Info, "run_end",
             "system" => self.config.system.name(),
             "capping_ticks" => self.capped_ticks,
             "total_energy_j" => self.total_energy_j);
-        span.field("ticks", ticks).end(end);
+        tm.span(SimTime::ZERO, Component::Harness, "cluster_run")
+            .field("ticks", ticks)
+            .end(end);
         tm.flush();
-        self.finish()
+        self.report()
     }
 
     /// Inject scheduled point faults for this tick: sOA restarts lose all
@@ -623,7 +680,12 @@ impl ClusterSim {
         }
     }
 
-    fn step(&mut self, now: SimTime) {
+    fn step<'t>(
+        &mut self,
+        now: SimTime,
+        traffic: impl Fn(usize) -> &'t Traffic,
+        latencies: &mut Vec<f64>,
+    ) {
         let plan = self.model.plan();
         let system = self.config.system;
 
@@ -652,7 +714,7 @@ impl ClusterSim {
         let deny_window = SimDuration::from_secs(30);
         let mut metrics: Vec<VmMetrics> = Vec::with_capacity(self.instances.len());
         for (idx, inst) in self.instances.iter_mut().enumerate() {
-            let stats = inst.sim.advance_window(now);
+            let stats = inst.sim.advance_window(now, traffic(idx), latencies);
             inst.windows += 1;
             if !stats.p99_ms.is_nan() {
                 inst.latencies.push(stats.p99_ms);
@@ -1337,7 +1399,7 @@ impl ClusterSim {
         self.instances[idx].sim.set_active_vm_count(n);
     }
 
-    fn finish(self) -> ClusterResult {
+    fn report(self) -> ClusterResult {
         let mut instances = Vec::new();
         let socialnet_servers = self.config.socialnet_servers;
         let mut energy_by_load = [0.0f64; 3];

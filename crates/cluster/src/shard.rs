@@ -21,6 +21,17 @@
 //!    the real handle in rack order ([`Telemetry::absorb`]): events append
 //!    in the order a serial run would emit them, counters add, and
 //!    histograms merge bucket-wise.
+//!
+//! Cluster simulations ([`run_cluster_sims_probed`]) use the same buffered
+//! telemetry and merge, but run in **tick lockstep** rather than one whole
+//! simulation per item: every simulation finishes control tick `k` before
+//! any starts `k + 1`. The SocialNet load is open-loop, so an instance's
+//! arrival stream depends only on `(spec, schedule, seed)`; simulations
+//! that agree on that key read one shared [`Traffic`] buffer, filled past
+//! the tick's end before the tick and released after it up to what every
+//! still-running reader consumed. Memory is bounded by about one tick of
+//! arrivals per distinct stream, one window-latency scratch per worker, and
+//! the simulations' own state.
 
 use crate::harness::{ClusterConfig, ClusterResult, ClusterSim};
 use crate::largescale::{
@@ -29,12 +40,14 @@ use crate::largescale::{
 use crate::largescale_metrics::RackOutcome;
 use crate::probe::{NoopProbe, ShardProbe};
 use simcore::par;
-use simcore::time::SimDuration;
+use simcore::time::{SimDuration, SimTime};
 use smartoclock::policy::PolicyKind;
 use soc_power::model::PowerModel;
-use soc_telemetry::{MetricsSnapshot, Telemetry};
+use soc_telemetry::{Event, MemorySink, MetricsSnapshot, Telemetry};
 use soc_traces::fleet::RackTrace;
 use soc_traces::gen::TraceGenerator;
+use soc_workloads::microservice::Traffic;
+use std::sync::{Arc, Mutex};
 
 /// Decision-id bit layout for shard-local telemetry handles:
 /// `run_id << 44 | (shard + 1) << 24 | local`, giving every shard of every
@@ -132,13 +145,13 @@ fn validate(config: &LargeScaleConfig) {
     config.binning.validate();
 }
 
-/// The deterministic fan-out/merge skeleton shared by every sharded path
-/// (the large-scale streaming, pre-generated and reference paths, and the
-/// cluster sims): allocates the run id serially before the fan-out, gives
-/// each item a buffered telemetry handle with a deterministic id base, and
-/// replays shard buffers in canonical item order — so the output
-/// byte-stream is a pure function of the inputs, never of `threads`. The
-/// probe's `counter` advances by the item count.
+/// The deterministic fan-out/merge skeleton shared by every large-scale
+/// path (streaming, pre-generated and reference): allocates the run id
+/// serially before the fan-out, gives each item a buffered telemetry handle
+/// with a deterministic id base ([`Shard`]), and replays shard buffers in
+/// canonical item order ([`merge`]) — so the output byte-stream is a pure
+/// function of the inputs, never of `threads`. The probe's `counter`
+/// advances by the item count.
 fn drive_sharded<I, R, F>(
     threads: usize,
     items: Vec<I>,
@@ -152,29 +165,64 @@ where
     R: Send,
     F: Fn(usize, I, &Telemetry, &dyn ShardProbe) -> R + Sync,
 {
-    let n = items.len();
     // Allocate the run id serially, before the fan-out: thread-count
     // independent by construction (0 when telemetry is disabled).
     let run_id = telemetry.next_id();
     let enabled = telemetry.is_enabled();
     let sharded = par::par_map(threads, items, |r, item| {
-        if enabled {
-            let (local, sink) = Telemetry::buffered(shard_id_base(run_id, r));
-            let outcome = sim(r, item, &local, probe);
-            (outcome, sink.events(), local.metrics_snapshot())
-        } else {
-            let disabled = Telemetry::disabled();
-            let outcome = sim(r, item, &disabled, probe);
-            (outcome, Vec::new(), MetricsSnapshot::default())
-        }
+        let shard = Shard::new(enabled, run_id, r);
+        let outcome = sim(r, item, &shard.telemetry, probe);
+        (outcome, shard.into_buffers())
     });
-    probe.add(counter, n as u64);
+    merge(sharded, telemetry, probe, counter)
+}
+
+/// One item's telemetry: a private buffer whose decision ids start at
+/// [`shard_id_base`], or a disabled handle when the run is not traced.
+struct Shard {
+    telemetry: Telemetry,
+    sink: Option<Arc<MemorySink>>,
+}
+
+impl Shard {
+    fn new(enabled: bool, run_id: u64, item: usize) -> Shard {
+        if enabled {
+            let (telemetry, sink) = Telemetry::buffered(shard_id_base(run_id, item));
+            Shard {
+                telemetry,
+                sink: Some(sink),
+            }
+        } else {
+            Shard {
+                telemetry: Telemetry::disabled(),
+                sink: None,
+            }
+        }
+    }
+
+    /// The buffered events and metrics, releasing the buffer itself.
+    fn into_buffers(self) -> (Vec<Event>, MetricsSnapshot) {
+        let events = self.sink.map(|sink| sink.events()).unwrap_or_default();
+        (events, self.telemetry.metrics_snapshot())
+    }
+}
+
+/// Replay each item's buffer into `telemetry` in item order, feeding the
+/// probe `merged_events` and every event on the way, and return the
+/// outcomes in the same order.
+fn merge<R>(
+    sharded: Vec<(R, (Vec<Event>, MetricsSnapshot))>,
+    telemetry: &Telemetry,
+    probe: &dyn ShardProbe,
+    counter: &'static str,
+) -> Vec<R> {
+    probe.add(counter, sharded.len() as u64);
     let merge_span = probe.span("merge");
     let outcomes = sharded
         .into_iter()
-        .map(|(outcome, events, metrics)| {
+        .map(|(outcome, (events, metrics))| {
             probe.add("merged_events", events.len() as u64);
-            // Feed events to the probe here, in canonical rack order on the
+            // Feed events to the probe here, in canonical item order on the
             // merge thread, so event-observing probes (health recorders) see
             // a deterministic sequence at every thread count.
             for e in &events {
@@ -380,31 +428,134 @@ pub fn simulate_policy_prepared_reference(
 /// workers (the harness-level driver behind `--threads` in experiment
 /// binaries that compare systems, e.g. `exp_power_constrained`).
 ///
-/// Each simulation gets a buffered telemetry handle with a deterministic id
+/// The simulations run in tick lockstep (see the module docs), so each
+/// distinct SocialNet arrival stream is sampled once for all of them. Each
+/// simulation writes to a buffered telemetry handle with a deterministic id
 /// base; buffers merge into `telemetry` in input order, so traces read as if
 /// the simulations had run back to back on one thread.
 ///
-/// The probe sees a `"shard/sim"` span per simulation, one `"merge"` span
-/// around the absorb, and a `cluster_sims` counter.
+/// The probe sees `"shard/sim"` spans for each tick's sampling and for each
+/// simulation's tick, one `"merge"` span around the absorb, and a
+/// `cluster_sims` counter.
+///
+/// # Panics
+/// Panics if a configuration has no SocialNet servers or a zero `tick`.
 pub fn run_cluster_sims_probed(
     configs: Vec<ClusterConfig>,
     telemetry: &Telemetry,
     threads: usize,
     probe: &dyn ShardProbe,
 ) -> Vec<ClusterResult> {
-    drive_sharded(
-        threads,
-        configs,
+    let run_id = telemetry.next_id();
+    let enabled = telemetry.is_enabled();
+    let (sims, shards): (Vec<ClusterSim>, Vec<Shard>) = configs
+        .into_iter()
+        .enumerate()
+        .map(|(r, cfg)| {
+            let shard = Shard::new(enabled, run_id, r);
+            (
+                ClusterSim::with_telemetry(cfg, shard.telemetry.clone()),
+                shard,
+            )
+        })
+        .unzip();
+    let results = lockstep(sims, threads, probe);
+    merge(
+        results
+            .into_iter()
+            .zip(shards.into_iter().map(Shard::into_buffers))
+            .collect(),
         telemetry,
         probe,
         "cluster_sims",
-        |_, cfg, local, probe| {
-            let sim_span = probe.span("shard/sim");
-            let result = ClusterSim::with_telemetry(cfg, local.clone()).run();
-            drop(sim_span);
-            result
-        },
     )
+}
+
+/// Run cluster simulations tick by tick, all advancing tick `k` before any
+/// starts tick `k + 1`.
+///
+/// The queueing model is open-loop, so an instance's arrivals are a function
+/// of its service, rate schedule and seed alone; simulations that agree on
+/// those read one shared [`Traffic`] generator (equal fresh generators are
+/// one stream). Each tick first fills every stream past the tick's end,
+/// then runs the simulations' ticks on the worker pool, then releases the
+/// arrivals every still-running reader has consumed. A stream's buffer thus
+/// holds about one tick of arrivals, and the window-latency scratch is one
+/// buffer per worker, not one per instance.
+pub(crate) fn lockstep(
+    mut sims: Vec<ClusterSim>,
+    threads: usize,
+    probe: &dyn ShardProbe,
+) -> Vec<ClusterResult> {
+    let mut streams: Vec<Traffic> = Vec::new();
+    // `feeds[c][i]`: the stream simulation `c`'s instance `i` reads.
+    let feeds: Vec<Vec<usize>> = sims
+        .iter_mut()
+        .map(|sim| {
+            sim.start()
+                .into_iter()
+                .map(|traffic| {
+                    streams
+                        .iter()
+                        .position(|s| *s == traffic)
+                        .unwrap_or_else(|| {
+                            streams.push(traffic);
+                            streams.len() - 1
+                        })
+                })
+                .collect()
+        })
+        .collect();
+    let last = sims.iter().map(ClusterSim::ticks).max().unwrap_or(0);
+    let scratch: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
+    for k in 1..=last {
+        let sample_span = probe.span("shard/sim");
+        let mut horizon: Vec<Option<SimTime>> = vec![None; streams.len()];
+        for (sim, feed) in sims.iter().zip(&feeds).filter(|(sim, _)| k <= sim.ticks()) {
+            let end = sim.tick_end(k);
+            for &j in feed {
+                horizon[j] = horizon[j].max(Some(end));
+            }
+        }
+        for (stream, until) in streams.iter_mut().zip(horizon) {
+            if let Some(until) = until {
+                stream.fill(until);
+            }
+        }
+        drop(sample_span);
+
+        let shared = &streams;
+        let live: Vec<(&mut ClusterSim, &Vec<usize>)> = sims
+            .iter_mut()
+            .zip(&feeds)
+            .filter(|(sim, _)| k <= sim.ticks())
+            .collect();
+        par::par_map(threads, live, |_, (sim, feed)| {
+            let sim_span = probe.span("shard/sim");
+            // A latency scratch per running tick: the pool holds at most
+            // one per worker, and what a buffer holds never matters.
+            const HELD_BRIEFLY: &str = "the scratch pool lock is held only to pop or push";
+            let mut latencies = scratch
+                .lock()
+                .expect(HELD_BRIEFLY)
+                .pop()
+                .unwrap_or_default();
+            sim.tick(k, |i| &shared[feed[i]], &mut latencies);
+            scratch.lock().expect(HELD_BRIEFLY).push(latencies);
+            drop(sim_span);
+        });
+
+        let mut consumed = vec![u64::MAX; streams.len()];
+        for (sim, feed) in sims.iter().zip(&feeds).filter(|(sim, _)| k < sim.ticks()) {
+            for (i, &j) in feed.iter().enumerate() {
+                consumed[j] = consumed[j].min(sim.consumed(i));
+            }
+        }
+        for (stream, consumed) in streams.iter_mut().zip(consumed) {
+            stream.release(consumed);
+        }
+    }
+    sims.into_iter().map(ClusterSim::finish).collect()
 }
 
 #[cfg(test)]

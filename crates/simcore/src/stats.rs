@@ -1,5 +1,5 @@
-//! Statistics used throughout the evaluation: percentiles, RMSE, CDFs,
-//! normalization, and streaming summaries.
+//! Statistics used throughout the evaluation: percentiles, RMSE, CDFs and
+//! normalization.
 //!
 //! The paper reports P50/P99 latencies and power utilizations (Figs. 2, 5,
 //! 12), RMSE of power predictions (Fig. 8), and CDFs of prediction error
@@ -90,15 +90,6 @@ pub fn percentile_in_place(xs: &mut [f64], p: f64) -> f64 {
 pub fn mean(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty(), "mean of an empty slice");
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation.
-///
-/// # Panics
-/// Panics if `xs` is empty.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
 /// Root-mean-squared error between predictions and observations.
@@ -213,112 +204,6 @@ impl Ecdf {
     }
 }
 
-/// Streaming summary (count/mean/min/max/variance) via Welford's algorithm.
-///
-/// ```
-/// use simcore::stats::Summary;
-/// let mut s = Summary::new();
-/// for x in [1.0, 2.0, 3.0] { s.record(x); }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// An empty summary.
-    pub fn new() -> Summary {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 when fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation.
-    ///
-    /// # Panics
-    /// Panics if no observations were recorded.
-    pub fn min(&self) -> f64 {
-        assert!(self.count > 0, "min of an empty summary");
-        self.min
-    }
-
-    /// Maximum observation.
-    ///
-    /// # Panics
-    /// Panics if no observations were recorded.
-    pub fn max(&self) -> f64 {
-        assert!(self.count > 0, "max of an empty summary");
-        self.max
-    }
-
-    /// Merge another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// Normalize values so the maximum becomes `1.0`.
 ///
 /// Returns all zeros if the maximum is zero. Used by figure generators that
@@ -408,34 +293,6 @@ mod tests {
         let curve = cdf.curve(5);
         assert_eq!(curve.first().unwrap(), &(1.0, 0.0));
         assert_eq!(curve.last().unwrap(), &(5.0, 1.0));
-    }
-
-    #[test]
-    fn summary_matches_batch() {
-        let xs = [1.0, 4.0, 9.0, 16.0, 25.0];
-        let mut s = Summary::new();
-        for &x in &xs {
-            s.record(x);
-        }
-        assert!((s.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((s.std_dev() - std_dev(&xs)).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 25.0);
-    }
-
-    #[test]
-    fn summary_merge_equals_combined() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [10.0, 20.0];
-        let mut sa = Summary::new();
-        a.iter().for_each(|&x| sa.record(x));
-        let mut sb = Summary::new();
-        b.iter().for_each(|&x| sb.record(x));
-        sa.merge(&sb);
-        let all: Vec<f64> = a.iter().chain(&b).cloned().collect();
-        assert!((sa.mean() - mean(&all)).abs() < 1e-12);
-        assert!((sa.variance() - std_dev(&all).powi(2)).abs() < 1e-9);
-        assert_eq!(sa.count(), 5);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! (WebConf). This crate provides executable stand-ins for all three:
 //!
 //! * [`microservice`] — an open-loop discrete-event queueing simulator:
-//!   Poisson arrivals, per-service heavy-tailed service times, multi-core
+//!   Poisson arrivals sampled by a shareable `Traffic` generator,
+//!   per-service heavy-tailed service times, multi-core
 //!   VMs, least-loaded routing, online frequency changes and VM add/remove.
 //!   Latency percentiles, SLO misses (SLO = 5× unloaded execution time, as
 //!   in §III and §V-A), and CPU utilization come out per observation window,
@@ -31,6 +32,6 @@ pub mod socialnet;
 pub mod webconf;
 
 pub use loadgen::RateSchedule;
-pub use microservice::{MicroserviceSim, ServiceSpec, WindowStats};
+pub use microservice::{MicroserviceSim, ServiceSpec, Traffic, WindowStats};
 pub use mltrain::MlTrain;
 pub use webconf::WebConfDeployment;

@@ -102,7 +102,11 @@ impl RateSchedule {
     /// The rate at instant `t`.
     pub fn rate_at(&self, t: SimTime) -> f64 {
         let idx = self.segments.partition_point(|&(s, _)| s <= t);
-        self.segments[idx.saturating_sub(1).min(self.segments.len() - 1)].1
+        // The first segment starts at time zero, so `idx >= 1` and the
+        // fallback never applies.
+        self.segments
+            .get(idx.saturating_sub(1))
+            .map_or(0.0, |&(_, rate)| rate)
     }
 
     /// Start of the next segment strictly after `t`, if any.

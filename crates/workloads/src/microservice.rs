@@ -13,6 +13,18 @@
 //! the next window — exactly the observation/actuation interface autoscalers
 //! and SmartOClock's agents use.
 //!
+//! The load is open-loop: when requests arrive and how much work each
+//! carries depend only on the rate schedule and the seed, never on VM
+//! frequencies, VM counts or queue state. So the arrival process lives
+//! apart from the queues, in a [`Traffic`] generator that samples ahead into
+//! a buffer the simulator reads. Any number of simulators fed the same
+//! `(service demand, schedule, seed)` can share one generator and see
+//! exactly the stream each would have drawn alone: the draws come in the
+//! same order (an exponential gap, then for each arrival its log-normal
+//! demand followed by the next gap, resampling at rate changes), only
+//! earlier. The cluster harness relies on this to sample each SocialNet
+//! instance once for every system it compares.
+//!
 //! Pending events live in state shaped like the system rather than in a
 //! generic priority queue: one pending arrival and one departure slot per
 //! busy core. The next event is the earliest `(time, seq)` among them, where
@@ -105,6 +117,164 @@ pub struct WindowStats {
     pub active_vms: usize,
 }
 
+/// One arrival of the open-loop stream.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Arrival {
+    time: SimTime,
+    /// Service demand in seconds at max turbo.
+    work: f64,
+}
+
+/// The open-loop arrival process of one service instance: Poisson arrivals
+/// under a piecewise-constant [`RateSchedule`], each carrying a log-normal
+/// service demand matched to the [`ServiceSpec`].
+///
+/// [`fill`](Traffic::fill) samples ahead into a buffer that any number of
+/// [`MicroserviceSim`]s read through
+/// [`advance_window`](MicroserviceSim::advance_window);
+/// [`release`](Traffic::release) drops what every reader has consumed.
+/// Generators built from the same demand distribution, schedule and seed
+/// compare equal, and produce the same stream.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Traffic {
+    schedule: RateSchedule,
+    /// The schedule's current segment: its rate, and when the rate next
+    /// changes (`None`: never).
+    rate: f64,
+    rate_until: Option<SimTime>,
+    rng: Pcg32,
+    lognormal_mu: f64,
+    lognormal_sigma: f64,
+    /// Where the next inter-arrival gap starts: the last arrival drawn, or
+    /// time zero before the first.
+    last: SimTime,
+    /// `true` once the rate stays zero for good: the stream has ended.
+    ended: bool,
+    /// Stream index of `buffered[0]`: how many arrivals were released.
+    released: u64,
+    buffered: Vec<Arrival>,
+}
+
+impl Traffic {
+    /// The arrival stream of one instance of `spec` under `schedule`.
+    pub fn new(spec: &ServiceSpec, schedule: RateSchedule, seed: u64) -> Traffic {
+        let (mu, sigma) = spec.lognormal_params();
+        Traffic {
+            rate: schedule.rate_at(SimTime::ZERO),
+            rate_until: schedule.next_change_after(SimTime::ZERO),
+            schedule,
+            rng: Pcg32::seed_from_u64(seed),
+            lognormal_mu: mu,
+            lognormal_sigma: sigma,
+            last: SimTime::ZERO,
+            ended: false,
+            released: 0,
+            buffered: Vec::new(),
+        }
+    }
+
+    /// Sample arrivals up to and including the first one after `until`
+    /// (none once the stream has ended). Returns the generator, so a
+    /// standalone caller can fill and advance its simulator in one
+    /// expression.
+    pub fn fill(&mut self, until: SimTime) -> &Traffic {
+        if !self.ended && self.last <= until {
+            // Room for the expected arrivals plus five standard deviations:
+            // the buffer settles near its busiest fill, not at the next
+            // power of two above it.
+            let n = self.expected_arrivals(self.last, until);
+            self.buffered
+                .reserve_exact((n + 5.0 * n.sqrt()).ceil() as usize + 1);
+        }
+        while !self.ended && self.last <= until {
+            match self.next_arrival_time(self.last) {
+                Some(time) => {
+                    let work = self
+                        .rng
+                        .sample_lognormal(self.lognormal_mu, self.lognormal_sigma);
+                    self.buffered.push(Arrival { time, work });
+                    self.last = time;
+                }
+                None => self.ended = true,
+            }
+        }
+        self
+    }
+
+    /// Mean number of arrivals in `[from, until]` under the schedule.
+    fn expected_arrivals(&self, from: SimTime, until: SimTime) -> f64 {
+        let mut t = from;
+        let mut n = 0.0;
+        while t < until {
+            let end = self
+                .schedule
+                .next_change_after(t)
+                .map_or(until, |change| change.min(until));
+            n += self.schedule.rate_at(t) * end.since(t).as_secs_f64();
+            t = end;
+        }
+        n
+    }
+
+    /// Drop the buffered arrivals before stream index `consumed`: pass the
+    /// least [`MicroserviceSim::total_arrivals`] over the simulators that
+    /// still read this stream (any larger value drops the whole buffer).
+    pub fn release(&mut self, consumed: u64) {
+        let n = consumed
+            .saturating_sub(self.released)
+            .min(self.buffered.len() as u64);
+        self.buffered.drain(..n as usize);
+        self.released += n;
+    }
+
+    /// The buffered arrivals from stream index `consumed` on.
+    ///
+    /// # Panics
+    /// Panics if the stream is not sampled past `until`, or if arrivals
+    /// from `consumed` on were already released.
+    fn unread(&self, consumed: u64, until: SimTime) -> &[Arrival] {
+        assert!(
+            self.ended || self.last > until,
+            "traffic must be filled past the window's end"
+        );
+        assert!(
+            consumed >= self.released,
+            "traffic released arrivals a simulator has not consumed"
+        );
+        let skip = usize::try_from(consumed - self.released).unwrap_or(usize::MAX);
+        self.buffered.get(skip..).unwrap_or(&[])
+    }
+
+    /// Next Poisson arrival at or after `t` under the rate schedule, or
+    /// `None` when the rate is zero for all remaining time.
+    fn next_arrival_time(&mut self, t: SimTime) -> Option<SimTime> {
+        let mut t = t;
+        loop {
+            // Time only moves forward, so the cached segment needs a refresh
+            // only once `t` reaches its end.
+            if self.rate_until.is_some_and(|change| t >= change) {
+                self.rate = self.schedule.rate_at(t);
+                self.rate_until = self.schedule.next_change_after(t);
+            }
+            let (rate, next_change) = (self.rate, self.rate_until);
+            if rate <= 0.0 {
+                t = next_change?;
+                continue;
+            }
+            let dt = SimDuration::from_secs_f64(self.rng.sample_exp(rate));
+            let candidate = t + dt;
+            match next_change {
+                Some(change) if candidate >= change => {
+                    // The sampled gap crosses a rate change; resample from
+                    // the boundary (memorylessness makes this exact).
+                    t = change;
+                }
+                _ => return Some(candidate),
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Request {
     arrival: SimTime,
@@ -133,23 +303,26 @@ struct Departure {
 /// The next event to fire.
 #[derive(Debug, Clone, Copy)]
 enum Next {
-    Arrival,
+    /// The pending arrival, with its service demand.
+    Arrival(f64),
     /// Index into the departure slots.
     Departure(usize),
 }
 
-/// The event-driven microservice simulator.
+/// The event-driven microservice simulator, fed by a [`Traffic`] stream.
 ///
 /// ```
-/// use soc_workloads::microservice::{MicroserviceSim, ServiceSpec};
+/// use soc_workloads::microservice::{MicroserviceSim, ServiceSpec, Traffic};
 /// use soc_workloads::loadgen::RateSchedule;
 /// use soc_power::units::MegaHertz;
 /// use simcore::time::SimTime;
 ///
 /// let spec = ServiceSpec::new("demo", 20.0, 1.0, 4);
 /// let rate = RateSchedule::constant(0.5 * spec.capacity_per_vm(1.0));
-/// let mut sim = MicroserviceSim::new(spec, MegaHertz::new(3300), rate, 1, 7);
-/// let stats = sim.advance_window(SimTime::from_secs(30));
+/// let mut traffic = Traffic::new(&spec, rate, 7);
+/// let mut sim = MicroserviceSim::new(spec, MegaHertz::new(3300), 1);
+/// let until = SimTime::from_secs(30);
+/// let stats = sim.advance_window(until, traffic.fill(until), &mut Vec::new());
 /// assert!(stats.completions > 0);
 /// assert!(stats.p99_ms >= stats.mean_ms);
 /// ```
@@ -157,14 +330,9 @@ enum Next {
 pub struct MicroserviceSim {
     spec: ServiceSpec,
     turbo: MegaHertz,
-    schedule: RateSchedule,
-    /// The schedule's current segment: its rate, and when the rate next
-    /// changes (`None`: never).
-    rate: f64,
-    rate_until: Option<SimTime>,
-    rng: Pcg32,
-    /// The pending arrival `(time, seq)`; `None` once the rate stays zero.
-    next_arrival: Option<(SimTime, u64)>,
+    /// Sequence number of the pending arrival (the stream's next unread
+    /// one), given when the arrival before it fired.
+    arrival_seq: u64,
     /// `cores_per_vm` departure slots per VM, VM-major.
     slots: Vec<Departure>,
     /// Sequence number of the next scheduled event.
@@ -176,14 +344,11 @@ pub struct MicroserviceSim {
     last_integration: SimTime,
     // Window accumulators.
     window_start: SimTime,
-    latencies_ms: Vec<f64>,
     window_arrivals: u64,
     busy_core_seconds: f64,
     // Lifetime counters.
     total_arrivals: u64,
     total_completions: u64,
-    lognormal_mu: f64,
-    lognormal_sigma: f64,
 }
 
 impl MicroserviceSim {
@@ -191,15 +356,8 @@ impl MicroserviceSim {
     ///
     /// # Panics
     /// Panics if `initial_vms == 0`.
-    pub fn new(
-        spec: ServiceSpec,
-        turbo: MegaHertz,
-        schedule: RateSchedule,
-        initial_vms: usize,
-        seed: u64,
-    ) -> MicroserviceSim {
+    pub fn new(spec: ServiceSpec, turbo: MegaHertz, initial_vms: usize) -> MicroserviceSim {
         assert!(initial_vms > 0, "need at least one VM");
-        let (mu, sigma) = spec.lognormal_params();
         let slots = vec![Departure::default(); initial_vms * spec.cores_per_vm];
         let vms = (0..initial_vms)
             .map(|_| Vm {
@@ -209,31 +367,23 @@ impl MicroserviceSim {
                 active: true,
             })
             .collect();
-        let mut sim = MicroserviceSim {
+        MicroserviceSim {
             spec,
             turbo,
-            rate: schedule.rate_at(SimTime::ZERO),
-            rate_until: schedule.next_change_after(SimTime::ZERO),
-            schedule,
-            rng: Pcg32::seed_from_u64(seed),
-            next_arrival: None,
+            // The first arrival is the first event scheduled.
+            arrival_seq: 0,
             slots,
-            next_seq: 0,
+            next_seq: 1,
             vms,
             busy_cores: 0,
             now: SimTime::ZERO,
             last_integration: SimTime::ZERO,
             window_start: SimTime::ZERO,
-            latencies_ms: Vec::new(),
             window_arrivals: 0,
             busy_core_seconds: 0.0,
             total_arrivals: 0,
             total_completions: 0,
-            lognormal_mu: mu,
-            lognormal_sigma: sigma,
-        };
-        sim.schedule_arrival();
-        sim
+        }
     }
 
     /// The service specification.
@@ -342,25 +492,44 @@ impl MicroserviceSim {
         self.total_arrivals - self.total_completions
     }
 
-    /// Advance the simulation to `until` and return the window statistics
-    /// accumulated since the previous call (or construction).
+    /// Advance the simulation to `until`, reading arrivals from `traffic`,
+    /// and return the window statistics accumulated since the previous call
+    /// (or construction).
+    ///
+    /// `traffic` is the stream this simulator has read from the start,
+    /// filled past `until` ([`Traffic::fill`]). `latencies` is scratch space
+    /// for the window's completion latencies: cleared on entry and left
+    /// unspecified on return, so one buffer can serve many simulators.
     ///
     /// # Panics
-    /// Panics if `until` is not after the current time.
-    pub fn advance_window(&mut self, until: SimTime) -> WindowStats {
+    /// Panics if `until` is not after the current time, if `traffic` is not
+    /// filled past `until`, or if it released arrivals this simulator has
+    /// not consumed.
+    pub fn advance_window(
+        &mut self,
+        until: SimTime,
+        traffic: &Traffic,
+        latencies: &mut Vec<f64>,
+    ) -> WindowStats {
         assert!(until > self.now, "window must move time forward");
-        while let Some((t, _, next)) = self.next_event() {
+        let mut arrivals = traffic.unread(self.total_arrivals, until).iter();
+        let mut pending = arrivals.next();
+        latencies.clear();
+        while let Some((t, _, next)) = self.next_event(pending) {
             if t > until {
                 break;
             }
-            self.fire(t, next);
+            self.fire(t, next, latencies);
+            if let Next::Arrival(_) = next {
+                pending = arrivals.next();
+            }
         }
         self.integrate_busy(until);
         self.now = until;
-        self.collect_window(until)
+        self.collect_window(until, latencies)
     }
 
-    fn collect_window(&mut self, until: SimTime) -> WindowStats {
+    fn collect_window(&mut self, until: SimTime, latencies_ms: &mut [f64]) -> WindowStats {
         let window = until.since(self.window_start);
         let active_cores = (self.active_vms() * self.spec.cores_per_vm) as f64;
         let denom = active_cores * window.as_secs_f64();
@@ -370,20 +539,20 @@ impl MicroserviceSim {
             0.0
         };
         let slo = self.spec.slo_ms();
-        let (mean, p99, miss) = if self.latencies_ms.is_empty() {
+        let (mean, p99, miss) = if latencies_ms.is_empty() {
             (f64::NAN, f64::NAN, 0.0)
         } else {
             // The sum and the count read completion order; the P99 then
-            // reorders the buffer, which is cleared below.
-            let mean = self.latencies_ms.iter().sum::<f64>() / self.latencies_ms.len() as f64;
-            let misses = self.latencies_ms.iter().filter(|&&l| l > slo).count();
-            let miss = misses as f64 / self.latencies_ms.len() as f64;
-            let p99 = percentile_in_place(&mut self.latencies_ms, 99.0);
+            // reorders the buffer.
+            let mean = latencies_ms.iter().sum::<f64>() / latencies_ms.len() as f64;
+            let misses = latencies_ms.iter().filter(|&&l| l > slo).count();
+            let miss = misses as f64 / latencies_ms.len() as f64;
+            let p99 = percentile_in_place(latencies_ms, 99.0);
             (mean, p99, miss)
         };
         let stats = WindowStats {
             window,
-            completions: self.latencies_ms.len() as u64,
+            completions: latencies_ms.len() as u64,
             arrivals: self.window_arrivals,
             mean_ms: mean,
             p99_ms: p99,
@@ -391,7 +560,6 @@ impl MicroserviceSim {
             cpu_utilization: cpu,
             active_vms: self.active_vms(),
         };
-        self.latencies_ms.clear();
         self.window_arrivals = 0;
         self.busy_core_seconds = 0.0;
         self.window_start = until;
@@ -408,8 +576,8 @@ impl MicroserviceSim {
 
     /// The earliest pending event as `(time, seq, event)`: the minimum
     /// `(time, seq)` over the pending arrival and every busy core.
-    fn next_event(&self) -> Option<(SimTime, u64, Next)> {
-        let mut best = self.next_arrival.map(|(t, seq)| (t, seq, Next::Arrival));
+    fn next_event(&self, arrival: Option<&Arrival>) -> Option<(SimTime, u64, Next)> {
+        let mut best = arrival.map(|a| (a.time, self.arrival_seq, Next::Arrival(a.work)));
         let cores = self.spec.cores_per_vm;
         for (v, vm) in self.vms.iter().enumerate() {
             let first = v * cores;
@@ -422,36 +590,27 @@ impl MicroserviceSim {
         best
     }
 
-    fn fire(&mut self, t: SimTime, next: Next) {
+    fn fire(&mut self, t: SimTime, next: Next, latencies_ms: &mut Vec<f64>) {
         self.integrate_busy(t);
         self.now = t;
         match next {
-            Next::Arrival => self.handle_arrival(),
-            Next::Departure(slot) => self.handle_departure(slot),
+            Next::Arrival(work) => self.handle_arrival(work),
+            Next::Departure(slot) => self.handle_departure(slot, latencies_ms),
         }
     }
 
-    /// Draw the next arrival after `now` and give it the next sequence number.
-    fn schedule_arrival(&mut self) {
-        self.next_arrival = self.next_arrival_time(self.now).map(|t| {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            (t, seq)
-        });
-    }
-
-    fn handle_arrival(&mut self) {
+    fn handle_arrival(&mut self, work: f64) {
         self.total_arrivals += 1;
         self.window_arrivals += 1;
-        let work = self
-            .rng
-            .sample_lognormal(self.lognormal_mu, self.lognormal_sigma);
         let req = Request {
             arrival: self.now,
             work,
         };
         self.route(req);
-        self.schedule_arrival();
+        // The stream's next arrival is scheduled now, after this one's
+        // dispatch.
+        self.arrival_seq = self.next_seq;
+        self.next_seq += 1;
     }
 
     fn route(&mut self, req: Request) {
@@ -492,46 +651,17 @@ impl MicroserviceSim {
         self.busy_cores += 1;
     }
 
-    fn handle_departure(&mut self, slot: usize) {
+    fn handle_departure(&mut self, slot: usize, latencies_ms: &mut Vec<f64>) {
         let vm = slot / self.spec.cores_per_vm;
         self.total_completions += 1;
         let latency_ms = self.now.since(self.slots[slot].arrival).as_millis_f64();
-        self.latencies_ms.push(latency_ms);
+        latencies_ms.push(latency_ms);
         self.vms[vm].busy -= 1;
         self.busy_cores -= 1;
         // Keep the VM's busy slots a prefix: the last one fills the hole.
         self.slots[slot] = self.slots[vm * self.spec.cores_per_vm + self.vms[vm].busy];
         if let Some(next) = self.vms[vm].queue.pop_front() {
             self.dispatch(vm, next);
-        }
-    }
-
-    /// Next Poisson arrival strictly after `t` under the rate schedule, or
-    /// `None` when the rate is zero for all remaining time.
-    fn next_arrival_time(&mut self, t: SimTime) -> Option<SimTime> {
-        let mut t = t;
-        loop {
-            // Time only moves forward, so the cached segment needs a refresh
-            // only once `t` reaches its end.
-            if self.rate_until.is_some_and(|change| t >= change) {
-                self.rate = self.schedule.rate_at(t);
-                self.rate_until = self.schedule.next_change_after(t);
-            }
-            let (rate, next_change) = (self.rate, self.rate_until);
-            if rate <= 0.0 {
-                t = next_change?;
-                continue;
-            }
-            let dt = SimDuration::from_secs_f64(self.rng.sample_exp(rate));
-            let candidate = t + dt;
-            match next_change {
-                Some(change) if candidate >= change => {
-                    // The sampled gap crosses a rate change; resample from
-                    // the boundary (memorylessness makes this exact).
-                    t = change;
-                }
-                _ => return Some(candidate),
-            }
         }
     }
 }
@@ -552,14 +682,37 @@ mod tests {
         MegaHertz::new(4000)
     }
 
+    /// A simulator reading a stream of its own, released window by window.
+    struct Solo {
+        sim: MicroserviceSim,
+        traffic: Traffic,
+    }
+
+    impl Solo {
+        fn new(spec: ServiceSpec, rate: RateSchedule, vms: usize, seed: u64) -> Solo {
+            Solo {
+                traffic: Traffic::new(&spec, rate, seed),
+                sim: MicroserviceSim::new(spec, turbo(), vms),
+            }
+        }
+
+        fn window(&mut self, until: SimTime) -> WindowStats {
+            let stats = self
+                .sim
+                .advance_window(until, self.traffic.fill(until), &mut Vec::new());
+            self.traffic.release(self.sim.total_arrivals());
+            stats
+        }
+    }
+
     fn run_steady(load: f64, freq: MegaHertz, vms: usize, secs: u64) -> WindowStats {
         let s = spec();
         let rate = RateSchedule::constant(load * s.capacity_per_vm(1.0) * vms as f64);
-        let mut sim = MicroserviceSim::new(s, turbo(), rate, vms, 42);
-        sim.set_all_frequencies(freq);
+        let mut solo = Solo::new(s, rate, vms, 42);
+        solo.sim.set_all_frequencies(freq);
         // Warm up, then measure.
-        let _ = sim.advance_window(SimTime::from_secs(secs / 4));
-        sim.advance_window(SimTime::from_secs(secs))
+        let _ = solo.window(SimTime::from_secs(secs / 4));
+        solo.window(SimTime::from_secs(secs))
     }
 
     #[test]
@@ -618,9 +771,9 @@ mod tests {
         // Same absolute arrival rate spread over two VMs.
         let s = spec();
         let rate = RateSchedule::constant(0.85 * s.capacity_per_vm(1.0));
-        let mut sim = MicroserviceSim::new(s, turbo(), rate, 2, 42);
-        let _ = sim.advance_window(SimTime::from_secs(60));
-        let two = sim.advance_window(SimTime::from_secs(240));
+        let mut solo = Solo::new(s, rate, 2, 42);
+        let _ = solo.window(SimTime::from_secs(60));
+        let two = solo.window(SimTime::from_secs(240));
         assert!(two.p99_ms < one.p99_ms);
         assert_eq!(two.active_vms, 2);
     }
@@ -652,42 +805,45 @@ mod tests {
     fn shrink_drains_and_redistributes() {
         let s = spec();
         let rate = RateSchedule::constant(0.7 * s.capacity_per_vm(1.0) * 2.0);
-        let mut sim = MicroserviceSim::new(s, turbo(), rate, 2, 9);
-        let _ = sim.advance_window(SimTime::from_secs(30));
-        sim.set_active_vm_count(1);
-        assert_eq!(sim.active_vms(), 1);
-        let stats = sim.advance_window(SimTime::from_secs(90));
+        let mut solo = Solo::new(s, rate, 2, 9);
+        let _ = solo.window(SimTime::from_secs(30));
+        solo.sim.set_active_vm_count(1);
+        assert_eq!(solo.sim.active_vms(), 1);
+        let stats = solo.window(SimTime::from_secs(90));
         // All work keeps completing through the remaining VM.
         assert!(stats.completions > 0);
         // Conservation: nothing lost.
-        assert!(sim.total_completions() <= sim.total_arrivals());
+        assert!(solo.sim.total_completions() <= solo.sim.total_arrivals());
     }
 
     #[test]
     fn grow_reactivates_then_creates() {
         let s = spec();
         let rate = RateSchedule::constant(10.0);
-        let mut sim = MicroserviceSim::new(s, turbo(), rate, 3, 9);
-        sim.set_active_vm_count(1);
-        sim.set_active_vm_count(4);
-        assert_eq!(sim.active_vms(), 4);
+        let mut solo = Solo::new(s, rate, 3, 9);
+        solo.sim.set_active_vm_count(1);
+        solo.sim.set_active_vm_count(4);
+        assert_eq!(solo.sim.active_vms(), 4);
     }
 
     #[test]
     fn window_counters_reset() {
         let s = spec();
         let rate = RateSchedule::constant(50.0);
-        let mut sim = MicroserviceSim::new(s, turbo(), rate, 1, 4);
-        let w1 = sim.advance_window(SimTime::from_secs(10));
-        let w2 = sim.advance_window(SimTime::from_secs(20));
+        let mut solo = Solo::new(s, rate, 1, 4);
+        let w1 = solo.window(SimTime::from_secs(10));
+        let w2 = solo.window(SimTime::from_secs(20));
         assert!(w1.arrivals > 0 && w2.arrivals > 0);
         // Window counters partition the lifetime counters.
-        assert_eq!(sim.total_arrivals(), w1.arrivals + w2.arrivals);
-        assert_eq!(sim.total_completions(), w1.completions + w2.completions);
+        assert_eq!(solo.sim.total_arrivals(), w1.arrivals + w2.arrivals);
+        assert_eq!(
+            solo.sim.total_completions(),
+            w1.completions + w2.completions
+        );
         // Conservation: everything that arrived is either done or in system.
         assert_eq!(
-            sim.total_arrivals(),
-            sim.total_completions() + sim.in_system()
+            solo.sim.total_arrivals(),
+            solo.sim.total_completions() + solo.sim.in_system()
         );
     }
 
@@ -696,8 +852,8 @@ mod tests {
         let make = || {
             let s = spec();
             let rate = RateSchedule::constant(100.0);
-            let mut sim = MicroserviceSim::new(s, turbo(), rate, 1, 77);
-            sim.advance_window(SimTime::from_secs(60))
+            let mut solo = Solo::new(s, rate, 1, 77);
+            solo.window(SimTime::from_secs(60))
         };
         let a = make();
         let b = make();
@@ -708,8 +864,7 @@ mod tests {
     fn equal_time_events_fire_in_seq_order() {
         // Three cores finish at `t` and the next arrival is due at `t` too;
         // they must fire in scheduling order, whatever slot each occupies.
-        let rate = RateSchedule::constant(0.0);
-        let mut sim = MicroserviceSim::new(spec(), turbo(), rate, 1, 3);
+        let mut sim = MicroserviceSim::new(spec(), turbo(), 1);
         let t = SimTime::from_secs(1);
         for (slot, seq) in [7, 3, 9].into_iter().enumerate() {
             sim.slots[slot] = Departure {
@@ -721,32 +876,42 @@ mod tests {
         sim.vms[0].busy = 3;
         sim.busy_cores = 3;
         sim.total_arrivals = 3;
-        sim.next_arrival = Some((t, 5));
+        sim.arrival_seq = 5;
         sim.next_seq = 10;
+        let arrival = Arrival {
+            time: t,
+            work: 0.02,
+        };
 
         let mut fired = Vec::new();
-        while let Some((when, seq, next)) = sim.next_event() {
+        let mut pending = Some(&arrival);
+        let mut latencies = Vec::new();
+        while let Some((when, seq, next)) = sim.next_event(pending) {
             if when > t {
                 break;
             }
             fired.push(seq);
-            sim.fire(when, next);
+            sim.fire(when, next, &mut latencies);
+            if let Next::Arrival(_) = next {
+                pending = None;
+            }
         }
         assert_eq!(fired, [3, 5, 7, 9]);
         // The arrival went into service on the core the first departure
-        // freed; nothing else is pending.
+        // freed; the next arrival took the sequence number after it.
         assert_eq!(sim.total_completions(), 3);
+        assert_eq!(latencies.len(), 3);
         assert_eq!((sim.vms[0].busy, sim.busy_cores), (1, 1));
         assert_eq!(sim.slots[0].seq, 10);
-        assert_eq!(sim.next_arrival, None);
+        assert_eq!(sim.arrival_seq, 11);
     }
 
     #[test]
     fn zero_rate_schedule_produces_no_arrivals() {
         let s = spec();
         let rate = RateSchedule::constant(0.0);
-        let mut sim = MicroserviceSim::new(s, turbo(), rate, 1, 5);
-        let stats = sim.advance_window(SimTime::from_secs(60));
+        let mut solo = Solo::new(s, rate, 1, 5);
+        let stats = solo.window(SimTime::from_secs(60));
         assert_eq!(stats.arrivals, 0);
         assert_eq!(stats.completions, 0);
         assert!(stats.p99_ms.is_nan());
@@ -755,6 +920,26 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// A schedule with a zero-rate gap and two rate changes, so streams
+        /// resample at boundaries and skip idle time.
+        fn churn_schedule(load: f64) -> RateSchedule {
+            let peak = load * spec().capacity_per_vm(1.0);
+            RateSchedule::constant(peak)
+                .with_segment(SimTime::from_secs(20), 0.0)
+                .with_segment(SimTime::from_secs(30), 2.0 * peak)
+        }
+
+        /// One control action after a window: resize the pool, set every
+        /// VM's frequency, or set one VM's.
+        fn apply(sim: &mut MicroserviceSim, op: u8, n: usize, step: u32) {
+            let f = MegaHertz::new(3000 + 100 * step);
+            match op {
+                0 => sim.set_active_vm_count(n + 1),
+                1 => sim.set_all_frequencies(f),
+                _ => sim.set_vm_frequency(n % sim.vms.len(), f),
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
@@ -770,25 +955,17 @@ mod tests {
                 load in 0.3..1.2f64,
                 seed in 0u64..1000,
             ) {
-                let s = spec();
-                let rate = RateSchedule::constant(load * s.capacity_per_vm(1.0))
-                    .with_segment(SimTime::from_secs(20), 0.0)
-                    .with_segment(SimTime::from_secs(30), 2.0 * load * s.capacity_per_vm(1.0));
-                let mut sim = MicroserviceSim::new(s, turbo(), rate, 1, seed);
+                let mut solo = Solo::new(spec(), churn_schedule(load), 1, seed);
                 let mut now = SimTime::ZERO;
                 let (mut arrivals, mut completions) = (0, 0);
                 for &(advance_s, op, n, freq_step) in &ops {
                     now += SimDuration::from_secs(advance_s * 5);
-                    let w = sim.advance_window(now);
+                    let w = solo.window(now);
                     arrivals += w.arrivals;
                     completions += w.completions;
-                    let f = MegaHertz::new(3000 + 100 * freq_step);
-                    match op {
-                        0 => sim.set_active_vm_count(n + 1),
-                        1 => sim.set_all_frequencies(f),
-                        _ => sim.set_vm_frequency(n % sim.vms.len(), f),
-                    }
+                    apply(&mut solo.sim, op, n, freq_step);
 
+                    let sim = &solo.sim;
                     prop_assert_eq!(sim.total_arrivals(), arrivals);
                     prop_assert_eq!(sim.total_completions(), completions);
                     prop_assert_eq!(
@@ -806,9 +983,61 @@ mod tests {
                             prop_assert!(d.due > now && d.arrival <= now);
                         }
                     }
-                    if let Some((t, _)) = sim.next_arrival {
-                        prop_assert!(t > now);
+                    if let Some(a) = solo.traffic.unread(sim.total_arrivals(), now).first() {
+                        prop_assert!(a.time > now);
                     }
+                }
+            }
+
+            /// Sharing is exact: simulators under different control churn
+            /// and window lengths, all reading one generator that samples
+            /// ahead and releases only what every reader consumed, report
+            /// bit for bit the windows each reports on a stream of its own.
+            #[test]
+            fn shared_traffic_matches_own_stream(
+                runs in prop::collection::vec(
+                    prop::collection::vec((1u64..40, 0u8..3, 0usize..5, 0u32..8), 1..12),
+                    1..4,
+                ),
+                lookahead_ms in 0u64..20_000,
+                load in 0.3..1.2f64,
+                seed in 0u64..1000,
+            ) {
+                let window = |len: u64| SimDuration::from_millis(len * 250);
+                let mut own: Vec<Vec<String>> = Vec::new();
+                for ops in &runs {
+                    let mut solo = Solo::new(spec(), churn_schedule(load), 1, seed);
+                    let mut now = SimTime::ZERO;
+                    let mut stats = Vec::new();
+                    for &(len, op, n, freq_step) in ops {
+                        now += window(len);
+                        stats.push(format!("{:?}", solo.window(now)));
+                        apply(&mut solo.sim, op, n, freq_step);
+                    }
+                    own.push(stats);
+                }
+
+                let mut shared = Traffic::new(&spec(), churn_schedule(load), seed);
+                let mut sims: Vec<MicroserviceSim> =
+                    runs.iter().map(|_| MicroserviceSim::new(spec(), turbo(), 1)).collect();
+                let mut nows = vec![SimTime::ZERO; runs.len()];
+                let mut latencies = Vec::new();
+                let longest = runs.iter().map(Vec::len).max().unwrap_or(0);
+                for w in 0..longest {
+                    let live: Vec<usize> = (0..runs.len()).filter(|&r| w < runs[r].len()).collect();
+                    for &r in &live {
+                        nows[r] += window(runs[r][w].0);
+                    }
+                    let horizon = live.iter().map(|&r| nows[r]).max().unwrap_or(SimTime::ZERO);
+                    shared.fill(horizon + SimDuration::from_millis(lookahead_ms));
+                    for &r in &live {
+                        let stats = sims[r].advance_window(nows[r], &shared, &mut latencies);
+                        prop_assert_eq!(&format!("{stats:?}"), &own[r][w]);
+                        let (_, op, n, freq_step) = runs[r][w];
+                        apply(&mut sims[r], op, n, freq_step);
+                    }
+                    let still: Vec<usize> = live.into_iter().filter(|&r| w + 1 < runs[r].len()).collect();
+                    shared.release(still.iter().map(|&r| sims[r].total_arrivals()).min().unwrap_or(u64::MAX));
                 }
             }
 
@@ -818,9 +1047,9 @@ mod tests {
             fn window_stats_are_sane(seed in 0u64..500, load in 0.1..0.9f64) {
                 let s = spec();
                 let rate = RateSchedule::constant(load * s.capacity_per_vm(1.0));
-                let mut sim = MicroserviceSim::new(s, turbo(), rate, 1, seed);
-                let w = sim.advance_window(SimTime::from_secs(30));
-                prop_assert!(w.completions <= sim.total_completions());
+                let mut solo = Solo::new(s, rate, 1, seed);
+                let w = solo.window(SimTime::from_secs(30));
+                prop_assert!(w.completions <= solo.sim.total_completions());
                 if !w.p99_ms.is_nan() {
                     prop_assert!(w.p99_ms >= 0.0);
                     prop_assert!(w.p99_ms + 1e-9 >= w.mean_ms);
@@ -835,9 +1064,9 @@ mod tests {
     fn rate_change_mid_run_shifts_throughput() {
         let s = spec();
         let rate = RateSchedule::constant(20.0).with_segment(SimTime::from_secs(60), 150.0);
-        let mut sim = MicroserviceSim::new(s, turbo(), rate, 1, 6);
-        let w1 = sim.advance_window(SimTime::from_secs(60));
-        let w2 = sim.advance_window(SimTime::from_secs(120));
+        let mut solo = Solo::new(s, rate, 1, 6);
+        let w1 = solo.window(SimTime::from_secs(60));
+        let w2 = solo.window(SimTime::from_secs(120));
         assert!(w2.arrivals as f64 > 4.0 * w1.arrivals as f64);
     }
 }

@@ -77,7 +77,7 @@ pub fn socialnet_service(name: &str) -> Option<ServiceSpec> {
 mod tests {
     use super::*;
     use crate::loadgen::RateSchedule;
-    use crate::microservice::MicroserviceSim;
+    use crate::microservice::{MicroserviceSim, Traffic};
     use simcore::time::SimTime;
     use soc_power::units::MegaHertz;
 
@@ -109,9 +109,11 @@ mod tests {
         let turbo = MegaHertz::new(3300);
         let run = |spec: crate::microservice::ServiceSpec, load: f64| {
             let rate = RateSchedule::constant(load * spec.capacity_per_vm(1.0));
-            let mut sim = MicroserviceSim::new(spec, turbo, rate, 1, 31);
-            let _ = sim.advance_window(SimTime::from_secs(60));
-            sim.advance_window(SimTime::from_secs(300))
+            let mut traffic = Traffic::new(&spec, rate, 31);
+            let mut sim = MicroserviceSim::new(spec, turbo, 1);
+            let (warm, end) = (SimTime::from_secs(60), SimTime::from_secs(300));
+            let _ = sim.advance_window(warm, traffic.fill(warm), &mut Vec::new());
+            sim.advance_window(end, traffic.fill(end), &mut Vec::new())
         };
         let url = run(socialnet_service("UrlShort").unwrap(), 0.55);
         let usr = run(socialnet_service("Usr").unwrap(), 0.80);

@@ -21,7 +21,7 @@ use soc_power::model::PowerModel;
 use soc_power::units::Watts;
 use soc_predict::template::{PowerTemplate, TemplateKind};
 use soc_workloads::loadgen::RateSchedule;
-use soc_workloads::microservice::MicroserviceSim;
+use soc_workloads::microservice::{MicroserviceSim, Traffic};
 use soc_workloads::socialnet::socialnet_service;
 
 fn main() {
@@ -36,7 +36,9 @@ fn main() {
     let schedule = RateSchedule::constant(base)
         .with_segment(SimTime::from_secs(180), spike)
         .with_segment(SimTime::from_secs(360), base);
-    let mut sim = MicroserviceSim::new(spec.clone(), plan.turbo(), schedule, 1, 42);
+    let mut traffic = Traffic::new(&spec, schedule, 42);
+    let mut sim = MicroserviceSim::new(spec.clone(), plan.turbo(), 1);
+    let mut latencies = Vec::new();
 
     // Workload Intelligence: overclock when P99 > 0.9·SLO, stop below 0.45·SLO.
     let mut wi = GlobalWiAgent::new(OverclockPolicy::latency(0.9 * slo, 0.45 * slo));
@@ -60,7 +62,8 @@ fn main() {
     let mut grant = None;
     for window in 1..=36u64 {
         let now = SimTime::from_secs(window * 15);
-        let stats = sim.advance_window(now);
+        let stats = sim.advance_window(now, traffic.fill(now), &mut latencies);
+        traffic.release(sim.total_arrivals());
         wi.report(vec![VmMetrics {
             tail_latency_ms: stats.p99_ms,
             cpu_utilization: stats.cpu_utilization,

@@ -9,6 +9,10 @@
 //! observable**: byte-identical telemetry traces, rendered metrics, and
 //! rack outcomes across seeds × thread counts × fault plans × policies.
 //!
+//! The cluster harness has the same kind of pin: `run_cluster_sims_probed`
+//! runs its configurations in tick lockstep over shared arrival streams,
+//! and must report exactly what each configuration reports run alone.
+//!
 //! The `#[ignore]`d `smoke_100k_racks_*` test is the ROADMAP direction-1
 //! scale check (100k racks through the streaming sharded path); CI's
 //! perf-gate job runs it with `--include-ignored`.
@@ -16,16 +20,20 @@
 use simcore::faults::FaultPlanConfig;
 use simcore::time::SimDuration;
 use smartoclock::policy::PolicyKind;
+use soc_cluster::harness::{ClusterConfig, ClusterSim, SystemKind};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::RackOutcome;
+use soc_cluster::probe::SpanToken;
 use soc_cluster::shard::{
-    generate_fleet_probed, simulate_policy_on_traces_probed, simulate_policy_prepared_probed,
+    generate_fleet_probed, run_cluster_sims_probed, shard_id_base,
+    simulate_policy_on_traces_probed, simulate_policy_prepared_probed,
     simulate_policy_prepared_reference, simulate_policy_sharded_probed, train_fleet_probed,
 };
-use soc_cluster::NoopProbe;
+use soc_cluster::{NoopProbe, ShardProbe};
 use soc_reliability::binning::BinningConfig;
 use soc_telemetry::json::event_to_json;
-use soc_telemetry::Telemetry;
+use soc_telemetry::{Event, Telemetry};
+use std::sync::Mutex;
 
 fn config(seed: u64, faults: FaultPlanConfig) -> LargeScaleConfig {
     let mut cfg = LargeScaleConfig::small_test();
@@ -221,6 +229,136 @@ fn reference_runs_are_deterministic() {
         reference_run(&cfg, PolicyKind::SmartOClock),
         reference_run(&cfg, PolicyKind::SmartOClock),
     );
+}
+
+/// A probe that keeps the events the merge feeds it, in order.
+#[derive(Default)]
+struct EventLog(Mutex<Vec<String>>);
+
+impl ShardProbe for EventLog {
+    fn span(&self, _name: &'static str) -> Option<Box<dyn SpanToken>> {
+        None
+    }
+
+    fn add(&self, _counter: &'static str, _n: u64) {}
+
+    fn event(&self, event: &Event) {
+        self.0.lock().expect("event log").push(event_to_json(event));
+    }
+}
+
+/// Everything a consumer can observe from cluster runs: the results'
+/// `Debug` bytes, telemetry trace lines, the rendered metrics snapshot, and
+/// the events an observing probe saw, in order.
+type ClusterObserved = (String, Vec<String>, String, Vec<String>);
+
+/// One `run_cluster_sims_probed` call over all of `configs`.
+fn cluster_group(configs: &[ClusterConfig], threads: usize) -> ClusterObserved {
+    let (tm, sink) = Telemetry::memory();
+    let probe = EventLog::default();
+    let results = run_cluster_sims_probed(configs.to_vec(), &tm, threads, &probe);
+    let lines = sink.events().iter().map(event_to_json).collect();
+    let seen = probe.0.into_inner().expect("event log");
+    (
+        format!("{results:?}"),
+        lines,
+        tm.metrics_snapshot().render(),
+        seen,
+    )
+}
+
+/// Each configuration run alone through `ClusterSim::run`, into a buffer
+/// with the id base the group call gives it, merged by hand in order.
+fn cluster_alone(configs: &[ClusterConfig]) -> ClusterObserved {
+    let (tm, sink) = Telemetry::memory();
+    let run_id = tm.next_id();
+    let mut results = Vec::new();
+    let mut seen = Vec::new();
+    for (r, cfg) in configs.iter().enumerate() {
+        let (local, buffer) = Telemetry::buffered(shard_id_base(run_id, r));
+        results.push(ClusterSim::with_telemetry(cfg.clone(), local.clone()).run());
+        let events = buffer.events();
+        seen.extend(events.iter().map(event_to_json));
+        tm.absorb(&events, &local.metrics_snapshot());
+    }
+    let lines = sink.events().iter().map(event_to_json).collect();
+    (
+        format!("{results:?}"),
+        lines,
+        tm.metrics_snapshot().render(),
+        seen,
+    )
+}
+
+fn assert_cluster_group_matches_alone(configs: &[ClusterConfig], label: &str) {
+    let alone = cluster_alone(configs);
+    assert!(!alone.1.is_empty(), "{label}: empty trace");
+    for threads in [1, 2, 3] {
+        let group = cluster_group(configs, threads);
+        assert_eq!(
+            alone.0, group.0,
+            "results diverged ({label}, {threads} threads)"
+        );
+        assert_eq!(
+            alone.1, group.1,
+            "telemetry trace diverged ({label}, {threads} threads)"
+        );
+        assert_eq!(
+            alone.2, group.2,
+            "metrics snapshot diverged ({label}, {threads} threads)"
+        );
+        assert_eq!(
+            alone.3, group.3,
+            "probe event order diverged ({label}, {threads} threads)"
+        );
+    }
+}
+
+#[test]
+fn cluster_lockstep_matches_each_config_alone() {
+    // The benchmark's shape: every system, plus SmartOClock under a
+    // constrained rack, all on one seed, so every instance stream is shared
+    // six ways.
+    let mut systems: Vec<ClusterConfig> = SystemKind::ALL
+        .into_iter()
+        .map(ClusterConfig::small_test)
+        .collect();
+    let mut constrained = ClusterConfig::small_test(SystemKind::SmartOClock);
+    constrained.rack_limit_scale = 0.82;
+    systems.push(constrained);
+    assert_cluster_group_matches_alone(&systems, "six systems");
+
+    // Mixed: two configs share seed 42 but one stops a minute early (its
+    // schedule is the same, so the streams are shared by readers that
+    // finish at different ticks); the third has streams of its own.
+    let smart = ClusterConfig::small_test(SystemKind::SmartOClock);
+    let mut short = ClusterConfig::small_test(SystemKind::ScaleOut);
+    short.duration = SimDuration::from_minutes(3);
+    let mut other = ClusterConfig::small_test(SystemKind::NaiveOClock);
+    other.seed = 7;
+    assert_cluster_group_matches_alone(&[smart, short, other], "mixed");
+}
+
+#[test]
+fn cluster_lockstep_matches_each_config_alone_under_faults() {
+    // The fault plans of `tests/chaos.rs`'s cluster check, plus binned
+    // silicon, on shared streams.
+    let mut smart = ClusterConfig::small_test(SystemKind::SmartOClock);
+    smart.faults.seed = 11;
+    smart.faults.goa_outages = 1;
+    smart.faults.goa_outage_len = SimDuration::from_minutes(2);
+    smart.faults.budget_drop_prob = 0.25;
+    smart.faults.soa_restart_prob = 0.05;
+    let mut naive = ClusterConfig::small_test(SystemKind::NaiveOClock);
+    naive.faults.soa_restart_prob = 0.05;
+    let mut binned_smart = smart.clone();
+    binned_smart.binning = BinningConfig {
+        bins: 8,
+        risk_budget: 0.25,
+        wear_spread: 0.3,
+        seed: 5,
+    };
+    assert_cluster_group_matches_alone(&[smart, naive, binned_smart], "faults");
 }
 
 /// ROADMAP direction-1 scale smoke: 100k racks, a simulated week of
