@@ -76,6 +76,6 @@ fn main() {
     );
     cli.finish(
         &obs,
-        &soc_health::default_rules(SimDuration::from_minutes(15).as_micros()),
+        &soc_analyze::default_rules(SimDuration::from_minutes(15).as_micros()),
     );
 }

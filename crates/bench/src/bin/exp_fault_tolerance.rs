@@ -166,5 +166,5 @@ fn main() {
         Ok(()) => eprintln!("wrote {}", out.display()),
         Err(e) => eprintln!("warning: failed to write {}: {e}", out.display()),
     }
-    cli.finish(&obs, &soc_health::default_rules(base.step.as_micros()));
+    cli.finish(&obs, &soc_analyze::default_rules(base.step.as_micros()));
 }

@@ -170,6 +170,6 @@ fn main() {
     );
     cli.finish(
         &obs,
-        &soc_health::default_rules(SimDuration::from_minutes(5).as_micros()),
+        &soc_analyze::default_rules(SimDuration::from_minutes(5).as_micros()),
     );
 }

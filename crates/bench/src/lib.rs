@@ -7,9 +7,7 @@
 //!   the default).
 //! * `--fast` — reduced scale for smoke runs.
 //! * `--csv <path>` — additionally write the table as CSV.
-//! * `--trace-out <path>` — write a JSONL telemetry trace of the run. The
-//!   `SOC_TRACE` environment variable is the fallback; when both are set the
-//!   CLI flag wins and a single warning line notes the override.
+//! * `--trace-out <path>` — write a JSONL telemetry trace of the run.
 //! * `--analyze` — after the run, analyze the trace with `soc-analyze` and
 //!   print the full report to stdout.
 //! * `--report-out <path>` — write that report to a file instead.
@@ -20,19 +18,21 @@
 //!   throughput counters, peak RSS) and print the summary to stderr.
 //! * `--prof-out <path>` — additionally write the profile snapshot as
 //!   canonical JSON (implies `--prof`).
-//! * `--health` — collect a `soc-health` fleet health report (sim-time
+//! * `--health` — collect a `soc-analyze` fleet health report (sim-time
 //!   series, deterministic alerts, incident timeline) and print it to
 //!   stderr.
 //! * `--health-out <path>` — additionally write the health report as
-//!   canonical JSON (implies `--health`); read it back with `soc-health`.
+//!   canonical JSON (implies `--health`); read it back with
+//!   `soc-analyze health`.
 //! * `--out <path>` — where binaries with a JSON result file write it
 //!   (`exp_fault_tolerance`, `exp_binning`; each has its own default name).
 //!
 //! `--analyze` / `--report-out` without a trace path trace to a temporary
-//! file so the analysis still has input. An unknown flag, a flag missing its
-//! value, a `--seed` / `--threads` value that does not parse, or a flag
-//! asking for an [`Output`] the binary does not write prints the error and
-//! [`USAGE`] and exits 2 before the experiment runs.
+//! file so the analysis still has input; [`Cli::finish`] deletes it once the
+//! report is written. An unknown flag, a flag missing its value, a `--seed`
+//! / `--threads` value that does not parse, or a flag asking for an
+//! [`Output`] the binary does not write prints the error and [`USAGE`] and
+//! exits 2 before the experiment runs.
 //!
 //! A binary observes its run through one [`Observer`] ([`Cli::observer`])
 //! and emits everything it observed with one [`Cli::finish`]. Profiling and
@@ -53,7 +53,7 @@ pub use probe::Observer;
 
 use simcore::report::Table;
 use simcore::time::SimTime;
-use soc_health::Recorder;
+use soc_analyze::Recorder;
 use soc_prof::Profiler;
 use soc_telemetry::Telemetry;
 use std::path::{Path, PathBuf};
@@ -67,7 +67,7 @@ pub struct Cli {
     pub fast: bool,
     /// Optional CSV output path.
     pub csv: Option<PathBuf>,
-    /// Optional JSONL telemetry trace path (`--trace-out` / `SOC_TRACE`).
+    /// Optional JSONL telemetry trace path (`--trace-out`).
     pub trace_out: Option<PathBuf>,
     /// Print a `soc-analyze` report after the run (`--analyze`).
     pub analyze: bool,
@@ -83,7 +83,7 @@ pub struct Cli {
     /// Write the profile snapshot as canonical JSON (`--prof-out`; implies
     /// `--prof`).
     pub prof_out: Option<PathBuf>,
-    /// Collect a `soc-health` fleet health report (`--health`).
+    /// Collect a fleet health report (`--health`).
     pub health: bool,
     /// Write the health report as canonical JSON (`--health-out`; implies
     /// `--health`).
@@ -103,7 +103,7 @@ pub enum Output {
     Trace,
     /// A `soc-prof` profile (`--prof`, `--prof-out`).
     Profile,
-    /// A `soc-health` report (`--health`, `--health-out`).
+    /// A fleet health report (`--health`, `--health-out`).
     Health,
     /// A JSON result file (`--out`).
     ResultFile,
@@ -134,45 +134,17 @@ impl Default for Cli {
     }
 }
 
-/// Apply the trace-path precedence rule: the `--trace-out` CLI flag wins
-/// over the `SOC_TRACE` environment variable. Returns the chosen path and
-/// whether the env var was overridden (callers print one warning line).
-pub fn resolve_trace_out(flag: Option<PathBuf>, env: Option<PathBuf>) -> (Option<PathBuf>, bool) {
-    match (flag, env) {
-        (Some(flag), Some(env)) => {
-            let overridden = env != flag;
-            (Some(flag), overridden)
-        }
-        (Some(flag), None) => (Some(flag), false),
-        (None, env) => (env, false),
-    }
-}
-
 impl Cli {
-    /// Parse from `std::env::args`. The `SOC_TRACE` environment variable
-    /// supplies `trace_out` when the flag is absent; when both are present
-    /// the flag wins and one warning line is printed. When analysis is
-    /// requested without any trace path, the trace goes to a temporary file.
-    /// `outputs` lists what the binary writes (see [`Cli::parse`]). A parse
-    /// error prints the error and [`USAGE`] and exits 2.
+    /// Parse from `std::env::args`. `outputs` lists what the binary writes
+    /// (see [`Cli::parse`]). A parse error prints the error and [`USAGE`]
+    /// and exits 2.
     pub fn from_env(outputs: &[Output]) -> Cli {
         let mut args = std::env::args();
         let binary = args.next().unwrap_or_default();
-        let mut cli = Cli::parse(args, outputs).unwrap_or_else(|e| {
+        Cli::parse(args, outputs).unwrap_or_else(|e| {
             eprintln!("error: {e}\nusage: {binary} {USAGE}");
             std::process::exit(2)
-        });
-        let env = std::env::var_os("SOC_TRACE").map(PathBuf::from);
-        let (trace_out, overridden) = resolve_trace_out(cli.trace_out.take(), env);
-        if overridden {
-            eprintln!("warning: --trace-out overrides SOC_TRACE");
-        }
-        cli.trace_out = trace_out;
-        if cli.trace_out.is_none() && (cli.analyze || cli.report_out.is_some()) {
-            cli.trace_out =
-                Some(std::env::temp_dir().join(format!("soc-trace-{}.jsonl", std::process::id())));
-        }
-        cli
+        })
     }
 
     /// Parse from an explicit iterator (testable). Every flag is known
@@ -263,14 +235,27 @@ impl Cli {
         self.out.clone().unwrap_or_else(|| PathBuf::from(default))
     }
 
+    /// Where the run's trace goes: `--trace-out`, else a temporary file when
+    /// `--analyze` / `--report-out` need a trace to read, else nowhere.
+    fn trace_path(&self) -> Option<PathBuf> {
+        match &self.trace_out {
+            Some(path) => Some(path.clone()),
+            None if self.analyze || self.report_out.is_some() => {
+                Some(std::env::temp_dir().join(format!("soc-trace-{}.jsonl", std::process::id())))
+            }
+            None => None,
+        }
+    }
+
     /// The run's observation handle, built from the flags: the JSONL trace
-    /// of `--trace-out` / `SOC_TRACE` (disabled without a path), the
-    /// profiler of `--prof` named `name` with the common run parameters as
-    /// metadata, and the health recorder of `--health`. Parts not asked
-    /// for are the zero-overhead disabled handles. Call [`Cli::finish`] at
-    /// the end of the run to emit everything.
+    /// of `--trace-out` (a temporary file for `--analyze` / `--report-out`
+    /// without it; disabled otherwise), the profiler of `--prof` named
+    /// `name` with the common run parameters as metadata, and the health
+    /// recorder of `--health`. Parts not asked for are the zero-overhead
+    /// disabled handles. Call [`Cli::finish`] at the end of the run to emit
+    /// everything.
     pub fn observer(&self, name: &str) -> Observer {
-        let telemetry = match &self.trace_out {
+        let telemetry = match &self.trace_path() {
             Some(path) => match Telemetry::jsonl(path) {
                 Ok(tm) => {
                     eprintln!("tracing to {}", path.display());
@@ -320,15 +305,15 @@ impl Cli {
     /// end-of-run metric snapshot, flush the file, and honor `--analyze` /
     /// `--report-out` with the `soc-analyze` full report, titled with the
     /// experiment name (not the path) so equal-seed runs stay
-    /// byte-identical. Last the profile: print its summary and honor
-    /// `--prof-out`. Each step is a no-op when its part is off. Health and
-    /// profile go to stderr (not stdout), so observed runs keep
-    /// byte-identical experiment output.
-    pub fn finish(&self, obs: &Observer, health_rules: &[soc_health::Rule]) {
+    /// byte-identical, and delete a temporary trace. Last the profile:
+    /// print its summary and honor `--prof-out`. Each step is a no-op when
+    /// its part is off. Health and profile go to stderr (not stdout), so
+    /// observed runs keep byte-identical experiment output.
+    pub fn finish(&self, obs: &Observer, health_rules: &[soc_analyze::Rule]) {
         if let Some(report) = obs.recorder.finalize(health_rules) {
-            eprint!("{}", soc_health::render::render_report(&report));
+            eprint!("{}", soc_analyze::render::render_report(&report));
             if let Some(path) = &self.health_out {
-                write_or_warn(path, &soc_health::json::to_json(&report), "health report");
+                write_or_warn(path, &soc_analyze::json::to_json(&report), "health report");
             }
         }
         if obs.telemetry.is_enabled() {
@@ -348,13 +333,19 @@ impl Cli {
     }
 
     /// Run the `soc-analyze` full report on the flushed trace; print it
-    /// for `--analyze` and write it for `--report-out`.
+    /// for `--analyze` and write it for `--report-out`. A temporary trace
+    /// is deleted once read.
     fn analyze(&self, name: &str) {
-        let Some(path) = &self.trace_out else {
-            eprintln!("warning: --analyze/--report-out need a trace; none was written");
+        let Some(path) = self.trace_path() else {
             return;
         };
-        let trace = match soc_analyze::Trace::load(path) {
+        let loaded = soc_analyze::Trace::load(&path);
+        if self.trace_out.is_none() {
+            if let Err(e) = std::fs::remove_file(&path) {
+                eprintln!("warning: cannot delete {}: {e}", path.display());
+            }
+        }
+        let trace = match loaded {
             Ok(trace) => trace,
             Err(e) => {
                 eprintln!("warning: cannot analyze {}: {e}", path.display());
@@ -452,21 +443,17 @@ mod tests {
     }
 
     #[test]
-    fn trace_out_flag_beats_env() {
-        let flag = Some(PathBuf::from("/tmp/flag.jsonl"));
-        let env = Some(PathBuf::from("/tmp/env.jsonl"));
-        let (chosen, warned) = resolve_trace_out(flag.clone(), env.clone());
-        assert_eq!(chosen, flag);
-        assert!(warned, "overriding the env var should warn");
-        // Same path on both sides: no warning.
-        let (chosen, warned) = resolve_trace_out(flag.clone(), flag.clone());
-        assert_eq!(chosen, flag);
-        assert!(!warned);
-        // Env alone is honored silently.
-        let (chosen, warned) = resolve_trace_out(None, env.clone());
-        assert_eq!(chosen, env);
-        assert!(!warned);
-        assert_eq!(resolve_trace_out(None, None), (None, false));
+    fn finish_deletes_the_temporary_trace() {
+        let report = std::env::temp_dir().join(format!("soc-report-{}.txt", std::process::id()));
+        let cli = parse(&["--report-out", report.to_str().unwrap()]);
+        let trace = cli.trace_path().expect("--report-out needs a trace");
+        let obs = cli.observer("tmp");
+        assert!(trace.exists(), "the run traces to {}", trace.display());
+        cli.finish(&obs, &[]);
+        assert!(!trace.exists(), "{} left behind", trace.display());
+        let text = std::fs::read_to_string(&report).unwrap();
+        assert!(text.starts_with("== soc-analyze report: tmp =="), "{text}");
+        std::fs::remove_file(report).unwrap();
     }
 
     #[test]
@@ -482,7 +469,7 @@ mod tests {
     fn finish_without_analysis_is_quiet_noop() {
         // Must not panic or print anything when no observation flag is set.
         let cli = parse(&[]);
-        cli.finish(&cli.observer("noop"), &soc_health::default_rules(1));
+        cli.finish(&cli.observer("noop"), &soc_analyze::default_rules(1));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! otherwise, and literal paths keep the snapshot keys identical across
 //! every thread count.
 
+use soc_analyze::Recorder;
 use soc_cluster::probe::{ShardProbe, SpanToken};
-use soc_health::Recorder;
 use soc_prof::Profiler;
 use soc_telemetry::{Event, NullSink, Telemetry};
 use std::time::Instant;

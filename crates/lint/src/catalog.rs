@@ -59,12 +59,12 @@ pub const CATALOG: &[LintInfo] = &[
         rationale: "The workspace is tiered — sim-state, emit, observation, tooling — and \
                     the tiers are declared once in the `[layers]` section of lint.toml \
                     rather than hard-coded per lint. Sim-state linking observability \
-                    (soc_prof, soc_health) would let bench-side timers and recorders \
+                    (soc_prof, soc_analyze) would let bench-side timers and recorders \
                     leak host behaviour into seed-determined simulation state; the \
                     sanctioned pattern is pure probe hooks (soc_cluster::probe) that \
                     the bench side attaches to. Moving a crate between tiers is a \
                     one-line config change, not a lint release.",
-        example: "use soc_health::Recorder; // in crates/power",
+        example: "use soc_analyze::Recorder; // in crates/power",
     },
     LintInfo {
         id: "A002",
@@ -77,7 +77,7 @@ pub const CATALOG: &[LintInfo] = &[
                     a crate reaches a layer its own layer may not use, the first hop of \
                     that path is flagged with the full chain, so the fix site is always \
                     a real reference in the offending crate.",
-        example: "use helper::recorder; // helper itself uses soc_health",
+        example: "use helper::recorder; // helper itself uses soc_analyze",
     },
     LintInfo {
         id: "D001",
@@ -107,8 +107,8 @@ pub const CATALOG: &[LintInfo] = &[
         summary: "std::env in a sim-state crate; configuration must be explicit",
         rationale: "Environment lookups make behaviour depend on invisible host state; \
                     sim crates take configuration as values so runs are reproducible \
-                    from their inputs alone (bench binaries may read SOC_TRACE — they \
-                    are not sim-state crates).",
+                    from their inputs alone (tooling crates such as the bench binaries \
+                    are not sim-state and may read it).",
         example: "let mode = std::env::var(\"MODE\");",
     },
     LintInfo {

@@ -470,25 +470,25 @@ mod tests {
     fn a001_layer_violations() {
         // Sim-state may not reference observation-layer crates…
         assert_eq!(sim("use soc_prof::Profiler;"), [("A001".to_string(), 1)]);
-        assert_eq!(sim("use soc_health::Recorder;"), [("A001".to_string(), 1)]);
+        assert_eq!(sim("use soc_analyze::Recorder;"), [("A001".to_string(), 1)]);
         // …or tooling.
         assert_eq!(sim("use soc_bench::Runner;"), [("A001".to_string(), 1)]);
         // The emit layer is an allowed edge from sim-state.
         assert!(sim("use soc_telemetry::Sink;").is_empty());
         // A local identifier that merely shares the name is not a reference.
-        assert!(sim("let soc_health = 1;").is_empty());
+        assert!(sim("let soc_analyze = 1;").is_empty());
         // Observation may read sim-state and emit, and its own layer.
         assert!(lint_src(
-            "health",
-            "crates/health/src/x.rs",
-            "use soc_telemetry::Row;\nuse soc_cluster::Cluster;\nuse soc_analyze::diff;"
+            "analyze",
+            "crates/analyze/src/x.rs",
+            "use soc_telemetry::Row;\nuse soc_cluster::Cluster;\nuse soc_prof::Snapshot;"
         )
         .is_empty());
         // Tooling may use everything.
         assert!(lint_src(
             "bench",
             "crates/bench/src/x.rs",
-            "use soc_health::Recorder;\nuse soc_cluster::Cluster;"
+            "use soc_analyze::Recorder;\nuse soc_cluster::Cluster;"
         )
         .is_empty());
         // Observation may not reach tooling.
@@ -673,7 +673,7 @@ mod tests {
         let everything = "use std::collections::HashMap;\nlet t = Instant::now();\n\
                           let v = std::env::var(\"X\");\nlet r = thread_rng();\n\
                           fn f(budget_w: f64, freq_mhz: u32) {}\nstruct S { power: f64 }\n\
-                          pub fn draw_w() -> f64 { 0.0 }\nuse soc_health::Recorder;\n\
+                          pub fn draw_w() -> f64 { 0.0 }\nuse soc_analyze::Recorder;\n\
                           fn g() { x.unwrap(); panic!(); let t = now_s as u64; }";
         for (id, _) in sim(everything) {
             assert!(catalog::lint(&id).is_some(), "{id} missing from catalog");

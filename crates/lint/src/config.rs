@@ -4,7 +4,7 @@
 //!
 //! The layers section is the declarative replacement for the crate-name
 //! special cases that used to live in `checks.rs`: instead of a hard-coded
-//! `soc_prof | soc_health` match arm, the file declares which tier every
+//! `soc_prof | soc_analyze` match arm, the file declares which tier every
 //! workspace crate belongs to and which tiers each tier may depend on, and
 //! the A001/A002 passes enforce it by graph reachability:
 //!
@@ -79,11 +79,7 @@ impl Layers {
                 // the emit layer may read sim-state primitives (never the
                 // other observability layers).
                 layer("emit", &["telemetry"], &["sim-state"]),
-                layer(
-                    "observation",
-                    &["analyze", "prof", "health"],
-                    &["emit", "sim-state"],
-                ),
+                layer("observation", &["analyze", "prof"], &["emit", "sim-state"]),
                 layer(
                     "tooling",
                     &["bench", "lint"],
@@ -439,7 +435,7 @@ allowlist-baseline = 7
         let cfg = LintConfig::parse("# empty\n").unwrap();
         assert!(!cfg.layers_declared);
         assert!(cfg.layers.sim_state_crates().contains("simcore"));
-        assert_eq!(cfg.layers.layer_of("health"), Some("observation"));
+        assert_eq!(cfg.layers.layer_of("analyze"), Some("observation"));
         assert!(cfg.layers.allows("tooling", "observation"));
         assert!(!cfg.layers.allows("sim-state", "observation"));
         // The builtin default must itself be structurally valid.

@@ -74,7 +74,7 @@ fn robustness_fixture_matches_golden() {
 #[test]
 fn profiling_fixture_matches_golden() {
     // Scanned as a sim-state crate: referencing the observation layer
-    // (soc_prof, soc_health) is an A001 layer violation. The same source in
+    // (soc_prof, soc_analyze) is an A001 layer violation. The same source in
     // an observation/tooling crate is clean (checked below).
     assert_golden(
         "profiling",
@@ -86,14 +86,14 @@ fn profiling_fixture_matches_golden() {
 
 #[test]
 fn profiling_fixture_is_clean_outside_sim_state() {
-    // crates/prof and crates/health sit in the observation layer and
+    // crates/prof and crates/analyze sit in the observation layer and
     // crates/bench in tooling; both layers may use observation, so the same
     // source produces no A001 there.
-    for crate_name in ["prof", "health", "bench"] {
+    for crate_name in ["prof", "analyze", "bench"] {
         let got = render(crate_name, include_str!("fixtures/bad/profiling.rs"));
         assert_eq!(
             got, "",
-            "soc_prof/soc_health use must be allowed in crates/{crate_name}"
+            "soc_prof/soc_analyze use must be allowed in crates/{crate_name}"
         );
     }
 }

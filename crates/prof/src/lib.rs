@@ -22,7 +22,7 @@
 //! * **Memory sampling** ([`mem`]) — peak RSS from procfs and an opt-in
 //!   counting global allocator ([`CountingAlloc`]).
 //! * **Snapshots** ([`Snapshot`]) — a canonical JSON profile format, what
-//!   a bench binary's `--prof-out` writes and `soc-prof show` renders.
+//!   a bench binary's `--prof-out` writes and `soc-analyze profile` renders.
 //!
 //! Regression gating is not here: CI gates on `soc-benchmark`'s
 //! digest-checked workloads (`benchmark/`, `.github/scripts/perf_gate.sh`).

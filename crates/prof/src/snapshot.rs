@@ -1,5 +1,5 @@
 //! The canonical profile snapshot: what a `--prof-out` file contains and
-//! what `soc-prof show` renders.
+//! what `soc-analyze profile` renders.
 //!
 //! The format is a single JSON object with a pinned field set (see
 //! [`Snapshot::to_json`]); maps are emitted in sorted key order so two

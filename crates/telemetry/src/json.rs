@@ -1,10 +1,10 @@
 //! The workspace's one JSON codec.
 //!
 //! The workspace deliberately has no JSON crate. Every JSON artifact — JSONL
-//! telemetry traces, soc-prof snapshots, soc-health reports and soc-lint
-//! reports — is written with [`push_str`]/[`escape`] and [`fmt_num`] and read
-//! back with [`parse`], so the whole surface is one escaper, one number
-//! formatter, one [`Value`] type and one parser.
+//! telemetry traces, soc-prof snapshots, soc-analyze health reports and
+//! soc-lint reports — is written with [`push_str`]/[`escape`] and
+//! [`fmt_num`] and read back with [`parse`], so the whole surface is one
+//! escaper, one number formatter, one [`Value`] type and one parser.
 //!
 //! Writers are byte-stable: strings use a fixed escape table and floats use
 //! Rust's shortest round-trip `Display`, so the same run always serializes to

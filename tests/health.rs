@@ -1,6 +1,6 @@
 //! Health-recording-is-observation-only harness.
 //!
-//! The fleet-health layer (`soc-health` + the `gauge`/`event` hooks on
+//! The fleet-health layer (`soc_analyze::Recorder` + the `gauge`/`event` hooks on
 //! `soc_cluster::probe::ShardProbe`) must never perturb the simulation:
 //! attaching a health-recording [`Observer`] to the sharded engine has to
 //! yield byte-identical telemetry traces, metrics, and outcomes to the
@@ -16,11 +16,11 @@
 use simcore::faults::FaultPlan;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::policy::PolicyKind;
+use soc_analyze::{default_rules, Recorder};
 use soc_bench::Observer;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::probe::{NoopProbe, ShardProbe};
 use soc_cluster::shard::simulate_policy_sharded_probed;
-use soc_health::{default_rules, Recorder};
 use soc_prof::Profiler;
 use soc_telemetry::json::event_to_json;
 use soc_telemetry::{MemorySink, Telemetry};
@@ -136,7 +136,7 @@ fn health_series_are_identical_across_thread_counts() {
         let report = recorder
             .finalize(&default_rules(cfg.step.as_micros()))
             .expect("report");
-        reports.push(soc_health::json::to_json(&report));
+        reports.push(soc_analyze::json::to_json(&report));
     }
     assert_eq!(
         reports[0], reports[1],

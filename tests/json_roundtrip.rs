@@ -1,7 +1,7 @@
 //! Cross-writer round trip through the workspace's one JSON codec.
 //!
 //! Every JSON writer in the workspace — telemetry events, soc-prof
-//! snapshots, soc-health reports, soc-lint's JSON report and SARIF log — is
+//! snapshots, soc-analyze health reports, soc-lint's JSON report and SARIF log — is
 //! fed seeded strings built from hostile characters (quote, backslash, every
 //! C0 control, DEL, non-ASCII and astral-plane characters). Each output must
 //! parse with `soc_telemetry::json::parse`, and every string must come back
@@ -11,7 +11,7 @@
 use simcore::rng::Pcg32;
 use simcore::time::SimTime;
 use soc_analyze::Trace;
-use soc_health::{Alert, HealthReport, Incident, SeriesStore};
+use soc_analyze::{Alert, HealthReport, Incident, SeriesStore};
 use soc_lint::sarif::render_sarif;
 use soc_lint::{AllowEntry, Allowlist, CheckReport, Diagnostic};
 use soc_prof::{PhaseSnap, Snapshot, SCHEMA};
@@ -133,14 +133,14 @@ fn every_writer_round_trips_hostile_strings() {
             alerts,
             incidents,
         };
-        let text = soc_health::json::to_json(&report);
+        let text = soc_analyze::json::to_json(&report);
         assert_strings_survive("health::json::to_json", &text, &strings);
-        let back = soc_health::json::from_json(&text).expect("report reads back");
+        let back = soc_analyze::json::from_json(&text).expect("report reads back");
         assert_eq!(
             (&back.alerts, &back.incidents),
             (&report.alerts, &report.incidents)
         );
-        assert_eq!(soc_health::json::to_json(&back), text);
+        assert_eq!(soc_analyze::json::to_json(&back), text);
 
         let diags: Vec<Diagnostic> = strings
             .iter()
@@ -181,7 +181,7 @@ fn every_reader_rejects_deep_nesting_with_an_error() {
     for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
         assert!(parse(&deep).is_err());
         assert!(Snapshot::from_json(&deep).is_err());
-        assert!(soc_health::json::from_json(&deep).is_err());
+        assert!(soc_analyze::json::from_json(&deep).is_err());
         assert!(Trace::parse(&deep).is_err());
     }
 }

@@ -11,6 +11,7 @@
 //! tiny configs so it runs in the tier-1 suite.
 
 use smartoclock::policy::PolicyKind;
+use soc_analyze::Recorder;
 use soc_bench::Observer;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::probe::{NoopProbe, ShardProbe};
@@ -18,7 +19,6 @@ use soc_cluster::shard::{
     generate_fleet_probed, simulate_policy_prepared_probed, simulate_policy_sharded_probed,
     train_fleet_probed,
 };
-use soc_health::Recorder;
 use soc_prof::Profiler;
 use soc_telemetry::json::event_to_json;
 use soc_telemetry::{MemorySink, Telemetry};
