@@ -24,18 +24,18 @@ use simcore::faults::FaultPlan;
 use simcore::report::{fmt_f64, Table};
 use simcore::time::SimDuration;
 use smartoclock::policy::PolicyKind;
-use soc_bench::{Cli, Output};
+use soc_bench::{write_artifact, Cli, Output};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
 use soc_cluster::shard::{generate_fleet_probed, simulate_policy_on_traces_probed, FleetTraces};
 use soc_reliability::binning::BinningConfig;
+use std::process::ExitCode;
 
 const BIN_COUNTS: [u32; 3] = [1, 4, 8];
 const RISK_BUDGETS: [f64; 4] = [1.0, 0.5, 0.25, 0.1];
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[Output::Trace, Output::ResultFile]);
-    let out = cli.out_or("exp_binning.json");
     let racks = if cli.fast { 8 } else { 24 };
     let mut base = LargeScaleConfig::bench_reference(racks);
     base.seed = cli.seed;
@@ -131,11 +131,9 @@ fn main() {
          \"weeks\": {},\n  \"seed\": {},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
         base.weeks, cli.seed,
     );
-    match std::fs::write(&out, &json) {
-        Ok(()) => eprintln!("wrote {}", out.display()),
-        Err(e) => eprintln!("warning: failed to write {}: {e}", out.display()),
-    }
-    cli.finish(&obs, &[]);
+    let out = cli.out.clone().unwrap_or_else(|| "exp_binning.json".into());
+    write_artifact(&out, &json, "result file");
+    cli.finish(&obs, &[])
 }
 
 /// Mean certified overclock fraction across every part in the fleet: the

@@ -12,13 +12,14 @@ use simcore::report::{fmt_pct, Table};
 use simcore::time::SimDuration;
 use soc_bench::{Cli, Output};
 use soc_cluster::datacenter::{simulate_datacenter, DatacenterConfig};
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[Output::Profile, Output::Health]);
-    // Health series (`--health`): this sweep runs outside the sharded rack
-    // engine, so the recorder is fed from the collected results in sweep
-    // order, keyed by feed fraction in basis points.
+    // Health series (`--health-out`): this sweep runs outside the sharded
+    // rack engine, so the recorder is fed from the collected results in
+    // sweep order, keyed by feed fraction in basis points.
     let obs = cli.observer("exp_datacenter");
     let mut t = Table::new(&[
         "feed / rack-limit sum",
@@ -77,5 +78,5 @@ fn main() {
     cli.finish(
         &obs,
         &soc_analyze::default_rules(SimDuration::from_minutes(15).as_micros()),
-    );
+    )
 }

@@ -22,12 +22,13 @@
 use simcore::report::{fmt_f64, fmt_pct, Table};
 use simcore::time::SimDuration;
 use smartoclock::policy::PolicyKind;
-use soc_bench::{Cli, Output};
+use soc_bench::{write_artifact, Cli, Output};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
 use soc_cluster::probe::{NoopProbe, ShardProbe};
 use soc_cluster::shard::{generate_fleet_probed, simulate_policy_on_traces_probed};
 use soc_telemetry::Telemetry;
+use std::process::ExitCode;
 
 struct Variant {
     name: &'static str,
@@ -53,9 +54,8 @@ const VARIANTS: [Variant; 3] = [
     },
 ];
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[Output::Trace, Output::Health, Output::ResultFile]);
-    let out = cli.out_or("exp_fault_tolerance.json");
     let racks = if cli.fast { 8 } else { 24 };
     let mut base = LargeScaleConfig::bench_reference(racks);
     base.seed = cli.seed;
@@ -104,7 +104,7 @@ fn main() {
                 "simulating {} at outage={label} over {racks} racks ({threads} threads)...",
                 variant.name
             );
-            // The health report (`--health` / `--health-out`) follows the
+            // The health report (`--health-out`) follows the
             // longest-outage SmartOClock cell, where the incident timeline
             // shows outage -> degraded-entry -> recovery end to end.
             let (telemetry, probe): (Telemetry, &dyn ShardProbe) =
@@ -162,9 +162,10 @@ fn main() {
          \"weeks\": {},\n  \"seed\": {},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
         base.weeks, cli.seed,
     );
-    match std::fs::write(&out, &json) {
-        Ok(()) => eprintln!("wrote {}", out.display()),
-        Err(e) => eprintln!("warning: failed to write {}: {e}", out.display()),
-    }
-    cli.finish(&obs, &soc_analyze::default_rules(base.step.as_micros()));
+    let out = cli
+        .out
+        .clone()
+        .unwrap_or_else(|| "exp_fault_tolerance.json".into());
+    write_artifact(&out, &json, "result file");
+    cli.finish(&obs, &soc_analyze::default_rules(base.step.as_micros()))
 }

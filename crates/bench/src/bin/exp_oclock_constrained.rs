@@ -11,8 +11,9 @@ use simcore::time::SimDuration;
 use soc_bench::{Cli, Output};
 use soc_cluster::harness::{ClusterConfig, SystemKind};
 use soc_cluster::shard::run_cluster_sims_probed;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[Output::Trace]);
     let obs = cli.observer("exp_oclock_constrained");
     let config = |budget_scale: f64, proactive: bool| {
@@ -75,5 +76,5 @@ fn main() {
         "paper: reactive misses SLOs 5.0%/6.1%/7.2% of the time at 75%/50%/25% budget; \
          proactive scale-out eliminates the violations"
     );
-    cli.finish(&obs, &[]);
+    cli.finish(&obs, &[])
 }

@@ -12,8 +12,9 @@ use soc_bench::{pct_change, Cli, Output};
 use soc_cluster::harness::{ClusterConfig, SystemKind};
 use soc_cluster::shard::run_cluster_sims_probed;
 use soc_workloads::socialnet::LoadLevel;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[Output::Trace]);
     let obs = cli.observer("exp_power_constrained");
     let config_for = |system: SystemKind| {
@@ -89,5 +90,5 @@ fn main() {
         "paper: SmartOClock cuts tail latency 6.7%/8.4% (med/high) vs NaiveOClock \
          and lifts MLTrain throughput 10.4%"
     );
-    cli.finish(&obs, &[]);
+    cli.finish(&obs, &[])
 }

@@ -11,10 +11,11 @@ use simcore::report::{fmt_f64, Table};
 use simcore::series::TimeSeries;
 use simcore::stats::normalize_to_peak;
 use simcore::time::{SimDuration, SimTime};
-use soc_bench::Cli;
+use soc_bench::{write_artifact, Cli, Observer};
 use soc_traces::services::{service_a, service_b, service_c};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[]);
     // Tuesday of week 1: a typical weekday.
     let day_start = SimTime::ZERO + SimDuration::from_days(1);
@@ -56,8 +57,7 @@ fn main() {
     println!("== Fig. 1: weekday load, normalized to each service's peak ==");
     println!("{}", hourly.render());
     if let Some(path) = &cli.csv {
-        std::fs::write(path, full.to_csv()).expect("write csv");
-        eprintln!("wrote {}", path.display());
+        write_artifact(path, &full.to_csv(), "table");
     }
 
     // Headline check: Service A's peak window is 10-12h.
@@ -72,4 +72,5 @@ fn main() {
         .time_of_day()
         .as_hours_f64();
     println!("ServiceA peak at {peak_hour:.1}h (paper: 10-12h window)");
+    cli.finish(&Observer::default(), &[])
 }

@@ -4,12 +4,13 @@
 
 use simcore::report::{fmt_f64, Table};
 use simcore::time::SimDuration;
-use soc_bench::Cli;
+use soc_bench::{Cli, Observer};
 use soc_cluster::envs::{run_environment, Environment};
 use soc_power::freq::FrequencyPlan;
 use soc_workloads::socialnet::{socialnet_services, LoadLevel};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[]);
     let plan = FrequencyPlan::amd_reference();
     let measure = if cli.fast {
@@ -68,4 +69,5 @@ fn main() {
          (paper: violations concentrate in Baseline at high load; \
          UrlShort violates even at low utilization, Usr tolerates high utilization)"
     );
+    cli.finish(&Observer::default(), &[])
 }

@@ -6,11 +6,12 @@
 //! the hot VM — which a VM-local policy would do — is unnecessary.
 
 use simcore::report::{fmt_f64, Table};
-use soc_bench::Cli;
+use soc_bench::{Cli, Observer};
 use soc_power::freq::FrequencyPlan;
 use soc_workloads::webconf::WebConfDeployment;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[]);
     let plan = FrequencyPlan::amd_reference();
 
@@ -58,4 +59,5 @@ fn main() {
          unnecessary since the baseline already meets the application-level goal\").",
         fmt_f64(baseline.deployment_utilization(), 2)
     );
+    cli.finish(&Observer::default(), &[])
 }

@@ -9,10 +9,11 @@
 
 use simcore::report::{fmt_f64, fmt_pct, Table};
 use simcore::time::SimDuration;
-use soc_bench::Cli;
+use soc_bench::{Cli, Observer};
 use soc_traces::gen::{FleetConfig, TraceGenerator};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[]);
     let racks = if cli.fast { 40 } else { 300 };
     let mut cfg = FleetConfig::paper_reference(racks);
@@ -44,4 +45,5 @@ fn main() {
         fmt_f64(p99.quantile(0.5), 2),
         fmt_f64(p99.quantile(0.9), 2),
     );
+    cli.finish(&Observer::default(), &[])
 }

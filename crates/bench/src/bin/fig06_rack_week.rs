@@ -12,6 +12,7 @@ use simcore::time::{SimDuration, SimTime};
 use soc_bench::{Cli, Output};
 use soc_telemetry::{tm_event, Component, Severity, Telemetry};
 use soc_traces::gen::{FleetConfig, TraceGenerator};
+use std::process::ExitCode;
 
 /// Replay the naive-overclock week against the rack limit, emitting the
 /// causally-linked event chain a rack runtime would produce: approaching the
@@ -85,7 +86,7 @@ fn trace_capping_week(
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[Output::Trace]);
     let mut cfg = FleetConfig::paper_reference(1);
     cfg.span = SimDuration::WEEK;
@@ -176,5 +177,5 @@ fn main() {
     if obs.telemetry.is_enabled() {
         trace_capping_week(&obs.telemetry, &overclocked, &per_server_extra, limit);
     }
-    cli.finish(&obs, &[]);
+    cli.finish(&obs, &[])
 }

@@ -3,13 +3,14 @@
 //! and overclock-aware.
 
 use simcore::report::{fmt_f64, fmt_pct, Table};
-use soc_bench::Cli;
+use soc_bench::{Cli, Observer};
 use soc_cluster::ageing::{
     cumulative_ageing, fig7_utilization, overclock_aware_duty_cycle, AgeingPolicy,
 };
 use soc_reliability::wear::WearModel;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[]);
     let model = WearModel::default();
     let util = fig7_utilization(5);
@@ -64,4 +65,5 @@ fn main() {
          (paper: non-OC <2 days, always-OC >10 days, OC-aware ≤ expected)",
         fmt_pct(duty)
     );
+    cli.finish(&Observer::default(), &[])
 }

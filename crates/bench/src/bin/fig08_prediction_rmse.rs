@@ -11,12 +11,13 @@
 use simcore::report::{fmt_f64, fmt_pct, Table};
 use simcore::stats::Ecdf;
 use simcore::time::SimDuration;
-use soc_bench::Cli;
+use soc_bench::{Cli, Observer};
 use soc_predict::eval::walk_forward;
 use soc_predict::template::TemplateKind;
 use soc_traces::gen::{FleetConfig, TraceGenerator};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[]);
     let racks = if cli.fast { 20 } else { 120 };
     let regions = ["Region 1", "Region 2", "Region 3", "Region 4"];
@@ -59,4 +60,5 @@ fn main() {
         "paper (Region 3): P50 = 1.95W, P99 = 5.11W on ~10kW racks — the shape to match \
          is a P50 relative error of a few percent and a thin tail."
     );
+    cli.finish(&Observer::default(), &[])
 }

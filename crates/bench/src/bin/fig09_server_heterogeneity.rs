@@ -8,10 +8,11 @@
 use simcore::report::{fmt_f64, Table};
 use simcore::stats::normalize_to_peak;
 use simcore::time::{SimDuration, SimTime};
-use soc_bench::Cli;
+use soc_bench::{Cli, Observer};
 use soc_traces::gen::{FleetConfig, TraceGenerator};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[]);
     let mut cfg = FleetConfig::paper_reference(1);
     cfg.span = SimDuration::WEEK;
@@ -95,4 +96,5 @@ fn main() {
         dominant_changes
     );
     let _ = normalize_to_peak(&means); // exercised above via global peak
+    cli.finish(&Observer::default(), &[])
 }

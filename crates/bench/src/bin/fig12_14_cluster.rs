@@ -16,8 +16,9 @@ use soc_bench::{pct_change, Cli, Output};
 use soc_cluster::harness::{ClusterConfig, ClusterResult, SystemKind};
 use soc_cluster::shard::run_cluster_sims_probed;
 use soc_workloads::socialnet::LoadLevel;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[Output::Trace]);
     let obs = cli.observer("fig12_14_cluster");
     let systems = [
@@ -133,5 +134,5 @@ fn main() {
         pct_change(results[1].total_energy_j, results[3].total_energy_j),
         pct_change(results[1].socialnet_energy_j, results[3].socialnet_energy_j),
     );
-    cli.finish(&obs, &[]);
+    cli.finish(&obs, &[])
 }

@@ -10,12 +10,13 @@ use simcore::par;
 use simcore::report::{fmt_f64, Table};
 use simcore::stats::Ecdf;
 use simcore::time::SimDuration;
-use soc_bench::Cli;
+use soc_bench::{Cli, Observer};
 use soc_predict::eval::walk_forward;
 use soc_predict::template::TemplateKind;
 use soc_traces::gen::{FleetConfig, TraceGenerator};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[]);
     let racks = if cli.fast { 20 } else { 100 };
     let mut cfg = FleetConfig::paper_reference(racks);
@@ -95,4 +96,5 @@ fn main() {
          (paper: \"DailyMed, used in SmartOClock, has the highest accuracy\")",
         (0..5).all(|k| k == 3 || med_of(k) >= daily_med)
     );
+    cli.finish(&Observer::default(), &[])
 }

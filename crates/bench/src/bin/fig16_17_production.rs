@@ -14,13 +14,14 @@ use soc_cluster::envs::{run_at_rate, Environment};
 use soc_power::freq::FrequencyPlan;
 use soc_traces::services::service_c;
 use soc_workloads::microservice::ServiceSpec;
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[Output::Profile, Output::Health]);
-    // Health series (`--health`): these sweeps run outside the sharded rack
-    // engine, so the recorder is fed from the collected results in sweep
-    // order — fig. 16 keyed by deployment RPS, fig. 17 by time of day.
+    // Health series (`--health-out`): these sweeps run outside the sharded
+    // rack engine, so the recorder is fed from the collected results in
+    // sweep order — fig. 16 keyed by deployment RPS, fig. 17 by time of day.
     let obs = cli.observer("fig16_17_production");
     let plan = FrequencyPlan::amd_reference();
     let measure = if cli.fast {
@@ -171,5 +172,5 @@ fn main() {
     cli.finish(
         &obs,
         &soc_analyze::default_rules(SimDuration::from_minutes(5).as_micros()),
-    );
+    )
 }

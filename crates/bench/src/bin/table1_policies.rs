@@ -19,9 +19,10 @@ use soc_cluster::shard::{
     generate_fleet_probed, simulate_policy_prepared_probed, train_fleet_probed,
 };
 use std::collections::HashMap;
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
+fn main() -> ExitCode {
     let cli = Cli::from_env(&[Output::Trace, Output::Profile]);
     let obs = cli.observer("table1_policies");
     let racks = if cli.fast { 12 } else { 60 };
@@ -128,5 +129,5 @@ fn main() {
         fmt_pct(nofb.success_rate),
         fmt_pct(naive.success_rate),
     );
-    cli.finish(&obs, &[]);
+    cli.finish(&obs, &[])
 }

@@ -6,40 +6,38 @@
 //! * `--seed <u64>` — RNG seed (default 42; results in EXPERIMENTS.md use
 //!   the default).
 //! * `--fast` — reduced scale for smoke runs.
-//! * `--csv <path>` — additionally write the table as CSV.
-//! * `--trace-out <path>` — write a JSONL telemetry trace of the run.
-//! * `--analyze` — after the run, analyze the trace with `soc-analyze` and
-//!   print the full report to stdout.
-//! * `--report-out <path>` — write that report to a file instead.
 //! * `--threads <n>` — worker threads for the sharded simulation paths
 //!   (`simcore::par`). Defaults to the machine's available parallelism;
 //!   results are byte-identical for every value (`1` forces serial).
-//! * `--prof` — collect a `soc-prof` performance profile (phase wall-clock,
-//!   throughput counters, peak RSS) and print the summary to stderr.
-//! * `--prof-out <path>` — additionally write the profile snapshot as
-//!   canonical JSON (implies `--prof`).
-//! * `--health` — collect a `soc-analyze` fleet health report (sim-time
-//!   series, deterministic alerts, incident timeline) and print it to
-//!   stderr.
-//! * `--health-out <path>` — additionally write the health report as
-//!   canonical JSON (implies `--health`); read it back with
-//!   `soc-analyze health`.
+//! * `--csv <path>` — additionally write the table as CSV.
+//! * `--trace-out <path>` — write a JSONL telemetry trace of the run.
+//! * `--prof-out <path>` — collect a `soc-prof` performance profile (phase
+//!   wall-clock, throughput counters, peak RSS) and write its snapshot as
+//!   canonical JSON.
+//! * `--health-out <path>` — collect a fleet health report (sim-time
+//!   series, deterministic alerts, incident timeline) and write it as
+//!   canonical JSON.
 //! * `--out <path>` — where binaries with a JSON result file write it
 //!   (`exp_fault_tolerance`, `exp_binning`; each has its own default name).
 //!
-//! `--analyze` / `--report-out` without a trace path trace to a temporary
-//! file so the analysis still has input; [`Cli::finish`] deletes it once the
-//! report is written. An unknown flag, a flag missing its value, a `--seed`
-//! / `--threads` value that does not parse, or a flag asking for an
-//! [`Output`] the binary does not write prints the error and [`USAGE`] and
-//! exits 2 before the experiment runs.
+//! The binaries only write artifacts; `soc-analyze` reads them back
+//! (`soc-analyze report <trace>`, `soc-analyze profile <profile.json>`,
+//! `soc-analyze health <health.json>`).
+//!
+//! An unknown flag, a flag missing its value, a `--seed` / `--threads`
+//! value that does not parse, a flag asking for an [`Output`] the binary
+//! does not write, or a `--trace-out` file that cannot be created prints
+//! the error and exits 2 before the experiment runs. Every other artifact
+//! goes through one writer: a `--csv`, `--out`, `--prof-out` or
+//! `--health-out` file that cannot be written prints the error, the run
+//! still attempts every other output, and [`Cli::finish`] returns a
+//! failure exit status.
 //!
 //! A binary observes its run through one [`Observer`] ([`Cli::observer`])
 //! and emits everything it observed with one [`Cli::finish`]. Profiling and
 //! health recording are observation-only by design: simulation output —
 //! stdout tables, traces, metrics — is byte-identical with and without
-//! `--prof` / `--health` (their output goes to stderr and the `--prof-out`
-//! / `--health-out` files only; pinned by `tests/prof.rs` and
+//! `--prof-out` / `--health-out` (pinned by `tests/prof.rs` and
 //! `tests/health.rs`).
 //!
 //! This tiny library holds the shared CLI plumbing so the binaries stay
@@ -57,6 +55,8 @@ use soc_analyze::Recorder;
 use soc_prof::Profiler;
 use soc_telemetry::Telemetry;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,24 +69,16 @@ pub struct Cli {
     pub csv: Option<PathBuf>,
     /// Optional JSONL telemetry trace path (`--trace-out`).
     pub trace_out: Option<PathBuf>,
-    /// Print a `soc-analyze` report after the run (`--analyze`).
-    pub analyze: bool,
-    /// Write the `soc-analyze` report to this path (`--report-out`).
-    pub report_out: Option<PathBuf>,
     /// Worker threads for sharded simulation paths (`--threads`); `0` means
     /// "use the machine's available parallelism". Use
     /// [`Cli::effective_threads`] to resolve. Thread count never changes
     /// results — only wall-clock time.
     pub threads: usize,
-    /// Collect a `soc-prof` performance profile (`--prof`).
-    pub prof: bool,
-    /// Write the profile snapshot as canonical JSON (`--prof-out`; implies
-    /// `--prof`).
+    /// Collect a `soc-prof` performance profile and write its snapshot as
+    /// canonical JSON here (`--prof-out`).
     pub prof_out: Option<PathBuf>,
-    /// Collect a fleet health report (`--health`).
-    pub health: bool,
-    /// Write the health report as canonical JSON (`--health-out`; implies
-    /// `--health`).
+    /// Collect a fleet health report and write it as canonical JSON here
+    /// (`--health-out`).
     pub health_out: Option<PathBuf>,
     /// The binary's JSON result file (`--out`); `None` means the binary's
     /// default file name.
@@ -98,12 +90,11 @@ pub struct Cli {
 /// parse error, so it is never silently dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Output {
-    /// A JSONL telemetry trace (`--trace-out`) and its `soc-analyze` report
-    /// (`--analyze`, `--report-out`).
+    /// A JSONL telemetry trace (`--trace-out`).
     Trace,
-    /// A `soc-prof` profile (`--prof`, `--prof-out`).
+    /// A `soc-prof` profile (`--prof-out`).
     Profile,
-    /// A fleet health report (`--health`, `--health-out`).
+    /// A fleet health report (`--health-out`).
     Health,
     /// A JSON result file (`--out`).
     ResultFile,
@@ -112,8 +103,7 @@ pub enum Output {
 /// The flags every bench binary takes, printed after the binary's name
 /// with a parse error.
 pub const USAGE: &str = "[--seed N] [--fast] [--threads N] [--csv PATH] [--trace-out PATH] \
-                         [--analyze] [--report-out PATH] [--prof] [--prof-out PATH] [--health] \
-                         [--health-out PATH] [--out PATH]";
+                         [--prof-out PATH] [--health-out PATH] [--out PATH]";
 
 impl Default for Cli {
     fn default() -> Self {
@@ -122,12 +112,8 @@ impl Default for Cli {
             fast: false,
             csv: None,
             trace_out: None,
-            analyze: false,
-            report_out: None,
             threads: 0,
-            prof: false,
             prof_out: None,
-            health: false,
             health_out: None,
             out: None,
         }
@@ -137,14 +123,22 @@ impl Default for Cli {
 impl Cli {
     /// Parse from `std::env::args`. `outputs` lists what the binary writes
     /// (see [`Cli::parse`]). A parse error prints the error and [`USAGE`]
-    /// and exits 2.
+    /// and exits 2. The `--trace-out` file is created here, so a path that
+    /// cannot be written also exits 2 before the run.
     pub fn from_env(outputs: &[Output]) -> Cli {
         let mut args = std::env::args();
         let binary = args.next().unwrap_or_default();
-        Cli::parse(args, outputs).unwrap_or_else(|e| {
+        let cli = Cli::parse(args, outputs).unwrap_or_else(|e| {
             eprintln!("error: {e}\nusage: {binary} {USAGE}");
             std::process::exit(2)
-        })
+        });
+        if let Some(path) = &cli.trace_out {
+            if let Err(e) = std::fs::File::create(path) {
+                eprintln!("error: cannot create trace file {}: {e}", path.display());
+                std::process::exit(2)
+            }
+        }
+        cli
     }
 
     /// Parse from an explicit iterator (testable). Every flag is known
@@ -178,49 +172,32 @@ impl Cli {
                 }
                 "--csv" => cli.csv = Some(value()?.into()),
                 "--trace-out" => cli.trace_out = Some(value()?.into()),
-                "--report-out" => cli.report_out = Some(value()?.into()),
-                "--prof-out" => {
-                    cli.prof_out = Some(value()?.into());
-                    cli.prof = true;
-                }
-                "--health-out" => {
-                    cli.health_out = Some(value()?.into());
-                    cli.health = true;
-                }
+                "--prof-out" => cli.prof_out = Some(value()?.into()),
+                "--health-out" => cli.health_out = Some(value()?.into()),
                 "--out" => cli.out = Some(value()?.into()),
                 "--fast" => cli.fast = true,
-                "--analyze" => cli.analyze = true,
-                "--prof" => cli.prof = true,
-                "--health" => cli.health = true,
                 other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
                 other => return Err(format!("unexpected argument {other}")),
             }
         }
         let asked = [
-            (Output::Trace, cli.trace_out.is_some(), "--trace-out"),
-            (Output::Trace, cli.analyze, "--analyze"),
-            (Output::Trace, cli.report_out.is_some(), "--report-out"),
-            (Output::Profile, cli.prof_out.is_some(), "--prof-out"),
-            (Output::Profile, cli.prof, "--prof"),
-            (Output::Health, cli.health_out.is_some(), "--health-out"),
-            (Output::Health, cli.health, "--health"),
-            (Output::ResultFile, cli.out.is_some(), "--out"),
+            (Output::Trace, &cli.trace_out, "--trace-out", "trace"),
+            (Output::Profile, &cli.prof_out, "--prof-out", "profile"),
+            (
+                Output::Health,
+                &cli.health_out,
+                "--health-out",
+                "health report",
+            ),
+            (Output::ResultFile, &cli.out, "--out", "result file"),
         ];
-        match asked
+        if let Some((_, _, flag, what)) = asked
             .into_iter()
-            .find(|&(output, set, _)| set && !outputs.contains(&output))
+            .find(|&(output, path, _, _)| path.is_some() && !outputs.contains(&output))
         {
-            Some((output, _, flag)) => {
-                let what = match output {
-                    Output::Trace => "trace",
-                    Output::Profile => "profile",
-                    Output::Health => "health report",
-                    Output::ResultFile => "result file",
-                };
-                Err(format!("{flag}: this binary writes no {what}"))
-            }
-            None => Ok(cli),
+            return Err(format!("{flag}: this binary writes no {what}"));
         }
+        Ok(cli)
     }
 
     /// Resolved worker-thread count: the `--threads` value, or the
@@ -229,46 +206,27 @@ impl Cli {
         simcore::par::resolve_threads(self.threads)
     }
 
-    /// The binary's result file: `--out`, else `default` in the current
-    /// directory.
-    pub fn out_or(&self, default: &str) -> PathBuf {
-        self.out.clone().unwrap_or_else(|| PathBuf::from(default))
-    }
-
-    /// Where the run's trace goes: `--trace-out`, else a temporary file when
-    /// `--analyze` / `--report-out` need a trace to read, else nowhere.
-    fn trace_path(&self) -> Option<PathBuf> {
-        match &self.trace_out {
-            Some(path) => Some(path.clone()),
-            None if self.analyze || self.report_out.is_some() => {
-                Some(std::env::temp_dir().join(format!("soc-trace-{}.jsonl", std::process::id())))
-            }
-            None => None,
-        }
-    }
-
     /// The run's observation handle, built from the flags: the JSONL trace
-    /// of `--trace-out` (a temporary file for `--analyze` / `--report-out`
-    /// without it; disabled otherwise), the profiler of `--prof` named
-    /// `name` with the common run parameters as metadata, and the health
-    /// recorder of `--health`. Parts not asked for are the zero-overhead
-    /// disabled handles. Call [`Cli::finish`] at the end of the run to emit
+    /// of `--trace-out`, the profiler of `--prof-out` named `name` with the
+    /// common run parameters as metadata, and the health recorder of
+    /// `--health-out`. Parts not asked for are the zero-overhead disabled
+    /// handles. Call [`Cli::finish`] at the end of the run to emit
     /// everything.
     pub fn observer(&self, name: &str) -> Observer {
-        let telemetry = match &self.trace_path() {
+        let telemetry = match &self.trace_out {
             Some(path) => match Telemetry::jsonl(path) {
                 Ok(tm) => {
                     eprintln!("tracing to {}", path.display());
                     tm
                 }
                 Err(e) => {
-                    eprintln!("warning: cannot open trace file {}: {e}", path.display());
+                    fail("trace", path, &e);
                     Telemetry::disabled()
                 }
             },
             None => Telemetry::disabled(),
         };
-        let profiler = if self.prof {
+        let profiler = if self.prof_out.is_some() {
             let prof = Profiler::new(name);
             prof.set_meta("seed", self.seed);
             prof.set_meta("threads", self.effective_threads());
@@ -277,13 +235,12 @@ impl Cli {
         } else {
             Profiler::disabled()
         };
-        let recorder = if self.health {
+        let recorder = if self.health_out.is_some() {
             Recorder::new(name)
         } else {
             Recorder::disabled()
         };
         Observer {
-            name: name.to_string(),
             telemetry,
             profiler,
             recorder,
@@ -295,79 +252,62 @@ impl Cli {
         println!("== {heading} ==");
         println!("{}", table.render());
         if let Some(path) = &self.csv {
-            write_or_warn(path, &table.to_csv(), "table");
+            write_artifact(path, &table.to_csv(), "table");
         }
     }
 
-    /// Emit everything `obs` observed, in a fixed order. First the health
-    /// report: evaluate `health_rules` over the recorded run, print the
-    /// rendered report and honor `--health-out`. Then the trace: dump the
-    /// end-of-run metric snapshot, flush the file, and honor `--analyze` /
-    /// `--report-out` with the `soc-analyze` full report, titled with the
-    /// experiment name (not the path) so equal-seed runs stay
-    /// byte-identical, and delete a temporary trace. Last the profile:
-    /// print its summary and honor `--prof-out`. Each step is a no-op when
-    /// its part is off. Health and profile go to stderr (not stdout), so
-    /// observed runs keep byte-identical experiment output.
-    pub fn finish(&self, obs: &Observer, health_rules: &[soc_analyze::Rule]) {
-        if let Some(report) = obs.recorder.finalize(health_rules) {
-            eprint!("{}", soc_analyze::render::render_report(&report));
-            if let Some(path) = &self.health_out {
-                write_or_warn(path, &soc_analyze::json::to_json(&report), "health report");
-            }
+    /// Emit everything `obs` observed, in a fixed order, and return the
+    /// run's exit status. First the health report: evaluate `health_rules`
+    /// over the recorded run and write it to `--health-out`. Then the
+    /// trace: dump the end-of-run metric snapshot and flush the file. Last
+    /// the profile: write its snapshot to `--prof-out`. Each step is a
+    /// no-op when its flag is absent. The status is a failure when any
+    /// artifact of the run could not be written (see [`write_artifact`]).
+    #[must_use]
+    pub fn finish(&self, obs: &Observer, health_rules: &[soc_analyze::Rule]) -> ExitCode {
+        if let (Some(report), Some(path)) = (obs.recorder.finalize(health_rules), &self.health_out)
+        {
+            write_artifact(path, &soc_analyze::json::to_json(&report), "health report");
         }
         if obs.telemetry.is_enabled() {
             obs.telemetry.emit_metrics_snapshot(SimTime::ZERO);
             obs.telemetry.flush();
         }
-        if self.analyze || self.report_out.is_some() {
-            self.analyze(&obs.name);
+        if let Some(path) = &self.prof_out {
+            write_artifact(path, &obs.profiler.snapshot().to_json(), "profile");
         }
-        if obs.profiler.is_enabled() {
-            let snap = obs.profiler.snapshot();
-            eprint!("{}", snap.render());
-            if let Some(path) = &self.prof_out {
-                write_or_warn(path, &snap.to_json(), "profile");
-            }
-        }
-    }
-
-    /// Run the `soc-analyze` full report on the flushed trace; print it
-    /// for `--analyze` and write it for `--report-out`. A temporary trace
-    /// is deleted once read.
-    fn analyze(&self, name: &str) {
-        let Some(path) = self.trace_path() else {
-            return;
-        };
-        let loaded = soc_analyze::Trace::load(&path);
-        if self.trace_out.is_none() {
-            if let Err(e) = std::fs::remove_file(&path) {
-                eprintln!("warning: cannot delete {}: {e}", path.display());
-            }
-        }
-        let trace = match loaded {
-            Ok(trace) => trace,
-            Err(e) => {
-                eprintln!("warning: cannot analyze {}: {e}", path.display());
-                return;
-            }
-        };
-        let report = soc_analyze::full_report(&trace, name);
-        if self.analyze {
-            print!("{report}");
-        }
-        if let Some(out) = &self.report_out {
-            write_or_warn(out, &report, "report");
+        if WRITE_FAILED.load(Ordering::Relaxed) {
+            ExitCode::FAILURE
+        } else {
+            ExitCode::SUCCESS
         }
     }
 }
 
-/// Write `contents` to `path`, noting the outcome on stderr.
-fn write_or_warn(path: &Path, contents: &str, what: &str) {
+/// Set once an artifact of the run could not be written; [`Cli::finish`]
+/// then returns a failure exit status.
+static WRITE_FAILED: AtomicBool = AtomicBool::new(false);
+
+/// Write `contents` to `path`, noting the outcome on stderr. Returns whether
+/// the write succeeded; a failure also makes [`Cli::finish`] fail the run,
+/// after every other output has been attempted.
+pub fn write_artifact(path: &Path, contents: &str, what: &str) -> bool {
     match std::fs::write(path, contents) {
-        Ok(()) => eprintln!("{what} written to {}", path.display()),
-        Err(e) => eprintln!("warning: failed to write {}: {e}", path.display()),
+        Ok(()) => {
+            eprintln!("{what} written to {}", path.display());
+            true
+        }
+        Err(e) => {
+            fail(what, path, &e);
+            false
+        }
     }
+}
+
+/// Report a failed artifact write and remember it for [`Cli::finish`].
+fn fail(what: &str, path: &Path, e: &std::io::Error) {
+    eprintln!("error: cannot write {what} {}: {e}", path.display());
+    WRITE_FAILED.store(true, Ordering::Relaxed);
 }
 
 /// Format a percentage delta `new` vs `old` (negative = reduction).
@@ -397,14 +337,20 @@ mod tests {
         try_parse(args).unwrap()
     }
 
+    /// A per-process path in the temp directory.
+    fn temp(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("soc-bench-{}-{name}", std::process::id()))
+    }
+
     #[test]
     fn defaults() {
         let cli = parse(&[]);
         assert_eq!(cli.seed, 42);
         assert!(!cli.fast);
         assert!(cli.csv.is_none());
-        assert!(!cli.analyze);
-        assert!(cli.report_out.is_none());
+        assert!(cli.trace_out.is_none());
+        assert!(cli.prof_out.is_none());
+        assert!(cli.health_out.is_none());
     }
 
     #[test]
@@ -436,30 +382,8 @@ mod tests {
     }
 
     #[test]
-    fn parses_analyze_flags() {
-        let cli = parse(&["--analyze", "--report-out", "/tmp/report.txt"]);
-        assert!(cli.analyze);
-        assert_eq!(cli.report_out.unwrap().to_str().unwrap(), "/tmp/report.txt");
-    }
-
-    #[test]
-    fn finish_deletes_the_temporary_trace() {
-        let report = std::env::temp_dir().join(format!("soc-report-{}.txt", std::process::id()));
-        let cli = parse(&["--report-out", report.to_str().unwrap()]);
-        let trace = cli.trace_path().expect("--report-out needs a trace");
-        let obs = cli.observer("tmp");
-        assert!(trace.exists(), "the run traces to {}", trace.display());
-        cli.finish(&obs, &[]);
-        assert!(!trace.exists(), "{} left behind", trace.display());
-        let text = std::fs::read_to_string(&report).unwrap();
-        assert!(text.starts_with("== soc-analyze report: tmp =="), "{text}");
-        std::fs::remove_file(report).unwrap();
-    }
-
-    #[test]
     fn telemetry_disabled_without_trace_out() {
         let obs = parse(&[]).observer("x");
-        assert_eq!(obs.name, "x");
         assert!(!obs.telemetry.is_enabled());
         assert!(!obs.profiler.is_enabled());
         assert!(!obs.recorder.is_enabled());
@@ -469,49 +393,81 @@ mod tests {
     fn finish_without_analysis_is_quiet_noop() {
         // Must not panic or print anything when no observation flag is set.
         let cli = parse(&[]);
-        cli.finish(&cli.observer("noop"), &soc_analyze::default_rules(1));
+        let _ = cli.finish(&cli.observer("noop"), &soc_analyze::default_rules(1));
     }
 
     #[test]
     fn parses_health_flags() {
-        let cli = parse(&["--health"]);
-        assert!(cli.health);
-        assert!(cli.health_out.is_none());
-        let cli = parse(&["--health-out", "/tmp/run.health.json"]);
-        assert!(cli.health, "--health-out must imply --health");
-        assert_eq!(
-            cli.health_out.unwrap().to_str().unwrap(),
-            "/tmp/run.health.json"
-        );
-        assert!(!parse(&[]).health);
+        let path = temp("parse.health.json");
+        let cli = parse(&["--health-out", path.to_str().unwrap()]);
+        assert_eq!(cli.health_out, Some(path));
+        assert!(parse(&[]).health_out.is_none());
     }
 
     #[test]
     fn recorder_disabled_without_health_flag() {
         assert!(!parse(&[]).observer("x").recorder.is_enabled());
-        let obs = parse(&["--health"]).observer("x");
+        let health = temp("recorder.health.json");
+        let obs = parse(&["--health-out", health.to_str().unwrap()]).observer("x");
         assert!(obs.recorder.is_enabled());
         assert!(!obs.profiler.is_enabled());
-        let cli = parse(&["--prof", "--seed", "7"]);
+        let prof = temp("recorder.prof.json");
+        let cli = parse(&["--prof-out", prof.to_str().unwrap(), "--seed", "7"]);
         let obs = cli.observer("x");
         assert!(obs.profiler.is_enabled());
         assert!(!obs.recorder.is_enabled());
         assert_eq!(obs.profiler.snapshot().meta["seed"], "7");
-        // Finishing a live profiler without --prof-out only renders it.
-        cli.finish(&obs, &[]);
+        // Finishing a live profiler writes its snapshot, and nothing else.
+        let _ = cli.finish(&obs, &[]);
+        let json = std::fs::read_to_string(&prof).unwrap();
+        assert_eq!(
+            soc_prof::Snapshot::from_json(&json).unwrap().meta["seed"],
+            "7"
+        );
+        assert!(!health.exists());
+        std::fs::remove_file(prof).unwrap();
     }
 
     #[test]
     fn parses_out() {
         let cli = parse(&["--fast", "--out", "/tmp/result.json"]);
-        assert_eq!(
-            cli.out_or("default.json"),
-            PathBuf::from("/tmp/result.json")
-        );
-        assert_eq!(
-            parse(&[]).out_or("default.json"),
-            PathBuf::from("default.json")
-        );
+        assert_eq!(cli.out, Some(PathBuf::from("/tmp/result.json")));
+        assert!(parse(&[]).out.is_none());
+    }
+
+    #[test]
+    fn write_artifact_fails_into_a_missing_directory_and_writes_the_bytes() {
+        // The failure also sets the process-wide flag behind `Cli::finish`'s
+        // exit status, which is why no test asserts that status.
+        let missing = temp("no-such-dir").join("p.json");
+        assert!(!write_artifact(&missing, "{}", "profile"));
+        assert!(!missing.exists());
+        let path = temp("written.json");
+        assert!(write_artifact(&path, "{\"a\": 1}\n", "profile"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\": 1}\n");
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn usage_names_exactly_the_flags_parse_accepts() {
+        let flags: Vec<&str> = USAGE
+            .split(['[', ']'])
+            .map(str::trim)
+            .filter(|group| !group.is_empty())
+            .collect();
+        assert_eq!(flags.len(), 8, "{USAGE}");
+        for group in flags {
+            let args: Vec<&str> = group
+                .split(' ')
+                .map(|word| match word {
+                    "N" => "1",
+                    "PATH" => "artifact",
+                    flag => flag,
+                })
+                .collect();
+            assert!(args[0].starts_with("--"), "{group}");
+            assert!(try_parse(&args).is_ok(), "{group}");
+        }
     }
 
     #[test]
@@ -520,6 +476,11 @@ mod tests {
         // A typo is not silently a full-scale run.
         assert_eq!(err(&["--fsat"]), "unknown flag --fsat");
         assert_eq!(err(&["--fast", "stray"]), "unexpected argument stray");
+        // The in-process readers are gone: `soc-analyze` reads artifacts.
+        assert_eq!(err(&["--analyze"]), "unknown flag --analyze");
+        assert_eq!(err(&["--report-out", "r.txt"]), "unknown flag --report-out");
+        assert_eq!(err(&["--prof"]), "unknown flag --prof");
+        assert_eq!(err(&["--health"]), "unknown flag --health");
         // A value-taking flag at the end, or followed by another flag.
         assert_eq!(err(&["--seed"]), "--seed needs a value");
         assert_eq!(err(&["--out", "--fast"]), "--out needs a value");
@@ -542,11 +503,7 @@ mod tests {
         };
         for (flag, output) in [
             (&["--trace-out", "t.jsonl"][..], Output::Trace),
-            (&["--analyze"][..], Output::Trace),
-            (&["--report-out", "r.txt"][..], Output::Trace),
-            (&["--prof"][..], Output::Profile),
             (&["--prof-out", "p.json"][..], Output::Profile),
-            (&["--health"][..], Output::Health),
             (&["--health-out", "h.json"][..], Output::Health),
             (&["--out", "r.json"][..], Output::ResultFile),
         ] {
@@ -555,7 +512,6 @@ mod tests {
             assert!(err.starts_with(&format!("{}: ", flag[0])), "{err}");
             assert!(parse_for(flag, &[output]).is_ok(), "{flag:?}");
         }
-        // `--prof-out` implies `--prof`; the error names the flag given.
         assert_eq!(
             parse_for(&["--fast", "--prof-out", "p.json"], &[Output::Trace]).unwrap_err(),
             "--prof-out: this binary writes no profile"

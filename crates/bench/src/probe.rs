@@ -1,8 +1,8 @@
 //! The run's one observation handle.
 //!
 //! An [`Observer`] holds everything a bench binary observes a run with —
-//! the `--trace-out` telemetry, the `--prof` profiler and the `--health`
-//! recorder — and is the bench crate's one
+//! the `--trace-out` telemetry, the `--prof-out` profiler and the
+//! `--health-out` recorder — and is the bench crate's one
 //! `soc_cluster::probe::ShardProbe`. The sharded engine announces phases
 //! through pure hooks (it is a sim-state crate and may not read clocks,
 //! soc-lint D002); the observer lives here, where wall-clock is allowed,
@@ -25,19 +25,17 @@ use std::time::Instant;
 /// emitted by [`crate::Cli::finish`]. The default observes nothing.
 #[derive(Clone, Default)]
 pub struct Observer {
-    /// Experiment name; titles the `--analyze` report.
-    pub name: String,
     /// The JSONL trace (`--trace-out`), disabled without a trace path.
     pub telemetry: Telemetry,
-    /// The performance profile (`--prof`).
+    /// The performance profile (`--prof-out`).
     pub profiler: Profiler,
-    /// The fleet health report (`--health`).
+    /// The fleet health report (`--health-out`).
     pub recorder: Recorder,
 }
 
 impl Observer {
     /// The telemetry handle for a run whose events feed the health report.
-    /// The alert engine reads the run's event stream, so with `--health`
+    /// The alert engine reads the run's event stream, so with `--health-out`
     /// and no trace path this is a fresh enabled handle that discards its
     /// events; otherwise it is the trace handle. Telemetry is pure
     /// observation, so the run's outcomes are the same either way.

@@ -214,7 +214,7 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// Render a human-readable summary (what `--prof` prints).
+    /// Render a human-readable summary (what `soc-analyze profile` prints).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "== profile: {} ==", self.name);

@@ -6,7 +6,7 @@
 //! yield byte-identical telemetry traces, metrics, and outcomes to the
 //! default [`NoopProbe`] run, at any thread count — also with its trace and
 //! profile parts switched on at the same time. That is what lets
-//! `--health` default to off-but-harmless in every bench binary.
+//! `--health-out` default to off-but-harmless in every bench binary.
 //!
 //! The chaos case then drives the recorder end to end: an injected gOA
 //! outage must surface as exactly one resolved degraded-window incident
@@ -60,7 +60,7 @@ fn probed_run(cfg: &LargeScaleConfig, threads: usize, probe: &dyn ShardProbe) ->
     traced_run(cfg, threads, &tm, &sink, probe)
 }
 
-/// An observer with only its recorder on, as `--health` builds it.
+/// An observer with only its recorder on, as `--health-out` builds it.
 fn health_observer(recorder: Recorder) -> Observer {
     Observer {
         recorder,
@@ -105,7 +105,6 @@ fn health_recorded_run_is_byte_identical_to_unrecorded() {
         // the recorder takes the samples the health-only run did.
         let (telemetry, sink) = Telemetry::memory();
         let full = Observer {
-            name: "full".to_string(),
             telemetry,
             profiler: Profiler::new("full"),
             recorder: Recorder::new("full"),

@@ -5,7 +5,7 @@
 //! sharded engine has to yield byte-identical telemetry traces, metrics,
 //! and outcomes to the default [`NoopProbe`] run, at any thread count —
 //! also with its trace and health parts switched on at the same time.
-//! That invariant is what lets `--prof` default to off-but-harmless and
+//! That invariant is what lets `--prof-out` default to off-but-harmless and
 //! lets `soc-benchmark` take its per-layer numbers from traced passes that
 //! must reproduce the untraced digest. Pinned here end to end across the public crate APIs, with
 //! tiny configs so it runs in the tier-1 suite.
@@ -72,7 +72,7 @@ fn probed_run(cfg: &LargeScaleConfig, threads: usize, probe: &dyn ShardProbe) ->
     traced_run(cfg, threads, &tm, &sink, probe)
 }
 
-/// An observer with only its profiler on, as `--prof` builds it.
+/// An observer with only its profiler on, as `--prof-out` builds it.
 fn prof_observer(profiler: Profiler) -> Observer {
     Observer {
         profiler,
@@ -123,7 +123,6 @@ fn profiled_run_is_byte_identical_to_unprofiled() {
         // the profile records the keys the profile-only run did.
         let (telemetry, sink) = Telemetry::memory();
         let full = Observer {
-            name: "full".to_string(),
             telemetry,
             profiler: Profiler::new("full"),
             recorder: Recorder::new("full"),
@@ -141,7 +140,7 @@ fn profiled_run_is_byte_identical_to_unprofiled() {
 #[test]
 fn disabled_profiler_probe_records_nothing() {
     let _guard = serialized();
-    // `--prof` off hands bench binaries a disabled Profiler; the probe must
+    // No `--prof-out` hands bench binaries a disabled Profiler; the probe must
     // then return no tokens and the snapshot must stay empty.
     let cfg = small_config(11);
     let profiler = Profiler::disabled();
