@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 
 /// Remove the `label=...` pair named `label` from a rendered metric key
 /// (`name{k=v,...}`), collapsing `name{}` to `name`.
-pub fn strip_key_label(key: &str, label: &str) -> String {
+fn strip_key_label(key: &str, label: &str) -> String {
     let Some(open) = key.find('{') else {
         return key.to_string();
     };
@@ -87,7 +87,7 @@ impl TraceDiff {
     }
 
     /// Event classes present only in B (newly appearing).
-    pub fn new_event_classes(&self) -> Vec<&(String, String, String)> {
+    fn new_event_classes(&self) -> Vec<&(String, String, String)> {
         self.event_classes
             .iter()
             .filter(|(_, (a, b))| *a == 0 && *b > 0)
@@ -96,7 +96,7 @@ impl TraceDiff {
     }
 
     /// Event classes present only in A (disappeared in B).
-    pub fn gone_event_classes(&self) -> Vec<&(String, String, String)> {
+    fn gone_event_classes(&self) -> Vec<&(String, String, String)> {
         self.event_classes
             .iter()
             .filter(|(_, (a, b))| *a > 0 && *b == 0)
@@ -122,7 +122,7 @@ impl TraceDiff {
 
     /// Per-metric values side by side with the delta (`-` when a side lacks
     /// the metric; histograms compare their means).
-    pub fn metric_table(&self) -> Table {
+    fn metric_table(&self) -> Table {
         let mut table = Table::new(&["metric", "kind", "a", "b", "delta"]);
         for (key, (a, b)) in &self.metrics {
             let k = a.as_ref().or(b.as_ref()).map_or("-", kind);

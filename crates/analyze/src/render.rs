@@ -76,7 +76,7 @@ pub fn fmt_dur(us: u64) -> String {
 }
 
 /// A sim timestamp formatted as a duration since run start.
-pub fn fmt_time(us: u64) -> String {
+fn fmt_time(us: u64) -> String {
     format!("+{}", fmt_dur(us))
 }
 

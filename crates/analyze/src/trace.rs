@@ -49,7 +49,7 @@ impl TraceEvent {
     }
 
     /// Whether this is an end-of-run `metric` registry record.
-    pub fn is_metric(&self) -> bool {
+    fn is_metric(&self) -> bool {
         self.name == "metric" && self.component == "metrics"
     }
 

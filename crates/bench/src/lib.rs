@@ -28,10 +28,10 @@
 //! value that does not parse, a flag asking for an [`Output`] the binary
 //! does not write, or a `--trace-out` file that cannot be created prints
 //! the error and exits 2 before the experiment runs. Every other artifact
-//! goes through one writer: a `--csv`, `--out`, `--prof-out` or
-//! `--health-out` file that cannot be written prints the error, the run
-//! still attempts every other output, and [`Cli::finish`] returns a
-//! failure exit status.
+//! goes through one failure path: a `--csv`, `--out`, `--prof-out` or
+//! `--health-out` file that cannot be written, or a trace whose writes
+//! failed, prints the error, the run still attempts every other output, and
+//! [`Cli::finish`] returns a failure exit status.
 //!
 //! A binary observes its run through one [`Observer`] ([`Cli::observer`])
 //! and emits everything it observed with one [`Cli::finish`]. Profiling and
@@ -259,7 +259,8 @@ impl Cli {
     /// Emit everything `obs` observed, in a fixed order, and return the
     /// run's exit status. First the health report: evaluate `health_rules`
     /// over the recorded run and write it to `--health-out`. Then the
-    /// trace: dump the end-of-run metric snapshot and flush the file. Last
+    /// trace: dump the end-of-run metric snapshot and flush the file, which
+    /// reports any write of the trace that failed during the run. Last
     /// the profile: write its snapshot to `--prof-out`. Each step is a
     /// no-op when its flag is absent. The status is a failure when any
     /// artifact of the run could not be written (see [`write_artifact`]).
@@ -271,7 +272,9 @@ impl Cli {
         }
         if obs.telemetry.is_enabled() {
             obs.telemetry.emit_metrics_snapshot(SimTime::ZERO);
-            obs.telemetry.flush();
+            if let (Err(e), Some(path)) = (obs.telemetry.flush(), &self.trace_out) {
+                fail("trace", path, &e);
+            }
         }
         if let Some(path) = &self.prof_out {
             write_artifact(path, &obs.profiler.snapshot().to_json(), "profile");

@@ -37,6 +37,7 @@ use crate::largescale_metrics::RackOutcome;
 use crate::probe::ShardProbe;
 use simcore::faults::FaultPlan;
 use simcore::time::{SimDuration, SimTime};
+use smartoclock::config::{EXPLORE_CAP, EXPLORE_STEP};
 use smartoclock::epoch::EpochTracker;
 use smartoclock::goa::GlobalOverclockAgent;
 use smartoclock::policy::PolicyKind;
@@ -67,14 +68,15 @@ pub struct ServerColumns {
 
 impl ServerColumns {
     /// Fresh state for `n` servers, each with a full weekly overclock
-    /// allowance, zero budget, and no exploration or backoff state.
-    pub fn new(n: usize, weekly_allowance: SimDuration) -> ServerColumns {
+    /// allowance (the whole week, see [`LargeScaleConfig`]), zero budget,
+    /// and no exploration or backoff state.
+    pub fn new(n: usize) -> ServerColumns {
         ServerColumns {
             budget: vec![Watts::ZERO; n],
             explore_extra: vec![Watts::ZERO; n],
             backoff_steps: vec![0; n],
             backoff_remaining: vec![0; n],
-            oc_remaining: vec![weekly_allowance; n],
+            oc_remaining: vec![SimDuration::WEEK; n],
             pending_budget: vec![None; n],
         }
     }
@@ -90,13 +92,13 @@ impl ServerColumns {
     }
 
     /// Weekly epoch boundary: refresh every server's lifetime allowance.
-    pub fn refresh_allowances(&mut self, weekly_allowance: SimDuration) {
-        self.oc_remaining.fill(weekly_allowance);
+    fn refresh_allowances(&mut self) {
+        self.oc_remaining.fill(SimDuration::WEEK);
     }
 
     /// Delayed budget updates mature: any pending update whose delivery
     /// instant has been reached replaces the live budget.
-    pub fn mature_pending(&mut self, t: SimTime) {
+    fn mature_pending(&mut self, t: SimTime) {
         for (budget, pending) in self.budget.iter_mut().zip(self.pending_budget.iter_mut()) {
             if let Some((due, b)) = *pending {
                 if t >= due {
@@ -297,7 +299,6 @@ pub(crate) fn simulate_rack_columnar(
     // function of the plan config, so every shard realizes the same
     // timeline regardless of execution order.
     let faults = FaultPlan::generate(&config.faults, train_end, trace_end);
-    let weekly_allowance = SimDuration::WEEK.mul_f64(config.oc_time_fraction);
     let n = rack.servers.len();
     // Per-part silicon (None for the default uniform fleet): binned
     // admission levels, hoisted wear rates, deny/down-bin counts.
@@ -337,7 +338,7 @@ pub(crate) fn simulate_rack_columnar(
                 (ids, delta, ratio)
             }
         };
-    let mut cols = ServerColumns::new(n, weekly_allowance);
+    let mut cols = ServerColumns::new(n);
     let mut buf = StepBuffers::with_capacity(n);
     let mut tables = SlotTables::build(&trained.servers, train_end, config.step);
     // Borrowed raw-sample slices, hoisted once per rack: all per-server
@@ -395,7 +396,7 @@ pub(crate) fn simulate_rack_columnar(
         // evolves independently, which is what lets the sharded engine
         // (`crate::shard`) deal whole racks across worker threads.
         if epochs.advance(t).is_some() {
-            cols.refresh_allowances(weekly_allowance);
+            cols.refresh_allowances();
         }
         // Delayed budget updates (fault injection) mature first: a message
         // sent during an earlier step finally lands.
@@ -743,7 +744,7 @@ pub(crate) fn simulate_rack_columnar(
                 continue;
             }
             if warned_last_step && policy.heeds_warnings() && *explore > Watts::ZERO {
-                *explore = (*explore - config.explore_step).clamp_non_negative();
+                *explore = (*explore - EXPLORE_STEP).clamp_non_negative();
                 *b_steps = (*b_steps + 1).min(8);
                 *b_rem = 1 << (*b_steps).min(6);
                 continue;
@@ -757,8 +758,8 @@ pub(crate) fn simulate_rack_columnar(
             // explore window starts at a different phase) so a rack's
             // explorers do not all raise their budgets in the same step.
             let my_turn = (outcome.steps + i as u64).is_multiple_of(3);
-            if *want && !*grant && my_turn && *explore < config.explore_cap {
-                *explore = (*explore + config.explore_step).min(config.explore_cap);
+            if *want && !*grant && my_turn && *explore < EXPLORE_CAP {
+                *explore = (*explore + EXPLORE_STEP).min(EXPLORE_CAP);
             } else if *grant {
                 *b_steps = 0;
             }
@@ -941,12 +942,13 @@ mod tests {
 
     #[test]
     fn server_columns_api() {
-        let mut cols = ServerColumns::new(3, SimDuration::from_hours(10));
+        let mut cols = ServerColumns::new(3);
         assert_eq!(cols.len(), 3);
         assert!(!cols.is_empty());
-        assert_eq!(cols.oc_remaining(), &[SimDuration::from_hours(10); 3]);
-        cols.refresh_allowances(SimDuration::from_hours(2));
-        assert_eq!(cols.oc_remaining(), &[SimDuration::from_hours(2); 3]);
+        assert_eq!(cols.oc_remaining(), &[SimDuration::WEEK; 3]);
+        cols.oc_remaining[1] = SimDuration::from_hours(2);
+        cols.refresh_allowances();
+        assert_eq!(cols.oc_remaining(), &[SimDuration::WEEK; 3]);
         assert_eq!(cols.budgets(), &[Watts::ZERO; 3]);
     }
 }

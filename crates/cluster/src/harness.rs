@@ -18,7 +18,6 @@
 use crate::probe::NoopProbe;
 use simcore::faults::{FaultPlan, FaultPlanConfig};
 use simcore::time::{SimDuration, SimTime};
-use smartoclock::config::SoaConfig;
 use smartoclock::goa::GlobalOverclockAgent;
 use smartoclock::messages::{ExhaustedResource, GrantId, OverclockRequest, SoaEvent};
 use smartoclock::policy::PolicyKind;
@@ -369,11 +368,9 @@ impl ClusterSim {
 
         let oc_server_count = config.socialnet_servers + config.spare_servers;
         config.binning.validate();
-        let mut soa_config = SoaConfig::reference();
-        soa_config.risk_budget = config.binning.risk_budget;
         let mut soas: Vec<ServerOverclockAgent> = (0..oc_server_count)
             .map(|s| {
-                let mut soa = ServerOverclockAgent::new(model, soa_config, policy_kind);
+                let mut soa = ServerOverclockAgent::new(model, policy_kind);
                 if config.oc_budget_scale < 1.0 {
                     soa.scale_lifetime_budget(config.oc_budget_scale);
                 }
@@ -381,7 +378,8 @@ impl ClusterSim {
                 // part from the shared seed. Uniform fleets skip this so the
                 // agents stay byte-identical to a pre-binning build.
                 if !config.binning.is_uniform() {
-                    soa.set_silicon(config.binning.part(&plan, FaultPlan::entity_id(0, s)));
+                    let part = config.binning.part(&plan, FaultPlan::entity_id(0, s));
+                    soa.set_silicon(part, config.binning.risk_budget);
                 }
                 soa
             })
@@ -638,7 +636,8 @@ impl ClusterSim {
         tm.span(SimTime::ZERO, Component::Harness, "cluster_run")
             .field("ticks", ticks)
             .end(end);
-        tm.flush();
+        // Observation only: the owner of the trace reports a failed write.
+        let _ = tm.flush();
         self.report()
     }
 

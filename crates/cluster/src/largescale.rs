@@ -18,6 +18,7 @@ pub use crate::largescale_metrics::{PolicyMetrics, RackOutcome};
 use crate::probe::ShardProbe;
 use simcore::faults::{FaultPlan, FaultPlanConfig};
 use simcore::time::{SimDuration, SimTime};
+use smartoclock::config::{EXPLORE_CAP, EXPLORE_STEP};
 use smartoclock::epoch::EpochTracker;
 use smartoclock::goa::GlobalOverclockAgent;
 use smartoclock::policy::PolicyKind;
@@ -34,6 +35,12 @@ use soc_traces::fleet::RackTrace;
 use soc_traces::gen::FleetConfig;
 
 /// Configuration of the large-scale simulation.
+///
+/// The control constants are not settings: exploration moves in the sOA's
+/// [`EXPLORE_STEP`] up to [`EXPLORE_CAP`], and each server may overclock
+/// the whole week. Table I stresses *power* management, so lifetime never
+/// binds; the cluster harness's overclocking-constrained experiment covers
+/// restricted lifetime budgets instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LargeScaleConfig {
     /// Number of racks to simulate.
@@ -45,15 +52,6 @@ pub struct LargeScaleConfig {
     pub step: SimDuration,
     /// Servers per rack (min, max).
     pub servers_per_rack: (usize, usize),
-    /// Overclocking lifetime budget as a fraction of time per epoch. Table I
-    /// stresses *power* management, so the default (1.0) keeps lifetime from
-    /// binding; the cluster harness's overclocking-constrained experiment
-    /// covers restricted lifetime budgets instead.
-    pub oc_time_fraction: f64,
-    /// Exploration step in watts (SmartOClock/NoWarning).
-    pub explore_step: Watts,
-    /// Cap on cumulative exploration.
-    pub explore_cap: Watts,
     /// RNG seed for trace generation.
     pub seed: u64,
     /// Control-plane fault schedule (default: no faults). Applies only to
@@ -79,9 +77,6 @@ impl LargeScaleConfig {
             weeks: 2,
             step: SimDuration::from_minutes(15),
             servers_per_rack: (6, 8),
-            oc_time_fraction: 1.0,
-            explore_step: Watts::new(20.0),
-            explore_cap: Watts::new(200.0),
             seed: 42,
             faults: FaultPlanConfig::none(),
             central_fail_open: false,
@@ -96,9 +91,6 @@ impl LargeScaleConfig {
             weeks: 3,
             step: SimDuration::from_minutes(5),
             servers_per_rack: (12, 16),
-            oc_time_fraction: 1.0,
-            explore_step: Watts::new(20.0),
-            explore_cap: Watts::new(200.0),
             seed: 42,
             faults: FaultPlanConfig::none(),
             central_fail_open: false,
@@ -114,14 +106,11 @@ impl LargeScaleConfig {
             servers_per_rack_max: self.servers_per_rack.1,
             span: SimDuration::WEEK * self.weeks,
             step: self.step,
-            oc_core_fraction: 0.45,
             // Tighter than the fleet-wide default: Table I's clusters span
             // from comfortably provisioned (low-power) to power-constrained
             // (high-power), which a wider oversubscription range produces.
             oversubscription: (1.50, 2.15),
             outlier_day_prob: 0.03,
-            intel_fraction: 0.4,
-            vm_churn_weekly: 0.05,
             keep_server_series: true,
         }
     }
@@ -368,7 +357,6 @@ pub fn simulate_rack_reference(
     // admission levels, hoisted wear rates, and deny/down-bin counts.
     let silicon = resolve_rack_silicon(config, rack.index, rack.servers.len(), model);
     let step_days = config.step.as_days_f64();
-    let weekly_allowance = SimDuration::WEEK.mul_f64(config.oc_time_fraction);
     let mut servers: Vec<ServerState> = trained
         .servers
         .iter()
@@ -377,7 +365,7 @@ pub fn simulate_rack_reference(
             explore_extra: Watts::ZERO,
             backoff_steps: 0,
             backoff_remaining: 0,
-            oc_remaining: weekly_allowance,
+            oc_remaining: SimDuration::WEEK,
             pending_budget: None,
         })
         .collect();
@@ -422,7 +410,7 @@ pub fn simulate_rack_reference(
         // (`crate::shard`) deal whole racks across worker threads.
         if epochs.advance(t).is_some() {
             for s in &mut servers {
-                s.oc_remaining = weekly_allowance;
+                s.oc_remaining = SimDuration::WEEK;
             }
         }
         // Delayed budget updates (fault injection) mature first: a message
@@ -711,7 +699,7 @@ pub fn simulate_rack_reference(
                 continue;
             }
             if warned_last_step && policy.heeds_warnings() && s.explore_extra > Watts::ZERO {
-                s.explore_extra = (s.explore_extra - config.explore_step).clamp_non_negative();
+                s.explore_extra = (s.explore_extra - EXPLORE_STEP).clamp_non_negative();
                 s.backoff_steps = (s.backoff_steps + 1).min(8);
                 s.backoff_remaining = 1 << s.backoff_steps.min(6);
                 continue;
@@ -725,8 +713,8 @@ pub fn simulate_rack_reference(
             // explore window starts at a different phase) so a rack's
             // explorers do not all raise their budgets in the same step.
             let my_turn = (outcome.steps + i as u64).is_multiple_of(3);
-            if wanted[i] && !granted[i] && my_turn && s.explore_extra < config.explore_cap {
-                s.explore_extra = (s.explore_extra + config.explore_step).min(config.explore_cap);
+            if wanted[i] && !granted[i] && my_turn && s.explore_extra < EXPLORE_CAP {
+                s.explore_extra = (s.explore_extra + EXPLORE_STEP).min(EXPLORE_CAP);
             } else if granted[i] {
                 s.backoff_steps = 0;
             }

@@ -23,15 +23,18 @@
 //!   (§IV-A's adoption aid: "use P90 of historical value if overclocking can
 //!   be performed for 10% of the time").
 //! * [`messages`] — request/grant/signal types exchanged between the layers.
-//! * [`config`] — tunable constants with the paper's defaults (20 W explore
-//!   step, 30 s explore window, 95 % warning threshold, 15-minute
-//!   exhaustion window, 100 MHz frequency steps).
+//! * [`config`] — the sOA's fixed control constants, the values the paper
+//!   gives (20 W explore step, 200 W explore cap, 30 s explore window,
+//!   15-minute exhaustion window, 10 % weekly lifetime budget).
 //!
 //! The agents are deliberately I/O-free: they consume observations and emit
 //! commands, so the same code drives the real-time cluster harness
-//! (`soc-cluster`) and the large-scale trace simulations. Every agent is
-//! `Send` (asserted at compile time below), so an embedding may also move
-//! each onto its own thread.
+//! (`soc-cluster`). The large-scale trace simulations model each server's
+//! control state themselves; from this crate they share only the gOA,
+//! [`EpochTracker`], [`PolicyKind`] and the exploration constants
+//! [`config::EXPLORE_STEP`] and [`config::EXPLORE_CAP`], not the sOA. Every
+//! agent is `Send` (asserted at compile time below), so an embedding may
+//! also move each onto its own thread.
 //!
 //! Each control-plane decision has exactly one method: WI `observe`/`decide`/
 //! `notify_rejection`/`notify_exhaustion`, sOA `request_overclock`/
@@ -51,7 +54,6 @@ pub mod policy;
 pub mod soa;
 pub mod wi;
 
-pub use config::SoaConfig;
 pub use epoch::EpochTracker;
 pub use goa::{GlobalOverclockAgent, ServerProfile};
 pub use infer::{infer_trigger, InferError, InferenceConfig};

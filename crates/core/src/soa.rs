@@ -21,7 +21,10 @@
 //!   budget, the sOA warns the WI agent when either resource will run out
 //!   within the configured window, enabling proactive scale-out.
 
-use crate::config::SoaConfig;
+use crate::config::{
+    BACKOFF_INITIAL, BACKOFF_MAX, BUDGET_STALENESS_LIMIT, EPOCH, EXHAUSTION_WINDOW, EXPLOIT_TIME,
+    EXPLORE_CAP, EXPLORE_STEP, EXPLORE_WAIT, OVERCLOCK_TIME_FRACTION, POWER_BUFFER,
+};
 use crate::messages::{
     ExhaustedResource, GrantEndReason, GrantId, OverclockRequest, RejectReason, SoaEvent,
 };
@@ -108,13 +111,12 @@ pub struct SoaStats {
 /// use smartoclock::soa::ServerOverclockAgent;
 /// use smartoclock::messages::OverclockRequest;
 /// use smartoclock::policy::PolicyKind;
-/// use smartoclock::config::SoaConfig;
 /// use soc_power::model::PowerModel;
 /// use soc_power::units::{MegaHertz, Watts};
 /// use simcore::time::SimTime;
 ///
 /// let model = PowerModel::reference_server();
-/// let mut soa = ServerOverclockAgent::new(model, SoaConfig::reference(), PolicyKind::SmartOClock);
+/// let mut soa = ServerOverclockAgent::new(model, PolicyKind::SmartOClock);
 /// soa.set_power_budget(Watts::new(500.0));
 /// let req = OverclockRequest::metrics_based("vm0", 8, MegaHertz::new(4000));
 /// let grant = soa.request_overclock(SimTime::ZERO, req).expect("plenty of headroom");
@@ -123,7 +125,6 @@ pub struct SoaStats {
 #[derive(Debug, Clone)]
 pub struct ServerOverclockAgent {
     model: PowerModel,
-    config: SoaConfig,
     policy: PolicyKind,
     assigned_budget: Watts,
     template: Option<PowerTemplate>,
@@ -153,10 +154,11 @@ pub struct ServerOverclockAgent {
     power_rejected: bool,
     last_power_warning_eta: Option<SimTime>,
     last_lifetime_warning_eta: Option<SimTime>,
-    /// This server's realized silicon part, when the fleet models per-part
-    /// heterogeneity ([`Self::set_silicon`]). `None` means uniform silicon:
-    /// the admission risk gate is bypassed entirely.
-    silicon: Option<SiliconPart>,
+    /// This server's realized silicon part and the admission risk budget
+    /// that gates it, when the fleet models per-part heterogeneity
+    /// ([`Self::set_silicon`]). `None` means uniform silicon: the admission
+    /// risk gate is bypassed entirely.
+    silicon: Option<(SiliconPart, f64)>,
     /// Part-scaled wear model, rebuilt whenever silicon is (re)assigned.
     wear_model: Option<WearModel>,
     /// Durable physical-wear ledger: overclocked intervals charged at the
@@ -169,18 +171,14 @@ pub struct ServerOverclockAgent {
 }
 
 impl ServerOverclockAgent {
-    /// Create an agent for a server described by `model`.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid.
-    pub fn new(model: PowerModel, config: SoaConfig, policy: PolicyKind) -> ServerOverclockAgent {
-        config.validate();
-        let lifetime = OverclockBudget::new(config.overclock_time_fraction, config.epoch);
-        let per_core_cap = config.epoch.mul_f64(config.overclock_time_fraction);
+    /// Create an agent for a server described by `model`, with the paper's
+    /// control constants ([`crate::config`]).
+    pub fn new(model: PowerModel, policy: PolicyKind) -> ServerOverclockAgent {
+        let lifetime = OverclockBudget::new(OVERCLOCK_TIME_FRACTION, EPOCH);
+        let per_core_cap = EPOCH.mul_f64(OVERCLOCK_TIME_FRACTION);
         ServerOverclockAgent {
             tracker: TimeInState::new(model.cores(), per_core_cap),
             model,
-            config,
             policy,
             assigned_budget: Watts::ZERO,
             template: None,
@@ -193,7 +191,7 @@ impl ServerOverclockAgent {
             explorer: Explorer {
                 phase: Phase::Idle,
                 extra: Watts::ZERO,
-                backoff: config.backoff_initial,
+                backoff: BACKOFF_INITIAL,
             },
             last_tick: None,
             last_measured: None,
@@ -254,7 +252,7 @@ impl ServerOverclockAgent {
 
     /// [`Self::set_power_budget`] stamped with the refresh instant, enabling
     /// budget-staleness tracking: if no further refresh arrives within
-    /// `SoaConfig::budget_staleness_limit` (gOA outage, dropped messages)
+    /// [`BUDGET_STALENESS_LIMIT`] (gOA outage, dropped messages)
     /// the agent enters degraded mode on its next control tick — it stops
     /// exploring beyond the stale assignment and keeps enforcing it, which
     /// is the paper's decentralized fault-tolerance argument (§III-Q5).
@@ -281,26 +279,34 @@ impl ServerOverclockAgent {
         self.template = Some(template);
     }
 
-    /// Assign this server's realized silicon part (frequency binning).
+    /// Assign this server's realized silicon part (frequency binning) and
+    /// the admission risk budget that gates it.
     ///
     /// Enables the per-part admission risk gate: requests above the part's
     /// binned maximum or whose risk-weighted overclock fraction exceeds
-    /// `SoaConfig::risk_budget` are down-binned to the highest certified
-    /// frequency, or denied with [`RejectReason::RiskBudget`] when no
-    /// overclocked level fits. Also rebuilds the part-scaled wear model that
-    /// charges the durable ageing ledger. A [`SiliconPart::uniform`] part is
-    /// transparent (risk zero, full frequency range).
-    pub fn set_silicon(&mut self, part: SiliconPart) {
+    /// `risk_budget` are down-binned to the highest certified frequency, or
+    /// denied with [`RejectReason::RiskBudget`] when no overclocked level
+    /// fits. Also rebuilds the part-scaled wear model that charges the
+    /// durable ageing ledger. A [`SiliconPart::uniform`] part is transparent
+    /// (risk zero, full frequency range) under any budget.
+    ///
+    /// # Panics
+    /// Panics if `risk_budget` is not in `[0, 1]`.
+    pub fn set_silicon(&mut self, part: SiliconPart, risk_budget: f64) {
+        assert!(
+            (0.0..=1.0).contains(&risk_budget),
+            "risk budget must be in [0, 1]"
+        );
         self.wear_model = Some(part_wear_model(
             &WearModel::reference(*self.model.curve()),
             &part,
         ));
-        self.silicon = Some(part);
+        self.silicon = Some((part, risk_budget));
     }
 
     /// The assigned silicon part, if heterogeneity is modelled.
     pub fn silicon(&self) -> Option<&SiliconPart> {
-        self.silicon.as_ref()
+        self.silicon.as_ref().map(|(part, _)| part)
     }
 
     /// The durable physical-wear ledger (overclocked intervals charged at
@@ -312,7 +318,7 @@ impl ServerOverclockAgent {
     /// Scale the lifetime budget (overclocking-constrained experiments).
     pub fn scale_lifetime_budget(&mut self, scale: f64) {
         self.lifetime.scale_fraction(scale);
-        let cap = self.config.epoch.mul_f64(self.lifetime.fraction());
+        let cap = EPOCH.mul_f64(self.lifetime.fraction());
         self.tracker.set_per_core_cap(cap);
     }
 
@@ -425,8 +431,8 @@ impl ServerOverclockAgent {
         // silicon, so it applies to every policy: marginal parts cannot run
         // stably above their binned maximum no matter how naive the control
         // plane is.
-        if let Some(part) = &self.silicon {
-            match part.admit(&self.model.plan(), self.config.risk_budget, request.target) {
+        if let Some((part, risk_budget)) = &self.silicon {
+            match part.admit(&self.model.plan(), *risk_budget, request.target) {
                 Some(f) => {
                     if f < request.target {
                         tm_event!(self.telemetry, now, Component::Soa, Severity::Info, "down_bin",
@@ -776,7 +782,7 @@ impl ServerOverclockAgent {
                 self.stats.capping_resets += 1;
                 self.explorer.extra = Watts::ZERO;
                 let until = now + self.explorer.backoff;
-                self.explorer.backoff = (self.explorer.backoff * 2).min(self.config.backoff_max);
+                self.explorer.backoff = (self.explorer.backoff * 2).min(BACKOFF_MAX);
                 self.explorer.phase = Phase::BackedOff { until };
                 tm_event!(self.telemetry, now, Component::Soa, Severity::Error, "capping_reset",
                     "server" => self.server_id,
@@ -790,11 +796,9 @@ impl ServerOverclockAgent {
                 let exploring = matches!(self.explorer.phase, Phase::Exploring { .. });
                 if exploring && self.policy.heeds_warnings() {
                     self.stats.warning_retreats += 1;
-                    self.explorer.extra =
-                        (self.explorer.extra - self.config.explore_step).clamp_non_negative();
+                    self.explorer.extra = (self.explorer.extra - EXPLORE_STEP).clamp_non_negative();
                     let until = now + self.explorer.backoff;
-                    self.explorer.backoff =
-                        (self.explorer.backoff * 2).min(self.config.backoff_max);
+                    self.explorer.backoff = (self.explorer.backoff * 2).min(BACKOFF_MAX);
                     self.explorer.phase = Phase::BackedOff { until };
                     tm_event!(self.telemetry, now, Component::Soa, Severity::Warn,
                         "warning_retreat",
@@ -820,7 +824,7 @@ impl ServerOverclockAgent {
         let plan = self.model.plan();
         let turbo = plan.turbo();
         let limit = self.effective_budget();
-        let threshold = (limit - self.config.power_buffer).clamp_non_negative();
+        let threshold = (limit - POWER_BUFFER).clamp_non_negative();
         if measured >= limit {
             // Throttle the lowest-priority overclocked grant one step.
             if let Some((&id, _)) = self
@@ -876,7 +880,7 @@ impl ServerOverclockAgent {
         let Some(age) = self.budget_staleness(now) else {
             return;
         };
-        if age < self.config.budget_staleness_limit {
+        if age < BUDGET_STALENESS_LIMIT {
             return;
         }
         self.degraded_since = Some(now);
@@ -929,7 +933,7 @@ impl ServerOverclockAgent {
         self.explorer = Explorer {
             phase: Phase::Idle,
             extra: Watts::ZERO,
-            backoff: self.config.backoff_initial,
+            backoff: BACKOFF_INITIAL,
         };
         self.template = None;
         self.assigned_budget = Watts::ZERO;
@@ -964,7 +968,7 @@ impl ServerOverclockAgent {
         }
         let extra_before = self.explorer.extra;
         let limit = self.effective_budget();
-        let threshold = (limit - self.config.power_buffer).clamp_non_negative();
+        let threshold = (limit - POWER_BUFFER).clamp_non_negative();
         let plan = self.model.plan();
         let constrained = (measured >= threshold
             && self
@@ -974,24 +978,22 @@ impl ServerOverclockAgent {
             || self.power_rejected;
         match self.explorer.phase {
             Phase::Idle => {
-                if constrained && self.explorer.extra < self.config.explore_cap {
-                    self.explorer.extra = (self.explorer.extra + self.config.explore_step)
-                        .min(self.config.explore_cap);
+                if constrained && self.explorer.extra < EXPLORE_CAP {
+                    self.explorer.extra = (self.explorer.extra + EXPLORE_STEP).min(EXPLORE_CAP);
                     self.explorer.phase = Phase::Exploring { since: now };
                 }
             }
             Phase::Exploring { since } => {
-                if now.saturating_since(since) >= self.config.explore_wait {
+                if now.saturating_since(since) >= EXPLORE_WAIT {
                     // No warning arrived during the window: safe so far.
-                    if constrained && self.explorer.extra < self.config.explore_cap {
-                        self.explorer.extra = (self.explorer.extra + self.config.explore_step)
-                            .min(self.config.explore_cap);
+                    if constrained && self.explorer.extra < EXPLORE_CAP {
+                        self.explorer.extra = (self.explorer.extra + EXPLORE_STEP).min(EXPLORE_CAP);
                         self.explorer.phase = Phase::Exploring { since: now };
                     } else {
                         self.explorer.phase = Phase::Exploiting {
-                            until: now + self.config.exploit_time,
+                            until: now + EXPLOIT_TIME,
                         };
-                        self.explorer.backoff = self.config.backoff_initial;
+                        self.explorer.backoff = BACKOFF_INITIAL;
                     }
                 }
             }
@@ -1020,7 +1022,7 @@ impl ServerOverclockAgent {
         // Lifetime: only relevant while actively overclocking.
         if !self.grants.is_empty() {
             if let Some(remaining) = self.lifetime.time_to_exhaustion(now) {
-                if remaining <= self.config.exhaustion_window {
+                if remaining <= EXHAUSTION_WINDOW {
                     let eta = now + remaining;
                     if self.last_lifetime_warning_eta != Some(eta) {
                         self.last_lifetime_warning_eta = Some(eta);
@@ -1050,8 +1052,7 @@ impl ServerOverclockAgent {
             if demand > Watts::ZERO {
                 let budget = self.effective_budget();
                 let threshold = (budget - demand).get();
-                if let Some(eta) =
-                    template.next_time_at_or_above(now, threshold, self.config.exhaustion_window)
+                if let Some(eta) = template.next_time_at_or_above(now, threshold, EXHAUSTION_WINDOW)
                 {
                     if self.last_power_warning_eta != Some(eta) {
                         self.last_power_warning_eta = Some(eta);
@@ -1068,7 +1069,7 @@ impl ServerOverclockAgent {
 
     fn roll_epoch(&mut self, now: SimTime) {
         self.lifetime.advance_to(now);
-        let epoch = now.as_micros() / self.config.epoch.as_micros();
+        let epoch = now.as_micros() / EPOCH.as_micros();
         if epoch != self.tracker_epoch {
             self.tracker.reset();
             self.tracker_epoch = epoch;
@@ -1083,11 +1084,7 @@ mod tests {
     use soc_predict::template::TemplateKind;
 
     fn agent(policy: PolicyKind) -> ServerOverclockAgent {
-        let mut a = ServerOverclockAgent::new(
-            PowerModel::reference_server(),
-            SoaConfig::reference(),
-            policy,
-        );
+        let mut a = ServerOverclockAgent::new(PowerModel::reference_server(), policy);
         a.set_power_budget(Watts::new(450.0));
         a
     }
@@ -1537,12 +1534,8 @@ mod tests {
     }
 
     fn binned_agent(risk_budget: f64, part: SiliconPart) -> ServerOverclockAgent {
-        let mut cfg = SoaConfig::reference();
-        cfg.risk_budget = risk_budget;
-        let mut a =
-            ServerOverclockAgent::new(PowerModel::reference_server(), cfg, PolicyKind::SmartOClock);
-        a.set_power_budget(Watts::new(450.0));
-        a.set_silicon(part);
+        let mut a = agent(PolicyKind::SmartOClock);
+        a.set_silicon(part, risk_budget);
         a
     }
 
@@ -1594,16 +1587,19 @@ mod tests {
     fn risk_gate_applies_to_naive_policy_too() {
         // Binning is a physical property of the part, not a policy choice.
         let plan = PowerModel::reference_server().plan();
-        let mut cfg = SoaConfig::reference();
-        cfg.risk_budget = 0.0;
-        let mut a =
-            ServerOverclockAgent::new(PowerModel::reference_server(), cfg, PolicyKind::NaiveOClock);
-        a.set_power_budget(Watts::new(450.0));
-        a.set_silicon(marginal_part(plan.max_overclock(), 0.8));
+        let mut a = agent(PolicyKind::NaiveOClock);
+        a.set_silicon(marginal_part(plan.max_overclock(), 0.8), 0.0);
         let err = a
             .request_overclock(SimTime::ZERO, oc_request(8))
             .unwrap_err();
         assert_eq!(err, RejectReason::RiskBudget);
+    }
+
+    #[test]
+    #[should_panic(expected = "risk budget must be in [0, 1]")]
+    fn set_silicon_rejects_bad_risk_budget() {
+        let plan = PowerModel::reference_server().plan();
+        agent(PolicyKind::SmartOClock).set_silicon(SiliconPart::uniform(&plan), 1.5);
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl CrateGraph {
     }
 
     /// Direct dependencies of `from`, sorted.
-    pub fn deps_of(&self, from: &str) -> Vec<&str> {
+    fn deps_of(&self, from: &str) -> Vec<&str> {
         self.edges
             .keys()
             .filter(|(f, _)| f == from)

@@ -418,7 +418,7 @@ pub fn struct_fields(
 }
 
 /// Split a token slice at top-level commas (tracking `()`, `[]`, `{}`, `<>`).
-pub fn split_commas(toks: &[Token]) -> Vec<&[Token]> {
+fn split_commas(toks: &[Token]) -> Vec<&[Token]> {
     let mut groups = Vec::new();
     let mut depth = 0i32;
     let mut start = 0;
@@ -443,7 +443,7 @@ pub fn split_commas(toks: &[Token]) -> Vec<&[Token]> {
 }
 
 /// Skip a `<…>` generics group starting at `open`; returns index past `>`.
-pub fn skip_angles(toks: &[Token], open: usize) -> Option<usize> {
+fn skip_angles(toks: &[Token], open: usize) -> Option<usize> {
     let mut depth = 0i32;
     for (j, t) in toks.iter().enumerate().skip(open) {
         if t.is_punct("<") {
@@ -459,7 +459,7 @@ pub fn skip_angles(toks: &[Token], open: usize) -> Option<usize> {
 }
 
 /// Index of the closer matching the opener at `open`.
-pub fn matching_punct(toks: &[Token], open: usize, o: &str, c: &str) -> Option<usize> {
+fn matching_punct(toks: &[Token], open: usize, o: &str, c: &str) -> Option<usize> {
     let mut depth = 0i32;
     for (j, t) in toks.iter().enumerate().skip(open) {
         if t.is_punct(o) {

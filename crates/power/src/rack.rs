@@ -72,7 +72,7 @@ impl RackMonitor {
     }
 
     /// The absolute warning threshold.
-    pub fn warning_threshold(&self) -> Watts {
+    fn warning_threshold(&self) -> Watts {
         self.limit * self.warning_fraction
     }
 

@@ -26,7 +26,7 @@ impl Watts {
     ///
     /// # Panics
     /// Panics if `w` is NaN.
-    pub fn new(w: f64) -> Watts {
+    pub const fn new(w: f64) -> Watts {
         assert!(!w.is_nan(), "power must not be NaN");
         Watts(w)
     }

@@ -33,7 +33,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 ///
 /// # Panics
 /// Panics if `xs` is empty or `p` is outside `[0, 100]`.
-pub fn percentile_of_sorted(xs: &[f64], p: f64) -> f64 {
+fn percentile_of_sorted(xs: &[f64], p: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile of an empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
     if xs.len() == 1 {

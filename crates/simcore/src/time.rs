@@ -69,7 +69,7 @@ impl Weekday {
     ///
     /// # Panics
     /// Panics if `idx >= 7`.
-    pub fn from_index(idx: usize) -> Weekday {
+    fn from_index(idx: usize) -> Weekday {
         Weekday::ALL[idx]
     }
 

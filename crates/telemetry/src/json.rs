@@ -63,7 +63,7 @@ pub fn fmt_num(v: f64) -> String {
 
 /// Append a JSON representation of an event field. A non-finite float
 /// becomes `null`: the event carried no usable number.
-pub fn push_json_value(out: &mut String, v: &FieldValue) {
+fn push_json_value(out: &mut String, v: &FieldValue) {
     match v {
         FieldValue::U64(n) => {
             let _ = write!(out, "{n}");

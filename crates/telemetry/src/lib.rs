@@ -183,9 +183,13 @@ impl Telemetry {
     }
 
     /// Flush the sink (e.g. the JSONL buffer). No-op when disabled.
-    pub fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            inner.sink.flush();
+    ///
+    /// # Errors
+    /// The sink's first write or flush error ([`JsonlSink`] latches it).
+    pub fn flush(&self) -> io::Result<()> {
+        match &self.inner {
+            Some(inner) => inner.sink.flush(),
+            None => Ok(()),
         }
     }
 
@@ -245,8 +249,8 @@ impl<S: Sink> Sink for SharedSink<S> {
     fn record(&self, event: &Event) {
         self.0.record(event);
     }
-    fn flush(&self) {
-        self.0.flush();
+    fn flush(&self) -> io::Result<()> {
+        self.0.flush()
     }
 }
 
@@ -340,7 +344,7 @@ mod tests {
         ));
         assert!(tm.metrics(|m| m.counter("x", &[])).is_none());
         assert!(tm.metrics_snapshot().counters.is_empty());
-        tm.flush();
+        tm.flush().unwrap();
     }
 
     #[test]
@@ -496,7 +500,7 @@ mod tests {
             let tm = Telemetry::jsonl(&path).unwrap();
             tm_event!(tm, SimTime::from_secs(1), Component::Goa, Severity::Info, "budget_split",
                 "racks" => 2usize);
-            tm.flush();
+            tm.flush().unwrap();
         }
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"name\":\"budget_split\""));

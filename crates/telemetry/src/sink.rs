@@ -20,7 +20,12 @@ pub trait Sink: Send + Sync {
     fn record(&self, event: &Event);
 
     /// Flush any buffered output. The default is a no-op.
-    fn flush(&self) {}
+    ///
+    /// # Errors
+    /// The sink's first write or flush error, if it has had one.
+    fn flush(&self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Discards every event.
@@ -85,8 +90,25 @@ impl Sink for MemorySink {
 }
 
 /// Appends one JSON object per event to a file (JSON Lines).
+///
+/// A failed write never aborts the run that emits: the sink latches its
+/// first I/O error, drops every later event, and reports the error from
+/// each [`Sink::flush`] on.
 pub struct JsonlSink {
-    writer: Mutex<BufWriter<File>>,
+    out: Mutex<JsonlOut>,
+}
+
+struct JsonlOut {
+    writer: BufWriter<File>,
+    error: Option<io::Error>,
+}
+
+impl JsonlOut {
+    fn latch(&mut self, result: io::Result<()>) {
+        if let Err(e) = result {
+            self.error.get_or_insert(e);
+        }
+    }
 }
 
 impl JsonlSink {
@@ -94,7 +116,10 @@ impl JsonlSink {
     pub fn create(path: impl AsRef<Path>) -> io::Result<JsonlSink> {
         let file = File::create(path)?;
         Ok(JsonlSink {
-            writer: Mutex::new(BufWriter::new(file)),
+            out: Mutex::new(JsonlOut {
+                writer: BufWriter::new(file),
+                error: None,
+            }),
         })
     }
 }
@@ -103,20 +128,30 @@ impl Sink for JsonlSink {
     fn record(&self, event: &Event) {
         let mut line = event_to_json(event);
         line.push('\n');
-        let mut w = self.writer.lock().expect("jsonl sink poisoned");
-        // Trace output is best-effort: a full disk must not abort the run.
-        let _ = w.write_all(line.as_bytes());
+        let mut out = self.out.lock().expect("jsonl sink poisoned");
+        if out.error.is_none() {
+            let written = out.writer.write_all(line.as_bytes());
+            out.latch(written);
+        }
     }
 
-    fn flush(&self) {
-        let mut w = self.writer.lock().expect("jsonl sink poisoned");
-        let _ = w.flush();
+    fn flush(&self) -> io::Result<()> {
+        let mut out = self.out.lock().expect("jsonl sink poisoned");
+        if out.error.is_none() {
+            let flushed = out.writer.flush();
+            out.latch(flushed);
+        }
+        match &out.error {
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            None => Ok(()),
+        }
     }
 }
 
 impl Drop for JsonlSink {
     fn drop(&mut self) {
-        Sink::flush(self);
+        // Best effort: whoever owns the trace reports errors via `flush`.
+        let _ = Sink::flush(self);
     }
 }
 
@@ -158,5 +193,17 @@ mod tests {
         assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
         assert!(lines[1].contains(r#""s":"v\"w""#));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn jsonl_sink_latches_its_first_write_error() {
+        let sink = JsonlSink::create("/dev/full").unwrap();
+        sink.record(&ev("x"));
+        let err = sink.flush().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        // Latched: later events are dropped and every flush still fails.
+        sink.record(&ev("y"));
+        assert_eq!(sink.flush().unwrap_err().kind(), io::ErrorKind::StorageFull);
     }
 }

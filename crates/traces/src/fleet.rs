@@ -113,7 +113,7 @@ impl RackTrace {
     ///
     /// # Panics
     /// Panics if the trace is empty or `p` outside `[0, 100]`.
-    pub fn utilization_percentile(&self, p: f64) -> f64 {
+    fn utilization_percentile(&self, p: f64) -> f64 {
         self.power.percentile(p) / self.limit.get()
     }
 

@@ -28,6 +28,10 @@ use soc_power::units::Watts;
 use std::sync::LazyLock;
 
 /// Configuration for fleet generation.
+///
+/// The paper's fleet shares are fixed, not settings: 45 % of VM cores
+/// request overclocking, 40 % of racks are Intel, and 5 % of VMs churn per
+/// week.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Region label.
@@ -43,9 +47,6 @@ pub struct FleetConfig {
     pub span: SimDuration,
     /// Sampling step (paper: 5 minutes).
     pub step: SimDuration,
-    /// Fraction of VM cores belonging to overclock-requesting services
-    /// (paper: "45% of deployed cores" for the first-party customer).
-    pub oc_core_fraction: f64,
     /// Nameplate oversubscription range `(lo, hi)`: the rack limit is the
     /// servers' combined full-load (nameplate) power divided by a ratio
     /// drawn uniformly from this range — how providers actually size rack
@@ -55,15 +56,6 @@ pub struct FleetConfig {
     /// Probability that any given day is an outlier (holiday) for a rack,
     /// scaling that day's utilization down.
     pub outlier_day_prob: f64,
-    /// Fraction of racks with Intel-generation servers (§V-B: datacenters
-    /// hold "servers with either Intel or AMD CPUs").
-    pub intel_fraction: f64,
-    /// Weekly probability that a VM is retired and replaced by a fresh VM of
-    /// a (possibly different) service — the "dynamicity of cloud platforms
-    /// (e.g., VM churn)" the paper's dataset reflects (§III-Q3). Long-lived
-    /// VMs dominate in production ("long-lived VMs account for >95% of
-    /// allocated resources"), so the default is low.
-    pub vm_churn_weekly: f64,
     /// Whether to retain per-server series (memory heavy for large fleets).
     pub keep_server_series: bool,
 }
@@ -79,11 +71,8 @@ impl FleetConfig {
             servers_per_rack_max: 6,
             span: SimDuration::WEEK,
             step: SimDuration::from_minutes(15),
-            oc_core_fraction: 0.45,
             oversubscription: (1.30, 1.80),
             outlier_day_prob: 0.05,
-            intel_fraction: 0.4,
-            vm_churn_weekly: 0.05,
             keep_server_series: true,
         }
     }
@@ -98,11 +87,8 @@ impl FleetConfig {
             servers_per_rack_max: 32,
             span: SimDuration::WEEK * 6,
             step: SimDuration::from_minutes(5),
-            oc_core_fraction: 0.45,
             oversubscription: (1.30, 1.80),
             outlier_day_prob: 0.04,
-            intel_fraction: 0.4,
-            vm_churn_weekly: 0.05,
             keep_server_series: false,
         }
     }
@@ -130,10 +116,6 @@ impl FleetConfig {
             "step must be a whole number of minutes"
         );
         assert!(
-            (0.0..=1.0).contains(&self.oc_core_fraction),
-            "oc core fraction must be in [0, 1]"
-        );
-        assert!(
             self.oversubscription.0 >= 1.0 && self.oversubscription.0 <= self.oversubscription.1,
             "invalid oversubscription range"
         );
@@ -141,16 +123,23 @@ impl FleetConfig {
             (0.0..=1.0).contains(&self.outlier_day_prob),
             "outlier probability must be in [0, 1]"
         );
-        assert!(
-            (0.0..=1.0).contains(&self.vm_churn_weekly),
-            "churn probability must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.intel_fraction),
-            "intel fraction must be in [0, 1]"
-        );
     }
 }
+
+/// Fraction of VM cores belonging to overclock-requesting services
+/// (paper: "45% of deployed cores" for the first-party customer).
+const OC_CORE_FRACTION: f64 = 0.45;
+
+/// Fraction of racks with Intel-generation servers (§V-B: datacenters hold
+/// "servers with either Intel or AMD CPUs").
+const INTEL_FRACTION: f64 = 0.4;
+
+/// Weekly probability that a VM is retired and replaced by a fresh VM of a
+/// (possibly different) service — the "dynamicity of cloud platforms (e.g.,
+/// VM churn)" the paper's dataset reflects (§III-Q3). Long-lived VMs
+/// dominate in production ("long-lived VMs account for >95% of allocated
+/// resources"), so it is low.
+const VM_CHURN_WEEKLY: f64 = 0.05;
 
 /// Minutes in a week, the period of every load shape.
 const MINUTES_PER_WEEK: usize =
@@ -332,7 +321,7 @@ impl TraceGenerator {
         rng: &mut Pcg32,
     ) -> RackTrace {
         let mut rack_rng = rng.fork(rack_idx as u64 + 1);
-        let generation = if rack_rng.gen_bool(config.intel_fraction) {
+        let generation = if rack_rng.gen_bool(INTEL_FRACTION) {
             CpuGeneration::Intel
         } else {
             CpuGeneration::Amd
@@ -400,7 +389,7 @@ impl TraceGenerator {
         while allocated < fill_target {
             let cores = rng.gen_range_u64(2, 9) as usize;
             let cores = cores.min(total_cores - allocated);
-            let wants_oc = rng.gen_bool(config.oc_core_fraction);
+            let wants_oc = rng.gen_bool(OC_CORE_FRACTION);
             let service = if wants_oc {
                 rng.gen_index(OC_SERVICES)
             } else {
@@ -421,11 +410,11 @@ impl TraceGenerator {
     ) -> VmSpec {
         let peak = CATALOG.service(service).weekday_peak.max(1e-6);
         let load_scale = rng.gen_range_f64(0.55, 1.15);
-        // VM churn: with the configured weekly probability, this VM is
+        // VM churn: with weekly probability `VM_CHURN_WEEKLY`, this VM is
         // retired at a uniformly random instant and replaced by a fresh VM
         // running a background service.
         let weeks = config.span.as_days_f64() / 7.0;
-        let churns = rng.gen_bool(1.0 - (1.0 - config.vm_churn_weekly).powf(weeks));
+        let churns = rng.gen_bool(1.0 - (1.0 - VM_CHURN_WEEKLY).powf(weeks));
         let (replaced_at, replacement) = if churns {
             let at = SimTime::from_micros(rng.gen_range_u64(1, config.span.as_micros().max(2)));
             let new_service = Catalog::background(rng.gen_index(background_catalog_len()));

@@ -12,7 +12,6 @@
 
 use simcore::series::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
-use smartoclock::config::SoaConfig;
 use smartoclock::messages::{OverclockRequest, SoaEvent};
 use smartoclock::policy::PolicyKind;
 use smartoclock::soa::ServerOverclockAgent;
@@ -44,7 +43,7 @@ fn main() {
     let mut wi = GlobalWiAgent::new(OverclockPolicy::latency(0.9 * slo, 0.45 * slo));
 
     // The server agent with a generous budget and a flat template.
-    let mut soa = ServerOverclockAgent::new(model, SoaConfig::reference(), PolicyKind::SmartOClock);
+    let mut soa = ServerOverclockAgent::new(model, PolicyKind::SmartOClock);
     soa.set_power_budget(Watts::new(400.0));
     let history = TimeSeries::generate(
         SimTime::ZERO,

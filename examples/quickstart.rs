@@ -9,7 +9,6 @@
 
 use simcore::series::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
-use smartoclock::config::SoaConfig;
 use smartoclock::messages::OverclockRequest;
 use smartoclock::policy::PolicyKind;
 use smartoclock::soa::ServerOverclockAgent;
@@ -21,7 +20,7 @@ use soc_predict::template::{PowerTemplate, TemplateKind};
 fn main() {
     // A 64-core reference server (100 W idle, ~400 W at full turbo load).
     let model = PowerModel::reference_server();
-    let mut soa = ServerOverclockAgent::new(model, SoaConfig::reference(), PolicyKind::SmartOClock);
+    let mut soa = ServerOverclockAgent::new(model, PolicyKind::SmartOClock);
 
     // The gOA assigned this server a 320 W budget from the rack split.
     soa.set_power_budget(Watts::new(320.0));

@@ -12,7 +12,6 @@
 use simcore::rng::Pcg32;
 use simcore::series::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
-use smartoclock::config::SoaConfig;
 use smartoclock::infer::{expected_duty_cycle, infer_trigger, InferenceConfig};
 use smartoclock::messages::OverclockRequest;
 use smartoclock::policy::PolicyKind;
@@ -31,7 +30,7 @@ fn main() {
     let policy = OverclockPolicy::scheduled(vec![ScheduleWindow::new(9.0, 10.0, false)]);
     let mut wi = GlobalWiAgent::new(policy);
 
-    let mut soa = ServerOverclockAgent::new(model, SoaConfig::reference(), PolicyKind::SmartOClock);
+    let mut soa = ServerOverclockAgent::new(model, PolicyKind::SmartOClock);
     soa.set_power_budget(Watts::new(400.0));
     let history = TimeSeries::generate(
         SimTime::ZERO,

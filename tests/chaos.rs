@@ -21,7 +21,6 @@
 
 use simcore::faults::FaultPlanConfig;
 use simcore::time::{SimDuration, SimTime};
-use smartoclock::config::SoaConfig;
 use smartoclock::messages::OverclockRequest;
 use smartoclock::policy::PolicyKind;
 use smartoclock::soa::ServerOverclockAgent;
@@ -306,8 +305,7 @@ fn agents_keep_admitting_on_stale_budgets_when_goa_is_silent() {
     let (tm, sink) = Telemetry::memory();
     let mut agents: Vec<ServerOverclockAgent> = (0..2)
         .map(|s| {
-            let mut soa =
-                ServerOverclockAgent::new(model, SoaConfig::reference(), PolicyKind::SmartOClock);
+            let mut soa = ServerOverclockAgent::new(model, PolicyKind::SmartOClock);
             soa.set_telemetry(tm.clone(), s);
             soa.set_power_budget_at(SimTime::ZERO, Watts::new(450.0));
             soa

@@ -115,7 +115,7 @@ fn jsonl_trace_files_are_byte_identical_across_thread_counts() {
             threads,
             &NoopProbe,
         );
-        tm.flush();
+        tm.flush().expect("flush trace file");
         drop(tm);
         let bytes = std::fs::read(&path).expect("read trace file");
         let _ = std::fs::remove_file(&path);

@@ -3,7 +3,6 @@
 
 use simcore::stats::Ecdf;
 use simcore::time::{SimDuration, SimTime};
-use smartoclock::config::SoaConfig;
 use smartoclock::goa::{GlobalOverclockAgent, ServerProfile};
 use smartoclock::messages::{OverclockRequest, SoaEvent};
 use smartoclock::policy::PolicyKind;
@@ -63,7 +62,7 @@ fn soa_admission_uses_trace_built_template() {
     let now = SimTime::ZERO + SimDuration::WEEK;
     let template = template_at(&server.power, now, TemplateKind::DailyMed);
 
-    let mut soa = ServerOverclockAgent::new(model, SoaConfig::reference(), PolicyKind::SmartOClock);
+    let mut soa = ServerOverclockAgent::new(model, PolicyKind::SmartOClock);
     soa.set_power_template(template.clone());
 
     // Find the peak and trough of the template's weekday profile.
@@ -143,8 +142,7 @@ fn goa_budgets_from_generated_traces_drive_admission_and_feedback() {
         .iter()
         .zip(&rack.servers)
         .map(|(&budget, server)| {
-            let mut soa =
-                ServerOverclockAgent::new(model, SoaConfig::reference(), PolicyKind::SmartOClock);
+            let mut soa = ServerOverclockAgent::new(model, PolicyKind::SmartOClock);
             soa.set_power_budget(budget);
             soa.set_power_template(PowerTemplate::build(&server.power, TemplateKind::DailyMed));
             soa

@@ -2,7 +2,6 @@
 //! across epochs (§III-Q2 and §IV-B together).
 
 use simcore::time::{SimDuration, SimTime};
-use smartoclock::config::SoaConfig;
 use smartoclock::messages::{GrantEndReason, OverclockRequest, SoaEvent};
 use smartoclock::policy::PolicyKind;
 use smartoclock::soa::ServerOverclockAgent;
@@ -12,11 +11,8 @@ use soc_power::units::Watts;
 use soc_reliability::wear::WearModel;
 
 fn soa_with_budget(scale: f64) -> ServerOverclockAgent {
-    let mut soa = ServerOverclockAgent::new(
-        PowerModel::reference_server(),
-        SoaConfig::reference(),
-        PolicyKind::SmartOClock,
-    );
+    let mut soa =
+        ServerOverclockAgent::new(PowerModel::reference_server(), PolicyKind::SmartOClock);
     soa.set_power_budget(Watts::new(450.0));
     if scale < 1.0 {
         soa.scale_lifetime_budget(scale);
