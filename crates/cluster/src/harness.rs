@@ -30,7 +30,7 @@ use soc_power::units::{MegaHertz, Watts};
 use soc_reliability::binning::BinningConfig;
 use soc_telemetry::{tm_event, Component, Severity, Telemetry};
 use soc_workloads::loadgen::RateSchedule;
-use soc_workloads::microservice::{MicroserviceSim, Traffic};
+use soc_workloads::microservice::{MicroserviceSim, Traffic, WindowStats};
 use soc_workloads::mltrain::MlTrain;
 use soc_workloads::socialnet::{socialnet_services, LoadLevel};
 use std::collections::BTreeMap;
@@ -593,19 +593,28 @@ impl ClusterSim {
         std::mem::take(&mut self.traffic)
     }
 
-    /// Run control tick `k` (from 1), reading instance `i`'s arrivals from
-    /// `traffic(i)`, filled past [`tick_end`](ClusterSim::tick_end)`(k)`.
-    /// `latencies` is the queueing sims' window scratch (see
-    /// [`MicroserviceSim::advance_window`]).
-    pub(crate) fn tick<'t>(
-        &mut self,
-        k: u64,
-        traffic: impl Fn(usize) -> &'t Traffic,
-        latencies: &mut Vec<f64>,
-    ) {
+    /// Open control tick `k` (from 1): inject its scheduled faults and bring
+    /// finished boots online. The driver then advances every queueing sim
+    /// ([`queues_mut`](ClusterSim::queues_mut)) to
+    /// [`tick_end`](ClusterSim::tick_end)`(k)` and closes the tick with
+    /// [`end_tick`](ClusterSim::end_tick).
+    pub(crate) fn begin_tick(&mut self, k: u64) {
         let now = self.tick_end(k);
         self.inject_faults(now);
-        self.step(now, traffic, latencies);
+        self.activate_boots(now);
+    }
+
+    /// Each instance's queueing sim, in instance order.
+    pub(crate) fn queues_mut(&mut self) -> impl Iterator<Item = &mut MicroserviceSim> {
+        self.instances.iter_mut().map(|inst| &mut inst.sim)
+    }
+
+    /// Close control tick `k` from the window each instance's queueing sim
+    /// reported on reaching the tick's end (`stats[i]` for instance `i`):
+    /// control decisions, power, capping, MLTrain, and the budget refresh.
+    pub(crate) fn end_tick(&mut self, k: u64, stats: &[WindowStats]) {
+        let now = self.tick_end(k);
+        self.step(now, stats);
         // Refresh heterogeneous budgets periodically (the paper does this
         // weekly from templates; at cluster-experiment timescales we use
         // the latest observed demand every two minutes). While the gOA is
@@ -679,16 +688,8 @@ impl ClusterSim {
         }
     }
 
-    fn step<'t>(
-        &mut self,
-        now: SimTime,
-        traffic: impl Fn(usize) -> &'t Traffic,
-        latencies: &mut Vec<f64>,
-    ) {
-        let plan = self.model.plan();
-        let system = self.config.system;
-
-        // 1. Activate finished boots.
+    /// 1. Activate finished boots (the rest of a tick is [`step`](ClusterSim::step)).
+    fn activate_boots(&mut self, now: SimTime) {
         for idx in 0..self.instances.len() {
             let ready: Vec<SimTime> = self.instances[idx]
                 .pending_boots
@@ -703,8 +704,15 @@ impl ClusterSim {
                 }
             }
         }
+    }
 
-        // 2. Advance the queueing sims and gather window stats.
+    fn step(&mut self, now: SimTime, stats: &[WindowStats]) {
+        assert_eq!(stats.len(), self.instances.len(), "one window per instance");
+        let plan = self.model.plan();
+        let system = self.config.system;
+
+        // 2. Gather the window stats of the queueing sims, which the driver
+        // advanced to `now`.
         let tm = self.telemetry.clone();
         // Per-server cap state snapshot for SLO-miss attribution (the
         // instance loop below holds a mutable borrow of `self.instances`).
@@ -712,8 +720,7 @@ impl ClusterSim {
         let capped: Vec<bool> = self.caps.iter().map(Option::is_some).collect();
         let deny_window = SimDuration::from_secs(30);
         let mut metrics: Vec<VmMetrics> = Vec::with_capacity(self.instances.len());
-        for (idx, inst) in self.instances.iter_mut().enumerate() {
-            let stats = inst.sim.advance_window(now, traffic(idx), latencies);
+        for (idx, (inst, stats)) in self.instances.iter_mut().zip(stats).enumerate() {
             inst.windows += 1;
             if !stats.p99_ms.is_nan() {
                 inst.latencies.push(stats.p99_ms);

@@ -164,7 +164,6 @@ pub fn train_rack(config: &LargeScaleConfig, rack: &RackTrace, model: &PowerMode
     let plan = model.plan();
     let oc_freq = plan.max_overclock();
     let train_end = SimTime::ZERO + SimDuration::WEEK;
-    let per_core_extra = |util: f64| model.overclock_delta(util.clamp(0.0, 1.0), 1, oc_freq);
     // Static prediction bias (fault injection): the trained regular-power
     // templates systematically over- or under-predict. Applied once here so
     // per-step noise (prediction_factor) is never double-counted.
@@ -179,7 +178,10 @@ pub fn train_rack(config: &LargeScaleConfig, rack: &RackTrace, model: &PowerMode
             // Demand in watts: cores × per-core delta at the typical
             // utilization of this server.
             let util = simcore::stats::mean(train_util.values());
-            let demand_watts = train_demand.map(|cores| cores * per_core_extra(util).get());
+            let per_core_extra = model
+                .overclock_delta(util.clamp(0.0, 1.0), 1, oc_freq)
+                .get();
+            let demand_watts = train_demand.map(|cores| cores * per_core_extra);
             let mut template = PowerTemplate::build(&train_power, TemplateKind::DailyMed);
             if bias != 1.0 {
                 template = template.map_values(|v| v * bias);

@@ -32,6 +32,16 @@
 //! still-running reader consumed. Memory is bounded by about one tick of
 //! arrivals per distinct stream, one window-latency scratch per worker, and
 //! the simulations' own state.
+//!
+//! The queues are shared too, for as long as they agree. Until a control
+//! system acts, its instances queue exactly as the other systems' do, so
+//! each tick groups the instances by (stream, tick end, queue state) and
+//! advances one representative per group; the others copy its post-tick
+//! state and window stats (copy-on-divergence: the copy is redone every
+//! tick, and a group splits as soon as control changes one member's
+//! queue). The state comparison ([`MicroserviceSim::same_state`]) is
+//! bitwise, and the queueing model is a pure function of state, stream and
+//! window end, so a copy is exactly what the follower would have computed.
 
 use crate::harness::{ClusterConfig, ClusterResult, ClusterSim};
 use crate::largescale::{
@@ -46,7 +56,7 @@ use soc_power::model::PowerModel;
 use soc_telemetry::{Event, MemorySink, MetricsSnapshot, Telemetry};
 use soc_traces::fleet::RackTrace;
 use soc_traces::gen::TraceGenerator;
-use soc_workloads::microservice::Traffic;
+use soc_workloads::microservice::{MicroserviceSim, Traffic, WindowStats};
 use std::sync::{Arc, Mutex};
 
 /// Decision-id bit layout for shard-local telemetry handles:
@@ -429,14 +439,17 @@ pub fn simulate_policy_prepared_reference(
 /// binaries that compare systems, e.g. `exp_power_constrained`).
 ///
 /// The simulations run in tick lockstep (see the module docs), so each
-/// distinct SocialNet arrival stream is sampled once for all of them. Each
+/// distinct SocialNet arrival stream is sampled once for all of them, and
+/// each distinct queue state is advanced once per tick. Each
 /// simulation writes to a buffered telemetry handle with a deterministic id
 /// base; buffers merge into `telemetry` in input order, so traces read as if
 /// the simulations had run back to back on one thread.
 ///
-/// The probe sees `"shard/sim"` spans for each tick's sampling and for each
-/// simulation's tick, one `"merge"` span around the absorb, and a
-/// `cluster_sims` counter.
+/// The probe sees `"shard/sim"` spans around each stream's fill, each
+/// distinct queue's advance, each simulation's tick close, and the serial
+/// grouping and copying of each tick; one `"merge"` span around the absorb;
+/// and the counters `cluster_sims`, `cluster/queue_advances` (queues
+/// advanced) and `cluster/queue_shared` (queues copied from an equal one).
 ///
 /// # Panics
 /// Panics if a configuration has no SocialNet servers or a zero `tick`.
@@ -471,17 +484,61 @@ pub fn run_cluster_sims_probed(
     )
 }
 
+/// Deal `tasks` into at most `workers` bundles, heaviest first, each to the
+/// lightest bundle so far (ties to the lowest index). A task weighs its
+/// `weight` plus one, so weightless tasks still spread. The deal depends on
+/// the weights alone, never on timing; it decides only which worker runs
+/// what.
+fn deal<T>(tasks: Vec<T>, weight: impl Fn(&T) -> u64, workers: usize) -> Vec<Vec<T>> {
+    let mut weighed: Vec<(u64, T)> = tasks.into_iter().map(|t| (weight(&t) + 1, t)).collect();
+    weighed.sort_by_key(|(w, _)| std::cmp::Reverse(*w));
+    let mut bundles: Vec<(u64, Vec<T>)> = Vec::new();
+    bundles.resize_with(workers.min(weighed.len()), Default::default);
+    for (w, task) in weighed {
+        if let Some((load, bundle)) = bundles.iter_mut().min_by_key(|(load, _)| *load) {
+            *load += w;
+            bundle.push(task);
+        }
+    }
+    bundles.into_iter().map(|(_, bundle)| bundle).collect()
+}
+
 /// Run cluster simulations tick by tick, all advancing tick `k` before any
 /// starts tick `k + 1`.
 ///
 /// The queueing model is open-loop, so an instance's arrivals are a function
 /// of its service, rate schedule and seed alone; simulations that agree on
 /// those read one shared [`Traffic`] generator (equal fresh generators are
-/// one stream). Each tick first fills every stream past the tick's end,
-/// then runs the simulations' ticks on the worker pool, then releases the
-/// arrivals every still-running reader has consumed. A stream's buffer thus
-/// holds about one tick of arrivals, and the window-latency scratch is one
-/// buffer per worker, not one per instance.
+/// one stream). Each tick then goes:
+///
+/// 1. open the tick on every running simulation
+///    ([`ClusterSim::begin_tick`]: faults, finished boots);
+/// 2. group the running instances by the key (stream, tick end, queue
+///    state): an instance joins the first representative that reads the
+///    same stream to the same tick end and whose queue is in the same state
+///    ([`MicroserviceSim::same_state`]), or becomes a representative itself;
+/// 3. on the worker pool, one task per stream: fill it past its readers'
+///    tick ends, then advance its representatives' queues over it. Tasks
+///    are dealt heaviest first by the work each stream took at the last
+///    tick ([`deal`]), so the dealing never depends on timing;
+/// 4. copy each representative's post-tick queue into its followers
+///    (`clone_from`), and its window stats with them;
+/// 5. close the tick on every running simulation, in order
+///    ([`ClusterSim::end_tick`]: control, power, capping);
+/// 6. release the arrivals every still-running reader has consumed.
+///
+/// Sharing is exact, not approximate: the state comparison is bitwise, and
+/// equal state, equal stream and equal tick end give equal output. A copy
+/// lasts one tick (copy-on-divergence): control that acts differently on
+/// two copies splits their group at the next tick. A stream's buffer holds
+/// about one tick of arrivals, and the window-latency scratch is one buffer
+/// per worker.
+///
+/// The probe sees a `"shard/sim"` span around each tick's opening and
+/// grouping, each stream fill, each representative's advance, each tick's
+/// copying, and each simulation's tick close; its `cluster/queue_advances`
+/// and `cluster/queue_shared` counters add each tick's representatives and
+/// followers.
 pub(crate) fn lockstep(
     mut sims: Vec<ClusterSim>,
     threads: usize,
@@ -508,42 +565,115 @@ pub(crate) fn lockstep(
         .collect();
     let last = sims.iter().map(ClusterSim::ticks).max().unwrap_or(0);
     let scratch: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
+    // Each stream's queueing work at the last tick (arrivals plus
+    // completions over its representatives): what the next tick's deal
+    // balances.
+    let mut work: Vec<u64> = vec![0; streams.len()];
+    let workers = par::resolve_threads(threads);
     for k in 1..=last {
-        let sample_span = probe.span("shard/sim");
-        let mut horizon: Vec<Option<SimTime>> = vec![None; streams.len()];
-        for (sim, feed) in sims.iter().zip(&feeds).filter(|(sim, _)| k <= sim.ticks()) {
-            let end = sim.tick_end(k);
-            for &j in feed {
-                horizon[j] = horizon[j].max(Some(end));
-            }
-        }
-        for (stream, until) in streams.iter_mut().zip(horizon) {
-            if let Some(until) = until {
-                stream.fill(until);
-            }
-        }
-        drop(sample_span);
-
-        let shared = &streams;
-        let live: Vec<(&mut ClusterSim, &Vec<usize>)> = sims
+        let open_span = probe.span("shard/sim");
+        let mut live: Vec<(&mut ClusterSim, &Vec<usize>)> = sims
             .iter_mut()
             .zip(&feeds)
             .filter(|(sim, _)| k <= sim.ticks())
             .collect();
-        par::par_map(threads, live, |_, (sim, feed)| {
-            let sim_span = probe.span("shard/sim");
-            // A latency scratch per running tick: the pool holds at most
-            // one per worker, and what a buffer holds never matters.
+        for (sim, _) in &mut live {
+            sim.begin_tick(k);
+        }
+
+        // Group every running instance's queue: `reps` are advanced, each
+        // of `followers` copies `reps[r]`, and `group[q]` is the
+        // representative of the `q`-th queue in (simulation, instance) order.
+        let mut reps: Vec<(usize, SimTime, &mut MicroserviceSim)> = Vec::new();
+        let mut followers: Vec<(usize, &mut MicroserviceSim)> = Vec::new();
+        let mut group: Vec<usize> = Vec::new();
+        for (sim, feed) in &mut live {
+            let until = sim.tick_end(k);
+            for (queue, &j) in sim.queues_mut().zip(feed.iter()) {
+                let found = reps
+                    .iter()
+                    .position(|(rj, ru, rep)| *rj == j && *ru == until && rep.same_state(queue));
+                match found {
+                    Some(r) => {
+                        followers.push((r, queue));
+                        group.push(r);
+                    }
+                    None => {
+                        group.push(reps.len());
+                        reps.push((j, until, queue));
+                    }
+                }
+            }
+        }
+        probe.add("cluster/queue_advances", reps.len() as u64);
+        probe.add("cluster/queue_shared", followers.len() as u64);
+
+        // One task per stream with a running reader: the stream, to fill
+        // past its readers' tick ends, and its representatives as
+        // `(representative index, tick end, queue)`, to advance over it.
+        let mut tasks: Vec<(usize, &mut Traffic, Vec<_>)> = streams
+            .iter_mut()
+            .enumerate()
+            .map(|(j, stream)| (j, stream, Vec::new()))
+            .collect();
+        for (r, (j, until, queue)) in reps.into_iter().enumerate() {
+            tasks[j].2.push((r, until, queue));
+        }
+        tasks.retain(|(_, _, readers)| !readers.is_empty());
+        let bundles = deal(tasks, |(j, _, _)| work[*j], workers);
+        drop(open_span);
+
+        let mut advanced = par::par_map(threads, bundles, |_, bundle| {
+            // One latency scratch per bundle: the pool holds at most one
+            // per worker, and what a buffer holds never matters.
             const HELD_BRIEFLY: &str = "the scratch pool lock is held only to pop or push";
             let mut latencies = scratch
                 .lock()
                 .expect(HELD_BRIEFLY)
                 .pop()
                 .unwrap_or_default();
-            sim.tick(k, |i| &shared[feed[i]], &mut latencies);
+            let mut out = Vec::new();
+            for (j, stream, readers) in bundle {
+                let fill_span = probe.span("shard/sim");
+                if let Some(horizon) = readers.iter().map(|(_, until, _)| *until).max() {
+                    stream.fill(horizon);
+                }
+                drop(fill_span);
+                for (r, until, queue) in readers {
+                    let sim_span = probe.span("shard/sim");
+                    let stats = queue.advance_window(until, stream, &mut latencies);
+                    drop(sim_span);
+                    out.push((r, j, queue, stats));
+                }
+            }
             scratch.lock().expect(HELD_BRIEFLY).push(latencies);
+            out
+        })
+        .into_iter()
+        .flatten()
+        .collect::<Vec<_>>();
+        advanced.sort_unstable_by_key(|(r, ..)| *r);
+        work.fill(0);
+        for (_, j, _, stats) in &advanced {
+            work[*j] += stats.arrivals + stats.completions;
+        }
+
+        let copy_span = probe.span("shard/sim");
+        for (r, follower) in followers {
+            follower.clone_from(advanced[r].2);
+        }
+        let windows: Vec<WindowStats> = group.into_iter().map(|r| advanced[r].3).collect();
+        drop(copy_span);
+        // The control half is about 1.5% of a tick's work, less than a
+        // fan-out costs, so it runs here in simulation order.
+        let mut windows = windows.as_slice();
+        for (sim, feed) in live {
+            let (stats, rest) = windows.split_at(feed.len());
+            windows = rest;
+            let sim_span = probe.span("shard/sim");
+            sim.end_tick(k, stats);
             drop(sim_span);
-        });
+        }
 
         let mut consumed = vec![u64::MAX; streams.len()];
         for (sim, feed) in sims.iter().zip(&feeds).filter(|(sim, _)| k < sim.ticks()) {

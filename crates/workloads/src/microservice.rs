@@ -292,7 +292,7 @@ struct Vm {
 }
 
 /// A request in service on one core.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Departure {
     due: SimTime,
     /// Scheduling order; breaks ties between events due at the same time.
@@ -490,6 +490,55 @@ impl MicroserviceSim {
     /// Requests currently queued or in service.
     pub fn in_system(&self) -> u64 {
         self.total_arrivals - self.total_completions
+    }
+
+    /// Whether `other` holds exactly this simulator's state: every field
+    /// [`advance_window`](MicroserviceSim::advance_window) reads, floats by
+    /// their bits. Of the departure slots only each VM's busy prefix counts;
+    /// the slots past it are stale and never read.
+    ///
+    /// Two simulators in the same state, advanced to the same `until` over
+    /// the same [`Traffic`], return the same [`WindowStats`] and end in the
+    /// same state, so a driver may advance one and copy it to the other.
+    pub fn same_state(&self, other: &MicroserviceSim) -> bool {
+        let scalars = |s: &MicroserviceSim| {
+            (
+                s.total_arrivals,
+                s.total_completions,
+                s.next_seq,
+                s.arrival_seq,
+                s.busy_cores,
+                s.window_arrivals,
+                s.busy_core_seconds.to_bits(),
+                (s.now, s.last_integration, s.window_start),
+                (s.turbo, s.vms.len()),
+            )
+        };
+        let spec = |s: &ServiceSpec| {
+            (
+                s.mean_service_ms.to_bits(),
+                s.cv.to_bits(),
+                s.cores_per_vm,
+                s.slo_multiplier.to_bits(),
+            )
+        };
+        let request = |r: &Request| (r.arrival, r.work.to_bits());
+        let cores = self.spec.cores_per_vm;
+        scalars(self) == scalars(other)
+            && spec(&self.spec) == spec(&other.spec)
+            && self.spec.name == other.spec.name
+            && self
+                .vms
+                .iter()
+                .zip(&other.vms)
+                .enumerate()
+                .all(|(v, (a, b))| {
+                    let busy = v * cores..v * cores + a.busy;
+                    (a.frequency, a.busy, a.active, a.queue.len())
+                        == (b.frequency, b.busy, b.active, b.queue.len())
+                        && a.queue.iter().map(request).eq(b.queue.iter().map(request))
+                        && self.slots[busy.clone()] == other.slots[busy]
+                })
     }
 
     /// Advance the simulation to `until`, reading arrivals from `traffic`,
@@ -1038,6 +1087,67 @@ mod tests {
                     }
                     let still: Vec<usize> = live.into_iter().filter(|&r| w + 1 < runs[r].len()).collect();
                     shared.release(still.iter().map(|&r| sims[r].total_arrivals()).min().unwrap_or(u64::MAX));
+                }
+            }
+
+            /// `same_state` is exact. Two simulators driven into one state by
+            /// the same control churn (one of them taking a detour that undoes
+            /// itself) compare equal, and advancing both over one shared
+            /// stream gives bit-identical windows and post-states. The
+            /// smallest change to one compared field makes them differ; a
+            /// stale slot past a VM's busy prefix does not.
+            #[test]
+            fn same_state_is_exact(
+                ops in prop::collection::vec((1u64..4, 0u8..3, 0usize..5, 0u32..8), 1..12),
+                load in 0.3..1.2f64,
+                seed in 0u64..1000,
+            ) {
+                let mut traffic = Traffic::new(&spec(), churn_schedule(load), seed);
+                let mut a = MicroserviceSim::new(spec(), turbo(), 1);
+                let mut b = MicroserviceSim::new(spec(), turbo(), 1);
+                let mut latencies = Vec::new();
+                let mut now = SimTime::ZERO;
+                for &(advance_s, op, n, freq_step) in &ops {
+                    now += SimDuration::from_secs(advance_s * 5);
+                    traffic.fill(now);
+                    prop_assert!(a.same_state(&b) && b.same_state(&a));
+                    let wa = a.advance_window(now, &traffic, &mut latencies);
+                    let wb = b.advance_window(now, &traffic, &mut latencies);
+                    prop_assert_eq!(format!("{wa:?}"), format!("{wb:?}"));
+                    prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+                    apply(&mut a, op, n, freq_step);
+                    // `b` detours through another frequency on one VM first.
+                    let v = n % b.vms.len();
+                    let f = b.vm_frequency(v);
+                    b.set_vm_frequency(v, MegaHertz::new(f.get() + 1));
+                    b.set_vm_frequency(v, f);
+                    apply(&mut b, op, n, freq_step);
+                    prop_assert!(a.same_state(&b));
+
+                    let differs = |change: &dyn Fn(&mut MicroserviceSim)| {
+                        let mut c = b.clone();
+                        change(&mut c);
+                        !a.same_state(&c) && !c.same_state(&a)
+                    };
+                    let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+                    prop_assert!(differs(&|c| c.busy_core_seconds = next_up(c.busy_core_seconds)));
+                    prop_assert!(differs(&|c| {
+                        let f = c.vms[v].frequency;
+                        c.vms[v].frequency = MegaHertz::new(f.get() + 1);
+                    }));
+                    prop_assert!(differs(&|c| c.vms[v].active = !c.vms[v].active));
+                    if let Some(q) = b.vms.iter().position(|vm| !vm.queue.is_empty()) {
+                        prop_assert!(differs(&|c| {
+                            let req = &mut c.vms[q].queue[0];
+                            req.work = next_up(req.work);
+                        }));
+                    }
+                    let cores = b.spec.cores_per_vm;
+                    if let Some(idle) = b.vms.iter().position(|vm| vm.busy < cores) {
+                        let mut c = b.clone();
+                        c.slots[idle * cores + c.vms[idle].busy].seq += 1;
+                        prop_assert!(a.same_state(&c));
+                    }
                 }
             }
 

@@ -33,6 +33,7 @@ use soc_cluster::{NoopProbe, ShardProbe};
 use soc_reliability::binning::BinningConfig;
 use soc_telemetry::json::event_to_json;
 use soc_telemetry::{Event, Telemetry};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 fn config(seed: u64, faults: FaultPlanConfig) -> LargeScaleConfig {
@@ -337,6 +338,76 @@ fn cluster_lockstep_matches_each_config_alone() {
     let mut other = ClusterConfig::small_test(SystemKind::NaiveOClock);
     other.seed = 7;
     assert_cluster_group_matches_alone(&[smart, short, other], "mixed");
+}
+
+#[test]
+fn cluster_lockstep_shares_exactly_between_duplicate_configs() {
+    // Each config twice: every queue of a copy is in its twin's state at
+    // every tick, so one of the two advances and the other copies it.
+    let smart = ClusterConfig::small_test(SystemKind::SmartOClock);
+    let scale_out = ClusterConfig::small_test(SystemKind::ScaleOut);
+    assert_cluster_group_matches_alone(
+        &[smart.clone(), scale_out.clone(), smart, scale_out],
+        "duplicates",
+    );
+}
+
+#[test]
+fn cluster_lockstep_never_shares_across_tick_ends_or_finished_configs() {
+    // A short copy of a long config (the same streams: no burst starts
+    // between minutes 3 and 4) leads its group until it finishes, and the
+    // long one advances on its own from then on. A config with twice
+    // the tick reads the same streams and starts from the same fresh
+    // queues, but its ticks end at other times, so it never shares.
+    let long = ClusterConfig::small_test(SystemKind::SmartOClock);
+    let mut short = long.clone();
+    short.duration = SimDuration::from_minutes(3);
+    let mut slow = ClusterConfig::small_test(SystemKind::Baseline);
+    slow.tick = SimDuration::from_secs(10);
+    let mut baseline = ClusterConfig::small_test(SystemKind::Baseline);
+    baseline.duration = SimDuration::from_minutes(3);
+    assert_cluster_group_matches_alone(&[short, long, slow, baseline], "mixed ticks");
+}
+
+/// A probe that sums the counters the simulator advances.
+#[derive(Default)]
+struct WorkCounts(Mutex<BTreeMap<&'static str, u64>>);
+
+impl ShardProbe for WorkCounts {
+    fn span(&self, _name: &'static str) -> Option<Box<dyn SpanToken>> {
+        None
+    }
+
+    fn add(&self, counter: &'static str, n: u64) {
+        *self.0.lock().expect("counts").entry(counter).or_insert(0) += n;
+    }
+}
+
+#[test]
+fn cluster_lockstep_work_counters_are_exact_and_thread_invariant() {
+    // The benchmark's six-config shape at test size: 6 configs × 3
+    // instances × 48 ticks.
+    let mut configs: Vec<ClusterConfig> = SystemKind::ALL
+        .into_iter()
+        .map(ClusterConfig::small_test)
+        .collect();
+    let mut constrained = ClusterConfig::small_test(SystemKind::SmartOClock);
+    constrained.rack_limit_scale = 0.82;
+    configs.push(constrained);
+    let instance_ticks: u64 = configs
+        .iter()
+        .map(|c| c.socialnet_servers as u64 * (c.duration.as_micros() / c.tick.as_micros()))
+        .sum();
+    assert_eq!(instance_ticks, 864);
+    for threads in [1, 2, 3] {
+        let probe = WorkCounts::default();
+        run_cluster_sims_probed(configs.clone(), &Telemetry::disabled(), threads, &probe);
+        let counts = probe.0.into_inner().expect("counts");
+        let advances = counts["cluster/queue_advances"];
+        let shared = counts["cluster/queue_shared"];
+        assert_eq!(advances + shared, instance_ticks, "{threads} threads");
+        assert_eq!((advances, shared), (534, 330), "{threads} threads");
+    }
 }
 
 #[test]
