@@ -4,7 +4,7 @@
 //! each rack's trace is generated from an independent `Pcg32` stream derived
 //! from `(seed, rack_id)` ([`soc_traces::gen::TraceGenerator::generate_rack`]),
 //! so whole racks can run on worker threads between epochs. This module
-//! deals racks across a [`simcore::par`] worker pool and merges results in
+//! hands racks to a [`simcore::par`] worker pool and merges results in
 //! canonical rack order, preserving the workspace's byte-identical-per-seed
 //! guarantee: `--threads N` output is identical to `--threads 1`.
 //!
@@ -77,7 +77,7 @@ pub fn shard_id_base(run_id: u64, shard: usize) -> u64 {
 /// workers; returns per-rack outcomes in rack order (aggregate into Table I
 /// rows with [`crate::largescale::PolicyMetrics::aggregate`]).
 ///
-/// Racks are dealt over the worker pool; every rack generates its own trace,
+/// Workers claim racks one at a time; every rack generates its own trace,
 /// trains its templates, and simulates against buffered telemetry, and
 /// outcomes, events, and metrics are merged back in rack order. Output —
 /// return value, event stream, and metrics registry contents — is
@@ -285,7 +285,7 @@ impl TrainedFleet {
     }
 }
 
-/// Generate every rack's trace exactly once, dealt across `threads` workers
+/// Generate every rack's trace exactly once, claimed by `threads` workers
 /// (each rack's trace derives from an independent seeded stream, so
 /// generation order is irrelevant to the bytes produced). The probe sees a
 /// `"shard/trace_gen"` span per rack.
@@ -484,25 +484,6 @@ pub fn run_cluster_sims_probed(
     )
 }
 
-/// Deal `tasks` into at most `workers` bundles, heaviest first, each to the
-/// lightest bundle so far (ties to the lowest index). A task weighs its
-/// `weight` plus one, so weightless tasks still spread. The deal depends on
-/// the weights alone, never on timing; it decides only which worker runs
-/// what.
-fn deal<T>(tasks: Vec<T>, weight: impl Fn(&T) -> u64, workers: usize) -> Vec<Vec<T>> {
-    let mut weighed: Vec<(u64, T)> = tasks.into_iter().map(|t| (weight(&t) + 1, t)).collect();
-    weighed.sort_by_key(|(w, _)| std::cmp::Reverse(*w));
-    let mut bundles: Vec<(u64, Vec<T>)> = Vec::new();
-    bundles.resize_with(workers.min(weighed.len()), Default::default);
-    for (w, task) in weighed {
-        if let Some((load, bundle)) = bundles.iter_mut().min_by_key(|(load, _)| *load) {
-            *load += w;
-            bundle.push(task);
-        }
-    }
-    bundles.into_iter().map(|(_, bundle)| bundle).collect()
-}
-
 /// Run cluster simulations tick by tick, all advancing tick `k` before any
 /// starts tick `k + 1`.
 ///
@@ -519,8 +500,9 @@ fn deal<T>(tasks: Vec<T>, weight: impl Fn(&T) -> u64, workers: usize) -> Vec<Vec
 ///    ([`MicroserviceSim::same_state`]), or becomes a representative itself;
 /// 3. on the worker pool, one task per stream: fill it past its readers'
 ///    tick ends, then advance its representatives' queues over it. Tasks
-///    are dealt heaviest first by the work each stream took at the last
-///    tick ([`deal`]), so the dealing never depends on timing;
+///    go to [`par::par_map`] heaviest first by the work each stream took
+///    at the last tick, and idle workers claim the next one, so the pool
+///    runs the longest tasks first;
 /// 4. copy each representative's post-tick queue into its followers
 ///    (`clone_from`), and its window stats with them;
 /// 5. close the tick on every running simulation, in order
@@ -532,7 +514,7 @@ fn deal<T>(tasks: Vec<T>, weight: impl Fn(&T) -> u64, workers: usize) -> Vec<Vec
 /// lasts one tick (copy-on-divergence): control that acts differently on
 /// two copies splits their group at the next tick. A stream's buffer holds
 /// about one tick of arrivals, and the window-latency scratch is one buffer
-/// per worker.
+/// per running task.
 ///
 /// The probe sees a `"shard/sim"` span around each tick's opening and
 /// grouping, each stream fill, each representative's advance, each tick's
@@ -566,10 +548,9 @@ pub(crate) fn lockstep(
     let last = sims.iter().map(ClusterSim::ticks).max().unwrap_or(0);
     let scratch: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
     // Each stream's queueing work at the last tick (arrivals plus
-    // completions over its representatives): what the next tick's deal
-    // balances.
+    // completions over its representatives): the next tick runs the
+    // heaviest streams first.
     let mut work: Vec<u64> = vec![0; streams.len()];
-    let workers = par::resolve_threads(threads);
     for k in 1..=last {
         let open_span = probe.span("shard/sim");
         let mut live: Vec<(&mut ClusterSim, &Vec<usize>)> = sims
@@ -620,32 +601,32 @@ pub(crate) fn lockstep(
             tasks[j].2.push((r, until, queue));
         }
         tasks.retain(|(_, _, readers)| !readers.is_empty());
-        let bundles = deal(tasks, |(j, _, _)| work[*j], workers);
+        tasks.sort_by_key(|(j, _, _)| std::cmp::Reverse(work[*j]));
         drop(open_span);
 
-        let mut advanced = par::par_map(threads, bundles, |_, bundle| {
-            // One latency scratch per bundle: the pool holds at most one
-            // per worker, and what a buffer holds never matters.
+        let mut advanced = par::par_map(threads, tasks, |_, (j, stream, readers)| {
+            // One latency scratch per running task: the pool holds at most
+            // one per worker, and what a buffer holds never matters.
             const HELD_BRIEFLY: &str = "the scratch pool lock is held only to pop or push";
             let mut latencies = scratch
                 .lock()
                 .expect(HELD_BRIEFLY)
                 .pop()
                 .unwrap_or_default();
-            let mut out = Vec::new();
-            for (j, stream, readers) in bundle {
-                let fill_span = probe.span("shard/sim");
-                if let Some(horizon) = readers.iter().map(|(_, until, _)| *until).max() {
-                    stream.fill(horizon);
-                }
-                drop(fill_span);
-                for (r, until, queue) in readers {
+            let fill_span = probe.span("shard/sim");
+            if let Some(horizon) = readers.iter().map(|(_, until, _)| *until).max() {
+                stream.fill(horizon);
+            }
+            drop(fill_span);
+            let out: Vec<_> = readers
+                .into_iter()
+                .map(|(r, until, queue)| {
                     let sim_span = probe.span("shard/sim");
                     let stats = queue.advance_window(until, stream, &mut latencies);
                     drop(sim_span);
-                    out.push((r, j, queue, stats));
-                }
-            }
+                    (r, j, queue, stats)
+                })
+                .collect();
             scratch.lock().expect(HELD_BRIEFLY).push(latencies);
             out
         })

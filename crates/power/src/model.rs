@@ -178,6 +178,7 @@ impl OverclockDeltaFn {
     ///
     /// # Panics
     /// Panics if `utilization` is outside `[0, 1]`, like the per-call form.
+    #[inline]
     pub fn at(&self, utilization: f64, oc_cores: usize) -> Watts {
         assert!(
             (0.0..=1.0).contains(&utilization),

@@ -26,27 +26,32 @@ impl Watts {
     ///
     /// # Panics
     /// Panics if `w` is NaN.
+    #[inline]
     pub const fn new(w: f64) -> Watts {
         assert!(!w.is_nan(), "power must not be NaN");
         Watts(w)
     }
 
     /// The raw value in watts.
+    #[inline]
     pub const fn get(self) -> f64 {
         self.0
     }
 
     /// Clamp negative readings to zero (sensor noise guard).
+    #[inline]
     pub fn clamp_non_negative(self) -> Watts {
         Watts(self.0.max(0.0))
     }
 
     /// The smaller of two power values.
+    #[inline]
     pub fn min(self, other: Watts) -> Watts {
         Watts(self.0.min(other.0))
     }
 
     /// The larger of two power values.
+    #[inline]
     pub fn max(self, other: Watts) -> Watts {
         Watts(self.0.max(other.0))
     }
@@ -55,6 +60,7 @@ impl Watts {
     ///
     /// # Panics
     /// Panics if `other` is zero.
+    #[inline]
     pub fn ratio(self, other: Watts) -> f64 {
         assert!(other.0 != 0.0, "division by zero watts");
         self.0 / other.0
@@ -63,12 +69,14 @@ impl Watts {
 
 impl Add for Watts {
     type Output = Watts;
+    #[inline]
     fn add(self, rhs: Watts) -> Watts {
         Watts(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Watts {
+    #[inline]
     fn add_assign(&mut self, rhs: Watts) {
         self.0 += rhs.0;
     }
@@ -76,12 +84,14 @@ impl AddAssign for Watts {
 
 impl Sub for Watts {
     type Output = Watts;
+    #[inline]
     fn sub(self, rhs: Watts) -> Watts {
         Watts(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for Watts {
+    #[inline]
     fn sub_assign(&mut self, rhs: Watts) {
         self.0 -= rhs.0;
     }
@@ -89,6 +99,7 @@ impl SubAssign for Watts {
 
 impl Mul<f64> for Watts {
     type Output = Watts;
+    #[inline]
     fn mul(self, rhs: f64) -> Watts {
         Watts(self.0 * rhs)
     }
@@ -96,6 +107,7 @@ impl Mul<f64> for Watts {
 
 impl Div<f64> for Watts {
     type Output = Watts;
+    #[inline]
     fn div(self, rhs: f64) -> Watts {
         Watts(self.0 / rhs)
     }
@@ -103,6 +115,7 @@ impl Div<f64> for Watts {
 
 impl Neg for Watts {
     type Output = Watts;
+    #[inline]
     fn neg(self) -> Watts {
         Watts(-self.0)
     }
@@ -137,11 +150,13 @@ impl MegaHertz {
     pub const ZERO: MegaHertz = MegaHertz(0);
 
     /// Construct from a raw MHz count.
+    #[inline]
     pub const fn new(mhz: u32) -> MegaHertz {
         MegaHertz(mhz)
     }
 
     /// Raw MHz count.
+    #[inline]
     pub const fn get(self) -> u32 {
         self.0
     }
@@ -155,6 +170,7 @@ impl MegaHertz {
     ///
     /// # Panics
     /// Panics if `other` is zero.
+    #[inline]
     pub fn ratio(self, other: MegaHertz) -> f64 {
         assert!(other.0 > 0, "division by zero frequency");
         self.0 as f64 / other.0 as f64
@@ -166,11 +182,13 @@ impl MegaHertz {
     }
 
     /// The smaller of two frequencies.
+    #[inline]
     pub fn min(self, other: MegaHertz) -> MegaHertz {
         MegaHertz(self.0.min(other.0))
     }
 
     /// The larger of two frequencies.
+    #[inline]
     pub fn max(self, other: MegaHertz) -> MegaHertz {
         MegaHertz(self.0.max(other.0))
     }
@@ -187,6 +205,7 @@ impl MegaHertz {
 
 impl Add for MegaHertz {
     type Output = MegaHertz;
+    #[inline]
     fn add(self, rhs: MegaHertz) -> MegaHertz {
         MegaHertz(self.0 + rhs.0)
     }
@@ -194,6 +213,7 @@ impl Add for MegaHertz {
 
 impl Sub for MegaHertz {
     type Output = MegaHertz;
+    #[inline]
     fn sub(self, rhs: MegaHertz) -> MegaHertz {
         MegaHertz(self.0 - rhs.0)
     }

@@ -84,6 +84,7 @@ pub struct FaultWindow {
 
 impl FaultWindow {
     /// Whether `t` falls inside the window.
+    #[inline]
     pub fn contains(&self, t: SimTime) -> bool {
         self.start <= t && t < self.end
     }
@@ -264,16 +265,19 @@ impl FaultPlan {
     }
 
     /// Canonical entity key for per-server point faults.
+    #[inline]
     pub fn entity_id(rack: usize, server: usize) -> u64 {
         ((rack as u64) << 32) | (server as u64 & 0xFFFF_FFFF)
     }
 
     /// Whether the gOA is unreachable at `t`.
+    #[inline]
     pub fn goa_unreachable(&self, t: SimTime) -> bool {
         self.outages.iter().any(|w| w.contains(t))
     }
 
     /// Whether the budget update addressed to `entity` at `t` is dropped.
+    #[inline]
     pub fn drops_budget_update(&self, t: SimTime, entity: u64) -> bool {
         self.config.budget_drop_prob > 0.0
             && self.unit(SALT_BUDGET_DROP, t, entity) < self.config.budget_drop_prob
@@ -281,6 +285,7 @@ impl FaultPlan {
 
     /// Delivery delay of the budget update addressed to `entity` at `t`
     /// (zero when the message is on time).
+    #[inline]
     pub fn budget_update_delay(&self, t: SimTime, entity: u64) -> SimDuration {
         if self.config.budget_delay_prob > 0.0
             && !self.config.budget_delay.is_zero()
@@ -294,6 +299,7 @@ impl FaultPlan {
 
     /// Whether `entity`'s WI telemetry window at `t` is lost (the sOA sees
     /// no demand and issues no overclock request).
+    #[inline]
     pub fn telemetry_gap(&self, t: SimTime, entity: u64) -> bool {
         self.config.telemetry_gap_prob > 0.0
             && self.unit(SALT_TELEMETRY_GAP, t, entity) < self.config.telemetry_gap_prob
@@ -304,6 +310,7 @@ impl FaultPlan {
     /// arithmetic is bit-identical to not calling this at all). The static
     /// `prediction_bias` is *not* included: apply it once at template-build
     /// time (e.g. via `PowerTemplate::map_values`).
+    #[inline]
     pub fn prediction_factor(&self, t: SimTime, entity: u64) -> f64 {
         if self.config.prediction_noise <= 0.0 {
             return 1.0;
@@ -313,12 +320,14 @@ impl FaultPlan {
     }
 
     /// Whether `entity`'s sOA restarts at `t` (volatile state loss).
+    #[inline]
     pub fn soa_restarts(&self, t: SimTime, entity: u64) -> bool {
         self.config.soa_restart_prob > 0.0
             && self.unit(SALT_SOA_RESTART, t, entity) < self.config.soa_restart_prob
     }
 
     /// Stateless uniform draw in `[0, 1)` from `(seed, salt, t, entity)`.
+    #[inline]
     fn unit(&self, salt: u64, t: SimTime, entity: u64) -> f64 {
         let mut h = mix64(self.config.seed ^ mix64(salt));
         h = mix64(h ^ t.as_micros());
@@ -329,6 +338,7 @@ impl FaultPlan {
 }
 
 /// SplitMix64 finalizer: a well-mixed bijection on `u64`.
+#[inline]
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -15,12 +15,14 @@
 //! Design rules that keep this true:
 //!
 //! * every item knows its input index; results are reassembled by index;
-//! * workers receive disjoint item sets dealt round-robin (static
-//!   partitioning — no work stealing, no shared queues);
-//! * workers must not share mutable state; each returns its own results
-//!   (callers buffer telemetry per shard and merge after the join);
-//! * a panicking worker propagates its payload to the caller after all
-//!   workers have been joined, exactly like the inline path.
+//! * workers claim items one at a time, in index order, from one shared
+//!   queue, so load balances at run time; which worker runs an item depends
+//!   on timing, and nothing else may: results are keyed by index;
+//! * items must not share mutable state; each returns its own result
+//!   (callers buffer telemetry per item and merge after the join);
+//! * a panicking item propagates its payload to the caller after all
+//!   workers have been joined, and it is the payload the inline path would
+//!   raise: that of the lowest-index panicking item.
 //!
 //! ```
 //! use simcore::par::par_map;
@@ -29,14 +31,18 @@
 //! assert_eq!(squares, (0u64..100).map(|x| x * x).collect::<Vec<_>>());
 //! ```
 
+use std::any::Any;
 use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 /// Number of hardware threads available to this process (at least 1).
 ///
 /// This is the default worker count for `--threads` in the bench binaries.
-/// It never influences simulation *results* — only how work is dealt — so
-/// reading it does not compromise determinism.
+/// It never influences simulation *results* — only how many workers claim
+/// work — so reading it does not compromise determinism.
 pub fn available_parallelism() -> usize {
     thread::available_parallelism()
         .map(NonZeroUsize::get)
@@ -58,18 +64,21 @@ pub fn resolve_threads(requested: usize) -> usize {
 ///
 /// `f` receives `(input_index, item)` and must be a pure function of them
 /// (plus captured shared immutable state): the contract is that
-/// `par_map(t, items, f)` returns the same bytes for every `t`. Items are
-/// dealt round-robin across workers (item `i` goes to worker `i % workers`),
-/// which load-balances the common case of uniform per-item cost without any
-/// run-time-dependent scheduling.
+/// `par_map(t, items, f)` returns the same bytes for every `t`. Workers
+/// claim the next unclaimed item, in index order, whenever they finish one,
+/// so a few heavy items never leave a worker idle behind a fixed share;
+/// which worker runs an item decides nothing about the output.
 ///
 /// `threads == 0` resolves to [`available_parallelism`]; `threads <= 1` (or
 /// fewer than two items) runs inline on the calling thread with no thread
 /// machinery at all.
 ///
 /// # Panics
-/// Re-raises the payload of the first (lowest worker index) panicking
-/// worker after all workers have been joined.
+/// Re-raises the payload of the lowest-index panicking item, as the inline
+/// map would, after all workers have been joined. Items are claimed in index
+/// order and no worker claims another after a panic, so every item before
+/// the panicking one has run (and that is the item the inline map would
+/// stop at).
 pub fn par_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -86,40 +95,49 @@ where
             .collect();
     }
 
-    // Deal items round-robin so every worker sees a representative slice of
-    // the index space (contiguous chunking would put all "expensive" late
-    // items on the last worker when cost grows with index).
-    let mut shards: Vec<Vec<(usize, T)>> = (0..workers)
-        .map(|_| Vec::with_capacity(n / workers + 1))
-        .collect();
-    for (i, item) in items.into_iter().enumerate() {
-        shards[i % workers].push((i, item));
-    }
+    // The one shared queue. Only `next` runs under the lock and `f` runs
+    // outside it, so the lock is never poisoned; a panic in `f` stops
+    // further claims through `panicked`.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let panicked = AtomicBool::new(false);
+    let claim = || {
+        if panicked.load(Ordering::Relaxed) {
+            return None;
+        }
+        queue.lock().unwrap_or_else(PoisonError::into_inner).next()
+    };
+    let run = || {
+        let mut done: Vec<(usize, R)> = Vec::new();
+        while let Some((i, item)) = claim() {
+            match panic::catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                Ok(r) => done.push((i, r)),
+                Err(payload) => {
+                    panicked.store(true, Ordering::Relaxed);
+                    return (done, Some((i, payload)));
+                }
+            }
+        }
+        (done, None)
+    };
 
-    let f = &f;
     let mut indexed: Vec<(usize, R)> = Vec::with_capacity(n);
+    let mut first_panic: Option<(usize, Box<dyn Any + Send>)> = None;
     thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                scope.spawn(move || {
-                    shard
-                        .into_iter()
-                        .map(|(i, item)| (i, f(i, item)))
-                        .collect::<Vec<(usize, R)>>()
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run)).collect();
         for handle in handles {
-            match handle.join() {
-                Ok(part) => indexed.extend(part),
-                // Propagate the worker's own panic payload; `thread::scope`
-                // has already joined the remaining workers by the time the
-                // unwind leaves the scope.
-                Err(payload) => std::panic::resume_unwind(payload),
+            // `run` catches every panic of `f`, so the join itself succeeds.
+            let (done, failed) = handle.join().unwrap_or_else(|p| panic::resume_unwind(p));
+            indexed.extend(done);
+            if let Some((i, payload)) = failed {
+                if first_panic.as_ref().is_none_or(|(j, _)| i < *j) {
+                    first_panic = Some((i, payload));
+                }
             }
         }
     });
+    if let Some((_, payload)) = first_panic {
+        panic::resume_unwind(payload);
+    }
 
     // Canonical merge: results come back grouped by worker; restore input
     // order. Indices are unique, so an unstable sort is deterministic.
@@ -193,5 +211,74 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("boom on item 11"), "got: {msg}");
+    }
+
+    /// A seeded sum whose cost grows with `rounds`.
+    fn seeded_sum(seed: u64, rounds: usize) -> f64 {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        (0..rounds).map(|_| rng.next_f64()).sum()
+    }
+
+    #[test]
+    fn skewed_item_costs_return_the_serial_output() {
+        // Item 5 costs about 100 times any other, so the worker that claims
+        // it falls behind while the others drain the queue.
+        let work = |i: usize, seed: u64| seeded_sum(seed, if i == 5 { 20_000 } else { 200 });
+        let items = || (0u64..40).collect::<Vec<_>>();
+        let serial: Vec<f64> = items()
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| work(i, x))
+            .collect();
+        for threads in 1..=8 {
+            assert_eq!(par_map(threads, items(), work), serial, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn the_lowest_index_panic_wins_at_every_thread_count() {
+        // Item 9 panics at once; item 3 works first, so item 9 usually
+        // panics before item 3 does, on a worker that may come earlier or
+        // later in join order. The slow items before 3 spread the claims
+        // over the workers.
+        for threads in 1..=8 {
+            for trial in 0..4 {
+                let result = std::panic::catch_unwind(|| {
+                    par_map(threads, (0u64..16).collect(), |i, x| {
+                        match i {
+                            0..=2 => drop(seeded_sum(x, 5_000)),
+                            3 => drop(seeded_sum(x, 50_000)),
+                            _ => {}
+                        }
+                        assert!(i != 3 && i != 9, "boom on item {i}");
+                        x
+                    })
+                });
+                let payload = result.expect_err("panic must propagate");
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                assert!(
+                    msg.contains("boom on item 3"),
+                    "threads={threads} trial={trial}: {msg}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_short_inputs_match_the_inline_map() {
+        let work = |i: usize, x: u64| seeded_sum(x, 10 + i);
+        for n in 0u64..4 {
+            let inline: Vec<f64> = (0..n).enumerate().map(|(i, x)| work(i, x)).collect();
+            for threads in 0..=8 {
+                assert_eq!(
+                    par_map(threads, (0..n).collect(), work),
+                    inline,
+                    "n={n} threads={threads}"
+                );
+            }
+        }
     }
 }

@@ -112,16 +112,19 @@ impl SimTime {
     }
 
     /// Raw microseconds since the epoch.
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0
     }
 
     /// Seconds since the epoch, as `f64`.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
     /// Hours since the epoch, as `f64`.
+    #[inline]
     pub fn as_hours_f64(self) -> f64 {
         self.as_secs_f64() / 3600.0
     }
@@ -130,6 +133,7 @@ impl SimTime {
     ///
     /// # Panics
     /// Panics if `earlier` is later than `self`.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -139,6 +143,7 @@ impl SimTime {
     }
 
     /// Duration elapsed since `earlier`, or zero if `earlier` is later.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -150,21 +155,25 @@ impl SimTime {
     }
 
     /// Offset from the most recent midnight.
+    #[inline]
     pub fn time_of_day(self) -> SimDuration {
         SimDuration(self.0 % SimDuration::DAY.0)
     }
 
     /// Offset from the start of the current simulated week (Monday 00:00).
+    #[inline]
     pub fn time_of_week(self) -> SimDuration {
         SimDuration(self.0 % SimDuration::WEEK.0)
     }
 
     /// Index of the simulated day since the epoch (day 0 is the first Monday).
+    #[inline]
     pub fn day_index(self) -> u64 {
         self.0 / SimDuration::DAY.0
     }
 
     /// Index of the simulated week since the epoch.
+    #[inline]
     pub fn week_index(self) -> u64 {
         self.0 / SimDuration::WEEK.0
     }
@@ -173,6 +182,7 @@ impl SimTime {
     ///
     /// # Panics
     /// Panics if `step` is zero.
+    #[inline]
     pub fn align_down(self, step: SimDuration) -> SimTime {
         assert!(step.0 > 0, "step must be non-zero");
         SimTime(self.0 - self.0 % step.0)
@@ -248,46 +258,55 @@ impl SimDuration {
     }
 
     /// Raw microseconds.
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0
     }
 
     /// Fractional seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
     /// Fractional milliseconds.
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// Fractional hours.
+    #[inline]
     pub fn as_hours_f64(self) -> f64 {
         self.as_secs_f64() / 3600.0
     }
 
     /// Fractional days.
+    #[inline]
     pub fn as_days_f64(self) -> f64 {
         self.as_secs_f64() / 86_400.0
     }
 
     /// `true` when the duration is zero.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// The smaller of two durations.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
 
     /// The larger of two durations.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
@@ -308,6 +327,7 @@ impl SimDuration {
     ///
     /// # Panics
     /// Panics if `other` is zero.
+    #[inline]
     pub fn ratio(self, other: SimDuration) -> f64 {
         assert!(other.0 > 0, "cannot take ratio against a zero duration");
         self.0 as f64 / other.0 as f64
@@ -316,12 +336,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -329,12 +351,14 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 - rhs.0)
     }
 }
 
 impl SubAssign<SimDuration> for SimTime {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         self.0 -= rhs.0;
     }
@@ -342,12 +366,14 @@ impl SubAssign<SimDuration> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -355,12 +381,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         self.0 -= rhs.0;
     }
@@ -368,6 +396,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 * rhs)
     }
@@ -375,6 +404,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }

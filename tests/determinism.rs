@@ -17,7 +17,11 @@
 use smartoclock::policy::PolicyKind;
 use soc_cluster::harness::{ClusterConfig, SystemKind};
 use soc_cluster::largescale::LargeScaleConfig;
-use soc_cluster::shard::{run_cluster_sims_probed, simulate_policy_sharded_probed};
+use soc_cluster::largescale_metrics::RackOutcome;
+use soc_cluster::shard::{
+    generate_fleet_probed, run_cluster_sims_probed, simulate_policy_on_traces_probed,
+    simulate_policy_prepared_probed, simulate_policy_sharded_probed, train_fleet_probed,
+};
 use soc_cluster::NoopProbe;
 use soc_telemetry::json::event_to_json;
 use soc_telemetry::Telemetry;
@@ -44,11 +48,7 @@ fn traced_run(
     cfg: &LargeScaleConfig,
     policy: PolicyKind,
     threads: usize,
-) -> (
-    Vec<String>,
-    String,
-    Vec<soc_cluster::largescale_metrics::RackOutcome>,
-) {
+) -> (Vec<String>, String, Vec<RackOutcome>) {
     let (tm, sink) = Telemetry::memory();
     let outcomes = simulate_policy_sharded_probed(cfg, policy, &tm, threads, &NoopProbe);
     let lines: Vec<String> = sink.events().iter().map(event_to_json).collect();
@@ -158,4 +158,69 @@ fn cluster_sims_are_thread_count_invariant() {
         serial.2, sharded.2,
         "cluster metrics must not depend on threads"
     );
+}
+
+/// Run `simulate` against a JSONL trace file; return (the file's bytes,
+/// rendered metrics, outcomes).
+fn jsonl_run(
+    name: &str,
+    simulate: impl FnOnce(&Telemetry) -> Vec<RackOutcome>,
+) -> (Vec<u8>, String, Vec<RackOutcome>) {
+    let path = std::env::temp_dir().join(format!(
+        "soc-determinism-{}-{name}.jsonl",
+        std::process::id()
+    ));
+    let tm = Telemetry::jsonl(&path).expect("create trace file");
+    let outcomes = simulate(&tm);
+    tm.flush().expect("flush trace file");
+    let metrics = tm.metrics_snapshot().render();
+    drop(tm);
+    let bytes = std::fs::read(&path).expect("read trace file");
+    let _ = std::fs::remove_file(&path);
+    (bytes, metrics, outcomes)
+}
+
+#[test]
+fn pre_generated_fleet_paths_are_byte_identical_across_thread_counts() {
+    // Racks of 2 to 14 servers cost very different amounts, so the order in
+    // which workers claim them changes with the thread count.
+    let mut cfg = small_config(42);
+    cfg.racks = 7;
+    cfg.servers_per_rack = (2, 14);
+    let run = |threads: usize| {
+        let fleet = generate_fleet_probed(&cfg, threads, &NoopProbe);
+        let sizes: Vec<usize> = fleet.iter().map(|(rack, _)| rack.servers.len()).collect();
+        assert!(
+            sizes.iter().min() < sizes.iter().max(),
+            "racks must differ in size: {sizes:?}"
+        );
+        let trained = train_fleet_probed(&cfg, &fleet, threads, &NoopProbe);
+        let policy = PolicyKind::SmartOClock;
+        let prepared = jsonl_run(&format!("prepared-{threads}"), |tm| {
+            simulate_policy_prepared_probed(&cfg, policy, &fleet, &trained, tm, threads, &NoopProbe)
+        });
+        let on_traces = jsonl_run(&format!("on-traces-{threads}"), |tm| {
+            simulate_policy_on_traces_probed(&cfg, policy, &fleet, tm, threads, &NoopProbe)
+        });
+        [prepared, on_traces]
+    };
+    let serial = run(1);
+    for (path, (trace, _, outcomes)) in ["prepared", "on_traces"].iter().zip(&serial) {
+        assert!(!trace.is_empty(), "{path}: trace file must not be empty");
+        assert_eq!(outcomes.len(), cfg.racks, "{path}: one outcome per rack");
+    }
+    for threads in [2, 3, 5] {
+        let sharded = run(threads);
+        for (path, (a, b)) in ["prepared", "on_traces"]
+            .iter()
+            .zip(serial.iter().zip(&sharded))
+        {
+            assert!(
+                a.0 == b.0,
+                "{path}: JSONL trace diverged at {threads} threads"
+            );
+            assert_eq!(a.1, b.1, "{path}: metrics diverged at {threads} threads");
+            assert_eq!(a.2, b.2, "{path}: outcomes diverged at {threads} threads");
+        }
+    }
 }
