@@ -411,6 +411,9 @@ pub(crate) fn simulate_rack_columnar(
         // happens: every server keeps enforcing its last-received budget —
         // the paper's stale-budget degraded mode (§III-Q5).
         let goa_down = faults.goa_unreachable(t);
+        // This instant's point faults, hashed once per enabled kind; each
+        // per-server query below is then one more mix.
+        let step_faults = faults.at(t);
         if goa_down != goa_was_down {
             goa_was_down = goa_down;
             if goa_down {
@@ -459,12 +462,12 @@ pub(crate) fn simulate_rack_columnar(
                 .enumerate()
             {
                 let entity = FaultPlan::entity_id(rack.index, i);
-                if faults.drops_budget_update(t, entity) {
+                if step_faults.drops_budget_update(entity) {
                     // Message lost: the server stays on its stale budget.
                     dropped_updates += 1;
                     continue;
                 }
-                let delay = faults.budget_update_delay(t, entity);
+                let delay = step_faults.budget_update_delay(entity);
                 if delay.is_zero() {
                     *budget = *b;
                     *pending = None;
@@ -477,29 +480,31 @@ pub(crate) fn simulate_rack_columnar(
         // Injected sOA restarts: volatile state is lost and the server
         // re-joins conservatively — no budget (admission denies until the
         // next refresh), no exploration state.
-        for (i, ((((budget, pending), explore), b_steps), b_rem)) in cols
-            .budget
-            .iter_mut()
-            .zip(cols.pending_budget.iter_mut())
-            .zip(cols.explore_extra.iter_mut())
-            .zip(cols.backoff_steps.iter_mut())
-            .zip(cols.backoff_remaining.iter_mut())
-            .enumerate()
-        {
-            let entity = FaultPlan::entity_id(rack.index, i);
-            if faults.soa_restarts(t, entity) {
-                *budget = Watts::ZERO;
-                *pending = None;
-                *explore = Watts::ZERO;
-                *b_steps = 0;
-                *b_rem = 0;
-                outcome.restarts += 1;
-                tm_event!(telemetry, t, Component::Fault, Severity::Warn, "fault_injected",
-                    "rack" => rack.index,
-                    "server" => i,
-                    "kind" => "soa_restart",
-                    "decision_id" => telemetry.next_id(),
-                    "cause_id" => sim_decision);
+        if step_faults.any_soa_restarts() {
+            for (i, ((((budget, pending), explore), b_steps), b_rem)) in cols
+                .budget
+                .iter_mut()
+                .zip(cols.pending_budget.iter_mut())
+                .zip(cols.explore_extra.iter_mut())
+                .zip(cols.backoff_steps.iter_mut())
+                .zip(cols.backoff_remaining.iter_mut())
+                .enumerate()
+            {
+                let entity = FaultPlan::entity_id(rack.index, i);
+                if step_faults.soa_restarts(entity) {
+                    *budget = Watts::ZERO;
+                    *pending = None;
+                    *explore = Watts::ZERO;
+                    *b_steps = 0;
+                    *b_rem = 0;
+                    outcome.restarts += 1;
+                    tm_event!(telemetry, t, Component::Fault, Severity::Warn, "fault_injected",
+                        "rack" => rack.index,
+                        "server" => i,
+                        "kind" => "soa_restart",
+                        "decision_id" => telemetry.next_id(),
+                        "cause_id" => sim_decision);
+                }
             }
         }
 
@@ -554,7 +559,7 @@ pub(crate) fn simulate_rack_columnar(
             }
             // WI telemetry gap (fault injection): the sOA never sees this
             // window's demand, so no request is even issued.
-            if faults.telemetry_gap(t, FaultPlan::entity_id(rack.index, i)) {
+            if step_faults.telemetry_gap(FaultPlan::entity_id(rack.index, i)) {
                 telemetry_gaps += 1;
                 continue;
             }
@@ -587,7 +592,7 @@ pub(crate) fn simulate_rack_columnar(
                 // fault plan may perturb the prediction (noise is a factor
                 // of exactly 1.0 when unconfigured).
                 let entity = FaultPlan::entity_id(rack.index, i);
-                let predicted = Watts::new((pred * faults.prediction_factor(t, entity)).max(0.0));
+                let predicted = Watts::new((pred * step_faults.prediction_factor(entity)).max(0.0));
                 predicted + extra <= *budget + *explore
             };
             if admit {

@@ -210,9 +210,9 @@ impl Shard {
         }
     }
 
-    /// The buffered events and metrics, releasing the buffer itself.
+    /// The buffered events (moved out of the sink, not copied) and metrics.
     fn into_buffers(self) -> (Vec<Event>, MetricsSnapshot) {
-        let events = self.sink.map(|sink| sink.events()).unwrap_or_default();
+        let events = self.sink.map(|sink| sink.take()).unwrap_or_default();
         (events, self.telemetry.metrics_snapshot())
     }
 }
@@ -238,7 +238,7 @@ fn merge<R>(
             for e in &events {
                 probe.event(e);
             }
-            telemetry.absorb(&events, &metrics);
+            telemetry.absorb(events, &metrics);
             outcome
         })
         .collect();

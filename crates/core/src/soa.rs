@@ -380,7 +380,7 @@ impl ServerOverclockAgent {
                 tm_event!(self.telemetry, now, Component::Soa, Severity::Info, "oc_grant",
                     "server" => self.server_id,
                     "grant" => id.0,
-                    "vm" => grant.request.vm.as_str(),
+                    "vm" => grant.request.vm.clone(),
                     "cores" => grant.cores.len(),
                     "target_mhz" => grant.request.target.get(),
                     "priority" => grant.request.priority,
@@ -437,7 +437,7 @@ impl ServerOverclockAgent {
                     if f < request.target {
                         tm_event!(self.telemetry, now, Component::Soa, Severity::Info, "down_bin",
                             "server" => self.server_id,
-                            "vm" => request.vm.as_str(),
+                            "vm" => request.vm.clone(),
                             "bin" => part.bin,
                             "risk" => part.risk,
                             "from_mhz" => request.target.get(),
@@ -557,7 +557,7 @@ impl ServerOverclockAgent {
             tm_event!(self.telemetry, now, Component::Soa, Severity::Info, "oc_release",
                 "server" => self.server_id,
                 "grant" => id.0,
-                "vm" => grant.request.vm.as_str(),
+                "vm" => grant.request.vm.clone(),
                 "held_us" => now.saturating_since(grant.started),
                 "cause_id" => cause);
             true

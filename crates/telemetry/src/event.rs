@@ -5,6 +5,7 @@
 //! with the same seed are byte-identical and can be diffed.
 
 use simcore::time::{SimDuration, SimTime};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Which part of the agent stack emitted a record.
@@ -87,13 +88,16 @@ impl fmt::Display for Severity {
 }
 
 /// A typed field value attached to an [`Event`].
+///
+/// Strings are borrowed when static (policy names, fault kinds), so building
+/// or cloning such a field never allocates; only runtime strings own a copy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     U64(u64),
     I64(i64),
     F64(f64),
     Bool(bool),
-    Str(String),
+    Str(Cow<'static, str>),
 }
 
 impl From<u64> for FieldValue {
@@ -132,15 +136,15 @@ impl From<bool> for FieldValue {
     }
 }
 
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_owned())
+impl From<&'static str> for FieldValue {
+    fn from(v: &'static str) -> Self {
+        FieldValue::Str(Cow::Borrowed(v))
     }
 }
 
 impl From<String> for FieldValue {
     fn from(v: String) -> Self {
-        FieldValue::Str(v)
+        FieldValue::Str(Cow::Owned(v))
     }
 }
 

@@ -39,7 +39,7 @@ use soc_power::units::MegaHertz;
 use std::collections::VecDeque;
 
 /// Static description of one microservice.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ServiceSpec {
     /// Service name (e.g. `"UrlShort"`).
     pub name: String,
@@ -93,6 +93,34 @@ impl ServiceSpec {
         let sigma2 = (1.0 + self.cv * self.cv).ln();
         let mu = (self.mean_service_ms / 1000.0).ln() - sigma2 / 2.0;
         (mu, sigma2.sqrt())
+    }
+}
+
+impl Clone for ServiceSpec {
+    fn clone(&self) -> Self {
+        ServiceSpec {
+            name: self.name.clone(),
+            mean_service_ms: self.mean_service_ms,
+            cv: self.cv,
+            cores_per_vm: self.cores_per_vm,
+            slo_multiplier: self.slo_multiplier,
+        }
+    }
+
+    /// Keeps the name's buffer (see `MicroserviceSim`'s `clone_from`).
+    fn clone_from(&mut self, source: &Self) {
+        let ServiceSpec {
+            name,
+            mean_service_ms,
+            cv,
+            cores_per_vm,
+            slo_multiplier,
+        } = source;
+        self.name.clone_from(name);
+        self.mean_service_ms = *mean_service_ms;
+        self.cv = *cv;
+        self.cores_per_vm = *cores_per_vm;
+        self.slo_multiplier = *slo_multiplier;
     }
 }
 
@@ -282,13 +310,38 @@ struct Request {
     work: f64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Vm {
     frequency: MegaHertz,
     /// Busy cores; this VM's first `busy` departure slots are in use.
     busy: usize,
     queue: VecDeque<Request>,
     active: bool,
+}
+
+impl Clone for Vm {
+    fn clone(&self) -> Self {
+        Vm {
+            frequency: self.frequency,
+            busy: self.busy,
+            queue: self.queue.clone(),
+            active: self.active,
+        }
+    }
+
+    /// Keeps the queue's buffer (see `MicroserviceSim`'s `clone_from`).
+    fn clone_from(&mut self, source: &Self) {
+        let Vm {
+            frequency,
+            busy,
+            queue,
+            active,
+        } = source;
+        self.frequency = *frequency;
+        self.busy = *busy;
+        self.queue.clone_from(queue);
+        self.active = *active;
+    }
 }
 
 /// A request in service on one core.
@@ -326,7 +379,7 @@ enum Next {
 /// assert!(stats.completions > 0);
 /// assert!(stats.p99_ms >= stats.mean_ms);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MicroserviceSim {
     spec: ServiceSpec,
     turbo: MegaHertz,
@@ -349,6 +402,66 @@ pub struct MicroserviceSim {
     // Lifetime counters.
     total_arrivals: u64,
     total_completions: u64,
+}
+
+/// The cluster lockstep copies each tick's representative into its
+/// followers (`follower.clone_from(rep)`); this `clone_from` keeps the
+/// follower's slot, VM, queue and name buffers instead of allocating new
+/// ones, as the derived one would. The `clone_from`s here destructure their
+/// source, so a new field fails to compile until it is copied.
+impl Clone for MicroserviceSim {
+    fn clone(&self) -> Self {
+        MicroserviceSim {
+            spec: self.spec.clone(),
+            turbo: self.turbo,
+            arrival_seq: self.arrival_seq,
+            slots: self.slots.clone(),
+            next_seq: self.next_seq,
+            vms: self.vms.clone(),
+            busy_cores: self.busy_cores,
+            now: self.now,
+            last_integration: self.last_integration,
+            window_start: self.window_start,
+            window_arrivals: self.window_arrivals,
+            busy_core_seconds: self.busy_core_seconds,
+            total_arrivals: self.total_arrivals,
+            total_completions: self.total_completions,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let MicroserviceSim {
+            spec,
+            turbo,
+            arrival_seq,
+            slots,
+            next_seq,
+            vms,
+            busy_cores,
+            now,
+            last_integration,
+            window_start,
+            window_arrivals,
+            busy_core_seconds,
+            total_arrivals,
+            total_completions,
+        } = source;
+        self.spec.clone_from(spec);
+        self.turbo = *turbo;
+        self.arrival_seq = *arrival_seq;
+        self.slots.clone_from(slots);
+        self.next_seq = *next_seq;
+        // `Vec::clone_from` calls `Vm::clone_from` on the common prefix.
+        self.vms.clone_from(vms);
+        self.busy_cores = *busy_cores;
+        self.now = *now;
+        self.last_integration = *last_integration;
+        self.window_start = *window_start;
+        self.window_arrivals = *window_arrivals;
+        self.busy_core_seconds = *busy_core_seconds;
+        self.total_arrivals = *total_arrivals;
+        self.total_completions = *total_completions;
+    }
 }
 
 impl MicroserviceSim {
@@ -1149,6 +1262,37 @@ mod tests {
                         prop_assert!(a.same_state(&c));
                     }
                 }
+            }
+
+            /// The hand-written `clone_from` copies every field: a simulator
+            /// of another shape (spec, VM count, cores per VM and history),
+            /// overwritten from a driven one, is in its state both ways and
+            /// prints the same.
+            #[test]
+            fn clone_from_reaches_the_source_state(
+                ops in prop::collection::vec((1u64..4, 0u8..3, 0usize..5, 0u32..8), 1..10),
+                other_ops in prop::collection::vec((1u64..4, 0u8..3, 0usize..5, 0u32..8), 0..10),
+                other_vms in 1usize..6,
+                load in 0.3..1.2f64,
+                seed in 0u64..1000,
+            ) {
+                let drive = |sim: &mut MicroserviceSim, ops: &[(u64, u8, usize, u32)], seed| {
+                    let mut traffic = Traffic::new(sim.spec(), churn_schedule(load), seed);
+                    let mut now = SimTime::ZERO;
+                    for &(advance_s, op, n, freq_step) in ops {
+                        now += SimDuration::from_secs(advance_s * 5);
+                        sim.advance_window(now, traffic.fill(now), &mut Vec::new());
+                        apply(sim, op, n, freq_step);
+                    }
+                };
+                let mut source = MicroserviceSim::new(spec(), turbo(), 1);
+                drive(&mut source, &ops, seed);
+                let mut copy =
+                    MicroserviceSim::new(ServiceSpec::new("other-name", 35.0, 2.0, 2), oc(), other_vms);
+                drive(&mut copy, &other_ops, seed + 1);
+                copy.clone_from(&source);
+                prop_assert!(copy.same_state(&source) && source.same_state(&copy));
+                prop_assert_eq!(format!("{copy:?}"), format!("{source:?}"));
             }
 
             /// Latencies are never negative and windows never report more

@@ -18,6 +18,10 @@
 //! A fail-open centralized baseline under a long outage is the teeth of the
 //! suite: it must violate the budget, proving the invariant in (1) is not
 //! vacuous.
+//!
+//! The traced `chaos_binned` benchmark shape is also pinned by one digest
+//! over its event JSON and rendered metrics, so a rework of the telemetry
+//! hot path must leave every emitted byte as it was.
 
 use simcore::faults::FaultPlanConfig;
 use simcore::time::{SimDuration, SimTime};
@@ -27,7 +31,10 @@ use smartoclock::soa::ServerOverclockAgent;
 use soc_cluster::harness::{ClusterConfig, SystemKind};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::RackOutcome;
-use soc_cluster::shard::{run_cluster_sims_probed, simulate_policy_sharded_probed};
+use soc_cluster::shard::{
+    generate_fleet_probed, run_cluster_sims_probed, simulate_policy_on_traces_probed,
+    simulate_policy_sharded_probed,
+};
 use soc_cluster::NoopProbe;
 use soc_power::model::PowerModel;
 use soc_power::rack::RackSignal;
@@ -336,4 +343,59 @@ fn agents_keep_admitting_on_stale_budgets_when_goa_is_silent() {
         assert_eq!(soa.assigned_budget(), Watts::new(450.0));
         assert_eq!(soa.stats().granted, 5);
     }
+}
+
+/// FNV-1a-64 over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn chaos_binned_telemetry_bytes_are_pinned() {
+    // The benchmark's `chaos_binned` shape at small size: hostile faults,
+    // 8-bin silicon and a fail-open central baseline, traced through the
+    // sharded on-traces path into a memory sink per policy run. The digest
+    // covers every event's JSON bytes and the rendered metrics registry, so
+    // any change to what the traced path emits (not only to its outcomes)
+    // shows up here.
+    let mut cfg = faulted_config(42, 43);
+    cfg.binning = BinningConfig {
+        bins: 8,
+        risk_budget: 0.1,
+        wear_spread: 0.3,
+        seed: 44,
+    };
+    cfg.central_fail_open = true;
+    let digest = |threads: usize| {
+        let fleet = generate_fleet_probed(&cfg, threads, &NoopProbe);
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        let mut events = 0;
+        for policy in [PolicyKind::SmartOClock, PolicyKind::Central] {
+            let (tm, sink) = Telemetry::memory();
+            simulate_policy_on_traces_probed(&cfg, policy, &fleet, &tm, threads, &NoopProbe);
+            for event in sink.events() {
+                h = fnv1a(h, event_to_json(&event).as_bytes());
+                h = fnv1a(h, b"\n");
+                events += 1;
+            }
+            h = fnv1a(h, tm.metrics_snapshot().render().as_bytes());
+        }
+        (h, events)
+    };
+    let (serial, events) = digest(1);
+    assert!(events > 0, "the traced chaos run must emit events");
+    assert_eq!(
+        format!("{serial:016x}"),
+        "6ffa8d33bd0ab58a",
+        "chaos telemetry bytes changed"
+    );
+    assert_eq!(
+        digest(multi_threads()).0,
+        serial,
+        "digest depends on threads"
+    );
 }

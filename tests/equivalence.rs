@@ -278,9 +278,9 @@ fn cluster_alone(configs: &[ClusterConfig]) -> ClusterObserved {
     for (r, cfg) in configs.iter().enumerate() {
         let (local, buffer) = Telemetry::buffered(shard_id_base(run_id, r));
         results.push(ClusterSim::with_telemetry(cfg.clone(), local.clone()).run());
-        let events = buffer.events();
+        let events = buffer.take();
         seen.extend(events.iter().map(event_to_json));
-        tm.absorb(&events, &local.metrics_snapshot());
+        tm.absorb(events, &local.metrics_snapshot());
     }
     let lines = sink.events().iter().map(event_to_json).collect();
     (

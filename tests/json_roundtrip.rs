@@ -75,7 +75,7 @@ fn every_writer_round_trips_hostile_strings() {
             .map(|s| {
                 let at = SimTime::from_micros(1);
                 let e = Event::new(at, Component::Soa, Severity::Info, leak(s));
-                event_to_json(&e.field(leak(s), s.as_str()))
+                event_to_json(&e.field(leak(s), s.clone()))
             })
             .collect();
         for (line, s) in lines.iter().zip(&strings) {
