@@ -19,9 +19,11 @@
 //!    in the same order on the same values (accumulators fold left-to-right
 //!    over servers in rack order, exactly as the reference's `+=` loops);
 //! 2. only *pure* computations are cached or batched (`TimeSeries::index_at`
-//!    replaces repeated `value_at` divisions; `TemplateSlot` replaces
-//!    repeated `SimTime` decompositions — both provably return the values
-//!    the per-call forms would);
+//!    replaces repeated `value_at` divisions; `PredictionRows`, built at
+//!    training, replays each template's `predict_at` per day class, or per
+//!    weekly slot when a template is `Weekly`; gOA budget rows replay the
+//!    stateless agent's split of a prediction row — each provably returns
+//!    the values the per-call forms would);
 //! 3. computations whose results reach no output may be skipped (the central
 //!    oracle's running rack total is not computed for decentralized
 //!    policies), and allocations never affect results.
@@ -45,7 +47,7 @@ use soc_power::hierarchy::DemandProfile;
 use soc_power::model::{OverclockDeltaFn, PowerModel};
 use soc_power::rack::RackMonitor;
 use soc_power::units::{MegaHertz, Watts};
-use soc_predict::template::TemplateSlot;
+use soc_predict::template::{TemplateKind, TemplateSlot};
 use soc_telemetry::{tm_event, Component, Severity, Telemetry};
 use soc_traces::fleet::{RackTrace, ServerSeriesView};
 
@@ -177,100 +179,163 @@ fn fill_base_power(views: &[ServerSeriesView<'_>], idx: usize, out: &mut Vec<f64
     total
 }
 
-/// Memoized per-slot template predictions and gOA budget rows for one rack
-/// run.
+/// Template prediction rows for one trained rack, built once by
+/// [`crate::largescale::train_rack`] and shared by every policy run over it.
 ///
-/// Every field of [`TemplateSlot`] (`time_of_day`, `time_of_week`,
-/// `weekday`) is periodic in `t` with period one week, and the step divides
-/// a week evenly (it divides a day: template training and
-/// `shard::validate` both assert it), so the tick at step `k` and the tick
-/// at step `k + slots_per_week` land on the *same* slot and therefore the
-/// same prediction. The tables evaluate `predict_at` once per (weekly slot ×
-/// server) up front and replay the identical `f64`s on every later week —
-/// pure-function memoization, rule 2 of the module contract. gOA budget
-/// rows are themselves a pure function of the demand row (the agent is
-/// stateless), so each row is computed the first time its slot is visited
-/// and replayed afterwards.
-struct SlotTables {
-    /// Weekly slot count (`WEEK / step`); the table period.
-    slots: usize,
+/// Every field of [`TemplateSlot`] is periodic in `t` with period one week,
+/// and the step divides a week evenly (it divides a day: template training
+/// and `shard::validate` both assert it), so the tick at step `k` and the
+/// tick at step `k + WEEK / step` land on the *same* slot and therefore the
+/// same prediction. Within the week, the row key is picked once per rack:
+///
+/// * **day class** when no server's regular or demand template is
+///   `Weekly`: every other kind reads only (weekend?, time-of-day slot), so
+///   the rows are keyed by [`TemplateSlot::day_class`] and there are
+///   `2 * DAY / step` of them;
+/// * **weekly slot** otherwise: one row per weekly slot.
+///
+/// One builder serves both layouts: it walks the week's ticks, maps each
+/// to its row, and evaluates `predict_at` the first time a row is reached —
+/// pure-function memoization, rule 2 of the module contract.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PredictionRows {
+    /// The step the rows were evaluated at.
+    step: SimDuration,
+    /// The first evaluated tick, weekly slot 0.
+    start: SimTime,
     /// Servers per row.
     n: usize,
-    /// Raw `template.predict_at` per server, slot-major: `[w * n + i]`.
+    /// Row of each weekly slot (`WEEK / step` entries).
+    row_of: Vec<u32>,
+    /// Raw `template.predict_at` per server, row-major: `[r * n + i]`.
     regular: Vec<f64>,
-    /// Raw `demand_template.predict_at` per server, slot-major.
+    /// Raw `demand_template.predict_at` per server, row-major.
     demand: Vec<f64>,
-    /// gOA budgets per server, slot-major, rows filled lazily.
-    budgets: Vec<Watts>,
-    /// Which budget rows have been computed.
-    budgets_ready: Vec<bool>,
 }
 
-impl SlotTables {
-    /// Build the prediction tables for one rack's evaluation ticks starting
-    /// at `start`; `step` is the templates' training step, which divides a
-    /// day and therefore the week.
-    fn build(servers: &[TrainedServer], start: SimTime, step: SimDuration) -> SlotTables {
+impl PredictionRows {
+    /// Build the rows for one rack's evaluation ticks starting at `start`;
+    /// `step` is the templates' training step, which divides a day and
+    /// therefore the week.
+    pub(crate) fn build(
+        servers: &[TrainedServer],
+        start: SimTime,
+        step: SimDuration,
+    ) -> PredictionRows {
         let slots = (SimDuration::WEEK.as_micros() / step.as_micros()) as usize;
+        let day_class = servers.iter().all(|s| {
+            s.template.kind() != TemplateKind::Weekly
+                && s.demand_template.kind() != TemplateKind::Weekly
+        });
+        let rows = if day_class {
+            2 * (SimDuration::DAY.as_micros() / step.as_micros()) as usize
+        } else {
+            slots
+        };
         let n = servers.len();
-        let mut regular = Vec::with_capacity(slots * n);
-        let mut demand = Vec::with_capacity(slots * n);
+        let mut row_of = Vec::with_capacity(slots);
+        let mut regular = vec![0.0; rows * n];
+        let mut demand = vec![0.0; rows * n];
+        let mut filled = vec![false; rows];
         let mut t = start;
-        for _ in 0..slots {
+        for w in 0..slots {
             // The exact pure calls the per-step path would make at this tick
             // (and at this tick plus any whole number of weeks).
             let slot = TemplateSlot::at(t, step);
-            regular.extend(servers.iter().map(|s| s.template.predict_at(slot)));
-            demand.extend(servers.iter().map(|s| s.demand_template.predict_at(slot)));
+            let r = if day_class { slot.day_class() } else { w };
+            row_of.push(r as u32);
+            if let Some(first) = filled.get_mut(r).filter(|f| !**f) {
+                *first = true;
+                let range = r * n..(r + 1) * n;
+                if let (Some(reg), Some(dem)) =
+                    (regular.get_mut(range.clone()), demand.get_mut(range))
+                {
+                    for ((dst_r, dst_d), s) in reg.iter_mut().zip(dem.iter_mut()).zip(servers) {
+                        *dst_r = s.template.predict_at(slot);
+                        *dst_d = s.demand_template.predict_at(slot);
+                    }
+                }
+            }
             t += step;
         }
-        SlotTables {
-            slots,
+        PredictionRows {
+            step,
+            start,
             n,
+            row_of,
             regular,
             demand,
-            budgets: vec![Watts::ZERO; slots * n],
-            budgets_ready: vec![false; slots],
         }
     }
 
-    /// Weekly slot index of evaluation step `k` (steps since the first
-    /// evaluated tick).
-    fn slot_of_step(&self, k: u64) -> usize {
-        (k % self.slots as u64) as usize
+    /// The step and first tick the rows were evaluated at.
+    pub(crate) fn built_for(&self) -> (SimDuration, SimTime) {
+        (self.step, self.start)
     }
 
-    /// `true` when slot `w`'s budget row has been computed and stored.
-    fn budgets_ready(&self, w: usize) -> bool {
-        self.budgets_ready.get(w).copied().unwrap_or(false)
+    /// Number of distinct rows.
+    fn rows(&self) -> usize {
+        self.regular.len().checked_div(self.n).unwrap_or(0)
     }
 
-    // Row accessors are non-panicking by construction: `w` always comes
-    // from `slot_of_step`, so `w < slots` and the range is in bounds; the
+    /// Row of evaluation step `k` (steps since the first evaluated tick).
+    fn row_of_step(&self, k: u64) -> usize {
+        let w = k % self.row_of.len().max(1) as u64;
+        self.row_of.get(w as usize).map_or(0, |&r| r as usize)
+    }
+
+    // Row accessors are non-panicking by construction: `r` always comes
+    // from `row_of_step`, so `r < rows` and the range is in bounds; the
     // `get` forms keep that a structural fact rather than a runtime panic
     // path (an out-of-range row would read empty, never abort a shard).
 
-    fn regular_row(&self, w: usize) -> &[f64] {
+    fn regular_row(&self, r: usize) -> &[f64] {
         self.regular
-            .get(w * self.n..(w + 1) * self.n)
+            .get(r * self.n..(r + 1) * self.n)
             .unwrap_or(&[])
     }
 
-    fn demand_row(&self, w: usize) -> &[f64] {
-        self.demand.get(w * self.n..(w + 1) * self.n).unwrap_or(&[])
+    fn demand_row(&self, r: usize) -> &[f64] {
+        self.demand.get(r * self.n..(r + 1) * self.n).unwrap_or(&[])
+    }
+}
+
+/// gOA budget rows for one policy run, indexed like [`PredictionRows`].
+/// A budget row is a pure function of its (regular, demand) row (the agent
+/// is stateless), so each row is computed the first time it is reached and
+/// replayed afterwards.
+struct BudgetRows {
+    /// Servers per row.
+    n: usize,
+    /// gOA budgets per server, row-major, rows filled lazily.
+    budgets: Vec<Watts>,
+    /// Which budget rows have been computed.
+    ready: Vec<bool>,
+}
+
+impl BudgetRows {
+    fn new(rows: usize, n: usize) -> BudgetRows {
+        BudgetRows {
+            n,
+            budgets: vec![Watts::ZERO; rows * n],
+            ready: vec![false; rows],
+        }
     }
 
-    fn budgets_row(&self, w: usize) -> &[Watts] {
-        self.budgets
-            .get(w * self.n..(w + 1) * self.n)
-            .unwrap_or(&[])
+    /// The stored row `r`, or `None` before it is computed.
+    fn row(&self, r: usize) -> Option<&[Watts]> {
+        if self.ready.get(r).copied().unwrap_or(false) {
+            self.budgets.get(r * self.n..(r + 1) * self.n)
+        } else {
+            None
+        }
     }
 
-    fn store_budgets(&mut self, w: usize, row: &[Watts]) {
-        for (dst, src) in self.budgets.iter_mut().skip(w * self.n).zip(row) {
+    fn store(&mut self, r: usize, row: &[Watts]) {
+        for (dst, src) in self.budgets.iter_mut().skip(r * self.n).zip(row) {
             *dst = *src;
         }
-        if let Some(ready) = self.budgets_ready.get_mut(w) {
+        if let Some(ready) = self.ready.get_mut(r) {
             *ready = true;
         }
     }
@@ -340,7 +405,8 @@ pub(crate) fn simulate_rack_columnar(
         };
     let mut cols = ServerColumns::new(n);
     let mut buf = StepBuffers::with_capacity(n);
-    let mut tables = SlotTables::build(&trained.servers, train_end, config.step);
+    let rows = &trained.rows;
+    let mut budget_rows = BudgetRows::new(rows.rows(), n);
     // Borrowed raw-sample slices, hoisted once per rack: all per-server
     // series share the trace's start (time zero) and step, so one slot index
     // per step addresses every column.
@@ -401,11 +467,11 @@ pub(crate) fn simulate_rack_columnar(
         // Delayed budget updates (fault injection) mature first: a message
         // sent during an earlier step finally lands.
         cols.mature_pending(t);
-        // Sample slot and weekly template slot for this instant, computed
-        // once and shared by every per-server read below (the batched-lookup
+        // Sample slot and prediction row for this instant, computed once
+        // and shared by every per-server read below (the batched-lookup
         // hoist).
         let idx = rack.power.index_at(t).unwrap_or(usize::MAX);
-        let w = tables.slot_of_step(outcome.steps);
+        let row = rows.row_of_step(outcome.steps);
         // gOA budget computation at this instant (heterogeneous or even).
         // While the fault plan marks the gOA unreachable no recomputation
         // happens: every server keeps enforcing its last-received budget —
@@ -436,22 +502,22 @@ pub(crate) fn simulate_rack_columnar(
         if goa_down {
             outcome.stale_budget_steps += 1;
         } else {
-            // The first visit to a weekly slot computes the budget row from
-            // the prediction tables; later weeks replay it.
-            if tables.budgets_ready(w) {
+            // The first visit to a row computes its budgets from the
+            // prediction rows; later visits replay them.
+            if let Some(stored) = budget_rows.row(row) {
                 buf.budgets.clear();
-                buf.budgets.extend_from_slice(tables.budgets_row(w));
+                buf.budgets.extend_from_slice(stored);
             } else {
                 buf.demands.clear();
                 buf.demands
-                    .extend(tables.regular_row(w).iter().zip(tables.demand_row(w)).map(
+                    .extend(rows.regular_row(row).iter().zip(rows.demand_row(row)).map(
                         |(&r, &d)| DemandProfile {
                             regular: Watts::new(r.max(0.0)),
                             overclock_demand: Watts::new(d.max(0.0)),
                         },
                     ));
                 goa.budgets_for_into(&buf.demands, &mut buf.budgets);
-                tables.store_budgets(w, &buf.budgets);
+                budget_rows.store(row, &buf.budgets);
             }
             epochs.mark_refresh(t);
             for (i, ((budget, pending), b)) in cols
@@ -515,8 +581,8 @@ pub(crate) fn simulate_rack_columnar(
         let base_total = fill_base_power(&views, idx, &mut buf.base_w);
         buf.predicted.clear();
         if decentral_check {
-            // Memoized raw `predict_at` at this slot (no clamping).
-            buf.predicted.extend_from_slice(tables.regular_row(w));
+            // Memoized raw `predict_at` at this instant (no clamping).
+            buf.predicted.extend_from_slice(rows.regular_row(row));
         } else {
             // Placeholder column so the admission zip below stays in
             // lockstep; never read on this policy's admit path.
@@ -928,21 +994,119 @@ mod tests {
         }
     }
 
+    /// A history with a distinct value at (almost) every sample, so a row
+    /// read for the wrong instant shows.
+    fn history(step: SimDuration, salt: f64) -> simcore::series::TimeSeries {
+        simcore::series::TimeSeries::generate(
+            SimTime::ZERO,
+            SimTime::ZERO + SimDuration::from_days(9),
+            step,
+            |t| {
+                let x = t.as_micros() as f64 / 3.6e9 + salt;
+                100.0 + 40.0 * (x * 0.37).sin() + 9.0 * (x * 2.1).cos()
+            },
+        )
+    }
+
+    fn server(step: SimDuration, regular: TemplateKind, demand: TemplateKind) -> TrainedServer {
+        let salt = TemplateKind::ALL
+            .iter()
+            .position(|&k| k == regular)
+            .unwrap_or(0) as f64;
+        TrainedServer {
+            template: soc_predict::template::PowerTemplate::build(&history(step, salt), regular),
+            demand_template: soc_predict::template::PowerTemplate::build(
+                &history(step, 7.0 - salt),
+                demand,
+            ),
+        }
+    }
+
     #[test]
-    fn slot_tables_require_a_week_divisor_step() {
-        // The tables are built at the training step itself (predict_at
-        // debug-asserts slot/template step agreement), which divides the
-        // week: one row per weekly slot, one column per server.
+    fn prediction_rows_replay_predict_at_bit_for_bit() {
+        use TemplateKind::{DailyMax, DailyMed, FlatMax, FlatMed, Weekly};
+        // Evaluation need not start on Monday 00:00.
+        let start = SimTime::ZERO + SimDuration::from_days(10) + SimDuration::from_minutes(7 * 60);
+        assert!(
+            !(start.weekday() == simcore::time::Weekday::Monday && start.time_of_day().is_zero())
+        );
+        for minutes in [5, 10, 15, 30, 60, 120] {
+            let step = SimDuration::from_minutes(minutes);
+            // Every kind alone, a mixed day-class rack, and racks where one
+            // regular or one demand template is Weekly.
+            let mut racks: Vec<Vec<(TemplateKind, TemplateKind)>> = TemplateKind::ALL
+                .iter()
+                .map(|&k| vec![(k, k), (k, k)])
+                .collect();
+            racks.push(vec![
+                (FlatMed, DailyMed),
+                (DailyMax, FlatMax),
+                (DailyMed, DailyMed),
+            ]);
+            racks.push(vec![
+                (DailyMed, DailyMed),
+                (Weekly, DailyMed),
+                (FlatMed, DailyMax),
+            ]);
+            racks.push(vec![(DailyMed, DailyMed), (DailyMed, Weekly)]);
+            for kinds in racks {
+                let servers: Vec<TrainedServer> =
+                    kinds.iter().map(|&(r, d)| server(step, r, d)).collect();
+                let rows = PredictionRows::build(&servers, start, step);
+                let weekly = kinds.iter().any(|&(r, d)| r == Weekly || d == Weekly);
+                let slots = (SimDuration::WEEK.as_micros() / step.as_micros()) as usize;
+                let day = (SimDuration::DAY.as_micros() / step.as_micros()) as usize;
+                assert_eq!(
+                    rows.rows() == 2 * day,
+                    !weekly,
+                    "{kinds:?} at {minutes} min: {} rows",
+                    rows.rows()
+                );
+                assert_eq!(rows.rows(), if weekly { slots } else { 2 * day });
+                assert_eq!(rows.built_for(), (step, start));
+                // Two weeks of steps: the second replays the first's rows.
+                for k in 0..2 * slots as u64 {
+                    let t = start + step * k;
+                    let slot = TemplateSlot::at(t, step);
+                    let r = rows.row_of_step(k);
+                    for (i, s) in servers.iter().enumerate() {
+                        let (reg, dem) = (rows.regular_row(r)[i], rows.demand_row(r)[i]);
+                        assert_eq!(
+                            reg.to_bits(),
+                            s.template.predict_at(slot).to_bits(),
+                            "{kinds:?} at {minutes} min: regular, step {k}, server {i}"
+                        );
+                        assert_eq!(
+                            dem.to_bits(),
+                            s.demand_template.predict_at(slot).to_bits(),
+                            "{kinds:?} at {minutes} min: demand, step {k}, server {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn base_power_fill_totals_the_rack_trace_bit_for_bit() {
+        // Rack draw = Σ server draw, folded in server order from zero: the
+        // generator's own fold, so the totals match exactly.
         let config = LargeScaleConfig::small_test();
         let generator = TraceGenerator::new(config.seed);
-        let rack = generator.generate_rack(&config.fleet_config(), 0);
-        let model = generator.model_for(rack.generation);
-        let trained = train_rack(&config, &rack, &model);
-        let start = SimTime::ZERO + SimDuration::WEEK;
-        let tables = SlotTables::build(&trained.servers, start, config.step);
-        let slots = (SimDuration::WEEK.as_micros() / config.step.as_micros()) as usize;
-        assert_eq!(tables.slots, slots);
-        assert_eq!(tables.n, rack.servers.len());
+        for r in 0..2 {
+            let rack = generator.generate_rack(&config.fleet_config(), r);
+            let views: Vec<ServerSeriesView<'_>> = rack.servers.iter().map(|s| s.view()).collect();
+            let mut out = Vec::new();
+            for (idx, &expected) in rack.power.values().iter().enumerate() {
+                let total = fill_base_power(&views, idx, &mut out);
+                assert_eq!(
+                    total.get().to_bits(),
+                    expected.to_bits(),
+                    "rack {r} step {idx}"
+                );
+                assert_eq!(out.len(), rack.servers.len());
+            }
+        }
     }
 
     #[test]

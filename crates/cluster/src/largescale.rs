@@ -14,6 +14,7 @@
 //! SmartOClock", §V-B); the full agent implementation is exercised
 //! end-to-end by the cluster harness instead.
 
+use crate::columns::PredictionRows;
 pub use crate::largescale_metrics::{PolicyMetrics, RackOutcome};
 use crate::probe::ShardProbe;
 use simcore::faults::{FaultPlan, FaultPlanConfig};
@@ -135,12 +136,12 @@ struct ServerState {
 /// overclock-demand profile, with the static prediction bias of the fault
 /// plan already applied.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TrainedServer {
+pub(crate) struct TrainedServer {
     /// Regular (non-overclocked) power template.
-    pub template: PowerTemplate,
+    pub(crate) template: PowerTemplate,
     /// Overclock demand in watts (cores × per-core delta at typical
     /// utilization).
-    pub demand_template: PowerTemplate,
+    pub(crate) demand_template: PowerTemplate,
 }
 
 /// Week-1 training output for one rack, reusable across policy variants.
@@ -148,14 +149,22 @@ pub struct TrainedServer {
 /// Templates depend only on the trace, the power model, and
 /// `config.faults.prediction_bias` — not on the policy — so multi-policy
 /// drivers (`table1_policies`, `soc-benchmark`) train once and simulate many
-/// times.
+/// times. The columnar engine's prediction rows are built from the
+/// templates here too, so every policy run over the rack reads them instead
+/// of rebuilding them; both fields are crate-private so they cannot drift
+/// apart after training.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainedRack {
     /// One trained entry per server, in rack order.
-    pub servers: Vec<TrainedServer>,
+    pub(crate) servers: Vec<TrainedServer>,
+    /// The templates' predictions over the evaluation week, keyed by day
+    /// class when no template is `Weekly` (see
+    /// [`crate::columns::PredictionRows`]).
+    pub(crate) rows: PredictionRows,
 }
 
-/// Build the per-server templates from the first trace week (paper §IV-B).
+/// Build the per-server templates from the first trace week (paper §IV-B),
+/// then the columnar engine's prediction rows from them.
 ///
 /// This is the `rack/setup` phase of every large-scale path, split out from
 /// [`simulate_rack`] so callers can amortize training across policy variants
@@ -191,8 +200,9 @@ pub fn train_rack(config: &LargeScaleConfig, rack: &RackTrace, model: &PowerMode
                 demand_template: PowerTemplate::build(&demand_watts, TemplateKind::DailyMed),
             }
         })
-        .collect();
-    TrainedRack { servers }
+        .collect::<Vec<_>>();
+    let rows = PredictionRows::build(&servers, train_end, config.step);
+    TrainedRack { servers, rows }
 }
 
 /// Resolved per-part silicon for one rack run: admitted overclock levels,
@@ -321,6 +331,10 @@ pub(crate) fn emit_binning_events(
 /// completion. Hooks are observation-only: simulation state never reads
 /// anything back, so probed and unprobed runs are byte-identical (see
 /// `tests/prof.rs`).
+///
+/// # Panics
+/// Panics if `trained` was built at another step than `config.step`: its
+/// prediction rows would answer for the wrong instants.
 pub fn simulate_rack(
     config: &LargeScaleConfig,
     policy: PolicyKind,
@@ -330,6 +344,11 @@ pub fn simulate_rack(
     telemetry: &Telemetry,
     probe: &dyn ShardProbe,
 ) -> RackOutcome {
+    assert_eq!(
+        trained.rows.built_for(),
+        (config.step, SimTime::ZERO + SimDuration::WEEK),
+        "trained tables' step and training start must match the config"
+    );
     crate::columns::simulate_rack_columnar(config, policy, rack, model, trained, telemetry, probe)
 }
 
@@ -923,6 +942,31 @@ mod tests {
         let m = PolicyMetrics::aggregate(PolicyKind::SmartOClock, &outcomes);
         assert_eq!(m.bin_denied, denied);
         assert_eq!(m.down_binned, down);
+    }
+
+    #[test]
+    #[should_panic(expected = "trained tables' step and training start must match")]
+    fn rejects_a_fleet_trained_at_another_step() {
+        use crate::shard::{
+            generate_fleet_probed, simulate_policy_prepared_probed, train_fleet_probed,
+        };
+        let cfg = LargeScaleConfig::small_test();
+        let fleet = generate_fleet_probed(&cfg, 1, &NoopProbe);
+        let trained = train_fleet_probed(&cfg, &fleet, 1, &NoopProbe);
+        // 30 minutes divides a day, so only the trained tables can object.
+        let coarser = LargeScaleConfig {
+            step: SimDuration::from_minutes(30),
+            ..cfg
+        };
+        let _ = simulate_policy_prepared_probed(
+            &coarser,
+            PolicyKind::SmartOClock,
+            &fleet,
+            &trained,
+            &Telemetry::disabled(),
+            1,
+            &NoopProbe,
+        );
     }
 
     #[test]

@@ -138,8 +138,8 @@ pub fn simulate_policy_sharded_probed(
 
 /// Weeks/racks/step/binning validation shared by every large-scale entry
 /// point. The step check is template training's own precondition, asserted
-/// up front so the columnar engine's weekly slot tables can rely on it
-/// (every step that divides a day also divides the week).
+/// up front so the prediction rows built at training can rely on it (every
+/// step that divides a day also divides the week).
 fn validate(config: &LargeScaleConfig) {
     assert!(
         config.weeks >= 2,
@@ -311,9 +311,12 @@ pub fn generate_fleet_probed(
     FleetTraces { racks }
 }
 
-/// Train every rack's templates once (`"rack/setup"` per rack), for reuse
-/// across policy variants: templates depend on the trace, the model, and
-/// `config.faults.prediction_bias` — not on the policy.
+/// Train every rack's templates and build their prediction rows once
+/// (`"rack/setup"` per rack), for reuse across policy variants and rounds:
+/// both depend on the trace, the model, `config.step` and
+/// `config.faults.prediction_bias`, not on the policy. Simulating with a
+/// config of another step panics rather than read rows for the wrong
+/// instants.
 pub fn train_fleet_probed(
     config: &LargeScaleConfig,
     fleet: &FleetTraces,

@@ -104,6 +104,15 @@ impl TemplateSlot {
             weekend: t.weekday().is_weekend(),
         }
     }
+
+    /// Day-class key of this instant: the time-of-day slot, offset by one
+    /// day's slots on weekends, so keys run over `0..2 * DAY / step`.
+    /// Every [`TemplateKind`] except `Weekly` predicts a pure function of
+    /// this key.
+    pub fn day_class(&self) -> usize {
+        let per_day = (SimDuration::DAY.as_micros() / self.step.as_micros()) as usize;
+        usize::from(self.weekend) * per_day + self.day_slot
+    }
 }
 
 impl PowerTemplate {

@@ -564,11 +564,14 @@ mod tests {
     fn rack_power_is_sum_of_servers() {
         let fleet = small_fleet(3);
         let rack = &fleet.racks[0];
-        let sum: Vec<f64> = (0..rack.power.len())
-            .map(|i| rack.servers.iter().map(|s| s.power.values()[i]).sum())
-            .collect();
-        for (a, b) in rack.power.values().iter().zip(&sum) {
-            assert!((a - b).abs() < 1e-6);
+        // Bitwise: the generator folds server draws left to right in
+        // server order from 0.0, and so does this check.
+        for (i, a) in rack.power.values().iter().enumerate() {
+            let sum = rack
+                .servers
+                .iter()
+                .fold(0.0, |acc, s| acc + s.power.values()[i]);
+            assert_eq!(a.to_bits(), sum.to_bits(), "sample {i}");
         }
     }
 

@@ -203,8 +203,8 @@ fn sim_alloc_delta(weeks: u64) -> u64 {
 fn steady_state_allocations_are_bounded_and_step_independent() {
     let _guard = serialized();
     // Absolute ceiling: per-run allocations are per-rack setup (columns,
-    // step buffers, slot tables, fault plan, outcome) — O(racks × servers),
-    // measured at 82 for this config. The ceiling has ample headroom for
+    // step buffers, budget rows, fault plan, outcome) — O(racks × servers),
+    // measured at 87 for this config. The ceiling has ample headroom for
     // toolchain drift, while a per-step allocation sneaking back into the
     // hot loop (4 racks × ~672 evaluated steps) blows straight through it.
     let w2 = sim_alloc_delta(2);
