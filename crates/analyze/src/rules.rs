@@ -5,10 +5,9 @@
 //! and event log, on sim-time boundaries only. Evaluation is a pure function
 //! of `(rules, store, trace)` — no wall clock, no sampling jitter — so the
 //! alert set for a given seed is byte-stable and can be golden-tested like
-//! any other simulation output. Each `(rule, entity)` pair runs a
-//! firing/resolved state machine with a `for`-duration (the condition must
-//! hold that long before an alert opens) and a cooldown (a re-fire within
-//! the cooldown merges into silence instead of flapping).
+//! any other simulation output. A series rule opens an alert for an entity
+//! at the first bucket where its condition holds and resolves it at the
+//! first bucket where it no longer does.
 
 use crate::series::{Series, SeriesStore};
 use crate::{Trace, TraceEvent};
@@ -41,27 +40,15 @@ pub struct Rule {
     /// Stable identifier, used in reports and incident grouping.
     pub id: String,
     pub kind: RuleKind,
-    /// How long the condition must hold before the alert opens.
-    pub for_us: u64,
-    /// Suppress re-firing for this long after an alert resolves.
-    pub cooldown_us: u64,
 }
 
 impl Rule {
-    /// A rule with zero `for`-duration and cooldown.
+    /// A rule named `id` watching `kind`.
     pub fn new(id: &str, kind: RuleKind) -> Rule {
         Rule {
             id: id.to_string(),
             kind,
-            for_us: 0,
-            cooldown_us: 0,
         }
-    }
-
-    /// Builder: suppress re-fires for `cooldown_us` after resolving.
-    pub fn cooldown(mut self, cooldown_us: u64) -> Rule {
-        self.cooldown_us = cooldown_us;
-        self
     }
 }
 
@@ -188,14 +175,12 @@ fn event_decision(e: &TraceEvent) -> u64 {
     }
 }
 
-/// Shared firing/resolved state machine over a (time, value) condition walk.
+/// Firing/resolved state machine over a (time, value) condition walk.
 struct FiringState<'r> {
     rule: &'r Rule,
     entity: u64,
-    pending_since: Option<u64>,
     firing_since: Option<u64>,
     peak: f64,
-    cooldown_until: u64,
     out: Vec<Alert>,
 }
 
@@ -204,46 +189,28 @@ impl<'r> FiringState<'r> {
         FiringState {
             rule,
             entity,
-            pending_since: None,
             firing_since: None,
             peak: f64::MIN,
-            cooldown_until: 0,
             out: Vec::new(),
         }
     }
 
     fn observe(&mut self, t_us: u64, value: f64, condition: bool) {
         if condition {
-            if self.firing_since.is_some() {
-                self.peak = self.peak.max(value);
-                return;
-            }
-            if t_us < self.cooldown_until {
-                return;
-            }
-            let since = *self.pending_since.get_or_insert(t_us);
+            self.firing_since.get_or_insert(t_us);
             self.peak = self.peak.max(value);
-            if t_us - since >= self.rule.for_us {
-                self.firing_since = Some(since);
-            }
         } else {
-            self.resolve_at(t_us);
-            self.pending_since = None;
+            if let Some(start) = self.firing_since.take() {
+                self.out.push(Alert {
+                    rule: self.rule.id.clone(),
+                    entity: self.entity,
+                    start_us: start,
+                    end_us: Some(t_us),
+                    peak: self.peak,
+                    decision_id: 0,
+                });
+            }
             self.peak = f64::MIN;
-        }
-    }
-
-    fn resolve_at(&mut self, t_us: u64) {
-        if let Some(start) = self.firing_since.take() {
-            self.out.push(Alert {
-                rule: self.rule.id.clone(),
-                entity: self.entity,
-                start_us: start,
-                end_us: Some(t_us),
-                peak: self.peak,
-                decision_id: 0,
-            });
-            self.cooldown_until = t_us + self.rule.cooldown_us;
         }
     }
 
@@ -415,59 +382,6 @@ mod tests {
         let a = &alerts[0];
         assert_eq!((a.entity, a.start_us, a.end_us), (3, 10, Some(30)));
         assert_eq!(a.peak, 97.0);
-    }
-
-    #[test]
-    fn threshold_for_duration_filters_blips() {
-        let mut samples = Vec::new();
-        // One-step blip at t=10, sustained excursion from t=50..=90.
-        for t in (0..=100u64).step_by(10) {
-            let v = if t == 10 || (50..=90).contains(&t) {
-                99.0
-            } else {
-                10.0
-            };
-            samples.push((t, v));
-        }
-        let store = store_with("draw", 0, &samples);
-        let rule = Rule {
-            for_us: 20,
-            ..Rule::new(
-                "hot",
-                RuleKind::Threshold {
-                    metric: "draw".to_string(),
-                    ratio_of: None,
-                    above: 90.0,
-                },
-            )
-        };
-        let alerts = evaluate(&[rule], &store, &empty_trace());
-        assert_eq!(alerts.len(), 1, "the blip must not fire: {alerts:?}");
-        assert_eq!(alerts[0].start_us, 50);
-        assert_eq!(alerts[0].end_us, Some(100));
-    }
-
-    #[test]
-    fn threshold_cooldown_suppresses_flapping() {
-        let mut samples = Vec::new();
-        for t in (0..200u64).step_by(10) {
-            // Alternate high/low every 10us.
-            samples.push((t, if (t / 10) % 2 == 0 { 99.0 } else { 1.0 }));
-        }
-        let store = store_with("draw", 0, &samples);
-        let flappy = Rule::new(
-            "hot",
-            RuleKind::Threshold {
-                metric: "draw".to_string(),
-                ratio_of: None,
-                above: 90.0,
-            },
-        );
-        let calmed = flappy.clone().cooldown(1000);
-        let noisy = evaluate(&[flappy], &store, &empty_trace());
-        let calm = evaluate(&[calmed], &store, &empty_trace());
-        assert!(noisy.len() > 1);
-        assert_eq!(calm.len(), 1, "cooldown must merge flaps: {calm:?}");
     }
 
     #[test]

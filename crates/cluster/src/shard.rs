@@ -44,11 +44,9 @@
 //! window end, so a copy is exactly what the follower would have computed.
 
 use crate::harness::{ClusterConfig, ClusterResult, ClusterSim};
-use crate::largescale::{
-    simulate_rack, simulate_rack_reference, train_rack, LargeScaleConfig, TrainedRack,
-};
+use crate::largescale::{simulate_rack, train_rack, LargeScaleConfig, TrainedRack};
 use crate::largescale_metrics::RackOutcome;
-use crate::probe::{NoopProbe, ShardProbe};
+use crate::probe::ShardProbe;
 use simcore::par;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::policy::PolicyKind;
@@ -92,8 +90,9 @@ pub fn shard_id_base(run_id: u64, shard: usize) -> u64 {
 /// `"merge"` span around the canonical-order absorb — plus `racks` /
 /// `merged_events` / `sim_steps` counters. Probing is strictly one-way:
 /// nothing the probe returns reaches simulation state, so a probed run emits
-/// byte-identical traces, metrics, and outcomes to a [`NoopProbe`] run at
-/// every thread count (pinned by `tests/prof.rs`).
+/// byte-identical traces, metrics, and outcomes to a
+/// [`NoopProbe`](crate::probe::NoopProbe) run at every thread count (pinned
+/// by `tests/prof.rs`).
 ///
 /// # Panics
 /// Panics if `config.weeks < 2`, `config.racks == 0`, or `config.step`
@@ -156,7 +155,7 @@ fn validate(config: &LargeScaleConfig) {
 }
 
 /// The deterministic fan-out/merge skeleton shared by every large-scale
-/// path (streaming, pre-generated and reference): allocates the run id
+/// path (streaming, on traces and prepared): allocates the run id
 /// serially before the fan-out, gives each item a buffered telemetry handle
 /// with a deterministic id base ([`Shard`]), and replays shard buffers in
 /// canonical item order ([`merge`]) — so the output byte-stream is a pure
@@ -271,18 +270,11 @@ impl FleetTraces {
     }
 }
 
-/// Week-1 training output for a whole fleet (see
-/// [`crate::largescale::TrainedRack`]), reusable across policy variants.
+/// Week-1 training output for a whole fleet, reusable across policy
+/// variants: each rack's prediction rows, in rack order.
 #[derive(Debug, Clone)]
 pub struct TrainedFleet {
     racks: Vec<TrainedRack>,
-}
-
-impl TrainedFleet {
-    /// Trained racks in rack order.
-    pub fn racks(&self) -> &[TrainedRack] {
-        &self.racks
-    }
 }
 
 /// Generate every rack's trace exactly once, claimed by `threads` workers
@@ -398,41 +390,6 @@ pub fn simulate_policy_on_traces_probed(
             let outcome = simulate_rack(config, policy, rack, model, &trained, local, probe);
             drop(sim_span);
             outcome
-        },
-    )
-}
-
-/// The retained row-oriented reference engine over the same pre-generated
-/// fleet and trained templates, serial by construction.
-/// `tests/equivalence.rs` pins byte-identity between this and
-/// [`simulate_policy_prepared_probed`]; both consume identical inputs, so
-/// any divergence is an engine bug, never a data difference.
-///
-/// # Panics
-/// Panics if `fleet` and `trained` disagree on the rack count.
-pub fn simulate_policy_prepared_reference(
-    config: &LargeScaleConfig,
-    policy: PolicyKind,
-    fleet: &FleetTraces,
-    trained: &TrainedFleet,
-    telemetry: &Telemetry,
-) -> Vec<RackOutcome> {
-    validate(config);
-    assert_eq!(
-        fleet.racks.len(),
-        trained.racks.len(),
-        "fleet and trained rack counts must match"
-    );
-    let items: Vec<(&(RackTrace, PowerModel), &TrainedRack)> =
-        fleet.racks.iter().zip(trained.racks.iter()).collect();
-    drive_sharded(
-        1,
-        items,
-        telemetry,
-        &NoopProbe,
-        "racks",
-        |_, ((rack, model), tr), local, _| {
-            simulate_rack_reference(config, policy, rack, model, tr, local)
         },
     )
 }
@@ -675,6 +632,7 @@ pub(crate) fn lockstep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::NoopProbe;
     use soc_telemetry::json::event_to_json;
 
     fn config() -> LargeScaleConfig {

@@ -338,10 +338,11 @@ impl FaultPlan {
     ///
     /// The view hashes `(seed, kind, t)` once per kind whose probability (or
     /// noise amplitude) is positive, so each per-entity query is a single
-    /// [`mix64`]; kinds that cannot fire hash nothing, and a no-op plan's
+    /// `mix64` round; kinds that cannot fire hash nothing, and a no-op plan's
     /// view costs five comparisons. Every answer is bit-identical to the
     /// matching `(t, entity)` query on the plan, which keeps its own
-    /// four-round hash so the reference engine stays an independent oracle.
+    /// four-round hash so the tests' reference engine, which asks the plan
+    /// per `(t, entity)`, stays an independent oracle for the view.
     #[inline]
     pub fn at(&self, t: SimTime) -> StepFaults {
         let c = &self.config;
@@ -365,7 +366,7 @@ impl FaultPlan {
 
 /// The point faults of one instant ([`FaultPlan::at`]): each kind's
 /// probability and its `(seed, kind, t)` hash, so an entity's answer is one
-/// more [`mix64`] away. A disabled kind has probability zero and answers
+/// more `mix64` round away. A disabled kind has probability zero and answers
 /// "no fault" without hashing.
 #[derive(Debug, Clone, Copy)]
 pub struct StepFaults {

@@ -1,13 +1,15 @@
 //! Engine-equivalence harness: the columnar production engine must be a
 //! pure performance change.
 //!
-//! `crates/cluster/src/columns.rs` rewrote the large-scale per-rack hot
-//! path from the row-oriented loop (retained verbatim as
-//! `simulate_rack_reference` / `simulate_policy_prepared_reference`) to a
-//! struct-of-arrays layout with batched template lookups and reused
-//! buffers. This suite pins that the rewrite changed **nothing
-//! observable**: byte-identical telemetry traces, rendered metrics, and
-//! rack outcomes across seeds × thread counts × fault plans × policies.
+//! `crates/cluster/src/columns.rs` is the large-scale per-rack engine: a
+//! struct-of-arrays layout with prediction rows built at training, batched
+//! sample reads and reused buffers. `support/reference_engine.rs` is the
+//! row-oriented loop it was rewritten from, kept here as the executable
+//! specification: written against the public API only, it trains its own
+//! templates and draws its own silicon. This suite pins that the two agree
+//! on **everything observable**: byte-identical telemetry traces, rendered
+//! metrics, and rack outcomes across seeds × thread counts × fault plans ×
+//! binned silicon × policies.
 //!
 //! The cluster harness has the same kind of pin: `run_cluster_sims_probed`
 //! runs its configurations in tick lockstep over shared arrival streams,
@@ -16,6 +18,9 @@
 //! The `#[ignore]`d `smoke_100k_racks_*` test is the ROADMAP direction-1
 //! scale check (100k racks through the streaming sharded path); CI's
 //! perf-gate job runs it with `--include-ignored`.
+
+#[path = "support/reference_engine.rs"]
+mod reference_engine;
 
 use simcore::faults::FaultPlanConfig;
 use simcore::time::SimDuration;
@@ -27,7 +32,7 @@ use soc_cluster::probe::SpanToken;
 use soc_cluster::shard::{
     generate_fleet_probed, run_cluster_sims_probed, shard_id_base,
     simulate_policy_on_traces_probed, simulate_policy_prepared_probed,
-    simulate_policy_prepared_reference, simulate_policy_sharded_probed, train_fleet_probed,
+    simulate_policy_sharded_probed, train_fleet_probed,
 };
 use soc_cluster::{NoopProbe, ShardProbe};
 use soc_reliability::binning::BinningConfig;
@@ -75,13 +80,12 @@ fn chaos_faults(seed: u64) -> FaultPlanConfig {
 /// the rendered metrics snapshot, and the rack outcomes.
 type Observed = (Vec<String>, String, Vec<RackOutcome>);
 
-/// Run the retained row-oriented reference engine (always serial) over
-/// pre-generated traces and pre-trained templates.
+/// Run the row-oriented reference engine (serial, training its own
+/// templates) over pre-generated traces.
 fn reference_run(cfg: &LargeScaleConfig, policy: PolicyKind) -> Observed {
     let fleet = generate_fleet_probed(cfg, 1, &NoopProbe);
-    let trained = train_fleet_probed(cfg, &fleet, 1, &NoopProbe);
     let (tm, sink) = Telemetry::memory();
-    let outcomes = simulate_policy_prepared_reference(cfg, policy, &fleet, &trained, &tm);
+    let outcomes = reference_engine::simulate_policy(cfg, policy, &fleet, &tm);
     let lines = sink.events().iter().map(event_to_json).collect();
     (lines, tm.metrics_snapshot().render(), outcomes)
 }
@@ -147,10 +151,41 @@ fn columnar_engine_matches_reference_with_heterogeneous_silicon() {
     for policy in PolicyKind::ALL {
         assert_equivalent(&cfg, policy, "binned all-policies");
     }
+    // Every policy over a looser budget (more down-bins, fewer denials).
+    let mut cfg = config(42, FaultPlanConfig::none());
+    cfg.binning = BinningConfig {
+        bins: 8,
+        risk_budget: 0.35,
+        wear_spread: 0.4,
+        seed: 7,
+    };
+    for policy in PolicyKind::ALL {
+        assert_equivalent(&cfg, policy, "binned 0.35 all-policies");
+    }
     // Binning and the full chaos fault plan composed.
     let cfg = binned(config(42, chaos_faults(3)), 13);
     assert_equivalent(&cfg, PolicyKind::SmartOClock, "binned chaos");
     assert_equivalent(&cfg, PolicyKind::Central, "binned chaos");
+    // Four coarse bins at a 0.5 budget through a 12-hour outage.
+    let mut cfg = config(
+        42,
+        FaultPlanConfig {
+            goa_outages: 1,
+            goa_outage_len: SimDuration::from_hours(12),
+            budget_drop_prob: 0.05,
+            telemetry_gap_prob: 0.02,
+            soa_restart_prob: 0.01,
+            ..FaultPlanConfig::none()
+        },
+    );
+    cfg.binning = BinningConfig {
+        bins: 4,
+        risk_budget: 0.5,
+        wear_spread: 0.2,
+        seed: 11,
+    };
+    assert_equivalent(&cfg, PolicyKind::SmartOClock, "4 bins, 12 h outage");
+    assert_equivalent(&cfg, PolicyKind::Central, "4 bins, 12 h outage");
 }
 
 /// Run the same `(config, policy)` through the three large-scale input
@@ -219,6 +254,24 @@ fn columnar_engine_matches_reference_under_fault_plans() {
     let mut open = config(42, chaos_faults(5));
     open.central_fail_open = true;
     assert_equivalent(&open, PolicyKind::Central, "chaos fail-open");
+    // One long outage, with one in ten budget updates arriving late and
+    // the templates biased high.
+    let cfg = config(
+        42,
+        FaultPlanConfig {
+            goa_outages: 1,
+            goa_outage_len: SimDuration::from_hours(12),
+            budget_drop_prob: 0.05,
+            budget_delay_prob: 0.1,
+            budget_delay: SimDuration::from_minutes(30),
+            telemetry_gap_prob: 0.02,
+            prediction_bias: 1.05,
+            soa_restart_prob: 0.01,
+            ..FaultPlanConfig::none()
+        },
+    );
+    assert_equivalent(&cfg, PolicyKind::SmartOClock, "12 h outage, delays");
+    assert_equivalent(&cfg, PolicyKind::Central, "12 h outage, delays");
 }
 
 #[test]
