@@ -67,7 +67,7 @@ impl AttributionCounts {
     }
 
     /// Distinct attribution classes, alphabetical.
-    pub fn attributions(&self) -> Vec<&str> {
+    fn attributions(&self) -> Vec<&str> {
         let mut out: Vec<&str> = self.counts.keys().map(|(a, _)| a.as_str()).collect();
         out.dedup();
         out
@@ -75,7 +75,7 @@ impl AttributionCounts {
 
     /// Distinct load tiers, in presentation order (Low, Medium, High, then
     /// anything else alphabetically).
-    pub fn tiers(&self) -> Vec<&str> {
+    fn tiers(&self) -> Vec<&str> {
         let mut out: Vec<&str> = self.counts.keys().map(|(_, t)| t.as_str()).collect();
         out.sort_by_key(|t| tier_rank(t));
         out.dedup();

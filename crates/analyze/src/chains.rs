@@ -42,7 +42,7 @@ impl CausalChain {
 /// Map every non-zero `decision_id` to the index of the first event carrying
 /// it. Single-threaded runs allocate ids sequentially, so the first carrier
 /// *is* the decision event; duplicates only appear in merged traces.
-pub fn decision_index(trace: &Trace) -> BTreeMap<u64, usize> {
+pub(crate) fn decision_index(trace: &Trace) -> BTreeMap<u64, usize> {
     let mut index = BTreeMap::new();
     for (i, event) in trace.events().iter().enumerate() {
         let id = event.decision_id();
@@ -56,7 +56,7 @@ pub fn decision_index(trace: &Trace) -> BTreeMap<u64, usize> {
 /// Reconstruct the causal chain ending at event `terminal` (an index into
 /// [`Trace::events`]) by following `cause_id` links. Cycles (possible only in
 /// corrupt traces) and dangling links terminate the walk.
-pub fn chain_ending_at(
+pub(crate) fn chain_ending_at(
     trace: &Trace,
     index: &BTreeMap<u64, usize>,
     terminal: usize,

@@ -105,7 +105,7 @@ impl TraceDiff {
     }
 
     /// Event-class counts side by side with the delta.
-    pub fn event_class_table(&self) -> Table {
+    pub(crate) fn event_class_table(&self) -> Table {
         let mut table = Table::new(&["component", "event", "severity", "a", "b", "delta"]);
         for ((component, name, severity), (a, b)) in &self.event_classes {
             table.row(&[

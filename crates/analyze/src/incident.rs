@@ -37,7 +37,7 @@ pub struct Incident {
 
 impl Incident {
     /// Incident length in sim microseconds (`None` while still open).
-    pub fn duration_us(&self) -> Option<u64> {
+    pub(crate) fn duration_us(&self) -> Option<u64> {
         self.end_us.map(|e| e.saturating_sub(self.start_us))
     }
 
@@ -56,7 +56,7 @@ impl Incident {
 /// Group alerts into incidents by sim-time overlap and attribute each via the
 /// trace's causal chains. Alerts with an open end (`end_us == None`) extend
 /// their incident to run end, so everything starting after them merges in.
-pub fn build_incidents(alerts: &[Alert], trace: &Trace) -> Vec<Incident> {
+pub(crate) fn build_incidents(alerts: &[Alert], trace: &Trace) -> Vec<Incident> {
     let mut sorted: Vec<Alert> = alerts.to_vec();
     sorted.sort_by(|a, b| (a.start_us, &a.rule, a.entity).cmp(&(b.start_us, &b.rule, b.entity)));
 

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 pub const SCHEMA: u64 = 1;
 
 /// The `kind` discriminator every health report carries.
-pub const KIND: &str = "soc-health-report";
+const KIND: &str = "soc-health-report";
 
 fn fmt_opt(v: Option<u64>) -> String {
     match v {
@@ -276,9 +276,11 @@ pub fn from_json(text: &str) -> Result<HealthReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incident::build_incidents;
+    use crate::rules::evaluate;
     use crate::rules::RuleKind;
+    use crate::Rule;
     use crate::Trace;
-    use crate::{build_incidents, evaluate, Rule};
 
     fn sample_report() -> HealthReport {
         let mut store = SeriesStore::new(8);

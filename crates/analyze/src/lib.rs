@@ -59,10 +59,10 @@ pub mod trace;
 
 pub use attribution::AttributionCounts;
 pub use diff::TraceDiff;
-pub use incident::{build_incidents, Incident};
+pub use incident::Incident;
 pub use report::full_report;
-pub use rules::{default_rules, evaluate, Alert, Rule, RuleKind};
-pub use series::{Bucket, Series, SeriesStore, DEFAULT_CAPACITY};
+pub use rules::{default_rules, Alert, Rule, RuleKind};
+pub use series::{Bucket, Series, SeriesStore};
 pub use trace::{Trace, TraceError, TraceEvent};
 
 use soc_telemetry::json::event_to_json;
@@ -122,7 +122,7 @@ impl Recorder {
     }
 
     /// An enabled recorder; `capacity` bounds buckets per series (0 means
-    /// [`DEFAULT_CAPACITY`]).
+    /// the default of 1024).
     pub fn with_capacity(name: &str, capacity: usize) -> Recorder {
         Recorder {
             inner: Some(Arc::new(Mutex::new(State {
@@ -188,8 +188,8 @@ impl Recorder {
         // an empty trace rather than panicking inside observability code.
         let trace =
             Trace::parse(&state.event_lines.join("\n")).unwrap_or_else(|_| Trace::default());
-        let alerts = evaluate(rules, &state.store, &trace);
-        let incidents = build_incidents(&alerts, &trace);
+        let alerts = rules::evaluate(rules, &state.store, &trace);
+        let incidents = incident::build_incidents(&alerts, &trace);
         Some(HealthReport {
             name: state.name.clone(),
             store: state.store.clone(),

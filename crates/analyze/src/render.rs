@@ -15,7 +15,7 @@ const SPARK_WIDTH: usize = 60;
 
 /// Render `values` as a fixed-width sparkline, normalizing into the density
 /// ramp. More values than columns merge by mean; fewer stretch.
-pub fn sparkline(values: &[f64], width: usize) -> String {
+fn sparkline(values: &[f64], width: usize) -> String {
     let width = width.max(1);
     if values.is_empty() {
         return " ".repeat(width);
@@ -48,7 +48,7 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
 }
 
 /// Human-friendly sim duration: `90s` → `1m30s`, `7200000000us` → `2h`.
-pub fn fmt_dur(us: u64) -> String {
+fn fmt_dur(us: u64) -> String {
     let secs = us / 1_000_000;
     if secs == 0 {
         return format!("{us}us");

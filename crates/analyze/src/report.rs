@@ -7,7 +7,7 @@ use crate::trace::Trace;
 use std::fmt::Write as _;
 
 /// Default number of causal chains shown in the full report.
-pub const DEFAULT_CHAIN_LIMIT: usize = 10;
+const DEFAULT_CHAIN_LIMIT: usize = 10;
 
 /// One-paragraph summary: event counts, simulated time span, per-component
 /// counts, and causal-link health.

@@ -5,7 +5,7 @@ use simcore::report::{fmt_f64, Table};
 use std::collections::BTreeMap;
 
 /// Count control-plane events by `(component, name, severity)`, sorted.
-pub fn event_class_counts(trace: &Trace) -> BTreeMap<(String, String, String), u64> {
+pub(crate) fn event_class_counts(trace: &Trace) -> BTreeMap<(String, String, String), u64> {
     let mut counts = BTreeMap::new();
     for event in trace.control_events() {
         *counts
@@ -20,7 +20,7 @@ pub fn event_class_counts(trace: &Trace) -> BTreeMap<(String, String, String), u
 }
 
 /// Render [`event_class_counts`] as a table.
-pub fn event_class_table(trace: &Trace) -> Table {
+pub(crate) fn event_class_table(trace: &Trace) -> Table {
     let mut table = Table::new(&["component", "event", "severity", "count"]);
     for ((component, name, severity), count) in event_class_counts(trace) {
         table.row(&[component, name, severity, count.to_string()]);

@@ -127,7 +127,7 @@ pub fn default_rules(step_us: u64) -> Vec<Rule> {
 
 /// Evaluate every rule against the recorded series and events; alerts come
 /// out ordered by `(rule id, entity, start)`.
-pub fn evaluate(rules: &[Rule], store: &SeriesStore, trace: &Trace) -> Vec<Alert> {
+pub(crate) fn evaluate(rules: &[Rule], store: &SeriesStore, trace: &Trace) -> Vec<Alert> {
     let mut alerts = Vec::new();
     for rule in rules {
         match &rule.kind {

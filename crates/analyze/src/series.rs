@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 /// Default per-series bucket capacity.
-pub const DEFAULT_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_CAPACITY: usize = 1024;
 
 /// One downsampled bucket of a series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,7 +105,7 @@ impl Series {
     }
 
     /// Current bucket width in sim-time microseconds.
-    pub fn width_us(&self) -> u64 {
+    pub(crate) fn width_us(&self) -> u64 {
         self.width_us
     }
 
@@ -188,7 +188,7 @@ pub struct SeriesStore {
 
 impl SeriesStore {
     /// An empty store; each series is capped at `capacity` buckets (0 means
-    /// [`DEFAULT_CAPACITY`]).
+    /// the default of 1024).
     pub fn new(capacity: usize) -> SeriesStore {
         SeriesStore {
             series: BTreeMap::new(),

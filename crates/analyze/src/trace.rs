@@ -34,7 +34,7 @@ impl TraceEvent {
     }
 
     /// A numeric field widened to `f64`, if present.
-    pub fn field_f64(&self, key: &str) -> Option<f64> {
+    pub(crate) fn field_f64(&self, key: &str) -> Option<f64> {
         self.fields.get(key).and_then(Value::as_num)
     }
 
@@ -44,7 +44,7 @@ impl TraceEvent {
     }
 
     /// The decision id of the event's parent decision (`0` when absent).
-    pub fn cause_id(&self) -> u64 {
+    pub(crate) fn cause_id(&self) -> u64 {
         self.field_u64("cause_id").unwrap_or(0)
     }
 
@@ -55,12 +55,12 @@ impl TraceEvent {
 
     /// For `metric` records: the rendered metric key, e.g.
     /// `rack_power_w{rack=0}`.
-    pub fn metric_key(&self) -> Option<&str> {
+    pub(crate) fn metric_key(&self) -> Option<&str> {
         self.field_str("key")
     }
 
     /// For `metric` records: the metric kind (`counter`, `gauge`, `hist`).
-    pub fn metric_kind(&self) -> Option<&str> {
+    pub(crate) fn metric_kind(&self) -> Option<&str> {
         self.field_str("kind")
     }
 
@@ -199,12 +199,12 @@ impl Trace {
     }
 
     /// Iterate the non-metric (control-plane) events.
-    pub fn control_events(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub(crate) fn control_events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(|e| !e.is_metric())
     }
 
     /// Iterate the `metric` registry records.
-    pub fn metric_events(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub(crate) fn metric_events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(|e| e.is_metric())
     }
 

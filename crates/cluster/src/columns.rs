@@ -608,7 +608,7 @@ pub(crate) fn simulate_rack_columnar(
                             overclock_demand: Watts::new(d.max(0.0)),
                         },
                     ));
-                goa.budgets_for_into(&buf.demands, &mut buf.budgets);
+                goa.budgets_for(&buf.demands, &mut buf.budgets);
                 budget_rows.store(row, &buf.budgets);
             }
             epochs.mark_refresh(t);

@@ -30,7 +30,7 @@ use soc_traces::gen::{FleetConfig, TraceGenerator};
 ///
 /// # Panics
 /// Panics if `racks` is empty or any rack has no servers.
-pub fn nested_split(dc_budget: Watts, racks: &[Vec<DemandProfile>]) -> Vec<Vec<Watts>> {
+fn nested_split(dc_budget: Watts, racks: &[Vec<DemandProfile>]) -> Vec<Vec<Watts>> {
     assert!(!racks.is_empty(), "need at least one rack");
     let rack_profiles: Vec<DemandProfile> = racks
         .iter()

@@ -1293,7 +1293,8 @@ impl ClusterSim {
         // split.
         let rack1: Vec<usize> = (0..total_servers).filter(|&s| !self.is_spare(s)).collect();
         let rack1_demands: Vec<DemandProfile> = rack1.iter().map(|&s| demands[s]).collect();
-        let budgets = self.goa.budgets_for(&rack1_demands);
+        let mut budgets = Vec::with_capacity(rack1_demands.len());
+        self.goa.budgets_for(&rack1_demands, &mut budgets);
         if self.telemetry.is_enabled() {
             let allocated: f64 = budgets.iter().map(|b| b.get()).sum();
             tm_event!(self.telemetry, now, Component::Goa, Severity::Info, "budget_split",

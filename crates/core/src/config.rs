@@ -10,10 +10,10 @@ use simcore::time::SimDuration;
 use soc_power::units::Watts;
 
 /// Fraction of lifetime that may be spent overclocked per [`EPOCH`].
-pub const OVERCLOCK_TIME_FRACTION: f64 = 0.10;
+pub(crate) const OVERCLOCK_TIME_FRACTION: f64 = 0.10;
 
 /// Lifetime-budget epoch.
-pub const EPOCH: SimDuration = SimDuration::WEEK;
+pub(crate) const EPOCH: SimDuration = SimDuration::WEEK;
 
 /// Exploration budget increment.
 pub const EXPLORE_STEP: Watts = Watts::new(20.0);
@@ -22,30 +22,30 @@ pub const EXPLORE_STEP: Watts = Watts::new(20.0);
 pub const EXPLORE_CAP: Watts = Watts::new(200.0);
 
 /// How long to hold an exploration step before concluding it is safe.
-pub const EXPLORE_WAIT: SimDuration = SimDuration::from_secs(30);
+pub(crate) const EXPLORE_WAIT: SimDuration = SimDuration::from_secs(30);
 
 /// How long to exploit a discovered budget before re-exploring.
-pub const EXPLOIT_TIME: SimDuration = SimDuration::from_minutes(5);
+pub(crate) const EXPLOIT_TIME: SimDuration = SimDuration::from_minutes(5);
 
 /// Initial backoff after a warning, doubled per warning.
-pub const BACKOFF_INITIAL: SimDuration = SimDuration::from_secs(60);
+pub(crate) const BACKOFF_INITIAL: SimDuration = SimDuration::from_secs(60);
 
 /// Cap on the exponential backoff.
-pub const BACKOFF_MAX: SimDuration = SimDuration::from_minutes(30);
+pub(crate) const BACKOFF_MAX: SimDuration = SimDuration::from_minutes(30);
 
 /// Hold band below the power budget: the feedback loop holds frequency when
 /// `budget - buffer <= draw < budget`.
-pub const POWER_BUFFER: Watts = Watts::new(15.0);
+pub(crate) const POWER_BUFFER: Watts = Watts::new(15.0);
 
 /// Exhaustion warning window: notify the WI agent when power or budget
 /// exhaustion is predicted within this horizon.
-pub const EXHAUSTION_WINDOW: SimDuration = SimDuration::from_minutes(15);
+pub(crate) const EXHAUSTION_WINDOW: SimDuration = SimDuration::from_minutes(15);
 
 /// How stale the gOA-assigned budget may grow before the agent enters
 /// degraded mode (freeze exploration, enforce the last assignment): three
 /// missed 2-minute refresh cycles. Only applies when budgets are stamped via
 /// [`crate::soa::ServerOverclockAgent::set_power_budget_at`].
-pub const BUDGET_STALENESS_LIMIT: SimDuration = SimDuration::from_minutes(6);
+pub(crate) const BUDGET_STALENESS_LIMIT: SimDuration = SimDuration::from_minutes(6);
 
 #[cfg(test)]
 mod tests {

@@ -47,7 +47,7 @@ impl EpochTracker {
     }
 
     /// Epoch index containing `t`.
-    pub fn index_of(&self, t: SimTime) -> u64 {
+    fn index_of(&self, t: SimTime) -> u64 {
         t.since(SimTime::ZERO).as_micros() / self.period.as_micros()
     }
 

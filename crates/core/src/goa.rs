@@ -71,10 +71,14 @@ impl ServerProfile {
 /// use soc_power::units::Watts;
 ///
 /// let goa = GlobalOverclockAgent::new(Watts::new(1300.0), PolicyKind::SmartOClock);
-/// let budgets = goa.budgets_for(&[
-///     DemandProfile { regular: Watts::new(400.0), overclock_demand: Watts::new(50.0) },
-///     DemandProfile { regular: Watts::new(300.0), overclock_demand: Watts::new(100.0) },
-/// ]);
+/// let mut budgets = Vec::new();
+/// goa.budgets_for(
+///     &[
+///         DemandProfile { regular: Watts::new(400.0), overclock_demand: Watts::new(50.0) },
+///         DemandProfile { regular: Watts::new(300.0), overclock_demand: Watts::new(100.0) },
+///     ],
+///     &mut budgets,
+/// );
 /// assert_eq!(budgets, vec![Watts::new(600.0), Watts::new(700.0)]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -93,27 +97,17 @@ impl GlobalOverclockAgent {
         GlobalOverclockAgent { rack_limit, policy }
     }
 
-    /// Compute per-server budgets from explicit demand profiles.
+    /// Compute per-server budgets from demand profiles into `out`, which is
+    /// cleared first and keeps its capacity. Callers holding
+    /// [`ServerProfile`]s pass `profile.demand_at(t)` for each.
     ///
     /// Heterogeneous-budget policies use the §IV-C split; `NaiveOClock`
-    /// splits evenly.
+    /// splits evenly. Every budget refresh of the large-scale hot path goes
+    /// through this, so the split must not allocate in steady state.
     ///
     /// # Panics
     /// Panics if `demands` is empty.
-    pub fn budgets_for(&self, demands: &[DemandProfile]) -> Vec<Watts> {
-        let mut out = Vec::with_capacity(demands.len());
-        self.budgets_for_into(demands, &mut out);
-        out
-    }
-
-    /// Allocation-free [`budgets_for`](Self::budgets_for): clears `out` and
-    /// fills it with the same budgets, reusing its capacity. Every budget
-    /// refresh of the large-scale hot path goes through this, so the split
-    /// must not allocate in steady state.
-    ///
-    /// # Panics
-    /// Panics if `demands` is empty.
-    pub fn budgets_for_into(&self, demands: &[DemandProfile], out: &mut Vec<Watts>) {
+    pub fn budgets_for(&self, demands: &[DemandProfile], out: &mut Vec<Watts>) {
         assert!(!demands.is_empty(), "need at least one server");
         if self.policy.heterogeneous_budgets() {
             heterogeneous_split_into(self.rack_limit, demands, out);
@@ -121,15 +115,6 @@ impl GlobalOverclockAgent {
             out.clear();
             out.resize(demands.len(), self.rack_limit / demands.len() as f64);
         }
-    }
-
-    /// Compute per-server budgets at instant `t` from exchanged profiles.
-    ///
-    /// # Panics
-    /// Panics if `profiles` is empty.
-    pub fn budgets_at(&self, t: SimTime, profiles: &[ServerProfile]) -> Vec<Watts> {
-        let demands: Vec<DemandProfile> = profiles.iter().map(|p| p.demand_at(t)).collect();
-        self.budgets_for(&demands)
     }
 }
 
@@ -150,32 +135,40 @@ mod tests {
     #[test]
     fn paper_worked_example() {
         let goa = GlobalOverclockAgent::new(Watts::new(1300.0), PolicyKind::SmartOClock);
-        let budgets = goa.budgets_for(&[
-            DemandProfile {
-                regular: Watts::new(400.0),
-                overclock_demand: Watts::new(50.0),
-            },
-            DemandProfile {
-                regular: Watts::new(300.0),
-                overclock_demand: Watts::new(100.0),
-            },
-        ]);
+        let mut budgets = Vec::new();
+        goa.budgets_for(
+            &[
+                DemandProfile {
+                    regular: Watts::new(400.0),
+                    overclock_demand: Watts::new(50.0),
+                },
+                DemandProfile {
+                    regular: Watts::new(300.0),
+                    overclock_demand: Watts::new(100.0),
+                },
+            ],
+            &mut budgets,
+        );
         assert_eq!(budgets, vec![Watts::new(600.0), Watts::new(700.0)]);
     }
 
     #[test]
     fn naive_policy_splits_evenly() {
         let goa = GlobalOverclockAgent::new(Watts::new(1300.0), PolicyKind::NaiveOClock);
-        let budgets = goa.budgets_for(&[
-            DemandProfile {
-                regular: Watts::new(400.0),
-                overclock_demand: Watts::new(50.0),
-            },
-            DemandProfile {
-                regular: Watts::new(300.0),
-                overclock_demand: Watts::new(100.0),
-            },
-        ]);
+        let mut budgets = Vec::new();
+        goa.budgets_for(
+            &[
+                DemandProfile {
+                    regular: Watts::new(400.0),
+                    overclock_demand: Watts::new(50.0),
+                },
+                DemandProfile {
+                    regular: Watts::new(300.0),
+                    overclock_demand: Watts::new(100.0),
+                },
+            ],
+            &mut budgets,
+        );
         assert_eq!(budgets, vec![Watts::new(650.0), Watts::new(650.0)]);
     }
 
@@ -197,7 +190,7 @@ mod tests {
     }
 
     #[test]
-    fn budgets_at_consumes_profiles() {
+    fn budgets_for_consumes_profile_demands() {
         let model = PowerModel::reference_server();
         let oc_freq = model.plan().max_overclock();
         let p1 = ServerProfile::from_history(
@@ -215,7 +208,9 @@ mod tests {
             0.9,
         );
         let goa = GlobalOverclockAgent::new(Watts::new(1300.0), PolicyKind::SmartOClock);
-        let budgets = goa.budgets_at(SimTime::ZERO + SimDuration::from_days(9), &[p1, p2]);
+        let t = SimTime::ZERO + SimDuration::from_days(9);
+        let mut budgets = Vec::new();
+        goa.budgets_for(&[p1.demand_at(t), p2.demand_at(t)], &mut budgets);
         assert_eq!(budgets.len(), 2);
         // Server 2 wants twice the OC power, so it gets the larger share of
         // headroom (same structure as the paper's example).

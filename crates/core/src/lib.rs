@@ -38,7 +38,7 @@
 //!
 //! Each control-plane decision has exactly one method: WI `observe`/`decide`/
 //! `notify_rejection`/`notify_exhaustion`, sOA `request_overclock`/
-//! `control_tick`, gOA `budgets_for`. Agents that emit telemetry hold their
+//! `control_tick`, gOA `budgets_for` (into a caller-owned buffer). Agents that emit telemetry hold their
 //! handle, installed once with `set_telemetry(handle, index)`; the default
 //! handle is disabled, and tracing never feeds back into a decision. Causal
 //! ids ride as plain `u64` arguments where `0` means "no cause".

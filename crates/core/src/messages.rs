@@ -58,12 +58,6 @@ impl OverclockRequest {
         }
     }
 
-    /// Attach the causal decision id that triggered this request.
-    pub fn caused_by(mut self, cause: u64) -> OverclockRequest {
-        self.cause = cause;
-        self
-    }
-
     /// A schedule-based request for a known duration (reserves budget).
     pub fn scheduled(
         vm: impl Into<String>,
@@ -188,7 +182,6 @@ mod tests {
     fn requests_default_to_no_cause() {
         let m = OverclockRequest::metrics_based("vm1", 4, MegaHertz::new(4000));
         assert_eq!(m.cause, 0);
-        assert_eq!(m.caused_by(17).cause, 17);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl PolicyKind {
 
     /// Whether rack budgets are split heterogeneously by demand.
     /// "All systems bar NaiveOClock employ this optimization" (§V-B).
-    pub fn heterogeneous_budgets(self) -> bool {
+    pub(crate) fn heterogeneous_budgets(self) -> bool {
         !matches!(self, PolicyKind::NaiveOClock)
     }
 

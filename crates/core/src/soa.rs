@@ -251,9 +251,9 @@ impl ServerOverclockAgent {
     }
 
     /// [`Self::set_power_budget`] stamped with the refresh instant, enabling
-    /// budget-staleness tracking: if no further refresh arrives within
-    /// [`BUDGET_STALENESS_LIMIT`] (gOA outage, dropped messages)
-    /// the agent enters degraded mode on its next control tick — it stops
+    /// budget-staleness tracking: if no further refresh arrives within six
+    /// minutes (three missed 2-minute refresh cycles: gOA outage, dropped
+    /// messages) the agent enters degraded mode on its next control tick — it stops
     /// exploring beyond the stale assignment and keeps enforcing it, which
     /// is the paper's decentralized fault-tolerance argument (§III-Q5).
     pub fn set_power_budget_at(&mut self, now: SimTime, budget: Watts) {
@@ -307,12 +307,6 @@ impl ServerOverclockAgent {
     /// The assigned silicon part, if heterogeneity is modelled.
     pub fn silicon(&self) -> Option<&SiliconPart> {
         self.silicon.as_ref().map(|(part, _)| part)
-    }
-
-    /// The durable physical-wear ledger (overclocked intervals charged at
-    /// the part-scaled ageing rate; only advances while silicon is set).
-    pub fn wear_ledger(&self) -> &AgeingLedger {
-        &self.wear
     }
 
     /// Scale the lifetime budget (overclocking-constrained experiments).
@@ -1646,12 +1640,12 @@ mod tests {
             t += SimDuration::from_minutes(1);
             let _ = a.control_tick(t, Watts::new(250.0), None, 0);
         }
-        let worn = a.wear_ledger().actual_days();
+        let worn = a.wear.actual_days();
         assert!(worn > 0.0, "overclocked intervals must accrue wear");
         let _ = a.restart(t);
         assert_eq!(a.silicon(), Some(&part), "bin identity is durable");
         assert_eq!(
-            a.wear_ledger().actual_days(),
+            a.wear.actual_days(),
             worn,
             "the wear ledger survives a restart"
         );
@@ -1672,7 +1666,7 @@ mod tests {
                 t += SimDuration::from_minutes(1);
                 let _ = a.control_tick(t, Watts::new(250.0), None, 0);
             }
-            a.wear_ledger().actual_days()
+            a.wear.actual_days()
         };
         let pristine = run(SiliconPart::uniform(&plan));
         let marginal = run(marginal_part(plan.max_overclock(), 0.3));

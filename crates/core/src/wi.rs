@@ -423,10 +423,10 @@ impl GlobalWiAgent {
 
     /// Causal decision id of the `wi_oc_start` that opened the current
     /// overclocking episode; `0` when idle or when telemetry is disabled.
-    /// Attach it to [`OverclockRequest::caused_by`] so downstream
+    /// Store it in the request's [`cause`] field so downstream
     /// `oc_grant`/`oc_deny` events chain back to the WI trigger.
     ///
-    /// [`OverclockRequest::caused_by`]: crate::messages::OverclockRequest::caused_by
+    /// [`cause`]: crate::messages::OverclockRequest::cause
     pub fn current_decision(&self) -> u64 {
         self.current_decision
     }

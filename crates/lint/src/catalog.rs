@@ -8,7 +8,8 @@ use std::fmt;
 pub enum Category {
     /// A-lints: architecture layering. The `[layers]` section of lint.toml
     /// assigns every crate to a tier and declares which tiers each may use;
-    /// A-lints enforce those edges directly (A001) and transitively (A002).
+    /// A-lints enforce those edges directly (A001) and transitively (A002),
+    /// and keep every bare `pub` item used outside its crate (A003).
     Architecture,
     /// D-lints: bit-determinism per seed. Violations make causal-trace
     /// diffs (PR 2) meaningless because runs stop being byte-identical.
@@ -78,6 +79,20 @@ pub const CATALOG: &[LintInfo] = &[
                     that path is flagged with the full chain, so the fix site is always \
                     a real reference in the offending crate.",
         example: "use helper::recorder; // helper itself uses soc_analyze",
+    },
+    LintInfo {
+        id: "A003",
+        name: "unused-public-item",
+        category: Category::Architecture,
+        summary: "a bare `pub` fn/const/static that no code outside its library names",
+        rationale: "Each agent exposes one narrow interface, and every bare `pub` item \
+                    is surface other crates may come to depend on (and, in sim-state \
+                    crates, a root R004 must protect). An item whose name appears in no \
+                    other crate's src/, no bin, no crate or workspace test, no example, \
+                    no benchmark source, no doctest and no body of the crate's own \
+                    exported macros is used only at home: narrow it to `pub(crate)` or \
+                    private. The match is by name, so it never flags a used item.",
+        example: "pub fn helper_only_we_call() {} // in crates/power, no outside caller",
     },
     LintInfo {
         id: "D001",

@@ -48,7 +48,7 @@ pub struct Layers {
 }
 
 /// The layer whose crates carry the determinism/unit invariants.
-pub const SIM_STATE_LAYER: &str = "sim-state";
+const SIM_STATE_LAYER: &str = "sim-state";
 
 impl Layers {
     /// The workspace's standard tiering, used when `lint.toml` declares no
@@ -90,7 +90,7 @@ impl Layers {
     }
 
     /// The layer a crate belongs to, if assigned.
-    pub fn layer_of(&self, crate_name: &str) -> Option<&str> {
+    pub(crate) fn layer_of(&self, crate_name: &str) -> Option<&str> {
         self.layers
             .iter()
             .find(|l| l.crates.iter().any(|c| c == crate_name))
@@ -98,7 +98,7 @@ impl Layers {
     }
 
     /// May a crate in `from_layer` reference a crate in `to_layer`?
-    pub fn allows(&self, from_layer: &str, to_layer: &str) -> bool {
+    pub(crate) fn allows(&self, from_layer: &str, to_layer: &str) -> bool {
         if from_layer == to_layer {
             return true;
         }
@@ -110,7 +110,7 @@ impl Layers {
 
     /// Crates carrying the determinism/unit invariants (the `sim-state`
     /// layer).
-    pub fn sim_state_crates(&self) -> BTreeSet<&str> {
+    pub(crate) fn sim_state_crates(&self) -> BTreeSet<&str> {
         self.layers
             .iter()
             .filter(|l| l.name == SIM_STATE_LAYER)
@@ -119,7 +119,7 @@ impl Layers {
     }
 
     /// Every crate assigned to any layer.
-    pub fn all_crates(&self) -> BTreeSet<&str> {
+    pub(crate) fn all_crates(&self) -> BTreeSet<&str> {
         self.layers
             .iter()
             .flat_map(|l| l.crates.iter().map(String::as_str))

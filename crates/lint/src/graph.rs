@@ -26,7 +26,7 @@ pub struct FileRef<'a> {
 /// follow the `soc-<dir>` convention, so the source ident is `soc_<dir>`;
 /// bare `<dir>` is accepted too so fixture workspaces (and any future
 /// unprefixed crate) resolve.
-pub fn ident_names_crate(ident: &str, dir: &str) -> bool {
+pub(crate) fn ident_names_crate(ident: &str, dir: &str) -> bool {
     ident == dir || (ident.strip_prefix("soc_") == Some(dir))
 }
 
@@ -95,7 +95,7 @@ impl CrateGraph {
     /// BFS over the dependency edges from `start`: every reachable crate
     /// mapped to its predecessor on a shortest path (for chain rendering).
     /// `start` itself is not included.
-    pub fn reachable_from(&self, start: &str) -> BTreeMap<String, String> {
+    pub(crate) fn reachable_from(&self, start: &str) -> BTreeMap<String, String> {
         let mut pred: BTreeMap<String, String> = BTreeMap::new();
         let mut queue = VecDeque::from([start.to_string()]);
         while let Some(cur) = queue.pop_front() {
@@ -111,7 +111,7 @@ impl CrateGraph {
 
     /// The shortest dependency path `start → … → target`, as crate names,
     /// using a predecessor map from [`Self::reachable_from`].
-    pub fn path_to(
+    pub(crate) fn path_to(
         &self,
         start: &str,
         target: &str,
@@ -260,11 +260,6 @@ impl CallGraph {
             }
         }
         CallGraph { fns, calls }
-    }
-
-    /// Node indices of every fn, for iteration.
-    pub fn nodes(&self) -> std::ops::Range<usize> {
-        0..self.fns.len()
     }
 }
 

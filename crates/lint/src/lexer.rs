@@ -14,7 +14,7 @@
 //! operators the checks care about (`::`, `->`, `=>`).
 //!
 //! Doc comments are stripped from the token stream like ordinary comments —
-//! their contents must never trigger a token-pattern lint — but [`lex`]
+//! their contents must never trigger a token-pattern lint — but `lex`
 //! additionally returns them as [`DocLine`]s so the item parser can honor
 //! documented `# Panics` contracts (lint R004).
 
@@ -50,12 +50,12 @@ impl Token {
     }
 
     /// True for an identifier token with exactly this text.
-    pub fn is_ident(&self, text: &str) -> bool {
+    pub(crate) fn is_ident(&self, text: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == text
     }
 
     /// True for a punctuation token with exactly this text.
-    pub fn is_punct(&self, text: &str) -> bool {
+    pub(crate) fn is_punct(&self, text: &str) -> bool {
         self.kind == TokenKind::Punct && self.text == text
     }
 }
@@ -77,16 +77,10 @@ pub struct Lexed {
     pub docs: Vec<DocLine>,
 }
 
-/// Tokenize Rust source, discarding doc-comment text. See [`lex`] for the
-/// variant that keeps it.
-pub fn tokenize(source: &str) -> Vec<Token> {
-    lex(source).tokens
-}
-
 /// Tokenize Rust source. Never fails: unterminated constructs simply consume
 /// to end-of-file, which is the right degradation for a linter (a file the
 /// compiler rejects will be reported by the build, not by us).
-pub fn lex(source: &str) -> Lexed {
+pub(crate) fn lex(source: &str) -> Lexed {
     let chars: Vec<char> = source.chars().collect();
     let mut tokens = Vec::new();
     let mut docs: Vec<DocLine> = Vec::new();
@@ -340,6 +334,10 @@ fn skip_raw_string(chars: &[char], open: usize, hashes: usize, line: &mut u32) -
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn tokenize(source: &str) -> Vec<Token> {
+        lex(source).tokens
+    }
 
     fn texts(src: &str) -> Vec<String> {
         tokenize(src).into_iter().map(|t| t.text).collect()

@@ -20,9 +20,10 @@
 //! (architecture layering, per the `[layers]` tables in `lint.toml`),
 //! D-lints (determinism), U-lints (units), R-lints (robustness) — per-file
 //! token queries in [`checks`], graph passes in [`workspace`] and
-//! [`taint`]. The taint passes catch what no per-file query can: a
-//! sim-state crate laundering a wall-clock read or a panic through a
-//! helper crate that lints clean on its own. Pre-existing violations
+//! [`taint`], and the public-surface pass (A003: every bare `pub` item has
+//! a caller outside its library). The taint passes catch what no per-file
+//! query can: a sim-state crate laundering a wall-clock read or a panic
+//! through a helper crate that lints clean on its own. Pre-existing violations
 //! ratchet down through `lint.toml` ([`allowlist`]): every waiver carries
 //! a written justification, stale waivers fail the check, and the ratchet
 //! pins the entry count to a committed baseline.
@@ -48,6 +49,7 @@ pub mod parser;
 pub mod report;
 pub mod sarif;
 pub mod source;
+mod surface;
 pub mod taint;
 pub mod workspace;
 
@@ -57,4 +59,4 @@ pub use checks::{check_file, Diagnostic};
 pub use config::{Layers, LintConfig};
 pub use report::{render_catalog, CheckReport};
 pub use source::SourceFile;
-pub use workspace::{analyze_workspace, run_check, workspace_files, Analysis};
+pub use workspace::{analyze_workspace, run_check, Analysis};

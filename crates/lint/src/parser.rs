@@ -64,6 +64,18 @@ pub struct StructItem {
     pub fields: Vec<Binding>,
 }
 
+/// One `const` or `static` item with a plain name (`const N: u32 = 1;`).
+#[derive(Debug, Clone)]
+pub struct ValueItem {
+    /// `"const"` or `"static"`.
+    pub keyword: &'static str,
+    pub name: String,
+    pub line: u32,
+    /// Bare `pub`, as for [`FnItem::is_pub`].
+    pub is_pub: bool,
+    pub in_test: bool,
+}
+
 /// A path-root reference: `use NAME::…` or `NAME::…` in expression or type
 /// position. The dependency graph filters these against the set of actual
 /// workspace crates.
@@ -79,6 +91,7 @@ pub struct PathRoot {
 pub struct FileModel {
     pub fns: Vec<FnItem>,
     pub structs: Vec<StructItem>,
+    pub values: Vec<ValueItem>,
     pub path_roots: Vec<PathRoot>,
 }
 
@@ -111,6 +124,8 @@ pub fn parse_file(src: &SourceFile) -> FileModel {
                 i = end;
                 continue;
             }
+        } else if let Some(item) = parse_value(src, i) {
+            model.values.push(item);
         }
         i += 1;
     }
@@ -172,6 +187,36 @@ fn parse_fn(src: &SourceFile, fn_idx: usize) -> Option<(FnItem, usize)> {
         },
         after_params,
     ))
+}
+
+/// Parse `const NAME:` / `static [mut] NAME:` at `kw_idx`. `const fn`,
+/// `*const T` and `const _` yield nothing.
+fn parse_value(src: &SourceFile, kw_idx: usize) -> Option<ValueItem> {
+    let toks = &src.tokens;
+    let keyword = if toks[kw_idx].is_ident("const") {
+        "const"
+    } else if toks[kw_idx].is_ident("static") {
+        "static"
+    } else {
+        return None;
+    };
+    let mut i = kw_idx + 1;
+    if keyword == "static" && toks.get(i).is_some_and(|t| t.is_ident("mut")) {
+        i += 1;
+    }
+    let name = toks
+        .get(i)
+        .filter(|t| t.kind == TokenKind::Ident && t.text != "_")?;
+    if !toks.get(i + 1).is_some_and(|t| t.is_punct(":")) {
+        return None;
+    }
+    Some(ValueItem {
+        keyword,
+        name: name.text.clone(),
+        line: name.line,
+        is_pub: item_is_pub(toks, kw_idx),
+        in_test: src.in_test[kw_idx],
+    })
 }
 
 /// Walk back from the `fn`/`struct` keyword over modifiers and attributes to
@@ -333,7 +378,7 @@ fn collect_path_roots(src: &SourceFile) -> Vec<PathRoot> {
 /// `(params, index past the closing paren)`; each param is
 /// `(name, line, type tokens)`. Self receivers and non-identifier patterns
 /// are skipped.
-pub fn fn_params(toks: &[Token], fn_idx: usize) -> Option<(Vec<Binding>, usize)> {
+pub(crate) fn fn_params(toks: &[Token], fn_idx: usize) -> Option<(Vec<Binding>, usize)> {
     let mut i = fn_idx + 1;
     // fn name, possibly with generics before the paren.
     if !toks.get(i).is_some_and(|t| t.kind == TokenKind::Ident) {
@@ -366,7 +411,7 @@ pub fn fn_params(toks: &[Token], fn_idx: usize) -> Option<(Vec<Binding>, usize)>
 /// Parse the fields of the braced `struct` at `struct_idx`. Tuple and unit
 /// structs yield no item. Returns `(fields, name, line, index past the
 /// closing brace)`.
-pub fn struct_fields(
+pub(crate) fn struct_fields(
     toks: &[Token],
     struct_idx: usize,
 ) -> Option<(Vec<Binding>, String, u32, usize)> {
@@ -459,7 +504,7 @@ fn skip_angles(toks: &[Token], open: usize) -> Option<usize> {
 }
 
 /// Index of the closer matching the opener at `open`.
-fn matching_punct(toks: &[Token], open: usize, o: &str, c: &str) -> Option<usize> {
+pub(crate) fn matching_punct(toks: &[Token], open: usize, o: &str, c: &str) -> Option<usize> {
     let mut depth = 0i32;
     for (j, t) in toks.iter().enumerate().skip(open) {
         if t.is_punct(o) {
@@ -475,7 +520,7 @@ fn matching_punct(toks: &[Token], open: usize, o: &str, c: &str) -> Option<usize
 }
 
 /// Index of the opener matching the closer at `close`, scanning backward.
-fn matching_back(toks: &[Token], close: usize, o: &str, c: &str) -> Option<usize> {
+pub(crate) fn matching_back(toks: &[Token], close: usize, o: &str, c: &str) -> Option<usize> {
     let mut depth = 0i32;
     for j in (0..=close).rev() {
         if toks[j].is_punct(c) {

@@ -16,6 +16,9 @@ pub struct CheckReport {
     pub stale: Vec<AllowEntry>,
     /// Number of files scanned.
     pub files: usize,
+    /// Number of read-only caller files A003 read (tests, examples, the
+    /// benchmark); zero would make every public item look unused.
+    pub callers: usize,
 }
 
 impl CheckReport {
@@ -38,8 +41,9 @@ impl CheckReport {
             }
         }
         out.push_str(&format!(
-            "\nfiles analyzed: {}; {} blocking violation(s), {} waived by lint.toml, {} stale waiver(s)\n",
+            "\nfiles analyzed: {}; caller files read: {}; {} blocking violation(s), {} waived by lint.toml, {} stale waiver(s)\n",
             self.files,
+            self.callers,
             self.blocking.len(),
             self.waived.len(),
             self.stale.len()
@@ -48,11 +52,12 @@ impl CheckReport {
     }
 
     /// JSON report (the CI artifact). Shape:
-    /// `{"files": N, "blocking": [...], "waived": [...], "stale": [...]}`
+    /// `{"files": N, "callers": M, "blocking": [...], "waived": [...], "stale": [...]}`
     /// with each violation as `{"lint", "path", "line", "message"}`.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!("\"files\":{},", self.files));
+        out.push_str(&format!("\"callers\":{},", self.callers));
         out.push_str("\"blocking\":");
         push_diags(&mut out, &self.blocking);
         out.push_str(",\"waived\":");
@@ -127,6 +132,7 @@ mod tests {
                 justification: "old".to_string(),
             }],
             files: 12,
+            callers: 5,
         }
     }
 
@@ -135,13 +141,13 @@ mod tests {
         let text = report().render_human();
         assert!(text.contains("crates/power/src/x.rs:7: D001"));
         assert!(text.contains("stale lint.toml entries"));
-        assert!(text.contains("files analyzed: 12; 1 blocking"));
+        assert!(text.contains("files analyzed: 12; caller files read: 5; 1 blocking"));
     }
 
     #[test]
     fn json_render_is_wellformed() {
         let json = report().render_json();
-        assert!(json.starts_with("{\"files\":12,"));
+        assert!(json.starts_with("{\"files\":12,\"callers\":5,"));
         assert!(json.contains("\"blocking\":[{\"lint\":\"D001\""));
         assert!(json.contains(
             "\"stale\":[{\"lint\":\"R001\",\"path\":\"crates/core/src/y.rs\",\"line\":3}]"

@@ -116,6 +116,7 @@ mod tests {
             }],
             stale: vec![],
             files: 2,
+            callers: 1,
         }
     }
 
@@ -174,6 +175,7 @@ mod tests {
             waived: vec![],
             stale: vec![],
             files: 0,
+            callers: 0,
         };
         let sarif = render_sarif(&empty, &Allowlist::default());
         assert!(sarif.contains("\"results\":[]"));

@@ -152,7 +152,11 @@ fn direct_nondet_source(src: &SourceFile, body: (usize, usize)) -> Option<(Strin
 /// D006: sim-state call sites whose callee, defined outside the sim-state
 /// layer, transitively reaches a non-deterministic source. Sources *inside*
 /// sim-state crates are D002/D003/D004's job and are not re-routed here.
-pub fn determinism_taint(files: &[TaintFile], cg: &CallGraph, layers: &Layers) -> Vec<Diagnostic> {
+pub(crate) fn determinism_taint(
+    files: &[TaintFile],
+    cg: &CallGraph,
+    layers: &Layers,
+) -> Vec<Diagnostic> {
     let sim = layers.sim_state_crates();
     let mut seeds = Vec::new();
     for (n, &(fi, gi)) in cg.fns.iter().enumerate() {
@@ -297,7 +301,7 @@ fn site_waiver(allow: &Allowlist, path: &str, site: &PanicSite) -> Option<usize>
 /// Also returns the indices of allowlist entries consumed as site barriers,
 /// so the stale-waiver report does not flag entries whose only job is to
 /// suppress seeds here (they never match a rendered diagnostic).
-pub fn panic_reachability(
+pub(crate) fn panic_reachability(
     files: &[TaintFile],
     cg: &CallGraph,
     layers: &Layers,

@@ -5,16 +5,19 @@
 //! token stream and an item model, builds the crate dependency graph and the
 //! intra-workspace call graph, and runs every pass — the per-file lints
 //! (A001, D/U/R series), the A002 transitive-layering pass over the crate
-//! graph, and the D006/R004 taint passes over the call graph. [`run_check`]
-//! wraps it with `lint.toml` loading and the allowlist ratchet.
+//! graph, the D006/R004 taint passes over the call graph, and the A003
+//! public-surface pass over the linted files plus the read-only caller files
+//! (`caller_files`). [`run_check`] wraps it with `lint.toml` loading and the
+//! allowlist ratchet.
 
 use crate::checks::{self, Diagnostic};
 use crate::config::LintConfig;
 use crate::graph::{CallGraph, CrateGraph, FileRef};
+use crate::lexer::{lex, TokenKind};
 use crate::parser::{parse_file, FileModel};
 use crate::report::CheckReport;
 use crate::source::SourceFile;
-use crate::taint;
+use crate::{surface, taint};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -31,7 +34,7 @@ pub struct WorkspaceFile {
 
 /// Enumerate every `crates/*/src/**/*.rs` under `root`, sorted by relative
 /// path so diagnostics and reports are byte-stable across filesystems.
-pub fn workspace_files(root: &Path) -> Result<Vec<WorkspaceFile>, String> {
+pub(crate) fn workspace_files(root: &Path) -> Result<Vec<WorkspaceFile>, String> {
     let crates_dir = root.join("crates");
     let mut files = Vec::new();
     let crate_dirs =
@@ -83,6 +86,48 @@ fn collect_rs(
     Ok(())
 }
 
+/// The read-only caller files of A003 ([`crate::surface`]): every
+/// `crates/*/tests/**`, the workspace `tests/**`, `examples/**` and
+/// `benchmark/src/**` `.rs` file, sorted. They are read for the names they
+/// use and never linted. `fixtures/` directories hold never-compiled lint
+/// and analyzer inputs, so they are skipped. A missing directory lists
+/// nothing.
+pub(crate) fn caller_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut dirs = vec![
+        root.join("tests"),
+        root.join("examples"),
+        root.join("benchmark/src"),
+    ];
+    let crates_dir = root.join("crates");
+    let crate_dirs =
+        fs::read_dir(&crates_dir).map_err(|e| format!("{}: {e}", crates_dir.display()))?;
+    for entry in crate_dirs {
+        let entry = entry.map_err(|e| format!("{}: {e}", crates_dir.display()))?;
+        dirs.push(entry.path().join("tests"));
+    }
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_callers(dir, &mut files)?;
+    }
+    files.sort();
+    Ok(files)
+}
+
+fn collect_callers(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
+    let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    for entry in entries {
+        let path = entry.map_err(|e| format!("{}: {e}", dir.display()))?.path();
+        if path.is_dir() {
+            if !path.ends_with("fixtures") {
+                collect_callers(&path, out)?;
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
+
 /// The full semantic analysis of one workspace: every file's token and item
 /// views, both graphs, and the raw (pre-allowlist) diagnostics from every
 /// pass.
@@ -93,6 +138,9 @@ pub struct Analysis {
     pub call_graph: CallGraph,
     /// All diagnostics, sorted by `(path, line, lint)` and deduplicated.
     pub diags: Vec<Diagnostic>,
+    /// Number of read-only caller files A003 read (every crate's `tests/`,
+    /// the workspace `tests/`, `examples/` and `benchmark/src/`).
+    pub callers: usize,
     /// Indices of `[[allow]]` entries consumed as R004 taint barriers. Such
     /// an entry never matches a rendered diagnostic (the waived site is
     /// simply not flagged), so the stale-entry check must exempt it.
@@ -134,6 +182,19 @@ pub fn analyze_workspace(root: &Path, config: &LintConfig) -> Result<Analysis, S
     let (r004, used_barrier_waivers) =
         taint::panic_reachability(&files, &call_graph, &config.layers, &config.allowlist);
     diags.extend(r004);
+    let callers = caller_files(root)?;
+    let mut caller_names = BTreeSet::new();
+    for path in &callers {
+        let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        caller_names.extend(
+            lex(&text)
+                .tokens
+                .into_iter()
+                .filter(|t| t.kind == TokenKind::Ident)
+                .map(|t| t.text),
+        );
+    }
+    diags.extend(surface::unused_public_items(&files, &caller_names));
     diags.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
     diags.dedup_by(|a, b| a.lint == b.lint && a.path == b.path && a.line == b.line);
 
@@ -142,6 +203,7 @@ pub fn analyze_workspace(root: &Path, config: &LintConfig) -> Result<Analysis, S
         crate_graph,
         call_graph,
         diags,
+        callers: callers.len(),
         used_barrier_waivers,
     })
 }
@@ -196,6 +258,7 @@ pub fn run_check(root: &Path, config_path: &Path) -> Result<CheckReport, String>
     let config = load_config(config_path)?;
     let analysis = analyze_workspace(root, &config)?;
     let files = analysis.files.len();
+    let callers = analysis.callers;
     let (blocking, waived, stale) = config.allowlist.apply(analysis.diags);
     // Waivers consumed as R004 taint barriers never match a diagnostic —
     // they are doing their job, not stale.
@@ -216,6 +279,7 @@ pub fn run_check(root: &Path, config_path: &Path) -> Result<CheckReport, String>
         waived,
         stale,
         files,
+        callers,
     })
 }
 

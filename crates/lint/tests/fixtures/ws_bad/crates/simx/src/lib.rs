@@ -9,3 +9,7 @@ pub fn step(xs: &[u64]) -> u64 {
     let t = helper::now_ms();
     t + helper::first_of(xs)
 }
+
+fn clamped(v: u64) -> u64 {
+    helper::clamp_ms(v)
+}

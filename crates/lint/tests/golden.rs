@@ -4,8 +4,8 @@
 //! outside any src tree); each has a committed `.expected` file pinning the
 //! exact diagnostics as `line lint-id` pairs. `fixtures/clean/clean.rs`
 //! must produce nothing. `fixtures/ws_bad/` is a whole fixture *workspace*
-//! exercising the graph passes (A002, D006, R004) that no single file can
-//! trigger. An intentional lint change must regenerate the `.expected`
+//! exercising the workspace passes (A002, A003, D006, R004) that no single
+//! file can trigger. An intentional lint change must regenerate the `.expected`
 //! files (the assertion message shows the new output).
 //!
 //! The self-check test then lints the real workspace and asserts it is
@@ -135,11 +135,13 @@ fn ws_bad_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws_bad")
 }
 
-/// The fixture workspace pins the graph passes: every file in it lints
+/// The fixture workspace pins the workspace passes: every file in it lints
 /// clean per-file (modulo the helper's own R001/A001), but the workspace
 /// analysis catches the sim crate laundering wall-clock time (D006),
 /// panics (R004), and an observation-layer dependency (A002) through its
-/// allowed helper.
+/// allowed helper, and flags the helper's public fns that no outside code
+/// names (A003) while sparing those named by the sibling crate, the
+/// workspace `tests/`, an exported macro body or a doctest.
 #[test]
 fn ws_bad_fixture_matches_golden() {
     let root = ws_bad_root();
@@ -174,6 +176,22 @@ fn ws_bad_fixture_matches_golden() {
             .any(|d| d.lint == "A001" && d.path.contains("helper")),
         "expected the helper's direct observation-layer reference to flag A001"
     );
+    assert_eq!(
+        report.callers, 1,
+        "the fixture's tests/step.rs is its caller"
+    );
+    let a003: Vec<&str> = report
+        .blocking
+        .iter()
+        .filter(|d| d.lint == "A003")
+        .map(|d| d.message.as_str())
+        .collect();
+    for name in ["record", "orphan"] {
+        assert!(
+            a003.iter().any(|m| m.contains(&format!("`pub fn {name}`"))),
+            "expected A003 on the uncalled `{name}`, got {a003:?}"
+        );
+    }
 }
 
 // ------------------------------------------------- allowlist ratchet gate --
@@ -266,6 +284,11 @@ fn workspace_self_check() {
         report.files > 50,
         "expected to scan the whole workspace, saw only {} files",
         report.files
+    );
+    assert!(
+        report.callers > 10,
+        "A003 must read the tests, examples and benchmark; read only {} files",
+        report.callers
     );
     let rendered: Vec<String> = report
         .blocking

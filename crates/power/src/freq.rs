@@ -217,7 +217,7 @@ impl VoltageCurve {
 
     /// Ratio of dynamic power at `f` to dynamic power at turbo:
     /// `(f · V(f)²) / (f_t · V(f_t)²)`.
-    pub fn dynamic_power_factor(&self, f: MegaHertz) -> f64 {
+    pub(crate) fn dynamic_power_factor(&self, f: MegaHertz) -> f64 {
         let f = self.plan.clamp(f);
         let turbo = self.plan.turbo();
         let num = f.get() as f64 * self.voltage(f).squared();
@@ -239,8 +239,8 @@ mod tests {
     #[test]
     fn reference_plan_matches_paper() {
         let p = FrequencyPlan::amd_reference();
-        assert_eq!(p.turbo().as_ghz(), 3.3);
-        assert_eq!(p.max_overclock().as_ghz(), 4.0);
+        assert_eq!(p.turbo().get(), 3300);
+        assert_eq!(p.max_overclock().get(), 4000);
     }
 
     #[test]

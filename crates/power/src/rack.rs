@@ -37,8 +37,6 @@ pub struct RackMonitor {
     limit: Watts,
     warning_fraction: f64,
     capping_events: u64,
-    warnings: u64,
-    observations: u64,
     in_capping: bool,
     peak: Watts,
 }
@@ -59,8 +57,6 @@ impl RackMonitor {
             limit,
             warning_fraction,
             capping_events: 0,
-            warnings: 0,
-            observations: 0,
             in_capping: false,
             peak: Watts::ZERO,
         }
@@ -81,7 +77,6 @@ impl RackMonitor {
     /// Consecutive over-limit observations count as a **single** capping
     /// event; the event ends once the draw falls back below the limit.
     pub fn observe(&mut self, draw: Watts) -> RackSignal {
-        self.observations += 1;
         self.peak = self.peak.max(draw);
         if draw >= self.limit {
             if !self.in_capping {
@@ -92,7 +87,6 @@ impl RackMonitor {
         } else {
             self.in_capping = false;
             if draw >= self.warning_threshold() {
-                self.warnings += 1;
                 RackSignal::Warning
             } else {
                 RackSignal::Normal
@@ -103,16 +97,6 @@ impl RackMonitor {
     /// Number of distinct capping events so far.
     pub fn capping_events(&self) -> u64 {
         self.capping_events
-    }
-
-    /// Number of warning observations so far.
-    pub fn warnings(&self) -> u64 {
-        self.warnings
-    }
-
-    /// Total observations.
-    pub fn observations(&self) -> u64 {
-        self.observations
     }
 
     /// Highest observed draw.

@@ -161,11 +161,6 @@ impl MegaHertz {
         self.0
     }
 
-    /// Frequency in GHz.
-    pub fn as_ghz(self) -> f64 {
-        self.0 as f64 / 1000.0
-    }
-
     /// Ratio of two frequencies.
     ///
     /// # Panics
@@ -248,7 +243,7 @@ impl Volts {
     }
 
     /// `V²` — the factor dynamic power scales with.
-    pub fn squared(self) -> f64 {
+    pub(crate) fn squared(self) -> f64 {
         self.0 * self.0
     }
 }
@@ -300,7 +295,7 @@ mod tests {
         assert_eq!(f + MegaHertz::new(100), MegaHertz::new(3400));
         assert_eq!(f - MegaHertz::new(300), MegaHertz::new(3000));
         assert_eq!(f.saturating_sub(MegaHertz::new(5000)), MegaHertz::ZERO);
-        assert_eq!(f.as_ghz(), 3.3);
+        assert_eq!(f.get(), 3300);
         assert_eq!(
             MegaHertz::new(5000).clamp(MegaHertz::new(2000), MegaHertz::new(4000)),
             MegaHertz::new(4000)

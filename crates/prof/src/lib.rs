@@ -2,12 +2,12 @@
 //!
 //! The workspace's sim-state crates are forbidden from reading the wall
 //! clock (soc-lint D002): a seed must fully determine every byte they
-//! compute. But ROADMAP direction 1 ("100k racks, a simulated week in
-//! seconds") needs exactly the numbers determinism forbids — wall time per
-//! phase, racks per second, memory high-water marks. This crate is the
-//! resolution: **all** wall-clock observation lives here and in the bench
-//! binaries that link it, strictly outside the deterministic core, and the
-//! sim crates expose pure observation *hooks*
+//! compute. But measuring how fast the simulations run — and keeping them
+//! fast as the fleet grows — needs exactly the numbers determinism forbids:
+//! wall time per phase, racks per second, memory high-water marks. This
+//! crate is the resolution: **all** wall-clock observation lives here and
+//! in the bench binaries and the benchmark that link it, strictly outside
+//! the deterministic core, and the sim crates expose pure observation *hooks*
 //! (`soc_cluster::probe::ShardProbe`) that the bench binaries' observer
 //! records into a [`Profiler`]. Profiling on or off never changes a trace
 //! byte (pinned by `tests/prof.rs`).

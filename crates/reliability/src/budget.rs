@@ -136,7 +136,7 @@ impl OverclockBudget {
     }
 
     /// Per-epoch allowance (excluding carry-over).
-    pub fn epoch_allowance(&self) -> SimDuration {
+    fn epoch_allowance(&self) -> SimDuration {
         self.epoch.mul_f64(self.fraction)
     }
 
@@ -146,21 +146,6 @@ impl OverclockBudget {
         (self.epoch_allowance() + self.carry_over)
             .saturating_sub(self.consumed)
             .saturating_sub(self.reserved)
-    }
-
-    /// Currently reserved time.
-    pub fn reserved(&self) -> SimDuration {
-        self.reserved
-    }
-
-    /// Time consumed in the current epoch.
-    pub fn consumed_this_epoch(&self) -> SimDuration {
-        self.consumed
-    }
-
-    /// Lifetime total consumed.
-    pub fn total_consumed(&self) -> SimDuration {
-        self.total_consumed
     }
 
     /// Roll the epoch forward to the one containing `now`, applying
@@ -279,7 +264,7 @@ mod tests {
         b.consume(SimTime::ZERO, SimDuration::from_hours(10))
             .unwrap();
         assert!((b.remaining().as_hours_f64() - 6.8).abs() < 1e-9);
-        assert_eq!(b.total_consumed(), SimDuration::from_hours(10));
+        assert_eq!(b.total_consumed, SimDuration::from_hours(10));
     }
 
     #[test]
@@ -289,7 +274,7 @@ mod tests {
             .consume(SimTime::ZERO, SimDuration::from_hours(20))
             .unwrap_err();
         assert!(matches!(err, BudgetError::InsufficientBudget { .. }));
-        assert_eq!(b.total_consumed(), SimDuration::ZERO);
+        assert_eq!(b.total_consumed, SimDuration::ZERO);
     }
 
     #[test]
@@ -323,7 +308,7 @@ mod tests {
         // But the reservation holder can consume it.
         b.consume_reserved(SimTime::ZERO, SimDuration::from_hours(10))
             .unwrap();
-        assert_eq!(b.reserved(), SimDuration::ZERO);
+        assert_eq!(b.reserved, SimDuration::ZERO);
     }
 
     #[test]
@@ -332,7 +317,7 @@ mod tests {
         b.reserve(SimTime::ZERO, SimDuration::from_hours(10))
             .unwrap();
         b.release(SimDuration::from_hours(4)).unwrap();
-        assert_eq!(b.reserved(), SimDuration::from_hours(6));
+        assert_eq!(b.reserved, SimDuration::from_hours(6));
         assert!((b.remaining().as_hours_f64() - 10.8).abs() < 1e-9);
         assert!(matches!(
             b.release(SimDuration::from_hours(100)),
@@ -346,7 +331,7 @@ mod tests {
         b.reserve(SimTime::ZERO, SimDuration::from_hours(10))
             .unwrap();
         b.advance_to(SimTime::ZERO + SimDuration::WEEK);
-        assert_eq!(b.reserved(), SimDuration::ZERO);
+        assert_eq!(b.reserved, SimDuration::ZERO);
     }
 
     #[test]
@@ -415,7 +400,7 @@ mod tests {
                 // Invariant: per-epoch consumption never exceeds allowance
                 // plus the carry-over cap (2 allowances total).
                 prop_assert!(
-                    b.consumed_this_epoch() <= b.epoch_allowance().mul_f64(2.0)
+                    b.consumed <= b.epoch_allowance().mul_f64(2.0)
                 );
             }
         }

@@ -113,7 +113,7 @@ impl ThermalModel {
     }
 
     /// Steady-state junction temperature at constant `power`.
-    pub fn steady_state_c(&self, power: Watts) -> f64 {
+    fn steady_state_c(&self, power: Watts) -> f64 {
         self.cooling.ambient_c() + self.cooling.thermal_resistance() * power.get()
     }
 

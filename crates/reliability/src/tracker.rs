@@ -109,13 +109,6 @@ impl TimeInState {
         candidates
     }
 
-    /// Total overclocked time across cores.
-    pub fn total_consumed(&self) -> SimDuration {
-        self.overclocked
-            .iter()
-            .fold(SimDuration::ZERO, |a, &b| a + b)
-    }
-
     /// Reset all counters (epoch rollover).
     pub fn reset(&mut self) {
         for v in &mut self.overclocked {
@@ -129,13 +122,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn total_consumed(t: &TimeInState) -> SimDuration {
+        t.overclocked.iter().fold(SimDuration::ZERO, |a, &b| a + b)
+    }
+
     #[test]
     fn fresh_tracker_has_full_budget() {
         let t = TimeInState::new(8, SimDuration::from_hours(5));
         for i in 0..8 {
             assert_eq!(t.remaining(i), SimDuration::from_hours(5));
         }
-        assert_eq!(t.total_consumed(), SimDuration::ZERO);
+        assert_eq!(total_consumed(&t), SimDuration::ZERO);
     }
 
     #[test]
@@ -144,7 +141,7 @@ mod tests {
         t.record(0, SimDuration::from_hours(3));
         assert_eq!(t.remaining(0), SimDuration::from_hours(2));
         assert_eq!(t.remaining(1), SimDuration::from_hours(5));
-        assert_eq!(t.total_consumed(), SimDuration::from_hours(3));
+        assert_eq!(total_consumed(&t), SimDuration::from_hours(3));
     }
 
     #[test]
@@ -202,7 +199,7 @@ mod tests {
                 t.record(core, SimDuration::from_minutes(mins));
                 expected += mins;
             }
-            prop_assert_eq!(t.total_consumed(), SimDuration::from_minutes(expected));
+            prop_assert_eq!(total_consumed(&t), SimDuration::from_minutes(expected));
         }
 
         #[test]

@@ -124,17 +124,17 @@ impl WearModel {
     }
 
     /// Activity-dependent ageing coefficient.
-    pub fn beta(&self) -> f64 {
+    pub(crate) fn beta(&self) -> f64 {
         self.beta
     }
 
     /// Voltage acceleration exponent (per volt above turbo voltage).
-    pub fn k_voltage(&self) -> f64 {
+    pub(crate) fn k_voltage(&self) -> f64 {
         self.k_voltage
     }
 
     /// Temperature acceleration exponent (per °C above reference).
-    pub fn k_temp(&self) -> f64 {
+    pub(crate) fn k_temp(&self) -> f64 {
         self.k_temp
     }
 
@@ -238,12 +238,7 @@ impl AgeingLedger {
     }
 
     /// Expected (vendor-reference) ageing: one day per elapsed day.
-    pub fn expected_days(&self) -> f64 {
-        self.elapsed_days
-    }
-
-    /// Wall-clock days elapsed.
-    pub fn elapsed_days(&self) -> f64 {
+    fn expected_days(&self) -> f64 {
         self.elapsed_days
     }
 
@@ -251,11 +246,6 @@ impl AgeingLedger {
     /// part has aged faster than reference).
     pub fn credit_days(&self) -> f64 {
         self.expected_days() - self.actual_days
-    }
-
-    /// Whether the component is within its lifetime goal.
-    pub fn within_budget(&self) -> bool {
-        self.credit_days() >= 0.0
     }
 
     /// Merge another ledger (e.g. per-core ledgers into a socket view).
@@ -359,12 +349,12 @@ mod tests {
         l.record(0.4, SimDuration::from_days(5));
         assert!((l.actual_days() - 2.0).abs() < 1e-9);
         assert!((l.credit_days() - 3.0).abs() < 1e-9);
-        assert!(l.within_budget());
+        assert!(l.credit_days() >= 0.0);
         l.record(4.0, SimDuration::from_days(1));
         assert!((l.actual_days() - 6.0).abs() < 1e-9);
-        assert!(l.within_budget()); // 6 actual vs 6 expected
+        assert!(l.credit_days() >= 0.0); // 6 actual vs 6 expected
         l.record(2.0, SimDuration::from_days(1));
-        assert!(!l.within_budget());
+        assert!(l.credit_days() < 0.0);
     }
 
     #[test]
@@ -375,7 +365,7 @@ mod tests {
         b.record(0.5, SimDuration::from_days(4));
         a.merge(&b);
         assert!((a.actual_days() - 4.0).abs() < 1e-9);
-        assert!((a.elapsed_days() - 6.0).abs() < 1e-9);
+        assert!((a.elapsed_days - 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -428,7 +418,7 @@ mod tests {
                 l.record(rate, SimDuration::from_hours(hours));
             }
             prop_assert!((l.credit_days() - (l.expected_days() - l.actual_days())).abs() < 1e-9);
-            prop_assert!(l.elapsed_days() > 0.0);
+            prop_assert!(l.elapsed_days > 0.0);
         }
     }
 }

@@ -10,7 +10,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Number of microseconds in one second.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
+const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// A point in simulated time (microseconds since a Monday-00:00 epoch).
 ///

@@ -461,8 +461,9 @@ mod tests {
         assert_eq!(outer.metrics(|m| m.counter("c", &[])), Some(3));
         // Gauges: last absorbed shard wins, same as a serial run.
         assert_eq!(outer.metrics(|m| m.gauge("g", &[])).flatten(), Some(2.0));
-        let h = outer.metrics(|m| m.histogram("h", &[])).flatten().unwrap();
-        assert_eq!(h.count(), 2);
+        let snap = outer.metrics_snapshot();
+        let (key, h) = &snap.histograms[0];
+        assert_eq!((key.name, h.count()), ("h", 2));
 
         // Absorbing into a disabled handle is a no-op.
         Telemetry::disabled().absorb(ev0, &m0);

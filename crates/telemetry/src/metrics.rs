@@ -221,22 +221,12 @@ impl MetricsRegistry {
         map.get(&(name, labels) as &dyn SeriesId).copied()
     }
 
-    /// Clone of a histogram, if any observations were recorded.
-    pub fn histogram(
-        &self,
-        name: &'static str,
-        labels: &[(&'static str, LabelValue)],
-    ) -> Option<Histogram> {
-        let map = self.histograms.lock().expect("histogram map poisoned");
-        map.get(&(name, labels) as &dyn SeriesId).cloned()
-    }
-
     /// Merge a snapshot taken from another registry (a shard's buffered
     /// registry) into this one: counters add, gauges overwrite (last write
     /// wins — merge shards in canonical order), histograms merge
     /// bucket-wise. All registry histograms share one precision, so the
     /// histogram merge cannot panic.
-    pub fn merge_snapshot(&self, snap: &MetricsSnapshot) {
+    pub(crate) fn merge_snapshot(&self, snap: &MetricsSnapshot) {
         {
             let mut map = self.counters.lock().expect("counter map poisoned");
             for (k, v) in &snap.counters {
@@ -362,7 +352,9 @@ mod tests {
         for i in 1..=100 {
             m.observe("tick_us", &[], i as f64);
         }
-        let h = m.histogram("tick_us", &[]).unwrap();
+        let snap = m.snapshot();
+        let (key, h) = &snap.histograms[0];
+        assert_eq!(key.name, "tick_us");
         assert_eq!(h.count(), 100);
         assert!((h.quantile(0.5) - 50.0).abs() < 3.0);
     }

@@ -63,19 +63,6 @@ impl ServerTrace {
             oc_demand_cores: self.oc_demand_cores.values(),
         }
     }
-
-    /// Mean baseline power over the span.
-    ///
-    /// # Panics
-    /// Panics if the trace is empty.
-    pub fn mean_power(&self) -> Watts {
-        Watts::new(self.power.mean())
-    }
-
-    /// Whether the server ever requests overclocking.
-    pub fn wants_overclock(&self) -> bool {
-        !self.oc_demand_cores.is_empty() && self.oc_demand_cores.max() > 0.0
-    }
 }
 
 /// Telemetry for one rack.
@@ -205,8 +192,8 @@ mod tests {
             power: series(vec![150.0, 250.0]),
             oc_demand_cores: series(vec![0.0, 8.0]),
         };
-        assert_eq!(s.mean_power(), Watts::new(200.0));
-        assert!(s.wants_overclock());
+        assert_eq!(s.power.mean(), 200.0);
+        assert!(s.oc_demand_cores.max() > 0.0);
     }
 
     #[test]

@@ -540,6 +540,7 @@ fn region_stream(region: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simcore::stats::rmse;
 
     fn small_fleet(seed: u64) -> FleetTrace {
@@ -560,18 +561,47 @@ mod tests {
         assert_ne!(a.racks[0].power.values(), b.racks[0].power.values());
     }
 
-    #[test]
-    fn rack_power_is_sum_of_servers() {
-        let fleet = small_fleet(3);
-        let rack = &fleet.racks[0];
-        // Bitwise: the generator folds server draws left to right in
-        // server order from 0.0, and so does this check.
-        for (i, a) in rack.power.values().iter().enumerate() {
-            let sum = rack
-                .servers
-                .iter()
-                .fold(0.0, |acc, s| acc + s.power.values()[i]);
-            assert_eq!(a.to_bits(), sum.to_bits(), "sample {i}");
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Rack-draw conservation over seeds and fleet shapes, through both
+        /// entry points. Bitwise: the generator folds server draws left to
+        /// right in server order from 0.0, and so does this check.
+        #[test]
+        fn rack_power_is_sum_of_servers(
+            seed in 0u64..u64::MAX,
+            racks in 1usize..=4,
+            servers in (1usize..=4, 0usize..=3),
+            step in 0usize..3,
+            span_days in 1u64..=14,
+            oversubscription in (1.0f64..1.6, 0.0f64..0.6),
+        ) {
+            let cfg = FleetConfig {
+                racks,
+                servers_per_rack_min: servers.0,
+                servers_per_rack_max: servers.0 + servers.1,
+                step: SimDuration::from_minutes([5, 15, 60][step]),
+                span: SimDuration::from_days(span_days),
+                oversubscription: (
+                    oversubscription.0,
+                    oversubscription.0 + oversubscription.1,
+                ),
+                keep_server_series: true,
+                ..FleetConfig::small_test()
+            };
+            let generator = TraceGenerator::new(seed);
+            let fleet = generator.generate(&cfg);
+            let streamed = (0..racks).map(|r| generator.generate_rack(&cfg, r));
+            for (k, rack) in fleet.racks.into_iter().chain(streamed).enumerate() {
+                prop_assert!(!rack.servers.is_empty());
+                for (i, a) in rack.power.values().iter().enumerate() {
+                    let sum = rack
+                        .servers
+                        .iter()
+                        .fold(0.0, |acc, s| acc + s.power.values()[i]);
+                    prop_assert_eq!(a.to_bits(), sum.to_bits(), "rack {} sample {}", k, i);
+                }
+            }
         }
     }
 
@@ -615,7 +645,7 @@ mod tests {
             .racks
             .iter()
             .flat_map(|r| &r.servers)
-            .filter(|s| s.wants_overclock())
+            .filter(|s| s.oc_demand_cores.max() > 0.0)
             .count();
         assert!(wanting > 0, "no server ever requested overclocking");
     }

@@ -131,7 +131,7 @@ pub fn service_c() -> ServiceProfile {
 /// The background-service catalog: a population of heterogeneous profiles
 /// used to fill multi-tenant racks. Index `i` deterministically selects a
 /// profile; the population cycles after [`background_catalog_len`] entries.
-pub fn background_service(i: usize) -> ServiceProfile {
+pub(crate) fn background_service(i: usize) -> ServiceProfile {
     let variants: Vec<ServiceProfile> = vec![
         ServiceProfile::new(
             "web-frontend",
@@ -218,7 +218,7 @@ pub fn background_service(i: usize) -> ServiceProfile {
 }
 
 /// Number of distinct background profiles before the catalog repeats.
-pub fn background_catalog_len() -> usize {
+pub(crate) fn background_catalog_len() -> usize {
     10
 }
 

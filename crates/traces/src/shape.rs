@@ -103,7 +103,7 @@ impl LoadShape {
 
     /// Convenience constructor: an office-hours diurnal shape with a plateau
     /// between `start` and `end` hours.
-    pub fn office_hours(base: f64, peak: f64, start: f64, end: f64) -> LoadShape {
+    pub(crate) fn office_hours(base: f64, peak: f64, start: f64, end: f64) -> LoadShape {
         LoadShape::Diurnal {
             base,
             peak,
@@ -115,7 +115,7 @@ impl LoadShape {
 
     /// Peak (maximum over a representative weekday) of the shape, found by
     /// dense sampling. Useful for normalization and SLO sizing.
-    pub fn weekday_peak(&self) -> f64 {
+    pub(crate) fn weekday_peak(&self) -> f64 {
         // Tuesday avoids any epoch edge effects.
         let day_start = SimTime::ZERO + SimDuration::from_days(1);
         simcore::time::ticks(

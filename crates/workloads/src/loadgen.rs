@@ -110,7 +110,7 @@ impl RateSchedule {
     }
 
     /// Start of the next segment strictly after `t`, if any.
-    pub fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
+    pub(crate) fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
         let idx = self.segments.partition_point(|&(s, _)| s <= t);
         self.segments.get(idx).map(|&(s, _)| s)
     }

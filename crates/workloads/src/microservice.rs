@@ -595,11 +595,6 @@ impl MicroserviceSim {
         self.total_arrivals
     }
 
-    /// Total completions since construction.
-    pub fn total_completions(&self) -> u64 {
-        self.total_completions
-    }
-
     /// Requests currently queued or in service.
     pub fn in_system(&self) -> u64 {
         self.total_arrivals - self.total_completions
@@ -975,7 +970,7 @@ mod tests {
         // All work keeps completing through the remaining VM.
         assert!(stats.completions > 0);
         // Conservation: nothing lost.
-        assert!(solo.sim.total_completions() <= solo.sim.total_arrivals());
+        assert!(solo.sim.total_completions <= solo.sim.total_arrivals());
     }
 
     #[test]
@@ -998,14 +993,11 @@ mod tests {
         assert!(w1.arrivals > 0 && w2.arrivals > 0);
         // Window counters partition the lifetime counters.
         assert_eq!(solo.sim.total_arrivals(), w1.arrivals + w2.arrivals);
-        assert_eq!(
-            solo.sim.total_completions(),
-            w1.completions + w2.completions
-        );
+        assert_eq!(solo.sim.total_completions, w1.completions + w2.completions);
         // Conservation: everything that arrived is either done or in system.
         assert_eq!(
             solo.sim.total_arrivals(),
-            solo.sim.total_completions() + solo.sim.in_system()
+            solo.sim.total_completions + solo.sim.in_system()
         );
     }
 
@@ -1061,7 +1053,7 @@ mod tests {
         assert_eq!(fired, [3, 5, 7, 9]);
         // The arrival went into service on the core the first departure
         // freed; the next arrival took the sequence number after it.
-        assert_eq!(sim.total_completions(), 3);
+        assert_eq!(sim.total_completions, 3);
         assert_eq!(latencies.len(), 3);
         assert_eq!((sim.vms[0].busy, sim.busy_cores), (1, 1));
         assert_eq!(sim.slots[0].seq, 10);
@@ -1129,10 +1121,10 @@ mod tests {
 
                     let sim = &solo.sim;
                     prop_assert_eq!(sim.total_arrivals(), arrivals);
-                    prop_assert_eq!(sim.total_completions(), completions);
+                    prop_assert_eq!(sim.total_completions, completions);
                     prop_assert_eq!(
                         sim.total_arrivals(),
-                        sim.total_completions() + sim.in_system()
+                        sim.total_completions + sim.in_system()
                     );
                     let held: usize = sim.vms.iter().map(|v| v.busy + v.queue.len()).sum();
                     prop_assert_eq!(sim.in_system(), held as u64);
@@ -1303,7 +1295,7 @@ mod tests {
                 let rate = RateSchedule::constant(load * s.capacity_per_vm(1.0));
                 let mut solo = Solo::new(s, rate, 1, seed);
                 let w = solo.window(SimTime::from_secs(30));
-                prop_assert!(w.completions <= solo.sim.total_completions());
+                prop_assert!(w.completions <= solo.sim.total_completions);
                 if !w.p99_ms.is_nan() {
                     prop_assert!(w.p99_ms >= 0.0);
                     prop_assert!(w.p99_ms + 1e-9 >= w.mean_ms);

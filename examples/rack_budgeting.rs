@@ -11,6 +11,7 @@
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::goa::{GlobalOverclockAgent, ServerProfile};
 use smartoclock::policy::PolicyKind;
+use soc_power::hierarchy::DemandProfile;
 use soc_traces::gen::{FleetConfig, TraceGenerator};
 
 fn main() {
@@ -41,7 +42,9 @@ fn main() {
     for hour in [3u64, 11, 20] {
         // Predict for the Tuesday after the training week.
         let t = SimTime::ZERO + SimDuration::from_days(8) + SimDuration::from_hours(hour);
-        let budgets = goa.budgets_at(t, &profiles);
+        let demands: Vec<DemandProfile> = profiles.iter().map(|p| p.demand_at(t)).collect();
+        let mut budgets = Vec::new();
+        goa.budgets_for(&demands, &mut budgets);
         println!("{:02}:00 —", hour);
         for (i, (b, p)) in budgets.iter().zip(&profiles).enumerate() {
             let d = p.demand_at(t);

@@ -167,6 +167,7 @@ fn every_writer_round_trips_hostile_strings() {
             waived: diags,
             stale: allow.entries.clone(),
             files: 1,
+            callers: 1,
         };
         assert_strings_survive("CheckReport::render_json", &lint.render_json(), &strings);
         let justifications: Vec<String> = strings.iter().map(|s| format!("{s}!")).collect();

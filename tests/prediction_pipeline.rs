@@ -7,6 +7,7 @@ use smartoclock::goa::{GlobalOverclockAgent, ServerProfile};
 use smartoclock::messages::{OverclockRequest, SoaEvent};
 use smartoclock::policy::PolicyKind;
 use smartoclock::soa::ServerOverclockAgent;
+use soc_power::hierarchy::DemandProfile;
 use soc_power::rack::RackMonitor;
 use soc_power::units::Watts;
 use soc_predict::eval::{template_at, walk_forward};
@@ -137,7 +138,9 @@ fn goa_budgets_from_generated_traces_drive_admission_and_feedback() {
 
     // Push budgets and templates, as the weekly exchange would.
     let now = SimTime::ZERO + SimDuration::WEEK;
-    let budgets = goa.budgets_at(now, &profiles);
+    let demands: Vec<DemandProfile> = profiles.iter().map(|p| p.demand_at(now)).collect();
+    let mut budgets = Vec::new();
+    goa.budgets_for(&demands, &mut budgets);
     let mut agents: Vec<ServerOverclockAgent> = budgets
         .iter()
         .zip(&rack.servers)

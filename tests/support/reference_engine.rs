@@ -288,7 +288,8 @@ fn simulate_rack(
                     overclock_demand: Watts::new(s.demand.predict(t).max(0.0)),
                 })
                 .collect();
-            let budgets = goa.budgets_for(&demands);
+            let mut budgets = Vec::with_capacity(demands.len());
+            goa.budgets_for(&demands, &mut budgets);
             epochs.mark_refresh(t);
             for (i, (s, b)) in servers.iter_mut().zip(&budgets).enumerate() {
                 let entity = FaultPlan::entity_id(rack.index, i);
