@@ -5,11 +5,12 @@
 //! per-server structs and calls `PowerTemplate::predict` /
 //! `TimeSeries::value_at` per server per step, this engine keeps every
 //! mutable field as its own column ([`ServerColumns`]), reads predictions
-//! from rows built at training ([`PredictionRows`]), hoists the per-step
-//! sample index out of the inner server loop, and reuses one set of
-//! per-step scratch buffers ([`StepBuffers`]) for the whole run — so power
-//! aggregation is a linear scan over a `f64` column and steady-state
-//! allocation count does not scale with simulated steps.
+//! from rows built at training ([`PredictionRows`]) and the rack's base
+//! draw from columns folded at training ([`BaseColumns`]), hoists the
+//! per-step sample index out of the inner server loop, and reuses one set
+//! of per-step scratch buffers ([`StepBuffers`]) for the whole run, which
+//! the admission loop rewrites in place — so steady-state allocation count
+//! does not scale with simulated steps.
 //!
 //! **Byte-determinism contract.** Output (outcomes, telemetry events,
 //! metrics, decision ids) must be byte-identical to that reference engine
@@ -19,20 +20,25 @@
 //!
 //! 1. every floating-point operation whose result reaches an output happens
 //!    in the same order on the same values (accumulators fold left-to-right
-//!    over servers in rack order, exactly as the reference's `+=` loops);
+//!    over servers in rack order, exactly as the reference's `+=` loops;
+//!    a fold may skip a `+ 0.0` term only where the accumulator cannot be
+//!    −0.0);
 //! 2. only *pure* computations are cached or batched (`TimeSeries::index_at`
 //!    replaces repeated `value_at` divisions; `PredictionRows`, built at
 //!    training, replays each template's `predict_at` per day class, or per
-//!    weekly slot when a template is `Weekly`; gOA budget rows replay the
-//!    stateless agent's split of a prediction row — each provably returns
-//!    the values the per-call forms would);
+//!    weekly slot when a template is `Weekly`; `BaseColumns`, built at
+//!    training, holds each step's rack base-power total and its dynamic
+//!    part above idle, folded in the reference's server order; gOA budget
+//!    rows replay the stateless agent's split of a prediction row — each
+//!    provably returns the values the per-call forms would);
 //! 3. computations whose results reach no output may be skipped (the central
 //!    oracle's running rack total is not computed for decentralized
 //!    policies), and allocations never affect results.
 //!
 //! `tests/equivalence.rs` pins the contract across seeds × thread counts ×
-//! fault plans × binned silicon, and every `soc-benchmark` round re-checks
-//! the engine's output against a committed digest.
+//! fault plans × binned silicon, plus a seeded sweep of random configs, and
+//! every `soc-benchmark` round re-checks the engine's output against a
+//! committed digest.
 
 use crate::largescale::{LargeScaleConfig, TrainedRack};
 use crate::largescale_metrics::RackOutcome;
@@ -90,37 +96,22 @@ impl ServerColumns {
     fn refresh_allowances(&mut self) {
         self.oc_remaining.fill(SimDuration::WEEK);
     }
-
-    /// Delayed budget updates mature: any pending update whose delivery
-    /// instant has been reached replaces the live budget.
-    fn mature_pending(&mut self, t: SimTime) {
-        for (budget, pending) in self.budget.iter_mut().zip(self.pending_budget.iter_mut()) {
-            if let Some((due, b)) = *pending {
-                if t >= due {
-                    *budget = b;
-                    *pending = None;
-                }
-            }
-        }
-    }
 }
 
 /// Per-step scratch columns, allocated once per rack run and reused every
-/// step (cleared + refilled in place), so the steady state allocates
-/// nothing.
+/// step, so the steady state allocates nothing. The admission loop rewrites
+/// the per-server columns in place each step: `wanted` and `granted` for
+/// every server, `perf` and `extras` where they are read.
 #[derive(Debug, Default)]
 struct StepBuffers {
-    /// Per-server baseline power draw this step, watts.
-    base_w: Vec<f64>,
-    /// Per-server regular-power template prediction this step.
-    predicted: Vec<f64>,
-    /// Granted overclock extras this step.
+    /// Granted overclock extras this step (read only where `granted`).
     extras: Vec<Watts>,
     /// Server requested overclocking this step.
     wanted: Vec<bool>,
     /// Request was admitted this step.
     granted: Vec<bool>,
-    /// Effective speedup of demand servers this step.
+    /// Effective speedup of demand servers this step (read only where
+    /// `wanted`).
     perf: Vec<f64>,
     /// Demand profiles exchanged with the gOA on refresh steps.
     demands: Vec<DemandProfile>,
@@ -131,15 +122,13 @@ struct StepBuffers {
 }
 
 impl StepBuffers {
-    /// Buffers pre-sized for `n` servers.
-    fn with_capacity(n: usize) -> StepBuffers {
+    /// Buffers sized for `n` servers.
+    fn new(n: usize) -> StepBuffers {
         StepBuffers {
-            base_w: Vec::with_capacity(n),
-            predicted: Vec::with_capacity(n),
-            extras: Vec::with_capacity(n),
-            wanted: Vec::with_capacity(n),
-            granted: Vec::with_capacity(n),
-            perf: Vec::with_capacity(n),
+            extras: vec![Watts::ZERO; n],
+            wanted: vec![false; n],
+            granted: vec![false; n],
+            perf: vec![0.0; n],
             demands: Vec::with_capacity(n),
             budgets: Vec::with_capacity(n),
             order: Vec::with_capacity(n),
@@ -147,19 +136,66 @@ impl StepBuffers {
     }
 }
 
-/// Batched baseline-power read for one step: fills `out` with every server's
-/// power sample at slot `idx` (0.0 past the end of a trace, matching
-/// `TimeSeries::value_at(t).unwrap_or(0.0)`) and returns the rack total,
-/// folded left-to-right in server order.
-fn fill_base_power(views: &[ServerSeriesView<'_>], idx: usize, out: &mut Vec<f64>) -> Watts {
-    out.clear();
-    let mut total = Watts::ZERO;
-    out.extend(views.iter().map(|v| {
-        let w = v.power.get(idx).copied().unwrap_or(0.0);
-        total += Watts::new(w);
-        w
-    }));
-    total
+/// A delayed budget update matures: once sim time reaches its delivery
+/// instant it replaces the live budget.
+#[inline]
+fn mature(budget: &mut Watts, pending: &mut Option<(SimTime, Watts)>, t: SimTime) {
+    if let Some((due, b)) = *pending {
+        if t >= due {
+            *budget = b;
+            *pending = None;
+        }
+    }
+}
+
+/// A rack's baseline power at every evaluation step, folded once by
+/// [`crate::largescale::train_rack`] and shared by every policy run over it
+/// (rule 2 of the module contract: both sums are pure functions of the
+/// trace and the power model).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct BaseColumns {
+    /// Rack base draw at step `k`: every server's sample, folded
+    /// left-to-right in server order from zero (0.0 past the end of a
+    /// series, matching `TimeSeries::value_at(t).unwrap_or(0.0)`).
+    total: Vec<Watts>,
+    /// The capping branch's dynamic power at step `k`:
+    /// `Σ (sample − idle).clamp_non_negative()`, in the same order.
+    dynamic: Vec<Watts>,
+}
+
+impl BaseColumns {
+    /// Fold `rack`'s server samples at the `steps` ticks `start + k·step`.
+    /// The sample slot of each tick is the rack series' `index_at`, exactly
+    /// the slot the engine reads the other per-server columns at.
+    pub(crate) fn build(
+        rack: &RackTrace,
+        idle: Watts,
+        start: SimTime,
+        step: SimDuration,
+        steps: usize,
+    ) -> BaseColumns {
+        let mut total = Vec::with_capacity(steps);
+        let mut dynamic = Vec::with_capacity(steps);
+        let mut t = start;
+        for _ in 0..steps {
+            let idx = rack.power.index_at(t).unwrap_or(usize::MAX);
+            let (mut sum, mut dyn_sum) = (Watts::ZERO, Watts::ZERO);
+            for server in &rack.servers {
+                let w = Watts::new(server.power.values().get(idx).copied().unwrap_or(0.0));
+                sum += w;
+                dyn_sum += (w - idle).clamp_non_negative();
+            }
+            total.push(sum);
+            dynamic.push(dyn_sum);
+            t += step;
+        }
+        BaseColumns { total, dynamic }
+    }
+
+    /// Number of evaluation steps covered.
+    pub(crate) fn len(&self) -> usize {
+        self.total.len()
+    }
 }
 
 /// Template prediction rows for one trained rack, built once by
@@ -256,6 +292,11 @@ impl PredictionRows {
     /// The step and first tick the rows were evaluated at.
     pub(crate) fn built_for(&self) -> (SimDuration, SimTime) {
         (self.step, self.start)
+    }
+
+    /// Servers per row.
+    pub(crate) fn servers(&self) -> usize {
+        self.n
     }
 
     /// Number of distinct rows.
@@ -496,8 +537,9 @@ pub(crate) fn simulate_rack_columnar(
             }
         };
     let mut cols = ServerColumns::new(n);
-    let mut buf = StepBuffers::with_capacity(n);
+    let mut buf = StepBuffers::new(n);
     let rows = &trained.rows;
+    let base = &trained.base;
     let mut budget_rows = BudgetRows::new(rows.rows(), n);
     // Borrowed raw-sample slices, hoisted once per rack: all per-server
     // series share the trace's start (time zero) and step, so one slot index
@@ -505,7 +547,6 @@ pub(crate) fn simulate_rack_columnar(
     let views: Vec<ServerSeriesView<'_>> = rack.servers.iter().map(|s| s.view()).collect();
     let admission_checked = policy.admission_checked();
     let central = policy.is_central();
-    let decentral_check = admission_checked && !central;
 
     let mut monitor = RackMonitor::new(rack.limit, 0.95);
     let mut outcome = RackOutcome::new(rack.index, rack.mean_utilization());
@@ -556,9 +597,6 @@ pub(crate) fn simulate_rack_columnar(
         if epochs.advance(t).is_some() {
             cols.refresh_allowances();
         }
-        // Delayed budget updates (fault injection) mature first: a message
-        // sent during an earlier step finally lands.
-        cols.mature_pending(t);
         // Sample slot and prediction row for this instant, computed once
         // and shared by every per-server read below (the batched-lookup
         // hoist).
@@ -592,6 +630,11 @@ pub(crate) fn simulate_rack_columnar(
             }
         }
         if goa_down {
+            // Delayed budget updates (fault injection) still land: a message
+            // sent during an earlier step finally arrives.
+            for (budget, pending) in cols.budget.iter_mut().zip(cols.pending_budget.iter_mut()) {
+                mature(budget, pending, t);
+            }
             outcome.stale_budget_steps += 1;
         } else {
             // The first visit to a row computes its budgets from the
@@ -619,6 +662,9 @@ pub(crate) fn simulate_rack_columnar(
                 .zip(buf.budgets.iter())
                 .enumerate()
             {
+                // A delayed update sent during an earlier step lands before
+                // this step's update is dropped, delayed or applied.
+                mature(budget, pending, t);
                 let entity = FaultPlan::entity_id(rack.index, i);
                 if step_faults.drops_budget_update(entity) {
                     // Message lost: the server stays on its stale budget.
@@ -668,43 +714,36 @@ pub(crate) fn simulate_rack_columnar(
 
         // --- Admission per server. ---
         let admission_span = probe.span("rack/admission");
-        // Batched column fills replace the reference engine's per-server
-        // `value_at`/`predict` calls; values and fold order are identical.
-        let base_total = fill_base_power(&views, idx, &mut buf.base_w);
-        buf.predicted.clear();
-        if decentral_check {
-            // Memoized raw `predict_at` at this instant (no clamping).
-            buf.predicted.extend_from_slice(rows.regular_row(row));
-        } else {
-            // Placeholder column so the admission zip below stays in
-            // lockstep; never read on this policy's admit path.
-            buf.predicted.resize(n, 0.0);
-        }
+        // `simulate_rack` checks that the base columns cover every step.
+        let k = outcome.steps as usize;
+        let base_total = base.total.get(k).copied().unwrap_or(Watts::ZERO);
         // The central oracle's running rack total; decentralized policies
         // never read it, so the reference engine's unconditional pre-sum is
         // skipped for them (rule 3 of the module contract).
         let mut central_total = if central { base_total } else { Watts::ZERO };
-        buf.extras.clear();
-        buf.extras.resize(n, Watts::ZERO);
-        buf.wanted.clear();
-        buf.wanted.resize(n, false);
-        buf.granted.clear();
-        buf.granted.resize(n, false);
+        // Granted extras in server order: the reference's sum over every
+        // server's extra without its `+ 0.0` terms. Exact: the sum starts at
+        // +0.0 and so is never −0.0, and adding +0.0 leaves any other value
+        // unchanged.
+        let mut extras_sum = Watts::ZERO;
         for (
             i,
-            ((((((((view, want), grant), extra_slot), oc_rem), budget), explore), pred), bin),
+            (((((((((view, want), grant), extra_slot), p), oc_rem), budget), explore), pred), bin),
         ) in views
             .iter()
             .zip(buf.wanted.iter_mut())
             .zip(buf.granted.iter_mut())
             .zip(buf.extras.iter_mut())
+            .zip(buf.perf.iter_mut())
             .zip(cols.oc_remaining.iter_mut())
             .zip(cols.budget.iter())
             .zip(cols.explore_extra.iter())
-            .zip(buf.predicted.iter())
+            .zip(rows.regular_row(row))
             .zip(bin_ids.iter())
             .enumerate()
         {
+            *want = false;
+            *grant = false;
             let demand_cores = view.oc_demand_cores.get(idx).copied().unwrap_or(0.0);
             if demand_cores <= 0.0 {
                 continue;
@@ -722,6 +761,8 @@ pub(crate) fn simulate_rack_columnar(
                 continue;
             }
             *want = true;
+            // A denied request runs at turbo.
+            *p = 1.0;
             outcome.requests += 1;
             let util = view.utilization.get(idx).copied().unwrap_or(0.5);
             let cores = (demand_cores as usize).min(model.cores());
@@ -756,6 +797,10 @@ pub(crate) fn simulate_rack_columnar(
             if admit {
                 *grant = true;
                 *extra_slot = extra;
+                extras_sum += extra;
+                // A granted server runs at its bin's risk-admitted level; the
+                // ratio table holds each level's speedup over turbo.
+                *p = bin_ratio.get(*bin as usize).copied().unwrap_or(1.0);
                 if central {
                     central_total += extra;
                 }
@@ -769,26 +814,7 @@ pub(crate) fn simulate_rack_columnar(
         // --- Rack aggregation and enforcement. ---
         drop(admission_span);
         let aggregation_span = probe.span("rack/aggregation");
-        let mut draw = base_total + buf.extras.iter().copied().sum::<Watts>();
-        buf.perf.clear();
-        buf.perf.resize(n, 0.0); // effective speedup of demand servers
-        for (((p, want), grant), bin) in buf
-            .perf
-            .iter_mut()
-            .zip(buf.wanted.iter())
-            .zip(buf.granted.iter())
-            .zip(bin_ids.iter())
-        {
-            if *want {
-                // A granted server runs at its bin's risk-admitted level;
-                // the ratio table holds each level's speedup over turbo.
-                *p = if *grant {
-                    bin_ratio.get(*bin as usize).copied().unwrap_or(1.0)
-                } else {
-                    1.0
-                };
-            }
-        }
+        let mut draw = base_total + extras_sum;
         // The monitor classifies the *pre-enforcement* draw: a step whose
         // uncontrolled demand hits the limit IS a capping event, even though
         // the capping mechanism then sheds load below it.
@@ -805,13 +831,9 @@ pub(crate) fn simulate_rack_columnar(
             // controller untangles who to throttle: every server suffers a
             // frequency penalty proportional to the overshoot (this is the
             // paper's "Penalty on Power Cap" on non-overclocked VMs).
-            // Linear scan over the already-read base-power column — the
-            // reference engine re-walks every server's TimeSeries here.
-            let dynamic: Watts = buf
-                .base_w
-                .iter()
-                .map(|&w| (Watts::new(w) - model.idle()).clamp_non_negative())
-                .sum();
+            // Folded at training; the reference engine re-walks every
+            // server's TimeSeries here.
+            let dynamic = base.dynamic.get(k).copied().unwrap_or(Watts::ZERO);
             let over = draw - rack.limit;
             let frac = if dynamic.get() > 0.0 {
                 (over.get() / dynamic.get()).min(1.0)
@@ -821,8 +843,12 @@ pub(crate) fn simulate_rack_columnar(
             // Dynamic power ~ f·V² ⇒ frequency penalty is sublinear.
             let freq_penalty = (1.0 - (1.0 - frac).powf(0.55)).max(0.02);
             outcome.record_penalty(freq_penalty);
-            for p in buf.perf.iter_mut() {
-                *p *= 1.0 - freq_penalty;
+            // Only demand servers' speedups are read; the other slots keep
+            // stale values that must not decay toward subnormals.
+            for (p, want) in buf.perf.iter_mut().zip(buf.wanted.iter()) {
+                if *want {
+                    *p *= 1.0 - freq_penalty;
+                }
             }
             // Enforcement then revokes overclock extras, largest first.
             // Stable sort on (index, extra) pairs: ties keep ascending
@@ -842,9 +868,6 @@ pub(crate) fn simulate_rack_columnar(
                     break;
                 }
                 draw -= *extra;
-                if let Some(e) = buf.extras.get_mut(*i) {
-                    *e = Watts::ZERO;
-                }
                 if let Some(p) = buf.perf.get_mut(*i) {
                     *p = (1.0 - freq_penalty).min(*p);
                 }
@@ -886,17 +909,22 @@ pub(crate) fn simulate_rack_columnar(
             );
         });
 
-        // --- Exploration dynamics for the next step. ---
+        // --- Exploration dynamics and performance bookkeeping. ---
         let warning_now = signal == soc_power::rack::RackSignal::Warning;
-        for (i, ((((explore, b_steps), b_rem), want), grant)) in cols
+        for (i, (((((explore, b_steps), b_rem), want), grant), p)) in cols
             .explore_extra
             .iter_mut()
             .zip(cols.backoff_steps.iter_mut())
             .zip(cols.backoff_remaining.iter_mut())
             .zip(buf.wanted.iter())
             .zip(buf.granted.iter())
+            .zip(buf.perf.iter())
             .enumerate()
         {
+            if *want {
+                outcome.perf_sum += *p;
+                outcome.perf_samples += 1;
+            }
             if capped {
                 *explore = Watts::ZERO;
                 *b_steps = (*b_steps + 1).min(8);
@@ -929,13 +957,6 @@ pub(crate) fn simulate_rack_columnar(
         }
         warned_last_step = warning_now;
 
-        // --- Performance bookkeeping. ---
-        for (p, want) in buf.perf.iter().zip(buf.wanted.iter()) {
-            if *want {
-                outcome.perf_sum += *p;
-                outcome.perf_samples += 1;
-            }
-        }
         // Per-part wear accounting (heterogeneous fleets only): each server
         // granted this step ages at its hoisted part-scaled rate. Folded
         // left-to-right in server order, exactly like the reference engine.
@@ -1172,21 +1193,52 @@ mod tests {
     #[test]
     fn base_power_fill_totals_the_rack_trace_bit_for_bit() {
         // Rack draw = Σ server draw, folded in server order from zero: the
-        // generator's own fold, so the totals match exactly.
-        let config = LargeScaleConfig::small_test();
-        let generator = TraceGenerator::new(config.seed);
-        for r in 0..2 {
-            let rack = generator.generate_rack(&config.fleet_config(), r);
-            let views: Vec<ServerSeriesView<'_>> = rack.servers.iter().map(|s| s.view()).collect();
-            let mut out = Vec::new();
-            for (idx, &expected) in rack.power.values().iter().enumerate() {
-                let total = fill_base_power(&views, idx, &mut out);
-                assert_eq!(
-                    total.get().to_bits(),
-                    expected.to_bits(),
-                    "rack {r} step {idx}"
-                );
-                assert_eq!(out.len(), rack.servers.len());
+        // generator's own fold, so the totals match the rack series exactly
+        // at week 1 + k; the dynamic column is the capping branch's clamped
+        // fold.
+        for minutes in [15, 60] {
+            let config = LargeScaleConfig {
+                step: SimDuration::from_minutes(minutes),
+                ..LargeScaleConfig::small_test()
+            };
+            let generator = TraceGenerator::new(config.seed);
+            let slots_per_week = (SimDuration::WEEK.as_micros() / config.step.as_micros()) as usize;
+            let steps = slots_per_week * (config.weeks as usize - 1);
+            for r in 0..config.racks {
+                let rack = generator.generate_rack(&config.fleet_config(), r);
+                let model = generator.model_for(rack.generation);
+                let trained = crate::largescale::train_rack(&config, &rack, &model);
+                let base = &trained.base;
+                assert_eq!(base.len(), steps, "{minutes} min, rack {r}");
+                assert_eq!(base.total.capacity(), steps);
+                assert_eq!(base.dynamic.capacity(), steps);
+                for k in 0..steps {
+                    let (total, dynamic) = (base.total[k], base.dynamic[k]);
+                    let expected = rack.power.values()[slots_per_week + k];
+                    assert_eq!(
+                        total.get().to_bits(),
+                        expected.to_bits(),
+                        "{minutes} min, rack {r}, step {k}"
+                    );
+                    let mut clamped = 0.0f64;
+                    for s in &rack.servers {
+                        let w = s.power.values()[slots_per_week + k];
+                        clamped += (w - model.idle().get()).max(0.0);
+                    }
+                    assert_eq!(
+                        dynamic.get().to_bits(),
+                        clamped.to_bits(),
+                        "{minutes} min, rack {r}, step {k}"
+                    );
+                }
+                // Past the end of the trace every sample reads 0.0, below
+                // idle, so both columns are exactly zero there.
+                let end = SimTime::ZERO + SimDuration::WEEK * config.weeks;
+                let past = BaseColumns::build(&rack, model.idle(), end, config.step, 3);
+                for k in 0..3 {
+                    assert_eq!(past.total[k].get().to_bits(), 0.0f64.to_bits());
+                    assert_eq!(past.dynamic[k].get().to_bits(), 0.0f64.to_bits());
+                }
             }
         }
     }

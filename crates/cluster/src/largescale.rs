@@ -14,7 +14,7 @@
 //! SmartOClock", §V-B); the full agent implementation is exercised
 //! end-to-end by the cluster harness instead.
 
-use crate::columns::PredictionRows;
+use crate::columns::{BaseColumns, PredictionRows};
 pub use crate::largescale_metrics::{PolicyMetrics, RackOutcome};
 use crate::probe::ShardProbe;
 use simcore::faults::FaultPlanConfig;
@@ -111,21 +111,33 @@ impl LargeScaleConfig {
 }
 
 /// Week-1 training output for one rack, reusable across policy variants:
-/// the columnar engine's prediction rows.
+/// the columnar engine's prediction rows and the rack's base-power columns.
 ///
-/// The rows depend only on the trace, the power model, `config.step` and
-/// `config.faults.prediction_bias`, not on the policy, so multi-policy
-/// drivers (`table1_policies`, `soc-benchmark`) train once and simulate many
-/// times, and every policy run reads the same rows.
+/// Both depend only on the trace, the power model, `config.step`,
+/// `config.weeks` and `config.faults.prediction_bias`, not on the policy,
+/// so multi-policy drivers (`table1_policies`, `soc-benchmark`) train once
+/// and simulate many times, and every policy run reads the same tables.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TrainedRack {
+    /// Index of the rack the tables were built from.
+    pub(crate) rack: usize,
     /// The templates' predictions over the evaluation week, keyed by day
     /// class when no template is `Weekly` (see [`PredictionRows`]).
     pub(crate) rows: PredictionRows,
+    /// The rack's base draw and its dynamic part at every evaluation step.
+    pub(crate) base: BaseColumns,
+}
+
+/// Number of evaluation steps: the weeks after the training week, at
+/// `config.step` (which divides a day, so the count is exact).
+fn evaluation_steps(config: &LargeScaleConfig) -> usize {
+    let span = SimDuration::WEEK * config.weeks.saturating_sub(1);
+    span.as_micros().div_ceil(config.step.as_micros()) as usize
 }
 
 /// Build the per-server predictors from the first trace week (paper §IV-B),
-/// then the columnar engine's prediction rows from them.
+/// then the columnar engine's prediction rows from them, and fold the
+/// rack's base power at every evaluation step.
 ///
 /// Each server gets a regular-power template, with the fault plan's static
 /// prediction bias applied once here (so per-step noise is never
@@ -167,8 +179,11 @@ pub(crate) fn train_rack(
             )
         })
         .collect::<Vec<_>>();
+    let steps = evaluation_steps(config);
     TrainedRack {
+        rack: rack.index,
         rows: PredictionRows::build(&templates, train_end, config.step),
+        base: BaseColumns::build(rack, model.idle(), train_end, config.step, steps),
     }
 }
 
@@ -186,8 +201,9 @@ pub(crate) fn train_rack(
 /// `tests/prof.rs`).
 ///
 /// # Panics
-/// Panics if `trained` was built at another step than `config.step`: its
-/// prediction rows would answer for the wrong instants.
+/// Panics if `trained` was built from another rack (index or server count),
+/// at another step than `config.step`, or over another number of evaluation
+/// steps: its tables would answer for the wrong servers or instants.
 pub(crate) fn simulate_rack(
     config: &LargeScaleConfig,
     policy: PolicyKind,
@@ -201,6 +217,12 @@ pub(crate) fn simulate_rack(
         trained.rows.built_for(),
         (config.step, SimTime::ZERO + SimDuration::WEEK),
         "trained tables' step and training start must match the config"
+    );
+    assert!(
+        trained.rack == rack.index
+            && trained.rows.servers() == rack.servers.len()
+            && trained.base.len() == evaluation_steps(config),
+        "trained tables must be built from this rack over every evaluation step"
     );
     crate::columns::simulate_rack_columnar(config, policy, rack, model, trained, telemetry, probe)
 }
@@ -364,6 +386,57 @@ mod tests {
         };
         let _ = simulate_policy_prepared_probed(
             &coarser,
+            PolicyKind::SmartOClock,
+            &fleet,
+            &trained,
+            &Telemetry::disabled(),
+            1,
+            &NoopProbe,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trained tables must be built from this rack")]
+    fn rejects_a_fleet_trained_on_another_fleet() {
+        use crate::shard::{
+            generate_fleet_probed, simulate_policy_prepared_probed, train_fleet_probed,
+        };
+        let cfg = LargeScaleConfig::small_test();
+        let fleet = generate_fleet_probed(&cfg, 1, &NoopProbe);
+        // The same rack count, step and weeks, but racks of 2-3 servers
+        // rather than 6-8: the zips would silently truncate to the shorter
+        // side and read another rack's power.
+        let other = LargeScaleConfig {
+            servers_per_rack: (2, 3),
+            ..cfg.clone()
+        };
+        let other_fleet = generate_fleet_probed(&other, 1, &NoopProbe);
+        let trained = train_fleet_probed(&other, &other_fleet, 1, &NoopProbe);
+        let _ = simulate_policy_prepared_probed(
+            &cfg,
+            PolicyKind::SmartOClock,
+            &fleet,
+            &trained,
+            &Telemetry::disabled(),
+            1,
+            &NoopProbe,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trained tables must be built from this rack")]
+    fn rejects_a_fleet_trained_over_other_weeks() {
+        use crate::shard::{
+            generate_fleet_probed, simulate_policy_prepared_probed, train_fleet_probed,
+        };
+        let cfg = LargeScaleConfig::small_test();
+        let fleet = generate_fleet_probed(&cfg, 1, &NoopProbe);
+        let trained = train_fleet_probed(&cfg, &fleet, 1, &NoopProbe);
+        // Tables trained for one evaluation week, run over two: the rows
+        // fit, but half of the steps would read no base power.
+        let longer = LargeScaleConfig { weeks: 3, ..cfg };
+        let _ = simulate_policy_prepared_probed(
+            &longer,
             PolicyKind::SmartOClock,
             &fleet,
             &trained,

@@ -271,7 +271,8 @@ impl FleetTraces {
 }
 
 /// Week-1 training output for a whole fleet, reusable across policy
-/// variants: each rack's prediction rows, in rack order.
+/// variants: each rack's prediction rows and base-power columns, in rack
+/// order.
 #[derive(Debug, Clone)]
 pub struct TrainedFleet {
     racks: Vec<TrainedRack>,
@@ -303,12 +304,13 @@ pub fn generate_fleet_probed(
     FleetTraces { racks }
 }
 
-/// Train every rack's templates and build their prediction rows once
-/// (`"rack/setup"` per rack), for reuse across policy variants and rounds:
-/// both depend on the trace, the model, `config.step` and
-/// `config.faults.prediction_bias`, not on the policy. Simulating with a
-/// config of another step panics rather than read rows for the wrong
-/// instants.
+/// Train every rack's templates and build their prediction rows and
+/// base-power columns once (`"rack/setup"` per rack), for reuse across
+/// policy variants and rounds: they depend on the trace, the model,
+/// `config.step`, `config.weeks` and `config.faults.prediction_bias`, not
+/// on the policy. Simulating with a config of another step or length, or
+/// over another fleet's racks, panics rather than read tables for the
+/// wrong instants or servers.
 pub fn train_fleet_probed(
     config: &LargeScaleConfig,
     fleet: &FleetTraces,
@@ -330,7 +332,9 @@ pub fn train_fleet_probed(
 /// the same `(config, policy)`.
 ///
 /// # Panics
-/// Panics if `fleet` and `trained` disagree on the rack count.
+/// Panics if `fleet` and `trained` disagree on the rack count, or if a
+/// rack's tables were trained from another rack or at another step or
+/// length (see [`train_fleet_probed`]).
 pub fn simulate_policy_prepared_probed(
     config: &LargeScaleConfig,
     policy: PolicyKind,

@@ -219,22 +219,29 @@ fn parse_value(src: &SourceFile, kw_idx: usize) -> Option<ValueItem> {
     })
 }
 
+/// Is `t` one of the tokens an item header may carry between `pub` and its
+/// keyword: `const`, `unsafe`, `async`, `default`, `extern "…"`, or the
+/// parenthesized path of a `pub(crate)`/`pub(super)` restriction?
+fn is_header_modifier(t: &Token) -> bool {
+    t.is_ident("const")
+        || t.is_ident("unsafe")
+        || t.is_ident("async")
+        || t.is_ident("extern")
+        || t.is_ident("crate")
+        || t.is_ident("super")
+        || t.is_ident("default")
+        || (t.kind == TokenKind::Literal && t.text == "\"…\"")
+        || t.is_punct("(")
+        || t.is_punct(")")
+}
+
 /// Walk back from the `fn`/`struct` keyword over modifiers and attributes to
 /// the first token of the item (where its doc comment must end).
 fn item_first_token(toks: &[Token], kw_idx: usize) -> usize {
     let mut j = kw_idx;
     while j > 0 {
         let prev = &toks[j - 1];
-        let is_modifier = prev.is_ident("pub")
-            || prev.is_ident("const")
-            || prev.is_ident("unsafe")
-            || prev.is_ident("async")
-            || prev.is_ident("extern")
-            || prev.is_ident("crate")
-            || prev.is_ident("super")
-            || prev.is_ident("default")
-            || (prev.kind == TokenKind::Literal && prev.text == "\"…\"");
-        if is_modifier || prev.is_punct("(") || prev.is_punct(")") {
+        if prev.is_ident("pub") || is_header_modifier(prev) {
             j -= 1;
             continue;
         }
@@ -261,17 +268,7 @@ fn item_is_pub(toks: &[Token], kw_idx: usize) -> bool {
             // `pub(crate)` restricts visibility: the token after `pub` is `(`.
             return !toks.get(j).is_some_and(|t| t.is_punct("("));
         }
-        let skippable = prev.is_ident("const")
-            || prev.is_ident("unsafe")
-            || prev.is_ident("async")
-            || prev.is_ident("extern")
-            || prev.is_ident("crate")
-            || prev.is_ident("super")
-            || prev.is_ident("default")
-            || (prev.kind == TokenKind::Literal && prev.text == "\"…\"")
-            || prev.is_punct("(")
-            || prev.is_punct(")");
-        if !skippable {
+        if !is_header_modifier(prev) {
             return false;
         }
         j -= 1;

@@ -3,6 +3,7 @@
 //! crate the file belongs to, and whether it is a binary entry point.
 
 use crate::lexer::{lex, DocLine, Token};
+use crate::parser::matching_punct;
 
 /// A tokenized source file with lint-relevant structure attached.
 pub struct SourceFile {
@@ -56,7 +57,7 @@ fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
     while i < tokens.len() {
         if tokens[i].is_punct("#") && tokens.get(i + 1).is_some_and(|t| t.is_punct("[")) {
             let attr_start = i;
-            let close = match matching(tokens, i + 1, "[", "]") {
+            let close = match matching_punct(tokens, i + 1, "[", "]") {
                 Some(c) => c,
                 None => break, // unterminated attribute: nothing more to mark
             };
@@ -128,7 +129,7 @@ fn item_end(tokens: &[Token], start: usize) -> Option<usize> {
         && tokens[i].is_punct("#")
         && tokens.get(i + 1).is_some_and(|t| t.is_punct("["))
     {
-        i = matching(tokens, i + 1, "[", "]")? + 1;
+        i = matching_punct(tokens, i + 1, "[", "]")? + 1;
     }
     // Walk to the item body `{` or terminating `;`, stepping over any
     // parenthesized/bracketed groups in the header (fn args, generics are
@@ -136,34 +137,17 @@ fn item_end(tokens: &[Token], start: usize) -> Option<usize> {
     while i < tokens.len() {
         let t = &tokens[i];
         if t.is_punct("{") {
-            return matching(tokens, i, "{", "}");
+            return matching_punct(tokens, i, "{", "}");
         }
         if t.is_punct(";") {
             return Some(i);
         }
         if t.is_punct("(") {
-            i = matching(tokens, i, "(", ")")? + 1;
+            i = matching_punct(tokens, i, "(", ")")? + 1;
         } else if t.is_punct("[") {
-            i = matching(tokens, i, "[", "]")? + 1;
+            i = matching_punct(tokens, i, "[", "]")? + 1;
         } else {
             i += 1;
-        }
-    }
-    None
-}
-
-/// Index of the closer matching the opener at `open` (which must hold the
-/// `open_tok` punctuation).
-fn matching(tokens: &[Token], open: usize, open_tok: &str, close_tok: &str) -> Option<usize> {
-    let mut depth = 0usize;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct(open_tok) {
-            depth += 1;
-        } else if t.is_punct(close_tok) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
         }
     }
     None

@@ -110,6 +110,7 @@ impl PowerModel {
     ///
     /// # Panics
     /// Panics if `utilization` is outside `[0, 1]`.
+    #[inline]
     pub fn core_power(&self, utilization: f64, frequency: MegaHertz) -> Watts {
         assert!(
             (0.0..=1.0).contains(&utilization),
@@ -119,6 +120,7 @@ impl PowerModel {
     }
 
     /// Server power with every core at the same utilization and frequency.
+    #[inline]
     pub fn server_power_uniform(&self, utilization: f64, frequency: MegaHertz) -> Watts {
         self.idle + self.core_power(utilization, frequency) * self.cores as f64
     }

@@ -57,6 +57,7 @@ impl Pcg32 {
     }
 
     /// Next 32 uniformly random bits.
+    #[inline]
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
@@ -66,11 +67,13 @@ impl Pcg32 {
     }
 
     /// Next 64 uniformly random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         (u64::from(self.next_u32()) << 32) | u64::from(self.next_u32())
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 random mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -114,6 +117,7 @@ impl Pcg32 {
     }
 
     /// Standard normal via Box–Muller.
+    #[inline]
     pub fn sample_standard_normal(&mut self) -> f64 {
         // Avoid log(0).
         let u1 = (1.0 - self.next_f64()).max(f64::MIN_POSITIVE);

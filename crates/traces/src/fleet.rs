@@ -41,25 +41,22 @@ pub struct ServerTrace {
 
 /// Borrowed raw-sample view of one server's trace, for columnar consumers.
 ///
-/// All three slices are aligned: built by [`ServerTrace::view`], they share
+/// Both slices are aligned: built by [`ServerTrace::view`], they share
 /// the trace's start, step, and length, so one slot index (computed once per
 /// simulation step via `TimeSeries::index_at`) addresses all of them.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerSeriesView<'a> {
     /// Mean CPU utilization samples, in `[0, 1]`.
     pub utilization: &'a [f64],
-    /// Baseline power samples, watts.
-    pub power: &'a [f64],
     /// Overclock-demanding core counts per sample.
     pub oc_demand_cores: &'a [f64],
 }
 
 impl ServerTrace {
-    /// Borrowed raw-sample slices of all three per-server series.
+    /// Borrowed raw-sample slices of the utilization and demand series.
     pub fn view(&self) -> ServerSeriesView<'_> {
         ServerSeriesView {
             utilization: self.utilization.values(),
-            power: self.power.values(),
             oc_demand_cores: self.oc_demand_cores.values(),
         }
     }

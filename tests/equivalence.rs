@@ -22,6 +22,7 @@
 #[path = "support/reference_engine.rs"]
 mod reference_engine;
 
+use proptest::prelude::*;
 use simcore::faults::FaultPlanConfig;
 use simcore::time::SimDuration;
 use smartoclock::policy::PolicyKind;
@@ -272,6 +273,78 @@ fn columnar_engine_matches_reference_under_fault_plans() {
     );
     assert_equivalent(&cfg, PolicyKind::SmartOClock, "12 h outage, delays");
     assert_equivalent(&cfg, PolicyKind::Central, "12 h outage, delays");
+}
+
+/// A fault probability that is exactly zero half the time and drawn from
+/// `(0, 0.1]` otherwise, so both the "kind disabled" and "kind can fire"
+/// paths of every fault query are reached.
+fn probability((on, p): (u32, f64)) -> f64 {
+    if on == 0 {
+        0.0
+    } else {
+        0.1 - p
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Seeded sweep over the large-scale config space at test scale: any
+    /// policy, 1–10 servers per rack, 15- or 60-minute steps over 2–3 weeks,
+    /// each fault kind off or drawn, uniform or binned silicon, and both
+    /// central failure modes. The columnar engine at 1 and 3 threads must
+    /// match the reference engine on outcomes, trace lines and metrics.
+    #[test]
+    fn columnar_engine_matches_reference_on_random_configs(
+        (policy, lo, hi, hourly, weeks) in (0usize..5, 1usize..=10, 1usize..=10, 0u32..2, 2u64..=3),
+        (seed, outages, outage_hours, delay_minutes, fail_open) in
+            (0u64..1_000, 0usize..=2, 1u64..=12, 0u64..=120, 0u32..2),
+        (drop, delay, gap, restart, noise) in
+            ((0u32..2, 0.0..0.1f64), (0u32..2, 0.0..0.1f64), (0u32..2, 0.0..0.1f64),
+             (0u32..2, 0.0..0.1f64), (0u32..2, 0.0..0.1f64)),
+        (bins, risk_budget, wear_spread, (biased, bias)) in
+            (1u32..=8, 0.2..0.6f64, 0.0..0.5f64, (0u32..2, 0.9..1.1f64)),
+    ) {
+        let policy = PolicyKind::ALL[policy];
+        let mut cfg = LargeScaleConfig::small_test();
+        cfg.seed = seed;
+        cfg.servers_per_rack = (lo.min(hi), lo.max(hi));
+        cfg.step = SimDuration::from_minutes(if hourly == 1 { 60 } else { 15 });
+        cfg.weeks = weeks;
+        cfg.central_fail_open = fail_open == 1;
+        cfg.faults = FaultPlanConfig {
+            seed: seed ^ 0x5eed,
+            goa_outages: outages,
+            goa_outage_len: SimDuration::from_hours(outage_hours),
+            budget_drop_prob: probability(drop),
+            budget_delay_prob: probability(delay),
+            budget_delay: SimDuration::from_minutes(delay_minutes),
+            telemetry_gap_prob: probability(gap),
+            prediction_bias: if biased == 1 { bias } else { 1.0 },
+            prediction_noise: probability(noise),
+            soa_restart_prob: probability(restart),
+        };
+        // One bin draws the uniform fleet; 2–8 bins draw heterogeneous parts.
+        if bins > 1 {
+            cfg.binning = BinningConfig {
+                bins,
+                risk_budget,
+                wear_spread,
+                seed,
+            };
+        }
+        let reference = reference_run(&cfg, policy);
+        for threads in [1, 3] {
+            let columnar = columnar_run(&cfg, policy, threads);
+            for (part, same) in [
+                ("telemetry trace", reference.0 == columnar.0),
+                ("metrics snapshot", reference.1 == columnar.1),
+                ("outcomes", reference.2 == columnar.2),
+            ] {
+                prop_assert!(same, "{part} diverged ({policy}, {threads} threads): {cfg:?}");
+            }
+        }
+    }
 }
 
 #[test]
