@@ -148,11 +148,27 @@ fn evaluation_steps(config: &LargeScaleConfig) -> usize {
 /// This is the `rack/setup` phase of every large-scale path, split out from
 /// [`simulate_rack`] so callers can amortize training across policy variants
 /// and keep it out of timed simulation legs.
+///
+/// # Panics
+/// Panics if the rack's trace holds fewer samples than `config.weeks` weeks
+/// at `config.step`: the missing steps would simulate at zero power and
+/// demand and dilute every per-step rate.
 pub(crate) fn train_rack(
     config: &LargeScaleConfig,
     rack: &RackTrace,
     model: &PowerModel,
 ) -> TrainedRack {
+    let span = SimDuration::WEEK * config.weeks;
+    let needed = span.as_micros().div_ceil(config.step.as_micros()) as usize;
+    assert!(
+        rack.power.len() >= needed,
+        "rack {}'s trace holds {} samples, fewer than the {} that {} weeks at a {} step need",
+        rack.index,
+        rack.power.len(),
+        needed,
+        config.weeks,
+        config.step
+    );
     let plan = model.plan();
     let oc_freq = plan.max_overclock();
     let train_end = SimTime::ZERO + SimDuration::WEEK;
@@ -440,6 +456,46 @@ mod tests {
             PolicyKind::SmartOClock,
             &fleet,
             &trained,
+            &Telemetry::disabled(),
+            1,
+            &NoopProbe,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trace holds 1344 samples, fewer than the 2016")]
+    fn rejects_a_fleet_shorter_than_the_config_when_prepared() {
+        use crate::shard::{
+            generate_fleet_probed, simulate_policy_prepared_probed, train_fleet_probed,
+        };
+        let cfg = LargeScaleConfig::small_test();
+        let fleet = generate_fleet_probed(&cfg, 1, &NoopProbe);
+        // A 2-week fleet under a 3-week config: the second evaluation week
+        // would run past every series' end at zero power and zero demand.
+        let longer = LargeScaleConfig { weeks: 3, ..cfg };
+        let trained = train_fleet_probed(&longer, &fleet, 1, &NoopProbe);
+        let _ = simulate_policy_prepared_probed(
+            &longer,
+            PolicyKind::SmartOClock,
+            &fleet,
+            &trained,
+            &Telemetry::disabled(),
+            1,
+            &NoopProbe,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trace holds 1344 samples, fewer than the 2016")]
+    fn rejects_a_fleet_shorter_than_the_config_on_traces() {
+        use crate::shard::{generate_fleet_probed, simulate_policy_on_traces_probed};
+        let cfg = LargeScaleConfig::small_test();
+        let fleet = generate_fleet_probed(&cfg, 1, &NoopProbe);
+        let longer = LargeScaleConfig { weeks: 3, ..cfg };
+        let _ = simulate_policy_on_traces_probed(
+            &longer,
+            PolicyKind::SmartOClock,
+            &fleet,
             &Telemetry::disabled(),
             1,
             &NoopProbe,

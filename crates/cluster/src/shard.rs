@@ -311,6 +311,10 @@ pub fn generate_fleet_probed(
 /// on the policy. Simulating with a config of another step or length, or
 /// over another fleet's racks, panics rather than read tables for the
 /// wrong instants or servers.
+///
+/// # Panics
+/// Panics if a rack's trace holds fewer samples than `config.weeks` weeks
+/// at `config.step` (a fleet generated for fewer weeks than the config).
 pub fn train_fleet_probed(
     config: &LargeScaleConfig,
     fleet: &FleetTraces,
@@ -371,6 +375,11 @@ pub fn simulate_policy_prepared_probed(
 /// trains inside each worker (`"rack/setup"` spans), for drivers whose
 /// fault plans (and therefore prediction bias) vary between runs but whose
 /// traces do not (`exp_fault_tolerance`).
+///
+/// # Panics
+/// Panics if `config.weeks < 2`, `config.racks == 0`, `config.step` does
+/// not divide a day, or a rack's trace holds fewer samples than
+/// `config.weeks` weeks at `config.step`.
 pub fn simulate_policy_on_traces_probed(
     config: &LargeScaleConfig,
     policy: PolicyKind,

@@ -125,6 +125,26 @@ impl PowerModel {
         self.idle + self.core_power(utilization, frequency) * self.cores as f64
     }
 
+    /// Precompute the frequency-dependent factor of
+    /// [`server_power_uniform`] for one fixed frequency.
+    ///
+    /// The trace generator evaluates a server's power once per sample,
+    /// always at turbo; the `dynamic_power_factor` inside (two divisions) is
+    /// a pure function of the constant plan and frequency, so it is computed
+    /// once here. [`UniformPowerFn::at`] then performs the per-call form's
+    /// exact floating-point operation sequence on the hoisted factor, so its
+    /// results are bit-identical (pinned by a property test below).
+    ///
+    /// [`server_power_uniform`]: PowerModel::server_power_uniform
+    pub fn uniform_power_fn(&self, frequency: MegaHertz) -> UniformPowerFn {
+        UniformPowerFn {
+            idle: self.idle,
+            per_core_dyn_turbo: self.per_core_dyn_turbo,
+            cores: self.cores as f64,
+            dpf: self.curve.dynamic_power_factor(frequency),
+        }
+    }
+
     /// Extra power from overclocking `oc_cores` cores from turbo to
     /// `oc_freq` at the given utilization — the quantity the sOA reserves
     /// during admission control (§IV-B).
@@ -159,6 +179,34 @@ impl PowerModel {
 impl Default for PowerModel {
     fn default() -> Self {
         PowerModel::reference_server()
+    }
+}
+
+/// [`PowerModel::server_power_uniform`] with its frequency factor hoisted;
+/// see [`PowerModel::uniform_power_fn`].
+#[derive(Debug, Clone, Copy)]
+pub struct UniformPowerFn {
+    idle: Watts,
+    per_core_dyn_turbo: Watts,
+    cores: f64,
+    dpf: f64,
+}
+
+impl UniformPowerFn {
+    /// Server power with every core at `utilization`, bit-identical to
+    /// `server_power_uniform(utilization, frequency)` on the model and
+    /// frequency this was built from: same values, same operation order
+    /// (`idle + per_core · (u · dpf) · cores`).
+    ///
+    /// # Panics
+    /// Panics if `utilization` is outside `[0, 1]`, like the per-call form.
+    #[inline]
+    pub fn at(&self, utilization: f64) -> Watts {
+        assert!(
+            (0.0..=1.0).contains(&utilization),
+            "utilization must be in [0, 1], got {utilization}"
+        );
+        self.idle + self.per_core_dyn_turbo * (utilization * self.dpf) * self.cores
     }
 }
 
@@ -254,6 +302,13 @@ mod tests {
         let _ = m.core_power(1.5, m.plan().turbo());
     }
 
+    #[test]
+    #[should_panic(expected = "utilization must be in")]
+    fn hoisted_uniform_power_rejects_bad_utilization() {
+        let m = model();
+        let _ = m.uniform_power_fn(m.plan().turbo()).at(-0.1);
+    }
+
     proptest! {
         #[test]
         fn power_monotone_in_utilization(u1 in 0.0..1.0f64, u2 in 0.0..1.0f64) {
@@ -289,6 +344,29 @@ mod tests {
                 hoisted.at(util, cores).get().to_bits(),
                 m.overclock_delta(util, cores, freq).get().to_bits()
             );
+        }
+
+        #[test]
+        fn hoisted_uniform_power_is_bit_identical(
+            util in 0.0..=1.0f64,
+            f in 2000u32..=4500,
+        ) {
+            // The trace generator hoists the frequency factor out of its
+            // per-sample loop; bit equality keeps every generated trace,
+            // and so every pinned result, unchanged. Both server
+            // generations, and frequencies past either end of each plan
+            // (the factor clamps them).
+            for m in [model(), PowerModel::intel_reference_server()] {
+                for freq in [MegaHertz::new(f), m.plan().turbo(), m.plan().max_overclock()] {
+                    let hoisted = m.uniform_power_fn(freq);
+                    for u in [util, 0.0, 1.0] {
+                        prop_assert_eq!(
+                            hoisted.at(u).get().to_bits(),
+                            m.server_power_uniform(u, freq).get().to_bits()
+                        );
+                    }
+                }
+            }
         }
     }
 }

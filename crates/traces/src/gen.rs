@@ -145,6 +145,10 @@ const VM_CHURN_WEEKLY: f64 = 0.05;
 const MINUTES_PER_WEEK: usize =
     (SimDuration::WEEK.as_micros() / SimDuration::MINUTE.as_micros()) as usize;
 
+/// Samples per batch of noise draws in `simulate_server`: a block of 64
+/// samples of a 20-VM server fills 1,280 normals (10 KiB) at once.
+const NOISE_BLOCK: usize = 64;
+
 /// Number of catalog services that request overclocking: A, B and C.
 const OC_SERVICES: usize = 3;
 
@@ -342,12 +346,21 @@ impl TraceGenerator {
         // Starting the sum at zero is exact: `0.0 + p == p` for the first
         // server's (positive) draw.
         let mut rack_power = vec![0.0; config.samples()];
+        // One block of noise draws, reused by every server of the rack. A
+        // VM takes at least one core, so no server has more slots than cores.
+        let mut normals = Vec::with_capacity(NOISE_BLOCK * model.cores());
 
         for server_idx in 0..n_servers {
             let mut srv_rng = rack_rng.fork(server_idx as u64 + 101);
             let vms = self.place_vms(&model, config, &mut srv_rng);
-            let (util, power, oc_cores) =
-                self.simulate_server(&model, config, &vms, &outlier_days, &mut srv_rng);
+            let (util, power, oc_cores) = self.simulate_server(
+                &model,
+                config,
+                &vms,
+                &outlier_days,
+                &mut srv_rng,
+                &mut normals,
+            );
 
             for (a, p) in rack_power.iter_mut().zip(power.values()) {
                 *a += p;
@@ -446,6 +459,11 @@ impl TraceGenerator {
         }
     }
 
+    /// Simulate one server's samples. Every sample draws one standard
+    /// normal per VM slot, in slot order. The draws come [`NOISE_BLOCK`]
+    /// samples at a time from one batch fill into `normals`, sample-major and
+    /// slot-minor: the same stream as one draw per VM per sample, bit for
+    /// bit, with the `ln`/`cos` calls of a block free to overlap.
     fn simulate_server(
         &self,
         model: &PowerModel,
@@ -453,10 +471,11 @@ impl TraceGenerator {
         vms: &[VmSpec],
         outlier_days: &[bool],
         rng: &mut Pcg32,
+        normals: &mut Vec<f64>,
     ) -> (TimeSeries, TimeSeries, TimeSeries) {
         let catalog: &Catalog = &CATALOG;
         let total_cores = model.cores() as f64;
-        let turbo = model.plan().turbo();
+        let power_at = model.uniform_power_fn(model.plan().turbo());
         let end = SimTime::ZERO + config.span;
         let slots: Vec<Slot> = vms
             .iter()
@@ -483,35 +502,47 @@ impl TraceGenerator {
         let mut power = Vec::with_capacity(n);
         let mut oc_cores = Vec::with_capacity(n);
 
-        for (k, t) in simcore::time::ticks(SimTime::ZERO, end, config.step).enumerate() {
-            let day = t.day_index() as usize;
-            let outlier_scale = if outlier_days.get(day).copied().unwrap_or(false) {
-                0.5
-            } else {
-                1.0
-            };
-            // `step` is whole minutes (validated), so `t` is too.
-            let minute = (t.time_of_week().as_micros() / SimDuration::MINUTE.as_micros()) as usize;
-            let mut busy_cores = 0.0;
-            let mut oc_demand = 0.0;
-            for slot in &slots {
-                let (service, vm) = if k >= slot.switch {
-                    slot.after
+        let mut ticks = simcore::time::ticks(SimTime::ZERO, end, config.step).enumerate();
+        for block_start in (0..n).step_by(NOISE_BLOCK) {
+            let samples = NOISE_BLOCK.min(n - block_start);
+            // Every value is redrawn, so only a change of length writes.
+            normals.resize(samples * slots.len(), 0.0);
+            rng.fill_standard_normal(normals);
+            // Sample-major, slot-minor: each sample takes the next
+            // `slots.len()` draws (`zip` stops at the slots' end without
+            // taking one more).
+            let mut draws = normals.iter();
+            for (k, t) in ticks.by_ref().take(samples) {
+                let day = t.day_index() as usize;
+                let outlier_scale = if outlier_days.get(day).copied().unwrap_or(false) {
+                    0.5
                 } else {
-                    slot.before
+                    1.0
                 };
-                let base = service.at_minute(minute, vm.phase);
-                let noise = 1.0 + service.noise_sigma * rng.sample_standard_normal();
-                let u = (base * vm.load_scale * noise * outlier_scale).clamp(0.0, 1.0);
-                busy_cores += u * vm.cores as f64;
-                if service.wants_overclock && u >= vm.oc_trigger {
-                    oc_demand += vm.cores as f64;
+                // `step` is whole minutes (validated), so `t` is too.
+                let minute =
+                    (t.time_of_week().as_micros() / SimDuration::MINUTE.as_micros()) as usize;
+                let mut busy_cores = 0.0;
+                let mut oc_demand = 0.0;
+                for (slot, &z) in slots.iter().zip(draws.by_ref()) {
+                    let (service, vm) = if k >= slot.switch {
+                        slot.after
+                    } else {
+                        slot.before
+                    };
+                    let base = service.at_minute(minute, vm.phase);
+                    let noise = 1.0 + service.noise_sigma * z;
+                    let u = (base * vm.load_scale * noise * outlier_scale).clamp(0.0, 1.0);
+                    busy_cores += u * vm.cores as f64;
+                    if service.wants_overclock && u >= vm.oc_trigger {
+                        oc_demand += vm.cores as f64;
+                    }
                 }
+                let server_util = (busy_cores / total_cores).clamp(0.0, 1.0);
+                util.push(server_util);
+                power.push(power_at.at(server_util).get());
+                oc_cores.push(oc_demand);
             }
-            let server_util = (busy_cores / total_cores).clamp(0.0, 1.0);
-            util.push(server_util);
-            power.push(model.server_power_uniform(server_util, turbo).get());
-            oc_cores.push(oc_demand);
         }
         let series = |values| TimeSeries::from_values(SimTime::ZERO, config.step, values);
         (series(util), series(power), series(oc_cores))
@@ -779,6 +810,226 @@ mod tests {
                 shape.utilization(shifted).to_bits(),
                 "case {case}: service {index} at {t} + {phase} min"
             );
+        }
+    }
+
+    /// The per-sample loop as it was before block draws: one
+    /// `sample_standard_normal` per VM per sample, the VM resolved from its
+    /// spec at each instant, and `server_power_uniform` per sample. An
+    /// independent oracle for `simulate_server`'s batched noise and hoisted
+    /// power factor. Also returns how many churn switches fall strictly
+    /// inside a noise block.
+    fn reference_server(
+        model: &PowerModel,
+        config: &FleetConfig,
+        vms: &[VmSpec],
+        outlier_days: &[bool],
+        rng: &mut Pcg32,
+    ) -> ([Vec<f64>; 3], usize) {
+        let catalog: &Catalog = &CATALOG;
+        let turbo = model.plan().turbo();
+        let mut series = [Vec::new(), Vec::new(), Vec::new()];
+        for t in simcore::time::ticks(SimTime::ZERO, SimTime::ZERO + config.span, config.step) {
+            let outlier_scale = if outlier_days[t.day_index() as usize] {
+                0.5
+            } else {
+                1.0
+            };
+            let minute = (t.time_of_week().as_micros() / SimDuration::MINUTE.as_micros()) as usize;
+            let mut busy_cores = 0.0;
+            let mut oc_demand = 0.0;
+            for spec in vms {
+                let vm = match (spec.replaced_at, &spec.replacement) {
+                    (Some(at), Some(replacement)) if t >= at => replacement,
+                    _ => spec,
+                };
+                let service = catalog.service(vm.service);
+                let base = service.at_minute(minute, vm.phase);
+                let noise = 1.0 + service.noise_sigma * rng.sample_standard_normal();
+                let u = (base * vm.load_scale * noise * outlier_scale).clamp(0.0, 1.0);
+                busy_cores += u * vm.cores as f64;
+                if service.wants_overclock && u >= vm.oc_trigger {
+                    oc_demand += vm.cores as f64;
+                }
+            }
+            let server_util = (busy_cores / model.cores() as f64).clamp(0.0, 1.0);
+            series[0].push(server_util);
+            series[1].push(model.server_power_uniform(server_util, turbo).get());
+            series[2].push(oc_demand);
+        }
+        let samples = series[0].len();
+        let inside_a_block = vms
+            .iter()
+            .filter_map(|vm| vm.replaced_at)
+            .map(|at| at.as_micros().div_ceil(config.step.as_micros()) as usize)
+            .filter(|&switch| switch < samples && !switch.is_multiple_of(NOISE_BLOCK))
+            .count();
+        (series, inside_a_block)
+    }
+
+    /// The rack loop rebuilt around [`reference_server`], with the rack's
+    /// fork, server forks, sums and limit written out again here. `rng` is
+    /// the stream the rack forks from: the region stream for `generate`,
+    /// the rack's own for `generate_rack`.
+    fn reference_rack(
+        seed: u64,
+        config: &FleetConfig,
+        rack_idx: usize,
+        rng: &mut Pcg32,
+    ) -> (RackTrace, usize) {
+        let generator = TraceGenerator::new(seed);
+        let mut rack_rng = rng.fork(rack_idx as u64 + 1);
+        let generation = if rack_rng.gen_bool(INTEL_FRACTION) {
+            CpuGeneration::Intel
+        } else {
+            CpuGeneration::Amd
+        };
+        let model = generator.model_for(generation);
+        let n_servers = rack_rng.gen_range_u64(
+            config.servers_per_rack_min as u64,
+            config.servers_per_rack_max as u64 + 1,
+        ) as usize;
+        let days = (config.span.as_days_f64().ceil() as u64).max(1);
+        let outlier_days: Vec<bool> = (0..days)
+            .map(|_| rack_rng.gen_bool(config.outlier_day_prob))
+            .collect();
+        let mut servers = Vec::new();
+        let mut switches = 0;
+        for index in 0..n_servers {
+            let mut srv_rng = rack_rng.fork(index as u64 + 101);
+            let vms = generator.place_vms(&model, config, &mut srv_rng);
+            let ([util, power, oc], inside) =
+                reference_server(&model, config, &vms, &outlier_days, &mut srv_rng);
+            switches += inside;
+            let series = |values| TimeSeries::from_values(SimTime::ZERO, config.step, values);
+            servers.push(ServerTrace {
+                index,
+                utilization: series(util),
+                power: series(power),
+                oc_demand_cores: series(oc),
+            });
+        }
+        let rack_power: Vec<f64> = (0..config.samples())
+            .map(|k| servers.iter().fold(0.0, |acc, s| acc + s.power.values()[k]))
+            .collect();
+        let power = TimeSeries::from_values(SimTime::ZERO, config.step, rack_power);
+        let oversub = rack_rng.gen_range_f64(config.oversubscription.0, config.oversubscription.1);
+        let nameplate = model.server_power_uniform(1.0, model.plan().turbo()) * n_servers as f64;
+        let limit = (nameplate / oversub).max(Watts::new(power.max() * 1.02));
+        let rack = RackTrace {
+            index: rack_idx,
+            generation,
+            limit,
+            power,
+            servers,
+        };
+        (rack, switches)
+    }
+
+    fn bits(series: &TimeSeries) -> Vec<u64> {
+        series.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `generate_rack` against [`reference_rack`], bit for bit, over seeds,
+    /// 5-, 15- and 60-minute steps, spans that do and do not fill whole
+    /// 64-sample noise blocks (one shorter than a block, one that ends
+    /// between two steps), 1-server and several-server racks, and churn
+    /// switches that land inside a block.
+    #[test]
+    fn generator_oracle_matches_per_sample_draws() {
+        let spans = |step: u64| -> Vec<SimDuration> {
+            match step {
+                // 288 samples a day: 4.5 blocks; 2 days and 7 minutes: 578.
+                5 => vec![
+                    SimDuration::DAY,
+                    SimDuration::DAY * 2 + SimDuration::from_minutes(7),
+                ],
+                // 96 a day: 1.5 blocks; 2 days: exactly 3; 9 days: 13.5.
+                15 => vec![SimDuration::DAY, SimDuration::DAY * 2, SimDuration::DAY * 9],
+                // 24 a day: one partial block; 16 days: exactly 6 blocks.
+                _ => vec![
+                    SimDuration::DAY,
+                    SimDuration::DAY * 16,
+                    SimDuration::DAY * 15,
+                ],
+            }
+        };
+        let (mut racks, mut single_server, mut partial, mut switches) = (0, 0, 0, 0);
+        for seed in [3, 42, 977] {
+            for step in [5, 15, 60] {
+                for span in spans(step) {
+                    for servers in [(1, 1), (4, 6)] {
+                        let cfg = FleetConfig {
+                            servers_per_rack_min: servers.0,
+                            servers_per_rack_max: servers.1,
+                            step: SimDuration::from_minutes(step),
+                            span,
+                            ..FleetConfig::small_test()
+                        };
+                        let generator = TraceGenerator::new(seed);
+                        for rack_idx in 0..2 {
+                            let rack = generator.generate_rack(&cfg, rack_idx);
+                            let mut rng = Pcg32::new(
+                                seed ^ (rack_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                                region_stream(&cfg.region),
+                            );
+                            let (want, inside) = reference_rack(seed, &cfg, rack_idx, &mut rng);
+                            let what =
+                                format!("seed {seed} step {step} span {span} rack {rack_idx}");
+                            assert_eq!(rack.servers.len(), want.servers.len(), "{what}");
+                            for (s, w) in rack.servers.iter().zip(&want.servers) {
+                                assert_eq!(bits(&s.utilization), bits(&w.utilization), "{what}");
+                                assert_eq!(bits(&s.power), bits(&w.power), "{what}");
+                                assert_eq!(
+                                    bits(&s.oc_demand_cores),
+                                    bits(&w.oc_demand_cores),
+                                    "{what}"
+                                );
+                            }
+                            assert_eq!(bits(&rack.power), bits(&want.power), "{what}");
+                            assert_eq!(rack.limit.get().to_bits(), want.limit.get().to_bits());
+                            assert_eq!(rack, want, "{what}");
+                            racks += 1;
+                            single_server += usize::from(want.servers.len() == 1);
+                            partial += usize::from(!cfg.samples().is_multiple_of(NOISE_BLOCK));
+                            switches += inside;
+                        }
+                    }
+                }
+            }
+        }
+        // The sweep covered what it claims to.
+        assert_eq!(racks, 3 * 8 * 2 * 2);
+        assert!(
+            single_server >= 3 * 8 * 2,
+            "{single_server} one-server racks"
+        );
+        assert!(
+            partial > 0 && partial < racks,
+            "{partial} racks end in a partial block"
+        );
+        assert!(switches > 0, "no churn switch fell inside a noise block");
+    }
+
+    /// `generate` draws every rack from one region stream in turn; its
+    /// racks must match the oracle's per-sample draws too.
+    #[test]
+    fn generator_oracle_matches_whole_fleet_generation() {
+        let cfg = FleetConfig {
+            racks: 3,
+            span: SimDuration::DAY * 2 + SimDuration::from_minutes(40),
+            step: SimDuration::from_minutes(5),
+            ..FleetConfig::small_test()
+        };
+        let fleet = TraceGenerator::new(8).generate(&cfg);
+        let mut rng = Pcg32::new(8, region_stream(&cfg.region));
+        for (rack_idx, rack) in fleet.racks.iter().enumerate() {
+            let (want, _) = reference_rack(8, &cfg, rack_idx, &mut rng);
+            for (s, w) in rack.servers.iter().zip(&want.servers) {
+                assert_eq!(bits(&s.power), bits(&w.power), "rack {rack_idx}");
+            }
+            assert_eq!(bits(&rack.power), bits(&want.power), "rack {rack_idx}");
+            assert_eq!(*rack, want);
         }
     }
 
