@@ -11,15 +11,17 @@
 //! soc-analyze health    <health.json> [--out report.txt]
 //! soc-analyze alerts    <health.json>
 //! soc-analyze query     <health.json> <metric> [--entity N]
-//! soc-analyze profile   <profile.json>
 //! ```
 //!
-//! Traces, health reports and profiles come from any bench binary run with
-//! `--trace-out`, `--health-out` and `--prof-out`.
+//! Traces and health reports come from any bench binary run with
+//! `--trace-out` and `--health-out`. A `--prof-out` profile is JSONL
+//! `metric` records in the trace's format: `metrics` renders it and `diff`
+//! compares two.
 
 use soc_analyze::chains::{self, DEFAULT_TERMINALS};
-use soc_analyze::{json, render, report, rollup, AttributionCounts, Trace, TraceDiff};
-use soc_prof::Snapshot;
+use soc_analyze::{
+    json, render, report, rollup, AttributionCounts, HealthReport, Trace, TraceDiff,
+};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: soc-analyze <command> [args]
@@ -30,7 +32,8 @@ commands:
                                           budget_violation/degraded_enter/
                                           degraded_exit
   attribute <trace.jsonl>                 SLO-miss attribution table
-  metrics   <trace.jsonl>                 end-of-run metric rollups
+  metrics   <trace.jsonl>                 end-of-run metric rollups (also of
+                                          a --prof-out profile)
   report    <trace.jsonl> [--out FILE]    full report (all of the above)
   diff      <a.jsonl> <b.jsonl> [--filter-a k=v] [--filter-b k=v]
             [--strip-label LABEL] [--out FILE]
@@ -39,10 +42,10 @@ commands:
   alerts    <health.json>                 one row per alert (firing and resolved)
   query     <health.json> <metric> [--entity N]
                                           bucket-level dump of one series
-  profile   <profile.json>                phase timers, counters and memory
 
 Traces, health reports and profiles are produced by the soc-bench binaries
-via --trace-out, --health-out and --prof-out.";
+via --trace-out, --health-out and --prof-out; a profile is read like a
+trace.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -100,10 +103,10 @@ fn load(path: &str) -> Result<Trace, String> {
     Trace::load(path).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Read a JSON artifact (health report, profile) with its `from_json`.
-fn load_json<T>(path: &str, from_json: fn(&str) -> Result<T, String>) -> Result<T, String> {
+/// Read a health report.
+fn load_health(path: &str) -> Result<HealthReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    from_json(&text).map_err(|e| format!("{path}: {e}"))
+    json::from_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Print to stdout, or write to `--out FILE` when given.
@@ -216,12 +219,12 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "health" => {
             need(1, &["out"])?;
-            let health = load_json(positional[0], json::from_json)?;
+            let health = load_health(positional[0])?;
             deliver(&render::render_report(&health), flag(&flags, "out"))
         }
         "alerts" => {
             need(1, &[])?;
-            let health = load_json(positional[0], json::from_json)?;
+            let health = load_health(positional[0])?;
             print!("{}", render::render_alerts(&health));
             Ok(())
         }
@@ -231,16 +234,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 Some(v) => Some(v.parse::<u64>().map_err(|_| format!("bad --entity {v}"))?),
                 None => None,
             };
-            let health = load_json(positional[0], json::from_json)?;
+            let health = load_health(positional[0])?;
             print!("{}", render::render_query(&health, positional[1], entity));
-            Ok(())
-        }
-        "profile" => {
-            need(1, &[])?;
-            print!(
-                "{}",
-                load_json(positional[0], Snapshot::from_json)?.render()
-            );
             Ok(())
         }
         "help" | "--help" | "-h" => {
@@ -255,6 +250,9 @@ fn run(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::run;
+    use simcore::time::SimTime;
+    use soc_telemetry::json::event_to_json;
+    use soc_telemetry::Telemetry;
 
     fn run_args(args: &[&str]) -> Result<(), String> {
         run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
@@ -292,7 +290,7 @@ mod tests {
             ),
             (&["health", "h.json", "--ot", "r.txt"][..], "--ot"),
             (&["alerts", "h.json", "--out", "r.txt"][..], "--out"),
-            (&["profile", "p.json", "--out", "r.txt"][..], "--out"),
+            (&["metrics", "p.jsonl", "--out", "r.txt"][..], "--out"),
         ] {
             let err = run_args(args).unwrap_err();
             assert!(
@@ -310,25 +308,34 @@ mod tests {
     fn rejects_the_wrong_artifact_naming_the_file() {
         let dir = std::env::temp_dir();
         let id = std::process::id();
-        let profile = dir.join(format!("soc-analyze-{id}.prof.json"));
+        let profile = dir.join(format!("soc-analyze-{id}.prof.jsonl"));
         let health = dir.join(format!("soc-analyze-{id}.health.json"));
+        // A profile as `--prof-out` writes it: the metric records of a
+        // registry, one JSONL line each.
+        let (tm, sink) = Telemetry::memory();
+        tm.metrics(|m| {
+            m.observe("phase_ms", &[("phase", "shard/sim".into())], 1.5);
+            m.inc_counter_by("racks", &[], 4);
+        });
+        tm.emit_metrics_snapshot(SimTime::ZERO);
+        let lines: String = sink
+            .events()
+            .iter()
+            .map(|e| event_to_json(e) + "\n")
+            .collect();
         let report = soc_analyze::Recorder::new("run").finalize(&[]).unwrap();
-        std::fs::write(
-            &profile,
-            soc_prof::Profiler::new("run").snapshot().to_json(),
-        )
-        .unwrap();
+        std::fs::write(&profile, lines).unwrap();
         std::fs::write(&health, soc_analyze::json::to_json(&report)).unwrap();
         let (profile, health) = (profile.to_str().unwrap(), health.to_str().unwrap());
         // Each artifact reads back with its own subcommand…
-        run_args(&["profile", profile]).unwrap();
+        run_args(&["metrics", profile]).unwrap();
         run_args(&["alerts", health]).unwrap();
         // …and is an error naming the file for every other.
         for args in [
             &["health", profile][..],
             &["alerts", profile],
             &["query", profile, "rack_draw_w"],
-            &["profile", health],
+            &["metrics", health],
         ] {
             let err = run_args(args).unwrap_err();
             assert!(

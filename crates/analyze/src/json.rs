@@ -1,9 +1,9 @@
 //! Canonical byte-stable JSON for health reports.
 //!
-//! Same contract as `soc-prof` snapshots: the writer emits fields in a fixed
-//! order with series in canonical `BTreeMap` key order and numbers in Rust's
-//! shortest round-trip `Display` form, so the same run always serializes to
-//! the same bytes — the CI fault-tolerance gate greps the output directly.
+//! The writer emits fields in a fixed order with series in canonical
+//! `BTreeMap` key order and numbers in Rust's shortest round-trip `Display`
+//! form, so the same run always serializes to the same bytes — the CI
+//! fault-tolerance gate greps the output directly.
 //! Both directions go through the workspace's one JSON codec,
 //! `soc_telemetry::json`.
 

@@ -12,8 +12,8 @@ use simcore::report::{fmt_pct, Table};
 use simcore::time::SimDuration;
 use soc_bench::{Cli, Output};
 use soc_cluster::datacenter::{simulate_datacenter, DatacenterConfig};
+use soc_cluster::probe::ShardProbe;
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn main() -> ExitCode {
     let cli = Cli::from_env(&[Output::Profile, Output::Health]);
@@ -35,7 +35,7 @@ fn main() -> ExitCode {
         "simulating feeds at {fractions:?} ({} threads)...",
         cli.effective_threads()
     );
-    let sweep_start = Instant::now();
+    let span = obs.span("feed_sweep");
     let outcomes = par::par_map(cli.effective_threads(), fractions, |_, feed_fraction| {
         let cfg = DatacenterConfig {
             racks: if cli.fast { 4 } else { 12 },
@@ -46,8 +46,8 @@ fn main() -> ExitCode {
         };
         (feed_fraction, simulate_datacenter(&cfg))
     });
-    obs.profiler.record("feed_sweep", sweep_start.elapsed());
-    obs.profiler.add("feeds", outcomes.len() as u64);
+    drop(span);
+    obs.add("feeds", outcomes.len() as u64);
     for (feed_fraction, o) in outcomes {
         let bps = (feed_fraction * 10_000.0) as u64;
         obs.recorder

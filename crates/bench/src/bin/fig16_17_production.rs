@@ -11,11 +11,11 @@ use simcore::report::{fmt_f64, fmt_pct, Table};
 use simcore::time::{SimDuration, SimTime};
 use soc_bench::{pct_change, Cli, Output};
 use soc_cluster::envs::{run_at_rate, Environment};
+use soc_cluster::probe::ShardProbe;
 use soc_power::freq::FrequencyPlan;
 use soc_traces::services::service_c;
 use soc_workloads::microservice::ServiceSpec;
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn main() -> ExitCode {
     let cli = Cli::from_env(&[Output::Profile, Output::Health]);
@@ -46,7 +46,7 @@ fn main() -> ExitCode {
     // Rate points are independent runs; shard them across workers and
     // collect in sweep order (byte-identical output for any --threads).
     let threads = cli.effective_threads();
-    let sweep_start = Instant::now();
+    let span = obs.span("fig16/rps_sweep");
     let sweep = par::par_map(
         threads,
         vec![0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8],
@@ -71,9 +71,8 @@ fn main() -> ExitCode {
             (rps_k, base, oc)
         },
     );
-    obs.profiler
-        .record("fig16/rps_sweep", sweep_start.elapsed());
-    obs.profiler.add("service_runs", sweep.len() as u64 * 2);
+    drop(span);
+    obs.add("service_runs", sweep.len() as u64 * 2);
     for (rps_k, base, oc) in sweep {
         let rps = (rps_k * 1000.0) as u64;
         obs.recorder
@@ -99,7 +98,7 @@ fn main() -> ExitCode {
     // Iso-utilization throughput: what RPS does the baseline need to match
     // the overclocked deployment's utilization at 1.8k?
     let mut iso_rps = 0.0;
-    let iso_start = Instant::now();
+    let span = obs.span("fig16/iso_sweep");
     let iso_sweep = par::par_map(
         threads,
         (600..=1800).step_by(50).collect(),
@@ -116,8 +115,8 @@ fn main() -> ExitCode {
             (f64::from(rps), r.cpu_utilization)
         },
     );
-    obs.profiler.record("fig16/iso_sweep", iso_start.elapsed());
-    obs.profiler.add("service_runs", iso_sweep.len() as u64);
+    drop(span);
+    obs.add("service_runs", iso_sweep.len() as u64);
     for (rps, util) in iso_sweep {
         if util <= peak_oc {
             iso_rps = rps;
@@ -135,7 +134,7 @@ fn main() -> ExitCode {
     let profile = service_c();
     let day = SimTime::ZERO + SimDuration::from_days(1);
     let ratio = plan.turbo().ratio(plan.max_overclock());
-    let fig17_start = Instant::now();
+    let span = obs.span("fig17/peaks");
     let mut fig17 = Table::new(&["hour", "peak util (baseline)", "peak util (overclocked)"]);
     let mut base_peaks = Vec::new();
     let mut oc_peaks = Vec::new();
@@ -164,7 +163,7 @@ fn main() -> ExitCode {
     println!("== Fig. 17: Service C 5-minute peak utilization over a weekday ==");
     println!("{}", fig17.render());
     let mean_reduction = 1.0 - oc_peaks.iter().sum::<f64>() / base_peaks.iter().sum::<f64>();
-    obs.profiler.record("fig17/peaks", fig17_start.elapsed());
+    drop(span);
     println!(
         "mean 5-minute-peak reduction with overclocking: {} (paper: 16%)",
         fmt_pct(mean_reduction)

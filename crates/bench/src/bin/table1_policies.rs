@@ -15,12 +15,12 @@ use smartoclock::policy::PolicyKind;
 use soc_bench::{Cli, Output};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::{power_groups, PolicyMetrics, RackOutcome};
+use soc_cluster::probe::ShardProbe;
 use soc_cluster::shard::{
     generate_fleet_probed, simulate_policy_prepared_probed, train_fleet_probed,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn main() -> ExitCode {
     let cli = Cli::from_env(&[Output::Trace, Output::Profile]);
@@ -37,14 +37,13 @@ fn main() -> ExitCode {
     // Traces are generated and templates trained exactly once, then shared
     // by all five policy runs — the per-policy loop times simulation only.
     let threads = cli.effective_threads();
-    obs.profiler.set_meta("racks", racks);
     eprintln!("generating {racks} rack traces once ({threads} threads)...");
     let fleet = generate_fleet_probed(&config, threads, &obs);
     let trained = train_fleet_probed(&config, &fleet, threads, &obs);
     let mut outcomes: HashMap<PolicyKind, Vec<RackOutcome>> = HashMap::new();
     for policy in PolicyKind::ALL {
         eprintln!("simulating {policy} over {racks} racks ({threads} threads)...");
-        let policy_start = Instant::now();
+        let span = obs.span(policy.name());
         outcomes.insert(
             policy,
             simulate_policy_prepared_probed(
@@ -57,8 +56,7 @@ fn main() -> ExitCode {
                 &obs,
             ),
         );
-        obs.profiler
-            .record(&format!("policy/{}", policy.name()), policy_start.elapsed());
+        drop(span);
     }
 
     // Group racks by power (terciles of mean utilization), using the

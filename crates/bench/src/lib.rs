@@ -11,9 +11,9 @@
 //!   results are byte-identical for every value (`1` forces serial).
 //! * `--csv <path>` — additionally write the table as CSV.
 //! * `--trace-out <path>` — write a JSONL telemetry trace of the run.
-//! * `--prof-out <path>` — collect a `soc-prof` performance profile (phase
-//!   wall-clock, throughput counters, peak RSS) and write its snapshot as
-//!   canonical JSON.
+//! * `--prof-out <path>` — collect a wall-clock profile (a `phase_ms`
+//!   histogram per phase, work counters, the run's parameters, wall time and
+//!   peak RSS) and write it as JSONL `metric` records.
 //! * `--health-out <path>` — collect a fleet health report (sim-time
 //!   series, deterministic alerts, incident timeline) and write it as
 //!   canonical JSON.
@@ -21,7 +21,7 @@
 //!   (`exp_fault_tolerance`, `exp_binning`; each has its own default name).
 //!
 //! The binaries only write artifacts; `soc-analyze` reads them back
-//! (`soc-analyze report <trace>`, `soc-analyze profile <profile.json>`,
+//! (`soc-analyze report <trace>`, `soc-analyze metrics <profile.jsonl>`,
 //! `soc-analyze health <health.json>`).
 //!
 //! An unknown flag, a flag missing its value, a `--seed` / `--threads`
@@ -52,8 +52,7 @@ pub use probe::Observer;
 use simcore::report::Table;
 use simcore::time::SimTime;
 use soc_analyze::Recorder;
-use soc_prof::Profiler;
-use soc_telemetry::Telemetry;
+use soc_telemetry::{NullSink, Telemetry};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -74,8 +73,8 @@ pub struct Cli {
     /// [`Cli::effective_threads`] to resolve. Thread count never changes
     /// results — only wall-clock time.
     pub threads: usize,
-    /// Collect a `soc-prof` performance profile and write its snapshot as
-    /// canonical JSON here (`--prof-out`).
+    /// Collect a wall-clock profile and write its metric records as JSONL
+    /// here (`--prof-out`).
     pub prof_out: Option<PathBuf>,
     /// Collect a fleet health report and write it as canonical JSON here
     /// (`--health-out`).
@@ -92,7 +91,7 @@ pub struct Cli {
 pub enum Output {
     /// A JSONL telemetry trace (`--trace-out`).
     Trace,
-    /// A `soc-prof` profile (`--prof-out`).
+    /// A wall-clock profile (`--prof-out`).
     Profile,
     /// A fleet health report (`--health-out`).
     Health,
@@ -207,12 +206,13 @@ impl Cli {
     }
 
     /// The run's observation handle, built from the flags: the JSONL trace
-    /// of `--trace-out`, the profiler of `--prof-out` named `name` with the
-    /// common run parameters as metadata, and the health recorder of
+    /// of `--trace-out`, the profile of `--prof-out` (its own metrics
+    /// registry, holding from the start a `run_info` gauge labelled with
+    /// `name` and the common run parameters), and the health recorder of
     /// `--health-out`. Parts not asked for are the zero-overhead disabled
     /// handles. Call [`Cli::finish`] at the end of the run to emit
     /// everything.
-    pub fn observer(&self, name: &str) -> Observer {
+    pub fn observer(&self, name: &'static str) -> Observer {
         let telemetry = match &self.trace_out {
             Some(path) => match Telemetry::jsonl(path) {
                 Ok(tm) => {
@@ -226,14 +226,19 @@ impl Cli {
             },
             None => Telemetry::disabled(),
         };
-        let profiler = if self.prof_out.is_some() {
-            let prof = Profiler::new(name);
-            prof.set_meta("seed", self.seed);
-            prof.set_meta("threads", self.effective_threads());
-            prof.set_meta("fast", self.fast);
-            prof
+        let profile = if self.prof_out.is_some() {
+            let profile = Telemetry::with_sink(NullSink);
+            let fast = if self.fast { "true" } else { "false" };
+            let labels = [
+                ("name", name.into()),
+                ("seed", self.seed.into()),
+                ("threads", self.effective_threads().into()),
+                ("fast", fast.into()),
+            ];
+            profile.metrics(|m| m.set_gauge("run_info", &labels, 1.0));
+            profile
         } else {
-            Profiler::disabled()
+            Telemetry::disabled()
         };
         let recorder = if self.health_out.is_some() {
             Recorder::new(name)
@@ -242,8 +247,9 @@ impl Cli {
         };
         Observer {
             telemetry,
-            profiler,
+            profile,
             recorder,
+            ..Observer::default()
         }
     }
 
@@ -261,7 +267,7 @@ impl Cli {
     /// over the recorded run and write it to `--health-out`. Then the
     /// trace: dump the end-of-run metric snapshot and flush the file, which
     /// reports any write of the trace that failed during the run. Last
-    /// the profile: write its snapshot to `--prof-out`. Each step is a
+    /// the profile: write its metric records to `--prof-out`. Each step is a
     /// no-op when its flag is absent. The status is a failure when any
     /// artifact of the run could not be written (see [`write_artifact`]).
     #[must_use]
@@ -277,7 +283,7 @@ impl Cli {
             }
         }
         if let Some(path) = &self.prof_out {
-            write_artifact(path, &obs.profiler.snapshot().to_json(), "profile");
+            write_artifact(path, &obs.profile_jsonl(), "profile");
         }
         if WRITE_FAILED.load(Ordering::Relaxed) {
             ExitCode::FAILURE
@@ -324,6 +330,8 @@ pub fn pct_change(old: f64, new: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soc_analyze::rollup::MetricValue;
+    use soc_cluster::probe::ShardProbe;
 
     const ALL: [Output; 4] = [
         Output::Trace,
@@ -388,8 +396,70 @@ mod tests {
     fn telemetry_disabled_without_trace_out() {
         let obs = parse(&[]).observer("x");
         assert!(!obs.telemetry.is_enabled());
-        assert!(!obs.profiler.is_enabled());
+        assert!(!obs.profile.is_enabled());
         assert!(!obs.recorder.is_enabled());
+    }
+
+    #[test]
+    fn disabled_profiler_is_inert() {
+        // No `--prof-out`: the probe hands out no span tokens and records
+        // nothing.
+        let obs = parse(&[]).observer("x");
+        assert!(obs.span("shard/sim").is_none());
+        obs.add("racks", 5);
+        assert_eq!(obs.profile.metrics_snapshot().render(), "");
+    }
+
+    #[test]
+    fn record_takes_the_path_literally() {
+        let prof = temp("literal.prof.jsonl");
+        let obs = parse(&["--prof-out", prof.to_str().unwrap()]).observer("x");
+        drop(obs.span("run/t1"));
+        let worker = obs.clone();
+        std::thread::spawn(move || drop(worker.span("run/t1")))
+            .join()
+            .unwrap();
+        // One key, whichever thread measured the span.
+        let snap = obs.profile.metrics_snapshot();
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.histograms[0].0.render(), "phase_ms{phase=run/t1}");
+        assert_eq!(snap.histograms[0].1.count(), 2);
+    }
+
+    #[test]
+    fn snapshot_round_trips_through_json() {
+        let prof = temp("roundtrip.prof.jsonl");
+        let cli = parse(&["--prof-out", prof.to_str().unwrap(), "--seed", "7"]);
+        let obs = cli.observer("roundtrip");
+        drop(obs.span("rack/admission"));
+        obs.add("sim_steps", 100);
+        obs.add("sim_steps", 20);
+        let _ = cli.finish(&obs, &[]);
+        let text = std::fs::read_to_string(&prof).unwrap();
+        std::fs::remove_file(prof).unwrap();
+        // The profile is trace-format JSONL that the metrics reader takes.
+        let metrics = soc_analyze::rollup::metrics(&soc_analyze::Trace::parse(&text).unwrap());
+        let keys: Vec<&str> = metrics.keys().map(String::as_str).collect();
+        let run_info = format!(
+            "run_info{{name=roundtrip,seed=7,threads={},fast=false}}",
+            cli.effective_threads()
+        );
+        assert_eq!(
+            keys,
+            [
+                "peak_rss_bytes",
+                "phase_ms{phase=rack/admission}",
+                run_info.as_str(),
+                "sim_steps",
+                "wall_ms",
+            ]
+        );
+        assert_eq!(metrics["sim_steps"], MetricValue::Counter(120));
+        assert!(matches!(
+            metrics["phase_ms{phase=rack/admission}"],
+            MetricValue::Histogram { count: 1, .. }
+        ));
+        assert!(matches!(metrics["wall_ms"], MetricValue::Gauge(ms) if ms >= 0.0));
     }
 
     #[test]
@@ -413,20 +483,15 @@ mod tests {
         let health = temp("recorder.health.json");
         let obs = parse(&["--health-out", health.to_str().unwrap()]).observer("x");
         assert!(obs.recorder.is_enabled());
-        assert!(!obs.profiler.is_enabled());
-        let prof = temp("recorder.prof.json");
-        let cli = parse(&["--prof-out", prof.to_str().unwrap(), "--seed", "7"]);
+        assert!(!obs.profile.is_enabled());
+        let prof = temp("recorder.prof.jsonl");
+        let cli = parse(&["--prof-out", prof.to_str().unwrap()]);
         let obs = cli.observer("x");
-        assert!(obs.profiler.is_enabled());
+        assert!(obs.profile.is_enabled());
         assert!(!obs.recorder.is_enabled());
-        assert_eq!(obs.profiler.snapshot().meta["seed"], "7");
-        // Finishing a live profiler writes its snapshot, and nothing else.
+        // Finishing a live profile writes it, and nothing else.
         let _ = cli.finish(&obs, &[]);
-        let json = std::fs::read_to_string(&prof).unwrap();
-        assert_eq!(
-            soc_prof::Snapshot::from_json(&json).unwrap().meta["seed"],
-            "7"
-        );
+        assert!(prof.exists());
         assert!(!health.exists());
         std::fs::remove_file(prof).unwrap();
     }

@@ -1074,6 +1074,7 @@ impl ServerOverclockAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simcore::series::TimeSeries;
     use soc_predict::template::TemplateKind;
 
@@ -1688,5 +1689,58 @@ mod tests {
             .request_overclock(SimTime::ZERO, oc_request(4))
             .unwrap_err();
         assert_eq!(err, RejectReason::CoreBudget);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn wear_is_monotone_across_restarts(
+            binned in 0u32..2,
+            ops in prop::collection::vec((0u32..5, 1u64..20, 1usize..17), 1..80),
+        ) {
+            // Physical wear is a durable fact about the part: no sequence of
+            // requests, budget grants, control ticks, releases and agent
+            // restarts may ever make the ledger read less.
+            let plan = PowerModel::reference_server().plan();
+            let part = if binned == 1 {
+                marginal_part(plan.max_overclock(), 0.3)
+            } else {
+                SiliconPart::uniform(&plan)
+            };
+            let template = flat_template(Watts::new(200.0));
+            let mut a = binned_agent(1.0, part);
+            a.set_power_template(template.clone());
+            let mut t = SimTime::ZERO;
+            let mut worn = a.wear.actual_days();
+            for (op, minutes, cores) in ops {
+                t += SimDuration::from_minutes(minutes);
+                match op {
+                    0 => {
+                        let _ = a.request_overclock(t, oc_request(cores));
+                    }
+                    // The gOA grants a budget (and the template a restart
+                    // dropped) back.
+                    1 => {
+                        a.set_power_budget(Watts::new(450.0));
+                        a.set_power_template(template.clone());
+                    }
+                    2 => {
+                        let _ = a.control_tick(t, Watts::new(250.0), None, 0);
+                    }
+                    3 => {
+                        let first = a.grants().map(|(id, _)| id).next();
+                        if let Some(id) = first {
+                            a.end_overclock(t, id);
+                        }
+                    }
+                    _ => {
+                        let _ = a.restart(t);
+                    }
+                }
+                let now = a.wear.actual_days();
+                prop_assert!(now >= worn, "wear fell from {worn} to {now} after op {op}");
+                worn = now;
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! * [`peak_rss_bytes`] reads the process high-water mark from
 //!   `/proc/self/status` (`VmHWM`). On platforms without procfs it returns
-//!   0 — snapshots stay well-formed, the field is just absent information.
+//!   0 — a profile stays well-formed, the reading is just absent.
 //! * [`CountingAlloc`] is an opt-in global allocator that counts
 //!   allocations and allocated bytes into process-wide atomics. Bench
 //!   binaries install it with one line:
@@ -12,8 +12,8 @@
 //!   static ALLOC: soc_prof::CountingAlloc = soc_prof::CountingAlloc;
 //!   ```
 //!
-//!   When it is not installed, [`alloc_counts`] reads `(0, 0)` and the
-//!   snapshot records zeros. Counts are totals since process start, not
+//!   When it is not installed, [`alloc_counts`] reads `(0, 0)`. Counts
+//!   are totals since process start, not
 //!   live bytes; for a bench the interesting figure is allocations per
 //!   phase of work, which the caller derives by sampling before/after.
 

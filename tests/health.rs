@@ -21,9 +21,8 @@ use soc_bench::Observer;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::probe::{NoopProbe, ShardProbe};
 use soc_cluster::shard::simulate_policy_sharded_probed;
-use soc_prof::Profiler;
 use soc_telemetry::json::event_to_json;
-use soc_telemetry::{MemorySink, Telemetry};
+use soc_telemetry::{MemorySink, NullSink, Telemetry};
 
 fn small_config(seed: u64) -> LargeScaleConfig {
     let mut cfg = LargeScaleConfig::small_test();
@@ -106,8 +105,9 @@ fn health_recorded_run_is_byte_identical_to_unrecorded() {
         let (telemetry, sink) = Telemetry::memory();
         let full = Observer {
             telemetry,
-            profiler: Profiler::new("full"),
+            profile: Telemetry::with_sink(NullSink),
             recorder: Recorder::new("full"),
+            ..Observer::default()
         };
         let observed = traced_run(&cfg, threads, &full.telemetry, &sink, &full);
         assert_eq!(
@@ -115,8 +115,11 @@ fn health_recorded_run_is_byte_identical_to_unrecorded() {
             "the fully enabled observer perturbed the run at {threads} threads"
         );
         assert_eq!(full.recorder.samples(), recorder.samples());
+        let phases = full.profile.metrics_snapshot().histograms;
         assert!(
-            full.profiler.snapshot().phases.contains_key("shard/sim"),
+            phases
+                .iter()
+                .any(|(k, _)| k.render() == "phase_ms{phase=shard/sim}"),
             "the profile part stayed empty"
         );
     }

@@ -1,9 +1,10 @@
 //! Cross-writer round trip through the workspace's one JSON codec.
 //!
-//! Every JSON writer in the workspace — telemetry events, soc-prof
-//! snapshots, soc-analyze health reports, soc-lint's JSON report and SARIF log — is
-//! fed seeded strings built from hostile characters (quote, backslash, every
-//! C0 control, DEL, non-ASCII and astral-plane characters). Each output must
+//! Every JSON writer in the workspace — telemetry events (which `--prof-out`
+//! profiles are made of too), soc-analyze health reports, soc-lint's JSON
+//! report and SARIF log — is fed seeded strings built from hostile
+//! characters (quote, backslash, every C0 control, DEL, non-ASCII and
+//! astral-plane characters). Each output must
 //! parse with `soc_telemetry::json::parse`, and every string must come back
 //! exactly. Every reader must also turn over-deep nesting into an error
 //! rather than exhausting the stack.
@@ -14,7 +15,6 @@ use soc_analyze::Trace;
 use soc_analyze::{Alert, HealthReport, Incident, SeriesStore};
 use soc_lint::sarif::render_sarif;
 use soc_lint::{AllowEntry, Allowlist, CheckReport, Diagnostic};
-use soc_prof::{PhaseSnap, Snapshot, SCHEMA};
 use soc_telemetry::json::{event_to_json, parse, Value};
 use soc_telemetry::{Component, Event, Severity};
 use std::collections::BTreeSet;
@@ -85,26 +85,6 @@ fn every_writer_round_trips_hostile_strings() {
         for event in trace.events() {
             assert_eq!(event.field_str(&event.name), Some(event.name.as_str()));
         }
-
-        let mut snap = Snapshot {
-            schema: SCHEMA,
-            name: strings[0].clone(),
-            ..Snapshot::default()
-        };
-        for (i, s) in strings.iter().enumerate() {
-            let phase = PhaseSnap {
-                count: 1,
-                total_ms: 0.1,
-                ..PhaseSnap::default()
-            };
-            snap.meta
-                .insert(s.clone(), strings[(i + 1) % strings.len()].clone());
-            snap.counters.insert(s.clone(), i as u64);
-            snap.rates.insert(s.clone(), i as f64 / 3.0);
-            snap.phases.insert(s.clone(), phase);
-        }
-        assert_strings_survive("Snapshot::to_json", &snap.to_json(), &strings);
-        assert_eq!(Snapshot::from_json(&snap.to_json()), Ok(snap));
 
         let mut store = SeriesStore::new(4);
         let mut alerts = Vec::new();
@@ -181,7 +161,6 @@ fn every_writer_round_trips_hostile_strings() {
 fn every_reader_rejects_deep_nesting_with_an_error() {
     for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
         assert!(parse(&deep).is_err());
-        assert!(Snapshot::from_json(&deep).is_err());
         assert!(soc_analyze::json::from_json(&deep).is_err());
         assert!(Trace::parse(&deep).is_err());
     }

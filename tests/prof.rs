@@ -1,27 +1,30 @@
 //! Profiling-is-observation-only harness.
 //!
-//! The perf-observability layer (`soc-prof` + `soc_cluster::probe`) must
-//! never perturb the simulation: attaching a profiling [`Observer`] to the
-//! sharded engine has to yield byte-identical telemetry traces, metrics,
-//! and outcomes to the default [`NoopProbe`] run, at any thread count —
-//! also with its trace and health parts switched on at the same time.
-//! That invariant is what lets `--prof-out` default to off-but-harmless and
-//! lets `soc-benchmark` take its per-layer numbers from traced passes that
-//! must reproduce the untraced digest. Pinned here end to end across the public crate APIs, with
-//! tiny configs so it runs in the tier-1 suite.
+//! The perf-observability layer (the bench [`Observer`]'s profile registry
+//! behind `soc_cluster::probe`) must never perturb the simulation:
+//! attaching a profiling [`Observer`] to the sharded engine has to yield
+//! byte-identical telemetry traces, metrics, and outcomes to the default
+//! [`NoopProbe`] run, at any thread count — also with its trace and health
+//! parts switched on at the same time. That invariant is what lets
+//! `--prof-out` default to off-but-harmless and lets `soc-benchmark` take
+//! its per-layer numbers from traced passes that must reproduce the
+//! untraced digest. Pinned here end to end across the public crate APIs,
+//! with tiny configs so it runs in the tier-1 suite, together with the
+//! profile file itself: `Cli::finish` writes metric records that the trace
+//! reader takes back, with exact work counters at every thread count.
 
 use smartoclock::policy::PolicyKind;
-use soc_analyze::Recorder;
-use soc_bench::Observer;
+use soc_analyze::rollup::{self, MetricValue};
+use soc_analyze::{Recorder, Trace};
+use soc_bench::{Cli, Observer};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::probe::{NoopProbe, ShardProbe};
 use soc_cluster::shard::{
     generate_fleet_probed, simulate_policy_prepared_probed, simulate_policy_sharded_probed,
     train_fleet_probed,
 };
-use soc_prof::Profiler;
 use soc_telemetry::json::event_to_json;
-use soc_telemetry::{MemorySink, Telemetry};
+use soc_telemetry::{MemorySink, NullSink, Telemetry};
 use std::sync::Mutex;
 
 // The allocation-regression test below reads the process-global counters
@@ -72,21 +75,25 @@ fn probed_run(cfg: &LargeScaleConfig, threads: usize, probe: &dyn ShardProbe) ->
     traced_run(cfg, threads, &tm, &sink, probe)
 }
 
-/// An observer with only its profiler on, as `--prof-out` builds it.
-fn prof_observer(profiler: Profiler) -> Observer {
+/// An observer with only its profile on.
+fn prof_observer() -> Observer {
     Observer {
-        profiler,
+        profile: Telemetry::with_sink(NullSink),
         ..Observer::default()
     }
 }
 
-/// Phase and counter keys of a profile.
-fn profile_keys(profiler: &Profiler) -> (Vec<String>, Vec<String>) {
-    let snap = profiler.snapshot();
-    (
-        snap.phases.keys().cloned().collect(),
-        snap.counters.keys().cloned().collect(),
-    )
+/// Every metric key of a profile, rendered (`phase_ms{phase=merge}`).
+fn profile_keys(obs: &Observer) -> Vec<String> {
+    let snap = obs.profile.metrics_snapshot();
+    let counters = snap.counters.iter().map(|(k, _)| k);
+    let gauges = snap.gauges.iter().map(|(k, _)| k);
+    let hists = snap.histograms.iter().map(|(k, _)| k);
+    counters
+        .chain(gauges)
+        .chain(hists)
+        .map(|k| k.render())
+        .collect()
 }
 
 #[test]
@@ -95,8 +102,8 @@ fn profiled_run_is_byte_identical_to_unprofiled() {
     let cfg = small_config(11);
     for threads in [1, 4] {
         let baseline = probed_run(&cfg, threads, &NoopProbe);
-        let profiler = Profiler::new("prof-test");
-        let probed = probed_run(&cfg, threads, &prof_observer(profiler.clone()));
+        let profiled = prof_observer();
+        let probed = probed_run(&cfg, threads, &profiled);
         assert_eq!(
             baseline.0, probed.0,
             "telemetry trace changed under profiling at {threads} threads"
@@ -110,29 +117,32 @@ fn profiled_run_is_byte_identical_to_unprofiled() {
             "outcomes changed under profiling at {threads} threads"
         );
         // ... and the probe really was live, not silently disabled: the
-        // engine's spans and counters landed in the snapshot.
-        let snap = profiler.snapshot();
+        // engine's spans and counters landed in the profile.
+        let keys = profile_keys(&profiled);
         assert!(
-            snap.phases.contains_key("shard/sim"),
-            "expected a shard/sim phase, got {:?}",
-            snap.phases.keys().collect::<Vec<_>>()
+            keys.iter().any(|k| k == "phase_ms{phase=shard/sim}"),
+            "expected a shard/sim phase, got {keys:?}"
         );
-        assert_eq!(snap.counters.get("racks").copied(), Some(cfg.racks as u64));
+        assert_eq!(
+            profiled.profile.metrics(|m| m.counter("racks", &[])),
+            Some(cfg.racks as u64)
+        );
 
         // Trace, profile and health on at once: still the same bytes, and
         // the profile records the keys the profile-only run did.
         let (telemetry, sink) = Telemetry::memory();
         let full = Observer {
             telemetry,
-            profiler: Profiler::new("full"),
+            profile: Telemetry::with_sink(NullSink),
             recorder: Recorder::new("full"),
+            ..Observer::default()
         };
         let observed = traced_run(&cfg, threads, &full.telemetry, &sink, &full);
         assert_eq!(
             baseline, observed,
             "the fully enabled observer perturbed the run at {threads} threads"
         );
-        assert_eq!(profile_keys(&full.profiler), profile_keys(&profiler));
+        assert_eq!(profile_keys(&full), keys);
         assert!(full.recorder.samples() > 0, "the health part stayed empty");
     }
 }
@@ -140,18 +150,16 @@ fn profiled_run_is_byte_identical_to_unprofiled() {
 #[test]
 fn disabled_profiler_probe_records_nothing() {
     let _guard = serialized();
-    // No `--prof-out` hands bench binaries a disabled Profiler; the probe must
-    // then return no tokens and the snapshot must stay empty.
+    // No `--prof-out` hands bench binaries a disabled profile handle; the
+    // probe must then return no tokens and the profile must stay empty.
     let cfg = small_config(11);
-    let profiler = Profiler::disabled();
-    let probe = prof_observer(profiler.clone());
+    let probe = Observer::default();
     assert!(probe.span("shard/sim").is_none());
     let _ = probed_run(&cfg, 2, &probe);
-    let snap = profiler.snapshot();
-    assert!(snap.phases.is_empty(), "disabled profiler recorded phases");
     assert!(
-        snap.counters.is_empty(),
-        "disabled profiler recorded counters"
+        profile_keys(&probe).is_empty(),
+        "disabled profile recorded {:?}",
+        profile_keys(&probe)
     );
 }
 
@@ -162,13 +170,78 @@ fn profiled_runs_are_reproducible_across_thread_counts() {
     // probe may couple snapshot *simulation* content to the thread count.
     let cfg = small_config(23);
     let one = probed_run(&cfg, 1, &NoopProbe);
+    let mut keys = None;
     for threads in [2, 4] {
-        let profiler = Profiler::new("prof-test");
-        let probed = probed_run(&cfg, threads, &prof_observer(profiler));
+        let profiled = prof_observer();
+        let probed = probed_run(&cfg, threads, &profiled);
         assert_eq!(one.0, probed.0, "trace differs at {threads} threads");
         assert_eq!(one.1, probed.1, "metrics differ at {threads} threads");
         assert_eq!(one.2, probed.2, "outcomes differ at {threads} threads");
+        // The profile's key set does not depend on the thread count.
+        let now = profile_keys(&profiled);
+        assert_eq!(keys.get_or_insert_with(|| now.clone()), &now);
     }
+}
+
+#[test]
+fn profile_file_reads_back_with_thread_invariant_work_counters() {
+    let _guard = serialized();
+    // What `--prof-out` writes: `Cli::finish` dumps the profile's metric
+    // records as JSONL, which the trace reader parses and rolls up. Wall
+    // times differ run to run; the exact work counters may not, whatever
+    // the thread count.
+    let cfg = small_config(29);
+    let path = std::env::temp_dir().join(format!("soc-prof-{}.jsonl", std::process::id()));
+    let mut counters = None;
+    for threads in [1, 3] {
+        let cli = Cli {
+            prof_out: Some(path.clone()),
+            threads,
+            ..Cli::default()
+        };
+        // With a trace attached, so that `merged_events` counts something.
+        let (telemetry, _sink) = Telemetry::memory();
+        let obs = Observer {
+            telemetry,
+            ..cli.observer("prof-test")
+        };
+        let _ = simulate_policy_sharded_probed(
+            &cfg,
+            PolicyKind::SmartOClock,
+            &obs.telemetry,
+            threads,
+            &obs,
+        );
+        let _ = cli.finish(&obs, &[]);
+        let text = std::fs::read_to_string(&path).expect("profile written");
+        let metrics = rollup::metrics(&Trace::parse(&text).expect("profile parses"));
+        assert!(
+            metrics.contains_key(&format!(
+                "run_info{{name=prof-test,seed=42,threads={threads},fast=false}}"
+            )),
+            "{:?}",
+            metrics.keys()
+        );
+        for key in ["phase_ms{phase=shard/sim}", "wall_ms", "peak_rss_bytes"] {
+            assert!(
+                metrics.contains_key(key),
+                "{key} missing: {:?}",
+                metrics.keys()
+            );
+        }
+        let exact: Vec<(&str, MetricValue)> = ["racks", "sim_steps", "merged_events"]
+            .into_iter()
+            .map(|key| (key, metrics[key].clone()))
+            .collect();
+        assert_eq!(exact[0].1, MetricValue::Counter(cfg.racks as u64));
+        assert!(matches!(exact[2].1, MetricValue::Counter(n) if n > 0));
+        assert_eq!(
+            counters.get_or_insert_with(|| exact.clone()),
+            &exact,
+            "work counters differ at {threads} threads"
+        );
+    }
+    std::fs::remove_file(path).unwrap();
 }
 
 /// Allocations of one steady-state simulation pass: traces pre-generated,
