@@ -77,7 +77,7 @@ pub fn scalar_metric_table(trace: &Trace) -> Table {
                 table.row(&[key, "counter".to_string(), n.to_string()]);
             }
             MetricValue::Gauge(x) => {
-                table.row(&[key, "gauge".to_string(), fmt_f64(x, 3)]);
+                table.row(&[key, "gauge".to_string(), fmt_value(x)]);
             }
             MetricValue::Histogram { .. } => {}
         }
@@ -99,13 +99,24 @@ pub fn histogram_table(trace: &Trace) -> Table {
             table.row(&[
                 key,
                 count.to_string(),
-                fmt_f64(mean, 3),
-                fmt_f64(p50, 3),
-                fmt_f64(p99, 3),
+                fmt_value(mean),
+                fmt_value(p50),
+                fmt_value(p99),
             ]);
         }
     }
     table
+}
+
+/// A gauge or histogram value with three decimals, or in exponent form
+/// (`4.200e-5`) when it is non-zero but would read `0.000`: a profile's
+/// sub-microsecond phases keep their magnitude.
+fn fmt_value(x: f64) -> String {
+    if x != 0.0 && x.abs() < 0.001 {
+        format!("{x:.3e}")
+    } else {
+        fmt_f64(x, 3)
+    }
 }
 
 #[cfg(test)]
@@ -166,5 +177,23 @@ mod tests {
         let hists = histogram_table(&trace).render();
         assert!(hists.contains("sim_rack_draw_w{rack=0}"));
         assert!(hists.contains("140.000"));
+    }
+
+    #[test]
+    fn tiny_values_render_in_exponent_form() {
+        let text = concat!(
+            r#"{"t_us":9,"component":"metrics","severity":"debug","name":"metric","fields":{"kind":"hist","key":"phase_ms{phase=rack/admission}","count":40320,"mean":4.2e-5,"p50":0.0,"p99":-0.0005}}"#,
+            "\n",
+            r#"{"t_us":9,"component":"metrics","severity":"debug","name":"metric","fields":{"kind":"gauge","key":"tiny","value":0.001}}"#,
+        );
+        let trace = Trace::parse(text).unwrap();
+        let hists = histogram_table(&trace).render();
+        assert!(hists.contains("4.200e-5"), "{hists}");
+        assert!(hists.contains("-5.000e-4"), "{hists}");
+        assert!(
+            hists.contains("0.000"),
+            "zero keeps its fixed form: {hists}"
+        );
+        assert!(scalar_metric_table(&trace).render().contains("0.001"));
     }
 }

@@ -47,13 +47,13 @@ use simcore::faults::FaultPlan;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::config::{EXPLORE_CAP, EXPLORE_STEP};
 use smartoclock::epoch::EpochTracker;
-use smartoclock::goa::GlobalOverclockAgent;
+use smartoclock::goa::{GlobalOverclockAgent, ServerProfile};
 use smartoclock::policy::PolicyKind;
 use soc_power::hierarchy::DemandProfile;
 use soc_power::model::{OverclockDeltaFn, PowerModel};
 use soc_power::rack::RackMonitor;
 use soc_power::units::{MegaHertz, Watts};
-use soc_predict::template::{PowerTemplate, TemplateKind, TemplateSlot};
+use soc_predict::template::{TemplateKind, TemplateSlot};
 use soc_reliability::binning::{SiliconPart, WearRate};
 use soc_reliability::thermal::Cooling;
 use soc_reliability::wear::WearModel;
@@ -234,24 +234,26 @@ pub(crate) struct PredictionRows {
 
 impl PredictionRows {
     /// Build the rows for one rack's evaluation ticks starting at `start`
-    /// from each server's (regular, demand) templates, in rack order; `step`
+    /// from each server's profile (regular and demand templates), in rack
+    /// order; `step`
     /// is the templates' training step, which divides a day and therefore
     /// the week.
     pub(crate) fn build(
-        templates: &[(PowerTemplate, PowerTemplate)],
+        profiles: &[ServerProfile],
         start: SimTime,
         step: SimDuration,
     ) -> PredictionRows {
         let slots = (SimDuration::WEEK.as_micros() / step.as_micros()) as usize;
-        let day_class = templates.iter().all(|(regular, demand)| {
-            regular.kind() != TemplateKind::Weekly && demand.kind() != TemplateKind::Weekly
+        let day_class = profiles.iter().all(|p| {
+            p.regular_power.kind() != TemplateKind::Weekly
+                && p.overclock_demand.kind() != TemplateKind::Weekly
         });
         let rows = if day_class {
             2 * (SimDuration::DAY.as_micros() / step.as_micros()) as usize
         } else {
             slots
         };
-        let n = templates.len();
+        let n = profiles.len();
         let mut row_of = Vec::with_capacity(slots);
         let mut regular = vec![0.0; rows * n];
         let mut demand = vec![0.0; rows * n];
@@ -269,11 +271,9 @@ impl PredictionRows {
                 if let (Some(reg), Some(dem)) =
                     (regular.get_mut(range.clone()), demand.get_mut(range))
                 {
-                    for ((dst_r, dst_d), (regular, demand)) in
-                        reg.iter_mut().zip(dem.iter_mut()).zip(templates)
-                    {
-                        *dst_r = regular.predict_at(slot);
-                        *dst_d = demand.predict_at(slot);
+                    for ((dst_r, dst_d), p) in reg.iter_mut().zip(dem.iter_mut()).zip(profiles) {
+                        *dst_r = p.regular_power.predict_at(slot);
+                        *dst_d = p.overclock_demand.predict_at(slot);
                     }
                 }
             }
@@ -1019,6 +1019,7 @@ mod tests {
     use crate::shard::{
         generate_fleet_probed, simulate_policy_prepared_probed, train_fleet_probed,
     };
+    use soc_predict::template::PowerTemplate;
     use soc_telemetry::json::event_to_json;
     use soc_traces::gen::TraceGenerator;
 
@@ -1110,19 +1111,15 @@ mod tests {
         )
     }
 
-    fn server(
-        step: SimDuration,
-        regular: TemplateKind,
-        demand: TemplateKind,
-    ) -> (PowerTemplate, PowerTemplate) {
+    fn server(step: SimDuration, regular: TemplateKind, demand: TemplateKind) -> ServerProfile {
         let salt = TemplateKind::ALL
             .iter()
             .position(|&k| k == regular)
             .unwrap_or(0) as f64;
-        (
-            PowerTemplate::build(&history(step, salt), regular),
-            PowerTemplate::build(&history(step, 7.0 - salt), demand),
-        )
+        ServerProfile {
+            regular_power: PowerTemplate::build(&history(step, salt), regular),
+            overclock_demand: PowerTemplate::build(&history(step, 7.0 - salt), demand),
+        }
     }
 
     #[test]
@@ -1153,7 +1150,7 @@ mod tests {
             ]);
             racks.push(vec![(DailyMed, DailyMed), (DailyMed, Weekly)]);
             for kinds in racks {
-                let servers: Vec<(PowerTemplate, PowerTemplate)> =
+                let servers: Vec<ServerProfile> =
                     kinds.iter().map(|&(r, d)| server(step, r, d)).collect();
                 let rows = PredictionRows::build(&servers, start, step);
                 let weekly = kinds.iter().any(|&(r, d)| r == Weekly || d == Weekly);
@@ -1172,16 +1169,16 @@ mod tests {
                     let t = start + step * k;
                     let slot = TemplateSlot::at(t, step);
                     let r = rows.row_of_step(k);
-                    for (i, (regular, demand)) in servers.iter().enumerate() {
+                    for (i, p) in servers.iter().enumerate() {
                         let (reg, dem) = (rows.regular_row(r)[i], rows.demand_row(r)[i]);
                         assert_eq!(
                             reg.to_bits(),
-                            regular.predict_at(slot).to_bits(),
+                            p.regular_power.predict_at(slot).to_bits(),
                             "{kinds:?} at {minutes} min: regular, step {k}, server {i}"
                         );
                         assert_eq!(
                             dem.to_bits(),
-                            demand.predict_at(slot).to_bits(),
+                            p.overclock_demand.predict_at(slot).to_bits(),
                             "{kinds:?} at {minutes} min: demand, step {k}, server {i}"
                         );
                     }

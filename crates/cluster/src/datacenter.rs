@@ -42,11 +42,16 @@ fn nested_split(dc_budget: Watts, racks: &[Vec<DemandProfile>]) -> Vec<Vec<Watts
             }
         })
         .collect();
-    let rack_budgets = heterogeneous_split(dc_budget, &rack_profiles);
+    let mut rack_budgets = Vec::with_capacity(racks.len());
+    heterogeneous_split(dc_budget, &rack_profiles, &mut rack_budgets);
     racks
         .iter()
         .zip(&rack_budgets)
-        .map(|(servers, &budget)| heterogeneous_split(budget, servers))
+        .map(|(servers, &budget)| {
+            let mut budgets = Vec::with_capacity(servers.len());
+            heterogeneous_split(budget, servers, &mut budgets);
+            budgets
+        })
         .collect()
 }
 
@@ -162,7 +167,11 @@ pub fn simulate_datacenter(config: &DatacenterConfig) -> DatacenterOutcome {
         let flat_budgets: Vec<Vec<Watts>> = racks
             .iter()
             .zip(&profiles)
-            .map(|(rack, servers)| heterogeneous_split(rack.limit, servers))
+            .map(|(rack, servers)| {
+                let mut budgets = Vec::with_capacity(servers.len());
+                heterogeneous_split(rack.limit, servers, &mut budgets);
+                budgets
+            })
             .collect();
         // Nested: the feed is split first.
         let nested_budgets = nested_split(feed, &profiles);

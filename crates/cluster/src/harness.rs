@@ -653,12 +653,13 @@ impl ClusterSim {
     /// Inject scheduled point faults for this tick: sOA restarts lose all
     /// in-flight grants and re-join conservatively at default frequency.
     fn inject_faults(&mut self, now: SimTime) {
-        if self.faults.is_noop() {
+        let faults = self.faults.at(now);
+        if !faults.any_soa_restarts() {
             return;
         }
         let oc_server_count = self.config.socialnet_servers + self.config.spare_servers;
         for s in 0..oc_server_count {
-            if self.faults.soa_restarts(now, FaultPlan::entity_id(0, s)) {
+            if faults.soa_restarts(FaultPlan::entity_id(0, s)) {
                 let events = self.soas[s].restart(now);
                 self.apply_soa_events(now, s, &events);
             }
@@ -1306,14 +1307,12 @@ impl ClusterSim {
             self.telemetry
                 .metrics(|m| m.inc_counter("goa_budget_splits", &[("rack", 0usize.into())]));
         }
+        let faults = self.faults.at(now);
         for (&s, &b) in rack1.iter().zip(&budgets) {
             if s < oc_server_count {
                 // A dropped budget-update message leaves the sOA on its
                 // previous (stale) budget until the next refresh cycle.
-                if self
-                    .faults
-                    .drops_budget_update(now, FaultPlan::entity_id(0, s))
-                {
+                if faults.drops_budget_update(FaultPlan::entity_id(0, s)) {
                     continue;
                 }
                 self.soas[s].set_power_budget_at(now, b);
@@ -1321,11 +1320,7 @@ impl ClusterSim {
         }
         let ample = self.model.server_power_uniform(1.0, plan.turbo()) * 1.2;
         for s in 0..oc_server_count {
-            if self.is_spare(s)
-                && !self
-                    .faults
-                    .drops_budget_update(now, FaultPlan::entity_id(0, s))
-            {
+            if self.is_spare(s) && !faults.drops_budget_update(FaultPlan::entity_id(0, s)) {
                 self.soas[s].set_power_budget_at(now, ample);
             }
         }

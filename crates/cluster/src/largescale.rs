@@ -19,9 +19,9 @@ pub use crate::largescale_metrics::{PolicyMetrics, RackOutcome};
 use crate::probe::ShardProbe;
 use simcore::faults::FaultPlanConfig;
 use simcore::time::{SimDuration, SimTime};
+use smartoclock::goa::ServerProfile;
 use smartoclock::policy::PolicyKind;
 use soc_power::model::PowerModel;
-use soc_predict::template::{PowerTemplate, TemplateKind};
 use soc_reliability::binning::BinningConfig;
 use soc_telemetry::Telemetry;
 use soc_traces::fleet::RackTrace;
@@ -139,11 +139,12 @@ fn evaluation_steps(config: &LargeScaleConfig) -> usize {
 /// then the columnar engine's prediction rows from them, and fold the
 /// rack's base power at every evaluation step.
 ///
-/// Each server gets a regular-power template, with the fault plan's static
-/// prediction bias applied once here (so per-step noise is never
-/// double-counted), and an overclock-demand template in watts (cores × the
-/// per-core delta at the server's typical utilization). The templates live
-/// only until their rows are built.
+/// Each server gets the gOA's [`ServerProfile`] of its week-1 history: a
+/// regular-power template, with the fault plan's static prediction bias
+/// applied once here (so per-step noise is never double-counted), and an
+/// overclock-demand template in watts (cores × the per-core delta at the
+/// server's mean week-1 utilization). The profiles live only until their
+/// rows are built.
 ///
 /// This is the `rack/setup` phase of every large-scale path, split out from
 /// [`simulate_rack`] so callers can amortize training across policy variants
@@ -173,32 +174,29 @@ pub(crate) fn train_rack(
     let oc_freq = plan.max_overclock();
     let train_end = SimTime::ZERO + SimDuration::WEEK;
     let bias = config.faults.prediction_bias;
-    let templates = rack
+    let profiles = rack
         .servers
         .iter()
         .map(|s| {
-            let train_power = s.power.slice(SimTime::ZERO, train_end);
             let train_util = s.utilization.slice(SimTime::ZERO, train_end);
-            let train_demand = s.oc_demand_cores.slice(SimTime::ZERO, train_end);
             let util = simcore::stats::mean(train_util.values());
-            let per_core_extra = model
-                .overclock_delta(util.clamp(0.0, 1.0), 1, oc_freq)
-                .get();
-            let demand_watts = train_demand.map(|cores| cores * per_core_extra);
-            let mut template = PowerTemplate::build(&train_power, TemplateKind::DailyMed);
+            let mut profile = ServerProfile::from_history(
+                &s.power.slice(SimTime::ZERO, train_end),
+                &s.oc_demand_cores.slice(SimTime::ZERO, train_end),
+                model,
+                oc_freq,
+                util.clamp(0.0, 1.0),
+            );
             if bias != 1.0 {
-                template = template.map_values(|v| v * bias);
+                profile.regular_power = profile.regular_power.map_values(|v| v * bias);
             }
-            (
-                template,
-                PowerTemplate::build(&demand_watts, TemplateKind::DailyMed),
-            )
+            profile
         })
         .collect::<Vec<_>>();
     let steps = evaluation_steps(config);
     TrainedRack {
         rack: rack.index,
-        rows: PredictionRows::build(&templates, train_end, config.step),
+        rows: PredictionRows::build(&profiles, train_end, config.step),
         base: BaseColumns::build(rack, model.idle(), train_end, config.step, steps),
     }
 }

@@ -12,7 +12,7 @@
 use crate::policy::PolicyKind;
 use simcore::series::TimeSeries;
 use simcore::time::SimTime;
-use soc_power::hierarchy::{heterogeneous_split_into, DemandProfile};
+use soc_power::hierarchy::{heterogeneous_split, DemandProfile};
 use soc_power::model::PowerModel;
 use soc_power::units::{MegaHertz, Watts};
 use soc_predict::template::{PowerTemplate, TemplateKind};
@@ -110,7 +110,7 @@ impl GlobalOverclockAgent {
     pub fn budgets_for(&self, demands: &[DemandProfile], out: &mut Vec<Watts>) {
         assert!(!demands.is_empty(), "need at least one server");
         if self.policy.heterogeneous_budgets() {
-            heterogeneous_split_into(self.rack_limit, demands, out);
+            heterogeneous_split(self.rack_limit, demands, out);
         } else {
             out.clear();
             out.resize(demands.len(), self.rack_limit / demands.len() as f64);

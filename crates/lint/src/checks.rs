@@ -113,76 +113,106 @@ fn determinism_lints(src: &SourceFile, diags: &mut Vec<Diagnostic>) {
         if t.kind != TokenKind::Ident {
             continue;
         }
-        match t.text.as_str() {
-            "HashMap" | "HashSet" => push(
-                diags,
-                src,
-                "D001",
-                t.line,
-                format!("{} in sim-state crate `{}`; hash iteration order is per-process random — use BTreeMap/BTreeSet", t.text, src.crate_name),
-            ),
-            "Instant" | "SystemTime" => push(
-                diags,
-                src,
+        let (lint, msg) = match classify_site(toks, i) {
+            Some(Site::WallClock) => (
                 "D002",
-                t.line,
                 format!("std::time::{} reads the wall clock; sim time must come from simcore::time::SimTime", t.text),
             ),
-            "env" if path_prefix(toks, i, "std") => push(
-                diags,
-                src,
+            Some(Site::Env) => (
                 "D003",
-                t.line,
                 "std::env read in sim-state crate; pass configuration explicitly".to_string(),
             ),
-            "thread_rng" => push(
-                diags,
-                src,
+            Some(Site::ThreadRng) => (
                 "D004",
-                t.line,
                 "thread_rng seeds from the OS; draw from the run's simcore::rng::Pcg32 stream".to_string(),
             ),
-            "rand" if is_crate_use(toks, i) => push(
-                diags,
-                src,
+            Some(Site::RandCrate) => (
                 "D004",
-                t.line,
                 "the `rand` crate is non-deterministic across versions and platforms; use simcore::rng::Pcg32".to_string(),
             ),
-            "thread" if path_prefix(toks, i, "std") => push(
-                diags,
-                src,
-                "D005",
-                t.line,
-                "std::thread in sim-state crate; scheduler interleaving varies per run — shard through simcore::par::par_map".to_string(),
-            ),
-            "mpsc" => push(
-                diags,
-                src,
-                "D005",
-                t.line,
-                "channel use in sim-state crate; message arrival order is scheduler-dependent — shard through simcore::par::par_map".to_string(),
-            ),
-            "crossbeam" if is_crate_use(toks, i) => push(
-                diags,
-                src,
-                "D005",
-                t.line,
-                "crossbeam channels in sim-state crate; message arrival order is scheduler-dependent — shard through simcore::par::par_map".to_string(),
-            ),
-            _ => {}
+            Some(Site::Unwrap | Site::Expect | Site::PanicMacro) => continue,
+            None => match t.text.as_str() {
+                "HashMap" | "HashSet" => (
+                    "D001",
+                    format!("{} in sim-state crate `{}`; hash iteration order is per-process random — use BTreeMap/BTreeSet", t.text, src.crate_name),
+                ),
+                "thread" if path_prefix(toks, i, "std") => (
+                    "D005",
+                    "std::thread in sim-state crate; scheduler interleaving varies per run — shard through simcore::par::par_map".to_string(),
+                ),
+                "mpsc" => (
+                    "D005",
+                    "channel use in sim-state crate; message arrival order is scheduler-dependent — shard through simcore::par::par_map".to_string(),
+                ),
+                "crossbeam" if is_crate_use(toks, i) => (
+                    "D005",
+                    "crossbeam channels in sim-state crate; message arrival order is scheduler-dependent — shard through simcore::par::par_map".to_string(),
+                ),
+                _ => continue,
+            },
+        };
+        push(diags, src, lint, t.line, msg);
+    }
+}
+
+/// A token that starts a panic site or reads a non-deterministic source.
+/// The per-file lints (R001/R002, D002–D004) and the workspace taint passes
+/// (R004, D006) classify tokens through [`classify_site`] alone, so the two
+/// agree on what a site is; each keeps its own messages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Site {
+    /// `.unwrap()` with no argument.
+    Unwrap,
+    /// `.expect("…")` with a string message: a non-string argument means an
+    /// ordinary method that happens to be named expect (the JSON parser has
+    /// one).
+    Expect,
+    /// `panic!`, `todo!` or `unimplemented!`.
+    PanicMacro,
+    /// `Instant` or `SystemTime`: the wall clock.
+    WallClock,
+    /// `std::env`: the process environment.
+    Env,
+    /// `thread_rng`: OS-seeded randomness.
+    ThreadRng,
+    /// The `rand` crate used as a path root.
+    RandCrate,
+}
+
+/// The [`Site`] that token `i` starts, if any.
+pub(crate) fn classify_site(toks: &[Token], i: usize) -> Option<Site> {
+    let t = &toks[i];
+    if t.kind != TokenKind::Ident {
+        return None;
+    }
+    let method_call =
+        i >= 1 && toks[i - 1].is_punct(".") && toks.get(i + 1).is_some_and(|n| n.is_punct("("));
+    match t.text.as_str() {
+        "unwrap" if method_call && toks.get(i + 2).is_some_and(|n| n.is_punct(")")) => {
+            Some(Site::Unwrap)
         }
+        "expect" if method_call && toks.get(i + 2).is_some_and(|n| n.text == "\"…\"") => {
+            Some(Site::Expect)
+        }
+        "panic" | "todo" | "unimplemented" if toks.get(i + 1).is_some_and(|n| n.is_punct("!")) => {
+            Some(Site::PanicMacro)
+        }
+        "Instant" | "SystemTime" => Some(Site::WallClock),
+        "env" if path_prefix(toks, i, "std") => Some(Site::Env),
+        "thread_rng" => Some(Site::ThreadRng),
+        "rand" if is_crate_use(toks, i) => Some(Site::RandCrate),
+        _ => None,
     }
 }
 
 /// Is token `i` the segment right after `prefix ::`?
-pub(crate) fn path_prefix(toks: &[Token], i: usize, prefix: &str) -> bool {
+fn path_prefix(toks: &[Token], i: usize, prefix: &str) -> bool {
     i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].is_ident(prefix)
 }
 
 /// Is the identifier at `i` used as an external crate path root
 /// (`rand::…` or `use rand…`)?
-pub(crate) fn is_crate_use(toks: &[Token], i: usize) -> bool {
+fn is_crate_use(toks: &[Token], i: usize) -> bool {
     let followed_by_path = toks.get(i + 1).is_some_and(|t| t.is_punct("::"));
     let after_use = i >= 1 && toks[i - 1].is_ident("use");
     // `foo::rand::…` is a module named rand, not the crate.
@@ -353,68 +383,33 @@ fn robustness_lints(src: &SourceFile, diags: &mut Vec<Diagnostic>) {
         if t.kind != TokenKind::Ident || src.in_test[i] {
             continue;
         }
-        match t.text.as_str() {
-            // `.unwrap()` with no argument; `.expect("…")` only with a string
-            // message — a non-string argument means an ordinary method that
-            // happens to be named expect (the JSON parser has one).
-            "unwrap"
-                if i >= 1
-                    && toks[i - 1].is_punct(".")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    && toks.get(i + 2).is_some_and(|n| n.is_punct(")")) =>
-            {
-                push(
-                    diags,
-                    src,
-                    "R001",
-                    t.line,
-                    ".unwrap() in library code; return a Result or justify the invariant in lint.toml".to_string(),
-                );
-            }
-            "expect"
-                if i >= 1
-                    && toks[i - 1].is_punct(".")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    && toks.get(i + 2).is_some_and(|n| n.text == "\"…\"") =>
-            {
-                push(
-                    diags,
-                    src,
-                    "R001",
-                    t.line,
-                    ".expect(\"…\") in library code; return a Result or justify the invariant in lint.toml".to_string(),
-                );
-            }
-            "panic" | "todo" | "unimplemented"
-                if toks.get(i + 1).is_some_and(|n| n.is_punct("!")) =>
-            {
-                push(
-                    diags,
-                    src,
-                    "R002",
-                    t.line,
-                    format!(
-                        "{}! in library code; encode the invariant or return an error",
-                        t.text
-                    ),
-                );
-            }
-            name if (is_time_name(name) || is_power_name(name))
+        let (lint, msg) = match classify_site(toks, i) {
+            Some(Site::Unwrap) => (
+                "R001",
+                ".unwrap() in library code; return a Result or justify the invariant in lint.toml".to_string(),
+            ),
+            Some(Site::Expect) => (
+                "R001",
+                ".expect(\"…\") in library code; return a Result or justify the invariant in lint.toml".to_string(),
+            ),
+            Some(Site::PanicMacro) => (
+                "R002",
+                format!("{}! in library code; encode the invariant or return an error", t.text),
+            ),
+            _ if (is_time_name(&t.text) || is_power_name(&t.text))
                 && toks.get(i + 1).is_some_and(|n| n.is_ident("as"))
                 && toks
                     .get(i + 2)
                     .is_some_and(|n| NUMERIC_TYPES[2..].contains(&n.text.as_str())) =>
             {
-                push(
-                    diags,
-                    src,
+                (
                     "R003",
-                    t.line,
-                    format!("`{} as {}` truncates a physical quantity; use an explicit rounding conversion", name, toks[i + 2].text),
-                );
+                    format!("`{} as {}` truncates a physical quantity; use an explicit rounding conversion", t.text, toks[i + 2].text),
+                )
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        push(diags, src, lint, t.line, msg);
     }
 }
 

@@ -20,7 +20,7 @@
 //! re-flagged here.
 
 use crate::allowlist::Allowlist;
-use crate::checks::{is_crate_use, path_prefix, Diagnostic};
+use crate::checks::{classify_site, Diagnostic, Site};
 use crate::config::Layers;
 use crate::graph::CallGraph;
 use crate::lexer::TokenKind;
@@ -127,26 +127,17 @@ fn render_chain(
 /// D002/D003/D004 flag directly inside sim-state crates.
 fn direct_nondet_source(src: &SourceFile, body: (usize, usize)) -> Option<(String, u32)> {
     let toks = &src.tokens;
-    for i in body.0 + 1..body.1 {
+    (body.0 + 1..body.1).find_map(|i| {
         let t = &toks[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        match t.text.as_str() {
-            "Instant" | "SystemTime" => {
-                return Some((format!("std::time::{}", t.text), t.line));
-            }
-            "env" if path_prefix(toks, i, "std") => {
-                return Some(("std::env".to_string(), t.line));
-            }
-            "thread_rng" => return Some(("thread_rng (OS-seeded)".to_string(), t.line)),
-            "rand" if is_crate_use(toks, i) => {
-                return Some(("the `rand` crate".to_string(), t.line));
-            }
-            _ => {}
-        }
-    }
-    None
+        let what = match classify_site(toks, i)? {
+            Site::WallClock => format!("std::time::{}", t.text),
+            Site::Env => "std::env".to_string(),
+            Site::ThreadRng => "thread_rng (OS-seeded)".to_string(),
+            Site::RandCrate => "the `rand` crate".to_string(),
+            Site::Unwrap | Site::Expect | Site::PanicMacro => return None,
+        };
+        Some((what, t.line))
+    })
 }
 
 /// D006: sim-state call sites whose callee, defined outside the sim-state
@@ -228,59 +219,28 @@ fn direct_panic_sites(src: &SourceFile, body: (usize, usize)) -> Vec<PanicSite> 
     let mut sites = Vec::new();
     for i in body.0 + 1..body.1 {
         let t = &toks[i];
-        match t.text.as_str() {
-            "unwrap"
-                if t.kind == TokenKind::Ident
-                    && i >= 1
-                    && toks[i - 1].is_punct(".")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    && toks.get(i + 2).is_some_and(|n| n.is_punct(")")) =>
-            {
-                sites.push(PanicSite {
-                    desc: ".unwrap()",
-                    line: t.line,
-                    waiver: "R001",
-                });
-            }
-            "expect"
-                if t.kind == TokenKind::Ident
-                    && i >= 1
-                    && toks[i - 1].is_punct(".")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    && toks.get(i + 2).is_some_and(|n| n.text == "\"…\"") =>
-            {
-                sites.push(PanicSite {
-                    desc: ".expect(\"…\")",
-                    line: t.line,
-                    waiver: "R001",
-                });
-            }
-            "panic" | "todo" | "unimplemented"
-                if t.kind == TokenKind::Ident
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("!")) =>
-            {
-                sites.push(PanicSite {
-                    desc: "a panic!-family macro",
-                    line: t.line,
-                    waiver: "R002",
-                });
-            }
-            "[" if t.kind == TokenKind::Punct && i >= 1 => {
+        let (desc, waiver) = match classify_site(toks, i) {
+            Some(Site::Unwrap) => (".unwrap()", "R001"),
+            Some(Site::Expect) => (".expect(\"…\")", "R001"),
+            Some(Site::PanicMacro) => ("a panic!-family macro", "R002"),
+            _ if t.is_punct("[") && i >= 1 => {
                 let prev = &toks[i - 1];
                 let indexes_a_value = (prev.kind == TokenKind::Ident
                     && !NONINDEX_KEYWORDS.contains(&prev.text.as_str()))
                     || prev.is_punct(")")
                     || prev.is_punct("]");
-                if indexes_a_value {
-                    sites.push(PanicSite {
-                        desc: "slice indexing",
-                        line: t.line,
-                        waiver: "R004",
-                    });
+                if !indexes_a_value {
+                    continue;
                 }
+                ("slice indexing", "R004")
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        sites.push(PanicSite {
+            desc,
+            line: t.line,
+            waiver,
+        });
     }
     sites
 }

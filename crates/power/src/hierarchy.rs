@@ -17,7 +17,8 @@ pub struct DemandProfile {
     pub overclock_demand: Watts,
 }
 
-/// SmartOClock's heterogeneous budget computation (§IV-C).
+/// SmartOClock's heterogeneous budget computation (§IV-C): clears `out` and
+/// fills it with one budget per child, reusing its capacity.
 ///
 /// Phase 1/2: every child is first granted its regular consumption. Phase 3:
 /// the remaining headroom is split **proportionally to overclocking demand**.
@@ -28,12 +29,14 @@ pub struct DemandProfile {
 /// use soc_power::units::Watts;
 ///
 /// // Rack limit 1.3kW; X: 400W regular + 50W OC demand; Y: 300W + 100W.
-/// let budgets = heterogeneous_split(
+/// let mut budgets = Vec::new();
+/// heterogeneous_split(
 ///     Watts::new(1300.0),
 ///     &[
 ///         DemandProfile { regular: Watts::new(400.0), overclock_demand: Watts::new(50.0) },
 ///         DemandProfile { regular: Watts::new(300.0), overclock_demand: Watts::new(100.0) },
 ///     ],
+///     &mut budgets,
 /// );
 /// assert_eq!(budgets, vec![Watts::new(600.0), Watts::new(700.0)]);
 /// ```
@@ -46,22 +49,13 @@ pub struct DemandProfile {
 /// If the regular consumption alone exceeds the budget, each child's regular
 /// share is scaled down proportionally and no overclock headroom is granted.
 ///
-/// # Panics
-/// Panics if `children` is empty or any demand is negative.
-pub fn heterogeneous_split(budget: Watts, children: &[DemandProfile]) -> Vec<Watts> {
-    let mut out = Vec::with_capacity(children.len());
-    heterogeneous_split_into(budget, children, &mut out);
-    out
-}
-
-/// Allocation-free [`heterogeneous_split`]: clears `out` and fills it with
-/// the same budgets, reusing its capacity. The per-step hot path of the
-/// large-scale simulation calls this every budget refresh, so steady-state
-/// allocation counts must not scale with simulated steps.
+/// The per-step hot path of the large-scale simulation calls this every
+/// budget refresh, so steady-state allocation counts must not scale with
+/// simulated steps.
 ///
 /// # Panics
 /// Panics if `children` is empty or any demand is negative.
-pub fn heterogeneous_split_into(budget: Watts, children: &[DemandProfile], out: &mut Vec<Watts>) {
+pub fn heterogeneous_split(budget: Watts, children: &[DemandProfile], out: &mut Vec<Watts>) {
     assert!(!children.is_empty(), "cannot split across zero children");
     for c in children {
         assert!(
@@ -117,6 +111,13 @@ mod tests {
         (Watts::new(regular + 0.5 * demand), profiles)
     }
 
+    /// [`heterogeneous_split`] into a fresh vector.
+    fn split(budget: Watts, children: &[DemandProfile]) -> Vec<Watts> {
+        let mut out = Vec::new();
+        heterogeneous_split(budget, children, &mut out);
+        out
+    }
+
     /// Servers whose budget does not cover their regular draw.
     fn starved(budgets: &[Watts], profiles: &[DemandProfile]) -> usize {
         budgets
@@ -132,7 +133,7 @@ mod tests {
     #[test]
     fn heterogeneous_split_starves_none_where_even_split_starves_some() {
         let (limit, profiles) = oversubscribed_rack();
-        let hetero = heterogeneous_split(limit, &profiles);
+        let hetero = split(limit, &profiles);
         let even = vec![limit / profiles.len() as f64; profiles.len()];
         assert_eq!(starved(&hetero, &profiles), 0);
         assert!(starved(&even, &profiles) > 0);
@@ -140,7 +141,7 @@ mod tests {
 
     #[test]
     fn paper_example_budgets() {
-        let budgets = heterogeneous_split(
+        let budgets = split(
             Watts::new(1300.0),
             &[
                 DemandProfile {
@@ -158,7 +159,7 @@ mod tests {
 
     #[test]
     fn no_demand_splits_headroom_evenly() {
-        let budgets = heterogeneous_split(
+        let budgets = split(
             Watts::new(1000.0),
             &[
                 DemandProfile {
@@ -176,7 +177,7 @@ mod tests {
 
     #[test]
     fn infeasible_regular_scales_down() {
-        let budgets = heterogeneous_split(
+        let budgets = split(
             Watts::new(600.0),
             &[
                 DemandProfile {
@@ -205,7 +206,7 @@ mod tests {
                     overclock_demand: Watts::new(o),
                 })
                 .collect();
-            let budgets = heterogeneous_split(Watts::new(budget), &children);
+            let budgets = split(Watts::new(budget), &children);
             let total: f64 = budgets.iter().map(|b| b.get()).sum();
             let regular_total: f64 = children.iter().map(|c| c.regular.get()).sum();
             if regular_total <= budget {
@@ -230,7 +231,7 @@ mod tests {
                 DemandProfile { regular: Watts::new(r1), overclock_demand: Watts::new(d1) },
                 DemandProfile { regular: Watts::new(r2), overclock_demand: Watts::new(d2) },
             ];
-            let budgets = heterogeneous_split(Watts::new(budget), &children);
+            let budgets = split(Watts::new(budget), &children);
             let extra1 = budgets[0].get() - r1;
             let extra2 = budgets[1].get() - r2;
             if d1 > d2 {

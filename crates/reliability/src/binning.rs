@@ -28,22 +28,13 @@
 //! returns `None` when no overclocked level fits (*bin-denial*).
 
 use crate::wear::WearModel;
-use simcore::rng::Pcg32;
+use simcore::rng::{mix64, Pcg32};
 use soc_power::freq::FrequencyPlan;
 use soc_power::units::MegaHertz;
 
 /// Dedicated `Pcg32` stream for silicon draws, disjoint from the fault
 /// stream (`0xFA17`) and the trace-generator streams.
 const BINNING_STREAM: u64 = 0xB1A5;
-
-/// SplitMix64 finalizer (same constants as `simcore::faults`): decorrelates
-/// the user seed from part ids so adjacent parts draw independent silicon.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Seeded per-part silicon distribution. The degenerate
 /// [`uniform`](Self::uniform) configuration (one bin, no wear spread) is

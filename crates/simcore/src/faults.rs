@@ -14,9 +14,10 @@
 //!   front from a dedicated [`Pcg32`] stream ([`FaultPlan::generate`]).
 //! * **Point faults** — per-`(instant, entity)` events (message drops,
 //!   delays, telemetry gaps, prediction noise, sOA restarts) decided by a
-//!   stateless hash of `(seed, kind, t, entity)`. Because no generator
-//!   state is consumed at query time, answers are independent of query
-//!   *order* — a sharded run asking rack 7 before rack 3 sees exactly the
+//!   stateless hash of `(seed, kind, t, entity)` and asked through the
+//!   [`StepFaults`] view of one instant ([`FaultPlan::at`]). Because no
+//!   generator state is consumed at query time, answers are independent of
+//!   query *order* — a sharded run asking rack 7 before rack 3 sees exactly the
 //!   bytes a serial run sees, which is what lets fault plans compose with
 //!   `--threads N` byte-identity for free.
 //!
@@ -24,7 +25,7 @@
 //! `false`/`1.0`/zero-delay everywhere without hashing anything, so wiring
 //! the faults layer into a simulator leaves fault-free runs byte-identical.
 
-use crate::rng::Pcg32;
+use crate::rng::{mix64, Pcg32};
 use crate::time::{SimDuration, SimTime};
 
 /// Dedicated PCG stream for fault-window generation, disjoint from the
@@ -192,8 +193,9 @@ impl Default for FaultPlanConfig {
 
 /// A realized fault schedule over a simulation horizon.
 ///
-/// Construction pre-draws the gOA outage windows; all point-fault queries
-/// are stateless hashes. Same config + horizon ⇒ byte-identical plan.
+/// Construction pre-draws the gOA outage windows; point faults are
+/// stateless hashes asked through one instant's view ([`FaultPlan::at`]).
+/// Same config + horizon ⇒ byte-identical plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     config: FaultPlanConfig,
@@ -276,73 +278,16 @@ impl FaultPlan {
         self.outages.iter().any(|w| w.contains(t))
     }
 
-    /// Whether the budget update addressed to `entity` at `t` is dropped.
-    #[inline]
-    pub fn drops_budget_update(&self, t: SimTime, entity: u64) -> bool {
-        self.config.budget_drop_prob > 0.0
-            && self.unit(SALT_BUDGET_DROP, t, entity) < self.config.budget_drop_prob
-    }
-
-    /// Delivery delay of the budget update addressed to `entity` at `t`
-    /// (zero when the message is on time).
-    #[inline]
-    pub fn budget_update_delay(&self, t: SimTime, entity: u64) -> SimDuration {
-        if self.config.budget_delay_prob > 0.0
-            && !self.config.budget_delay.is_zero()
-            && self.unit(SALT_BUDGET_DELAY, t, entity) < self.config.budget_delay_prob
-        {
-            self.config.budget_delay
-        } else {
-            SimDuration::ZERO
-        }
-    }
-
-    /// Whether `entity`'s WI telemetry window at `t` is lost (the sOA sees
-    /// no demand and issues no overclock request).
-    #[inline]
-    pub fn telemetry_gap(&self, t: SimTime, entity: u64) -> bool {
-        self.config.telemetry_gap_prob > 0.0
-            && self.unit(SALT_TELEMETRY_GAP, t, entity) < self.config.telemetry_gap_prob
-    }
-
-    /// Multiplicative noise factor applied to `entity`'s power prediction at
-    /// `t`. Exactly `1.0` when no noise is configured (so fault-free
-    /// arithmetic is bit-identical to not calling this at all). The static
-    /// `prediction_bias` is *not* included: apply it once at template-build
-    /// time (e.g. via `PowerTemplate::map_values`).
-    #[inline]
-    pub fn prediction_factor(&self, t: SimTime, entity: u64) -> f64 {
-        if self.config.prediction_noise <= 0.0 {
-            return 1.0;
-        }
-        let u = self.unit(SALT_PREDICTION_NOISE, t, entity);
-        (1.0 + self.config.prediction_noise * (2.0 * u - 1.0)).max(0.0)
-    }
-
-    /// Whether `entity`'s sOA restarts at `t` (volatile state loss).
-    #[inline]
-    pub fn soa_restarts(&self, t: SimTime, entity: u64) -> bool {
-        self.config.soa_restart_prob > 0.0
-            && self.unit(SALT_SOA_RESTART, t, entity) < self.config.soa_restart_prob
-    }
-
-    /// Stateless uniform draw in `[0, 1)` from `(seed, salt, t, entity)`.
-    #[inline]
-    fn unit(&self, salt: u64, t: SimTime, entity: u64) -> f64 {
-        let mut h = mix64(self.config.seed ^ mix64(salt));
-        h = mix64(h ^ t.as_micros());
-        unit_of(mix64(h ^ entity))
-    }
-
-    /// The point faults of one instant, for per-entity queries in a loop.
+    /// The point faults of instant `t`: the only way to ask whether an
+    /// entity's budget update is dropped or delayed, its telemetry lost, its
+    /// prediction perturbed or its sOA restarted at `t`.
     ///
-    /// The view hashes `(seed, kind, t)` once per kind whose probability (or
-    /// noise amplitude) is positive, so each per-entity query is a single
-    /// `mix64` round; kinds that cannot fire hash nothing, and a no-op plan's
-    /// view costs five comparisons. Every answer is bit-identical to the
-    /// matching `(t, entity)` query on the plan, which keeps its own
-    /// four-round hash so the tests' reference engine, which asks the plan
-    /// per `(t, entity)`, stays an independent oracle for the view.
+    /// An answer is a stateless draw `u` in `[0, 1)` from four `mix64`
+    /// rounds over `(seed, kind, t, entity)`. The view hashes the first
+    /// three once per kind whose probability (or noise amplitude) is
+    /// positive, so each per-entity query is a single round; kinds that
+    /// cannot fire hash nothing, and a no-op plan's view costs five
+    /// comparisons.
     #[inline]
     pub fn at(&self, t: SimTime) -> StepFaults {
         let c = &self.config;
@@ -385,14 +330,16 @@ pub struct StepFaults {
 }
 
 impl StepFaults {
-    /// [`FaultPlan::drops_budget_update`] at this instant.
+    /// Whether the budget update addressed to `entity` at this instant is
+    /// dropped.
     #[inline]
     pub fn drops_budget_update(&self, entity: u64) -> bool {
         self.budget_drop_prob > 0.0
             && unit_of(mix64(self.budget_drop_key ^ entity)) < self.budget_drop_prob
     }
 
-    /// [`FaultPlan::budget_update_delay`] at this instant.
+    /// Delivery delay of the budget update addressed to `entity` at this
+    /// instant (zero when the message is on time).
     #[inline]
     pub fn budget_update_delay(&self, entity: u64) -> SimDuration {
         if self.budget_delay_prob > 0.0
@@ -404,14 +351,20 @@ impl StepFaults {
         }
     }
 
-    /// [`FaultPlan::telemetry_gap`] at this instant.
+    /// Whether `entity`'s WI telemetry window at this instant is lost (the
+    /// sOA sees no demand and issues no overclock request).
     #[inline]
     pub fn telemetry_gap(&self, entity: u64) -> bool {
         self.telemetry_gap_prob > 0.0
             && unit_of(mix64(self.telemetry_gap_key ^ entity)) < self.telemetry_gap_prob
     }
 
-    /// [`FaultPlan::prediction_factor`] at this instant.
+    /// Multiplicative noise factor applied to `entity`'s power prediction at
+    /// this instant, in `[1 - a, 1 + a]` for noise amplitude `a`. Exactly
+    /// `1.0` when no noise is configured (so fault-free arithmetic is
+    /// bit-identical to not applying it at all). The static
+    /// `prediction_bias` is *not* included: apply it once at template-build
+    /// time (e.g. via `PowerTemplate::map_values`).
     #[inline]
     pub fn prediction_factor(&self, entity: u64) -> f64 {
         if self.prediction_noise <= 0.0 {
@@ -421,7 +374,8 @@ impl StepFaults {
         (1.0 + self.prediction_noise * (2.0 * u - 1.0)).max(0.0)
     }
 
-    /// [`FaultPlan::soa_restarts`] at this instant.
+    /// Whether `entity`'s sOA restarts at this instant (volatile state
+    /// loss).
     #[inline]
     pub fn soa_restarts(&self, entity: u64) -> bool {
         self.soa_restart_prob > 0.0
@@ -436,8 +390,7 @@ impl StepFaults {
     }
 }
 
-/// The entity-independent rounds of [`FaultPlan`]'s point-fault hash:
-/// `(seed, salt, t)`.
+/// The entity-independent rounds of the point-fault hash: `(seed, salt, t)`.
 #[inline]
 fn step_key(seed: u64, salt: u64, t: SimTime) -> u64 {
     mix64(mix64(seed ^ mix64(salt)) ^ t.as_micros())
@@ -447,15 +400,6 @@ fn step_key(seed: u64, salt: u64, t: SimTime) -> u64 {
 #[inline]
 fn unit_of(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// SplitMix64 finalizer: a well-mixed bijection on `u64`.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -490,13 +434,15 @@ mod tests {
         let mut t = s;
         let step = SimDuration::from_hours(1);
         while t < e {
+            let at = plan.at(t);
+            assert!(!at.any_soa_restarts());
             for entity in 0..4 {
                 assert!(!plan.goa_unreachable(t));
-                assert!(!plan.drops_budget_update(t, entity));
-                assert!(plan.budget_update_delay(t, entity).is_zero());
-                assert!(!plan.telemetry_gap(t, entity));
-                assert_eq!(plan.prediction_factor(t, entity), 1.0);
-                assert!(!plan.soa_restarts(t, entity));
+                assert!(!at.drops_budget_update(entity));
+                assert!(at.budget_update_delay(entity).is_zero());
+                assert!(!at.telemetry_gap(entity));
+                assert_eq!(at.prediction_factor(entity), 1.0);
+                assert!(!at.soa_restarts(entity));
             }
             t += step;
         }
@@ -510,15 +456,10 @@ mod tests {
         assert_eq!(a, b);
         // Point faults agree at every probe.
         let t = s + SimDuration::from_hours(13);
+        let (a, b) = (a.at(t), b.at(t));
         for entity in 0..64 {
-            assert_eq!(
-                a.drops_budget_update(t, entity),
-                b.drops_budget_update(t, entity)
-            );
-            assert_eq!(
-                a.prediction_factor(t, entity),
-                b.prediction_factor(t, entity)
-            );
+            assert_eq!(a.drops_budget_update(entity), b.drops_budget_update(entity));
+            assert_eq!(a.prediction_factor(entity), b.prediction_factor(entity));
         }
     }
 
@@ -562,13 +503,13 @@ mod tests {
     fn point_faults_are_query_order_independent() {
         let (s, e) = horizon();
         let plan = FaultPlan::generate(&faulty_config(3), s, e);
-        let t = s + SimDuration::from_hours(50);
+        let at = plan.at(s + SimDuration::from_hours(50));
         // Probe forwards and backwards; a stateful implementation would
         // give different answers.
-        let forwards: Vec<bool> = (0..100).map(|i| plan.telemetry_gap(t, i)).collect();
+        let forwards: Vec<bool> = (0..100).map(|i| at.telemetry_gap(i)).collect();
         let backwards: Vec<bool> = (0..100)
             .rev()
-            .map(|i| plan.telemetry_gap(t, i))
+            .map(|i| at.telemetry_gap(i))
             .collect::<Vec<_>>()
             .into_iter()
             .rev()
@@ -590,7 +531,7 @@ mod tests {
         let n = 10_000u64;
         for i in 0..n {
             let t = s + SimDuration::from_secs(i);
-            if plan.drops_budget_update(t, 1) {
+            if plan.at(t).drops_budget_update(1) {
                 hits += 1;
             }
         }
@@ -603,7 +544,7 @@ mod tests {
         let (s, e) = horizon();
         let plan = FaultPlan::generate(&faulty_config(9), s, e);
         for i in 0..1000u64 {
-            let f = plan.prediction_factor(s + SimDuration::from_secs(i), 2);
+            let f = plan.at(s + SimDuration::from_secs(i)).prediction_factor(2);
             assert!((0.9..=1.1).contains(&f), "noise amplitude 0.1: got {f}");
         }
     }
@@ -639,10 +580,19 @@ mod tests {
         }
     }
 
+    /// The four-round point-fault draw, written out: `u` in `[0, 1)` from
+    /// `(seed, salt, t, entity)`, with each kind's literal salt.
+    fn four_round_unit(seed: u64, salt: u64, t: SimTime, entity: u64) -> f64 {
+        let mut h = mix64(seed ^ mix64(salt));
+        h = mix64(h ^ t.as_micros());
+        h = mix64(h ^ entity);
+        (h >> 11) as f64 / (1u64 << 53) as f64
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
         #[test]
-        fn step_view_matches_point_queries(
+        fn step_view_matches_the_four_round_formula(
             seed in 0u64..u64::MAX,
             picks in (0u32..4, 0u32..4, 0u32..4, 0u32..4, 0u32..4),
             us in (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
@@ -663,16 +613,34 @@ mod tests {
             let plan = FaultPlan::generate(&cfg, SimTime::ZERO, SimTime::ZERO);
             let t = SimTime::from_micros(t_us);
             let at = plan.at(t);
+            let u = |salt, e| four_round_unit(seed, salt, t, e);
             proptest::prop_assert_eq!(at.any_soa_restarts(), cfg.soa_restart_prob > 0.0);
             for e in entities.into_iter().chain([0, 1, u64::MAX]) {
-                proptest::prop_assert_eq!(at.drops_budget_update(e), plan.drops_budget_update(t, e));
-                proptest::prop_assert_eq!(at.budget_update_delay(e), plan.budget_update_delay(t, e));
-                proptest::prop_assert_eq!(at.telemetry_gap(e), plan.telemetry_gap(t, e));
+                let delayed = cfg.budget_delay_prob > 0.0
+                    && delay_min > 0
+                    && u(0xD202, e) < cfg.budget_delay_prob;
+                let factor = if cfg.prediction_noise > 0.0 {
+                    (1.0 + cfg.prediction_noise * (2.0 * u(0xD204, e) - 1.0)).max(0.0)
+                } else {
+                    1.0
+                };
                 proptest::prop_assert_eq!(
-                    at.prediction_factor(e).to_bits(),
-                    plan.prediction_factor(t, e).to_bits()
+                    at.drops_budget_update(e),
+                    cfg.budget_drop_prob > 0.0 && u(0xD201, e) < cfg.budget_drop_prob
                 );
-                proptest::prop_assert_eq!(at.soa_restarts(e), plan.soa_restarts(t, e));
+                proptest::prop_assert_eq!(
+                    at.budget_update_delay(e),
+                    if delayed { cfg.budget_delay } else { SimDuration::ZERO }
+                );
+                proptest::prop_assert_eq!(
+                    at.telemetry_gap(e),
+                    cfg.telemetry_gap_prob > 0.0 && u(0xD203, e) < cfg.telemetry_gap_prob
+                );
+                proptest::prop_assert_eq!(at.prediction_factor(e).to_bits(), factor.to_bits());
+                proptest::prop_assert_eq!(
+                    at.soa_restarts(e),
+                    cfg.soa_restart_prob > 0.0 && u(0xD205, e) < cfg.soa_restart_prob
+                );
             }
         }
     }

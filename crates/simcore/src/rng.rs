@@ -237,10 +237,30 @@ impl Pcg32 {
     }
 }
 
+/// SplitMix64 finalizer: a well-mixed bijection on `u64`.
+///
+/// The stateless seeded draws hash their keys with it: the fault plan's
+/// point faults (`simcore::faults`) and the per-part silicon draw
+/// (`soc_reliability::binning`).
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn mix64_is_splitmix64() {
+        // The first two outputs of SplitMix64 seeded with 0.
+        assert_eq!(mix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(mix64(0x9E37_79B9_7F4A_7C15), 0x6E78_9E6A_A1B9_65F4);
+    }
 
     fn mean_and_var(xs: &[f64]) -> (f64, f64) {
         let n = xs.len() as f64;

@@ -22,13 +22,17 @@
 //! The traced `chaos_binned` benchmark shape is also pinned by one digest
 //! over its event JSON and rendered metrics, so a rework of the telemetry
 //! hot path must leave every emitted byte as it was.
+//!
+//! A faulted cluster-harness run (budget drops, sOA restarts and a gOA
+//! outage) is pinned the same way, over its trace lines, metrics and
+//! results, so the harness's fault queries cannot drift either.
 
 use simcore::faults::FaultPlanConfig;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::messages::OverclockRequest;
 use smartoclock::policy::PolicyKind;
 use smartoclock::soa::ServerOverclockAgent;
-use soc_cluster::harness::{ClusterConfig, SystemKind};
+use soc_cluster::harness::{ClusterConfig, ClusterResult, SystemKind};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::RackOutcome;
 use soc_cluster::shard::{
@@ -268,27 +272,33 @@ fn binned_silicon_identity_survives_soa_restarts() {
     );
 }
 
+/// Two faulted cluster-harness configs: SmartOClock under budget drops, sOA
+/// restarts and a gOA outage, and NaiveOClock under sOA restarts.
+fn harness_chaos_configs() -> Vec<ClusterConfig> {
+    let mut smart = ClusterConfig::small_test(SystemKind::SmartOClock);
+    smart.faults.seed = 11;
+    smart.faults.goa_outages = 1;
+    smart.faults.goa_outage_len = SimDuration::from_minutes(2);
+    smart.faults.budget_drop_prob = 0.25;
+    smart.faults.soa_restart_prob = 0.05;
+    let mut naive = ClusterConfig::small_test(SystemKind::NaiveOClock);
+    naive.faults.soa_restart_prob = 0.05;
+    vec![smart, naive]
+}
+
+/// One traced run of [`harness_chaos_configs`]: the results, each event's
+/// JSON line and the rendered metrics.
+fn harness_chaos_run(threads: usize) -> (Vec<ClusterResult>, Vec<String>, String) {
+    let (tm, sink) = Telemetry::memory();
+    let results = run_cluster_sims_probed(harness_chaos_configs(), &tm, threads, &NoopProbe);
+    let lines: Vec<String> = sink.events().iter().map(event_to_json).collect();
+    (results, lines, tm.metrics_snapshot().render())
+}
+
 #[test]
 fn cluster_harness_chaos_is_thread_count_invariant() {
-    let configs = || {
-        let mut smart = ClusterConfig::small_test(SystemKind::SmartOClock);
-        smart.faults.seed = 11;
-        smart.faults.goa_outages = 1;
-        smart.faults.goa_outage_len = SimDuration::from_minutes(2);
-        smart.faults.budget_drop_prob = 0.25;
-        smart.faults.soa_restart_prob = 0.05;
-        let mut naive = ClusterConfig::small_test(SystemKind::NaiveOClock);
-        naive.faults.soa_restart_prob = 0.05;
-        vec![smart, naive]
-    };
-    let run = |threads: usize| {
-        let (tm, sink) = Telemetry::memory();
-        let results = run_cluster_sims_probed(configs(), &tm, threads, &NoopProbe);
-        let lines: Vec<String> = sink.events().iter().map(event_to_json).collect();
-        (results, lines, tm.metrics_snapshot().render())
-    };
-    let serial = run(1);
-    let sharded = run(multi_threads());
+    let serial = harness_chaos_run(1);
+    let sharded = harness_chaos_run(multi_threads());
     assert_eq!(
         serial.0, sharded.0,
         "faulted cluster results must not depend on threads"
@@ -397,5 +407,27 @@ fn chaos_binned_telemetry_bytes_are_pinned() {
         digest(multi_threads()).0,
         serial,
         "digest depends on threads"
+    );
+}
+
+#[test]
+fn cluster_harness_chaos_bytes_are_pinned() {
+    // The faulted configs of `cluster_harness_chaos_is_thread_count_invariant`
+    // pinned byte for byte: every trace line, the rendered metrics and the
+    // results' `Debug`, so a change to how the harness asks the fault plan
+    // (drops, restarts, outages) shows up here.
+    let (results, lines, metrics) = harness_chaos_run(1);
+    assert!(!lines.is_empty(), "the faulted harness must emit events");
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for line in &lines {
+        h = fnv1a(h, line.as_bytes());
+        h = fnv1a(h, b"\n");
+    }
+    h = fnv1a(h, metrics.as_bytes());
+    h = fnv1a(h, format!("{results:?}").as_bytes());
+    assert_eq!(
+        format!("{h:016x}"),
+        "2550b9fd67d4f9a0",
+        "faulted cluster harness bytes changed"
     );
 }

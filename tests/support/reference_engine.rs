@@ -13,8 +13,9 @@
 //!   `WearRate::hoist`;
 //! * **the rack loop**: a `Vec<ServerState>` of structs, per-server
 //!   `PowerTemplate::predict` and `TimeSeries::value_at` calls every step,
-//!   the gOA's split recomputed at every refresh, the per-`(t, entity)`
-//!   fault queries, and fresh per-step allocations;
+//!   the gOA's split recomputed at every refresh, a fault view
+//!   (`FaultPlan::at`) taken for every `(t, entity)` query, and fresh
+//!   per-step allocations;
 //! * **the merge**: each rack into a buffered handle whose ids start at
 //!   `shard_id_base(run, rack)`, absorbed in rack order.
 //!
@@ -293,12 +294,12 @@ fn simulate_rack(
             epochs.mark_refresh(t);
             for (i, (s, b)) in servers.iter_mut().zip(&budgets).enumerate() {
                 let entity = FaultPlan::entity_id(rack.index, i);
-                if faults.drops_budget_update(t, entity) {
+                if faults.at(t).drops_budget_update(entity) {
                     // Message lost: the server stays on its stale budget.
                     dropped_updates += 1;
                     continue;
                 }
-                let delay = faults.budget_update_delay(t, entity);
+                let delay = faults.at(t).budget_update_delay(entity);
                 if delay.is_zero() {
                     s.budget = *b;
                     s.pending_budget = None;
@@ -313,7 +314,7 @@ fn simulate_rack(
         // next refresh), no exploration state.
         for (i, s) in servers.iter_mut().enumerate() {
             let entity = FaultPlan::entity_id(rack.index, i);
-            if faults.soa_restarts(t, entity) {
+            if faults.at(t).soa_restarts(entity) {
                 s.budget = Watts::ZERO;
                 s.pending_budget = None;
                 s.explore_extra = Watts::ZERO;
@@ -359,7 +360,10 @@ fn simulate_rack(
             };
             // WI telemetry gap (fault injection): the sOA never sees this
             // window's demand, so no request is even issued.
-            if faults.telemetry_gap(t, FaultPlan::entity_id(rack.index, i)) {
+            if faults
+                .at(t)
+                .telemetry_gap(FaultPlan::entity_id(rack.index, i))
+            {
                 telemetry_gaps += 1;
                 continue;
             }
@@ -390,7 +394,8 @@ fn simulate_rack(
                 // of exactly 1.0 when unconfigured).
                 let entity = FaultPlan::entity_id(rack.index, i);
                 let predicted = Watts::new(
-                    (trained[i].regular.predict(t) * faults.prediction_factor(t, entity)).max(0.0),
+                    (trained[i].regular.predict(t) * faults.at(t).prediction_factor(entity))
+                        .max(0.0),
                 );
                 predicted + extra <= servers[i].budget + servers[i].explore_extra
             };
