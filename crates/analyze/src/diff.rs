@@ -7,7 +7,7 @@
 
 use crate::rollup::{self, MetricValue};
 use crate::trace::Trace;
-use simcore::report::{fmt_f64, Table};
+use simcore::report::Table;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -128,10 +128,10 @@ impl TraceDiff {
             let k = a.as_ref().or(b.as_ref()).map_or("-", kind);
             let fmt_side = |side: &Option<MetricValue>| {
                 side.as_ref()
-                    .map_or("-".to_string(), |v| fmt_f64(scalar(v), 3))
+                    .map_or("-".to_string(), |v| rollup::fmt_value(scalar(v)))
             };
             let delta = match (a, b) {
-                (Some(a), Some(b)) => fmt_f64(scalar(b) - scalar(a), 3),
+                (Some(a), Some(b)) => rollup::fmt_value(scalar(b) - scalar(a)),
                 _ => "-".to_string(),
             };
             table.row(&[key.clone(), k.to_string(), fmt_side(a), fmt_side(b), delta]);
@@ -217,6 +217,24 @@ mod tests {
         // Without stripping, keys do not align.
         let raw = TraceDiff::compute(&a, &b, None);
         assert_eq!(raw.metrics["sim_grants{policy=SmartOClock}"].1, None);
+    }
+
+    #[test]
+    fn sub_millisecond_metrics_keep_their_magnitude() {
+        // A profile's sub-microsecond phase: three decimals would print
+        // both sides and the delta as `0.000`.
+        let hist = |mean: f64| {
+            Trace::parse(&format!(
+                r#"{{"t_us":9,"component":"metrics","severity":"debug","name":"metric","fields":{{"kind":"hist","key":"phase_ms{{phase=rack/admission}}","count":40320,"mean":{mean},"p50":0.0,"p99":0.001}}}}"#
+            ))
+            .unwrap()
+        };
+        let diff = TraceDiff::compute(&hist(2.5e-4), &hist(2.0e-4), None);
+        let text = diff.render("a", "b");
+        assert!(text.contains("2.500e-4"), "{text}");
+        assert!(text.contains("2.000e-4"), "{text}");
+        assert!(text.contains("-5.000e-5"), "{text}");
+        assert!(!text.contains("0.000"), "{text}");
     }
 
     #[test]

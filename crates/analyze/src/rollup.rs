@@ -111,7 +111,7 @@ pub fn histogram_table(trace: &Trace) -> Table {
 /// A gauge or histogram value with three decimals, or in exponent form
 /// (`4.200e-5`) when it is non-zero but would read `0.000`: a profile's
 /// sub-microsecond phases keep their magnitude.
-fn fmt_value(x: f64) -> String {
+pub(crate) fn fmt_value(x: f64) -> String {
     if x != 0.0 && x.abs() < 0.001 {
         format!("{x:.3e}")
     } else {

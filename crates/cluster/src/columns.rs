@@ -27,13 +27,17 @@
 //!    replaces repeated `value_at` divisions; `PredictionRows`, built at
 //!    training, replays each template's `predict_at` per day class, or per
 //!    weekly slot when a template is `Weekly`; `BaseColumns`, built at
-//!    training, holds each step's rack base-power total and its dynamic
-//!    part above idle, folded in the reference's server order; gOA budget
-//!    rows replay the stateless agent's split of a prediction row — each
-//!    provably returns the values the per-call forms would);
+//!    training, holds each step's rack base-power total, folded in the
+//!    reference's server order; gOA budget rows replay the stateless
+//!    agent's split of a prediction row — each provably returns the values
+//!    the per-call forms would);
 //! 3. computations whose results reach no output may be skipped (the central
 //!    oracle's running rack total is not computed for decentralized
-//!    policies), and allocations never affect results.
+//!    policies; policies that read no predictions run on one all-zero
+//!    prediction row, [`PredictionRows::flat`], so neither templates nor
+//!    more than one budget split are computed for them; the capping
+//!    branch's dynamic power is folded only on capping steps), and
+//!    allocations never affect results.
 //!
 //! `tests/equivalence.rs` pins the contract across seeds × thread counts ×
 //! fault plans × binned silicon, plus a seeded sweep of random configs, and
@@ -150,17 +154,14 @@ fn mature(budget: &mut Watts, pending: &mut Option<(SimTime, Watts)>, t: SimTime
 
 /// A rack's baseline power at every evaluation step, folded once by
 /// [`crate::largescale::train_rack`] and shared by every policy run over it
-/// (rule 2 of the module contract: both sums are pure functions of the
-/// trace and the power model).
+/// (rule 2 of the module contract: the sum is a pure function of the
+/// trace).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BaseColumns {
     /// Rack base draw at step `k`: every server's sample, folded
     /// left-to-right in server order from zero (0.0 past the end of a
     /// series, matching `TimeSeries::value_at(t).unwrap_or(0.0)`).
     total: Vec<Watts>,
-    /// The capping branch's dynamic power at step `k`:
-    /// `Σ (sample − idle).clamp_non_negative()`, in the same order.
-    dynamic: Vec<Watts>,
 }
 
 impl BaseColumns {
@@ -169,27 +170,22 @@ impl BaseColumns {
     /// the slot the engine reads the other per-server columns at.
     pub(crate) fn build(
         rack: &RackTrace,
-        idle: Watts,
         start: SimTime,
         step: SimDuration,
         steps: usize,
     ) -> BaseColumns {
         let mut total = Vec::with_capacity(steps);
-        let mut dynamic = Vec::with_capacity(steps);
         let mut t = start;
         for _ in 0..steps {
             let idx = rack.power.index_at(t).unwrap_or(usize::MAX);
-            let (mut sum, mut dyn_sum) = (Watts::ZERO, Watts::ZERO);
+            let mut sum = Watts::ZERO;
             for server in &rack.servers {
-                let w = Watts::new(server.power.values().get(idx).copied().unwrap_or(0.0));
-                sum += w;
-                dyn_sum += (w - idle).clamp_non_negative();
+                sum += Watts::new(server.power.values().get(idx).copied().unwrap_or(0.0));
             }
             total.push(sum);
-            dynamic.push(dyn_sum);
             t += step;
         }
-        BaseColumns { total, dynamic }
+        BaseColumns { total }
     }
 
     /// Number of evaluation steps covered.
@@ -289,6 +285,27 @@ impl PredictionRows {
         }
     }
 
+    /// Rows for a rack run by policies that read no predictions
+    /// ([`PolicyKind::reads_predictions`]): one all-zero row for `n`
+    /// servers and no weekly map, so every step reads that row and the gOA
+    /// splits it once. No template is trained for them.
+    pub(crate) fn flat(n: usize, start: SimTime, step: SimDuration) -> PredictionRows {
+        PredictionRows {
+            step,
+            start,
+            n,
+            row_of: Vec::new(),
+            regular: vec![0.0; n],
+            demand: vec![0.0; n],
+        }
+    }
+
+    /// Whether the rows hold trained predictions ([`PredictionRows::flat`]
+    /// rows do not).
+    pub(crate) fn predicts(&self) -> bool {
+        !self.row_of.is_empty()
+    }
+
     /// The step and first tick the rows were evaluated at.
     pub(crate) fn built_for(&self) -> (SimDuration, SimTime) {
         (self.step, self.start)
@@ -304,7 +321,8 @@ impl PredictionRows {
         self.regular.len().checked_div(self.n).unwrap_or(0)
     }
 
-    /// Row of evaluation step `k` (steps since the first evaluated tick).
+    /// Row of evaluation step `k` (steps since the first evaluated tick;
+    /// always row 0 of [`PredictionRows::flat`] rows).
     fn row_of_step(&self, k: u64) -> usize {
         let w = k % self.row_of.len().max(1) as u64;
         self.row_of.get(w as usize).map_or(0, |&r| r as usize)
@@ -547,6 +565,12 @@ pub(crate) fn simulate_rack_columnar(
     let views: Vec<ServerSeriesView<'_>> = rack.servers.iter().map(|s| s.view()).collect();
     let admission_checked = policy.admission_checked();
     let central = policy.is_central();
+    let idle = model.idle();
+    // Each step's post-enforcement draw for the `sim_rack_draw_w`
+    // histogram, recorded in step order after the loop: one registry
+    // search per rack run, not one per step (traced runs only).
+    let traced = telemetry.is_enabled();
+    let mut draws = Vec::with_capacity(if traced { base.len() } else { 0 });
 
     let mut monitor = RackMonitor::new(rack.limit, 0.95);
     let mut outcome = RackOutcome::new(rack.index, rack.mean_utilization());
@@ -831,9 +855,14 @@ pub(crate) fn simulate_rack_columnar(
             // controller untangles who to throttle: every server suffers a
             // frequency penalty proportional to the overshoot (this is the
             // paper's "Penalty on Power Cap" on non-overclocked VMs).
-            // Folded at training; the reference engine re-walks every
-            // server's TimeSeries here.
-            let dynamic = base.dynamic.get(k).copied().unwrap_or(Watts::ZERO);
+            // The dynamic power above idle, folded in server order from
+            // zero exactly like the reference engine's re-walk of every
+            // server's TimeSeries (0.0 past the end of a series).
+            let mut dynamic = Watts::ZERO;
+            for view in &views {
+                let w = Watts::new(view.power.get(idx).copied().unwrap_or(0.0));
+                dynamic += (w - idle).clamp_non_negative();
+            }
             let over = draw - rack.limit;
             let frac = if dynamic.get() > 0.0 {
                 (over.get() / dynamic.get()).min(1.0)
@@ -901,13 +930,9 @@ pub(crate) fn simulate_rack_columnar(
         // Pure observation (works with telemetry disabled): per-step rack
         // draw for health series. One worker feeds each rack, in time order.
         probe.gauge(t.as_micros(), "rack_draw_w", rack.index as u64, draw.get());
-        telemetry.metrics(|m| {
-            m.observe(
-                "sim_rack_draw_w",
-                &[("rack", rack.index.into())],
-                draw.get(),
-            );
-        });
+        if traced {
+            draws.push(draw.get());
+        }
 
         // --- Exploration dynamics and performance bookkeeping. ---
         let warning_now = signal == soc_power::rack::RackSignal::Warning;
@@ -999,6 +1024,7 @@ pub(crate) fn simulate_rack_columnar(
         "capping_steps" => outcome.capping_steps,
         "capping_events" => outcome.capping_events);
     telemetry.metrics(|m| {
+        m.observe_all("sim_rack_draw_w", &[("rack", rack.index.into())], &draws);
         let policy_label = [("policy", policy.name().into())];
         m.inc_counter_by("sim_requests", &policy_label, outcome.requests);
         m.inc_counter_by("sim_grants", &policy_label, outcome.granted);
@@ -1191,8 +1217,7 @@ mod tests {
     fn base_power_fill_totals_the_rack_trace_bit_for_bit() {
         // Rack draw = Σ server draw, folded in server order from zero: the
         // generator's own fold, so the totals match the rack series exactly
-        // at week 1 + k; the dynamic column is the capping branch's clamped
-        // fold.
+        // at week 1 + k.
         for minutes in [15, 60] {
             let config = LargeScaleConfig {
                 step: SimDuration::from_minutes(minutes),
@@ -1204,37 +1229,24 @@ mod tests {
             for r in 0..config.racks {
                 let rack = generator.generate_rack(&config.fleet_config(), r);
                 let model = generator.model_for(rack.generation);
-                let trained = crate::largescale::train_rack(&config, &rack, &model);
+                let trained = crate::largescale::train_rack(&config, &rack, &model, true);
                 let base = &trained.base;
                 assert_eq!(base.len(), steps, "{minutes} min, rack {r}");
                 assert_eq!(base.total.capacity(), steps);
-                assert_eq!(base.dynamic.capacity(), steps);
                 for k in 0..steps {
-                    let (total, dynamic) = (base.total[k], base.dynamic[k]);
                     let expected = rack.power.values()[slots_per_week + k];
                     assert_eq!(
-                        total.get().to_bits(),
+                        base.total[k].get().to_bits(),
                         expected.to_bits(),
                         "{minutes} min, rack {r}, step {k}"
                     );
-                    let mut clamped = 0.0f64;
-                    for s in &rack.servers {
-                        let w = s.power.values()[slots_per_week + k];
-                        clamped += (w - model.idle().get()).max(0.0);
-                    }
-                    assert_eq!(
-                        dynamic.get().to_bits(),
-                        clamped.to_bits(),
-                        "{minutes} min, rack {r}, step {k}"
-                    );
                 }
-                // Past the end of the trace every sample reads 0.0, below
-                // idle, so both columns are exactly zero there.
+                // Past the end of the trace every sample reads 0.0, so the
+                // total is exactly zero there.
                 let end = SimTime::ZERO + SimDuration::WEEK * config.weeks;
-                let past = BaseColumns::build(&rack, model.idle(), end, config.step, 3);
+                let past = BaseColumns::build(&rack, end, config.step, 3);
                 for k in 0..3 {
                     assert_eq!(past.total[k].get().to_bits(), 0.0f64.to_bits());
-                    assert_eq!(past.dynamic[k].get().to_bits(), 0.0f64.to_bits());
                 }
             }
         }

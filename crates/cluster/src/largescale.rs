@@ -117,6 +117,9 @@ impl LargeScaleConfig {
 /// `config.weeks` and `config.faults.prediction_bias`, not on the policy,
 /// so multi-policy drivers (`table1_policies`, `soc-benchmark`) train once
 /// and simulate many times, and every policy run reads the same tables.
+/// Single-policy paths train predictions only for a policy that reads them
+/// ([`PolicyKind::reads_predictions`]); the others get
+/// [`PredictionRows::flat`] rows.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TrainedRack {
     /// Index of the rack the tables were built from.
@@ -124,7 +127,7 @@ pub(crate) struct TrainedRack {
     /// The templates' predictions over the evaluation week, keyed by day
     /// class when no template is `Weekly` (see [`PredictionRows`]).
     pub(crate) rows: PredictionRows,
-    /// The rack's base draw and its dynamic part at every evaluation step.
+    /// The rack's base draw at every evaluation step.
     pub(crate) base: BaseColumns,
 }
 
@@ -137,7 +140,9 @@ fn evaluation_steps(config: &LargeScaleConfig) -> usize {
 
 /// Build the per-server predictors from the first trace week (paper §IV-B),
 /// then the columnar engine's prediction rows from them, and fold the
-/// rack's base power at every evaluation step.
+/// rack's base power at every evaluation step. Without `with_predictions`
+/// no predictor is built and the rows are [`PredictionRows::flat`]: enough
+/// for the policies that never read them (`Central`, `NaiveOClock`).
 ///
 /// Each server gets the gOA's [`ServerProfile`] of its week-1 history: a
 /// regular-power template, with the fault plan's static prediction bias
@@ -158,6 +163,7 @@ pub(crate) fn train_rack(
     config: &LargeScaleConfig,
     rack: &RackTrace,
     model: &PowerModel,
+    with_predictions: bool,
 ) -> TrainedRack {
     let span = SimDuration::WEEK * config.weeks;
     let needed = span.as_micros().div_ceil(config.step.as_micros()) as usize;
@@ -170,34 +176,38 @@ pub(crate) fn train_rack(
         config.weeks,
         config.step
     );
-    let plan = model.plan();
-    let oc_freq = plan.max_overclock();
     let train_end = SimTime::ZERO + SimDuration::WEEK;
-    let bias = config.faults.prediction_bias;
-    let profiles = rack
-        .servers
-        .iter()
-        .map(|s| {
-            let train_util = s.utilization.slice(SimTime::ZERO, train_end);
-            let util = simcore::stats::mean(train_util.values());
-            let mut profile = ServerProfile::from_history(
-                &s.power.slice(SimTime::ZERO, train_end),
-                &s.oc_demand_cores.slice(SimTime::ZERO, train_end),
-                model,
-                oc_freq,
-                util.clamp(0.0, 1.0),
-            );
-            if bias != 1.0 {
-                profile.regular_power = profile.regular_power.map_values(|v| v * bias);
-            }
-            profile
-        })
-        .collect::<Vec<_>>();
+    let rows = if with_predictions {
+        let oc_freq = model.plan().max_overclock();
+        let bias = config.faults.prediction_bias;
+        let profiles = rack
+            .servers
+            .iter()
+            .map(|s| {
+                let train_util = s.utilization.slice(SimTime::ZERO, train_end);
+                let util = simcore::stats::mean(train_util.values());
+                let mut profile = ServerProfile::from_history(
+                    &s.power.slice(SimTime::ZERO, train_end),
+                    &s.oc_demand_cores.slice(SimTime::ZERO, train_end),
+                    model,
+                    oc_freq,
+                    util.clamp(0.0, 1.0),
+                );
+                if bias != 1.0 {
+                    profile.regular_power = profile.regular_power.map_values(|v| v * bias);
+                }
+                profile
+            })
+            .collect::<Vec<_>>();
+        PredictionRows::build(&profiles, train_end, config.step)
+    } else {
+        PredictionRows::flat(rack.servers.len(), train_end, config.step)
+    };
     let steps = evaluation_steps(config);
     TrainedRack {
         rack: rack.index,
-        rows: PredictionRows::build(&profiles, train_end, config.step),
-        base: BaseColumns::build(rack, model.idle(), train_end, config.step, steps),
+        rows,
+        base: BaseColumns::build(rack, train_end, config.step, steps),
     }
 }
 
@@ -217,7 +227,8 @@ pub(crate) fn train_rack(
 /// # Panics
 /// Panics if `trained` was built from another rack (index or server count),
 /// at another step than `config.step`, or over another number of evaluation
-/// steps: its tables would answer for the wrong servers or instants.
+/// steps: its tables would answer for the wrong servers or instants. Panics
+/// too if `policy` reads predictions and `trained` was built without them.
 pub(crate) fn simulate_rack(
     config: &LargeScaleConfig,
     policy: PolicyKind,
@@ -237,6 +248,11 @@ pub(crate) fn simulate_rack(
             && trained.rows.servers() == rack.servers.len()
             && trained.base.len() == evaluation_steps(config),
         "trained tables must be built from this rack over every evaluation step"
+    );
+    assert!(
+        trained.rows.predicts() || !policy.reads_predictions(),
+        "policy {policy} reads predictions, but rack {}'s tables were trained without them",
+        rack.index
     );
     crate::columns::simulate_rack_columnar(config, policy, rack, model, trained, telemetry, probe)
 }
@@ -496,6 +512,31 @@ mod tests {
             &fleet,
             &Telemetry::disabled(),
             1,
+            &NoopProbe,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "policy SmartOClock reads predictions, but rack 0's tables")]
+    fn rejects_tables_trained_without_predictions_for_a_policy_that_reads_them() {
+        let cfg = LargeScaleConfig::small_test();
+        let generator = soc_traces::gen::TraceGenerator::new(cfg.seed);
+        let rack = generator.generate_rack(&cfg.fleet_config(), 0);
+        let model = generator.model_for(rack.generation);
+        let flat = train_rack(&cfg, &rack, &model, false);
+        // The policies that read none run on the flat tables.
+        for policy in [PolicyKind::Central, PolicyKind::NaiveOClock] {
+            let tm = Telemetry::disabled();
+            let _ = simulate_rack(&cfg, policy, &rack, &model, &flat, &tm, &NoopProbe);
+        }
+        let tm = Telemetry::disabled();
+        let _ = simulate_rack(
+            &cfg,
+            PolicyKind::SmartOClock,
+            &rack,
+            &model,
+            &flat,
+            &tm,
             &NoopProbe,
         );
     }

@@ -76,7 +76,9 @@ pub fn shard_id_base(run_id: u64, shard: usize) -> u64 {
 /// rows with [`crate::largescale::PolicyMetrics::aggregate`]).
 ///
 /// Workers claim racks one at a time; every rack generates its own trace,
-/// trains its templates, and simulates against buffered telemetry, and
+/// trains its templates (only for a policy that reads them, see
+/// [`PolicyKind::reads_predictions`]), and simulates against buffered
+/// telemetry, and
 /// outcomes, events, and metrics are merged back in rack order. Output —
 /// return value, event stream, and metrics registry contents — is
 /// byte-identical for every `threads` value (`0` means
@@ -126,7 +128,7 @@ pub fn simulate_policy_sharded_probed(
             drop(gen_span);
             let sim_span = probe.span("shard/sim");
             let setup_span = probe.span("rack/setup");
-            let trained = train_rack(config, &rack, &model);
+            let trained = train_rack(config, &rack, &model, policy.reads_predictions());
             drop(setup_span);
             let outcome = simulate_rack(config, policy, &rack, &model, &trained, local, probe);
             drop(sim_span);
@@ -308,7 +310,8 @@ pub fn generate_fleet_probed(
 /// base-power columns once (`"rack/setup"` per rack), for reuse across
 /// policy variants and rounds: they depend on the trace, the model,
 /// `config.step`, `config.weeks` and `config.faults.prediction_bias`, not
-/// on the policy. Simulating with a config of another step or length, or
+/// on the policy, and serve all five policies (templates are trained even
+/// though `Central` and `NaiveOClock` never read them). Simulating with a config of another step or length, or
 /// over another fleet's racks, panics rather than read tables for the
 /// wrong instants or servers.
 ///
@@ -323,7 +326,7 @@ pub fn train_fleet_probed(
 ) -> TrainedFleet {
     let racks = par::par_map(threads, fleet.racks.iter().collect(), |_, (rack, model)| {
         let setup_span = probe.span("rack/setup");
-        let trained = train_rack(config, rack, model);
+        let trained = train_rack(config, rack, model, true);
         drop(setup_span);
         trained
     });
@@ -374,7 +377,10 @@ pub fn simulate_policy_prepared_probed(
 /// [`simulate_policy_prepared_probed`] without pre-trained templates:
 /// trains inside each worker (`"rack/setup"` spans), for drivers whose
 /// fault plans (and therefore prediction bias) vary between runs but whose
-/// traces do not (`exp_fault_tolerance`).
+/// traces do not (`exp_fault_tolerance`). Like the streaming path it trains
+/// templates only for a policy that reads them; a policy that does not
+/// still gets its base-power columns. Output is byte-identical to
+/// [`simulate_policy_prepared_probed`] over a [`train_fleet_probed`] fleet.
 ///
 /// # Panics
 /// Panics if `config.weeks < 2`, `config.racks == 0`, `config.step` does
@@ -397,7 +403,7 @@ pub fn simulate_policy_on_traces_probed(
         "racks",
         |_, (rack, model), local, probe| {
             let setup_span = probe.span("rack/setup");
-            let trained = train_rack(config, rack, model);
+            let trained = train_rack(config, rack, model, policy.reads_predictions());
             drop(setup_span);
             let sim_span = probe.span("shard/sim");
             let outcome = simulate_rack(config, policy, rack, model, &trained, local, probe);

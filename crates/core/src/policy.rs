@@ -62,6 +62,14 @@ impl PolicyKind {
         matches!(self, PolicyKind::Central)
     }
 
+    /// Whether admission reads the power templates' predictions and the
+    /// gOA budgets split from them. `Central` admits against the live rack
+    /// draw and `NaiveOClock` grants everything, so neither does, and
+    /// large-scale runs of them train no templates.
+    pub fn reads_predictions(self) -> bool {
+        self.admission_checked() && !self.is_central()
+    }
+
     /// Display name matching Table I.
     pub fn name(self) -> &'static str {
         match self {

@@ -296,11 +296,16 @@ impl PowerTemplate {
 /// Replace NaN slots (no samples for that slot in training) by the nearest
 /// preceding non-NaN value, falling back to the series mean of defined slots.
 fn fill_gaps(mut profile: Vec<f64>) -> Vec<f64> {
-    let defined: Vec<f64> = profile.iter().cloned().filter(|v| !v.is_nan()).collect();
-    let fallback = if defined.is_empty() {
+    // Sum and count the defined slots in one pass, folding from −0.0 as
+    // `Sum for f64` does.
+    let (sum, defined) = profile
+        .iter()
+        .filter(|v| !v.is_nan())
+        .fold((-0.0, 0usize), |(sum, n), &v| (sum + v, n + 1));
+    let fallback = if defined == 0 {
         0.0
     } else {
-        defined.iter().sum::<f64>() / defined.len() as f64
+        sum / defined as f64
     };
     let mut last = fallback;
     for v in &mut profile {
@@ -316,6 +321,7 @@ fn fill_gaps(mut profile: Vec<f64>) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Two weeks of hourly data: value = 100 + 10·hour_of_day on weekdays,
     /// 50 on weekends; second week has a +5 offset.
@@ -449,6 +455,63 @@ mod tests {
     fn fill_gaps_interpolates() {
         let filled = fill_gaps(vec![f64::NAN, 1.0, f64::NAN, 3.0]);
         assert_eq!(filled, vec![2.0, 1.0, 1.0, 3.0]); // leading NaN -> mean(1,3)=2
+    }
+
+    /// `fill_gaps`'s former fallback: the defined slots collected into a
+    /// `Vec`, then `Sum for f64` over it.
+    fn fill_gaps_collected(mut profile: Vec<f64>) -> Vec<f64> {
+        let defined: Vec<f64> = profile.iter().cloned().filter(|v| !v.is_nan()).collect();
+        let fallback = if defined.is_empty() {
+            0.0
+        } else {
+            defined.iter().sum::<f64>() / defined.len() as f64
+        };
+        let mut last = fallback;
+        for v in &mut profile {
+            if v.is_nan() {
+                *v = last;
+            } else {
+                last = *v;
+            }
+        }
+        profile
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn fill_gaps_matches_the_collected_sum_bit_for_bit(
+            draws in prop::collection::vec((0u8..5, -1e3..1e3f64), 0..40),
+            mix in 0u8..4,
+        ) {
+            // Runs of NaN and signed zeros around ordinary values; profiles
+            // of NaN and −0.0 only, whose leading gaps fall back to −0.0;
+            // all-NaN and all-−0.0 profiles.
+            let profile: Vec<f64> = draws
+                .iter()
+                .map(|&(kind, x)| {
+                    let kind = match mix {
+                        0 => kind,
+                        1 => 1 + kind % 2,
+                        2 => 1,
+                        _ => 2,
+                    };
+                    match kind {
+                        1 => f64::NAN,
+                        2 => -0.0,
+                        3 => 0.0,
+                        _ => x,
+                    }
+                })
+                .collect();
+            prop_assert_eq!(
+                bits(&fill_gaps(profile.clone())),
+                bits(&fill_gaps_collected(profile))
+            );
+        }
     }
 
     #[test]

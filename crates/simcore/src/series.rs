@@ -220,21 +220,31 @@ impl TimeSeries {
             "step must divide a day evenly"
         );
         let slots_per_day = (SimDuration::DAY.as_micros() / step) as usize;
-        // Sample `i` falls in slot `(first + i) % slots_per_day`.
+        // Sample `i` falls in slot `(first + i) % slots_per_day`, on day
+        // `(first + i) / slots_per_day` of the series, whose day `k` holds
+        // `start + k days` (a start off a step boundary never crosses a
+        // midnight early, since the step divides the day). So the filter is
+        // decided once per day.
         let first = (self.start.time_of_day().as_micros() / step) as usize;
+        let days = (first + self.values.len()).div_ceil(slots_per_day);
+        let keep: Vec<bool> = (0..days as u64)
+            .map(|k| day_filter((self.start + SimDuration::DAY * k).weekday()))
+            .collect();
         let mut bucket = Vec::with_capacity(self.values.len().div_ceil(slots_per_day));
         (0..slots_per_day)
             .map(|slot| {
                 let offset = (slot + slots_per_day - first) % slots_per_day;
+                // Successive samples of a slot are one day apart.
+                let day = (first + offset) / slots_per_day;
                 bucket.clear();
                 bucket.extend(
                     self.values
                         .iter()
-                        .enumerate()
                         .skip(offset)
                         .step_by(slots_per_day)
-                        .filter(|&(i, _)| day_filter(self.time_at_index(i).weekday()))
-                        .map(|(_, &v)| v),
+                        .zip(keep.iter().skip(day))
+                        .filter(|&(_, &k)| k)
+                        .map(|(&v, _)| v),
                 );
                 if bucket.is_empty() {
                     f64::NAN
@@ -286,6 +296,7 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn five_min_series(days: u64, f: impl FnMut(SimTime) -> f64) -> TimeSeries {
         TimeSeries::generate(
@@ -369,6 +380,53 @@ mod tests {
         assert!(weekday_profile.iter().all(|&v| (v - 2.0).abs() < 1e-12));
         let weekend_profile = ts.daily_profile(|d| d.is_weekend(), |xs| mean(xs));
         assert!(weekend_profile.iter().all(|&v| (v - 5.5).abs() < 1e-12));
+    }
+
+    proptest! {
+        #[test]
+        fn daily_profile_matches_the_per_sample_day_filter(
+            start_us in 0u64..864_000_000_000,
+            align in 0u8..3,
+            step_pick in 0usize..3,
+            len in 0usize..1200,
+            mask in 0usize..128,
+            salt in 0.0..1.0f64,
+        ) {
+            let step = SimDuration::from_minutes([5, 15, 60][step_pick]);
+            // Starts anywhere (off a step boundary), on a step boundary, or
+            // at midday; lengths are rarely whole days.
+            let raw = SimTime::from_micros(start_us);
+            let start = match align {
+                0 => raw,
+                1 => raw.align_down(step),
+                _ => raw.align_down(SimDuration::DAY) + SimDuration::from_hours(12),
+            };
+            let values: Vec<f64> = (0..len).map(|i| (i as f64 + salt) * 1.5).collect();
+            let ts = TimeSeries::from_values(start, step, values);
+            let keep = |d: Weekday| (mask >> d.index()) & 1 == 1;
+            let mut got = Vec::new();
+            let profile = ts.daily_profile(keep, |xs| {
+                got.push(xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+                xs.iter().sum()
+            });
+            // The former filter: every sample asks for its own weekday.
+            let spd = (SimDuration::DAY.as_micros() / step.as_micros()) as usize;
+            let first = (start.time_of_day().as_micros() / step.as_micros()) as usize;
+            let mut want = Vec::new();
+            for (slot, value) in profile.iter().enumerate() {
+                let offset = (slot + spd - first) % spd;
+                let bucket: Vec<u64> = (offset..len)
+                    .step_by(spd)
+                    .filter(|&i| keep(ts.time_at_index(i).weekday()))
+                    .map(|i| ts.values()[i].to_bits())
+                    .collect();
+                prop_assert_eq!(value.is_nan(), bucket.is_empty(), "slot {}", slot);
+                if !bucket.is_empty() {
+                    want.push(bucket);
+                }
+            }
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

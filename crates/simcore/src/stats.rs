@@ -47,8 +47,12 @@ fn percentile_of_sorted(xs: &[f64], p: f64) -> f64 {
 /// and the weight of the upper one.
 fn closest_ranks(len: usize, p: f64) -> (usize, usize, f64) {
     let rank = p / 100.0 * (len - 1) as f64;
-    let lo = rank.floor() as usize;
-    (lo, rank.ceil() as usize, rank - lo as f64)
+    // `floor` and `ceil` without the libm calls: the cast truncates, which
+    // is `floor` for a non-negative rank, and every rank below 2^53 that is
+    // not a whole number lies strictly above its floor.
+    let lo = rank as usize;
+    let hi = lo + usize::from(rank > lo as f64);
+    (lo, hi, rank - lo as f64)
 }
 
 /// [`percentile`] without the copy and full sort: selects the two closest
@@ -330,6 +334,27 @@ mod tests {
                 .collect();
             let p = [0.0, 99.0, 100.0, p_draw.1][usize::from(p_draw.0)];
             assert_in_place_matches(&xs, p);
+        }
+
+        #[test]
+        fn closest_ranks_match_floor_and_ceil(
+            len in 1usize..65,
+            pick in 0u8..4,
+            p_draw in 0.0..=100.0f64,
+            k in 0usize..64,
+        ) {
+            // Drawn percentiles, whole-number ranks (`k` of `len - 1`),
+            // and both ends of the range.
+            let p = match pick {
+                0 => p_draw,
+                1 => 100.0 * (k % len) as f64 / (len - 1).max(1) as f64,
+                2 => 0.0,
+                _ => 100.0,
+            };
+            let rank = p / 100.0 * (len - 1) as f64;
+            let (lo, hi, frac) = closest_ranks(len, p);
+            prop_assert_eq!((lo, hi), (rank.floor() as usize, rank.ceil() as usize));
+            prop_assert_eq!(frac.to_bits(), (rank - rank.floor()).to_bits());
         }
 
         #[test]

@@ -46,6 +46,8 @@ pub struct ServerTrace {
 /// simulation step via `TimeSeries::index_at`) addresses all of them.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerSeriesView<'a> {
+    /// Baseline power samples, in watts.
+    pub power: &'a [f64],
     /// Mean CPU utilization samples, in `[0, 1]`.
     pub utilization: &'a [f64],
     /// Overclock-demanding core counts per sample.
@@ -56,6 +58,7 @@ impl ServerTrace {
     /// Borrowed raw-sample slices of the utilization and demand series.
     pub fn view(&self) -> ServerSeriesView<'_> {
         ServerSeriesView {
+            power: self.power.values(),
             utilization: self.utilization.values(),
             oc_demand_cores: self.oc_demand_cores.values(),
         }

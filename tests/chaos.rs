@@ -26,6 +26,10 @@
 //! A faulted cluster-harness run (budget drops, sOA restarts and a gOA
 //! outage) is pinned the same way, over its trace lines, metrics and
 //! results, so the harness's fault queries cannot drift either.
+//!
+//! The on-traces path trains templates only for policies that read them;
+//! under the same hostile shape every policy's run there must equal its
+//! run over a fleet trained for all five.
 
 use simcore::faults::FaultPlanConfig;
 use simcore::time::{SimDuration, SimTime};
@@ -37,7 +41,7 @@ use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::RackOutcome;
 use soc_cluster::shard::{
     generate_fleet_probed, run_cluster_sims_probed, simulate_policy_on_traces_probed,
-    simulate_policy_sharded_probed,
+    simulate_policy_prepared_probed, simulate_policy_sharded_probed, train_fleet_probed,
 };
 use soc_cluster::NoopProbe;
 use soc_power::model::PowerModel;
@@ -372,14 +376,7 @@ fn chaos_binned_telemetry_bytes_are_pinned() {
     // covers every event's JSON bytes and the rendered metrics registry, so
     // any change to what the traced path emits (not only to its outcomes)
     // shows up here.
-    let mut cfg = faulted_config(42, 43);
-    cfg.binning = BinningConfig {
-        bins: 8,
-        risk_budget: 0.1,
-        wear_spread: 0.3,
-        seed: 44,
-    };
-    cfg.central_fail_open = true;
+    let cfg = chaos_binned_config();
     let digest = |threads: usize| {
         let fleet = generate_fleet_probed(&cfg, threads, &NoopProbe);
         let mut h = 0xcbf2_9ce4_8422_2325;
@@ -408,6 +405,65 @@ fn chaos_binned_telemetry_bytes_are_pinned() {
         serial,
         "digest depends on threads"
     );
+}
+
+/// The `chaos_binned` shape of [`chaos_binned_telemetry_bytes_are_pinned`]:
+/// hostile faults, 8-bin silicon and a fail-open central baseline.
+fn chaos_binned_config() -> LargeScaleConfig {
+    let mut cfg = faulted_config(42, 43);
+    cfg.binning = BinningConfig {
+        bins: 8,
+        risk_budget: 0.1,
+        wear_spread: 0.3,
+        seed: 44,
+    };
+    cfg.central_fail_open = true;
+    cfg
+}
+
+#[test]
+fn training_only_what_a_policy_reads_is_byte_transparent() {
+    // `Central` and `NaiveOClock` read no predictions, so the on-traces
+    // path trains no templates for them; every policy's outcomes, event
+    // bytes and metrics must still equal its run over tables trained for
+    // all five policies.
+    let cfg = chaos_binned_config();
+    let observe = |run: &dyn Fn(&Telemetry) -> Vec<RackOutcome>| {
+        let (tm, sink) = Telemetry::memory();
+        let outcomes = run(&tm);
+        let lines: Vec<String> = sink.events().iter().map(event_to_json).collect();
+        (outcomes, lines, tm.metrics_snapshot().render())
+    };
+    for threads in [1, multi_threads()] {
+        let fleet = generate_fleet_probed(&cfg, threads, &NoopProbe);
+        let trained = train_fleet_probed(&cfg, &fleet, threads, &NoopProbe);
+        for policy in PolicyKind::ALL {
+            let on_traces = observe(&|tm| {
+                simulate_policy_on_traces_probed(&cfg, policy, &fleet, tm, threads, &NoopProbe)
+            });
+            let prepared = observe(&|tm| {
+                simulate_policy_prepared_probed(
+                    &cfg, policy, &fleet, &trained, tm, threads, &NoopProbe,
+                )
+            });
+            assert!(
+                !on_traces.1.is_empty(),
+                "{policy} at {threads} threads: the traced run must emit events"
+            );
+            assert_eq!(
+                on_traces.0, prepared.0,
+                "{policy} at {threads} threads: outcomes"
+            );
+            assert_eq!(
+                on_traces.1, prepared.1,
+                "{policy} at {threads} threads: event bytes"
+            );
+            assert_eq!(
+                on_traces.2, prepared.2,
+                "{policy} at {threads} threads: metrics"
+            );
+        }
+    }
 }
 
 #[test]
