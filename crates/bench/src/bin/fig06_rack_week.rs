@@ -104,10 +104,9 @@ fn main() -> ExitCode {
         .servers
         .iter()
         .map(|s| {
-            let mut extra = TimeSeries::new(s.power.start(), s.power.step());
-            for i in 0..s.power.len() {
-                let cores = s.oc_demand_cores.values()[i] as usize;
-                let util = s.utilization.values()[i];
+            let mut extra = TimeSeries::new(s.utilization.start(), s.utilization.step());
+            for (&util, &cores) in s.utilization.values().iter().zip(&s.oc_demand_cores) {
+                let cores = usize::from(cores);
                 extra.push(
                     model
                         .overclock_delta(util.clamp(0.0, 1.0), cores.min(model.cores()), oc_freq)

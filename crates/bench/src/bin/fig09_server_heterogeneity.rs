@@ -6,6 +6,7 @@
 //! budgets.
 
 use simcore::report::{fmt_f64, Table};
+use simcore::series::TimeSeries;
 use simcore::stats::normalize_to_peak;
 use simcore::time::{SimDuration, SimTime};
 use soc_bench::{Cli, Observer};
@@ -19,30 +20,37 @@ fn main() -> ExitCode {
     cfg.step = SimDuration::from_minutes(15);
     cfg.keep_server_series = true;
     let rack = TraceGenerator::new(cli.seed).generate_rack(&cfg, 0);
+    let end = SimTime::ZERO + cfg.span;
+    let power: Vec<TimeSeries> = rack
+        .servers
+        .iter()
+        .map(|s| s.power_series(SimTime::ZERO, end))
+        .collect();
     // "Six randomly chosen servers": pick the six whose mean power is
     // closest to the rack median, so no single outlier-hot tenant mix
     // dominates the whole week (the paper's sample shows churn in which
     // server draws the most).
     let median = {
-        let mut means: Vec<f64> = rack.servers.iter().map(|s| s.power.mean()).collect();
+        let mut means: Vec<f64> = power.iter().map(TimeSeries::mean).collect();
         means.sort_by(|a, b| a.partial_cmp(b).expect("finite power"));
         means[means.len() / 2]
     };
-    let mut by_distance: Vec<_> = rack.servers.iter().collect();
-    by_distance.sort_by(|a, b| {
-        let da = (a.power.mean() - median).abs();
-        let db = (b.power.mean() - median).abs();
+    let mut by_distance: Vec<(usize, &TimeSeries)> = power.iter().enumerate().collect();
+    by_distance.sort_by(|(_, a), (_, b)| {
+        let da = (a.mean() - median).abs();
+        let db = (b.mean() - median).abs();
         da.partial_cmp(&db).expect("finite power")
     });
     let mut six: Vec<_> = by_distance.into_iter().take(6).collect();
-    six.sort_by_key(|s| s.index);
+    six.sort_by_key(|(index, _)| *index);
+    let six: Vec<&TimeSeries> = six.into_iter().map(|(_, p)| p).collect();
     assert!(six.len() == 6, "rack should have at least six servers");
 
     // Normalize all six against the global peak across them (the figure's
     // y-axis is shared).
     let global_peak = six
         .iter()
-        .map(|s| s.power.max())
+        .map(|p| p.max())
         .fold(f64::NEG_INFINITY, f64::max);
     let mut t = Table::new(&[
         "time", "SrvA", "SrvB", "SrvC", "SrvD", "SrvE", "SrvF", "dominant",
@@ -51,7 +59,7 @@ fn main() -> ExitCode {
         let at = SimTime::ZERO + SimDuration::from_hours(hour);
         let vals: Vec<f64> = six
             .iter()
-            .map(|s| s.power.value_at(at).unwrap_or(f64::NAN) / global_peak)
+            .map(|p| p.value_at(at).unwrap_or(f64::NAN) / global_peak)
             .collect();
         let dominant = vals
             .iter()
@@ -68,16 +76,16 @@ fn main() -> ExitCode {
 
     // Quantify the spread (rack-wide, as in §III-Q4's "servers may use even
     // 30% less power than others") and dominance churn among the six.
-    let means: Vec<f64> = rack.servers.iter().map(|s| s.power.mean()).collect();
+    let means: Vec<f64> = power.iter().map(TimeSeries::mean).collect();
     let min = means.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = means.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let mut dominant_changes = 0;
     let mut last_dom = usize::MAX;
-    for i in 0..six[0].power.len() {
+    for i in 0..six[0].len() {
         let dom = (0..6)
             .max_by(|&a, &b| {
-                six[a].power.values()[i]
-                    .partial_cmp(&six[b].power.values()[i])
+                six[a].values()[i]
+                    .partial_cmp(&six[b].values()[i])
                     .expect("finite")
             })
             .expect("six servers");

@@ -6,8 +6,8 @@
 //! `TimeSeries::value_at` per server per step, this engine keeps every
 //! mutable field as its own column ([`ServerColumns`]), reads predictions
 //! from rows built at training ([`PredictionRows`]) and the rack's base
-//! draw from columns folded at training ([`BaseColumns`]), hoists the
-//! per-step sample index out of the inner server loop, and reuses one set
+//! draw from the rack series, hoists the per-step sample index out of the
+//! inner server loop, and reuses one set
 //! of per-step scratch buffers ([`StepBuffers`]) for the whole run, which
 //! the admission loop rewrites in place — so steady-state allocation count
 //! does not scale with simulated steps.
@@ -26,17 +26,19 @@
 //! 2. only *pure* computations are cached or batched (`TimeSeries::index_at`
 //!    replaces repeated `value_at` divisions; `PredictionRows`, built at
 //!    training, replays each template's `predict_at` per day class, or per
-//!    weekly slot when a template is `Weekly`; `BaseColumns`, built at
-//!    training, holds each step's rack base-power total, folded in the
-//!    reference's server order; gOA budget rows replay the stateless
-//!    agent's split of a prediction row — each provably returns the values
-//!    the per-call forms would);
+//!    weekly slot when a template is `Weekly`; the rack series is each
+//!    step's base-power total, folded by the generator in the reference's
+//!    server order from the same derived server draws; gOA budget rows
+//!    replay the stateless agent's split of a prediction row — each
+//!    provably returns the values the per-call forms would);
 //! 3. computations whose results reach no output may be skipped (the central
 //!    oracle's running rack total is not computed for decentralized
 //!    policies; policies that read no predictions run on one all-zero
-//!    prediction row, [`PredictionRows::flat`], so neither templates nor
-//!    more than one budget split are computed for them; the capping
-//!    branch's dynamic power is folded only on capping steps), and
+//!    prediction row, [`PredictionRows::flat`], so no template is trained
+//!    for them, and they read no budget, so none is split or delivered
+//!    for them, and their lost and delayed updates are counted only where
+//!    the fault summary reports them; server power is derived, and the
+//!    capping branch's dynamic power folded, only on capping steps), and
 //!    allocations never affect results.
 //!
 //! `tests/equivalence.rs` pins the contract across seeds × thread counts ×
@@ -149,48 +151,6 @@ fn mature(budget: &mut Watts, pending: &mut Option<(SimTime, Watts)>, t: SimTime
             *budget = b;
             *pending = None;
         }
-    }
-}
-
-/// A rack's baseline power at every evaluation step, folded once by
-/// [`crate::largescale::train_rack`] and shared by every policy run over it
-/// (rule 2 of the module contract: the sum is a pure function of the
-/// trace).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct BaseColumns {
-    /// Rack base draw at step `k`: every server's sample, folded
-    /// left-to-right in server order from zero (0.0 past the end of a
-    /// series, matching `TimeSeries::value_at(t).unwrap_or(0.0)`).
-    total: Vec<Watts>,
-}
-
-impl BaseColumns {
-    /// Fold `rack`'s server samples at the `steps` ticks `start + k·step`.
-    /// The sample slot of each tick is the rack series' `index_at`, exactly
-    /// the slot the engine reads the other per-server columns at.
-    pub(crate) fn build(
-        rack: &RackTrace,
-        start: SimTime,
-        step: SimDuration,
-        steps: usize,
-    ) -> BaseColumns {
-        let mut total = Vec::with_capacity(steps);
-        let mut t = start;
-        for _ in 0..steps {
-            let idx = rack.power.index_at(t).unwrap_or(usize::MAX);
-            let mut sum = Watts::ZERO;
-            for server in &rack.servers {
-                sum += Watts::new(server.power.values().get(idx).copied().unwrap_or(0.0));
-            }
-            total.push(sum);
-            t += step;
-        }
-        BaseColumns { total }
-    }
-
-    /// Number of evaluation steps covered.
-    pub(crate) fn len(&self) -> usize {
-        self.total.len()
     }
 }
 
@@ -557,7 +517,6 @@ pub(crate) fn simulate_rack_columnar(
     let mut cols = ServerColumns::new(n);
     let mut buf = StepBuffers::new(n);
     let rows = &trained.rows;
-    let base = &trained.base;
     let mut budget_rows = BudgetRows::new(rows.rows(), n);
     // Borrowed raw-sample slices, hoisted once per rack: all per-server
     // series share the trace's start (time zero) and step, so one slot index
@@ -570,7 +529,13 @@ pub(crate) fn simulate_rack_columnar(
     // histogram, recorded in step order after the loop: one registry
     // search per rack run, not one per step (traced runs only).
     let traced = telemetry.is_enabled();
-    let mut draws = Vec::with_capacity(if traced { base.len() } else { 0 });
+    let mut draws = Vec::with_capacity(if traced { trained.steps } else { 0 });
+    // Only policies that read predictions read the budgets split from them;
+    // for the others budgets are neither split nor delivered (rule 3). Their
+    // lost and delayed updates reach only the fault summary, which needs
+    // telemetry on and a fault plan that does something.
+    let reads_budgets = policy.reads_predictions();
+    let counts_lost_updates = traced && !faults.is_noop();
 
     let mut monitor = RackMonitor::new(rack.limit, 0.95);
     let mut outcome = RackOutcome::new(rack.index, rack.mean_utilization());
@@ -656,10 +621,26 @@ pub(crate) fn simulate_rack_columnar(
         if goa_down {
             // Delayed budget updates (fault injection) still land: a message
             // sent during an earlier step finally arrives.
-            for (budget, pending) in cols.budget.iter_mut().zip(cols.pending_budget.iter_mut()) {
-                mature(budget, pending, t);
+            if reads_budgets {
+                for (budget, pending) in cols.budget.iter_mut().zip(cols.pending_budget.iter_mut())
+                {
+                    mature(budget, pending, t);
+                }
             }
             outcome.stale_budget_steps += 1;
+        } else if !reads_budgets {
+            epochs.mark_refresh(t);
+            if counts_lost_updates {
+                for i in 0..n {
+                    let entity = FaultPlan::entity_id(rack.index, i);
+                    let dropped = step_faults.drops_budget_update(entity);
+                    dropped_updates += u64::from(dropped);
+                    if !dropped {
+                        let delayed = !step_faults.budget_update_delay(entity).is_zero();
+                        delayed_updates += u64::from(delayed);
+                    }
+                }
+            }
         } else {
             // The first visit to a row computes its budgets from the
             // prediction rows; later visits replay them.
@@ -738,9 +719,10 @@ pub(crate) fn simulate_rack_columnar(
 
         // --- Admission per server. ---
         let admission_span = probe.span("rack/admission");
-        // `simulate_rack` checks that the base columns cover every step.
-        let k = outcome.steps as usize;
-        let base_total = base.total.get(k).copied().unwrap_or(Watts::ZERO);
+        // The rack's base draw: every server's draw folded in server order
+        // from zero, which is how the generator built the rack series
+        // (`train_rack` checks that it covers every step).
+        let base_total = Watts::new(rack.power.values().get(idx).copied().unwrap_or(0.0));
         // The central oracle's running rack total; decentralized policies
         // never read it, so the reference engine's unconditional pre-sum is
         // skipped for them (rule 3 of the module contract).
@@ -768,8 +750,8 @@ pub(crate) fn simulate_rack_columnar(
         {
             *want = false;
             *grant = false;
-            let demand_cores = view.oc_demand_cores.get(idx).copied().unwrap_or(0.0);
-            if demand_cores <= 0.0 {
+            let demand_cores = view.oc_demand_cores.get(idx).copied().unwrap_or(0);
+            if demand_cores == 0 {
                 continue;
             }
             // Binned silicon: a bin-denied part never issues overclock
@@ -789,7 +771,7 @@ pub(crate) fn simulate_rack_columnar(
             *p = 1.0;
             outcome.requests += 1;
             let util = view.utilization.get(idx).copied().unwrap_or(0.5);
-            let cores = (demand_cores as usize).min(model.cores());
+            let cores = usize::from(demand_cores).min(model.cores());
             let Some(delta) = bin_delta.get(*bin as usize) else {
                 continue;
             };
@@ -855,13 +837,17 @@ pub(crate) fn simulate_rack_columnar(
             // controller untangles who to throttle: every server suffers a
             // frequency penalty proportional to the overshoot (this is the
             // paper's "Penalty on Power Cap" on non-overclocked VMs).
-            // The dynamic power above idle, folded in server order from
-            // zero exactly like the reference engine's re-walk of every
-            // server's TimeSeries (0.0 past the end of a series).
+            // The dynamic power above idle, derived and folded in server
+            // order from zero exactly like the reference engine's re-walk of
+            // every server's power. A server's draw is never below idle
+            // (`at(u) − idle ≥ +0.0`, pinned by a soc-power proptest), so no
+            // clamp is needed; past the end of a series the reference adds
+            // the clamped +0.0, which is skipped here (rule 1).
             let mut dynamic = Watts::ZERO;
             for view in &views {
-                let w = Watts::new(view.power.get(idx).copied().unwrap_or(0.0));
-                dynamic += (w - idle).clamp_non_negative();
+                if let Some(&u) = view.utilization.get(idx) {
+                    dynamic += view.power.at(u) - idle;
+                }
             }
             let over = draw - rack.limit;
             let frac = if dynamic.get() > 0.0 {
@@ -1215,39 +1201,44 @@ mod tests {
 
     #[test]
     fn base_power_fill_totals_the_rack_trace_bit_for_bit() {
-        // Rack draw = Σ server draw, folded in server order from zero: the
-        // generator's own fold, so the totals match the rack series exactly
-        // at week 1 + k.
+        // The engine reads a step's base draw from the rack series; the
+        // reference engine folds every server's power at that instant in
+        // server order from zero (0.0 past the end of a series). The
+        // generator's fold is that fold, so the two agree bit for bit at
+        // every evaluation step, and past the end both read zero.
         for minutes in [15, 60] {
             let config = LargeScaleConfig {
                 step: SimDuration::from_minutes(minutes),
                 ..LargeScaleConfig::small_test()
             };
             let generator = TraceGenerator::new(config.seed);
-            let slots_per_week = (SimDuration::WEEK.as_micros() / config.step.as_micros()) as usize;
-            let steps = slots_per_week * (config.weeks as usize - 1);
+            let end = SimTime::ZERO + SimDuration::WEEK * config.weeks;
             for r in 0..config.racks {
                 let rack = generator.generate_rack(&config.fleet_config(), r);
-                let model = generator.model_for(rack.generation);
-                let trained = crate::largescale::train_rack(&config, &rack, &model, true);
-                let base = &trained.base;
-                assert_eq!(base.len(), steps, "{minutes} min, rack {r}");
-                assert_eq!(base.total.capacity(), steps);
-                for k in 0..steps {
-                    let expected = rack.power.values()[slots_per_week + k];
+                let powers: Vec<_> = rack
+                    .servers
+                    .iter()
+                    .map(|s| s.power_series(SimTime::ZERO, end))
+                    .collect();
+                let mut t = SimTime::ZERO + SimDuration::WEEK;
+                let mut steps = 0;
+                while t < end + config.step * 3 {
+                    let idx = rack.power.index_at(t).unwrap_or(usize::MAX);
+                    let read = rack.power.values().get(idx).copied().unwrap_or(0.0);
+                    let folded = powers.iter().fold(Watts::ZERO, |acc, p| {
+                        acc + Watts::new(p.value_at(t).unwrap_or(0.0))
+                    });
                     assert_eq!(
-                        base.total[k].get().to_bits(),
-                        expected.to_bits(),
-                        "{minutes} min, rack {r}, step {k}"
+                        read.to_bits(),
+                        folded.get().to_bits(),
+                        "{minutes} min, rack {r}, {t}"
                     );
+                    assert_eq!(read == 0.0, t >= end, "{minutes} min, rack {r}, {t}");
+                    steps += 1;
+                    t += config.step;
                 }
-                // Past the end of the trace every sample reads 0.0, so the
-                // total is exactly zero there.
-                let end = SimTime::ZERO + SimDuration::WEEK * config.weeks;
-                let past = BaseColumns::build(&rack, end, config.step, 3);
-                for k in 0..3 {
-                    assert_eq!(past.total[k].get().to_bits(), 0.0f64.to_bits());
-                }
+                let per_week = SimDuration::WEEK.as_micros() / config.step.as_micros();
+                assert_eq!(steps, per_week * (config.weeks - 1) + 3);
             }
         }
     }

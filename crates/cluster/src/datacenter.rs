@@ -147,11 +147,15 @@ pub fn simulate_datacenter(config: &DatacenterConfig) -> DatacenterOutcome {
                 rack.servers
                     .iter()
                     .map(|s| {
-                        let util = s.utilization.value_at(t).unwrap_or(0.5);
-                        let cores = (s.oc_demand_cores.value_at(t).unwrap_or(0.0) as usize)
-                            .min(model.cores());
+                        let view = s.view();
+                        let idx = s.utilization.index_at(t).unwrap_or(usize::MAX);
+                        let sample = view.utilization.get(idx).copied();
+                        let util = sample.unwrap_or(0.5);
+                        let cores =
+                            usize::from(view.oc_demand_cores.get(idx).copied().unwrap_or(0))
+                                .min(model.cores());
                         DemandProfile {
-                            regular: Watts::new(s.power.value_at(t).unwrap_or(0.0)),
+                            regular: sample.map_or(Watts::ZERO, |u| view.power.at(u)),
                             overclock_demand: model.overclock_delta(
                                 util.clamp(0.0, 1.0),
                                 cores,

@@ -14,7 +14,7 @@
 //! SmartOClock", §V-B); the full agent implementation is exercised
 //! end-to-end by the cluster harness instead.
 
-use crate::columns::{BaseColumns, PredictionRows};
+use crate::columns::PredictionRows;
 pub use crate::largescale_metrics::{PolicyMetrics, RackOutcome};
 use crate::probe::ShardProbe;
 use simcore::faults::FaultPlanConfig;
@@ -111,12 +111,14 @@ impl LargeScaleConfig {
 }
 
 /// Week-1 training output for one rack, reusable across policy variants:
-/// the columnar engine's prediction rows and the rack's base-power columns.
+/// the columnar engine's prediction rows.
 ///
-/// Both depend only on the trace, the power model, `config.step`,
-/// `config.weeks` and `config.faults.prediction_bias`, not on the policy,
-/// so multi-policy drivers (`table1_policies`, `soc-benchmark`) train once
-/// and simulate many times, and every policy run reads the same tables.
+/// They depend only on the trace, the power model, `config.step` and
+/// `config.faults.prediction_bias`, not on the policy, so multi-policy
+/// drivers (`table1_policies`, `soc-benchmark`) train once and simulate
+/// many times, and every policy run reads the same rows. The rack's base
+/// draw needs no training: it is the rack series, which the generator
+/// folds from the server draws in server order.
 /// Single-policy paths train predictions only for a policy that reads them
 /// ([`PolicyKind::reads_predictions`]); the others get
 /// [`PredictionRows::flat`] rows.
@@ -127,8 +129,9 @@ pub(crate) struct TrainedRack {
     /// The templates' predictions over the evaluation week, keyed by day
     /// class when no template is `Weekly` (see [`PredictionRows`]).
     pub(crate) rows: PredictionRows,
-    /// The rack's base draw at every evaluation step.
-    pub(crate) base: BaseColumns,
+    /// Evaluation steps the rack's trace was checked to cover: the engine
+    /// reads the rack's base draw from its series at every one of them.
+    pub(crate) steps: usize,
 }
 
 /// Number of evaluation steps: the weeks after the training week, at
@@ -139,8 +142,7 @@ fn evaluation_steps(config: &LargeScaleConfig) -> usize {
 }
 
 /// Build the per-server predictors from the first trace week (paper §IV-B),
-/// then the columnar engine's prediction rows from them, and fold the
-/// rack's base power at every evaluation step. Without `with_predictions`
+/// then the columnar engine's prediction rows from them. Without `with_predictions`
 /// no predictor is built and the rows are [`PredictionRows::flat`]: enough
 /// for the policies that never read them (`Central`, `NaiveOClock`).
 ///
@@ -187,8 +189,8 @@ pub(crate) fn train_rack(
                 let train_util = s.utilization.slice(SimTime::ZERO, train_end);
                 let util = simcore::stats::mean(train_util.values());
                 let mut profile = ServerProfile::from_history(
-                    &s.power.slice(SimTime::ZERO, train_end),
-                    &s.oc_demand_cores.slice(SimTime::ZERO, train_end),
+                    &s.power_series(SimTime::ZERO, train_end),
+                    &s.oc_demand_series(SimTime::ZERO, train_end),
                     model,
                     oc_freq,
                     util.clamp(0.0, 1.0),
@@ -203,11 +205,10 @@ pub(crate) fn train_rack(
     } else {
         PredictionRows::flat(rack.servers.len(), train_end, config.step)
     };
-    let steps = evaluation_steps(config);
     TrainedRack {
         rack: rack.index,
         rows,
-        base: BaseColumns::build(rack, train_end, config.step, steps),
+        steps: evaluation_steps(config),
     }
 }
 
@@ -227,8 +228,9 @@ pub(crate) fn train_rack(
 /// # Panics
 /// Panics if `trained` was built from another rack (index or server count),
 /// at another step than `config.step`, or over another number of evaluation
-/// steps: its tables would answer for the wrong servers or instants. Panics
-/// too if `policy` reads predictions and `trained` was built without them.
+/// steps: its rows would answer for the wrong servers or instants, or the
+/// trace would not be known to cover the run. Panics too if `policy` reads
+/// predictions and `trained` was built without them.
 pub(crate) fn simulate_rack(
     config: &LargeScaleConfig,
     policy: PolicyKind,
@@ -246,7 +248,7 @@ pub(crate) fn simulate_rack(
     assert!(
         trained.rack == rack.index
             && trained.rows.servers() == rack.servers.len()
-            && trained.base.len() == evaluation_steps(config),
+            && trained.steps == evaluation_steps(config),
         "trained tables must be built from this rack over every evaluation step"
     );
     assert!(

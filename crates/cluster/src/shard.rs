@@ -273,8 +273,7 @@ impl FleetTraces {
 }
 
 /// Week-1 training output for a whole fleet, reusable across policy
-/// variants: each rack's prediction rows and base-power columns, in rack
-/// order.
+/// variants: each rack's prediction rows, in rack order.
 #[derive(Debug, Clone)]
 pub struct TrainedFleet {
     racks: Vec<TrainedRack>,
@@ -306,8 +305,8 @@ pub fn generate_fleet_probed(
     FleetTraces { racks }
 }
 
-/// Train every rack's templates and build their prediction rows and
-/// base-power columns once (`"rack/setup"` per rack), for reuse across
+/// Train every rack's templates and build their prediction rows once
+/// (`"rack/setup"` per rack), for reuse across
 /// policy variants and rounds: they depend on the trace, the model,
 /// `config.step`, `config.weeks` and `config.faults.prediction_bias`, not
 /// on the policy, and serve all five policies (templates are trained even
@@ -379,7 +378,7 @@ pub fn simulate_policy_prepared_probed(
 /// fault plans (and therefore prediction bias) vary between runs but whose
 /// traces do not (`exp_fault_tolerance`). Like the streaming path it trains
 /// templates only for a policy that reads them; a policy that does not
-/// still gets its base-power columns. Output is byte-identical to
+/// gets flat rows. Output is byte-identical to
 /// [`simulate_policy_prepared_probed`] over a [`train_fleet_probed`] fleet.
 ///
 /// # Panics

@@ -184,7 +184,7 @@ impl Default for PowerModel {
 
 /// [`PowerModel::server_power_uniform`] with its frequency factor hoisted;
 /// see [`PowerModel::uniform_power_fn`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UniformPowerFn {
     idle: Watts,
     per_core_dyn_turbo: Watts,
@@ -365,6 +365,23 @@ mod tests {
                             m.server_power_uniform(u, freq).get().to_bits()
                         );
                     }
+                }
+            }
+        }
+
+        #[test]
+        fn uniform_power_never_falls_below_idle(util in 0.0..=1.0f64) {
+            // `at(u)` is `idle + x` with `x ≥ 0`, and under round-to-nearest
+            // `idle + x ≥ idle`, so the dynamic part `at(u) − idle` is never
+            // negative and never −0.0 (`a − a` is +0.0). The capping fold
+            // sums it with no clamp on the strength of this. Both reference
+            // models, at turbo, endpoints included.
+            for m in [model(), PowerModel::intel_reference_server()] {
+                let at = m.uniform_power_fn(m.plan().turbo());
+                for u in [util, 0.0, 1.0] {
+                    let dynamic = (at.at(u) - m.idle()).get();
+                    prop_assert!(dynamic >= 0.0, "{} at {}", dynamic, u);
+                    prop_assert!(dynamic.is_sign_positive(), "−0.0 at {}", u);
                 }
             }
         }

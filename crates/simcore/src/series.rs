@@ -173,6 +173,19 @@ impl TimeSeries {
 
     /// Sub-series covering `[from, to)` (clamped to the available range).
     pub fn slice(&self, from: SimTime, to: SimTime) -> TimeSeries {
+        let range = self.index_range(from, to);
+        TimeSeries {
+            start: self.time_at_index(range.start),
+            step: self.step,
+            values: self.values[range].to_vec(),
+        }
+    }
+
+    /// Sample indices of [`TimeSeries::slice`]`(from, to)`: the samples at
+    /// or after `from` and before `to`, clamped to the available range.
+    /// Series aligned with this one (same start and step) are sliced at the
+    /// same indices.
+    pub fn index_range(&self, from: SimTime, to: SimTime) -> std::ops::Range<usize> {
         let lo = if from <= self.start {
             0
         } else {
@@ -189,11 +202,7 @@ impl TimeSeries {
         };
         let lo = lo.min(self.values.len());
         let hi = hi.min(self.values.len()).max(lo);
-        TimeSeries {
-            start: self.time_at_index(lo),
-            step: self.step,
-            values: self.values[lo..hi].to_vec(),
-        }
+        lo..hi
     }
 
     /// Per-day-slot aggregate over selected weekdays, one value per

@@ -233,7 +233,7 @@ static CATALOG: LazyLock<Catalog> = LazyLock::new(Catalog::new);
 /// One VM placed on a generated server.
 #[derive(Debug, Clone)]
 struct VmSpec {
-    cores: usize,
+    cores: u16,
     /// Index of the VM's service in the [`Catalog`].
     service: usize,
     /// Per-VM load multiplier (instances of the same service differ).
@@ -343,6 +343,9 @@ impl TraceGenerator {
             .collect();
 
         let mut server_traces = Vec::with_capacity(n_servers);
+        // Every server draws `power_at` of its utilization; a `ServerTrace`
+        // keeps the function, not the draws.
+        let power_at = model.uniform_power_fn(model.plan().turbo());
         // Starting the sum at zero is exact: `0.0 + p == p` for the first
         // server's (positive) draw.
         let mut rack_power = vec![0.0; config.samples()];
@@ -353,7 +356,7 @@ impl TraceGenerator {
         for server_idx in 0..n_servers {
             let mut srv_rng = rack_rng.fork(server_idx as u64 + 101);
             let vms = self.place_vms(&model, config, &mut srv_rng);
-            let (util, power, oc_cores) = self.simulate_server(
+            let (util, oc_cores) = self.simulate_server(
                 &model,
                 config,
                 &vms,
@@ -362,16 +365,11 @@ impl TraceGenerator {
                 &mut normals,
             );
 
-            for (a, p) in rack_power.iter_mut().zip(power.values()) {
-                *a += p;
+            for (a, &u) in rack_power.iter_mut().zip(util.values()) {
+                *a += power_at.at(u).get();
             }
             if config.keep_server_series {
-                server_traces.push(ServerTrace {
-                    index: server_idx,
-                    utilization: util,
-                    power,
-                    oc_demand_cores: oc_cores,
-                });
+                server_traces.push(ServerTrace::new(server_idx, util, oc_cores, power_at));
             }
         }
 
@@ -408,19 +406,14 @@ impl TraceGenerator {
             } else {
                 Catalog::background(rng.gen_index(background_catalog_len()))
             };
-            vms.push(self.make_vm(config, cores, service, rng));
+            // At most 8 cores: exact in a `u16`.
+            vms.push(self.make_vm(config, cores as u16, service, rng));
             allocated += cores;
         }
         vms
     }
 
-    fn make_vm(
-        &self,
-        config: &FleetConfig,
-        cores: usize,
-        service: usize,
-        rng: &mut Pcg32,
-    ) -> VmSpec {
+    fn make_vm(&self, config: &FleetConfig, cores: u16, service: usize, rng: &mut Pcg32) -> VmSpec {
         let peak = CATALOG.service(service).weekday_peak.max(1e-6);
         let load_scale = rng.gen_range_f64(0.55, 1.15);
         // VM churn: with weekly probability `VM_CHURN_WEEKLY`, this VM is
@@ -459,7 +452,8 @@ impl TraceGenerator {
         }
     }
 
-    /// Simulate one server's samples. Every sample draws one standard
+    /// Simulate one server's utilization and OC-demand core samples (its
+    /// power is a function of the utilization). Every sample draws one standard
     /// normal per VM slot, in slot order. The draws come [`NOISE_BLOCK`]
     /// samples at a time from one batch fill into `normals`, sample-major and
     /// slot-minor: the same stream as one draw per VM per sample, bit for
@@ -472,10 +466,9 @@ impl TraceGenerator {
         outlier_days: &[bool],
         rng: &mut Pcg32,
         normals: &mut Vec<f64>,
-    ) -> (TimeSeries, TimeSeries, TimeSeries) {
+    ) -> (TimeSeries, Vec<u16>) {
         let catalog: &Catalog = &CATALOG;
         let total_cores = model.cores() as f64;
-        let power_at = model.uniform_power_fn(model.plan().turbo());
         let end = SimTime::ZERO + config.span;
         let slots: Vec<Slot> = vms
             .iter()
@@ -499,7 +492,6 @@ impl TraceGenerator {
             .collect();
         let n = config.samples();
         let mut util = Vec::with_capacity(n);
-        let mut power = Vec::with_capacity(n);
         let mut oc_cores = Vec::with_capacity(n);
 
         let mut ticks = simcore::time::ticks(SimTime::ZERO, end, config.step).enumerate();
@@ -523,7 +515,7 @@ impl TraceGenerator {
                 let minute =
                     (t.time_of_week().as_micros() / SimDuration::MINUTE.as_micros()) as usize;
                 let mut busy_cores = 0.0;
-                let mut oc_demand = 0.0;
+                let mut oc_demand = 0u16;
                 for (slot, &z) in slots.iter().zip(draws.by_ref()) {
                     let (service, vm) = if k >= slot.switch {
                         slot.after
@@ -533,19 +525,22 @@ impl TraceGenerator {
                     let base = service.at_minute(minute, vm.phase);
                     let noise = 1.0 + service.noise_sigma * z;
                     let u = (base * vm.load_scale * noise * outlier_scale).clamp(0.0, 1.0);
-                    busy_cores += u * vm.cores as f64;
+                    busy_cores += u * f64::from(vm.cores);
                     if service.wants_overclock && u >= vm.oc_trigger {
-                        oc_demand += vm.cores as f64;
+                        // Never saturates: the VMs fill at most the
+                        // server's cores.
+                        oc_demand = oc_demand.saturating_add(vm.cores);
                     }
                 }
                 let server_util = (busy_cores / total_cores).clamp(0.0, 1.0);
                 util.push(server_util);
-                power.push(power_at.at(server_util).get());
                 oc_cores.push(oc_demand);
             }
         }
-        let series = |values| TimeSeries::from_values(SimTime::ZERO, config.step, values);
-        (series(util), series(power), series(oc_cores))
+        (
+            TimeSeries::from_values(SimTime::ZERO, config.step, util),
+            oc_cores,
+        )
     }
 }
 
@@ -625,11 +620,14 @@ mod tests {
             let streamed = (0..racks).map(|r| generator.generate_rack(&cfg, r));
             for (k, rack) in fleet.racks.into_iter().chain(streamed).enumerate() {
                 prop_assert!(!rack.servers.is_empty());
+                let end = SimTime::ZERO + cfg.span;
+                let powers: Vec<TimeSeries> = rack
+                    .servers
+                    .iter()
+                    .map(|s| s.power_series(SimTime::ZERO, end))
+                    .collect();
                 for (i, a) in rack.power.values().iter().enumerate() {
-                    let sum = rack
-                        .servers
-                        .iter()
-                        .fold(0.0, |acc, s| acc + s.power.values()[i]);
+                    let sum = powers.iter().fold(0.0, |acc, p| acc + p.values()[i]);
                     prop_assert_eq!(a.to_bits(), sum.to_bits(), "rack {} sample {}", k, i);
                 }
             }
@@ -676,7 +674,7 @@ mod tests {
             .racks
             .iter()
             .flat_map(|r| &r.servers)
-            .filter(|s| s.oc_demand_cores.max() > 0.0)
+            .filter(|s| s.oc_demand_cores.iter().any(|&c| c > 0))
             .count();
         assert!(wanting > 0, "no server ever requested overclocking");
     }
@@ -706,7 +704,12 @@ mod tests {
         // Fig. 9: servers in a rack differ substantially in power.
         let fleet = small_fleet(12);
         let rack = &fleet.racks[0];
-        let means: Vec<f64> = rack.servers.iter().map(|s| s.power.mean()).collect();
+        let end = SimTime::ZERO + FleetConfig::small_test().span;
+        let means: Vec<f64> = rack
+            .servers
+            .iter()
+            .map(|s| s.power_series(SimTime::ZERO, end).mean())
+            .collect();
         let min = means.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = means.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(
@@ -867,6 +870,15 @@ mod tests {
         (series, inside_a_block)
     }
 
+    /// One rack as the oracle computes it: per server its utilization,
+    /// power and OC-demand samples, then the rack's series and limit.
+    struct ReferenceRack {
+        generation: CpuGeneration,
+        servers: Vec<[Vec<f64>; 3]>,
+        power: TimeSeries,
+        limit: Watts,
+    }
+
     /// The rack loop rebuilt around [`reference_server`], with the rack's
     /// fork, server forks, sums and limit written out again here. `rng` is
     /// the stream the rack forks from: the region stream for `generate`,
@@ -876,7 +888,7 @@ mod tests {
         config: &FleetConfig,
         rack_idx: usize,
         rng: &mut Pcg32,
-    ) -> (RackTrace, usize) {
+    ) -> (ReferenceRack, usize) {
         let generator = TraceGenerator::new(seed);
         let mut rack_rng = rng.fork(rack_idx as u64 + 1);
         let generation = if rack_rng.gen_bool(INTEL_FRACTION) {
@@ -898,36 +910,62 @@ mod tests {
         for index in 0..n_servers {
             let mut srv_rng = rack_rng.fork(index as u64 + 101);
             let vms = generator.place_vms(&model, config, &mut srv_rng);
-            let ([util, power, oc], inside) =
+            let (series, inside) =
                 reference_server(&model, config, &vms, &outlier_days, &mut srv_rng);
             switches += inside;
-            let series = |values| TimeSeries::from_values(SimTime::ZERO, config.step, values);
-            servers.push(ServerTrace {
-                index,
-                utilization: series(util),
-                power: series(power),
-                oc_demand_cores: series(oc),
-            });
+            servers.push(series);
         }
         let rack_power: Vec<f64> = (0..config.samples())
-            .map(|k| servers.iter().fold(0.0, |acc, s| acc + s.power.values()[k]))
+            .map(|k| servers.iter().fold(0.0, |acc, s| acc + s[1][k]))
             .collect();
         let power = TimeSeries::from_values(SimTime::ZERO, config.step, rack_power);
         let oversub = rack_rng.gen_range_f64(config.oversubscription.0, config.oversubscription.1);
         let nameplate = model.server_power_uniform(1.0, model.plan().turbo()) * n_servers as f64;
         let limit = (nameplate / oversub).max(Watts::new(power.max() * 1.02));
-        let rack = RackTrace {
-            index: rack_idx,
+        let rack = ReferenceRack {
             generation,
-            limit,
-            power,
             servers,
+            power,
+            limit,
         };
         (rack, switches)
     }
 
-    fn bits(series: &TimeSeries) -> Vec<u64> {
-        series.values().iter().map(|v| v.to_bits()).collect()
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `rack` against the oracle's `want`, bit for bit: each server's
+    /// utilization, its power derived through its `ServerTrace` (the oracle
+    /// calls `server_power_uniform` per sample), its `u16` OC-demand counts
+    /// (the oracle sums `f64` cores), and the rack's series and limit.
+    fn assert_matches(rack: &RackTrace, want: &ReferenceRack, rack_idx: usize, what: &str) {
+        assert_eq!(rack.index, rack_idx, "{what}");
+        assert_eq!(rack.generation, want.generation, "{what}");
+        assert_eq!(rack.servers.len(), want.servers.len(), "{what}");
+        for (k, (s, [util, power, oc])) in rack.servers.iter().zip(&want.servers).enumerate() {
+            assert_eq!(s.index, k, "{what}");
+            assert_eq!(bits(s.utilization.values()), bits(util), "{what}");
+            assert_eq!(s.power.len(), power.len(), "{what}");
+            assert_eq!(
+                bits(s.power_series(SimTime::ZERO, s.utilization.end()).values()),
+                bits(power),
+                "{what}"
+            );
+            let counts: Vec<f64> = s.oc_demand_cores.iter().map(|&c| f64::from(c)).collect();
+            assert_eq!(bits(&counts), bits(oc), "{what}");
+        }
+        assert_eq!(
+            bits(rack.power.values()),
+            bits(want.power.values()),
+            "{what}"
+        );
+        assert_eq!(rack.power, want.power, "{what}");
+        assert_eq!(
+            rack.limit.get().to_bits(),
+            want.limit.get().to_bits(),
+            "{what}"
+        );
     }
 
     /// `generate_rack` against [`reference_rack`], bit for bit, over seeds,
@@ -976,19 +1014,7 @@ mod tests {
                             let (want, inside) = reference_rack(seed, &cfg, rack_idx, &mut rng);
                             let what =
                                 format!("seed {seed} step {step} span {span} rack {rack_idx}");
-                            assert_eq!(rack.servers.len(), want.servers.len(), "{what}");
-                            for (s, w) in rack.servers.iter().zip(&want.servers) {
-                                assert_eq!(bits(&s.utilization), bits(&w.utilization), "{what}");
-                                assert_eq!(bits(&s.power), bits(&w.power), "{what}");
-                                assert_eq!(
-                                    bits(&s.oc_demand_cores),
-                                    bits(&w.oc_demand_cores),
-                                    "{what}"
-                                );
-                            }
-                            assert_eq!(bits(&rack.power), bits(&want.power), "{what}");
-                            assert_eq!(rack.limit.get().to_bits(), want.limit.get().to_bits());
-                            assert_eq!(rack, want, "{what}");
+                            assert_matches(&rack, &want, rack_idx, &what);
                             racks += 1;
                             single_server += usize::from(want.servers.len() == 1);
                             partial += usize::from(!cfg.samples().is_multiple_of(NOISE_BLOCK));
@@ -1025,11 +1051,7 @@ mod tests {
         let mut rng = Pcg32::new(8, region_stream(&cfg.region));
         for (rack_idx, rack) in fleet.racks.iter().enumerate() {
             let (want, _) = reference_rack(8, &cfg, rack_idx, &mut rng);
-            for (s, w) in rack.servers.iter().zip(&want.servers) {
-                assert_eq!(bits(&s.power), bits(&w.power), "rack {rack_idx}");
-            }
-            assert_eq!(bits(&rack.power), bits(&want.power), "rack {rack_idx}");
-            assert_eq!(*rack, want);
+            assert_matches(rack, &want, rack_idx, &format!("rack {rack_idx}"));
         }
     }
 

@@ -25,10 +25,19 @@ fn main() {
     let oc_freq = model.plan().max_overclock();
 
     // Build the profiles the sOAs would exchange with the gOA.
+    let end = SimTime::ZERO + cfg.span;
     let profiles: Vec<ServerProfile> = rack
         .servers
         .iter()
-        .map(|s| ServerProfile::from_history(&s.power, &s.oc_demand_cores, model, oc_freq, 0.9))
+        .map(|s| {
+            ServerProfile::from_history(
+                &s.power_series(SimTime::ZERO, end),
+                &s.oc_demand_series(SimTime::ZERO, end),
+                model,
+                oc_freq,
+                0.9,
+            )
+        })
         .collect();
 
     let goa = GlobalOverclockAgent::new(rack.limit, PolicyKind::SmartOClock);

@@ -1,6 +1,7 @@
 //! Cross-crate integration: synthetic traces → power templates → sOA
 //! admission control, the full prediction pipeline of §IV-B.
 
+use simcore::series::TimeSeries;
 use simcore::stats::Ecdf;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::goa::{GlobalOverclockAgent, ServerProfile};
@@ -61,7 +62,8 @@ fn soa_admission_uses_trace_built_template() {
     let model = generator.model_for(rack.generation);
 
     let now = SimTime::ZERO + SimDuration::WEEK;
-    let template = template_at(&server.power, now, TemplateKind::DailyMed);
+    let power = server.power_series(SimTime::ZERO, server.utilization.end());
+    let template = template_at(&power, now, TemplateKind::DailyMed);
 
     let mut soa = ServerOverclockAgent::new(model, PolicyKind::SmartOClock);
     soa.set_power_template(template.clone());
@@ -129,10 +131,20 @@ fn goa_budgets_from_generated_traces_drive_admission_and_feedback() {
     let model = generator.model_for(rack.generation);
     let oc_freq = model.plan().max_overclock();
 
+    let end = SimTime::ZERO + cfg.span;
+    let power: Vec<TimeSeries> = rack
+        .servers
+        .iter()
+        .map(|s| s.power_series(SimTime::ZERO, end))
+        .collect();
     let profiles: Vec<ServerProfile> = rack
         .servers
         .iter()
-        .map(|s| ServerProfile::from_history(&s.power, &s.oc_demand_cores, &model, oc_freq, 0.9))
+        .zip(&power)
+        .map(|(s, p)| {
+            let cores = s.oc_demand_series(SimTime::ZERO, end);
+            ServerProfile::from_history(p, &cores, &model, oc_freq, 0.9)
+        })
         .collect();
     let goa = GlobalOverclockAgent::new(rack.limit, PolicyKind::SmartOClock);
 
@@ -143,11 +155,11 @@ fn goa_budgets_from_generated_traces_drive_admission_and_feedback() {
     goa.budgets_for(&demands, &mut budgets);
     let mut agents: Vec<ServerOverclockAgent> = budgets
         .iter()
-        .zip(&rack.servers)
-        .map(|(&budget, server)| {
+        .zip(&power)
+        .map(|(&budget, power)| {
             let mut soa = ServerOverclockAgent::new(model, PolicyKind::SmartOClock);
             soa.set_power_budget(budget);
-            soa.set_power_template(PowerTemplate::build(&server.power, TemplateKind::DailyMed));
+            soa.set_power_template(PowerTemplate::build(power, TemplateKind::DailyMed));
             soa
         })
         .collect();
@@ -161,7 +173,8 @@ fn goa_budgets_from_generated_traces_drive_admission_and_feedback() {
         // Each server with trace demand submits a request once.
         if k == 2 {
             for (i, (soa, server)) in agents.iter_mut().zip(&rack.servers).enumerate() {
-                let cores = server.oc_demand_cores.max().max(2.0) as usize;
+                let peak = server.oc_demand_cores.iter().copied().max().unwrap_or(0);
+                let cores = usize::from(peak.max(2));
                 let req =
                     OverclockRequest::metrics_based(format!("srv{i}-vm"), cores.min(8), oc_freq);
                 match soa.request_overclock(t, req) {
@@ -170,10 +183,9 @@ fn goa_budgets_from_generated_traces_drive_admission_and_feedback() {
                 }
             }
         }
-        let measured: Vec<Watts> = rack
-            .servers
+        let measured: Vec<Watts> = power
             .iter()
-            .map(|s| Watts::new(s.power.value_at(t).unwrap_or(0.0)))
+            .map(|p| Watts::new(p.value_at(t).unwrap_or(0.0)))
             .collect();
         let signal = monitor.observe(measured.iter().copied().sum());
         for (soa, &power) in agents.iter_mut().zip(&measured) {

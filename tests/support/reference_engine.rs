@@ -23,6 +23,7 @@
 //! engine or the merge, not a difference in what the two were given.
 
 use simcore::faults::FaultPlan;
+use simcore::series::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::config::{EXPLORE_CAP, EXPLORE_STEP};
 use smartoclock::epoch::EpochTracker;
@@ -86,10 +87,9 @@ fn train(config: &LargeScaleConfig, rack: &RackTrace, model: &PowerModel) -> Vec
                 .overclock_delta(util.clamp(0.0, 1.0), 1, oc_freq)
                 .get();
             let demand_watts = s
-                .oc_demand_cores
-                .slice(SimTime::ZERO, train_end)
+                .oc_demand_series(SimTime::ZERO, train_end)
                 .map(|cores| cores * per_core_extra);
-            let power = s.power.slice(SimTime::ZERO, train_end);
+            let power = s.power_series(SimTime::ZERO, train_end);
             let mut regular = PowerTemplate::build(&power, TemplateKind::DailyMed);
             if bias != 1.0 {
                 regular = regular.map_values(|v| v * bias);
@@ -174,6 +174,19 @@ fn simulate_rack(
     // Per-part silicon (None for the default uniform fleet).
     let silicon = resolve_silicon(config, rack, model);
     let step_days = config.step.as_days_f64();
+    // Every server's baseline power and OC-demand cores over the whole
+    // trace, read below with `TimeSeries::value_at`.
+    let (power, demand): (Vec<TimeSeries>, Vec<TimeSeries>) = rack
+        .servers
+        .iter()
+        .map(|s| {
+            let end = s.utilization.end();
+            (
+                s.power_series(SimTime::ZERO, end),
+                s.oc_demand_series(SimTime::ZERO, end),
+            )
+        })
+        .unzip();
     let mut servers: Vec<ServerState> = trained
         .iter()
         .map(|_| ServerState {
@@ -336,16 +349,14 @@ fn simulate_rack(
         let mut extras = vec![Watts::ZERO; n];
         let mut wanted = vec![false; n];
         let mut granted = vec![false; n];
-        let mut central_total: Watts = rack
-            .servers
+        let mut central_total: Watts = power
             .iter()
-            .map(|s| Watts::new(s.power.value_at(t).unwrap_or(0.0)))
+            .map(|p| Watts::new(p.value_at(t).unwrap_or(0.0)))
             .sum();
         for i in 0..n {
-            let trace = &rack.servers[i];
-            let base = Watts::new(trace.power.value_at(t).unwrap_or(0.0));
+            let base = Watts::new(power[i].value_at(t).unwrap_or(0.0));
             base_total += base;
-            let demand_cores = trace.oc_demand_cores.value_at(t).unwrap_or(0.0);
+            let demand_cores = demand[i].value_at(t).unwrap_or(0.0);
             if demand_cores <= 0.0 {
                 continue;
             }
@@ -369,7 +380,7 @@ fn simulate_rack(
             }
             wanted[i] = true;
             outcome.requests += 1;
-            let util = trace.utilization.value_at(t).unwrap_or(0.5);
+            let util = rack.servers[i].utilization.value_at(t).unwrap_or(0.5);
             let cores = (demand_cores as usize).min(model.cores());
             let extra = model.overclock_delta(util.clamp(0.0, 1.0), cores, eff_freq);
             // Lifetime check (all policies that check anything).
@@ -440,12 +451,10 @@ fn simulate_rack(
             capped = true;
             // The capping transient hits the whole rack: every server
             // suffers a frequency penalty proportional to the overshoot.
-            let dynamic: Watts = rack
-                .servers
+            let dynamic: Watts = power
                 .iter()
-                .map(|s| {
-                    (Watts::new(s.power.value_at(t).unwrap_or(0.0)) - model.idle())
-                        .clamp_non_negative()
+                .map(|p| {
+                    (Watts::new(p.value_at(t).unwrap_or(0.0)) - model.idle()).clamp_non_negative()
                 })
                 .sum();
             let over = draw - rack.limit;
