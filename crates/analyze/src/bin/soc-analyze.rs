@@ -8,20 +8,19 @@
 //! soc-analyze report    <trace.jsonl> [--out report.txt]
 //! soc-analyze diff      <a.jsonl> <b.jsonl> [--filter-a k=v] [--filter-b k=v]
 //!                       [--strip-label policy] [--out report.txt]
-//! soc-analyze health    <health.json> [--out report.txt]
-//! soc-analyze alerts    <health.json>
-//! soc-analyze query     <health.json> <metric> [--entity N]
+//! soc-analyze health    <trace.jsonl> [--out report.txt]
+//! soc-analyze alerts    <trace.jsonl>
+//! soc-analyze query     <trace.jsonl> <metric> [--entity N]
 //! ```
 //!
-//! Traces and health reports come from any bench binary run with
-//! `--trace-out` and `--health-out`. A `--prof-out` profile is JSONL
+//! Traces come from any bench binary run with `--trace-out`. `health`,
+//! `alerts` and `query` read fleet health from a trace's `rack_series`
+//! events, one section per traced run. A `--prof-out` profile is JSONL
 //! `metric` records in the trace's format: `metrics` renders it and `diff`
 //! compares two.
 
 use soc_analyze::chains::{self, DEFAULT_TERMINALS};
-use soc_analyze::{
-    json, render, report, rollup, AttributionCounts, HealthReport, Trace, TraceDiff,
-};
+use soc_analyze::{render, report, rollup, AttributionCounts, HealthReport, Trace, TraceDiff};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: soc-analyze <command> [args]
@@ -38,14 +37,16 @@ commands:
   diff      <a.jsonl> <b.jsonl> [--filter-a k=v] [--filter-b k=v]
             [--strip-label LABEL] [--out FILE]
                                           A/B comparison of two traces
-  health    <health.json> [--out FILE]    sparklines per series + incident table
-  alerts    <health.json>                 one row per alert (firing and resolved)
-  query     <health.json> <metric> [--entity N]
-                                          bucket-level dump of one series
+  health    <trace.jsonl> [--out FILE]    per run: sparklines per series +
+                                          incident table; then a summary line
+  alerts    <trace.jsonl>                 per run: one row per alert
+  query     <trace.jsonl> <metric> [--entity N]
+                                          per run: bucket-level dump of one
+                                          series
 
-Traces, health reports and profiles are produced by the soc-bench binaries
-via --trace-out, --health-out and --prof-out; a profile is read like a
-trace.";
+Traces and profiles are produced by the soc-bench binaries via --trace-out
+and --prof-out; a profile is read like a trace. health, alerts and query
+read the rack_series events of a trace, one section per traced run.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -103,10 +104,16 @@ fn load(path: &str) -> Result<Trace, String> {
     Trace::load(path).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Read a health report.
-fn load_health(path: &str) -> Result<HealthReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    json::from_json(&text).map_err(|e| format!("{path}: {e}"))
+/// Read the health of every run in a trace; a trace with no
+/// `rack_series` events has none to read.
+fn load_health(path: &str) -> Result<Vec<HealthReport>, String> {
+    let reports = HealthReport::per_run(&load(path)?);
+    if reports.is_empty() {
+        return Err(format!(
+            "{path}: no rack_series events (health reads a --trace-out trace of a large-scale run)"
+        ));
+    }
+    Ok(reports)
 }
 
 /// Print to stdout, or write to `--out FILE` when given.
@@ -220,12 +227,13 @@ fn run(args: &[String]) -> Result<(), String> {
         "health" => {
             need(1, &["out"])?;
             let health = load_health(positional[0])?;
-            deliver(&render::render_report(&health), flag(&flags, "out"))
+            deliver(&render::render_health(&health), flag(&flags, "out"))
         }
         "alerts" => {
             need(1, &[])?;
-            let health = load_health(positional[0])?;
-            print!("{}", render::render_alerts(&health));
+            for report in load_health(positional[0])? {
+                print!("{}", render::render_alerts(&report));
+            }
             Ok(())
         }
         "query" => {
@@ -234,8 +242,10 @@ fn run(args: &[String]) -> Result<(), String> {
                 Some(v) => Some(v.parse::<u64>().map_err(|_| format!("bad --entity {v}"))?),
                 None => None,
             };
-            let health = load_health(positional[0])?;
-            print!("{}", render::render_query(&health, positional[1], entity));
+            for report in load_health(positional[0])? {
+                println!("== {} ==", report.name);
+                print!("{}", render::render_query(&report, positional[1], entity));
+            }
             Ok(())
         }
         "help" | "--help" | "-h" => {
@@ -251,8 +261,9 @@ fn run(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::run;
     use simcore::time::SimTime;
+    use soc_telemetry::ids::shard_id_base;
     use soc_telemetry::json::event_to_json;
-    use soc_telemetry::Telemetry;
+    use soc_telemetry::{Component, Event, Severity, Telemetry};
 
     fn run_args(args: &[&str]) -> Result<(), String> {
         run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
@@ -285,11 +296,11 @@ mod tests {
     fn rejects_flags_a_health_or_profile_subcommand_does_not_take() {
         for (args, bad) in [
             (
-                &["query", "h.json", "rack_draw_w", "--entiy", "3"][..],
+                &["query", "t.jsonl", "rack_draw_w", "--entiy", "3"][..],
                 "--entiy",
             ),
-            (&["health", "h.json", "--ot", "r.txt"][..], "--ot"),
-            (&["alerts", "h.json", "--out", "r.txt"][..], "--out"),
+            (&["health", "t.jsonl", "--ot", "r.txt"][..], "--ot"),
+            (&["alerts", "t.jsonl", "--out", "r.txt"][..], "--out"),
             (&["metrics", "p.jsonl", "--out", "r.txt"][..], "--out"),
         ] {
             let err = run_args(args).unwrap_err();
@@ -300,8 +311,8 @@ mod tests {
             assert!(err.contains("usage: soc-analyze"), "{args:?}: {err}");
         }
         // A flag the subcommand takes passes, and the missing file fails.
-        let err = run_args(&["query", "no-such-health.json", "m", "--entity", "3"]).unwrap_err();
-        assert!(err.starts_with("no-such-health.json: "), "{err}");
+        let err = run_args(&["query", "no-such-trace.jsonl", "m", "--entity", "3"]).unwrap_err();
+        assert!(err.starts_with("no-such-trace.jsonl: "), "{err}");
     }
 
     #[test]
@@ -309,7 +320,8 @@ mod tests {
         let dir = std::env::temp_dir();
         let id = std::process::id();
         let profile = dir.join(format!("soc-analyze-{id}.prof.jsonl"));
-        let health = dir.join(format!("soc-analyze-{id}.health.json"));
+        let trace = dir.join(format!("soc-analyze-{id}.trace.jsonl"));
+        let result = dir.join(format!("soc-analyze-{id}.result.json"));
         // A profile as `--prof-out` writes it: the metric records of a
         // registry, one JSONL line each.
         let (tm, sink) = Telemetry::memory();
@@ -318,24 +330,45 @@ mod tests {
             m.inc_counter_by("racks", &[], 4);
         });
         tm.emit_metrics_snapshot(SimTime::ZERO);
-        let lines: String = sink
-            .events()
-            .iter()
-            .map(|e| event_to_json(e) + "\n")
-            .collect();
-        let report = soc_analyze::Recorder::new("run").finalize(&[]).unwrap();
-        std::fs::write(&profile, lines).unwrap();
-        std::fs::write(&health, soc_analyze::json::to_json(&report)).unwrap();
-        let (profile, health) = (profile.to_str().unwrap(), health.to_str().unwrap());
-        // Each artifact reads back with its own subcommand…
+        let lines = |events: &[Event]| -> String {
+            events.iter().map(|e| event_to_json(e) + "\n").collect()
+        };
+        std::fs::write(&profile, lines(&sink.events())).unwrap();
+        // A trace of one rack run: its series event and a metric record.
+        let series = Event::new(
+            SimTime::ZERO,
+            Component::Sim,
+            Severity::Debug,
+            "rack_series",
+        )
+        .field("rack", 0usize)
+        .field("cause_id", shard_id_base(1, 0))
+        .field("limit_w", 10.0)
+        .field("step_us", 1u64)
+        .field("draws_w", vec![1.0, 2.0]);
+        let mut events = sink.events();
+        events.push(series);
+        std::fs::write(&trace, lines(&events)).unwrap();
+        // A result file as `--out` writes it: one pretty-printed document.
+        std::fs::write(&result, "{\n  \"rows\": []\n}\n").unwrap();
+        let (profile, trace, result) = (
+            profile.to_str().unwrap(),
+            trace.to_str().unwrap(),
+            result.to_str().unwrap(),
+        );
+        // Each artifact reads back with its own subcommands…
         run_args(&["metrics", profile]).unwrap();
-        run_args(&["alerts", health]).unwrap();
+        for command in ["health", "alerts", "metrics", "summary"] {
+            run_args(&[command, trace]).unwrap();
+        }
+        run_args(&["query", trace, "rack_draw_w"]).unwrap();
         // …and is an error naming the file for every other.
         for args in [
             &["health", profile][..],
             &["alerts", profile],
             &["query", profile, "rack_draw_w"],
-            &["metrics", health],
+            &["health", result],
+            &["metrics", result],
         ] {
             let err = run_args(args).unwrap_err();
             assert!(
@@ -343,7 +376,8 @@ mod tests {
                 "{args:?}: {err}"
             );
         }
-        std::fs::remove_file(profile).unwrap();
-        std::fs::remove_file(health).unwrap();
+        for path in [profile, trace, result] {
+            std::fs::remove_file(path).unwrap();
+        }
     }
 }

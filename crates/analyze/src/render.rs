@@ -115,7 +115,7 @@ fn series_row(out: &mut String, label: &str, series: &Series) {
 
 /// The full `report` view: sparklines per series, fleet rollups, incident
 /// table.
-pub fn render_report(report: &HealthReport) -> String {
+fn render_report(report: &HealthReport) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== fleet health: {} ==", report.name);
 
@@ -208,6 +208,22 @@ pub fn render_report(report: &HealthReport) -> String {
         report.incidents.len(),
         report.resolved_incidents(),
         report.open_incidents()
+    );
+    out
+}
+
+/// The `health` view of a trace: the full report per run, then one
+/// summary line over every run.
+pub fn render_health(reports: &[HealthReport]) -> String {
+    let mut out: String = reports.iter().map(|r| render_report(r) + "\n").collect();
+    let alerts: usize = reports.iter().map(|r| r.alerts.len()).sum();
+    let incidents: usize = reports.iter().map(|r| r.incidents.len()).sum();
+    let resolved: usize = reports.iter().map(HealthReport::resolved_incidents).sum();
+    let _ = writeln!(
+        out,
+        "health: {} runs, {alerts} alerts, {incidents} incidents ({resolved} resolved, {} open)",
+        reports.len(),
+        incidents - resolved
     );
     out
 }
@@ -323,6 +339,17 @@ mod tests {
         assert!(text.contains("-- Incidents --"));
         assert!(text.contains("  none"));
         assert!(text.contains("0 alerts, 0 incidents (0 resolved, 0 open)"));
+    }
+
+    #[test]
+    fn health_renders_every_run_and_one_summary_line() {
+        let text = render_health(&[report_with_series(), report_with_series()]);
+        assert_eq!(text.matches("== fleet health: render-test ==").count(), 2);
+        assert!(text.ends_with("health: 2 runs, 0 alerts, 0 incidents (0 resolved, 0 open)\n"));
+        assert_eq!(
+            render_health(&[]),
+            "health: 0 runs, 0 alerts, 0 incidents (0 resolved, 0 open)\n"
+        );
     }
 
     #[test]

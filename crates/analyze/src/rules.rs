@@ -75,7 +75,7 @@ pub struct Alert {
 ///
 /// `step_us` is the simulation step: event merging and absence detection are
 /// scaled to it so the rules work at any experiment cadence.
-pub fn default_rules(step_us: u64) -> Vec<Rule> {
+pub(crate) fn default_rules(step_us: u64) -> Vec<Rule> {
     let step = step_us.max(1);
     vec![
         // Post-enforcement draw above the contracted limit: always an
@@ -163,16 +163,6 @@ pub(crate) fn evaluate(rules: &[Rule], store: &SeriesStore, trace: &Trace) -> Ve
 /// The entity a telemetry event is about: its `rack` field, or 0.
 fn event_entity(e: &TraceEvent) -> u64 {
     e.field_u64("rack").unwrap_or(0)
-}
-
-/// The causal id an alert inherits from its trigger event.
-fn event_decision(e: &TraceEvent) -> u64 {
-    let d = e.decision_id();
-    if d != 0 {
-        d
-    } else {
-        e.cause_id()
-    }
 }
 
 /// Firing/resolved state machine over a (time, value) condition walk.
@@ -309,7 +299,7 @@ fn event_alerts(rule: &Rule, trace: &Trace, name: &str, merge_gap_us: u64) -> Ve
                     start_us: e.t_us,
                     end_us: Some(e.t_us),
                     peak: 1.0,
-                    decision_id: event_decision(e),
+                    decision_id: e.causal_id(),
                 },
             );
         }
@@ -331,7 +321,7 @@ fn window_alerts(rule: &Rule, trace: &Trace, enter: &str, exit: &str) -> Vec<Ale
                 start_us: e.t_us,
                 end_us: None,
                 peak: 0.0,
-                decision_id: event_decision(e),
+                decision_id: e.causal_id(),
             });
         } else if e.name == exit {
             if let Some(mut alert) = open.remove(&entity) {

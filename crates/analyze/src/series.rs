@@ -7,10 +7,9 @@
 //! buckets re-align onto the coarser grid, merging neighbours. Width doubling
 //! is a pure function of the sample sequence, so a series' final state
 //! depends only on the samples it received — never on when other series
-//! received theirs. That is what lets the recorder be fed concurrently from
-//! sharded simulation workers (each series receives its samples from exactly
-//! one worker, in time order) and still finalize byte-identically at every
-//! thread count.
+//! received theirs. A run's series are rebuilt from its `rack_series`
+//! events (one per rack, each in time order), so the store is the same
+//! whatever order the events come in.
 //!
 //! Each bucket keeps min/max/sum/count/last, so downsampling preserves the
 //! extremes alert rules care about (a one-step budget excursion survives any
@@ -163,22 +162,12 @@ impl Series {
     pub fn samples(&self) -> u64 {
         self.buckets.iter().map(|b| b.count).sum()
     }
-
-    /// Rebuild a series from stored parts (the JSON reader). The capacity is
-    /// restored to at least the bucket count so further recording behaves.
-    pub(crate) fn from_parts(width_us: u64, buckets: Vec<Bucket>) -> Series {
-        Series {
-            width_us: width_us.max(1),
-            capacity: DEFAULT_CAPACITY.max(buckets.len()),
-            buckets,
-        }
-    }
 }
 
 /// All series of one run, keyed by `(metric, entity)`.
 ///
 /// The `BTreeMap` key order is the canonical iteration order everywhere —
-/// reports, JSON, rendering — so cross-series arrival order (which is
+/// reports and rendering — so cross-series arrival order (which is
 /// scheduler-dependent under sharded execution) never shows in any output.
 #[derive(Debug, Clone, Default)]
 pub struct SeriesStore {
@@ -236,11 +225,6 @@ impl SeriesStore {
     pub fn is_empty(&self) -> bool {
         self.series.is_empty()
     }
-
-    /// Insert a fully built series (the JSON reader).
-    pub(crate) fn insert(&mut self, metric: String, entity: u64, series: Series) {
-        self.series.insert((metric, entity), series);
-    }
 }
 
 #[cfg(test)]
@@ -294,7 +278,7 @@ mod tests {
     fn final_state_is_a_function_of_the_sample_sequence() {
         // Two identical sample sequences produce identical series even when
         // recorded into stores holding other series in between — the
-        // determinism claim the sharded recorder relies on.
+        // determinism claim the per-run reader relies on.
         let feed = |s: &mut SeriesStore, extra: bool| {
             for t in 0..100u64 {
                 if extra {

@@ -1,5 +1,6 @@
 //! Loading and canonicalizing JSONL telemetry traces.
 
+use soc_telemetry::ids::run_of;
 use soc_telemetry::json::{self, Object, Value};
 use std::fmt;
 use std::path::Path;
@@ -39,13 +40,27 @@ impl TraceEvent {
     }
 
     /// The event's own causal decision id (`0` when absent).
-    pub fn decision_id(&self) -> u64 {
+    pub(crate) fn decision_id(&self) -> u64 {
         self.field_u64("decision_id").unwrap_or(0)
     }
 
     /// The decision id of the event's parent decision (`0` when absent).
     pub(crate) fn cause_id(&self) -> u64 {
         self.field_u64("cause_id").unwrap_or(0)
+    }
+
+    /// The event's own decision id, else its parent's (`0` when neither).
+    pub(crate) fn causal_id(&self) -> u64 {
+        match self.decision_id() {
+            0 => self.cause_id(),
+            id => id,
+        }
+    }
+
+    /// The run the event belongs to: the run bits of its causal id (`0`
+    /// for events without ids).
+    pub(crate) fn run(&self) -> u64 {
+        run_of(self.causal_id())
     }
 
     /// Whether this is an end-of-run `metric` registry record.
@@ -208,6 +223,13 @@ impl Trace {
         self.events.iter().filter(|e| e.is_metric())
     }
 
+    /// The events `keep` accepts, in canonical order.
+    pub(crate) fn retain(&self, keep: impl Fn(&TraceEvent) -> bool) -> Trace {
+        Trace {
+            events: self.events.iter().filter(|e| keep(e)).cloned().collect(),
+        }
+    }
+
     /// Keep only events where field `key` renders (via `Display`-like
     /// formatting) to `value` — e.g. `policy=SmartOClock` to isolate one
     /// policy's events from a multi-policy trace. `metric` registry records
@@ -224,24 +246,18 @@ impl Trace {
                 .split(',')
                 .any(|pair| pair == label)
         };
-        let events = self
-            .events
-            .iter()
-            .filter(|e| {
-                if e.is_metric() {
-                    return e.metric_key().is_some_and(has_label);
-                }
-                e.fields.get(key).is_some_and(|v| match v {
-                    Value::Str(s) => s == value,
-                    Value::Int(n) => n.to_string() == value,
-                    Value::Float(x) => x.to_string() == value,
-                    Value::Bool(b) => b.to_string() == value,
-                    _ => false,
-                })
+        self.retain(|e| {
+            if e.is_metric() {
+                return e.metric_key().is_some_and(has_label);
+            }
+            e.fields.get(key).is_some_and(|v| match v {
+                Value::Str(s) => s == value,
+                Value::Int(n) => n.to_string() == value,
+                Value::Float(x) => x.to_string() == value,
+                Value::Bool(b) => b.to_string() == value,
+                _ => false,
             })
-            .cloned()
-            .collect();
-        Trace { events }
+        })
     }
 }
 

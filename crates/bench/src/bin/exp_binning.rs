@@ -133,7 +133,7 @@ fn main() -> ExitCode {
     );
     let out = cli.out.clone().unwrap_or_else(|| "exp_binning.json".into());
     write_artifact(&out, &json, "result file");
-    cli.finish(&obs, &[])
+    cli.finish(&obs)
 }
 
 /// Mean certified overclock fraction across every part in the fleet: the

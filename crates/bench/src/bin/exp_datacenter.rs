@@ -16,10 +16,7 @@ use soc_cluster::probe::ShardProbe;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let cli = Cli::from_env(&[Output::Profile, Output::Health]);
-    // Health series (`--health-out`): this sweep runs outside the sharded
-    // rack engine, so the recorder is fed from the collected results in
-    // sweep order, keyed by feed fraction in basis points.
+    let cli = Cli::from_env(&[Output::Profile]);
     let obs = cli.observer("exp_datacenter");
     let mut t = Table::new(&[
         "feed / rack-limit sum",
@@ -49,15 +46,6 @@ fn main() -> ExitCode {
     drop(span);
     obs.add("feeds", outcomes.len() as u64);
     for (feed_fraction, o) in outcomes {
-        let bps = (feed_fraction * 10_000.0) as u64;
-        obs.recorder
-            .sample(bps, "feed_overloads_flat", 0, o.feed_overloads_flat as f64);
-        obs.recorder.sample(
-            bps,
-            "feed_overloads_nested",
-            0,
-            o.feed_overloads_nested as f64,
-        );
         t.row(&[
             fmt_pct(feed_fraction),
             format!("{}/{}", o.feed_overloads_flat, o.steps),
@@ -75,8 +63,5 @@ fn main() -> ExitCode {
          cost of some grants; flat rack-local enforcement overloads it whenever \
          rack peaks coincide."
     );
-    cli.finish(
-        &obs,
-        &soc_analyze::default_rules(SimDuration::from_minutes(15).as_micros()),
-    )
+    cli.finish(&obs)
 }

@@ -25,9 +25,7 @@ use smartoclock::policy::PolicyKind;
 use soc_bench::{write_artifact, Cli, Output};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
-use soc_cluster::probe::{NoopProbe, ShardProbe};
 use soc_cluster::shard::{generate_fleet_probed, simulate_policy_on_traces_probed};
-use soc_telemetry::Telemetry;
 use std::process::ExitCode;
 
 struct Variant {
@@ -55,7 +53,7 @@ const VARIANTS: [Variant; 3] = [
 ];
 
 fn main() -> ExitCode {
-    let cli = Cli::from_env(&[Output::Trace, Output::Health, Output::ResultFile]);
+    let cli = Cli::from_env(&[Output::Trace, Output::ResultFile]);
     let racks = if cli.fast { 8 } else { 24 };
     let mut base = LargeScaleConfig::bench_reference(racks);
     base.seed = cli.seed;
@@ -104,22 +102,13 @@ fn main() -> ExitCode {
                 "simulating {} at outage={label} over {racks} racks ({threads} threads)...",
                 variant.name
             );
-            // The health report (`--health-out`) follows the
-            // longest-outage SmartOClock cell, where the incident timeline
-            // shows outage -> degraded-entry -> recovery end to end.
-            let (telemetry, probe): (Telemetry, &dyn ShardProbe) =
-                if variant.policy == PolicyKind::SmartOClock && *label == "8h" {
-                    (obs.health_telemetry(), &obs)
-                } else {
-                    (obs.telemetry.clone(), &NoopProbe)
-                };
             let outcomes = simulate_policy_on_traces_probed(
                 &config,
                 variant.policy,
                 &fleet,
-                &telemetry,
+                &obs.telemetry,
                 threads,
-                probe,
+                &obs,
             );
             let m = PolicyMetrics::aggregate(variant.policy, &outcomes);
             if len.is_zero() {
@@ -167,5 +156,5 @@ fn main() -> ExitCode {
         .clone()
         .unwrap_or_else(|| "exp_fault_tolerance.json".into());
     write_artifact(&out, &json, "result file");
-    cli.finish(&obs, &soc_analyze::default_rules(base.step.as_micros()))
+    cli.finish(&obs)
 }

@@ -76,5 +76,5 @@ fn main() -> ExitCode {
         "paper: reactive misses SLOs 5.0%/6.1%/7.2% of the time at 75%/50%/25% budget; \
          proactive scale-out eliminates the violations"
     );
-    cli.finish(&obs, &[])
+    cli.finish(&obs)
 }

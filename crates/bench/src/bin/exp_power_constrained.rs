@@ -90,5 +90,5 @@ fn main() -> ExitCode {
         "paper: SmartOClock cuts tail latency 6.7%/8.4% (med/high) vs NaiveOClock \
          and lifts MLTrain throughput 10.4%"
     );
-    cli.finish(&obs, &[])
+    cli.finish(&obs)
 }

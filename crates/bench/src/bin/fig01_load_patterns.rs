@@ -72,5 +72,5 @@ fn main() -> ExitCode {
         .time_of_day()
         .as_hours_f64();
     println!("ServiceA peak at {peak_hour:.1}h (paper: 10-12h window)");
-    cli.finish(&Observer::default(), &[])
+    cli.finish(&Observer::default())
 }

@@ -69,5 +69,5 @@ fn main() -> ExitCode {
          (paper: violations concentrate in Baseline at high load; \
          UrlShort violates even at low utilization, Usr tolerates high utilization)"
     );
-    cli.finish(&Observer::default(), &[])
+    cli.finish(&Observer::default())
 }

@@ -59,5 +59,5 @@ fn main() -> ExitCode {
          unnecessary since the baseline already meets the application-level goal\").",
         fmt_f64(baseline.deployment_utilization(), 2)
     );
-    cli.finish(&Observer::default(), &[])
+    cli.finish(&Observer::default())
 }

@@ -45,5 +45,5 @@ fn main() -> ExitCode {
         fmt_f64(p99.quantile(0.5), 2),
         fmt_f64(p99.quantile(0.9), 2),
     );
-    cli.finish(&Observer::default(), &[])
+    cli.finish(&Observer::default())
 }

@@ -176,5 +176,5 @@ fn main() -> ExitCode {
     if obs.telemetry.is_enabled() {
         trace_capping_week(&obs.telemetry, &overclocked, &per_server_extra, limit);
     }
-    cli.finish(&obs, &[])
+    cli.finish(&obs)
 }

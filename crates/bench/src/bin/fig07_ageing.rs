@@ -65,5 +65,5 @@ fn main() -> ExitCode {
          (paper: non-OC <2 days, always-OC >10 days, OC-aware ≤ expected)",
         fmt_pct(duty)
     );
-    cli.finish(&Observer::default(), &[])
+    cli.finish(&Observer::default())
 }

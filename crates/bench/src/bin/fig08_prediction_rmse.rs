@@ -60,5 +60,5 @@ fn main() -> ExitCode {
         "paper (Region 3): P50 = 1.95W, P99 = 5.11W on ~10kW racks — the shape to match \
          is a P50 relative error of a few percent and a thin tail."
     );
-    cli.finish(&Observer::default(), &[])
+    cli.finish(&Observer::default())
 }

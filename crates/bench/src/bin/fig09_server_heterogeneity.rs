@@ -104,5 +104,5 @@ fn main() -> ExitCode {
         dominant_changes
     );
     let _ = normalize_to_peak(&means); // exercised above via global peak
-    cli.finish(&Observer::default(), &[])
+    cli.finish(&Observer::default())
 }

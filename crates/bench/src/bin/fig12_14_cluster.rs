@@ -134,5 +134,5 @@ fn main() -> ExitCode {
         pct_change(results[1].total_energy_j, results[3].total_energy_j),
         pct_change(results[1].socialnet_energy_j, results[3].socialnet_energy_j),
     );
-    cli.finish(&obs, &[])
+    cli.finish(&obs)
 }

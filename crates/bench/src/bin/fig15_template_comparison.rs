@@ -96,5 +96,5 @@ fn main() -> ExitCode {
          (paper: \"DailyMed, used in SmartOClock, has the highest accuracy\")",
         (0..5).all(|k| k == 3 || med_of(k) >= daily_med)
     );
-    cli.finish(&Observer::default(), &[])
+    cli.finish(&Observer::default())
 }

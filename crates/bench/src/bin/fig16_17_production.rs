@@ -18,10 +18,7 @@ use soc_workloads::microservice::ServiceSpec;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let cli = Cli::from_env(&[Output::Profile, Output::Health]);
-    // Health series (`--health-out`): these sweeps run outside the sharded
-    // rack engine, so the recorder is fed from the collected results in
-    // sweep order — fig. 16 keyed by deployment RPS, fig. 17 by time of day.
+    let cli = Cli::from_env(&[Output::Profile]);
     let obs = cli.observer("fig16_17_production");
     let plan = FrequencyPlan::amd_reference();
     let measure = if cli.fast {
@@ -74,11 +71,6 @@ fn main() -> ExitCode {
     drop(span);
     obs.add("service_runs", sweep.len() as u64 * 2);
     for (rps_k, base, oc) in sweep {
-        let rps = (rps_k * 1000.0) as u64;
-        obs.recorder
-            .sample(rps, "service_b_util_turbo", 0, base.cpu_utilization);
-        obs.recorder
-            .sample(rps, "service_b_util_oc", 0, oc.cpu_utilization);
         if rps_k == 1.8 {
             peak_base = base.cpu_utilization;
             peak_oc = oc.cpu_utilization;
@@ -147,11 +139,6 @@ fn main() -> ExitCode {
         // The same offered work at the overclocked frequency occupies
         // proportionally fewer cycles.
         let oc_peak = (base_peak * ratio).min(1.0);
-        let t_us = SimDuration::from_hours(hour).as_micros();
-        obs.recorder
-            .sample(t_us, "service_c_peak_util", 0, base_peak);
-        obs.recorder
-            .sample(t_us, "service_c_peak_util_oc", 0, oc_peak);
         base_peaks.push(base_peak);
         oc_peaks.push(oc_peak);
         fig17.row(&[
@@ -168,8 +155,5 @@ fn main() -> ExitCode {
         "mean 5-minute-peak reduction with overclocking: {} (paper: 16%)",
         fmt_pct(mean_reduction)
     );
-    cli.finish(
-        &obs,
-        &soc_analyze::default_rules(SimDuration::from_minutes(5).as_micros()),
-    )
+    cli.finish(&obs)
 }

@@ -127,5 +127,5 @@ fn main() -> ExitCode {
         fmt_pct(nofb.success_rate),
         fmt_pct(naive.success_rate),
     );
-    cli.finish(&obs, &[])
+    cli.finish(&obs)
 }

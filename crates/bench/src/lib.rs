@@ -14,31 +14,28 @@
 //! * `--prof-out <path>` — collect a wall-clock profile (a `phase_ms`
 //!   histogram per phase, work counters, the run's parameters, wall time and
 //!   peak RSS) and write it as JSONL `metric` records.
-//! * `--health-out <path>` — collect a fleet health report (sim-time
-//!   series, deterministic alerts, incident timeline) and write it as
-//!   canonical JSON.
 //! * `--out <path>` — where binaries with a JSON result file write it
 //!   (`exp_fault_tolerance`, `exp_binning`; each has its own default name).
 //!
 //! The binaries only write artifacts; `soc-analyze` reads them back
-//! (`soc-analyze report <trace>`, `soc-analyze metrics <profile.jsonl>`,
-//! `soc-analyze health <health.json>`).
+//! (`soc-analyze report <trace>`, `soc-analyze metrics <profile.jsonl>`).
+//! Fleet health is a reading of the trace: each traced large-scale rack run
+//! emits one `rack_series` event, and `soc-analyze health <trace.jsonl>`
+//! evaluates the alert rules over it, one section per traced run.
 //!
 //! An unknown flag, a flag missing its value, a `--seed` / `--threads`
 //! value that does not parse, a flag asking for an [`Output`] the binary
 //! does not write, or a `--trace-out` file that cannot be created prints
 //! the error and exits 2 before the experiment runs. Every other artifact
-//! goes through one failure path: a `--csv`, `--out`, `--prof-out` or
-//! `--health-out` file that cannot be written, or a trace whose writes
-//! failed, prints the error, the run still attempts every other output, and
+//! goes through one failure path: a `--csv`, `--out` or `--prof-out` file
+//! that cannot be written, or a trace whose writes failed, prints the error, the run still attempts every other output, and
 //! [`Cli::finish`] returns a failure exit status.
 //!
 //! A binary observes its run through one [`Observer`] ([`Cli::observer`])
-//! and emits everything it observed with one [`Cli::finish`]. Profiling and
-//! health recording are observation-only by design: simulation output —
-//! stdout tables, traces, metrics — is byte-identical with and without
-//! `--prof-out` / `--health-out` (pinned by `tests/prof.rs` and
-//! `tests/health.rs`).
+//! and emits everything it observed with one [`Cli::finish`]. Profiling is
+//! observation-only by design: simulation output — stdout tables, traces,
+//! metrics — is byte-identical with and without `--prof-out` (pinned by
+//! `tests/prof.rs` and `tests/health.rs`).
 //!
 //! This tiny library holds the shared CLI plumbing so the binaries stay
 //! focused on the experiment itself.
@@ -51,7 +48,6 @@ pub use probe::Observer;
 
 use simcore::report::Table;
 use simcore::time::SimTime;
-use soc_analyze::Recorder;
 use soc_telemetry::{NullSink, Telemetry};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -76,9 +72,6 @@ pub struct Cli {
     /// Collect a wall-clock profile and write its metric records as JSONL
     /// here (`--prof-out`).
     pub prof_out: Option<PathBuf>,
-    /// Collect a fleet health report and write it as canonical JSON here
-    /// (`--health-out`).
-    pub health_out: Option<PathBuf>,
     /// The binary's JSON result file (`--out`); `None` means the binary's
     /// default file name.
     pub out: Option<PathBuf>,
@@ -93,8 +86,6 @@ pub enum Output {
     Trace,
     /// A wall-clock profile (`--prof-out`).
     Profile,
-    /// A fleet health report (`--health-out`).
-    Health,
     /// A JSON result file (`--out`).
     ResultFile,
 }
@@ -102,7 +93,7 @@ pub enum Output {
 /// The flags every bench binary takes, printed after the binary's name
 /// with a parse error.
 pub const USAGE: &str = "[--seed N] [--fast] [--threads N] [--csv PATH] [--trace-out PATH] \
-                         [--prof-out PATH] [--health-out PATH] [--out PATH]";
+                         [--prof-out PATH] [--out PATH]";
 
 impl Default for Cli {
     fn default() -> Self {
@@ -113,7 +104,6 @@ impl Default for Cli {
             trace_out: None,
             threads: 0,
             prof_out: None,
-            health_out: None,
             out: None,
         }
     }
@@ -172,7 +162,6 @@ impl Cli {
                 "--csv" => cli.csv = Some(value()?.into()),
                 "--trace-out" => cli.trace_out = Some(value()?.into()),
                 "--prof-out" => cli.prof_out = Some(value()?.into()),
-                "--health-out" => cli.health_out = Some(value()?.into()),
                 "--out" => cli.out = Some(value()?.into()),
                 "--fast" => cli.fast = true,
                 other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
@@ -182,12 +171,6 @@ impl Cli {
         let asked = [
             (Output::Trace, &cli.trace_out, "--trace-out", "trace"),
             (Output::Profile, &cli.prof_out, "--prof-out", "profile"),
-            (
-                Output::Health,
-                &cli.health_out,
-                "--health-out",
-                "health report",
-            ),
             (Output::ResultFile, &cli.out, "--out", "result file"),
         ];
         if let Some((_, _, flag, what)) = asked
@@ -208,9 +191,8 @@ impl Cli {
     /// The run's observation handle, built from the flags: the JSONL trace
     /// of `--trace-out`, the profile of `--prof-out` (its own metrics
     /// registry, holding from the start a `run_info` gauge labelled with
-    /// `name` and the common run parameters), and the health recorder of
-    /// `--health-out`. Parts not asked for are the zero-overhead disabled
-    /// handles. Call [`Cli::finish`] at the end of the run to emit
+    /// `name` and the common run parameters). Parts not asked for are the
+    /// zero-overhead disabled handles. Call [`Cli::finish`] at the end of the run to emit
     /// everything.
     pub fn observer(&self, name: &'static str) -> Observer {
         let telemetry = match &self.trace_out {
@@ -240,15 +222,9 @@ impl Cli {
         } else {
             Telemetry::disabled()
         };
-        let recorder = if self.health_out.is_some() {
-            Recorder::new(name)
-        } else {
-            Recorder::disabled()
-        };
         Observer {
             telemetry,
             profile,
-            recorder,
             ..Observer::default()
         }
     }
@@ -263,19 +239,13 @@ impl Cli {
     }
 
     /// Emit everything `obs` observed, in a fixed order, and return the
-    /// run's exit status. First the health report: evaluate `health_rules`
-    /// over the recorded run and write it to `--health-out`. Then the
-    /// trace: dump the end-of-run metric snapshot and flush the file, which
+    /// run's exit status. First the trace: dump the end-of-run metric snapshot and flush the file, which
     /// reports any write of the trace that failed during the run. Last
     /// the profile: write its metric records to `--prof-out`. Each step is a
     /// no-op when its flag is absent. The status is a failure when any
     /// artifact of the run could not be written (see [`write_artifact`]).
     #[must_use]
-    pub fn finish(&self, obs: &Observer, health_rules: &[soc_analyze::Rule]) -> ExitCode {
-        if let (Some(report), Some(path)) = (obs.recorder.finalize(health_rules), &self.health_out)
-        {
-            write_artifact(path, &soc_analyze::json::to_json(&report), "health report");
-        }
+    pub fn finish(&self, obs: &Observer) -> ExitCode {
         if obs.telemetry.is_enabled() {
             obs.telemetry.emit_metrics_snapshot(SimTime::ZERO);
             if let (Err(e), Some(path)) = (obs.telemetry.flush(), &self.trace_out) {
@@ -333,12 +303,7 @@ mod tests {
     use soc_analyze::rollup::MetricValue;
     use soc_cluster::probe::ShardProbe;
 
-    const ALL: [Output; 4] = [
-        Output::Trace,
-        Output::Profile,
-        Output::Health,
-        Output::ResultFile,
-    ];
+    const ALL: [Output; 3] = [Output::Trace, Output::Profile, Output::ResultFile];
 
     fn try_parse(args: &[&str]) -> Result<Cli, String> {
         Cli::parse(args.iter().map(|s| s.to_string()), &ALL)
@@ -361,7 +326,6 @@ mod tests {
         assert!(cli.csv.is_none());
         assert!(cli.trace_out.is_none());
         assert!(cli.prof_out.is_none());
-        assert!(cli.health_out.is_none());
     }
 
     #[test]
@@ -397,7 +361,6 @@ mod tests {
         let obs = parse(&[]).observer("x");
         assert!(!obs.telemetry.is_enabled());
         assert!(!obs.profile.is_enabled());
-        assert!(!obs.recorder.is_enabled());
     }
 
     #[test]
@@ -434,7 +397,7 @@ mod tests {
         drop(obs.span("rack/admission"));
         obs.add("sim_steps", 100);
         obs.add("sim_steps", 20);
-        let _ = cli.finish(&obs, &[]);
+        let _ = cli.finish(&obs);
         let text = std::fs::read_to_string(&prof).unwrap();
         std::fs::remove_file(prof).unwrap();
         // The profile is trace-format JSONL that the metrics reader takes.
@@ -466,34 +429,7 @@ mod tests {
     fn finish_without_analysis_is_quiet_noop() {
         // Must not panic or print anything when no observation flag is set.
         let cli = parse(&[]);
-        let _ = cli.finish(&cli.observer("noop"), &soc_analyze::default_rules(1));
-    }
-
-    #[test]
-    fn parses_health_flags() {
-        let path = temp("parse.health.json");
-        let cli = parse(&["--health-out", path.to_str().unwrap()]);
-        assert_eq!(cli.health_out, Some(path));
-        assert!(parse(&[]).health_out.is_none());
-    }
-
-    #[test]
-    fn recorder_disabled_without_health_flag() {
-        assert!(!parse(&[]).observer("x").recorder.is_enabled());
-        let health = temp("recorder.health.json");
-        let obs = parse(&["--health-out", health.to_str().unwrap()]).observer("x");
-        assert!(obs.recorder.is_enabled());
-        assert!(!obs.profile.is_enabled());
-        let prof = temp("recorder.prof.jsonl");
-        let cli = parse(&["--prof-out", prof.to_str().unwrap()]);
-        let obs = cli.observer("x");
-        assert!(obs.profile.is_enabled());
-        assert!(!obs.recorder.is_enabled());
-        // Finishing a live profile writes it, and nothing else.
-        let _ = cli.finish(&obs, &[]);
-        assert!(prof.exists());
-        assert!(!health.exists());
-        std::fs::remove_file(prof).unwrap();
+        let _ = cli.finish(&cli.observer("noop"));
     }
 
     #[test]
@@ -523,7 +459,7 @@ mod tests {
             .map(str::trim)
             .filter(|group| !group.is_empty())
             .collect();
-        assert_eq!(flags.len(), 8, "{USAGE}");
+        assert_eq!(flags.len(), 7, "{USAGE}");
         for group in flags {
             let args: Vec<&str> = group
                 .split(' ')
@@ -549,6 +485,11 @@ mod tests {
         assert_eq!(err(&["--report-out", "r.txt"]), "unknown flag --report-out");
         assert_eq!(err(&["--prof"]), "unknown flag --prof");
         assert_eq!(err(&["--health"]), "unknown flag --health");
+        // Health is read from the trace (`soc-analyze health`).
+        assert_eq!(
+            err(&["--health-out", "h.json"]),
+            "unknown flag --health-out"
+        );
         // A value-taking flag at the end, or followed by another flag.
         assert_eq!(err(&["--seed"]), "--seed needs a value");
         assert_eq!(err(&["--out", "--fast"]), "--out needs a value");
@@ -572,7 +513,6 @@ mod tests {
         for (flag, output) in [
             (&["--trace-out", "t.jsonl"][..], Output::Trace),
             (&["--prof-out", "p.json"][..], Output::Profile),
-            (&["--health-out", "h.json"][..], Output::Health),
             (&["--out", "r.json"][..], Output::ResultFile),
         ] {
             let others: Vec<Output> = ALL.into_iter().filter(|&o| o != output).collect();

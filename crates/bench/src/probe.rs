@@ -1,14 +1,12 @@
 //! The run's one observation handle.
 //!
 //! An [`Observer`] holds everything a bench binary observes a run with —
-//! the `--trace-out` telemetry, the `--prof-out` profile and the
-//! `--health-out` recorder — and is the bench crate's one
-//! `soc_cluster::probe::ShardProbe`. The sharded engine announces phases
-//! through pure hooks (it is a sim-state crate and may not read clocks,
-//! soc-lint D002); the observer lives here, where wall-clock is allowed,
-//! and fans the hooks out: spans and counters go to the profile, gauges
-//! and merged events to the recorder. A disabled part is a no-op, so
-//! binaries pass the observer unconditionally.
+//! the `--trace-out` telemetry and the `--prof-out` profile — and is the
+//! bench crate's one `soc_cluster::probe::ShardProbe`. The sharded engine
+//! announces phases through pure hooks (it is a sim-state crate and may not
+//! read clocks, soc-lint D002); the observer lives here, where wall-clock
+//! is allowed, and sends spans and counters to the profile. A disabled
+//! profile is a no-op, so binaries pass the observer unconditionally.
 //!
 //! The profile is an ordinary telemetry metrics registry: a span records
 //! its wall-clock milliseconds into the `phase_ms{phase=<span name>}`
@@ -18,10 +16,9 @@
 //! one reader of the wall clock.
 
 use simcore::time::SimTime;
-use soc_analyze::Recorder;
 use soc_cluster::probe::{ShardProbe, SpanToken};
 use soc_telemetry::json::event_to_json;
-use soc_telemetry::{Event, NullSink, Telemetry};
+use soc_telemetry::Telemetry;
 use std::time::Instant;
 
 /// One run's observation stack, built by [`crate::Cli::observer`] and
@@ -34,8 +31,6 @@ pub struct Observer {
     /// counters. Its own handle, never the trace's, so profiling cannot
     /// move a trace's decision ids or bytes.
     pub profile: Telemetry,
-    /// The fleet health report (`--health-out`).
-    pub recorder: Recorder,
     /// When the run began: the profile's `wall_ms` counts from here.
     pub started: Instant,
 }
@@ -45,26 +40,12 @@ impl Default for Observer {
         Observer {
             telemetry: Telemetry::disabled(),
             profile: Telemetry::disabled(),
-            recorder: Recorder::disabled(),
             started: Instant::now(),
         }
     }
 }
 
 impl Observer {
-    /// The telemetry handle for a run whose events feed the health report.
-    /// The alert engine reads the run's event stream, so with `--health-out`
-    /// and no trace path this is a fresh enabled handle that discards its
-    /// events; otherwise it is the trace handle. Telemetry is pure
-    /// observation, so the run's outcomes are the same either way.
-    pub fn health_telemetry(&self) -> Telemetry {
-        if self.recorder.is_enabled() && !self.telemetry.is_enabled() {
-            Telemetry::with_sink(NullSink)
-        } else {
-            self.telemetry.clone()
-        }
-    }
-
     /// The `--prof-out` file: every metric of the profile plus the run's
     /// `wall_ms` and `peak_rss_bytes` gauges, as JSONL `metric` records in
     /// the trace's format (sorted by key), which `soc-analyze metrics`
@@ -115,19 +96,12 @@ impl ShardProbe for Observer {
     fn add(&self, counter: &'static str, n: u64) {
         self.profile.metrics(|m| m.inc_counter_by(counter, &[], n));
     }
-
-    fn gauge(&self, t_us: u64, metric: &'static str, entity: u64, value: f64) {
-        self.recorder.sample(t_us, metric, entity, value);
-    }
-
-    fn event(&self, event: &Event) {
-        self.recorder.observe(event);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soc_telemetry::NullSink;
 
     #[test]
     fn disabled_profiler_yields_no_tokens() {
@@ -155,42 +129,5 @@ mod tests {
         assert_eq!(obs.profile.metrics(|m| m.counter("racks", &[])), Some(6));
         // The trace handle is a different registry: it saw nothing.
         assert_eq!(obs.telemetry.metrics_snapshot().render(), "");
-    }
-
-    #[test]
-    fn health_probe_feeds_the_recorder() {
-        let obs = Observer {
-            recorder: Recorder::new("probe-test"),
-            ..Observer::default()
-        };
-        assert!(obs.span("shard/sim").is_none());
-        obs.add("racks", 4); // the profile is off
-        obs.gauge(1_000_000, "rack_draw_w", 2, 37.5);
-        assert_eq!(obs.recorder.samples(), 1);
-    }
-
-    #[test]
-    fn disabled_recorder_probe_is_inert() {
-        let obs = Observer::default();
-        obs.gauge(1, "rack_draw_w", 0, 1.0);
-        assert_eq!(obs.recorder.samples(), 0);
-        assert!(!obs.health_telemetry().is_enabled());
-    }
-
-    #[test]
-    fn health_runs_get_an_enabled_handle_without_a_trace() {
-        let health_only = Observer {
-            recorder: Recorder::new("probe-test"),
-            ..Observer::default()
-        };
-        assert!(health_only.health_telemetry().is_enabled());
-        let (traced, _sink) = Telemetry::memory();
-        let both = Observer {
-            telemetry: traced,
-            ..health_only
-        };
-        // With a trace, the health run writes into it: one shared id counter.
-        let first = both.health_telemetry().next_id();
-        assert_eq!(both.telemetry.next_id(), first + 1);
     }
 }

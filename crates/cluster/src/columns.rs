@@ -525,9 +525,10 @@ pub(crate) fn simulate_rack_columnar(
     let admission_checked = policy.admission_checked();
     let central = policy.is_central();
     let idle = model.idle();
-    // Each step's post-enforcement draw for the `sim_rack_draw_w`
-    // histogram, recorded in step order after the loop: one registry
-    // search per rack run, not one per step (traced runs only).
+    // Each step's post-enforcement draw, recorded in step order after the
+    // loop into the `sim_rack_draw_w` histogram (one registry search per
+    // rack run, not one per step) and then moved into the run's
+    // `rack_series` event (traced runs only).
     let traced = telemetry.is_enabled();
     let mut draws = Vec::with_capacity(if traced { trained.steps } else { 0 });
     // Only policies that read predictions read the budgets split from them;
@@ -549,14 +550,6 @@ pub(crate) fn simulate_rack_columnar(
     let mut delayed_updates = 0u64;
     let mut telemetry_gaps = 0u64;
     let sim_decision = telemetry.next_id();
-    // The contracted limit as a (constant) health series, so draw can be
-    // reported as a fraction of it.
-    probe.gauge(
-        train_end.as_micros(),
-        "rack_limit_w",
-        rack.index as u64,
-        rack.limit.get(),
-    );
     tm_event!(telemetry, train_end, Component::Sim, Severity::Info, "rack_sim_start",
         "rack" => rack.index,
         "policy" => policy.name(),
@@ -913,9 +906,6 @@ pub(crate) fn simulate_rack_columnar(
                 "cause_id" => sim_decision);
         }
         outcome.max_draw = outcome.max_draw.max(draw);
-        // Pure observation (works with telemetry disabled): per-step rack
-        // draw for health series. One worker feeds each rack, in time order.
-        probe.gauge(t.as_micros(), "rack_draw_w", rack.index as u64, draw.get());
         if traced {
             draws.push(draw.get());
         }
@@ -1020,6 +1010,16 @@ pub(crate) fn simulate_rack_columnar(
             m.inc_counter_by("sim_down_binned", &policy_label, outcome.down_binned);
         }
     });
+    // The run's draw series in one event, stamped at its first step:
+    // `draws_w[k]` is the draw at `train_end + k·step`. Health is read from
+    // it (`soc-analyze health`), so the hot loop observes nothing per step.
+    tm_event!(telemetry, train_end, Component::Sim, Severity::Debug, "rack_series",
+        "rack" => rack.index,
+        "policy" => policy.name(),
+        "cause_id" => sim_decision,
+        "limit_w" => rack.limit.get(),
+        "step_us" => config.step,
+        "draws_w" => draws);
     outcome
 }
 

@@ -33,15 +33,6 @@ pub trait ShardProbe: Sync {
     /// Advance a named monotonic counter.
     fn add(&self, counter: &'static str, n: u64);
 
-    /// Observe one gauge sample (`metric` for `entity` at sim time `t_us`).
-    ///
-    /// Called from simulation workers: each `(metric, entity)` pair is fed
-    /// by exactly one worker in sim-time order, so an implementation that
-    /// keeps per-series state sees a deterministic per-series sequence even
-    /// though cross-series interleaving is scheduler-dependent. Default is
-    /// a no-op so existing probes stay source-compatible.
-    fn gauge(&self, _t_us: u64, _metric: &'static str, _entity: u64, _value: f64) {}
-
     /// Observe one telemetry event.
     ///
     /// Called only from the serial merge loop, in canonical rack order, so

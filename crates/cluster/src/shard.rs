@@ -14,9 +14,10 @@
 //!    generator derives a fresh stream per rack index.
 //! 2. **Per-shard telemetry**: each rack simulates into a buffered
 //!    [`Telemetry`] handle ([`Telemetry::buffered`]) whose decision-id
-//!    counter starts at a deterministic base ([`shard_id_base`]) instead of
-//!    a shared atomic — so `decision_id`/`cause_id` fields are a pure
-//!    function of `(run, rack)`, not of scheduling.
+//!    counter starts at a deterministic base ([`shard_id_base`], the layout
+//!    of [`soc_telemetry::ids`]) instead of a shared atomic — so
+//!    `decision_id`/`cause_id` fields are a pure function of `(run, rack)`,
+//!    not of scheduling.
 //! 3. **Canonical merge**: after the join, shard buffers are replayed into
 //!    the real handle in rack order ([`Telemetry::absorb`]): events append
 //!    in the order a serial run would emit them, counters add, and
@@ -51,25 +52,12 @@ use simcore::par;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::policy::PolicyKind;
 use soc_power::model::PowerModel;
+use soc_telemetry::ids::shard_id_base;
 use soc_telemetry::{Event, MemorySink, MetricsSnapshot, Telemetry};
 use soc_traces::fleet::RackTrace;
 use soc_traces::gen::TraceGenerator;
 use soc_workloads::microservice::{MicroserviceSim, Traffic, WindowStats};
 use std::sync::{Arc, Mutex};
-
-/// Decision-id bit layout for shard-local telemetry handles:
-/// `run_id << 44 | (shard + 1) << 24 | local`, giving every shard of every
-/// traced run a disjoint id range (16M local ids per shard, ~1M shards per
-/// run) without any cross-thread coordination. `run_id` comes from the
-/// outer handle's counter *before* the fan-out, so it is identical for
-/// every thread count.
-const RUN_SHIFT: u32 = 44;
-const SHARD_SHIFT: u32 = 24;
-
-/// Deterministic id base for shard `shard` of traced run `run_id`.
-pub fn shard_id_base(run_id: u64, shard: usize) -> u64 {
-    (run_id << RUN_SHIFT) | ((shard as u64 + 1) << SHARD_SHIFT)
-}
 
 /// Simulate one policy over a fleet streamed rack by rack across `threads`
 /// workers; returns per-rack outcomes in rack order (aggregate into Table I
@@ -84,8 +72,9 @@ pub fn shard_id_base(run_id: u64, shard: usize) -> u64 {
 /// byte-identical for every `threads` value (`0` means
 /// [`par::available_parallelism`]), so a serial run is just `threads = 1`.
 /// With telemetry enabled, each rack emits `rack_sim_start` /
-/// `rack_sim_end` events plus per-step `rack_capping` warnings, and
-/// per-policy request/grant/capping counters.
+/// `rack_sim_end` events, per-step `rack_capping` warnings and one
+/// `rack_series` event carrying its per-step draws, and per-policy
+/// request/grant/capping counters.
 ///
 /// The probe sees spans — `"shard/trace_gen"` and `"shard/sim"` per rack on
 /// the worker side (with `"rack/setup"` nested inside `"shard/sim"`), one
@@ -234,8 +223,8 @@ fn merge<R>(
         .map(|(outcome, (events, metrics))| {
             probe.add("merged_events", events.len() as u64);
             // Feed events to the probe here, in canonical item order on the
-            // merge thread, so event-observing probes (health recorders) see
-            // a deterministic sequence at every thread count.
+            // merge thread, so event-observing probes see a deterministic
+            // sequence at every thread count.
             for e in &events {
                 probe.event(e);
             }
@@ -714,18 +703,6 @@ mod tests {
         }
         assert!(!trace_1.is_empty());
         assert!(trace_1.contains("rack_sim_start"));
-    }
-
-    #[test]
-    fn shard_id_bases_are_disjoint_and_ordered() {
-        let bases: Vec<u64> = (0..100).map(|s| shard_id_base(1, s)).collect();
-        for pair in bases.windows(2) {
-            assert!(
-                pair[1] - pair[0] >= 1 << SHARD_SHIFT,
-                "shards must have disjoint id ranges"
-            );
-        }
-        assert!(shard_id_base(2, 0) > shard_id_base(1, 99));
     }
 
     #[test]

@@ -91,6 +91,8 @@ impl fmt::Display for Severity {
 ///
 /// Strings are borrowed when static (policy names, fault kinds), so building
 /// or cloning such a field never allocates; only runtime strings own a copy.
+/// A float array ([`FieldValue::F64s`]) takes its `Vec` by move: a rack
+/// run's per-step draws ride in one event without a copy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     U64(u64),
@@ -98,6 +100,7 @@ pub enum FieldValue {
     F64(f64),
     Bool(bool),
     Str(Cow<'static, str>),
+    F64s(Vec<f64>),
 }
 
 impl From<u64> for FieldValue {
@@ -127,6 +130,12 @@ impl From<i64> for FieldValue {
 impl From<f64> for FieldValue {
     fn from(v: f64) -> Self {
         FieldValue::F64(v)
+    }
+}
+
+impl From<Vec<f64>> for FieldValue {
+    fn from(v: Vec<f64>) -> Self {
+        FieldValue::F64s(v)
     }
 }
 
@@ -168,6 +177,16 @@ impl fmt::Display for FieldValue {
             FieldValue::F64(v) => write!(f, "{v}"),
             FieldValue::Bool(v) => write!(f, "{v}"),
             FieldValue::Str(v) => f.write_str(v),
+            FieldValue::F64s(v) => {
+                f.write_str("[")?;
+                for (i, x) in v.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{x}")?;
+                }
+                f.write_str("]")
+            }
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The workspace's one JSON codec.
 //!
 //! The workspace deliberately has no JSON crate. Every JSON artifact — JSONL
-//! telemetry traces, soc-prof snapshots, soc-analyze health reports and
-//! soc-lint reports — is written with [`push_str`]/[`escape`] and
+//! telemetry traces (which `--prof-out` profiles are made of too), result
+//! files and soc-lint reports — is written with [`push_str`]/[`escape`] and
 //! [`fmt_num`] and read back with [`parse`], so the whole surface is one
 //! escaper, one number formatter, one [`Value`] type and one parser.
 //!
@@ -62,7 +62,8 @@ pub fn fmt_num(v: f64) -> String {
 }
 
 /// Append a JSON representation of an event field. A non-finite float
-/// becomes `null`: the event carried no usable number.
+/// becomes `null`: the event carried no usable number. A float array is a
+/// JSON array of such numbers.
 fn push_json_value(out: &mut String, v: &FieldValue) {
     match v {
         FieldValue::U64(n) => {
@@ -71,15 +72,28 @@ fn push_json_value(out: &mut String, v: &FieldValue) {
         FieldValue::I64(n) => {
             let _ = write!(out, "{n}");
         }
-        FieldValue::F64(x) => {
-            if x.is_finite() {
-                let _ = write!(out, "{x}");
-            } else {
-                out.push_str("null");
-            }
-        }
+        FieldValue::F64(x) => push_f64(out, *x),
         FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         FieldValue::Str(s) => push_str(out, s),
+        FieldValue::F64s(xs) => {
+            out.push('[');
+            for (i, x) in xs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_f64(out, *x);
+            }
+            out.push(']');
+        }
+    }
+}
+
+/// Append `x` in its shortest round-trip form, or `null` when non-finite.
+fn push_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
     }
 }
 
@@ -564,6 +578,12 @@ mod tests {
         out.clear();
         push_json_value(&mut out, &FieldValue::F64(2.5));
         assert_eq!(out, "2.5");
+        out.clear();
+        push_json_value(&mut out, &FieldValue::F64s(vec![1.0, f64::INFINITY, -0.25]));
+        assert_eq!(out, "[1,null,-0.25]");
+        out.clear();
+        push_json_value(&mut out, &FieldValue::F64s(Vec::new()));
+        assert_eq!(out, "[]");
     }
 
     #[test]
@@ -626,8 +646,8 @@ mod tests {
         assert_eq!(parse("7.0").unwrap(), Value::Float(7.0));
         assert_eq!(parse("1e3").unwrap(), Value::Float(1000.0));
         assert_eq!(parse("-1.5E+2").unwrap(), Value::Float(-150.0));
-        let id = (5i64 << 44) | 12345;
-        assert_eq!(parse(&id.to_string()).unwrap().as_u64(), Some(id as u64));
+        let id = crate::ids::shard_id_base(5, 0) + 12345;
+        assert_eq!(parse(&id.to_string()).unwrap().as_u64(), Some(id));
         assert_eq!(
             parse("9223372036854775808").unwrap(),
             Value::Float(9.223372036854776e18)

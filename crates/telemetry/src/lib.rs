@@ -41,6 +41,7 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
+pub mod ids;
 pub mod json;
 pub mod metrics;
 pub mod sink;

@@ -234,8 +234,14 @@ impl MetricsRegistry {
             .unwrap_or(0)
     }
 
-    /// Current value of a gauge, if set.
-    pub fn gauge(&self, name: &'static str, labels: &[(&'static str, LabelValue)]) -> Option<f64> {
+    /// Current value of a gauge, if set (tests read gauges back; runs dump
+    /// them with the snapshot).
+    #[cfg(test)]
+    pub(crate) fn gauge(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, LabelValue)],
+    ) -> Option<f64> {
         let map = self.gauges.lock().expect("gauge map poisoned");
         map.get(&(name, labels) as &dyn SeriesId).copied()
     }

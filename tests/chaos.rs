@@ -19,9 +19,10 @@
 //! suite: it must violate the budget, proving the invariant in (1) is not
 //! vacuous.
 //!
-//! The traced `chaos_binned` benchmark shape is also pinned by one digest
-//! over its event JSON and rendered metrics, so a rework of the telemetry
-//! hot path must leave every emitted byte as it was.
+//! The traced `chaos_binned` benchmark shape is also pinned by two digests,
+//! one over its event JSON and rendered metrics and one over its per-rack
+//! `rack_series` events, so a rework of the telemetry hot path must leave
+//! every emitted byte as it was.
 //!
 //! A faulted cluster-harness run (budget drops, sOA restarts and a gOA
 //! outage) is pinned the same way, over its trace lines, metrics and
@@ -372,38 +373,56 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 fn chaos_binned_telemetry_bytes_are_pinned() {
     // The benchmark's `chaos_binned` shape at small size: hostile faults,
     // 8-bin silicon and a fail-open central baseline, traced through the
-    // sharded on-traces path into a memory sink per policy run. The digest
-    // covers every event's JSON bytes and the rendered metrics registry, so
-    // any change to what the traced path emits (not only to its outcomes)
-    // shows up here.
+    // sharded on-traces path into a memory sink per policy run. The first
+    // digest covers every other event's JSON bytes and the rendered metrics
+    // registry, so any change to what the traced path emits (not only to
+    // its outcomes) shows up here; the second covers the `rack_series`
+    // events (one per rack run, carrying its per-step draws) alone.
     let cfg = chaos_binned_config();
+    let policies = [PolicyKind::SmartOClock, PolicyKind::Central];
     let digest = |threads: usize| {
         let fleet = generate_fleet_probed(&cfg, threads, &NoopProbe);
         let mut h = 0xcbf2_9ce4_8422_2325;
-        let mut events = 0;
-        for policy in [PolicyKind::SmartOClock, PolicyKind::Central] {
+        let mut series = 0xcbf2_9ce4_8422_2325;
+        let (mut events, mut series_events) = (0, 0);
+        for policy in policies {
             let (tm, sink) = Telemetry::memory();
             simulate_policy_on_traces_probed(&cfg, policy, &fleet, &tm, threads, &NoopProbe);
             for event in sink.events() {
-                h = fnv1a(h, event_to_json(&event).as_bytes());
-                h = fnv1a(h, b"\n");
-                events += 1;
+                let line = event_to_json(&event);
+                if event.name == "rack_series" {
+                    series = fnv1a(fnv1a(series, line.as_bytes()), b"\n");
+                    series_events += 1;
+                } else {
+                    h = fnv1a(fnv1a(h, line.as_bytes()), b"\n");
+                    events += 1;
+                }
             }
             h = fnv1a(h, tm.metrics_snapshot().render().as_bytes());
         }
-        (h, events)
+        (h, series, events, series_events)
     };
-    let (serial, events) = digest(1);
+    let (serial, series, events, series_events) = digest(1);
     assert!(events > 0, "the traced chaos run must emit events");
+    assert_eq!(
+        series_events,
+        cfg.racks * policies.len(),
+        "one rack_series event per rack run"
+    );
     assert_eq!(
         format!("{serial:016x}"),
         "6ffa8d33bd0ab58a",
         "chaos telemetry bytes changed"
     );
     assert_eq!(
-        digest(multi_threads()).0,
-        serial,
-        "digest depends on threads"
+        format!("{series:016x}"),
+        "5d730c6be633527b",
+        "chaos rack_series bytes changed"
+    );
+    assert_eq!(
+        digest(multi_threads()),
+        (serial, series, events, series_events),
+        "digests depend on threads"
     );
 }
 

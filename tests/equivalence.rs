@@ -31,12 +31,12 @@ use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::RackOutcome;
 use soc_cluster::probe::SpanToken;
 use soc_cluster::shard::{
-    generate_fleet_probed, run_cluster_sims_probed, shard_id_base,
-    simulate_policy_on_traces_probed, simulate_policy_prepared_probed,
-    simulate_policy_sharded_probed, train_fleet_probed,
+    generate_fleet_probed, run_cluster_sims_probed, simulate_policy_on_traces_probed,
+    simulate_policy_prepared_probed, simulate_policy_sharded_probed, train_fleet_probed,
 };
 use soc_cluster::{NoopProbe, ShardProbe};
 use soc_reliability::binning::BinningConfig;
+use soc_telemetry::ids::shard_id_base;
 use soc_telemetry::json::event_to_json;
 use soc_telemetry::{Event, Telemetry};
 use std::collections::BTreeMap;

@@ -1,22 +1,24 @@
-//! Health-recording-is-observation-only harness.
+//! Health-is-a-reading-of-the-trace harness.
 //!
-//! The fleet-health layer (`soc_analyze::Recorder` + the `gauge`/`event` hooks on
-//! `soc_cluster::probe::ShardProbe`) must never perturb the simulation:
-//! attaching a health-recording [`Observer`] to the sharded engine has to
-//! yield byte-identical telemetry traces, metrics, and outcomes to the
-//! default [`NoopProbe`] run, at any thread count — also with its trace and
-//! profile parts switched on at the same time. That is what lets
-//! `--health-out` default to off-but-harmless in every bench binary.
+//! Fleet health is read from a traced run: each rack run emits one
+//! `rack_series` event (its per-step draws and its limit), and
+//! [`HealthReport::per_run`] rebuilds every run's series from those events,
+//! then evaluates the alert rules over them and the run's own events. The
+//! bench [`Observer`] that traces and profiles a run must never perturb it:
+//! its trace, metrics and outcomes stay byte-identical to the default
+//! [`NoopProbe`] run at any thread count, and the health read from that
+//! trace has one draw series per rack and renders the same at every
+//! thread count.
 //!
-//! The chaos case then drives the recorder end to end: an injected gOA
-//! outage must surface as exactly one resolved degraded-window incident
-//! whose sim-time bounds match the generated fault plan and whose root
-//! cause joins back to a real decision id in the trace.
+//! The chaos case then reads health end to end: an injected gOA outage
+//! must surface as exactly one resolved degraded-window incident whose
+//! sim-time bounds match the generated fault plan and whose root cause
+//! joins back to a real decision id in the trace.
 
 use simcore::faults::FaultPlan;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::policy::PolicyKind;
-use soc_analyze::{default_rules, Recorder};
+use soc_analyze::{render, HealthReport, Trace};
 use soc_bench::Observer;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::probe::{NoopProbe, ShardProbe};
@@ -59,12 +61,14 @@ fn probed_run(cfg: &LargeScaleConfig, threads: usize, probe: &dyn ShardProbe) ->
     traced_run(cfg, threads, &tm, &sink, probe)
 }
 
-/// An observer with only its recorder on, as `--health-out` builds it.
-fn health_observer(recorder: Recorder) -> Observer {
-    Observer {
-        recorder,
-        ..Observer::default()
-    }
+/// The health of every run in `lines`, as `soc-analyze health` reads it.
+fn health(lines: &[String]) -> Vec<HealthReport> {
+    HealthReport::per_run(&Trace::parse(&lines.join("\n")).expect("trace parses"))
+}
+
+/// Evaluation steps of one rack run: every step after the training week.
+fn eval_steps(cfg: &LargeScaleConfig) -> u64 {
+    (SimDuration::WEEK * (cfg.weeks - 1)).as_micros() / cfg.step.as_micros()
 }
 
 #[test]
@@ -72,41 +76,11 @@ fn health_recorded_run_is_byte_identical_to_unrecorded() {
     let cfg = small_config(11);
     for threads in [1, 4] {
         let baseline = probed_run(&cfg, threads, &NoopProbe);
-        let recorder = Recorder::new("health-test");
-        let probed = probed_run(&cfg, threads, &health_observer(recorder.clone()));
-        assert_eq!(
-            baseline.0, probed.0,
-            "telemetry trace changed under health recording at {threads} threads"
-        );
-        assert_eq!(
-            baseline.1, probed.1,
-            "metrics snapshot changed under health recording at {threads} threads"
-        );
-        assert_eq!(
-            baseline.2, probed.2,
-            "outcomes changed under health recording at {threads} threads"
-        );
-        // ... and the recorder really was live, not silently disabled: the
-        // engine's per-rack draw gauges landed in the store.
-        assert!(
-            recorder.samples() > 0,
-            "expected gauge samples, recorder stayed empty"
-        );
-        let report = recorder
-            .finalize(&default_rules(cfg.step.as_micros()))
-            .expect("enabled recorder finalizes to a report");
-        assert!(
-            report.store.entities("rack_draw_w").len() == cfg.racks,
-            "expected one rack_draw_w series per rack"
-        );
-
-        // Trace, profile and health on at once: still the same bytes, and
-        // the recorder takes the samples the health-only run did.
+        // Trace and profile on at once: still the same bytes.
         let (telemetry, sink) = Telemetry::memory();
         let full = Observer {
             telemetry,
             profile: Telemetry::with_sink(NullSink),
-            recorder: Recorder::new("full"),
             ..Observer::default()
         };
         let observed = traced_run(&cfg, threads, &full.telemetry, &sink, &full);
@@ -114,7 +88,6 @@ fn health_recorded_run_is_byte_identical_to_unrecorded() {
             baseline, observed,
             "the fully enabled observer perturbed the run at {threads} threads"
         );
-        assert_eq!(full.recorder.samples(), recorder.samples());
         let phases = full.profile.metrics_snapshot().histograms;
         assert!(
             phases
@@ -122,27 +95,54 @@ fn health_recorded_run_is_byte_identical_to_unrecorded() {
                 .any(|(k, _)| k.render() == "phase_ms{phase=shard/sim}"),
             "the profile part stayed empty"
         );
+        // ... and the trace really carries the run's health, not an empty
+        // reading: one run, one draw and one limit series per rack, each
+        // draw series one sample per evaluated step.
+        let reports = health(&observed.0);
+        assert_eq!(reports.len(), 1, "expected one traced run");
+        let store = &reports[0].store;
+        assert_eq!(
+            store.entities("rack_draw_w").len(),
+            cfg.racks,
+            "expected one rack_draw_w series per rack"
+        );
+        assert_eq!(store.entities("rack_limit_w").len(), cfg.racks);
+        // The run is short enough for one bucket per step, so the draw
+        // series starts at the end of training and steps on the run's grid.
+        let train_end = (SimTime::ZERO + SimDuration::WEEK).as_micros();
+        let last = train_end + (eval_steps(&cfg) - 1) * cfg.step.as_micros();
+        for rack in 0..cfg.racks as u64 {
+            let draws = store.get("rack_draw_w", rack).expect("draw series");
+            assert_eq!(draws.samples(), eval_steps(&cfg), "rack {rack}");
+            let buckets = draws.buckets();
+            assert_eq!(buckets.len() as u64, eval_steps(&cfg), "rack {rack}");
+            assert_eq!(buckets[0].t0_us, train_end, "rack {rack}");
+            assert_eq!(buckets[buckets.len() - 1].t0_us, last, "rack {rack}");
+            let limit = store.get("rack_limit_w", rack).expect("limit series");
+            assert_eq!(limit.samples(), 1, "rack {rack}");
+            assert_eq!(limit.buckets()[0].t0_us, train_end, "rack {rack}");
+        }
     }
 }
 
 #[test]
 fn health_series_are_identical_across_thread_counts() {
-    // Each series is fed by exactly one worker in time order, so the
-    // canonical store (and with it the health JSON) must not depend on how
-    // racks were dealt across threads.
+    // The series events merge in rack order, so the health read from the
+    // trace (and its render) must not depend on how racks were dealt across
+    // threads.
     let cfg = small_config(23);
-    let mut reports = Vec::new();
-    for threads in [1, 4] {
-        let recorder = Recorder::new("health-test");
-        let _ = probed_run(&cfg, threads, &health_observer(recorder.clone()));
-        let report = recorder
-            .finalize(&default_rules(cfg.step.as_micros()))
-            .expect("report");
-        reports.push(soc_analyze::json::to_json(&report));
-    }
+    let renders: Vec<String> = [1, 4]
+        .into_iter()
+        .map(|threads| render::render_health(&health(&probed_run(&cfg, threads, &NoopProbe).0)))
+        .collect();
+    assert!(
+        renders[0].contains("rack_draw_w{entity=0}"),
+        "{}",
+        renders[0]
+    );
     assert_eq!(
-        reports[0], reports[1],
-        "health JSON differs across thread counts"
+        renders[0], renders[1],
+        "health render differs across thread counts"
     );
 }
 
@@ -175,11 +175,9 @@ fn injected_goa_outage_produces_one_resolved_incident() {
     let enter_us = enter_us.expect("outage starts inside the horizon");
     let exit_us = exit_us.expect("outage ends inside the horizon");
 
-    let recorder = Recorder::new("chaos-health");
-    let _ = probed_run(&cfg, 2, &health_observer(recorder.clone()));
-    let report = recorder
-        .finalize(&default_rules(cfg.step.as_micros()))
-        .expect("report");
+    let reports = health(&probed_run(&cfg, 2, &NoopProbe).0);
+    assert_eq!(reports.len(), 1, "expected one traced run");
+    let report = &reports[0];
 
     // One outage, all racks degraded over the same window: the overlapping
     // per-rack alerts group into exactly one degraded incident, and every

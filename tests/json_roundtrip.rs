@@ -1,8 +1,8 @@
 //! Cross-writer round trip through the workspace's one JSON codec.
 //!
 //! Every JSON writer in the workspace — telemetry events (which `--prof-out`
-//! profiles are made of too), soc-analyze health reports, soc-lint's JSON
-//! report and SARIF log — is fed seeded strings built from hostile
+//! profiles and the `rack_series` events health is read from are made of
+//! too), soc-lint's JSON report and SARIF log — is fed seeded strings built from hostile
 //! characters (quote, backslash, every C0 control, DEL, non-ASCII and
 //! astral-plane characters). Each output must
 //! parse with `soc_telemetry::json::parse`, and every string must come back
@@ -12,7 +12,6 @@
 use simcore::rng::Pcg32;
 use simcore::time::SimTime;
 use soc_analyze::Trace;
-use soc_analyze::{Alert, HealthReport, Incident, SeriesStore};
 use soc_lint::sarif::render_sarif;
 use soc_lint::{AllowEntry, Allowlist, CheckReport, Diagnostic};
 use soc_telemetry::json::{event_to_json, parse, Value};
@@ -86,41 +85,42 @@ fn every_writer_round_trips_hostile_strings() {
             assert_eq!(event.field_str(&event.name), Some(event.name.as_str()));
         }
 
-        let mut store = SeriesStore::new(4);
-        let mut alerts = Vec::new();
-        for (i, s) in strings.iter().enumerate() {
-            store.record(s, i as u64, 0, 1.5);
-            alerts.push(Alert {
-                rule: s.clone(),
-                entity: i as u64,
-                start_us: 10,
-                end_us: None,
-                peak: 0.5,
-                decision_id: 1 << 44,
-            });
+        // One event carrying every hostile string and a float array, as a
+        // rack run's series event carries its draws: both come back through
+        // the trace reader exactly, the floats bit for bit.
+        let draws = vec![
+            0.1,
+            -0.0,
+            5e-324,
+            f64::MAX,
+            -1.5e-300,
+            3953.125,
+            1e21,
+            (seed as f64 + 1.0) / 3.0,
+        ];
+        let mut event = Event::new(
+            SimTime::from_micros(seed),
+            Component::Sim,
+            Severity::Debug,
+            "rack_series",
+        )
+        .field("draws_w", draws.clone());
+        for s in &strings {
+            event = event.field(leak(s), s.clone());
         }
-        let incidents = vec![Incident {
-            id: 1,
-            start_us: 10,
-            end_us: Some(20),
-            alerts: alerts.clone(),
-            root_decision: 3,
-            cause: strings.concat(),
-        }];
-        let report = HealthReport {
-            name: strings[0].clone(),
-            store,
-            alerts,
-            incidents,
+        let line = event_to_json(&event);
+        assert_strings_survive("event_to_json with an array", &line, &strings);
+        let trace = Trace::parse(&line).expect("series event parses");
+        let fields = &trace.events()[0].fields;
+        let Some(Value::Arr(back)) = fields.get("draws_w") else {
+            panic!("draws_w is not an array: {line}");
         };
-        let text = soc_analyze::json::to_json(&report);
-        assert_strings_survive("health::json::to_json", &text, &strings);
-        let back = soc_analyze::json::from_json(&text).expect("report reads back");
-        assert_eq!(
-            (&back.alerts, &back.incidents),
-            (&report.alerts, &report.incidents)
-        );
-        assert_eq!(soc_analyze::json::to_json(&back), text);
+        let back: Vec<u64> = back.iter().map(|v| v.as_num().unwrap().to_bits()).collect();
+        let want: Vec<u64> = draws.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(back, want, "draws_w did not round-trip bit for bit");
+        for s in &strings {
+            assert_eq!(fields.get(s).and_then(Value::as_str), Some(s.as_str()));
+        }
 
         let diags: Vec<Diagnostic> = strings
             .iter()
@@ -161,7 +161,11 @@ fn every_writer_round_trips_hostile_strings() {
 fn every_reader_rejects_deep_nesting_with_an_error() {
     for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
         assert!(parse(&deep).is_err());
-        assert!(soc_analyze::json::from_json(&deep).is_err());
         assert!(Trace::parse(&deep).is_err());
+        // Over-deep nesting inside a series event's array field too.
+        let line = format!(
+            r#"{{"t_us":1,"component":"sim","severity":"debug","name":"rack_series","fields":{{"draws_w":{deep}}}}}"#
+        );
+        assert!(Trace::parse(&line).is_err());
     }
 }

@@ -4,8 +4,8 @@
 //! behind `soc_cluster::probe`) must never perturb the simulation:
 //! attaching a profiling [`Observer`] to the sharded engine has to yield
 //! byte-identical telemetry traces, metrics, and outcomes to the default
-//! [`NoopProbe`] run, at any thread count — also with its trace and health
-//! parts switched on at the same time. That invariant is what lets
+//! [`NoopProbe`] run, at any thread count — also with its trace switched
+//! on at the same time, whose health still reads back. That invariant is what lets
 //! `--prof-out` default to off-but-harmless and lets `soc-benchmark` take
 //! its per-layer numbers from traced passes that must reproduce the
 //! untraced digest. Pinned here end to end across the public crate APIs,
@@ -15,7 +15,7 @@
 
 use smartoclock::policy::PolicyKind;
 use soc_analyze::rollup::{self, MetricValue};
-use soc_analyze::{Recorder, Trace};
+use soc_analyze::{HealthReport, Trace};
 use soc_bench::{Cli, Observer};
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::probe::{NoopProbe, ShardProbe};
@@ -128,13 +128,13 @@ fn profiled_run_is_byte_identical_to_unprofiled() {
             Some(cfg.racks as u64)
         );
 
-        // Trace, profile and health on at once: still the same bytes, and
-        // the profile records the keys the profile-only run did.
+        // Trace and profile on at once: still the same bytes, the profile
+        // records the keys the profile-only run did, and the trace's health
+        // reads back.
         let (telemetry, sink) = Telemetry::memory();
         let full = Observer {
             telemetry,
             profile: Telemetry::with_sink(NullSink),
-            recorder: Recorder::new("full"),
             ..Observer::default()
         };
         let observed = traced_run(&cfg, threads, &full.telemetry, &sink, &full);
@@ -143,7 +143,12 @@ fn profiled_run_is_byte_identical_to_unprofiled() {
             "the fully enabled observer perturbed the run at {threads} threads"
         );
         assert_eq!(profile_keys(&full), keys);
-        assert!(full.recorder.samples() > 0, "the health part stayed empty");
+        let trace = Trace::parse(&observed.0.join("\n")).expect("trace parses");
+        let reports = HealthReport::per_run(&trace);
+        assert!(
+            reports.iter().any(|r| !r.store.is_empty()),
+            "the trace's health stayed empty"
+        );
     }
 }
 
@@ -212,7 +217,7 @@ fn profile_file_reads_back_with_thread_invariant_work_counters() {
             threads,
             &obs,
         );
-        let _ = cli.finish(&obs, &[]);
+        let _ = cli.finish(&obs);
         let text = std::fs::read_to_string(&path).expect("profile written");
         let metrics = rollup::metrics(&Trace::parse(&text).expect("profile parses"));
         assert!(

@@ -17,7 +17,9 @@
 //!   (`FaultPlan::at`) taken for every `(t, entity)` query, and fresh
 //!   per-step allocations;
 //! * **the merge**: each rack into a buffered handle whose ids start at
-//!   `shard_id_base(run, rack)`, absorbed in rack order.
+//!   `shard_id_base(run, rack)`, absorbed in rack order;
+//! * **the series**: each rack run's per-step draws, pushed as the loop
+//!   computes them, in one `rack_series` event at the end of the run.
 //!
 //! So a divergence from the product is a defect in training, binning, the
 //! engine or the merge, not a difference in what the two were given.
@@ -31,7 +33,7 @@ use smartoclock::goa::GlobalOverclockAgent;
 use smartoclock::policy::PolicyKind;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::RackOutcome;
-use soc_cluster::shard::{shard_id_base, FleetTraces};
+use soc_cluster::shard::FleetTraces;
 use soc_power::hierarchy::DemandProfile;
 use soc_power::model::PowerModel;
 use soc_power::rack::{RackMonitor, RackSignal};
@@ -40,6 +42,7 @@ use soc_predict::template::{PowerTemplate, TemplateKind};
 use soc_reliability::binning::{SiliconPart, WearRate};
 use soc_reliability::thermal::Cooling;
 use soc_reliability::wear::WearModel;
+use soc_telemetry::ids::shard_id_base;
 use soc_telemetry::{tm_event, Component, Severity, Telemetry};
 use soc_traces::fleet::RackTrace;
 
@@ -211,6 +214,8 @@ fn simulate_rack(
     let mut delayed_updates = 0u64;
     let mut telemetry_gaps = 0u64;
     let sim_decision = telemetry.next_id();
+    // Every step's post-enforcement draw, for the run's `rack_series` event.
+    let mut draws = Vec::new();
     tm_event!(telemetry, train_end, Component::Sim, Severity::Info, "rack_sim_start",
         "rack" => rack.index,
         "policy" => policy.name(),
@@ -505,6 +510,7 @@ fn simulate_rack(
                 "cause_id" => sim_decision);
         }
         outcome.max_draw = outcome.max_draw.max(draw);
+        draws.push(draw.get());
         telemetry.metrics(|m| {
             m.observe(
                 "sim_rack_draw_w",
@@ -604,5 +610,12 @@ fn simulate_rack(
             m.inc_counter_by("sim_down_binned", &policy_label, outcome.down_binned);
         }
     });
+    tm_event!(telemetry, train_end, Component::Sim, Severity::Debug, "rack_series",
+        "rack" => rack.index,
+        "policy" => policy.name(),
+        "cause_id" => sim_decision,
+        "limit_w" => rack.limit.get(),
+        "step_us" => config.step,
+        "draws_w" => draws);
     outcome
 }
